@@ -5,12 +5,12 @@
 // The paper's core object is the application — a parallel program whose
 // execution time varies with a dynamically changing node allocation. This
 // package makes that response curve a first-class, pluggable axis,
-// mirroring the design of the scheduling-policy subsystem
-// (internal/sched): an AppModel interface, a self-registering
-// case-insensitive registry (Register/New/ByName/Names), Params for
-// construction parameters, and "name(key=value,...)" spec strings via
-// ParseSpec/FormatSpec that round-trip through scenario JSON, sweep-grid
-// labels and CLI flags.
+// built like the scheduling-policy subsystem (internal/sched) over the
+// shared spec kernel (internal/spec): an AppModel interface, a
+// self-registering case-insensitive registry
+// (Register/New/ByName/Names), Params for construction parameters, and
+// "name(key=value,...)" spec strings via ParseSpec/FormatSpec that
+// round-trip through scenario JSON, sweep-grid labels and CLI flags.
 //
 // Built-in models:
 //
@@ -42,7 +42,12 @@
 // classic workloads keep the simulator's inlined fast path.
 package appmodel
 
-import "math"
+import (
+	"errors"
+	"math"
+)
+
+var errNegativeCost = errors.New("appmodel: migrate_s and ckpt_s must be >= 0")
 
 // AppModel is one application performance model: a response curve from
 // (serial work, node allocation) to execution behavior. Implementations
@@ -107,9 +112,12 @@ func (c Costs) MigrationS(from, to int) float64 { return c.MigrateS }
 // CheckpointLossS implements Reconfigurer.
 func (c Costs) CheckpointLossS() float64 { return c.CkptS }
 
-// costsFromParams extracts the shared migrate_s/ckpt_s parameters; the
-// caller's Params.check must already allow both keys.
-func costsFromParams(p Params) (Costs, error) {
+// costsFromParams rejects any key outside the model's own allowed set
+// plus the shared migrate_s/ckpt_s, and extracts those two.
+func costsFromParams(p Params, model string, allowed ...string) (Costs, error) {
+	if err := p.Check("appmodel", model, append(allowed, "migrate_s", "ckpt_s")...); err != nil {
+		return Costs{}, err
+	}
 	c := Costs{MigrateS: p.Float("migrate_s", 0), CkptS: p.Float("ckpt_s", 0)}
 	if c.MigrateS < 0 || c.CkptS < 0 {
 		return Costs{}, errNegativeCost

@@ -76,10 +76,7 @@ func LUPhase(blocks, k int) CommFactor {
 // newLU is the registry factory for one LU iteration; the scenario layer
 // uses LUPhase directly (the factor varies per phase).
 func newLU(p Params) (AppModel, error) {
-	if err := p.check("lu", "blocks", "k"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "lu", "blocks", "k")
 	if err != nil {
 		return nil, err
 	}
@@ -99,10 +96,7 @@ func newLU(p Params) (AppModel, error) {
 // newSynthetic registers the synthetic mix's uniform-phase model: the
 // communication factor is taken verbatim.
 func newSynthetic(p Params) (AppModel, error) {
-	if err := p.check("synthetic", "comm"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "synthetic", "comm")
 	if err != nil {
 		return nil, err
 	}
@@ -138,10 +132,7 @@ func StencilComm(n int, flops float64) float64 {
 // newStencil registers the stencil mix's model, parameterized by the
 // grid size and per-node flops rate.
 func newStencil(p Params) (AppModel, error) {
-	if err := p.check("stencil", "grid_n", "flops"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "stencil", "grid_n", "flops")
 	if err != nil {
 		return nil, err
 	}

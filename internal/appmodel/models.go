@@ -25,10 +25,7 @@ type Amdahl struct {
 }
 
 func newAmdahl(p Params) (AppModel, error) {
-	if err := p.check("amdahl", "f"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "amdahl", "f")
 	if err != nil {
 		return nil, err
 	}
@@ -74,10 +71,7 @@ type Downey struct {
 }
 
 func newDowney(p Params) (AppModel, error) {
-	if err := p.check("downey", "A", "sigma"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "downey", "A", "sigma")
 	if err != nil {
 		return nil, err
 	}
@@ -155,10 +149,7 @@ type CommBound struct {
 }
 
 func newCommBound(p Params) (AppModel, error) {
-	if err := p.check("comm-bound", "alpha", "beta"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "comm-bound", "alpha", "beta")
 	if err != nil {
 		return nil, err
 	}
@@ -217,10 +208,7 @@ type Roofline struct {
 }
 
 func newRoofline(p Params) (AppModel, error) {
-	if err := p.check("roofline", "sat"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "roofline", "sat")
 	if err != nil {
 		return nil, err
 	}
@@ -268,10 +256,7 @@ type Fixed struct {
 }
 
 func newFixed(p Params) (AppModel, error) {
-	if err := p.check("fixed"); err != nil {
-		return nil, err
-	}
-	c, err := costsFromParams(p)
+	c, err := costsFromParams(p, "fixed")
 	if err != nil {
 		return nil, err
 	}

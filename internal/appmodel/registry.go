@@ -1,103 +1,33 @@
 package appmodel
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-)
-
-var errNegativeCost = errors.New("appmodel: migrate_s and ckpt_s must be >= 0")
+import "dpsim/internal/spec"
 
 // Params carries a model's construction parameters, as decoded from a
 // scenario file's appmodels block or a CLI "name(key=value,...)" spec.
 // All values are float64; factories round where an integer is meant.
-type Params map[string]float64
-
-// Float returns the parameter's value, or def when the key is absent.
-func (p Params) Float(key string, def float64) float64 {
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
-// check rejects any key outside the allowed set — a misspelled parameter
-// must fail loudly at construction, not silently fall back to a default.
-// The shared cost parameters migrate_s and ckpt_s are always allowed.
-func (p Params) check(model string, allowed ...string) error {
-	allowed = append(allowed, "migrate_s", "ckpt_s")
-	for key := range p {
-		ok := false
-		for _, a := range allowed {
-			if key == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("appmodel: %s: unknown parameter %q (valid: %s)",
-				model, key, strings.Join(allowed, ", "))
-		}
-	}
-	return nil
-}
+type Params = spec.Params
 
 // Factory constructs a model instance from its parameters. It must
 // reject unknown or out-of-range parameters.
 type Factory func(p Params) (AppModel, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
+var registry = spec.NewRegistry[AppModel]("appmodel", "model")
 
 // Register adds a model factory under its canonical (lower-case) name.
 // Built-in models self-register from init functions; registering a
 // duplicate or empty name panics — it is a programming error.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("appmodel: Register with empty name or nil factory")
-	}
-	key := strings.ToLower(name)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[key]; dup {
-		panic("appmodel: duplicate model " + key)
-	}
-	registry[key] = f
-}
+func Register(name string, f Factory) { registry.Register(name, f) }
 
 // Names lists the registered model names in canonical (alphabetical)
 // order — the valid values for scenario files and CLI flags (plus the
 // scenario-level sentinel "mix", which selects each mix component's
 // native model and is not itself registered here).
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return registry.Names() }
 
 // New constructs the named model with the given parameters,
 // case-insensitively. Models are immutable, but constructing per use is
 // cheap and keeps the API parallel to sched.New.
-func New(name string, p Params) (AppModel, error) {
-	regMu.RLock()
-	f, ok := registry[strings.ToLower(name)]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("appmodel: unknown model %q (valid: %s)", name, strings.Join(Names(), ", "))
-	}
-	return f(p)
-}
+func New(name string, p Params) (AppModel, error) { return registry.New(name, p) }
 
 // ByName resolves a model with default parameters (the form used by
 // scenario files and CLI flags that pass a bare name).
@@ -112,67 +42,10 @@ func ByName(name string) (AppModel, bool) {
 // ParseSpec splits a CLI/label model spec into name and parameters:
 // either a bare "name" or "name(key=value,key2=value2)". It is the
 // inverse of FormatSpec.
-func ParseSpec(spec string) (string, Params, error) {
-	spec = strings.TrimSpace(spec)
-	open := strings.IndexByte(spec, '(')
-	if open < 0 {
-		if spec == "" {
-			return "", nil, fmt.Errorf("appmodel: empty model spec")
-		}
-		return spec, nil, nil
-	}
-	if !strings.HasSuffix(spec, ")") {
-		return "", nil, fmt.Errorf("appmodel: model spec %q: missing ')'", spec)
-	}
-	name := strings.TrimSpace(spec[:open])
-	if name == "" {
-		return "", nil, fmt.Errorf("appmodel: model spec %q has no name", spec)
-	}
-	body := spec[open+1 : len(spec)-1]
-	params := Params{}
-	if strings.TrimSpace(body) == "" {
-		return name, params, nil
-	}
-	for _, kv := range strings.Split(body, ",") {
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			return "", nil, fmt.Errorf("appmodel: model spec %q: parameter %q is not key=value", spec, kv)
-		}
-		key := strings.TrimSpace(kv[:eq])
-		val, err := strconv.ParseFloat(strings.TrimSpace(kv[eq+1:]), 64)
-		// ParseFloat accepts "NaN"/"Inf", and NaN slips through every
-		// range check a factory can write (v <= 0 is false) — reject
-		// non-finite values at the parse boundary.
-		if key == "" || err != nil || math.IsNaN(val) || math.IsInf(val, 0) {
-			return "", nil, fmt.Errorf("appmodel: model spec %q: bad parameter %q", spec, kv)
-		}
-		params[key] = val
-	}
-	return name, params, nil
-}
+func ParseSpec(s string) (string, Params, error) { return spec.Parse("appmodel", "model", s) }
 
 // FormatSpec renders a (name, params) pair as the canonical spec string:
 // the bare name, or "name(key=value,...)" with keys sorted. %g float
 // rendering round-trips exactly through ParseSpec, so a grid label built
 // with FormatSpec resolves back to the identical model.
-func FormatSpec(name string, p Params) string {
-	if len(p) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('(')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", k, strconv.FormatFloat(p[k], 'g', -1, 64))
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+func FormatSpec(name string, p Params) string { return spec.Format(name, p) }

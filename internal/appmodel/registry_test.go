@@ -57,15 +57,21 @@ func TestParseFormatSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseSpecRejectsMalformed: parse errors must be loud and early.
+// TestParseSpecRejectsMalformed: parse errors are loud, early and carry
+// the package's own wording (internal/spec.TestParseFormat is the
+// grammar table).
 func TestParseSpecRejectsMalformed(t *testing.T) {
-	for _, spec := range []string{
-		"", "amdahl(", "amdahl(f=0.1", "(f=1)", "amdahl(f)", "amdahl(=1)",
-		"amdahl(f=NaN)", "amdahl(f=+Inf)", "amdahl(f=x)",
-	} {
-		if _, _, err := ParseSpec(spec); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", spec)
-		}
+	if _, _, err := ParseSpec("amdahl(f=NaN)"); err == nil ||
+		!strings.HasPrefix(err.Error(), `appmodel: model spec "amdahl(f=NaN)": bad parameter`) {
+		t.Errorf("non-finite parameter error = %v", err)
+	}
+	if _, err := New("no-such-model", nil); err == nil ||
+		!strings.HasPrefix(err.Error(), `appmodel: unknown model "no-such-model"`) {
+		t.Errorf("unknown-name error = %v", err)
+	}
+	if _, err := New("amdahl", Params{"g": 1}); err == nil ||
+		err.Error() != `appmodel: amdahl: unknown parameter "g" (valid: f, migrate_s, ckpt_s)` {
+		t.Errorf("unknown-parameter error = %v", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func init() {
 type alwaysAdmit struct{}
 
 func newAlwaysAdmit(p Params) (Admission, error) {
-	if err := p.check("always"); err != nil {
+	if err := p.Check("federation", "always"); err != nil {
 		return nil, err
 	}
 	return alwaysAdmit{}, nil
@@ -59,7 +59,7 @@ type tokenBucket struct {
 }
 
 func newTokenBucket(p Params) (Admission, error) {
-	if err := p.check("token-bucket", "rate", "burst"); err != nil {
+	if err := p.Check("federation", "token-bucket", "rate", "burst"); err != nil {
 		return nil, err
 	}
 	rate := p.Float("rate", 1)
@@ -108,7 +108,7 @@ type quotaState struct {
 }
 
 func newQuota(p Params) (Admission, error) {
-	if err := p.check("quota", "tenants", "jobs", "window_s"); err != nil {
+	if err := p.Check("federation", "quota", "tenants", "jobs", "window_s"); err != nil {
 		return nil, err
 	}
 	tenants := int(math.Round(p.Float("tenants", 4)))

@@ -6,9 +6,10 @@
 // (may this job enter the federation at all?) and routing policies
 // (which member cluster runs it?).
 //
-// Both policy families live in self-registering, case-insensitive
-// registries mirroring internal/sched and internal/appmodel: policies
-// are selected by "name" or "name(key=value,...)" specs (ParseSpec /
+// Both policy families are instantiations of the shared spec kernel
+// (internal/spec), like internal/sched and internal/appmodel:
+// self-registering, case-insensitive registries whose policies are
+// selected by "name" or "name(key=value,...)" specs (ParseSpec /
 // FormatSpec), construction rejects unknown names and parameters, and
 // every simulation constructs fresh instances because policies may hold
 // per-run state.
@@ -25,100 +26,16 @@
 // See docs/federation.md for the scenario schema and policy reference.
 package federation
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-)
+import "dpsim/internal/spec"
 
 // Params carries a policy's construction parameters, as decoded from a
 // scenario file's federation block or a CLI "name(key=value,...)" spec.
 // All values are float64; factories round where an integer is meant.
-type Params map[string]float64
-
-// Float returns the parameter's value, or def when the key is absent.
-func (p Params) Float(key string, def float64) float64 {
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
-// check rejects any key outside the allowed set — a misspelled parameter
-// must fail loudly at construction, not silently fall back to a default.
-func (p Params) check(policy string, allowed ...string) error {
-	for key := range p {
-		ok := false
-		for _, a := range allowed {
-			if key == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			valid := "none"
-			if len(allowed) > 0 {
-				valid = strings.Join(allowed, ", ")
-			}
-			return fmt.Errorf("federation: %s: unknown parameter %q (valid: %s)", policy, key, valid)
-		}
-	}
-	return nil
-}
-
-// registry is one self-registering policy family; the package holds one
-// for admission policies and one for routers.
-type registry[T any] struct {
-	kind string
-	mu   sync.RWMutex
-	m    map[string]func(Params) (T, error)
-}
-
-func (r *registry[T]) register(name string, f func(Params) (T, error)) {
-	if name == "" || f == nil {
-		panic("federation: Register" + r.kind + " with empty name or nil factory")
-	}
-	key := strings.ToLower(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		r.m = make(map[string]func(Params) (T, error))
-	}
-	if _, dup := r.m[key]; dup {
-		panic("federation: duplicate " + strings.ToLower(r.kind) + " policy " + key)
-	}
-	r.m[key] = f
-}
-
-func (r *registry[T]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.m))
-	for name := range r.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func (r *registry[T]) new(name string, p Params) (T, error) {
-	r.mu.RLock()
-	f, ok := r.m[strings.ToLower(name)]
-	r.mu.RUnlock()
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("federation: unknown %s policy %q (valid: %s)",
-			strings.ToLower(r.kind), name, strings.Join(r.names(), ", "))
-	}
-	return f(p)
-}
+type Params = spec.Params
 
 var (
-	admissions = &registry[Admission]{kind: "Admission"}
-	routers    = &registry[Router]{kind: "Router"}
+	admissions = spec.NewRegistry[Admission]("federation", "admission policy")
+	routers    = spec.NewRegistry[Router]("federation", "router policy")
 )
 
 // AdmissionFactory constructs an admission policy from its parameters.
@@ -132,98 +49,37 @@ type RouterFactory func(p Params) (Router, error)
 // (lower-case) name. Built-in policies self-register from init
 // functions; registering a duplicate or empty name panics — it is a
 // programming error.
-func RegisterAdmission(name string, f AdmissionFactory) {
-	admissions.register(name, func(p Params) (Admission, error) { return f(p) })
-}
+func RegisterAdmission(name string, f AdmissionFactory) { admissions.Register(name, f) }
 
 // RegisterRouter adds a routing-policy factory under its canonical
 // (lower-case) name, with RegisterAdmission's rules.
-func RegisterRouter(name string, f RouterFactory) {
-	routers.register(name, func(p Params) (Router, error) { return f(p) })
-}
+func RegisterRouter(name string, f RouterFactory) { routers.Register(name, f) }
 
 // AdmissionNames lists the registered admission policies in canonical
 // (alphabetical) order — the valid values for scenario files and CLI
 // flags.
-func AdmissionNames() []string { return admissions.names() }
+func AdmissionNames() []string { return admissions.Names() }
 
 // RouterNames lists the registered routing policies in canonical order.
-func RouterNames() []string { return routers.names() }
+func RouterNames() []string { return routers.Names() }
 
 // NewAdmission constructs the named admission policy with the given
 // parameters, case-insensitively. Policies may hold per-run state, so
 // every simulation should construct its own instance.
-func NewAdmission(name string, p Params) (Admission, error) { return admissions.new(name, p) }
+func NewAdmission(name string, p Params) (Admission, error) { return admissions.New(name, p) }
 
 // NewRouter constructs the named routing policy, with NewAdmission's
 // rules.
-func NewRouter(name string, p Params) (Router, error) { return routers.new(name, p) }
+func NewRouter(name string, p Params) (Router, error) { return routers.New(name, p) }
 
 // ParseSpec splits a CLI/label policy spec into name and parameters:
 // either a bare "name" or "name(key=value,key2=value2)". The grammar is
 // shared by both policy families; NewAdmission / NewRouter resolve the
 // name. It is the inverse of FormatSpec.
-func ParseSpec(spec string) (string, Params, error) {
-	spec = strings.TrimSpace(spec)
-	open := strings.IndexByte(spec, '(')
-	if open < 0 {
-		if spec == "" {
-			return "", nil, fmt.Errorf("federation: empty policy spec")
-		}
-		return spec, nil, nil
-	}
-	if !strings.HasSuffix(spec, ")") {
-		return "", nil, fmt.Errorf("federation: policy spec %q: missing ')'", spec)
-	}
-	name := strings.TrimSpace(spec[:open])
-	if name == "" {
-		return "", nil, fmt.Errorf("federation: policy spec %q has no name", spec)
-	}
-	body := spec[open+1 : len(spec)-1]
-	params := Params{}
-	if strings.TrimSpace(body) == "" {
-		return name, params, nil
-	}
-	for _, kv := range strings.Split(body, ",") {
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			return "", nil, fmt.Errorf("federation: policy spec %q: parameter %q is not key=value", spec, kv)
-		}
-		key := strings.TrimSpace(kv[:eq])
-		val, err := strconv.ParseFloat(strings.TrimSpace(kv[eq+1:]), 64)
-		// ParseFloat accepts "NaN"/"Inf", and NaN slips through every
-		// range check a factory can write (v <= 0 is false) — reject
-		// non-finite values at the parse boundary.
-		if key == "" || err != nil || math.IsNaN(val) || math.IsInf(val, 0) {
-			return "", nil, fmt.Errorf("federation: policy spec %q: bad parameter %q", spec, kv)
-		}
-		params[key] = val
-	}
-	return name, params, nil
-}
+func ParseSpec(s string) (string, Params, error) { return spec.Parse("federation", "policy", s) }
 
 // FormatSpec renders a (name, params) pair as the canonical spec string:
 // the bare name, or "name(key=value,...)" with keys sorted. %g float
 // rendering round-trips exactly through ParseSpec, so a grid label built
 // with FormatSpec resolves back to the identical policy.
-func FormatSpec(name string, p Params) string {
-	if len(p) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('(')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", k, strconv.FormatFloat(p[k], 'g', -1, 64))
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+func FormatSpec(name string, p Params) string { return spec.Format(name, p) }

@@ -41,77 +41,53 @@ func TestNewUnknown(t *testing.T) {
 	}
 }
 
+// TestRegisterPanics: duplicate (case-insensitive) or nil registrations
+// are programming errors, reported under the family's own noun. The
+// registry mechanics are tested once in internal/spec.
 func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
+	mustPanic := func(frag string, f func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
+			if r := recover(); r == nil || !strings.Contains(r.(string), frag) {
+				t.Errorf("panic = %v, want containing %q", r, frag)
 			}
 		}()
 		f()
 	}
-	r := &registry[int]{kind: "Test"}
-	r.register("x", func(Params) (int, error) { return 0, nil })
-	mustPanic("duplicate", func() { r.register("X", func(Params) (int, error) { return 0, nil }) })
-	mustPanic("empty name", func() { r.register("", func(Params) (int, error) { return 0, nil }) })
-	mustPanic("nil factory", func() { r.register("y", nil) })
+	mustPanic("federation: duplicate admission policy always", func() { RegisterAdmission("ALWAYS", newAlwaysAdmit) })
+	mustPanic("federation: duplicate router policy round-robin", func() { RegisterRouter("Round-Robin", newRoundRobin) })
+	mustPanic("nil factory", func() { RegisterRouter("nil-router", nil) })
 }
 
+// TestParseSpec pins the package's error wording over the shared grammar
+// (internal/spec.TestParseFormat is the grammar table).
 func TestParseSpec(t *testing.T) {
-	cases := []struct {
-		spec   string
-		name   string
-		params Params
-	}{
-		{"always", "always", nil},
-		{"  weighted  ", "weighted", nil},
-		{"token-bucket()", "token-bucket", Params{}},
-		{"token-bucket(rate=0.5,burst=3)", "token-bucket", Params{"rate": 0.5, "burst": 3}},
-		{"quota( tenants = 2 , jobs = 8 )", "quota", Params{"tenants": 2, "jobs": 8}},
+	name, params, err := ParseSpec("token-bucket(rate=0.5,burst=3)")
+	if err != nil || name != "token-bucket" || !reflect.DeepEqual(params, Params{"rate": 0.5, "burst": 3}) {
+		t.Errorf("ParseSpec = %q, %v, %v", name, params, err)
 	}
-	for _, c := range cases {
-		name, params, err := ParseSpec(c.spec)
-		if err != nil {
-			t.Errorf("ParseSpec(%q): %v", c.spec, err)
-			continue
-		}
-		if name != c.name || !reflect.DeepEqual(params, c.params) {
-			t.Errorf("ParseSpec(%q) = %q, %v; want %q, %v", c.spec, name, params, c.name, c.params)
-		}
+	if _, _, err := ParseSpec(""); err == nil || err.Error() != "federation: empty policy spec" {
+		t.Errorf("ParseSpec(\"\") = %v", err)
 	}
-	bad := []struct{ spec, frag string }{
-		{"", "empty policy spec"},
-		{"token-bucket(rate=1", "missing ')'"},
-		{"(rate=1)", "has no name"},
-		{"quota(tenants)", "not key=value"},
-		{"quota(=3)", "bad parameter"},
-		{"quota(tenants=zzz)", "bad parameter"},
-		{"token-bucket(rate=NaN)", "bad parameter"},
-		{"token-bucket(rate=+Inf)", "bad parameter"},
-	}
-	for _, c := range bad {
-		if _, _, err := ParseSpec(c.spec); err == nil || !strings.Contains(err.Error(), c.frag) {
-			t.Errorf("ParseSpec(%q) = %v, want error containing %q", c.spec, err, c.frag)
-		}
+	if _, _, err := ParseSpec("quota(tenants=NaN)"); err == nil ||
+		!strings.HasPrefix(err.Error(), `federation: policy spec "quota(tenants=NaN)": bad parameter`) {
+		t.Errorf("non-finite parameter error = %v", err)
 	}
 }
 
+// TestFormatSpecRoundTrip: a registered policy's label parses back to
+// itself and constructs.
 func TestFormatSpecRoundTrip(t *testing.T) {
-	specs := []string{
-		"always",
-		"token-bucket(burst=3,rate=0.5)",
-		"quota(jobs=8,tenants=2,window_s=120)",
-		"weighted(free=2,queue=0.5)",
+	const spec = "quota(jobs=8,tenants=2,window_s=120)"
+	name, params, err := ParseSpec(spec)
+	if err != nil {
+		t.Fatalf("ParseSpec(%q): %v", spec, err)
 	}
-	for _, spec := range specs {
-		name, params, err := ParseSpec(spec)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", spec, err)
-		}
-		if got := FormatSpec(name, params); got != spec {
-			t.Errorf("FormatSpec(ParseSpec(%q)) = %q", spec, got)
-		}
+	if got := FormatSpec(name, params); got != spec {
+		t.Errorf("FormatSpec(ParseSpec(%q)) = %q", spec, got)
+	}
+	if _, err := NewAdmission(name, params); err != nil {
+		t.Errorf("NewAdmission(%q): %v", spec, err)
 	}
 }
 

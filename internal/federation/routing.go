@@ -54,7 +54,7 @@ type roundRobin struct {
 }
 
 func newRoundRobin(p Params) (Router, error) {
-	if err := p.check("round-robin"); err != nil {
+	if err := p.Check("federation", "round-robin"); err != nil {
 		return nil, err
 	}
 	return &roundRobin{}, nil
@@ -74,7 +74,7 @@ func (r *roundRobin) Route(now float64, j *cluster.Job, views []ClusterView) int
 type leastLoaded struct{}
 
 func newLeastLoaded(p Params) (Router, error) {
-	if err := p.check("least-loaded"); err != nil {
+	if err := p.Check("federation", "least-loaded"); err != nil {
 		return nil, err
 	}
 	return leastLoaded{}, nil
@@ -106,7 +106,7 @@ type weighted struct {
 }
 
 func newWeighted(p Params) (Router, error) {
-	if err := p.check("weighted", "free", "queue"); err != nil {
+	if err := p.Check("federation", "weighted", "free", "queue"); err != nil {
 		return nil, err
 	}
 	return &weighted{free: p.Float("free", 1), queue: p.Float("queue", 1)}, nil

@@ -2,8 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dpsim/internal/appmodel"
 )
 
 const appmodelSpecJSON = `{
@@ -37,8 +40,8 @@ func TestAppModelAxisParses(t *testing.T) {
 			t.Errorf("appmodels[%d].Label() = %q, want %q", i, got, w)
 		}
 	}
-	if !spec.AppModels[0].IsMix() {
-		t.Error("first entry not recognized as the mix sentinel")
+	if m, err := spec.AppModels[0].New(); m != nil || err != nil {
+		t.Errorf("mix sentinel constructed %v, %v; want the nil native model", m, err)
 	}
 }
 
@@ -168,5 +171,44 @@ func TestParseAppModelList(t *testing.T) {
 	}
 	if err := spec.ApplyAppModelOverride("not-a-model"); err == nil {
 		t.Error("override with unknown model accepted")
+	}
+}
+
+// TestStreamAppModelMatchesPerJobOverride: the stream-level override
+// (JobStream.SetAppModel) and the driver's per-job override are one
+// helper, so they yield identical jobs — for a cost-free comm-factor
+// model (lowered onto Phase.Comm) and for a model that rides along as
+// Job.Model.
+func TestStreamAppModelMatchesPerJobOverride(t *testing.T) {
+	spec, err := Parse([]byte(appmodelSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"synthetic(comm=0.2)", "amdahl(f=0.1)", "synthetic(comm=0.2,migrate_s=1)"} {
+		name, params, err := appmodel.ParseSpec(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := appmodel.New(name, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := spec.Stream(0, 16, 1, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetAppModel(m)
+		got := st.Jobs()
+		want := streamJobs(t, spec, 0, 5)
+		for _, j := range want {
+			applyModel(j, m)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stream-level and per-job override diverged", label)
+		}
+		lowered := got[0].Model == nil
+		if wantLowered := label == "synthetic(comm=0.2)"; lowered != wantLowered {
+			t.Errorf("%s: lowered onto Phase.Comm = %v, want %v", label, lowered, wantLowered)
+		}
 	}
 }

@@ -122,13 +122,8 @@ type JobStream struct {
 	i      int
 
 	// model, when non-nil, overrides every streamed job's phase
-	// performance models (the sweep grid's appmodel axis). Cost-free
-	// comm-factor models are lowered onto Phase.Comm instead (lowerOK),
-	// keeping the simulator's inlined fast path: the curves are
-	// bit-identical by construction.
-	model     appmodel.AppModel
-	lowerComm float64
-	lowerOK   bool
+	// performance models (the sweep grid's appmodel axis).
+	model appmodel.AppModel
 
 	nextID int
 }
@@ -138,12 +133,24 @@ type JobStream struct {
 // performance response replaced by m, keeping the work profile. A nil m
 // restores the mix's native models. Overriding consumes no randomness,
 // so the job stream is otherwise bit-identical.
-func (st *JobStream) SetAppModel(m appmodel.AppModel) {
-	st.model = m
-	st.lowerComm, st.lowerOK = 0, false
-	if cf, ok := m.(appmodel.CommFactor); ok && cf.Costs == (appmodel.Costs{}) {
-		st.lowerComm, st.lowerOK = cf.C, true
+func (st *JobStream) SetAppModel(m appmodel.AppModel) { st.model = m }
+
+// applyModel overrides one job's performance response with m (nil keeps
+// the job's native models): cost-free comm-factor models are lowered
+// onto Phase.Comm — the simulator's inlined fast path, the curves are
+// bit-identical by construction — anything else rides along as
+// Job.Model.
+func applyModel(j *cluster.Job, m appmodel.AppModel) {
+	if m == nil {
+		return
 	}
+	if cf, ok := m.(appmodel.CommFactor); ok && cf.Costs == (appmodel.Costs{}) {
+		for i := range j.Phases {
+			j.Phases[i].Comm = cf.C
+		}
+		return
+	}
+	j.Model = m
 }
 
 // Stream builds the deterministic job stream of one grid cell: the
@@ -244,14 +251,7 @@ func (st *JobStream) Next() (*cluster.Job, bool) {
 		st.count = 0
 		return nil, false
 	}
-	switch {
-	case st.lowerOK:
-		for i := range job.Phases {
-			job.Phases[i].Comm = st.lowerComm
-		}
-	case st.model != nil:
-		job.Model = st.model
-	}
+	applyModel(job, st.model)
 	job.ID = st.nextID
 	st.nextID++
 	if st.count > 0 {

@@ -1,15 +1,9 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"dpsim/internal/appmodel"
 	"dpsim/internal/availability"
-	"dpsim/internal/cluster"
-	"dpsim/internal/eventq"
-	"dpsim/internal/federation"
-	"dpsim/internal/rng"
 )
 
 // FederationSpec is the scenario's "federation" block: it turns the run
@@ -50,140 +44,6 @@ type FederationClusterSpec struct {
 	// Availability optionally gives the member its own capacity
 	// timeline; absent means the member's pool never changes.
 	Availability *availability.Spec `json:"availability,omitempty"`
-}
-
-// AdmissionSpec selects one admission policy of the federation grid: a
-// registered policy name (federation.AdmissionNames(), case-insensitive)
-// plus optional parameters. In scenario JSON an entry may be a bare
-// string (a name or a full "name(key=value,...)" spec) or a {"name":
-// ..., "params": {...}} object.
-type AdmissionSpec struct {
-	Name   string            `json:"name"`
-	Params federation.Params `json:"params,omitempty"`
-}
-
-// UnmarshalJSON implements json.Unmarshaler: a bare string is a policy
-// name or spec string.
-func (ap *AdmissionSpec) UnmarshalJSON(data []byte) error {
-	var spec string
-	if err := json.Unmarshal(data, &spec); err == nil {
-		name, params, err := federation.ParseSpec(spec)
-		if err != nil {
-			return err
-		}
-		*ap = AdmissionSpec{Name: name, Params: params}
-		return nil
-	}
-	type plain AdmissionSpec
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*ap = AdmissionSpec(p)
-	return nil
-}
-
-// Label names the policy for reports and CSV columns, parameters
-// included ("token-bucket(burst=3,rate=0.5)"); it round-trips through
-// federation.ParseSpec to the identical policy.
-func (ap AdmissionSpec) Label() string { return federation.FormatSpec(ap.Name, ap.Params) }
-
-// New constructs a fresh policy instance (admission policies are
-// stateful, so every simulation must construct its own).
-func (ap AdmissionSpec) New() (federation.Admission, error) {
-	return federation.NewAdmission(ap.Name, ap.Params)
-}
-
-func (ap *AdmissionSpec) validate() error {
-	a, err := ap.New()
-	if err != nil {
-		return err
-	}
-	ap.Name = a.Name()
-	return nil
-}
-
-// AdmissionList unmarshals from a single entry or an array of entries,
-// like SchedulerList.
-type AdmissionList []AdmissionSpec
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (l *AdmissionList) UnmarshalJSON(data []byte) error {
-	var many []AdmissionSpec
-	if err := json.Unmarshal(data, &many); err == nil {
-		*l = many
-		return nil
-	}
-	var one AdmissionSpec
-	if err := json.Unmarshal(data, &one); err != nil {
-		return err
-	}
-	*l = AdmissionList{one}
-	return nil
-}
-
-// RoutingSpec selects one routing policy of the federation grid, with
-// AdmissionSpec's JSON forms (valid names: federation.RouterNames()).
-type RoutingSpec struct {
-	Name   string            `json:"name"`
-	Params federation.Params `json:"params,omitempty"`
-}
-
-// UnmarshalJSON implements json.Unmarshaler: a bare string is a policy
-// name or spec string.
-func (rp *RoutingSpec) UnmarshalJSON(data []byte) error {
-	var spec string
-	if err := json.Unmarshal(data, &spec); err == nil {
-		name, params, err := federation.ParseSpec(spec)
-		if err != nil {
-			return err
-		}
-		*rp = RoutingSpec{Name: name, Params: params}
-		return nil
-	}
-	type plain RoutingSpec
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*rp = RoutingSpec(p)
-	return nil
-}
-
-// Label names the policy for reports and CSV columns; it round-trips
-// through federation.ParseSpec to the identical policy.
-func (rp RoutingSpec) Label() string { return federation.FormatSpec(rp.Name, rp.Params) }
-
-// New constructs a fresh router instance.
-func (rp RoutingSpec) New() (federation.Router, error) {
-	return federation.NewRouter(rp.Name, rp.Params)
-}
-
-func (rp *RoutingSpec) validate() error {
-	r, err := rp.New()
-	if err != nil {
-		return err
-	}
-	rp.Name = r.Name()
-	return nil
-}
-
-// RoutingList unmarshals from a single entry or an array of entries.
-type RoutingList []RoutingSpec
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (l *RoutingList) UnmarshalJSON(data []byte) error {
-	var many []RoutingSpec
-	if err := json.Unmarshal(data, &many); err == nil {
-		*l = many
-		return nil
-	}
-	var one RoutingSpec
-	if err := json.Unmarshal(data, &one); err != nil {
-		return err
-	}
-	*l = RoutingList{one}
-	return nil
 }
 
 // TotalNodes sums the member pool sizes.
@@ -311,246 +171,4 @@ func (s *Spec) CanonicalAdmission(i int) []byte {
 // CanonicalRouting serializes one routing-policy spec.
 func (s *Spec) CanonicalRouting(i int) []byte {
 	return []byte(s.Federation.Routings[i].Label())
-}
-
-// ParseAdmissionList splits a comma-separated CLI admission list into
-// specs (paren-aware, like ParseSchedulerList). Entries are not yet
-// validated; Spec.Validate resolves them.
-func ParseAdmissionList(arg string) (AdmissionList, error) {
-	toks, err := splitSpecs(arg, "admission")
-	if err != nil {
-		return nil, err
-	}
-	var list AdmissionList
-	for _, tok := range toks {
-		name, params, err := federation.ParseSpec(tok)
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, AdmissionSpec{Name: name, Params: params})
-	}
-	return list, nil
-}
-
-// ApplyAdmissionOverride replaces a federated spec's admission axis with
-// a CLI-provided comma-separated list and re-validates the spec — the
-// shared implementation of both CLIs' -admissions flags.
-func (s *Spec) ApplyAdmissionOverride(arg string) error {
-	if s.Federation == nil {
-		return fmt.Errorf("scenario: -admissions requires a federation block")
-	}
-	list, err := ParseAdmissionList(arg)
-	if err != nil {
-		return err
-	}
-	s.Federation.Admissions = list
-	return s.Validate()
-}
-
-// ParseRoutingList splits a comma-separated CLI routing list into specs.
-func ParseRoutingList(arg string) (RoutingList, error) {
-	toks, err := splitSpecs(arg, "routing")
-	if err != nil {
-		return nil, err
-	}
-	var list RoutingList
-	for _, tok := range toks {
-		name, params, err := federation.ParseSpec(tok)
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, RoutingSpec{Name: name, Params: params})
-	}
-	return list, nil
-}
-
-// ApplyRoutingOverride replaces a federated spec's routing axis with a
-// CLI-provided comma-separated list and re-validates the spec.
-func (s *Spec) ApplyRoutingOverride(arg string) error {
-	if s.Federation == nil {
-		return fmt.Errorf("scenario: -routings requires a federation block")
-	}
-	list, err := ParseRoutingList(arg)
-	if err != nil {
-		return err
-	}
-	s.Federation.Routings = list
-	return s.Validate()
-}
-
-// applyModel replicates JobStream.SetAppModel's per-job override for the
-// federated path, where the model is chosen per member after routing:
-// cost-free comm-factor models are lowered onto Phase.Comm (the
-// simulator's inlined fast path, bit-identical to the stream-level
-// override), anything else rides along as Job.Model.
-func applyModel(j *cluster.Job, m appmodel.AppModel) {
-	if m == nil {
-		return
-	}
-	if cf, ok := m.(appmodel.CommFactor); ok && cf.Costs == (appmodel.Costs{}) {
-		for i := range j.Phases {
-			j.Phases[i].Comm = cf.C
-		}
-		return
-	}
-	j.Model = m
-}
-
-// runFederatedCell is RunCell for federated specs: the same open-system
-// drive loop, with each arrival dispatched through the admission and
-// routing policies instead of injected directly.
-func (s *Spec) runFederatedCell(p CellParams) (*CellRun, error) {
-	f := s.Federation
-	var admSpec AdmissionSpec
-	switch {
-	case p.Admission != "":
-		name, params, err := federation.ParseSpec(p.Admission)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		admSpec = AdmissionSpec{Name: name, Params: params}
-	case p.AdmissionIdx >= 0 && p.AdmissionIdx < len(f.Admissions):
-		admSpec = f.Admissions[p.AdmissionIdx]
-	default:
-		return nil, fmt.Errorf("scenario: admission index %d out of range", p.AdmissionIdx)
-	}
-	admit, err := admSpec.New()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	var rtSpec RoutingSpec
-	switch {
-	case p.Routing != "":
-		name, params, err := federation.ParseSpec(p.Routing)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		rtSpec = RoutingSpec{Name: name, Params: params}
-	case p.RoutingIdx >= 0 && p.RoutingIdx < len(f.Routings):
-		rtSpec = f.Routings[p.RoutingIdx]
-	default:
-		return nil, fmt.Errorf("scenario: routing index %d out of range", p.RoutingIdx)
-	}
-	router, err := rtSpec.New()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	stream, err := s.Stream(p.ArrivalIdx, p.Nodes, p.Load, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// The job stream consumes the first two forks of the cell seed; each
-	// member's capacity timeline takes one further fork in member order.
-	// Members without availability still consume theirs, so one member's
-	// timeline never depends on another member's configuration — and
-	// member 0's fork is exactly the plain path's availability fork,
-	// which is what makes the 1-cluster golden hold under volatility.
-	base := rng.New(p.Seed)
-	base.Fork()
-	base.Fork()
-	members := make([]federation.Member, len(f.Clusters))
-	models := make([]appmodel.AppModel, len(f.Clusters))
-	dt := p.SampleDTS
-	if dt == 0 && s.Observe != nil {
-		dt = s.Observe.SampleDTS
-	}
-	for i := range f.Clusters {
-		c := &f.Clusters[i]
-		avRng := base.Fork()
-		policy, err := c.Scheduler.New()
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		sim, err := cluster.NewSim(c.Nodes, policy, nil)
-		if err != nil {
-			return nil, err
-		}
-		if c.Availability != nil {
-			av := *c.Availability
-			av.Dir = s.dir
-			changes, err := av.Generate(c.Nodes, avRng)
-			if err != nil {
-				return nil, err
-			}
-			if err := sim.SetCapacityChanges(changes); err != nil {
-				return nil, err
-			}
-		}
-		if s.Reconfig != nil {
-			err := sim.SetReconfigCost(cluster.ReconfigCost{
-				RedistributionSPerNode: s.Reconfig.RedistributionSPerNode,
-				LostWorkS:              s.Reconfig.LostWorkS,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		probe := p.Probe
-		if i < len(p.MemberProbes) && p.MemberProbes[i] != nil {
-			probe = p.MemberProbes[i]
-		}
-		if probe != nil {
-			if err := sim.SetProbe(probe); err != nil {
-				return nil, err
-			}
-			if dt > 0 {
-				if err := sim.SetSampleInterval(dt); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if c.AppModel != nil {
-			m, err := c.AppModel.New()
-			if err != nil {
-				return nil, fmt.Errorf("scenario: %w", err)
-			}
-			models[i] = m
-		}
-		members[i] = federation.Member{Name: c.Name, Sim: sim}
-	}
-	fed, err := federation.NewSim(members, admit, router)
-	if err != nil {
-		return nil, err
-	}
-	ideal := make(map[int]float64)
-	pending, ok := stream.Next()
-	for {
-		et, evOK := fed.PeekNextEventTime()
-		if ok {
-			at := eventq.Time(eventq.DurationOf(pending.Arrival))
-			if !evOK || at <= et {
-				idx, admitted, err := fed.Offer(pending)
-				if err != nil {
-					return nil, err
-				}
-				if admitted {
-					applyModel(pending, models[idx])
-					ideal[pending.ID] = idealRuntime(pending)
-					if err := fed.InjectInto(idx, pending); err != nil {
-						return nil, err
-					}
-				}
-				pending, ok = stream.Next()
-				continue
-			}
-		}
-		if !evOK {
-			break
-		}
-		fed.ProcessNextEvent()
-	}
-	res := fed.Merged()
-	run := &CellRun{
-		Result:         res,
-		Slowdowns:      make([]float64, 0, len(res.PerJob)),
-		Rejected:       fed.Rejected(),
-		Routed:         fed.Routed(),
-		ClusterResults: fed.Results(),
-	}
-	for _, j := range res.PerJob {
-		if best := ideal[j.ID]; best > 0 {
-			run.Slowdowns = append(run.Slowdowns, j.Response/best)
-		}
-	}
-	return run, nil
 }

@@ -366,3 +366,32 @@ func FuzzFederation(f *testing.F) {
 		_ = spec.CanonicalFederation()
 	})
 }
+
+// TestPlainCellLeavesFederatedFieldsZero: a non-federated cell runs
+// through the federation tier as a one-member fleet, but its CellRun
+// must not show it — the federated-only fields stay zero/nil (sweep's
+// fold and the bench mirror's DeepEqual both rely on it), with and
+// without a capacity timeline. TestFederatedScenarioGolden above now
+// compares two routes through the one driver; the independent pins of
+// the lowering are TestRunCellMatchesClosedSim, the goldens and
+// federation.TestSingleClusterGolden.
+func TestPlainCellLeavesFederatedFieldsZero(t *testing.T) {
+	for _, volatile := range []bool{false, true} {
+		plain, _ := federationGoldenSpecs(t, volatile)
+		availIdx := -1
+		if volatile {
+			availIdx = 0
+		}
+		run, err := plain.RunCell(CellParams{Nodes: 12, Load: 1, AvailIdx: availIdx, AppModelIdx: -1, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(run.Result.PerJob) == 0 || (volatile && run.Result.CapacityEvents == 0) {
+			t.Fatalf("volatile=%v: cell did not exercise the driver: %+v", volatile, run.Result)
+		}
+		if run.Rejected != 0 || run.Routed != nil || run.ClusterResults != nil {
+			t.Errorf("volatile=%v: plain cell leaked federated fields: rejected=%d routed=%v members=%d",
+				volatile, run.Rejected, run.Routed, len(run.ClusterResults))
+		}
+	}
+}

@@ -6,9 +6,9 @@ import (
 	"dpsim/internal/appmodel"
 	"dpsim/internal/cluster"
 	"dpsim/internal/eventq"
+	"dpsim/internal/federation"
 	"dpsim/internal/obs"
 	"dpsim/internal/rng"
-	"dpsim/internal/sched"
 )
 
 // CellParams identifies one point of the experiment grid plus the seed of
@@ -46,9 +46,10 @@ type CellParams struct {
 	// zero-cost unobserved path). Attaching one never changes the
 	// CellRun: probes receive copies of plain values only.
 	Probe obs.Probe
-	// MemberProbes optionally attaches one probe per federated member
-	// cluster (index-aligned with the federation block's clusters); a
-	// nil entry falls back to Probe. Ignored for non-federated specs.
+	// MemberProbes optionally attaches one probe per member cluster
+	// (index-aligned with the federation block's clusters; a
+	// non-federated cell is its own member 0); a nil entry falls back
+	// to Probe.
 	MemberProbes []obs.Probe
 	// SampleDTS overrides the time-series sample interval in virtual
 	// seconds; 0 falls back to the spec's observe.sample_dt_s. Sampling
@@ -72,48 +73,92 @@ type CellRun struct {
 	ClusterResults []cluster.Result
 }
 
-// RunCell expands one grid cell into a job stream and drives it through
-// the cluster simulator's step primitives, injecting each arrival as the
-// shared clock reaches it — the open-system event loop. For federated
-// specs the same loop dispatches each arrival through the federation's
-// admission and routing policies instead (runFederatedCell).
-func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
-	if s.Federation != nil {
-		return s.runFederatedCell(p)
-	}
-	var schedSpec SchedulerSpec
+// pick resolves one policy axis of a cell: the spec string when given,
+// else the axis entry at idx.
+func pick[T any, F family[T]](str string, idx int, axis PolicyList[T, F]) (PolicySpec[T, F], error) {
+	var (
+		sp PolicySpec[T, F]
+		f  F
+	)
 	switch {
-	case p.Scheduler != "":
-		name, params, err := sched.ParseSpec(p.Scheduler)
+	case str != "":
+		name, params, err := f.parse(str)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
+			return sp, fmt.Errorf("scenario: %w", err)
 		}
-		schedSpec = SchedulerSpec{Name: name, Params: params}
-	case p.SchedulerIdx >= 0 && p.SchedulerIdx < len(s.Schedulers):
-		schedSpec = s.Schedulers[p.SchedulerIdx]
+		sp.Name, sp.Params = name, params
+	case idx >= 0 && idx < len(axis):
+		sp = axis[idx]
 	default:
-		return nil, fmt.Errorf("scenario: scheduler index %d out of range", p.SchedulerIdx)
+		return sp, fmt.Errorf("scenario: %s index %d out of range", f.noun(), idx)
 	}
-	policy, err := schedSpec.New()
+	return sp, nil
+}
+
+// fleet is one resolved cell: its member clusters and the two policies
+// that dispatch arrivals across them.
+type fleet struct {
+	clusters  []FederationClusterSpec
+	admission AdmissionSpec
+	routing   RoutingSpec
+}
+
+// fleet resolves the cell. A federated spec supplies the members
+// directly; a plain cell is lowered to a one-member federation — the
+// member is the cell's nodes, scheduler, appmodel and availability
+// entry, behind the always / round-robin policies, which pass every job
+// through to member 0.
+func (s *Spec) fleet(p CellParams) (fleet, error) {
+	if f := s.Federation; f != nil {
+		adm, err := pick(p.Admission, p.AdmissionIdx, f.Admissions)
+		if err != nil {
+			return fleet{}, err
+		}
+		rt, err := pick(p.Routing, p.RoutingIdx, f.Routings)
+		return fleet{f.Clusters, adm, rt}, err
+	}
+	sc, err := pick(p.Scheduler, p.SchedulerIdx, s.Schedulers)
+	if err != nil {
+		return fleet{}, err
+	}
+	member := FederationClusterSpec{Nodes: p.Nodes, Scheduler: &sc}
+	if p.AppModel != "" || (len(s.AppModels) > 0 && p.AppModelIdx >= 0) {
+		am, err := pick(p.AppModel, p.AppModelIdx, s.AppModels)
+		if err != nil {
+			return fleet{}, err
+		}
+		member.AppModel = &am
+	}
+	if len(s.Availability) > 0 && p.AvailIdx >= 0 {
+		if p.AvailIdx >= len(s.Availability) {
+			return fleet{}, fmt.Errorf("scenario: availability index %d out of range", p.AvailIdx)
+		}
+		member.Availability = &s.Availability[p.AvailIdx]
+	}
+	return fleet{
+		clusters:  []FederationClusterSpec{member},
+		admission: AdmissionSpec{Name: "always"},
+		routing:   RoutingSpec{Name: "round-robin"},
+	}, nil
+}
+
+// RunCell expands one grid cell into a job stream and drives it through
+// the federation tier's step primitives, dispatching each arrival
+// through the admission and routing policies as the shared clock reaches
+// it — the open-system event loop, and the one cell driver: a
+// non-federated cell runs as a one-member federation (fleet), which is
+// byte-identical to driving the member cluster.Sim directly.
+func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
+	fl, err := s.fleet(p)
+	if err != nil {
+		return nil, err
+	}
+	clusters := fl.clusters
+	admit, err := fl.admission.New()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	var amSpec AppModelSpec
-	switch {
-	case p.AppModel != "":
-		name, params, err := appmodel.ParseSpec(p.AppModel)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		amSpec = AppModelSpec{Name: name, Params: params}
-	case len(s.AppModels) == 0 || p.AppModelIdx < 0:
-		amSpec = AppModelSpec{Name: MixModel}
-	case p.AppModelIdx < len(s.AppModels):
-		amSpec = s.AppModels[p.AppModelIdx]
-	default:
-		return nil, fmt.Errorf("scenario: appmodel index %d out of range", p.AppModelIdx)
-	}
-	model, err := amSpec.New()
+	router, err := fl.routing.New()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
@@ -121,65 +166,94 @@ func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream.SetAppModel(model)
-	sim, err := cluster.NewSim(p.Nodes, policy, nil)
-	if err != nil {
-		return nil, err
+	// The job stream consumes the first two forks of the cell seed
+	// (arrival instants, job bodies); each member's capacity timeline
+	// takes one further fork in member order, so turning availability on
+	// never perturbs the workload itself. Members without availability
+	// still consume theirs: one member's timeline never depends on
+	// another member's configuration.
+	base := rng.New(p.Seed)
+	base.Fork()
+	base.Fork()
+	members := make([]federation.Member, len(clusters))
+	models := make([]appmodel.AppModel, len(clusters))
+	dt := p.SampleDTS
+	if dt == 0 && s.Observe != nil {
+		dt = s.Observe.SampleDTS
 	}
-	if len(s.Availability) > 0 && p.AvailIdx >= 0 {
-		if p.AvailIdx >= len(s.Availability) {
-			return nil, fmt.Errorf("scenario: availability index %d out of range", p.AvailIdx)
+	for i := range clusters {
+		c := &clusters[i]
+		avRng := base.Fork()
+		policy, err := c.Scheduler.New()
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		av := s.Availability[p.AvailIdx]
-		av.Dir = s.dir
-		// The job stream consumes the first two forks of the cell seed
-		// (arrival instants, job bodies); the capacity timeline takes the
-		// third, so turning availability on never perturbs the workload
-		// itself.
-		base := rng.New(p.Seed)
-		base.Fork()
-		base.Fork()
-		changes, err := av.Generate(p.Nodes, base.Fork())
+		sim, err := cluster.NewSim(c.Nodes, policy, nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := sim.SetCapacityChanges(changes); err != nil {
-			return nil, err
-		}
-	}
-	if s.Reconfig != nil {
-		err := sim.SetReconfigCost(cluster.ReconfigCost{
-			RedistributionSPerNode: s.Reconfig.RedistributionSPerNode,
-			LostWorkS:              s.Reconfig.LostWorkS,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if p.Probe != nil {
-		if err := sim.SetProbe(p.Probe); err != nil {
-			return nil, err
-		}
-		dt := p.SampleDTS
-		if dt == 0 && s.Observe != nil {
-			dt = s.Observe.SampleDTS
-		}
-		if dt > 0 {
-			if err := sim.SetSampleInterval(dt); err != nil {
+		if c.Availability != nil {
+			av := *c.Availability
+			av.Dir = s.dir
+			changes, err := av.Generate(c.Nodes, avRng)
+			if err != nil {
+				return nil, err
+			}
+			if err := sim.SetCapacityChanges(changes); err != nil {
 				return nil, err
 			}
 		}
+		if s.Reconfig != nil {
+			err := sim.SetReconfigCost(cluster.ReconfigCost{
+				RedistributionSPerNode: s.Reconfig.RedistributionSPerNode,
+				LostWorkS:              s.Reconfig.LostWorkS,
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		probe := p.Probe
+		if i < len(p.MemberProbes) && p.MemberProbes[i] != nil {
+			probe = p.MemberProbes[i]
+		}
+		if probe != nil {
+			if err := sim.SetProbe(probe); err != nil {
+				return nil, err
+			}
+			if dt > 0 {
+				if err := sim.SetSampleInterval(dt); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if c.AppModel != nil {
+			if models[i], err = c.AppModel.New(); err != nil {
+				return nil, fmt.Errorf("scenario: %w", err)
+			}
+		}
+		members[i] = federation.Member{Name: c.Name, Sim: sim}
+	}
+	fed, err := federation.NewSim(members, admit, router)
+	if err != nil {
+		return nil, err
 	}
 	ideal := make(map[int]float64)
 	pending, ok := stream.Next()
 	for {
-		et, evOK := sim.PeekNextEventTime()
+		et, evOK := fed.PeekNextEventTime()
 		if ok {
 			at := eventq.Time(eventq.DurationOf(pending.Arrival))
 			if !evOK || at <= et {
-				ideal[pending.ID] = idealRuntime(pending)
-				if err := sim.Inject(pending); err != nil {
+				idx, admitted, err := fed.Offer(pending)
+				if err != nil {
 					return nil, err
+				}
+				if admitted {
+					applyModel(pending, models[idx])
+					ideal[pending.ID] = idealRuntime(pending)
+					if err := fed.InjectInto(idx, pending); err != nil {
+						return nil, err
+					}
 				}
 				pending, ok = stream.Next()
 				continue
@@ -188,10 +262,13 @@ func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
 		if !evOK {
 			break
 		}
-		sim.ProcessNextEvent()
+		fed.ProcessNextEvent()
 	}
-	res := sim.Result()
+	res := fed.Merged()
 	run := &CellRun{Result: res, Slowdowns: make([]float64, 0, len(res.PerJob))}
+	if s.Federation != nil {
+		run.Rejected, run.Routed, run.ClusterResults = fed.Rejected(), fed.Routed(), fed.Results()
+	}
 	for _, j := range res.PerJob {
 		if best := ideal[j.ID]; best > 0 {
 			run.Slowdowns = append(run.Slowdowns, j.Response/best)

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"dpsim/internal/appmodel"
 	"dpsim/internal/availability"
@@ -62,7 +61,8 @@ type Spec struct {
 	// replay it compresses the trace's time axis by the same factor.
 	Loads []float64 `json:"loads,omitempty"`
 	// Schedulers lists the scheduling policies of the grid. Each entry is
-	// either a bare policy name ("equipartition") or an object with
+	// a bare policy name ("equipartition") or spec string
+	// ("malleable-hysteresis(epoch_s=45,min_delta=2)"), or an object with
 	// construction parameters ({"name": "malleable-hysteresis",
 	// "params": {"epoch_s": 45, "min_delta": 2}}); valid names are
 	// sched.Names(). Empty means every registered policy with default
@@ -117,261 +117,6 @@ type Spec struct {
 	// dir is the directory of the scenario file, for resolving relative
 	// trace paths; empty for in-memory specs.
 	dir string
-}
-
-// SchedulerSpec selects one scheduling policy of the grid: a registered
-// policy name (sched.Names(), case-insensitive) plus optional
-// construction parameters. In scenario JSON an entry may be a bare
-// string or a {"name": ..., "params": {...}} object.
-type SchedulerSpec struct {
-	Name   string       `json:"name"`
-	Params sched.Params `json:"params,omitempty"`
-}
-
-// UnmarshalJSON implements json.Unmarshaler: a bare string is a policy
-// name with default parameters.
-func (sp *SchedulerSpec) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err == nil {
-		*sp = SchedulerSpec{Name: name}
-		return nil
-	}
-	type plain SchedulerSpec
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*sp = SchedulerSpec(p)
-	return nil
-}
-
-// Label names the policy for reports and CSV columns, parameters
-// included: "malleable-hysteresis(epoch_s=45,min_delta=2)". The label is
-// itself a valid scheduler spec (sched.ParseSpec round-trips it), so an
-// exported grid row fully identifies its policy.
-func (sp SchedulerSpec) Label() string { return sched.FormatSpec(sp.Name, sp.Params) }
-
-// New constructs a fresh policy instance (policies may hold per-run
-// state, so every simulation must construct its own).
-func (sp SchedulerSpec) New() (sched.Scheduler, error) { return sched.New(sp.Name, sp.Params) }
-
-// validate resolves the policy once, failing fast on unknown names or
-// parameters, and canonicalizes the name for stable labels.
-func (sp *SchedulerSpec) validate() error {
-	s, err := sp.New()
-	if err != nil {
-		return err
-	}
-	sp.Name = s.Name()
-	return nil
-}
-
-// SchedulerList unmarshals from a single entry or an array of entries,
-// like ArrivalList.
-type SchedulerList []SchedulerSpec
-
-// splitSpecs splits a comma-separated CLI spec list into tokens. Commas
-// inside a parameter list — "a(x=1,y=2),b" — belong to the spec, so
-// splitting tracks parenthesis depth. Empty tokens are an error (what is
-// the name of the item before ",,"?).
-func splitSpecs(arg, what string) ([]string, error) {
-	var toks []string
-	depth, start := 0, 0
-	flush := func(tok string) error {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			return fmt.Errorf("scenario: empty %s spec in %q", what, arg)
-		}
-		toks = append(toks, tok)
-		return nil
-	}
-	for i := 0; i < len(arg); i++ {
-		switch arg[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				if err := flush(arg[start:i]); err != nil {
-					return nil, err
-				}
-				start = i + 1
-			}
-		}
-	}
-	if err := flush(arg[start:]); err != nil {
-		return nil, err
-	}
-	return toks, nil
-}
-
-// ParseSchedulerList splits a comma-separated CLI scheduler list into
-// specs. Entries are not yet validated; Spec.Validate resolves them.
-func ParseSchedulerList(arg string) (SchedulerList, error) {
-	toks, err := splitSpecs(arg, "scheduler")
-	if err != nil {
-		return nil, err
-	}
-	var list SchedulerList
-	for _, tok := range toks {
-		name, params, err := sched.ParseSpec(tok)
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, SchedulerSpec{Name: name, Params: params})
-	}
-	return list, nil
-}
-
-// ApplySchedulerOverride replaces the spec's scheduler axis with a
-// CLI-provided comma-separated list and re-validates the spec — the
-// shared implementation of both CLIs' -schedulers flags.
-func (s *Spec) ApplySchedulerOverride(arg string) error {
-	list, err := ParseSchedulerList(arg)
-	if err != nil {
-		return err
-	}
-	s.Schedulers = list
-	return s.Validate()
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (l *SchedulerList) UnmarshalJSON(data []byte) error {
-	var many []SchedulerSpec
-	if err := json.Unmarshal(data, &many); err == nil {
-		*l = many
-		return nil
-	}
-	var one SchedulerSpec
-	if err := json.Unmarshal(data, &one); err != nil {
-		return err
-	}
-	*l = SchedulerList{one}
-	return nil
-}
-
-// AppModelSpec selects one application performance model of the grid: a
-// registered model name (appmodel.Names(), case-insensitive) plus
-// optional construction parameters, or the sentinel "mix" — the native
-// baseline where every mix component keeps its own registered model. In
-// scenario JSON an entry may be a bare string (a name or a full
-// "name(key=value,...)" spec) or a {"name": ..., "params": {...}}
-// object.
-type AppModelSpec struct {
-	Name   string          `json:"name"`
-	Params appmodel.Params `json:"params,omitempty"`
-}
-
-// MixModel is the sentinel AppModelSpec name selecting each mix
-// component's native model (no override).
-const MixModel = "mix"
-
-// UnmarshalJSON implements json.Unmarshaler: a bare string is a model
-// name or spec string.
-func (ap *AppModelSpec) UnmarshalJSON(data []byte) error {
-	var spec string
-	if err := json.Unmarshal(data, &spec); err == nil {
-		name, params, err := appmodel.ParseSpec(spec)
-		if err != nil {
-			return err
-		}
-		*ap = AppModelSpec{Name: name, Params: params}
-		return nil
-	}
-	type plain AppModelSpec
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return err
-	}
-	*ap = AppModelSpec(p)
-	return nil
-}
-
-// Label names the model for reports and CSV columns, parameters
-// included: "amdahl(f=0.1)". The label is itself a valid model spec
-// (appmodel.ParseSpec round-trips it), so an exported grid row fully
-// identifies its performance model.
-func (ap AppModelSpec) Label() string { return appmodel.FormatSpec(ap.Name, ap.Params) }
-
-// IsMix reports whether the spec is the native-model sentinel.
-func (ap AppModelSpec) IsMix() bool { return strings.EqualFold(ap.Name, MixModel) }
-
-// New constructs the model instance, or nil for the "mix" sentinel
-// (models are immutable, so one instance serves a whole run).
-func (ap AppModelSpec) New() (appmodel.AppModel, error) {
-	if ap.IsMix() {
-		return nil, nil
-	}
-	return appmodel.New(ap.Name, ap.Params)
-}
-
-// validate resolves the model once, failing fast on unknown names or
-// parameters, and canonicalizes the name for stable labels.
-func (ap *AppModelSpec) validate() error {
-	if ap.IsMix() {
-		if len(ap.Params) > 0 {
-			return fmt.Errorf("appmodel sentinel %q takes no parameters", MixModel)
-		}
-		ap.Name = MixModel
-		return nil
-	}
-	m, err := ap.New()
-	if err != nil {
-		return err
-	}
-	ap.Name = m.Name()
-	return nil
-}
-
-// AppModelList unmarshals from a single entry or an array of entries,
-// like SchedulerList.
-type AppModelList []AppModelSpec
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (l *AppModelList) UnmarshalJSON(data []byte) error {
-	var many []AppModelSpec
-	if err := json.Unmarshal(data, &many); err == nil {
-		*l = many
-		return nil
-	}
-	var one AppModelSpec
-	if err := json.Unmarshal(data, &one); err != nil {
-		return err
-	}
-	*l = AppModelList{one}
-	return nil
-}
-
-// ParseAppModelList splits a comma-separated CLI appmodel list into
-// specs (paren-aware, like ParseSchedulerList). Entries are not yet
-// validated; Spec.Validate resolves them.
-func ParseAppModelList(arg string) (AppModelList, error) {
-	toks, err := splitSpecs(arg, "appmodel")
-	if err != nil {
-		return nil, err
-	}
-	var list AppModelList
-	for _, tok := range toks {
-		name, params, err := appmodel.ParseSpec(tok)
-		if err != nil {
-			return nil, err
-		}
-		list = append(list, AppModelSpec{Name: name, Params: params})
-	}
-	return list, nil
-}
-
-// ApplyAppModelOverride replaces the spec's appmodel axis with a
-// CLI-provided comma-separated list and re-validates the spec — the
-// shared implementation of both CLIs' -appmodels flags.
-func (s *Spec) ApplyAppModelOverride(arg string) error {
-	list, err := ParseAppModelList(arg)
-	if err != nil {
-		return err
-	}
-	s.AppModels = list
-	return s.Validate()
 }
 
 // ObserveSpec is the scenario's "observe" block: it opts runs into the
@@ -444,18 +189,9 @@ type ReconfigSpec struct {
 type AvailabilityList []availability.Spec
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (l *AvailabilityList) UnmarshalJSON(data []byte) error {
-	var many []availability.Spec
-	if err := json.Unmarshal(data, &many); err == nil {
-		*l = many
-		return nil
-	}
-	var one availability.Spec
-	if err := json.Unmarshal(data, &one); err != nil {
-		return err
-	}
-	*l = AvailabilityList{one}
-	return nil
+func (l *AvailabilityList) UnmarshalJSON(data []byte) (err error) {
+	*l, err = oneOrMany[availability.Spec](data)
+	return err
 }
 
 // MixSpec is one weighted component of the job mix.
@@ -535,18 +271,9 @@ func (a ArrivalSpec) Label() string {
 type ArrivalList []ArrivalSpec
 
 // UnmarshalJSON implements json.Unmarshaler.
-func (l *ArrivalList) UnmarshalJSON(data []byte) error {
-	var many []ArrivalSpec
-	if err := json.Unmarshal(data, &many); err == nil {
-		*l = many
-		return nil
-	}
-	var one ArrivalSpec
-	if err := json.Unmarshal(data, &one); err != nil {
-		return err
-	}
-	*l = ArrivalList{one}
-	return nil
+func (l *ArrivalList) UnmarshalJSON(data []byte) (err error) {
+	*l, err = oneOrMany[ArrivalSpec](data)
+	return err
 }
 
 // Load reads and validates a scenario file. Relative trace paths are

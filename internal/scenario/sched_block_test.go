@@ -8,8 +8,8 @@ import (
 )
 
 // TestSchedulerBlockParsing: the schedulers axis accepts bare names,
-// parameterized objects and single entries, case-insensitively, and
-// canonicalizes names for stable labels.
+// spec strings, parameterized objects and single entries,
+// case-insensitively, and canonicalizes names for stable labels.
 func TestSchedulerBlockParsing(t *testing.T) {
 	spec, err := Parse([]byte(`{
 		"nodes": [8], "seed": 1, "jobs": 2,
@@ -18,14 +18,20 @@ func TestSchedulerBlockParsing(t *testing.T) {
 		"schedulers": [
 			"EQUIPARTITION",
 			{"name": "malleable-hysteresis", "params": {"epoch_s": 45, "min_delta": 2}},
-			{"name": "moldable", "params": {"min_efficiency": 0.7}}
+			{"name": "moldable", "params": {"min_efficiency": 0.7}},
+			"Malleable-Hysteresis(min_delta=2, epoch_s=45)"
 		]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Schedulers) != 3 {
+	if len(spec.Schedulers) != 4 {
 		t.Fatalf("schedulers = %+v", spec.Schedulers)
+	}
+	// A spec string — the label the exports print — is the same entry as
+	// its object form.
+	if got, want := spec.Schedulers[3].Label(), spec.Schedulers[1].Label(); got != want {
+		t.Fatalf("spec-string entry label = %q, want %q", got, want)
 	}
 	if spec.Schedulers[0].Name != "equipartition" {
 		t.Fatalf("name not canonicalized: %q", spec.Schedulers[0].Name)
@@ -52,6 +58,20 @@ func TestSchedulerBlockParsing(t *testing.T) {
 	if len(one.Schedulers) != 1 || one.Schedulers[0].Name != "fair-share" {
 		t.Fatalf("single scheduler = %+v", one.Schedulers)
 	}
+
+	// A federation member's scheduler takes the same forms.
+	fed, err := Parse([]byte(`{
+		"seed": 1, "jobs": 1,
+		"mix": [{"kind": "synthetic", "phases": 1, "work_s": 1}],
+		"arrivals": {"process": "closed"},
+		"federation": {"clusters": [{"nodes": 4, "scheduler": "moldable(min_efficiency=0.7)"}]}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fed.Federation.Clusters[0].Scheduler.Label(); got != "moldable(min_efficiency=0.7)" {
+		t.Fatalf("member scheduler label = %q", got)
+	}
 }
 
 func TestSchedulerBlockRejections(t *testing.T) {
@@ -63,6 +83,7 @@ func TestSchedulerBlockRejections(t *testing.T) {
 		"unknown param":   `[{"name": "equipartition", "params": {"bogus": 1}}]`,
 		"bad param value": `[{"name": "malleable-hysteresis", "params": {"min_delta": 0}}]`,
 		"empty name":      `[{"params": {"x": 1}}]`,
+		"malformed spec":  `["moldable(min_efficiency="]`,
 	} {
 		if _, err := Parse([]byte(strings.Replace(base, "%s", block, 1))); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -7,7 +7,7 @@ import (
 
 func init() {
 	Register("easy-backfill", func(p Params) (Scheduler, error) {
-		if err := p.check("easy-backfill"); err != nil {
+		if err := p.Check("sched", "easy-backfill"); err != nil {
 			return nil, err
 		}
 		return &EasyBackfill{}, nil

@@ -2,7 +2,7 @@ package sched
 
 func init() {
 	Register("equipartition", func(p Params) (Scheduler, error) {
-		if err := p.check("equipartition"); err != nil {
+		if err := p.Check("sched", "equipartition"); err != nil {
 			return nil, err
 		}
 		return Equipartition{}, nil

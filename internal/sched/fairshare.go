@@ -7,7 +7,7 @@ import (
 
 func init() {
 	Register("fair-share", func(p Params) (Scheduler, error) {
-		if err := p.check("fair-share"); err != nil {
+		if err := p.Check("sched", "fair-share"); err != nil {
 			return nil, err
 		}
 		return &FairShare{}, nil

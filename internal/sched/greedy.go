@@ -2,7 +2,7 @@ package sched
 
 func init() {
 	Register("efficiency-greedy", func(p Params) (Scheduler, error) {
-		if err := p.check("efficiency-greedy"); err != nil {
+		if err := p.Check("sched", "efficiency-greedy"); err != nil {
 			return nil, err
 		}
 		return &EfficiencyGreedy{}, nil

@@ -9,7 +9,7 @@ import (
 
 func init() {
 	Register("malleable-hysteresis", func(p Params) (Scheduler, error) {
-		if err := p.check("malleable-hysteresis", "epoch_s", "min_delta"); err != nil {
+		if err := p.Check("sched", "malleable-hysteresis", "epoch_s", "min_delta"); err != nil {
 			return nil, err
 		}
 		m := NewMalleableHysteresis(p.Float("epoch_s", 30), p.Float("min_delta", 2))

@@ -16,7 +16,7 @@ func init() {
 // explicit value must be a usable threshold in (0, 1]; absence leaves
 // the policy's documented default in force.
 func minEfficiencyParam(policy string, p Params) (float64, error) {
-	if err := p.check(policy, "min_efficiency"); err != nil {
+	if err := p.Check("sched", policy, "min_efficiency"); err != nil {
 		return 0, err
 	}
 	v, ok := p["min_efficiency"]

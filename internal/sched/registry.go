@@ -1,99 +1,31 @@
 package sched
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-)
+import "dpsim/internal/spec"
 
 // Params carries a policy's construction parameters, as decoded from a
 // scenario file's scheduler block or a CLI "name(key=value,...)" spec.
 // All values are float64; factories round where an integer is meant.
-type Params map[string]float64
-
-// Float returns the parameter's value, or def when the key is absent.
-func (p Params) Float(key string, def float64) float64 {
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
-// check rejects any key outside the allowed set — a misspelled parameter
-// must fail loudly at construction, not silently fall back to a default.
-func (p Params) check(policy string, allowed ...string) error {
-	for key := range p {
-		ok := false
-		for _, a := range allowed {
-			if key == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			valid := "none"
-			if len(allowed) > 0 {
-				valid = strings.Join(allowed, ", ")
-			}
-			return fmt.Errorf("sched: %s: unknown parameter %q (valid: %s)", policy, key, valid)
-		}
-	}
-	return nil
-}
+type Params = spec.Params
 
 // Factory constructs a policy instance from its parameters. It must
 // reject unknown or out-of-range parameters.
 type Factory func(p Params) (Scheduler, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
+var registry = spec.NewRegistry[Scheduler]("sched", "scheduler")
 
 // Register adds a policy factory under its canonical (lower-case) name.
 // Built-in policies self-register from init functions; registering a
 // duplicate or empty name panics — it is a programming error.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("sched: Register with empty name or nil factory")
-	}
-	key := strings.ToLower(name)
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[key]; dup {
-		panic("sched: duplicate scheduler " + key)
-	}
-	registry[key] = f
-}
+func Register(name string, f Factory) { registry.Register(name, f) }
 
 // Names lists the registered policy names in canonical (alphabetical)
 // order — the valid values for scenario files and CLI flags.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return registry.Names() }
 
 // New constructs the named policy with the given parameters,
 // case-insensitively. Policies may hold per-run state, so every
 // simulation should construct its own instance.
-func New(name string, p Params) (Scheduler, error) {
-	regMu.RLock()
-	f, ok := registry[strings.ToLower(name)]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (valid: %s)", name, strings.Join(Names(), ", "))
-	}
-	return f(p)
-}
+func New(name string, p Params) (Scheduler, error) { return registry.New(name, p) }
 
 // ByName resolves a policy with default parameters (the form used by
 // scenario files and CLI flags that pass a bare name).
@@ -108,67 +40,10 @@ func ByName(name string) (Scheduler, bool) {
 // ParseSpec splits a CLI/label scheduler spec into name and parameters:
 // either a bare "name" or "name(key=value,key2=value2)". It is the
 // inverse of FormatSpec.
-func ParseSpec(spec string) (string, Params, error) {
-	spec = strings.TrimSpace(spec)
-	open := strings.IndexByte(spec, '(')
-	if open < 0 {
-		if spec == "" {
-			return "", nil, fmt.Errorf("sched: empty scheduler spec")
-		}
-		return spec, nil, nil
-	}
-	if !strings.HasSuffix(spec, ")") {
-		return "", nil, fmt.Errorf("sched: scheduler spec %q: missing ')'", spec)
-	}
-	name := strings.TrimSpace(spec[:open])
-	if name == "" {
-		return "", nil, fmt.Errorf("sched: scheduler spec %q has no name", spec)
-	}
-	body := spec[open+1 : len(spec)-1]
-	params := Params{}
-	if strings.TrimSpace(body) == "" {
-		return name, params, nil
-	}
-	for _, kv := range strings.Split(body, ",") {
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			return "", nil, fmt.Errorf("sched: scheduler spec %q: parameter %q is not key=value", spec, kv)
-		}
-		key := strings.TrimSpace(kv[:eq])
-		val, err := strconv.ParseFloat(strings.TrimSpace(kv[eq+1:]), 64)
-		// ParseFloat accepts "NaN"/"Inf", and NaN slips through every
-		// range check a factory can write (v <= 0 is false) — reject
-		// non-finite values at the parse boundary.
-		if key == "" || err != nil || math.IsNaN(val) || math.IsInf(val, 0) {
-			return "", nil, fmt.Errorf("sched: scheduler spec %q: bad parameter %q", spec, kv)
-		}
-		params[key] = val
-	}
-	return name, params, nil
-}
+func ParseSpec(s string) (string, Params, error) { return spec.Parse("sched", "scheduler", s) }
 
 // FormatSpec renders a (name, params) pair as the canonical spec string:
 // the bare name, or "name(key=value,...)" with keys sorted. %g float
 // rendering round-trips exactly through ParseSpec, so a grid label built
 // with FormatSpec resolves back to the identical policy.
-func FormatSpec(name string, p Params) string {
-	if len(p) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('(')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", k, strconv.FormatFloat(p[k], 'g', -1, 64))
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+func FormatSpec(name string, p Params) string { return spec.Format(name, p) }

@@ -4,7 +4,7 @@ import "slices"
 
 func init() {
 	Register("rigid-fcfs", func(p Params) (Scheduler, error) {
-		if err := p.check("rigid-fcfs"); err != nil {
+		if err := p.Check("sched", "rigid-fcfs"); err != nil {
 			return nil, err
 		}
 		return &Rigid{}, nil
