@@ -30,10 +30,11 @@
 package availability
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"dpsim/internal/rng"
 	"dpsim/internal/trace"
@@ -362,7 +363,7 @@ func fold(raw []transition, nodes, minCap int) []Change {
 	if minCap > nodes {
 		minCap = nodes
 	}
-	sort.SliceStable(raw, func(i, j int) bool { return raw[i].at < raw[j].at })
+	slices.SortStableFunc(raw, func(a, b transition) int { return cmp.Compare(a.at, b.at) })
 	clamp := func(v int) int {
 		if v < minCap {
 			return minCap
@@ -372,7 +373,7 @@ func fold(raw []transition, nodes, minCap int) []Change {
 		}
 		return v
 	}
-	var out []Change
+	out := make([]Change, 0, len(raw))
 	level := nodes
 	last := nodes
 	for i := 0; i < len(raw); {

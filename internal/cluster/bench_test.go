@@ -164,3 +164,74 @@ func BenchmarkSchedulerInvokeScale(b *testing.B) {
 		})
 	}
 }
+
+// idleCycleTimeline is n changes, one every 10 s, drops announced 2 s
+// ahead.
+func idleCycleTimeline(n int) []availability.Change {
+	changes := make([]availability.Change, n)
+	for i := range changes {
+		changes[i] = availability.Change{At: 10 * float64(i+1), Capacity: 8 + 8*(i%2), NoticeS: 2}
+	}
+	return changes
+}
+
+// idleCycleSim builds a member in the state a federation leaves most of
+// its members in most of the time: started, drained and suspended, with
+// nearly all of its capacity timeline still ahead of it.
+func idleCycleSim(tb testing.TB, changes []availability.Change) *Sim {
+	tb.Helper()
+	sim, err := NewSim(16, sched.Equipartition{}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sim.SetCapacityChanges(changes); err != nil {
+		tb.Fatal(err)
+	}
+	idleCycle(tb, sim, 0)
+	return sim
+}
+
+// idleCycle injects one short job arriving 25 s after the previous
+// cycle's, drains the member and leaves it suspended again: two or three
+// changes (and a notice) elapse per cycle whatever the timeline's length.
+func idleCycle(tb testing.TB, sim *Sim, k int) {
+	j := &Job{ID: k, Arrival: 25 * float64(k), Phases: SyntheticProfile(1, 8, 0), MaxNodes: 8}
+	if err := sim.Inject(j); err != nil {
+		tb.Fatal(err)
+	}
+	for sim.ProcessNextEvent() {
+	}
+}
+
+// idleCyclesPerSim bounds a member's lifetime in the benchmark so every
+// size measures the same 32 cycles at the head of its timeline (the
+// shortest, 100 changes, spans 1000 s = 40 cycles).
+const idleCyclesPerSim = 32
+
+// BenchmarkCapacityIdleCycle is the idle/busy transition rung of the
+// ladder: one op wakes a suspended member with one job, drains it and
+// suspends it again. The change density is the same at every size — the
+// horizon grows with the count — so the work a cycle has to do is
+// constant, and ns/op and allocs/op must be flat across the three sizes
+// (docs/performance.md, "Capacity timeline: a cursor").
+func BenchmarkCapacityIdleCycle(b *testing.B) {
+	for _, sz := range []struct {
+		name string
+		n    int
+	}{{"changes-100", 100}, {"changes-2k", 2000}, {"changes-20k", 20000}} {
+		b.Run(sz.name, func(b *testing.B) {
+			changes := idleCycleTimeline(sz.n)
+			sim := idleCycleSim(b, changes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, k := 0, 1; i < b.N; i, k = i+1, k+1 {
+				if k > idleCyclesPerSim {
+					b.StopTimer()
+					sim, k = idleCycleSim(b, changes), 1
+					b.StartTimer()
+				}
+				idleCycle(b, sim, k)
+			}
+		})
+	}
+}

@@ -1,0 +1,276 @@
+package cluster
+
+import (
+	"cmp"
+	"crypto/sha256"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"dpsim/internal/availability"
+	"dpsim/internal/eventq"
+	"dpsim/internal/obs"
+	"dpsim/internal/rng"
+	"dpsim/internal/sched"
+)
+
+// capStreamProbe records the ordered stream of capacity-driven probe
+// callbacks — the externally visible trace of the capacity timeline.
+type capStreamProbe struct {
+	invokeCountProbe // no-op hooks
+	b                strings.Builder
+}
+
+func (p *capStreamProbe) SchedulerInvoke(t float64, inv obs.SchedulerInvocation) {}
+func (p *capStreamProbe) CapacityNotice(t float64, target int) {
+	fmt.Fprintf(&p.b, "N %.17g %d\n", t, target)
+}
+func (p *capStreamProbe) CapacityChange(t float64, capacity int) {
+	fmt.Fprintf(&p.b, "C %.17g %d\n", t, capacity)
+}
+func (p *capStreamProbe) Preempt(t float64, jobID int) {
+	fmt.Fprintf(&p.b, "P %.17g %d\n", t, jobID)
+}
+func (p *capStreamProbe) ReconfigCharge(t float64, jobID int, k obs.ChargeKind, amount float64) {
+	fmt.Fprintf(&p.b, "R %.17g %d %d %.17g\n", t, jobID, k, amount)
+}
+
+// cursorTimeline draws a hostile capacity timeline on a 0.5 s grid, so
+// announce and apply instants of different changes collide: same-instant
+// changes, a change at t = 0, and per-mode notices — one constant notice
+// (the generated-spec shape), per-change notices that make announce
+// instants non-monotone in the index, notices longer than the change's
+// own At (window clamped to the arming instant, many windows open at
+// once), and zero-length windows (a positive notice that rounds to 0 ns).
+func cursorTimeline(src *rng.Source, nodes int) []availability.Change {
+	n := 6 + src.Intn(30)
+	mode := src.Intn(4)
+	constNotice := 0.5 * float64(1+src.Intn(8))
+	out := make([]availability.Change, 0, n)
+	t := 0.0
+	if src.Intn(3) != 0 {
+		t = 0.5 * float64(1+src.Intn(10))
+	}
+	for i := 0; i < n; i++ {
+		if i > 0 && src.Intn(5) != 0 {
+			t += 0.5 * float64(1+src.Intn(12))
+		}
+		c := availability.Change{At: t, Capacity: 2 + src.Intn(nodes-1)}
+		if src.Intn(12) == 0 {
+			c.Capacity = 0
+		}
+		switch mode {
+		case 0:
+			c.NoticeS = constNotice
+		case 1:
+			if src.Intn(4) != 0 {
+				c.NoticeS = 0.5 * float64(src.Intn(40))
+			}
+		case 2:
+			if src.Intn(2) == 0 {
+				c.NoticeS = t + 0.5*float64(src.Intn(20))
+			}
+		case 3:
+			switch src.Intn(3) {
+			case 0:
+				c.NoticeS = 1e-12
+			case 1:
+				c.NoticeS = constNotice
+			}
+		}
+		out = append(out, c)
+	}
+	// End on the full pool: a timeline that ends at capacity 0 strands its
+	// jobs, and a stranded job keeps the sampler running forever.
+	out[n-1].Capacity = nodes
+	return out
+}
+
+// cursorJobs draws `bursts` groups of short jobs spread over (and past)
+// the timeline's horizon; between groups the pool drains, so the
+// timeline suspends and the next Inject resumes it.
+func cursorJobs(src *rng.Source, bursts int, horizon float64) []*Job {
+	var out []*Job
+	for b := 0; b < bursts; b++ {
+		base := 0.5 * float64(int(2*horizon*1.2*float64(b)/float64(bursts)))
+		for k, n := 0, 1+src.Intn(4); k < n; k++ {
+			out = append(out, &Job{
+				ID:       len(out),
+				Arrival:  base + 0.5*float64(k*src.Intn(3)),
+				Phases:   SyntheticProfile(1+src.Intn(3), float64(2+src.Intn(16)), 0.02),
+				MaxNodes: 1 + src.Intn(8),
+			})
+		}
+	}
+	slices.SortStableFunc(out, func(a, b *Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	for i, j := range out {
+		j.ID = i
+	}
+	return out
+}
+
+// driveOpen is the open drive loop (the scenario.RunCell shape): inject
+// every job whose arrival does not follow the next pending event, else
+// step. It returns the ProcessNextEvent count and how many injections
+// found the capacity timeline suspended.
+func driveOpen(tb testing.TB, sim *Sim, jobs []*Job) (events, resumes int) {
+	tb.Helper()
+	i := 0
+	for {
+		et, ok := sim.PeekNextEventTime()
+		if i < len(jobs) {
+			if at := eventq.Time(eventq.DurationOf(jobs[i].Arrival)); !ok || at <= et {
+				if sim.capStopped && len(sim.changes) > 0 {
+					resumes++
+				}
+				if err := sim.Inject(jobs[i]); err != nil {
+					tb.Fatal(err)
+				}
+				i++
+				continue
+			}
+		}
+		if !ok {
+			return events, resumes
+		}
+		sim.ProcessNextEvent()
+		events++
+	}
+}
+
+// cursorGoldens are the fingerprints of the 24 cases, recorded from the
+// eager implementation (every change pushed at start, all cancelled on
+// suspend, all re-pushed on resume) at the commit before the cursor.
+var cursorGoldens = [24]string{
+	"5e4f73fc776a5be1",
+	"76cc91f71e9393b8",
+	"98abe6fae9e3ee8d",
+	"c3b8886d2320282e",
+	"cf13ed7dd2fbfd50",
+	"2caebdf62d2cd3ff",
+	"56debe3309758008",
+	"89fd2065cd37cb56",
+	"a970574d1cd1815d",
+	"805d0e5c2d3b6b97",
+	"b85aa6c7c36cede8",
+	"bdfecd0bbcac0727",
+	"f247bc46c33e9d3b",
+	"10481dd8a59bc6e5",
+	"75107ea330ae3f47",
+	"048f60eb5cd6b91c",
+	"a3abe67b73be75a3",
+	"0164a36dd14302a7",
+	"3e8209cf0075d18b",
+	"9aed9372ea6c5ebb",
+	"e9df78b1c8b22a34",
+	"318d81ceb5e50cf4",
+	"f73ff248d762a2e8",
+	"34356301df4bfd70",
+}
+
+// TestCapacityCursorGolden pins the capacity cursor to the eager
+// implementation it replaced: for 24 seeded timelines × job streams
+// driven through Inject, the ordered stream of capacity notices,
+// changes, preemptions and reconfiguration charges (with their
+// instants), the event count and the full Result are byte-identical.
+func TestCapacityCursorGolden(t *testing.T) {
+	const nodes = 16
+	policies := sched.Names()
+	cycles := map[int]bool{}
+	for seed := range cursorGoldens {
+		src := rng.New(uint64(1000 + seed))
+		changes := cursorTimeline(src, nodes)
+		bursts := []int{1, 2, 6}[seed%3]
+		jobs := cursorJobs(src, bursts, changes[len(changes)-1].At)
+		policy, err := sched.New(policies[seed%len(policies)], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := avSim(t, nodes, policy, nil, changes, ReconfigCost{RedistributionSPerNode: 0.1, LostWorkS: 1.5})
+		probe := &capStreamProbe{}
+		if err := sim.SetProbe(probe); err != nil {
+			t.Fatal(err)
+		}
+		if seed%2 == 1 {
+			// A sampler event outliving the jobs advances the idle clock, so
+			// the next resume applies elapsed changes silently.
+			if err := sim.SetSampleInterval(7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		events, resumes := driveOpen(t, sim, jobs)
+		cycles[min(resumes, 3)] = true
+		fmt.Fprintf(&probe.b, "events=%d resumes=%d\n%s\n", events, resumes, fingerprintResult(sim.Result()))
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(probe.b.String())))[:16]
+		if got != cursorGoldens[seed] {
+			t.Errorf("seed %d (%s, %d changes, %d jobs): fingerprint %q, want %q",
+				seed, policy.Name(), len(changes), len(jobs), got, cursorGoldens[seed])
+			if testing.Verbose() {
+				t.Log(probe.b.String())
+			}
+		}
+	}
+	for _, want := range []int{0, 1, 3} {
+		if !cycles[want] {
+			t.Errorf("no case with %d (3 = many) suspend/resume cycles", want)
+		}
+	}
+}
+
+// TestCapacityQueueDepthBounded: the heap holds one capacity event, not
+// the timeline. With 10 000 changes ahead of 3 long jobs the queue never
+// exceeds one phase event per active job, the pending arrivals, the
+// capacity cursor and the sampler.
+func TestCapacityQueueDepthBounded(t *testing.T) {
+	changes := make([]availability.Change, 10000)
+	for i := range changes {
+		changes[i] = availability.Change{At: float64(i + 1), Capacity: 8 + 8*(i%2), NoticeS: 2.5}
+	}
+	jobs := make([]*Job, 3)
+	for i := range jobs {
+		jobs[i] = &Job{ID: i, Arrival: float64(10 * i), Phases: SyntheticProfile(50, 20000, 0.01), MaxNodes: 8}
+	}
+	sim := avSim(t, 16, sched.Equipartition{}, jobs, changes, ReconfigCost{})
+	if err := sim.SetProbe(&capStreamProbe{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SetSampleInterval(50); err != nil {
+		t.Fatal(err)
+	}
+	for sim.ProcessNextEvent() {
+		if got, bound := sim.q.Len(), len(sim.actives)+sim.pendingArrivals+2; got > bound {
+			t.Fatalf("t=%v: %d events queued, want <= %d (%d active, %d arrivals pending)",
+				sim.Now(), got, bound, len(sim.actives), sim.pendingArrivals)
+		}
+	}
+	if r := sim.Result(); r.Unfinished != 0 || r.CapacityEvents < 1000 {
+		t.Fatalf("run did not cross the timeline: %d unfinished, %d capacity events", r.Unfinished, r.CapacityEvents)
+	}
+}
+
+// TestSuspendResumeAllocsIndependentOfTimeline: an inject → drain →
+// suspend cycle during which no change elapses allocates on a
+// 2000-change pool exactly what it allocates on a fixed one — the job's
+// own arrival and bookkeeping, nothing per change.
+func TestSuspendResumeAllocsIndependentOfTimeline(t *testing.T) {
+	cycleAllocs := func(changes []availability.Change) float64 {
+		sim := avSim(t, 16, sched.Equipartition{}, nil, changes, ReconfigCost{})
+		k := 0
+		return testing.AllocsPerRun(100, func() {
+			idleCycle(t, sim, k)
+			if !sim.capStopped {
+				t.Fatal("member not suspended after draining")
+			}
+			k++
+		})
+	}
+	changes := make([]availability.Change, 2000)
+	for i := range changes { // all beyond the 101 cycles × 25 s measured
+		changes[i] = availability.Change{At: 1e4 + float64(i), Capacity: 8 + 8*(i%2), NoticeS: 0.5}
+	}
+	fixed, volatile := cycleAllocs(nil), cycleAllocs(changes)
+	if volatile != fixed {
+		t.Errorf("%v allocs per idle cycle on a 2000-change timeline, %v on a fixed pool", volatile, fixed)
+	}
+}

@@ -129,12 +129,15 @@ type ReconfigCost struct {
 	LostWorkS float64
 }
 
-// Event tiers: at equal instants capacity changes precede arrivals, and
-// arrivals precede phase completions — in both the closed (NewSim jobs)
-// and the open (Inject) drive, which is what makes the two paths execute
-// identical event sequences even at exact ties.
+// Event tiers: at equal instants capacity changes precede the time-series
+// sample, the sample precedes arrivals, and arrivals precede phase
+// completions — in both the closed (NewSim jobs) and the open (Inject)
+// drive, which is what makes the two paths execute identical event
+// sequences even at exact ties, and a sample always reads the post-change
+// pool and the pre-arrival job set whatever the history of the run.
 const (
-	tierCapacity int8 = -2
+	tierCapacity int8 = -3
+	tierSample   int8 = -2
 	tierArrival  int8 = -1
 )
 
@@ -232,18 +235,14 @@ type Sim struct {
 	// abruptNodes is the not-yet-charged node count of the abrupt drop
 	// being applied: the lost-work budget of the current reallocation.
 	abruptNodes int
-	// pendingDrains holds the announced targets of notice windows still
-	// open (keyed by change index), so an intervening capacity event
-	// cannot silently void an outstanding reclaim notice.
-	pendingDrains map[int]int
-	capHist       []capStep
+	capHist     []capStep
 	// Idle suspension: once no job is active and no arrival is pending,
-	// the remaining capacity events are cancelled (they can no longer
-	// affect an outcome); Inject resumes the timeline with a catch-up.
+	// the one pending capacity event is cancelled (it can no longer affect
+	// an outcome); Inject resumes the timeline with a catch-up.
 	pendingArrivals int
-	capEvs          []*eventq.Event
 	capStopped      bool
 	nextChange      int
+	capacityCursor
 	// lastJobEvent is the instant of the last arrival or phase completion:
 	// the makespan of the workload, independent of capacity events that
 	// may outlive the jobs.
@@ -270,7 +269,7 @@ type Sim struct {
 	// AND with the built-in recorder attached (bounded amortized).
 	probe obs.Probe
 	// sampleDT > 0 schedules fixed-interval sampler events at t = k·dt
-	// on the capacity tier; they read gauges and mutate nothing, so
+	// on their own tier; they read gauges and mutate nothing, so
 	// Results and goldens stay bit-identical with sampling on.
 	sampleDT      eventq.Duration
 	sampleK       int64
@@ -371,7 +370,8 @@ func (s *Sim) SetProbe(p obs.Probe) error {
 // dt seconds of virtual time the attached probe's TimeSample hook
 // receives the cluster's gauges (queue depth, running jobs, allocated
 // vs. available nodes, instantaneous utilization). Samples ride the
-// event queue on the capacity tier and stop when the workload drains
+// event queue on their own tier — after the instant's capacity changes,
+// before its arrivals — and stop when the workload drains
 // (Inject resumes them on the same t = k·dt grid), so sampling never
 // stretches a run or perturbs its outcome. It must be called before the
 // first event is processed and has no effect without a probe.
@@ -394,8 +394,9 @@ func (s *Sim) start() {
 		return
 	}
 	s.started = true
-	s.pendingDrains = make(map[int]int)
-	s.scheduleChanges(0)
+	if len(s.changes) > 0 {
+		s.startCapacity()
+	}
 	for _, j := range s.jobs {
 		j := j
 		s.pendingArrivals++
@@ -405,7 +406,7 @@ func (s *Sim) start() {
 		// Bind the sampler callback once; every reschedule recycles the
 		// event object, so steady-state sampling allocates nothing.
 		s.sampleFn = s.fireSample
-		s.sampleEv = s.q.AtTier(0, tierCapacity, s.sampleFn)
+		s.sampleEv = s.q.AtTier(0, tierSample, s.sampleFn)
 	}
 }
 
@@ -439,7 +440,7 @@ func (s *Sim) fireSample() {
 		return
 	}
 	s.sampleK++
-	s.sampleEv = s.q.ReuseAtTier(s.sampleEv, eventq.Time(s.sampleK*int64(s.sampleDT)), tierCapacity, s.sampleFn)
+	s.sampleEv = s.q.ReuseAtTier(s.sampleEv, eventq.Time(s.sampleK*int64(s.sampleDT)), tierSample, s.sampleFn)
 }
 
 // resumeSampling re-enters the t = k·dt sample grid at the first point
@@ -457,120 +458,7 @@ func (s *Sim) resumeSampling() {
 		k = s.sampleK + 1
 	}
 	s.sampleK = k
-	s.sampleEv = s.q.ReuseAtTier(s.sampleEv, eventq.Time(k*dt), tierCapacity, s.sampleFn)
-}
-
-// scheduleChanges queues the apply (and announce) events of
-// s.changes[from:]. Notice windows opening before the current instant are
-// clamped to it.
-func (s *Sim) scheduleChanges(from int) {
-	now := s.q.Now()
-	prev := s.capNow
-	for i := from; i < len(s.changes); i++ {
-		c := s.changes[i]
-		at := eventq.Time(eventq.DurationOf(c.At))
-		graceful := c.Capacity < prev && c.NoticeS > 0
-		if graceful {
-			annAt := at - eventq.Time(eventq.DurationOf(c.NoticeS))
-			if annAt < now {
-				annAt = now
-			}
-			idx, target := i, c.Capacity
-			s.capEvs = append(s.capEvs, s.q.AtTier(annAt, tierCapacity, func() { s.announceCapacity(idx, target) }))
-		}
-		idx, cap, g := i, c.Capacity, graceful
-		s.capEvs = append(s.capEvs, s.q.AtTier(at, tierCapacity, func() { s.applyCapacity(idx, cap, g) }))
-		prev = c.Capacity
-	}
-}
-
-// maybeSuspendCapacity cancels the not-yet-applied capacity events once
-// the workload is exhausted: with nothing to serve they cannot affect any
-// outcome, and a long availability horizon (a day of failure events, say)
-// would otherwise keep churning the event loop long after the last job.
-func (s *Sim) maybeSuspendCapacity() {
-	if s.capStopped || len(s.actives) > 0 || s.pendingArrivals > 0 {
-		return
-	}
-	for _, e := range s.capEvs {
-		s.q.Cancel(e)
-	}
-	s.capEvs = s.capEvs[:0]
-	for k := range s.pendingDrains {
-		delete(s.pendingDrains, k)
-	}
-	s.capStopped = true
-}
-
-// resumeCapacity fast-forwards a suspended timeline to the current
-// instant — changes that elapsed while the cluster was idle are applied
-// silently (there was nothing to reallocate) — and re-schedules the rest.
-func (s *Sim) resumeCapacity() {
-	s.capStopped = false
-	now := s.q.Now()
-	for s.nextChange < len(s.changes) {
-		c := s.changes[s.nextChange]
-		at := eventq.Time(eventq.DurationOf(c.At))
-		if at > now {
-			break
-		}
-		s.capEvents++
-		s.capHist = append(s.capHist, capStep{at: at, cap: c.Capacity})
-		s.capNow = c.Capacity
-		s.nextChange++
-	}
-	s.schedCap = s.capNow
-	s.scheduleChanges(s.nextChange)
-}
-
-// announceCapacity opens a reclaim-notice window: the scheduler's usable
-// capacity shrinks to the announced target ahead of the actual drop, so
-// jobs migrate off the doomed nodes and lose no work when it lands.
-func (s *Sim) announceCapacity(idx, target int) {
-	if s.probe != nil {
-		s.probe.CapacityNotice(s.q.Now().Seconds(), target)
-	}
-	s.pendingDrains[idx] = target
-	if next := s.effectiveSchedCap(); next < s.schedCap {
-		s.schedCap = next
-		s.markDirty()
-	}
-}
-
-// applyCapacity puts a capacity change into effect. Abrupt drops (no
-// notice) preempt whatever still runs beyond the new capacity and charge
-// the lost-work cost; graceful drops land on an already-drained pool.
-func (s *Sim) applyCapacity(idx, cap int, graceful bool) {
-	if s.probe != nil {
-		s.probe.CapacityChange(s.q.Now().Seconds(), cap)
-	}
-	s.capEvents++
-	s.capHist = append(s.capHist, capStep{at: s.q.Now(), cap: cap})
-	delete(s.pendingDrains, idx)
-	s.nextChange = idx + 1
-	if cap < s.capNow && !graceful {
-		// Same-instant abrupt drops pool their lost-work budgets: the
-		// coalesced reallocation charges against the total node count
-		// reclaimed at the instant, and the budget expires in the flush.
-		s.abruptNodes += s.capNow - cap
-	}
-	s.capNow = cap
-	s.schedCap = s.effectiveSchedCap()
-	s.markDirty()
-}
-
-// effectiveSchedCap is the capacity the scheduler may use right now: the
-// actual pool, further limited by any reclaim notice still outstanding —
-// a capacity rise (or an unrelated change) inside a notice window must
-// not hand back nodes that are already doomed.
-func (s *Sim) effectiveSchedCap() int {
-	cap := s.capNow
-	for _, target := range s.pendingDrains {
-		if target < cap {
-			cap = target
-		}
-	}
-	return cap
+	s.sampleEv = s.q.ReuseAtTier(s.sampleEv, eventq.Time(k*dt), tierSample, s.sampleFn)
 }
 
 // PeekNextEventTime reports the virtual instant of the next pending

@@ -28,8 +28,13 @@ func TestPerformanceDoc(t *testing.T) {
 		"TestSchedulerInvokePerDirtyInstant",
 		"TestReallocationsCoalescedSemantics",
 		"TestProcessNextEventZeroAllocBurstSteadyState",
+		// capacity-cursor contract pins
+		"TestCapacityCursorGolden",
+		"TestCapacityQueueDepthBounded",
+		"TestSuspendResumeAllocsIndependentOfTimeline",
 		// benchmark surface
 		"BenchmarkClusterStep/{fixed,volatile,burst}",
+		"BenchmarkCapacityIdleCycle/changes-{100,2k,20k}",
 		"BenchmarkClusterStepScale/active-{100,1k,10k}",
 		"BenchmarkSchedulerInvokeScale/active-{100,1k,10k}",
 		"BenchmarkSchedulerInvoke/<policy>",

@@ -178,6 +178,52 @@ func TestSampleGrid(t *testing.T) {
 	}
 }
 
+// TestSampleAtCapacityChangeInstant: a sample on an instant that is also
+// a capacity change reads the post-change pool, and one on an arrival
+// instant the pre-arrival job set, whatever the run's history — the
+// sampler has its own tier between capacity and arrival. (Within one tier
+// the order is FIFO by push, and a suspend/resume re-pushes the capacity
+// event behind a sample already queued for the instant.)
+func TestSampleAtCapacityChangeInstant(t *testing.T) {
+	sampleAt := func(first float64, injected ...*Job) map[float64]obs.Sample {
+		t.Helper()
+		sim := avSim(t, 8, sched.Equipartition{}, []*Job{singleJob(first, 1, 8)},
+			[]availability.Change{{At: 30, Capacity: 4}}, ReconfigCost{})
+		rec := obs.NewRecorder(obs.Config{})
+		if err := sim.SetProbe(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.SetSampleInterval(10); err != nil {
+			t.Fatal(err)
+		}
+		driveOpen(t, sim, injected)
+		byT := map[float64]obs.Sample{}
+		for _, s := range rec.Samples() {
+			byT[s.T] = s
+		}
+		return byT
+	}
+	// One long job across the change: the timeline never suspends.
+	if s, ok := sampleAt(400)[30]; !ok || s.Available != 4 {
+		t.Errorf("uninterrupted run: sample at t=30 reads %+v, want Available=4", s)
+	}
+	// The first job finishes at t=25 (timeline suspends, the t=30 sample
+	// is already queued); a job arriving at t=28 resumes it. A second
+	// arrival lands exactly on the t=40 sample.
+	b := singleJob(400, 1, 8)
+	b.ID, b.Arrival = 1, 28
+	c := singleJob(40, 1, 8)
+	c.ID, c.Arrival = 2, 40
+	got := sampleAt(200, b)
+	if s, ok := got[30]; !ok || s.Available != 4 {
+		t.Errorf("after a suspend/resume: sample at t=30 reads %+v, want Available=4", s)
+	}
+	got = sampleAt(400, c)
+	if s, ok := got[40]; !ok || s.Running+s.Waiting != 1 {
+		t.Errorf("sample at the t=40 arrival instant reads %+v, want the one pre-arrival job", s)
+	}
+}
+
 // TestSamplerResumesAfterIdle: when the workload drains the sampler
 // stops, and a later Inject resumes it on the same grid — no samples
 // during the idle gap, grid-aligned samples after.

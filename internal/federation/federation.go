@@ -30,10 +30,22 @@ type Member struct {
 // Arrivals flow through Offer (admission + routing decision) and
 // InjectInto (delivery); Dispatch combines the two. The zero value is
 // not usable; construct with NewSim.
+//
+// Once the federation has started (its first PeekNextEventTime or
+// ProcessNextEvent) the members are driven only through it: it caches
+// each member's next-event instant and refreshes the entry of the one
+// member a step or an injection touched, so stepping or injecting into a
+// member's Sim directly would leave the cache stale.
 type Sim struct {
 	members []Member
 	admit   Admission
 	route   Router
+
+	// next[i] is member i's next pending event instant, valid where
+	// pending[i]; both are filled by the first scan. The per-event scan
+	// reads these flat slices instead of calling into every member.
+	next    []eventq.Time
+	pending []bool
 
 	// views is the scratch slice rebuilt for each routing decision so
 	// the steady-state Offer path allocates nothing.
@@ -84,14 +96,35 @@ func (f *Sim) Member(i int) Member { return f.members[i] }
 // PeekNextEventTime reports the earliest pending event time across all
 // members, or ok=false when every member queue is empty.
 func (f *Sim) PeekNextEventTime() (eventq.Time, bool) {
-	var best eventq.Time
-	found := false
-	for i := range f.members {
-		if t, ok := f.members[i].Sim.PeekNextEventTime(); ok && (!found || t < best) {
-			best, found = t, true
+	best, bestT := f.earliest()
+	return bestT, best >= 0
+}
+
+// earliest scans the cached next-event instants for the member holding
+// the globally earliest pending event (lowest member index on ties), -1
+// when no member has one.
+func (f *Sim) earliest() (int, eventq.Time) {
+	if f.next == nil {
+		f.next = make([]eventq.Time, len(f.members))
+		f.pending = make([]bool, len(f.members))
+		for i := range f.members {
+			f.refresh(i)
 		}
 	}
-	return best, found
+	best := -1
+	var bestT eventq.Time
+	for i, t := range f.next {
+		if f.pending[i] && (best < 0 || t < bestT) {
+			best, bestT = i, t
+		}
+	}
+	return best, bestT
+}
+
+// refresh re-reads member i's next-event instant after the federation
+// stepped it or injected into it.
+func (f *Sim) refresh(i int) {
+	f.next[i], f.pending[i] = f.members[i].Sim.PeekNextEventTime()
 }
 
 // ProcessNextEvent advances the member holding the globally earliest
@@ -109,17 +142,12 @@ func (f *Sim) ProcessNextEvent() bool {
 // step is ProcessNextEvent exposing which member advanced and to what
 // time, for the invariant harness.
 func (f *Sim) step() (int, eventq.Time, bool) {
-	best := -1
-	var bestT eventq.Time
-	for i := range f.members {
-		if t, ok := f.members[i].Sim.PeekNextEventTime(); ok && (best < 0 || t < bestT) {
-			best, bestT = i, t
-		}
-	}
+	best, bestT := f.earliest()
 	if best < 0 {
 		return -1, 0, false
 	}
 	f.members[best].Sim.ProcessNextEvent()
+	f.refresh(best)
 	if bestT > f.now {
 		f.now = bestT
 	}
@@ -182,6 +210,9 @@ func (f *Sim) InjectInto(idx int, j *cluster.Job) error {
 	}
 	if err := f.members[idx].Sim.Inject(j); err != nil {
 		return err
+	}
+	if f.next != nil {
+		f.refresh(idx)
 	}
 	f.routed[idx]++
 	f.now = at
