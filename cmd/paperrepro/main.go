@@ -10,6 +10,9 @@
 // Full scale (default) uses the paper's 2592×2592 matrix; -quick halves
 // the scale (same block counts and graph shapes) and is what the test
 // suite exercises.
+//
+// The independent configurations of a figure run on GOMAXPROCS workers;
+// the output does not depend on how many.
 package main
 
 import (

@@ -156,6 +156,9 @@ type Engine struct {
 
 	mode       dps.ExecMode
 	nextInstID uint64
+	// nextInvID numbers this engine's invocations in start order; the ids
+	// only order them against each other (shutdown).
+	nextInvID uint64
 
 	// live invocations for shutdown and deadlock diagnostics
 	live map[*invocation]bool
@@ -172,8 +175,7 @@ type Engine struct {
 	phases []PhaseMark
 	allocs []AllocMark
 
-	opSteps map[string]uint64
-	opBusy  map[string]eventq.Duration
+	opStats []OpStat // indexed by Op.ID
 
 	stats   Result
 	pending int // queued + running work items and parked posts
@@ -224,8 +226,7 @@ func New(cfg Config) (*Engine, error) {
 		memoSum:  make(map[string]eventq.Duration),
 		memoCnt:  make(map[string]int),
 		samples:  make(map[string][]eventq.Duration),
-		opSteps:  make(map[string]uint64),
-		opBusy:   make(map[string]eventq.Duration),
+		opStats:  make([]OpStat, len(cfg.Graph.Ops())),
 	}
 	// Record allocation history whenever any collection changes.
 	seen := make(map[*dps.Collection]bool)
@@ -273,15 +274,20 @@ func (e *Engine) recordAlloc() {
 // MarkPhase records a named phase boundary at the current virtual time.
 func (e *Engine) MarkPhase(name string) {
 	e.phases = append(e.phases, PhaseMark{Time: e.q.Now(), Name: name})
-	e.trace(TraceEvent{Kind: TracePhase, Time: e.q.Now(), Detail: name})
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{Kind: TracePhase, Time: e.q.Now(), Detail: name})
+	}
 }
 
 // OpStats returns per-operation step counts and charged busy time — a
 // quick profile identifying the operations worth optimizing (paper §4).
 func (e *Engine) OpStats() map[string]OpStat {
-	out := make(map[string]OpStat, len(e.opSteps))
-	for name, steps := range e.opSteps {
-		out[name] = OpStat{Steps: steps, Busy: e.opBusy[name]}
+	out := make(map[string]OpStat, len(e.opStats))
+	for _, op := range e.graph.Ops() {
+		if st := e.opStats[op.ID()]; st.Steps > 0 {
+			sum := out[op.Name()]
+			out[op.Name()] = OpStat{Steps: sum.Steps + st.Steps, Busy: sum.Busy + st.Busy}
+		}
 	}
 	return out
 }
@@ -312,12 +318,6 @@ func (e *Engine) recordSample(key string, d eventq.Duration) {
 		e.keys = append(e.keys, key)
 	}
 	e.samples[key] = append(e.samples[key], d)
-}
-
-func (e *Engine) trace(ev TraceEvent) {
-	if e.cfg.Trace != nil {
-		e.cfg.Trace(ev)
-	}
 }
 
 // threadOf returns (creating lazily) the engine thread for (coll, idx).
@@ -479,11 +479,15 @@ func (e *Engine) send(srcNode int, env *envelope) {
 		return
 	}
 	e.stats.Transfers++
-	e.trace(TraceEvent{Kind: TraceTransferStart, Time: e.q.Now(), Node: srcNode,
-		Op: env.dstOp.Name(), Thread: env.dst, Detail: fmt.Sprintf("%dB to node %d", env.size, dstNode)})
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{Kind: TraceTransferStart, Time: e.q.Now(), Node: srcNode,
+			Op: env.dstOp.Name(), Thread: env.dst, Detail: fmt.Sprintf("%dB to node %d", env.size, dstNode)})
+	}
 	e.plat.Send(srcNode, dstNode, env.size, func() {
-		e.trace(TraceEvent{Kind: TraceTransferEnd, Time: e.q.Now(), Node: dstNode,
-			Op: env.dstOp.Name(), Thread: env.dst, Detail: fmt.Sprintf("%dB from node %d", env.size, srcNode)})
+		if e.cfg.Trace != nil {
+			e.cfg.Trace(TraceEvent{Kind: TraceTransferEnd, Time: e.q.Now(), Node: dstNode,
+				Op: env.dstOp.Name(), Thread: env.dst, Detail: fmt.Sprintf("%dB from node %d", env.size, srcNode)})
+		}
 		e.deliver(env)
 	})
 }

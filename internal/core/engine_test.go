@@ -842,16 +842,33 @@ func TestStoreSeeding(t *testing.T) {
 	}
 }
 
+// runFanOut builds and runs a 64-way fan-out over 8 threads on 4 nodes,
+// tracing off: 258 atomic steps, 96 of the 128 posts crossing the network.
+func runFanOut(tb testing.TB) {
+	g, _, _ := buildFanOut(4, 8, 64, eventq.Millisecond, 10*eventq.Microsecond)
+	eng, err := New(Config{Graph: g, Platform: testPlatform(4)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng.Inject(g.Ops()[0], 0, &intObj{})
+	if _, err := eng.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func BenchmarkEngineFanOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g, _, _ := buildFanOut(4, 8, 64, eventq.Millisecond, 10*eventq.Microsecond)
-		eng, err := New(Config{Graph: g, Platform: testPlatform(4)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.Inject(g.Ops()[0], 0, &intObj{})
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
+		runFanOut(b)
+	}
+}
+
+// TestEngineFanOutAllocCeiling pins what a run costs with tracing off. It
+// was 8,600 allocations while every step and transfer formatted a
+// TraceEvent.Detail nobody received and every reflow re-created an event
+// and a closure per flowing transfer and running job; it is 2,761 now.
+func TestEngineFanOutAllocCeiling(t *testing.T) {
+	const ceiling = 3000
+	if allocs := testing.AllocsPerRun(5, func() { runFanOut(t) }); allocs > ceiling {
+		t.Fatalf("fan-out run allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
 }

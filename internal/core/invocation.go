@@ -160,24 +160,23 @@ func (inv *invocation) body() {
 
 // --- engine-side invocation driving ---
 
-var nextInvID uint64
-
 // startInvocation builds and launches the invocation for a work item.
 func (e *Engine) startInvocation(th *thread, item workItem) {
-	nextInvID++
+	if item.kind == wResume {
+		// Continue a flow-control-suspended invocation on its thread; the
+		// post itself was already launched when the credit arrived.
+		e.resumeInv(item.parked.inv)
+		return
+	}
+	e.nextInvID++
 	inv := &invocation{
-		id:     nextInvID,
+		id:     e.nextInvID,
 		eng:    e,
 		th:     th,
 		resume: make(chan struct{}),
 		yield:  make(chan yieldMsg),
 	}
 	switch item.kind {
-	case wResume:
-		// Continue a flow-control-suspended invocation on its thread; the
-		// post itself was already launched when the credit arrived.
-		e.resumeInv(item.parked.inv)
-		return
 	case wData:
 		env := item.env
 		inv.env = env
@@ -237,14 +236,19 @@ func (e *Engine) handleYield(inv *invocation, msg yieldMsg) {
 		e.fail(fmt.Errorf("core: panic in %s: %v\n%s", inv.describe(), msg.panicked, msg.stack))
 	}
 	e.stats.Steps++
-	e.opSteps[inv.op.Name()]++
-	e.opBusy[inv.op.Name()] += msg.work
+	st := &e.opStats[inv.op.ID()]
+	st.Steps++
+	st.Busy += msg.work
 	node := inv.th.coll.Node(inv.th.idx)
-	e.trace(TraceEvent{Kind: TraceStepStart, Time: e.q.Now(), Node: node,
-		Op: inv.op.Name(), Thread: inv.th.idx, Detail: fmt.Sprintf("%v %s", msg.work, inv.kind)})
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{Kind: TraceStepStart, Time: e.q.Now(), Node: node,
+			Op: inv.op.Name(), Thread: inv.th.idx, Detail: fmt.Sprintf("%v %s", msg.work, inv.kind)})
+	}
 	e.plat.Submit(node, msg.work, func() {
-		e.trace(TraceEvent{Kind: TraceStepEnd, Time: e.q.Now(), Node: node,
-			Op: inv.op.Name(), Thread: inv.th.idx, Detail: inv.kind.String()})
+		if e.cfg.Trace != nil {
+			e.cfg.Trace(TraceEvent{Kind: TraceStepEnd, Time: e.q.Now(), Node: node,
+				Op: inv.op.Name(), Thread: inv.th.idx, Detail: inv.kind.String()})
+		}
 		if msg.post != nil {
 			if e.performPost(inv, msg.post) {
 				// Parked on flow control: the operation is suspended, so

@@ -21,7 +21,7 @@ package cpumodel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dpsim/internal/eventq"
 )
@@ -69,8 +69,11 @@ type Job struct {
 	remaining float64 // seconds of work at power 1.0
 	rate      float64 // work-seconds per second
 	last      eventq.Time
-	finish    *eventq.Event
-	done      func()
+	// finish is the job's one completion event, moved by every reflow,
+	// and complete its one callback: a job allocates neither after Submit.
+	finish   *eventq.Event
+	complete func()
+	done     func()
 }
 
 // CPU models one node's processor. Not safe for concurrent use; only the
@@ -80,7 +83,7 @@ type CPU struct {
 	p      Params
 	node   int
 	nextID uint64
-	jobs   map[uint64]*Job
+	jobs   []*Job // running jobs in ascending ID (= submission) order
 	nIn    int
 	nOut   int
 
@@ -98,7 +101,7 @@ func New(q *eventq.Queue, node int, p Params) *CPU {
 	if p.MinAvailable <= 0 {
 		p.MinAvailable = 0.01
 	}
-	return &CPU{q: q, p: p, node: node, jobs: make(map[uint64]*Job)}
+	return &CPU{q: q, p: p, node: node}
 }
 
 // Node returns the node identifier this CPU belongs to.
@@ -171,7 +174,8 @@ func (c *CPU) Submit(work eventq.Duration, done func()) *Job {
 	if len(c.jobs) == 0 {
 		c.busySince = c.q.Now()
 	}
-	c.jobs[j.id] = j
+	j.complete = func() { c.complete(j) }
+	c.jobs = append(c.jobs, j)
 	c.reflow()
 	return j
 }
@@ -185,19 +189,14 @@ func (c *CPU) rateOf() float64 {
 	return avail / float64(len(c.jobs))
 }
 
-// reflow settles all jobs and reschedules their completions under the new
-// rate. Jobs are visited in ID order so that map iteration order never
-// influences the event sequence (determinism).
+// reflow settles all jobs and moves their completions under the new rate.
+// Jobs are visited in ID order, and RescheduleAfter gives each a fresh
+// sequence number exactly as Cancel + After would, so completions that
+// land on the same instant fire in ID order.
 func (c *CPU) reflow() {
 	now := c.q.Now()
 	rate := c.rateOf()
-	ids := make([]uint64, 0, len(c.jobs))
-	for id := range c.jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		j := c.jobs[id]
+	for _, j := range c.jobs {
 		dt := (now - j.last).Seconds()
 		if dt > 0 && j.rate > 0 {
 			j.remaining -= j.rate * dt
@@ -207,20 +206,15 @@ func (c *CPU) reflow() {
 		}
 		j.last = now
 		j.rate = rate
-		if j.finish != nil {
-			c.q.Cancel(j.finish)
-			j.finish = nil
-		}
-		jj := j
-		eta := eventq.DurationOf(j.remaining / rate)
-		j.finish = c.q.After(eta, func() { c.complete(jj) })
+		j.finish = c.q.RescheduleAfter(j.finish, eventq.DurationOf(j.remaining/rate), j.complete)
 	}
 }
 
 func (c *CPU) complete(j *Job) {
 	// A completed job performed exactly the work it was submitted with.
 	c.workDone += j.total
-	delete(c.jobs, j.id)
+	i := slices.Index(c.jobs, j)
+	c.jobs = slices.Delete(c.jobs, i, i+1)
 	if len(c.jobs) == 0 {
 		c.busyIntegral += (c.q.Now() - c.busySince).Seconds()
 	}

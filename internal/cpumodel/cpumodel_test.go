@@ -1,11 +1,14 @@
 package cpumodel
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"dpsim/internal/eventq"
+	"dpsim/internal/rng"
 )
 
 func idleParams() Params {
@@ -277,5 +280,263 @@ func BenchmarkProcessorSharing(b *testing.B) {
 			})
 		}
 		q.Run(0)
+	}
+}
+
+// --- differential reference: the processor model this package shipped
+// before the ordered-slice rewrite, kept verbatim (map of jobs, per-reflow
+// sorted id slice, Cancel + After with a fresh closure per running job) as
+// the oracle the production model must match event for event. ---
+
+type refJob struct {
+	id        uint64
+	total     float64
+	remaining float64
+	rate      float64
+	last      eventq.Time
+	finish    *eventq.Event
+	done      func()
+}
+
+type refCPU struct {
+	q            *eventq.Queue
+	p            Params
+	nextID       uint64
+	jobs         map[uint64]*refJob
+	nIn, nOut    int
+	workDone     float64
+	busySince    eventq.Time
+	busyIntegral float64
+}
+
+func (c *refCPU) available() float64 {
+	if !c.p.CommOverhead {
+		return 1
+	}
+	avail := 1 - float64(c.nIn)*c.p.RecvOverhead - float64(c.nOut)*c.p.SendOverhead
+	if avail < c.p.MinAvailable {
+		avail = c.p.MinAvailable
+	}
+	return avail
+}
+
+func (c *refCPU) SetTransfers(in, out int) {
+	if in == c.nIn && out == c.nOut {
+		return
+	}
+	c.nIn, c.nOut = in, out
+	c.reflow()
+}
+
+func (c *refCPU) submit(work eventq.Duration, done func()) {
+	if work <= 0 {
+		j := &refJob{id: c.nextID, done: done}
+		c.nextID++
+		c.q.After(0, func() {
+			if j.done != nil {
+				j.done()
+			}
+		})
+		return
+	}
+	j := &refJob{id: c.nextID, total: work.Seconds(), remaining: work.Seconds(), last: c.q.Now(), done: done}
+	c.nextID++
+	if len(c.jobs) == 0 {
+		c.busySince = c.q.Now()
+	}
+	c.jobs[j.id] = j
+	c.reflow()
+}
+
+func (c *refCPU) rateOf() float64 {
+	avail := c.available() * c.p.Power
+	if !c.p.Sharing || len(c.jobs) <= 1 {
+		return avail
+	}
+	return avail / float64(len(c.jobs))
+}
+
+func (c *refCPU) reflow() {
+	now := c.q.Now()
+	rate := c.rateOf()
+	ids := make([]uint64, 0, len(c.jobs))
+	for id := range c.jobs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		j := c.jobs[id]
+		dt := (now - j.last).Seconds()
+		if dt > 0 && j.rate > 0 {
+			j.remaining -= j.rate * dt
+			if j.remaining < 0 {
+				j.remaining = 0
+			}
+		}
+		j.last = now
+		j.rate = rate
+		if j.finish != nil {
+			c.q.Cancel(j.finish)
+			j.finish = nil
+		}
+		jj := j
+		eta := eventq.DurationOf(j.remaining / rate)
+		j.finish = c.q.After(eta, func() { c.complete(jj) })
+	}
+}
+
+func (c *refCPU) complete(j *refJob) {
+	c.workDone += j.total
+	delete(c.jobs, j.id)
+	if len(c.jobs) == 0 {
+		c.busyIntegral += (c.q.Now() - c.busySince).Seconds()
+	}
+	done := j.done
+	j.done = nil
+	c.reflow()
+	if done != nil {
+		done()
+	}
+}
+
+// cpuOp is one scripted call: a Submit (with the submits its completion
+// callback issues in turn, re-entering the model from inside complete) or,
+// when transfers is set, a SetTransfers.
+type cpuOp struct {
+	at        eventq.Time
+	work      eventq.Duration
+	then      []cpuOp
+	transfers bool
+	in, out   int
+}
+
+// cpuScript draws a seeded random script: bursts at one instant, zero-work
+// jobs, work from nanoseconds to tens of milliseconds — half of it from
+// four round values, so that jobs of one burst tie on their completion
+// instant and only the reschedule order decides who fires first —
+// transfer-count changes (including ones that floor the available power)
+// and follow-up submits from completion callbacks.
+func cpuScript(seed uint64, k int) []cpuOp {
+	src := rng.New(seed)
+	var gen func(depth int) cpuOp
+	gen = func(depth int) cpuOp {
+		var op cpuOp
+		switch src.Intn(5) {
+		case 0: // zero work
+		case 1, 2:
+			op.work = eventq.Duration(src.Intn(4)+1) * 5 * eventq.Millisecond
+		default:
+			op.work = eventq.Duration(src.Intn(30_000_000)) + 1
+		}
+		for depth < 2 && src.Intn(4) == 0 {
+			op.then = append(op.then, gen(depth+1))
+		}
+		return op
+	}
+	var at eventq.Time
+	ops := make([]cpuOp, k)
+	for i := range ops {
+		if src.Intn(3) > 0 { // one in three joins the previous instant's burst
+			at += eventq.Time(src.Intn(8_000_000))
+		}
+		if src.Intn(3) == 0 {
+			ops[i] = cpuOp{transfers: true, in: src.Intn(14), out: src.Intn(6)}
+		} else {
+			ops[i] = gen(0)
+		}
+		ops[i].at = at
+	}
+	return ops
+}
+
+// playCPU runs script against either model and returns the completion log
+// (script-order job number and instant, in firing order).
+func playCPU(q *eventq.Queue, script []cpuOp, submit func(eventq.Duration, func()), setTransfers func(in, out int)) []string {
+	var log []string
+	jobs := 0
+	var issue func(op cpuOp)
+	issue = func(op cpuOp) {
+		n := jobs
+		jobs++
+		submit(op.work, func() {
+			log = append(log, fmt.Sprintf("job %d done at=%d", n, q.Now()))
+			for _, next := range op.then {
+				issue(next)
+			}
+		})
+	}
+	for _, op := range script {
+		op := op
+		q.At(op.at, func() {
+			if op.transfers {
+				setTransfers(op.in, op.out)
+			} else {
+				issue(op)
+			}
+		})
+	}
+	q.Run(0)
+	return log
+}
+
+func TestReflowMatchesReference(t *testing.T) {
+	full := Params{Power: 1.3, RecvOverhead: 0.08, SendOverhead: 0.035, MinAvailable: 0.05, Sharing: true, CommOverhead: true}
+	noSharing, noOverhead := full, full
+	noSharing.Sharing = false
+	noOverhead.CommOverhead = false
+	for name, p := range map[string]Params{"full": full, "no-sharing": noSharing, "no-comm-overhead": noOverhead} {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 20; seed++ {
+				script := cpuScript(seed, 80)
+
+				rq := eventq.New()
+				ref := &refCPU{q: rq, p: p, jobs: map[uint64]*refJob{}}
+				want := playCPU(rq, script, ref.submit, ref.SetTransfers)
+
+				q := eventq.New()
+				c := New(q, 0, p)
+				got := playCPU(q, script, func(w eventq.Duration, done func()) { c.Submit(w, done) }, c.SetTransfers)
+
+				if q.Fired() != rq.Fired() || q.Now() != rq.Now() {
+					t.Fatalf("seed %d: fired %d events ending at %v, reference %d ending at %v",
+						seed, q.Fired(), q.Now(), rq.Fired(), rq.Now())
+				}
+				if len(got) != len(want) {
+					t.Fatalf("seed %d: %d completions, reference %d", seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d: completion %d = %q, reference %q", seed, i, got[i], want[i])
+					}
+				}
+				if c.WorkDone() != ref.workDone || c.BusyTime() != ref.busyIntegral || c.Active() != 0 {
+					t.Fatalf("seed %d: work %v busy %v active %d, reference work %v busy %v",
+						seed, c.WorkDone(), c.BusyTime(), c.Active(), ref.workDone, ref.busyIntegral)
+				}
+			}
+		})
+	}
+}
+
+// TestReflowZeroAllocSteadyState: with the set of running jobs fixed, a
+// rate change (a transfer starting or ending on the node) moves each job's
+// one completion event and allocates nothing.
+func TestReflowZeroAllocSteadyState(t *testing.T) {
+	q := eventq.New()
+	c := New(q, 0, Defaults())
+	for j := 0; j < 32; j++ {
+		c.Submit(eventq.Duration(j+1)*1000*eventq.Second, nil)
+	}
+	now, in := q.Now(), 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		now += eventq.Time(eventq.Millisecond)
+		q.RunUntil(now) // no completion is due: only the clock moves
+		in = 1 - in
+		c.SetTransfers(in, 0)
+	}); allocs != 0 {
+		t.Errorf("SetTransfers with 32 running jobs allocates %v/op, want 0", allocs)
+	}
+	if c.Active() != 32 {
+		t.Fatalf("%d jobs running, want 32", c.Active())
 	}
 }

@@ -37,8 +37,8 @@ func Ablations(s Setup) (*Table, error) {
 		Title:  fmt.Sprintf("Model ablations — LU %dx%d r=%d, pipelined, 8 nodes (predictions)", cfg.N, cfg.N, cfg.R),
 		Header: []string{"model", "predicted[s]", "vs baseline"},
 	}
-	var base float64
-	for i, k := range knobs {
+	secs, err := inParallel(len(knobs), func(i int) (float64, error) {
+		k := knobs[i]
 		np := simNetParams()
 		cp := simCPUParams()
 		if k.net != nil {
@@ -47,35 +47,43 @@ func Ablations(s Setup) (*Table, error) {
 		if k.cpu != nil {
 			k.cpu(&cp)
 		}
-		app, err := lu.Build(cfg)
+		sec, err := predictAnalytic(cfg, np, cp)
 		if err != nil {
-			return nil, err
+			return 0, fmt.Errorf("%s: %w", k.label, err)
 		}
-		eng, err := core.New(core.Config{
-			Graph:           app.Graph,
-			Platform:        core.NewSimPlatform(8, np, cp),
-			NoAlloc:         true,
-			PerStepOverhead: perStepOverhead,
-			LocalLatency:    localLatency,
-			ControlBytes:    controlBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		app.Start(eng)
-		res, err := eng.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", k.label, err)
-		}
-		sec := res.Elapsed.Seconds()
-		if i == 0 {
-			base = sec
-			t.Add(k.label, f1(sec), "-")
-			continue
-		}
-		t.Add(k.label, f1(sec), pct(sec/base-1))
+		return sec, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.Add(knobs[0].label, f1(secs[0]), "-")
+	for i, sec := range secs[1:] {
+		t.Add(knobs[i+1].label, f1(sec), pct(sec/secs[0]-1))
 	}
 	return t, nil
+}
+
+// predictAnalytic predicts cfg's running time on an 8-node simulator
+// platform with the given model parameters and purely analytic durations.
+func predictAnalytic(cfg lu.Config, np netmodel.Params, cp cpumodel.Params) (float64, error) {
+	app, err := lu.Build(cfg)
+	if err != nil {
+		return 0, err
+	}
+	eng, err := core.New(core.Config{
+		Graph:           app.Graph,
+		Platform:        core.NewSimPlatform(8, np, cp),
+		NoAlloc:         true,
+		PerStepOverhead: perStepOverhead,
+		LocalLatency:    localLatency,
+		ControlBytes:    controlBytes,
+	})
+	if err != nil {
+		return 0, err
+	}
+	app.Start(eng)
+	res, err := eng.Run()
+	return res.Elapsed.Seconds(), err
 }
 
 // WindowSweep predicts the pipelined LU's running time over a range of
@@ -89,39 +97,22 @@ func WindowSweep(s Setup) (*Table, error) {
 		Title:  fmt.Sprintf("Flow-control window sweep — LU %dx%d r=%d, pipelined, 8 nodes", base.N, base.N, base.R),
 		Header: []string{"window", "predicted[s]", "vs unbounded"},
 	}
-	var unbounded float64
-	for _, w := range []int{0, 1, 2, 4, 8, 16, 32, 64} {
+	windows := []int{0, 1, 2, 4, 8, 16, 32, 64} // 0 = unbounded, the baseline
+	secs, err := inParallel(len(windows), func(i int) (float64, error) {
 		cfg := base
-		cfg.Window = w
-		app, err := lu.Build(cfg)
+		cfg.Window = windows[i]
+		sec, err := predictAnalytic(cfg, simNetParams(), simCPUParams())
 		if err != nil {
-			return nil, err
+			return 0, fmt.Errorf("window %d: %w", windows[i], err)
 		}
-		eng, err := core.New(core.Config{
-			Graph:           app.Graph,
-			Platform:        core.NewSimPlatform(8, simNetParams(), simCPUParams()),
-			NoAlloc:         true,
-			PerStepOverhead: perStepOverhead,
-			LocalLatency:    localLatency,
-			ControlBytes:    controlBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		app.Start(eng)
-		res, err := eng.Run()
-		if err != nil {
-			return nil, fmt.Errorf("window %d: %w", w, err)
-		}
-		sec := res.Elapsed.Seconds()
-		label := fmt.Sprintf("%d", w)
-		if w == 0 {
-			label = "unbounded"
-			unbounded = sec
-			t.Add(label, f1(sec), "-")
-			continue
-		}
-		t.Add(label, f1(sec), pct(sec/unbounded-1))
+		return sec, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.Add("unbounded", f1(secs[0]), "-")
+	for i, sec := range secs[1:] {
+		t.Add(fmt.Sprintf("%d", windows[i+1]), f1(sec), pct(sec/secs[0]-1))
 	}
 	return t, nil
 }

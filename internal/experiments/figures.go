@@ -41,14 +41,12 @@ func (v variant) apply(cfg lu.Config) lu.Config {
 // improvementTable runs ref plus each config and tabulates the relative
 // performance improvement (paper metric: reference time over variant
 // time), measured and predicted.
-func improvementTable(title string, ref lu.Config, rows []struct {
-	label string
-	cfg   lu.Config
-}, s Setup) (*Table, []metrics.ErrorSample, error) {
-	refRun, err := MeasureAndPredict("ref", ref, s)
+func improvementTable(title string, ref lu.Config, rows []config, s Setup) (*Table, []metrics.ErrorSample, error) {
+	runs, err := measureAll(append([]config{{"ref", ref}}, rows...), s)
 	if err != nil {
 		return nil, nil, err
 	}
+	refRun := runs[0]
 	t := &Table{
 		Title:  title,
 		Header: []string{"variant", "measured[s]", "predicted[s]", "improv(meas)", "improv(pred)", "pred.err"},
@@ -56,16 +54,12 @@ func improvementTable(title string, ref lu.Config, rows []struct {
 	t.Notes = append(t.Notes, fmt.Sprintf("reference: basic graph r=%d, measured %.1fs, predicted %.1fs",
 		ref.R, refRun.MeasuredMean(), refRun.Predicted))
 	samples := refRun.Samples()
-	for _, row := range rows {
-		run, err := MeasureAndPredict(row.label, row.cfg, s)
-		if err != nil {
-			return nil, nil, err
-		}
+	for _, run := range runs[1:] {
 		m := run.MeasuredMean()
 		imp := refRun.MeasuredMean() / m
 		impPred := refRun.Predicted / run.Predicted
 		errPct := (run.Predicted - m) / m
-		t.Add(row.label, f1(m), f1(run.Predicted), f2(imp), f2(impPred), pct(errPct))
+		t.Add(run.Label, f1(m), f1(run.Predicted), f2(imp), f2(impPred), pct(errPct))
 		samples = append(samples, run.Samples()...)
 	}
 	return t, samples, nil
@@ -86,21 +80,12 @@ func Fig8(s Setup) (*Table, []metrics.ErrorSample, error) {
 		granularities = []int{324, 216, 162, 108}
 	}
 	ref := lu.Config{N: n, R: refR, Nodes: 4}
-	var rows []struct {
-		label string
-		cfg   lu.Config
-	}
+	var rows []config
 	for _, v := range paperVariants {
-		rows = append(rows, struct {
-			label string
-			cfg   lu.Config
-		}{v.label, v.apply(ref)})
+		rows = append(rows, config{v.label, v.apply(ref)})
 	}
 	for _, r := range granularities {
-		rows = append(rows, struct {
-			label string
-			cfg   lu.Config
-		}{fmt.Sprintf("r=%d", r), lu.Config{N: n, R: r, Nodes: 4}})
+		rows = append(rows, config{fmt.Sprintf("r=%d", r), lu.Config{N: n, R: r, Nodes: 4}})
 	}
 	return improvementTable("Fig. 8 — impact of modifications on running time (4 nodes)", ref, rows, s)
 }
@@ -110,54 +95,60 @@ func Fig8(s Setup) (*Table, []metrics.ErrorSample, error) {
 func Fig9(s Setup) (*Table, []metrics.ErrorSample, error) {
 	s.fill()
 	ref := lu.Config{N: s.N(), R: s.scale(324), Nodes: 4}
-	var rows []struct {
-		label string
-		cfg   lu.Config
-	}
+	var rows []config
 	for _, v := range paperVariants {
-		rows = append(rows, struct {
-			label string
-			cfg   lu.Config
-		}{v.label, v.apply(ref)})
+		rows = append(rows, config{v.label, v.apply(ref)})
 	}
 	return improvementTable("Fig. 9 — impact of modifications (4 nodes, fine granularity)", ref, rows, s)
+}
+
+// fig10Strategies are the pipelining strategies Fig. 10 crosses with the
+// decomposition granularity.
+var fig10Strategies = []variant{
+	{label: "Basic"},
+	{label: "P", p: true},
+	{label: "P+FC", p: true, fc: true},
+}
+
+// fig10Configs lists Fig. 10's configurations: the basic-graph reference
+// at the coarsest granularity, then granularity × strategy at 8 nodes.
+func fig10Configs(s Setup) (rs []int, cfgs []config) {
+	n := s.N()
+	if s.Quick {
+		rs = []int{54, 81, 108, 162, 216}
+	} else {
+		rs = []int{81, 108, 162, 216, 324}
+	}
+	cfgs = []config{{"ref", lu.Config{N: n, R: rs[len(rs)-1], Nodes: 8}}}
+	for _, r := range rs {
+		for _, v := range fig10Strategies {
+			cfgs = append(cfgs, config{fmt.Sprintf("r=%d/%s", r, v.label), v.apply(lu.Config{N: n, R: r, Nodes: 8})})
+		}
+	}
+	return rs, cfgs
 }
 
 // Fig10 regenerates Fig. 10: decomposition granularity × pipelining
 // strategy at 8 nodes.
 func Fig10(s Setup) (*Table, []metrics.ErrorSample, error) {
 	s.fill()
-	n := s.N()
-	var rs []int
-	if s.Quick {
-		rs = []int{54, 81, 108, 162, 216}
-	} else {
-		rs = []int{81, 108, 162, 216, 324}
-	}
-	refR := rs[len(rs)-1]
-	ref := lu.Config{N: n, R: refR, Nodes: 8}
-	refRun, err := MeasureAndPredict("ref", ref, s)
+	rs, cfgs := fig10Configs(s)
+	runs, err := measureAll(cfgs, s)
 	if err != nil {
 		return nil, nil, err
 	}
+	refRun := runs[0]
 	t := &Table{
 		Title:  "Fig. 10 — impact of decomposition granularity (8 nodes)",
 		Header: []string{"r", "strategy", "measured[s]", "predicted[s]", "improv(meas)", "improv(pred)", "pred.err"},
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("reference: basic graph r=%d, measured %.1fs", refR, refRun.MeasuredMean()))
+	t.Notes = append(t.Notes, fmt.Sprintf("reference: basic graph r=%d, measured %.1fs", rs[len(rs)-1], refRun.MeasuredMean()))
 	samples := refRun.Samples()
-	strategies := []variant{
-		{label: "Basic"},
-		{label: "P", p: true},
-		{label: "P+FC", p: true, fc: true},
-	}
+	rest := runs[1:] // in fig10Configs order: granularity-major
 	for _, r := range rs {
-		for _, v := range strategies {
-			cfg := v.apply(lu.Config{N: n, R: r, Nodes: 8})
-			run, err := MeasureAndPredict(fmt.Sprintf("r=%d/%s", r, v.label), cfg, s)
-			if err != nil {
-				return nil, nil, err
-			}
+		for _, v := range fig10Strategies {
+			run := rest[0]
+			rest = rest[1:]
 			m := run.MeasuredMean()
 			t.Add(fmt.Sprintf("%d", r), v.label, f1(m), f1(run.Predicted),
 				f2(refRun.MeasuredMean()/m), f2(refRun.Predicted/run.Predicted),
@@ -172,10 +163,7 @@ func Fig10(s Setup) (*Table, []metrics.ErrorSample, error) {
 // first three are also Fig. 11's curves). Worker threads store one column
 // block each on 4 nodes; multiplication threads live one per node, so
 // removing them deallocates nodes.
-func removalConfigs(s Setup) []struct {
-	label string
-	cfg   lu.Config
-} {
+func removalConfigs(s Setup) []config {
 	n := s.N()
 	r := s.scale(324)
 	base := lu.Config{
@@ -190,10 +178,7 @@ func removalConfigs(s Setup) []struct {
 		c.Removals = rm
 		return c
 	}
-	return []struct {
-		label string
-		cfg   lu.Config
-	}{
+	return []config{
 		{"4 threads", with(4, 4)},
 		{"8 threads", with(8, 8)},
 		{"8 threads, kill 4 after it. 1", with(8, 8, lu.Removal{AfterIter: 1, MultThreads: 4})},
@@ -217,14 +202,12 @@ func Fig11(s Setup) (*Table, []metrics.ErrorSample, error) {
 	for _, c := range cfgs {
 		t.Header = append(t.Header, c.label+" (meas)", c.label+" (sim)")
 	}
+	runs, err := measureAll(cfgs, s)
+	if err != nil {
+		return nil, nil, err
+	}
 	var samples []metrics.ErrorSample
-	var runs []*LURun
-	for _, c := range cfgs {
-		run, err := MeasureAndPredict(c.label, c.cfg, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		runs = append(runs, run)
+	for _, run := range runs {
 		samples = append(samples, run.Samples()...)
 	}
 	blocks := cfgs[0].cfg.N / cfgs[0].cfg.R
@@ -258,14 +241,14 @@ func Fig12(s Setup) (*Table, []metrics.ErrorSample, error) {
 		Title:  "Fig. 12 — running times of dynamic thread removal strategies",
 		Header: []string{"strategy", "measured[s]", "predicted[s]", "pred.err", "mean efficiency"},
 	}
+	runs, err := measureAll(removalConfigs(s), s)
+	if err != nil {
+		return nil, nil, err
+	}
 	var samples []metrics.ErrorSample
-	for _, c := range removalConfigs(s) {
-		run, err := MeasureAndPredict(c.label, c.cfg, s)
-		if err != nil {
-			return nil, nil, err
-		}
+	for _, run := range runs {
 		m := run.MeasuredMean()
-		t.Add(c.label, f1(m), f1(run.Predicted), pct((run.Predicted-m)/m),
+		t.Add(run.Label, f1(m), f1(run.Predicted), pct((run.Predicted-m)/m),
 			pct(metrics.MeanEfficiency(run.MeasuredIters)))
 		samples = append(samples, run.Samples()...)
 	}

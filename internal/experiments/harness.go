@@ -15,7 +15,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"dpsim/internal/core"
 	"dpsim/internal/cpumodel"
@@ -97,6 +100,10 @@ type LURun struct {
 	// prediction (dynamic efficiency, Fig. 11).
 	MeasuredIters  []metrics.IterationStat
 	PredictedIters []metrics.IterationStat
+	// Steps and Events total the atomic steps executed and queue events
+	// fired by every engine behind the run (the measured repetitions and
+	// the prediction): the denominators of the simulator's per-step cost.
+	Steps, Events uint64
 }
 
 // MeasuredMean returns the mean measured time.
@@ -158,6 +165,8 @@ func MeasureAndPredict(label string, cfg lu.Config, s Setup) (*LURun, error) {
 			return nil, fmt.Errorf("%s (measured, seed %d): %w", label, i, err)
 		}
 		run.Measured = append(run.Measured, res.Elapsed.Seconds())
+		run.Steps += res.Steps
+		run.Events += eng.Queue().Fired()
 		if i == 0 {
 			table = eng.DurationTable()
 			filled := app.Cfg
@@ -188,10 +197,68 @@ func MeasureAndPredict(label string, cfg lu.Config, s Setup) (*LURun, error) {
 		return nil, fmt.Errorf("%s (predicted): %w", label, err)
 	}
 	run.Predicted = res.Elapsed.Seconds()
+	run.Steps += res.Steps
+	run.Events += eng.Queue().Fired()
 	filled := app.Cfg
 	run.PredictedIters = metrics.Iterations(eng.Phases(), eng.Allocations(), res.Elapsed,
 		func(k int) eventq.Duration { return lu.SerialWork(filled.Costs, filled.N, filled.R, k) })
 	return run, nil
+}
+
+// config is one labelled LU configuration of a figure.
+type config struct {
+	label string
+	cfg   lu.Config
+}
+
+// measureAll runs MeasureAndPredict for every configuration of a figure
+// and returns the runs in configuration order.
+func measureAll(cfgs []config, s Setup) ([]*LURun, error) {
+	return inParallel(len(cfgs), func(i int) (*LURun, error) {
+		return MeasureAndPredict(cfgs[i].label, cfgs[i].cfg, s)
+	})
+}
+
+// inParallel calls fn(0) … fn(n-1) on up to GOMAXPROCS goroutines and
+// returns the results in index order. The calls must be independent — a
+// figure's configurations are: each builds its own graph, platforms and
+// engines — so the outcome does not depend on the worker count. Indices
+// are handed out in ascending order and none is started after a failure,
+// so every index below a failing one has run: the error returned is that
+// of the lowest failing index, whatever the interleaving.
+func inParallel[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	worker := func() {
+		defer wg.Done()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if out[i], errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go worker()
+	}
+	worker() // the caller is the first worker: GOMAXPROCS=1 starts no goroutine
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // --- text tables ---

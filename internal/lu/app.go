@@ -101,6 +101,7 @@ type App struct {
 	Done    *dps.Op
 
 	blocks int
+	keys   kernelKeys
 }
 
 // owner returns the worker thread owning column block j.
@@ -115,7 +116,7 @@ func Build(cfg Config) (*App, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	a := &App{Cfg: cfg, blocks: cfg.N / cfg.R}
+	a := &App{Cfg: cfg, blocks: cfg.N / cfg.R, keys: newKernelKeys(cfg.R, cfg.SubBlock)}
 	a.Workers = dps.NewCollection("workers", cfg.Threads, cfg.Nodes)
 	a.Mults = dps.NewCollection("mults", cfg.MultThreads, cfg.MultNodes)
 	a.Graph = dps.NewGraph(fmt.Sprintf("lu-%dx%d-r%d", cfg.N, cfg.N, cfg.R))
@@ -288,7 +289,7 @@ func (a *App) trsmLeaf(k int) dps.LeafFunc {
 		req := in.(*TrsmReq)
 		n, r := a.Cfg.N, a.Cfg.R
 		var t12 *linalg.Mat
-		ctx.Compute(keyTrsm(r), a.Cfg.Costs.Trsm(n-k*r, r), func() {
+		ctx.Compute(a.keys.trsm, a.Cfg.Costs.Trsm(n-k*r, r), func() {
 			blk := ctx.Store()[blockKey(req.Block)].(*linalg.Mat)
 			trailing := blk.View(k*r, 0, n-k*r, r)
 			trailing.ApplyPivots(req.Piv)
@@ -335,7 +336,7 @@ func (s *collState) emit(ctx dps.Ctx, td *TrsmDone) {
 	tiles := a.blocks - k - 1
 	for i := 0; i < tiles; i++ {
 		var l21 *linalg.Mat
-		ctx.Compute(keyExtract(r), a.Cfg.Costs.Extract(r), func() {
+		ctx.Compute(a.keys.extract, a.Cfg.Costs.Extract(r), func() {
 			blk := ctx.Store()[blockKey(k)].(*linalg.Mat)
 			l21 = blk.View((k+1+i)*r, 0, r, r).Clone()
 		})
@@ -353,7 +354,7 @@ func (a *App) multLeaf() dps.LeafFunc {
 		req := in.(*MultReq)
 		r := a.Cfg.R
 		var prod *linalg.Mat
-		ctx.Compute(keyGemm(r), a.Cfg.Costs.Gemm(r), func() {
+		ctx.Compute(a.keys.gemm, a.Cfg.Costs.Gemm(r), func() {
 			prod = linalg.Mul(req.L21, req.T12)
 		})
 		if prod == nil && !ctx.NoAlloc() {
@@ -373,7 +374,7 @@ func (a *App) pmSplit(k int) dps.SplitFunc {
 		for row := 0; row < strips; row++ {
 			for col := 0; col < strips; col++ {
 				var aRow, bCol *linalg.Mat
-				ctx.Compute(keyExtract(sw), a.Cfg.Costs.PMAssemble(sw), func() {
+				ctx.Compute(a.keys.pmExtract, a.Cfg.Costs.PMAssemble(sw), func() {
 					aRow = req.L21.View(row*sw, 0, sw, r).Clone()
 					bCol = req.T12.View(0, col*sw, r, sw).Clone()
 				})
@@ -394,7 +395,7 @@ func (a *App) pmMultLeaf() dps.LeafFunc {
 	return func(ctx dps.Ctx, in dps.DataObject) {
 		req := in.(*PMReq)
 		var prod *linalg.Mat
-		ctx.Compute(keyPM(req.S, req.R), a.Cfg.Costs.PMMult(req.S, req.R), func() {
+		ctx.Compute(a.keys.pmMult, a.Cfg.Costs.PMMult(req.S, req.R), func() {
 			prod = linalg.Mul(req.ARow, req.BCol)
 		})
 		if prod == nil && !ctx.NoAlloc() {
@@ -427,7 +428,7 @@ func newPMMergeState(a *App, first dps.DataObject) dps.MergeState {
 func (s *pmMergeState) Absorb(ctx dps.Ctx, in dps.DataObject) {
 	res := in.(*PMRes)
 	r := s.a.Cfg.R
-	ctx.Compute(keyPMAsm(res.S), s.a.Cfg.Costs.PMAssemble(res.S), func() {
+	ctx.Compute(s.a.keys.pmAsm, s.a.Cfg.Costs.PMAssemble(res.S), func() {
 		if s.acc == nil {
 			s.acc = linalg.NewMat(r, r)
 		}
@@ -450,7 +451,7 @@ func (a *App) subLeaf(k int) dps.LeafFunc {
 	return func(ctx dps.Ctx, in dps.DataObject) {
 		res := in.(*MultRes)
 		r := a.Cfg.R
-		ctx.Compute(keySub(r), a.Cfg.Costs.Sub(r), func() {
+		ctx.Compute(a.keys.sub, a.Cfg.Costs.Sub(r), func() {
 			blk := ctx.Store()[blockKey(res.Block)].(*linalg.Mat)
 			tile := blk.View((k+1+res.Tile)*r, 0, r, r)
 			for i := 0; i < r; i++ {
@@ -547,7 +548,7 @@ func (a *App) flipLeaf() dps.LeafFunc {
 	return func(ctx dps.Ctx, in dps.DataObject) {
 		req := in.(*FlipReq)
 		n, r := a.Cfg.N, a.Cfg.R
-		ctx.Compute(keyFlip(r), a.Cfg.Costs.Flip(r), func() {
+		ctx.Compute(a.keys.flip, a.Cfg.Costs.Flip(r), func() {
 			st := ctx.Store()
 			blk := st[blockKey(req.Block)].(*linalg.Mat)
 			nextKey := fmt.Sprintf("flipnext:%d", req.Block)

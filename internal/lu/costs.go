@@ -83,6 +83,21 @@ func keyPM(s, r int) string   { return fmt.Sprintf("pmmult:%dx%d", s, r) }
 func keyPMAsm(r int) string   { return fmt.Sprintf("pmasm:%d", r) }
 func keyExtract(r int) string { return fmt.Sprintf("extract:%d", r) }
 
+// kernelKeys holds the keys whose shape the configuration fixes (block
+// size r, PM strip width sw), formatted once per Build: the kernels they
+// name run on every atomic step.
+type kernelKeys struct {
+	trsm, extract, gemm, sub, flip string
+	pmExtract, pmMult, pmAsm       string
+}
+
+func newKernelKeys(r, sw int) kernelKeys {
+	return kernelKeys{
+		trsm: keyTrsm(r), extract: keyExtract(r), gemm: keyGemm(r), sub: keySub(r), flip: keyFlip(r),
+		pmExtract: keyExtract(sw), pmMult: keyPM(sw, r), pmAsm: keyPMAsm(sw),
+	}
+}
+
 // SerialWork returns the single-node compute time of iteration k (paper
 // Fig. 11's per-iteration serial baseline): the panel LU plus, for each of
 // the remaining blocks, flip+trsm and the tile multiply/subtract work,

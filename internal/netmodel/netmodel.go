@@ -25,8 +25,9 @@
 package netmodel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dpsim/internal/eventq"
 )
@@ -74,13 +75,18 @@ type Transfer struct {
 	Size     int64 // bytes
 	Payload  any   // opaque reference carried to the completion callback
 
+	src, dst  *port
 	start     eventq.Time
 	remaining float64 // bytes
 	rate      float64 // bytes/s; 0 while in the latency phase
 	last      eventq.Time
-	finish    *eventq.Event
-	done      func(*Transfer)
-	flowing   bool
+	// next is the transfer's one pending event — the end of the latency
+	// phase, then the completion every reflow moves — and advance its one
+	// callback, so a transfer allocates neither after Send.
+	next    *eventq.Event
+	advance func()
+	done    func(*Transfer)
+	flowing bool
 }
 
 // Start reports when the transfer was submitted.
@@ -93,16 +99,34 @@ type Network struct {
 	p        Params
 	listener Listener
 
-	nextID    uint64
-	activeIn  map[int]int
-	activeOut map[int]int
-	flows     map[uint64]*Transfer
+	nextID   uint64
+	ports    map[int]*port
+	inFlight int
+	// flowing holds the transfers past their latency phase in ascending ID
+	// order: the order reflow settles and reschedules them in, which fixes
+	// the same-instant FIFO order of their completion events.
+	flowing []*Transfer
 
 	// Stats
 	totalTransfers uint64
 	totalBytes     int64
-	nodeBytesIn    map[int]int64
-	nodeBytesOut   map[int]int64
+}
+
+// port is one node's link: the transfers currently flowing through it and
+// the bytes it has carried. Transfers hold their two ports, so the per-flow
+// rate computation looks nothing up.
+type port struct {
+	in, out           int
+	bytesIn, bytesOut int64
+}
+
+func (n *Network) port(node int) *port {
+	p := n.ports[node]
+	if p == nil {
+		p = &port{}
+		n.ports[node] = p
+	}
+	return p
 }
 
 // New returns a network model driven by the given event queue.
@@ -110,15 +134,7 @@ func New(q *eventq.Queue, p Params) *Network {
 	if p.Bandwidth <= 0 {
 		panic("netmodel: bandwidth must be positive")
 	}
-	return &Network{
-		q:            q,
-		p:            p,
-		activeIn:     make(map[int]int),
-		activeOut:    make(map[int]int),
-		flows:        make(map[uint64]*Transfer),
-		nodeBytesIn:  make(map[int]int64),
-		nodeBytesOut: make(map[int]int64),
-	}
+	return &Network{q: q, p: p, ports: make(map[int]*port)}
 }
 
 // SetListener registers the observer of port activity (typically the CPU
@@ -130,14 +146,14 @@ func (n *Network) Params() Params { return n.p }
 
 // ActiveIn returns the number of incoming transfers currently flowing into
 // node.
-func (n *Network) ActiveIn(node int) int { return n.activeIn[node] }
+func (n *Network) ActiveIn(node int) int { return n.port(node).in }
 
 // ActiveOut returns the number of outgoing transfers currently flowing out
 // of node.
-func (n *Network) ActiveOut(node int) int { return n.activeOut[node] }
+func (n *Network) ActiveOut(node int) int { return n.port(node).out }
 
 // InFlight returns the number of transfers in latency or flowing phase.
-func (n *Network) InFlight() int { return len(n.flows) }
+func (n *Network) InFlight() int { return n.inFlight }
 
 // TotalBytes returns the cumulative payload bytes of completed transfers.
 func (n *Network) TotalBytes() int64 { return n.totalBytes }
@@ -146,10 +162,10 @@ func (n *Network) TotalBytes() int64 { return n.totalBytes }
 func (n *Network) TotalTransfers() uint64 { return n.totalTransfers }
 
 // BytesIn returns cumulative bytes received by node.
-func (n *Network) BytesIn(node int) int64 { return n.nodeBytesIn[node] }
+func (n *Network) BytesIn(node int) int64 { return n.port(node).bytesIn }
 
 // BytesOut returns cumulative bytes sent by node.
-func (n *Network) BytesOut(node int) int64 { return n.nodeBytesOut[node] }
+func (n *Network) BytesOut(node int) int64 { return n.port(node).bytesOut }
 
 // OptimisticTime returns l + s/b: the no-contention transfer duration.
 func (n *Network) OptimisticTime(size int64) eventq.Duration {
@@ -169,15 +185,25 @@ func (n *Network) Send(src, dst int, size int64, payload any, done func(*Transfe
 		Dst:       dst,
 		Size:      size,
 		Payload:   payload,
+		src:       n.port(src),
+		dst:       n.port(dst),
 		start:     n.q.Now(),
 		remaining: float64(size),
 		done:      done,
 	}
 	n.nextID++
-	n.flows[t.ID] = t
+	n.inFlight++
+	t.advance = func() {
+		if t.flowing {
+			t.remaining = 0
+			n.complete(t)
+		} else {
+			n.beginFlow(t)
+		}
+	}
 	// Latency phase: no port bandwidth is consumed until l has elapsed
 	// (models connection/protocol startup).
-	n.q.After(n.p.Latency, func() { n.beginFlow(t) })
+	t.next = n.q.After(n.p.Latency, t.advance)
 	return t
 }
 
@@ -189,29 +215,38 @@ func (n *Network) beginFlow(t *Transfer) {
 	}
 	t.flowing = true
 	t.last = n.q.Now()
-	n.activeOut[t.Src]++
-	n.activeIn[t.Dst]++
-	n.notify(t.Src)
-	if t.Dst != t.Src {
-		n.notify(t.Dst)
+	// IDs are handed out in Send order and every transfer waits the same
+	// latency, so this is an append; the shift keeps the order for any
+	// other caller.
+	i := len(n.flowing)
+	n.flowing = append(n.flowing, t)
+	for ; i > 0 && n.flowing[i-1].ID > t.ID; i-- {
+		n.flowing[i] = n.flowing[i-1]
 	}
+	n.flowing[i] = t
+	t.src.out++
+	t.dst.in++
+	n.notify(t.Src, t.src)
+	n.notify(t.Dst, t.dst)
 	n.reflow()
 }
 
 // complete finalizes a transfer and invokes its callback.
 func (n *Network) complete(t *Transfer) {
-	delete(n.flows, t.ID)
+	n.inFlight--
 	n.totalTransfers++
 	n.totalBytes += t.Size
-	n.nodeBytesOut[t.Src] += t.Size
-	n.nodeBytesIn[t.Dst] += t.Size
+	t.src.bytesOut += t.Size
+	t.dst.bytesIn += t.Size
 	wasFlowing := t.flowing
 	if wasFlowing {
 		t.flowing = false
-		n.activeOut[t.Src]--
-		n.activeIn[t.Dst]--
-		n.notify(t.Src)
-		n.notify(t.Dst)
+		i, _ := slices.BinarySearchFunc(n.flowing, t.ID, func(f *Transfer, id uint64) int { return cmp.Compare(f.ID, id) })
+		n.flowing = slices.Delete(n.flowing, i, i+1)
+		t.src.out--
+		t.dst.in--
+		n.notify(t.Src, t.src)
+		n.notify(t.Dst, t.dst)
 	}
 	done := t.done
 	t.done = nil
@@ -223,9 +258,9 @@ func (n *Network) complete(t *Transfer) {
 	}
 }
 
-func (n *Network) notify(node int) {
+func (n *Network) notify(node int, p *port) {
 	if n.listener != nil {
-		n.listener.PortsChanged(node, n.activeIn[node], n.activeOut[node])
+		n.listener.PortsChanged(node, p.in, p.out)
 	}
 }
 
@@ -234,16 +269,8 @@ func (n *Network) rateOf(t *Transfer) float64 {
 	if !n.p.Contention {
 		return n.p.Bandwidth
 	}
-	out := n.activeOut[t.Src]
-	in := n.activeIn[t.Dst]
-	if out < 1 {
-		out = 1
-	}
-	if in < 1 {
-		in = 1
-	}
-	shareOut := n.p.Bandwidth / float64(out)
-	shareIn := n.p.Bandwidth / float64(in)
+	shareOut := n.p.Bandwidth / float64(max(t.src.out, 1))
+	shareIn := n.p.Bandwidth / float64(max(t.dst.in, 1))
 	if shareOut < shareIn {
 		return shareOut
 	}
@@ -251,25 +278,17 @@ func (n *Network) rateOf(t *Transfer) float64 {
 }
 
 // reflow settles progress of all flowing transfers at the current instant,
-// recomputes their rates and reschedules their completion events.
-// Transfers are visited in ID order so that rescheduling is deterministic:
-// map iteration order must never influence the event sequence.
+// recomputes their rates and moves their completion events. Transfers are
+// visited in ID order, and RescheduleAfter gives each a fresh sequence
+// number exactly as Cancel + After would, so completions that land on the
+// same instant fire in ID order.
 func (n *Network) reflow() {
 	now := n.q.Now()
-	ids := make([]uint64, 0, len(n.flows))
-	for id := range n.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var maxmin map[uint64]float64
+	var maxmin []float64
 	if n.p.MaxMin && n.p.Contention {
-		maxmin = n.maxMinRates(ids)
+		maxmin = n.maxMinRates()
 	}
-	for _, id := range ids {
-		t := n.flows[id]
-		if !t.flowing {
-			continue
-		}
+	for i, t := range n.flowing {
 		// Settle bytes moved since the last rate change.
 		dt := (now - t.last).Seconds()
 		if dt > 0 && t.rate > 0 {
@@ -280,70 +299,56 @@ func (n *Network) reflow() {
 		}
 		t.last = now
 		if maxmin != nil {
-			t.rate = maxmin[id]
+			t.rate = maxmin[i]
 		} else {
 			t.rate = n.rateOf(t)
 		}
-		if t.finish != nil {
-			n.q.Cancel(t.finish)
-			t.finish = nil
-		}
-		eta := eventq.DurationOf(t.remaining / t.rate)
-		tt := t
-		t.finish = n.q.After(eta, func() {
-			tt.remaining = 0
-			n.complete(tt)
-		})
+		t.next = n.q.RescheduleAfter(t.next, eventq.DurationOf(t.remaining/t.rate), t.advance)
 	}
 }
 
 // maxMinRates computes work-conserving max-min fair rates by progressive
 // filling: repeatedly saturate the most constrained port and freeze its
-// flows at the fair share, redistributing the slack.
-func (n *Network) maxMinRates(ids []uint64) map[uint64]float64 {
+// flows at the fair share, redistributing the slack. The result is
+// indexed like n.flowing.
+func (n *Network) maxMinRates() []float64 {
 	type port struct {
 		capacity float64
-		flows    []uint64
+		flows    []int // indices into n.flowing, ascending
 	}
 	ports := make(map[[2]int]*port) // [dir(0=out,1=in), node]
-	rates := make(map[uint64]float64)
-	var active []uint64
-	for _, id := range ids {
-		t := n.flows[id]
-		if !t.flowing {
-			continue
-		}
-		active = append(active, id)
-		for _, key := range [][2]int{{0, t.Src}, {1, t.Dst}} {
+	var keys [][2]int
+	for i, t := range n.flowing {
+		for _, key := range [2][2]int{{0, t.Src}, {1, t.Dst}} {
 			p := ports[key]
 			if p == nil {
 				p = &port{capacity: n.p.Bandwidth}
 				ports[key] = p
+				keys = append(keys, key)
 			}
-			p.flows = append(p.flows, id)
+			p.flows = append(p.flows, i)
 		}
 	}
-	frozen := make(map[uint64]bool)
-	for len(frozen) < len(active) {
+	// Ports are scanned in sorted key order so ties between equal shares
+	// always resolve the same way.
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	rates := make([]float64, len(n.flowing))
+	frozen := make([]bool, len(n.flowing))
+	for nFrozen := 0; nFrozen < len(n.flowing); {
 		// Find the port with the smallest fair share among its unfrozen
-		// flows (deterministic: scan ports in sorted key order).
+		// flows.
 		var bestKey [2]int
 		bestShare := -1.0
-		keys := make([][2]int, 0, len(ports))
-		for k := range ports {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
 		for _, k := range keys {
 			p := ports[k]
 			unfrozen := 0
-			for _, id := range p.flows {
-				if !frozen[id] {
+			for _, i := range p.flows {
+				if !frozen[i] {
 					unfrozen++
 				}
 			}
@@ -361,14 +366,15 @@ func (n *Network) maxMinRates(ids []uint64) map[uint64]float64 {
 		}
 		// Freeze that port's unfrozen flows at the share and charge the
 		// other port they use.
-		for _, id := range ports[bestKey].flows {
-			if frozen[id] {
+		for _, i := range ports[bestKey].flows {
+			if frozen[i] {
 				continue
 			}
-			frozen[id] = true
-			rates[id] = bestShare
-			t := n.flows[id]
-			for _, k := range [][2]int{{0, t.Src}, {1, t.Dst}} {
+			frozen[i] = true
+			nFrozen++
+			rates[i] = bestShare
+			t := n.flowing[i]
+			for _, k := range [2][2]int{{0, t.Src}, {1, t.Dst}} {
 				if k == bestKey {
 					continue
 				}
@@ -385,5 +391,5 @@ func (n *Network) maxMinRates(ids []uint64) map[uint64]float64 {
 
 // String summarizes current activity, for debugging.
 func (n *Network) String() string {
-	return fmt.Sprintf("netmodel{inflight=%d, done=%d, bytes=%d}", len(n.flows), n.totalTransfers, n.totalBytes)
+	return fmt.Sprintf("netmodel{inflight=%d, done=%d, bytes=%d}", n.inFlight, n.totalTransfers, n.totalBytes)
 }

@@ -1,10 +1,13 @@
 package netmodel
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"dpsim/internal/eventq"
+	"dpsim/internal/rng"
 )
 
 func newNet(p Params) (*eventq.Queue, *Network) {
@@ -341,5 +344,372 @@ func TestMaxMinNeverSlowerThanEqualShare(t *testing.T) {
 	}
 	if mm, eq := run(true), run(false); mm > eq {
 		t.Fatalf("max-min (%v) slower than equal share (%v)", mm, eq)
+	}
+}
+
+// --- differential reference: the reflow this package shipped before the
+// ordered-slice rewrite, kept verbatim (map of flows, per-reflow sorted id
+// slice, Cancel + After with a fresh closure per flowing transfer) as the
+// oracle the production model must match event for event. ---
+
+type refTransfer struct {
+	id        uint64
+	src, dst  int
+	size      int64
+	remaining float64
+	rate      float64
+	last      eventq.Time
+	finish    *eventq.Event
+	done      func(id uint64)
+	flowing   bool
+}
+
+type refNetwork struct {
+	q         *eventq.Queue
+	p         Params
+	listener  Listener
+	nextID    uint64
+	activeIn  map[int]int
+	activeOut map[int]int
+	flows     map[uint64]*refTransfer
+}
+
+func newRefNetwork(q *eventq.Queue, p Params) *refNetwork {
+	return &refNetwork{q: q, p: p, activeIn: map[int]int{}, activeOut: map[int]int{}, flows: map[uint64]*refTransfer{}}
+}
+
+func (n *refNetwork) send(src, dst int, size int64, done func(id uint64)) {
+	if size < 0 {
+		size = 0
+	}
+	t := &refTransfer{id: n.nextID, src: src, dst: dst, size: size, remaining: float64(size), done: done}
+	n.nextID++
+	n.flows[t.id] = t
+	n.q.After(n.p.Latency, func() { n.beginFlow(t) })
+}
+
+func (n *refNetwork) beginFlow(t *refTransfer) {
+	if t.src == t.dst || t.remaining <= 0 {
+		n.complete(t)
+		return
+	}
+	t.flowing = true
+	t.last = n.q.Now()
+	n.activeOut[t.src]++
+	n.activeIn[t.dst]++
+	n.notify(t.src)
+	if t.dst != t.src {
+		n.notify(t.dst)
+	}
+	n.reflow()
+}
+
+func (n *refNetwork) complete(t *refTransfer) {
+	delete(n.flows, t.id)
+	wasFlowing := t.flowing
+	if wasFlowing {
+		t.flowing = false
+		n.activeOut[t.src]--
+		n.activeIn[t.dst]--
+		n.notify(t.src)
+		n.notify(t.dst)
+	}
+	done := t.done
+	t.done = nil
+	if wasFlowing {
+		n.reflow()
+	}
+	if done != nil {
+		done(t.id)
+	}
+}
+
+func (n *refNetwork) notify(node int) {
+	if n.listener != nil {
+		n.listener.PortsChanged(node, n.activeIn[node], n.activeOut[node])
+	}
+}
+
+func (n *refNetwork) rateOf(t *refTransfer) float64 {
+	if !n.p.Contention {
+		return n.p.Bandwidth
+	}
+	out := n.activeOut[t.src]
+	in := n.activeIn[t.dst]
+	if out < 1 {
+		out = 1
+	}
+	if in < 1 {
+		in = 1
+	}
+	shareOut := n.p.Bandwidth / float64(out)
+	shareIn := n.p.Bandwidth / float64(in)
+	if shareOut < shareIn {
+		return shareOut
+	}
+	return shareIn
+}
+
+func (n *refNetwork) reflow() {
+	now := n.q.Now()
+	ids := make([]uint64, 0, len(n.flows))
+	for id := range n.flows {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var maxmin map[uint64]float64
+	if n.p.MaxMin && n.p.Contention {
+		maxmin = n.maxMinRates(ids)
+	}
+	for _, id := range ids {
+		t := n.flows[id]
+		if !t.flowing {
+			continue
+		}
+		dt := (now - t.last).Seconds()
+		if dt > 0 && t.rate > 0 {
+			t.remaining -= t.rate * dt
+			if t.remaining < 0 {
+				t.remaining = 0
+			}
+		}
+		t.last = now
+		if maxmin != nil {
+			t.rate = maxmin[id]
+		} else {
+			t.rate = n.rateOf(t)
+		}
+		if t.finish != nil {
+			n.q.Cancel(t.finish)
+			t.finish = nil
+		}
+		eta := eventq.DurationOf(t.remaining / t.rate)
+		tt := t
+		t.finish = n.q.After(eta, func() {
+			tt.remaining = 0
+			n.complete(tt)
+		})
+	}
+}
+
+func (n *refNetwork) maxMinRates(ids []uint64) map[uint64]float64 {
+	type port struct {
+		capacity float64
+		flows    []uint64
+	}
+	ports := make(map[[2]int]*port)
+	rates := make(map[uint64]float64)
+	var active []uint64
+	for _, id := range ids {
+		t := n.flows[id]
+		if !t.flowing {
+			continue
+		}
+		active = append(active, id)
+		for _, key := range [][2]int{{0, t.src}, {1, t.dst}} {
+			p := ports[key]
+			if p == nil {
+				p = &port{capacity: n.p.Bandwidth}
+				ports[key] = p
+			}
+			p.flows = append(p.flows, id)
+		}
+	}
+	frozen := make(map[uint64]bool)
+	for len(frozen) < len(active) {
+		var bestKey [2]int
+		bestShare := -1.0
+		keys := make([][2]int, 0, len(ports))
+		for k := range ports {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i][0] != keys[j][0] {
+				return keys[i][0] < keys[j][0]
+			}
+			return keys[i][1] < keys[j][1]
+		})
+		for _, k := range keys {
+			p := ports[k]
+			unfrozen := 0
+			for _, id := range p.flows {
+				if !frozen[id] {
+					unfrozen++
+				}
+			}
+			if unfrozen == 0 {
+				continue
+			}
+			share := p.capacity / float64(unfrozen)
+			if bestShare < 0 || share < bestShare {
+				bestShare = share
+				bestKey = k
+			}
+		}
+		if bestShare < 0 {
+			break
+		}
+		for _, id := range ports[bestKey].flows {
+			if frozen[id] {
+				continue
+			}
+			frozen[id] = true
+			rates[id] = bestShare
+			t := n.flows[id]
+			for _, k := range [][2]int{{0, t.src}, {1, t.dst}} {
+				if k == bestKey {
+					continue
+				}
+				ports[k].capacity -= bestShare
+				if ports[k].capacity < 0 {
+					ports[k].capacity = 0
+				}
+			}
+		}
+		ports[bestKey].capacity = 0
+	}
+	return rates
+}
+
+// netOp is one scripted Send: when, what, and the sends its completion
+// callback issues in turn (re-entering the model from inside complete).
+type netOp struct {
+	at       eventq.Time
+	src, dst int
+	size     int64
+	then     []netOp
+}
+
+// netScript draws a seeded random script over 5 nodes: bursts at one
+// instant (same-instant FIFO order), local and zero-byte transfers,
+// sizes from a few bytes to a megabyte, and follow-up sends from
+// completion callbacks.
+func netScript(seed uint64, k int) []netOp {
+	src := rng.New(seed)
+	var gen func(depth int) netOp
+	gen = func(depth int) netOp {
+		op := netOp{src: src.Intn(5), dst: src.Intn(5)}
+		switch src.Intn(6) {
+		case 0:
+			op.size = 0
+		case 1:
+			op.size = int64(src.Intn(64))
+		default:
+			op.size = int64(src.Intn(1_000_000)) + 1
+		}
+		for depth < 2 && src.Intn(4) == 0 {
+			op.then = append(op.then, gen(depth+1))
+		}
+		return op
+	}
+	var at eventq.Time
+	ops := make([]netOp, k)
+	for i := range ops {
+		if src.Intn(3) > 0 { // one in three joins the previous instant's burst
+			at += eventq.Time(src.Intn(40_000_000))
+		}
+		ops[i] = gen(0)
+		ops[i].at = at
+	}
+	return ops
+}
+
+// netRecord is everything observable about a run: completions and port
+// notifications with their instants, in order, and the event count.
+type netRecord struct {
+	log   []string
+	fired uint64
+	end   eventq.Time
+}
+
+func (r *netRecord) PortsChanged(node, in, out int) {
+	r.log = append(r.log, fmt.Sprintf("ports node=%d in=%d out=%d", node, in, out))
+}
+
+// playNet runs script through send (either model) and records the run.
+func playNet(q *eventq.Queue, rec *netRecord, script []netOp, send func(src, dst int, size int64, done func(id uint64))) {
+	var issue func(op netOp)
+	issue = func(op netOp) {
+		send(op.src, op.dst, op.size, func(id uint64) {
+			rec.log = append(rec.log, fmt.Sprintf("done id=%d at=%d", id, q.Now()))
+			for _, next := range op.then {
+				issue(next)
+			}
+		})
+	}
+	for _, op := range script {
+		op := op
+		q.At(op.at, func() { issue(op) })
+	}
+	q.Run(0)
+	rec.fired, rec.end = q.Fired(), q.Now()
+}
+
+func TestReflowMatchesReference(t *testing.T) {
+	modes := map[string]Params{
+		"contention":    {Latency: 150 * eventq.Microsecond, Bandwidth: 12.5e6, Contention: true},
+		"no-contention": {Latency: 150 * eventq.Microsecond, Bandwidth: 12.5e6},
+		"max-min":       {Latency: 150 * eventq.Microsecond, Bandwidth: 12.5e6, Contention: true, MaxMin: true},
+		"zero-latency":  {Bandwidth: 1e6, Contention: true},
+	}
+	for name, p := range modes {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 20; seed++ {
+				script := netScript(seed, 60)
+
+				var want netRecord
+				rq := eventq.New()
+				ref := newRefNetwork(rq, p)
+				ref.listener = &want
+				playNet(rq, &want, script, ref.send)
+
+				var got netRecord
+				q, n := newNet(p)
+				n.SetListener(&got)
+				playNet(q, &got, script, func(src, dst int, size int64, done func(id uint64)) {
+					n.Send(src, dst, size, nil, func(tr *Transfer) { done(tr.ID) })
+				})
+
+				if got.fired != want.fired || got.end != want.end {
+					t.Fatalf("seed %d: fired %d events ending at %v, reference %d ending at %v",
+						seed, got.fired, got.end, want.fired, want.end)
+				}
+				if len(got.log) != len(want.log) {
+					t.Fatalf("seed %d: %d records, reference %d", seed, len(got.log), len(want.log))
+				}
+				for i := range want.log {
+					if got.log[i] != want.log[i] {
+						t.Fatalf("seed %d: record %d = %q, reference %q", seed, i, got.log[i], want.log[i])
+					}
+				}
+				if n.InFlight() != 0 || len(n.flowing) != 0 {
+					t.Fatalf("seed %d: %d in flight, %d flowing after drain", seed, n.InFlight(), len(n.flowing))
+				}
+			}
+		})
+	}
+}
+
+// TestReflowZeroAllocSteadyState: with the set of flowing transfers fixed,
+// a reflow (what every start and completion triggers for all the others)
+// moves each transfer's one event and allocates nothing.
+func TestReflowZeroAllocSteadyState(t *testing.T) {
+	for _, contention := range []bool{true, false} {
+		q, n := newNet(Params{Latency: 100 * eventq.Microsecond, Bandwidth: 12.5e6, Contention: contention})
+		for j := 0; j < 64; j++ {
+			n.Send(j%8, (j+1)%8, 1<<30, nil, nil)
+		}
+		q.RunUntil(eventq.Time(eventq.Millisecond)) // all past the latency phase
+		if len(n.flowing) != 64 {
+			t.Fatalf("%d flowing, want 64", len(n.flowing))
+		}
+		now := q.Now()
+		if allocs := testing.AllocsPerRun(100, func() {
+			now += eventq.Time(eventq.Millisecond)
+			q.RunUntil(now) // no completion is due: only the clock moves
+			n.reflow()
+		}); allocs != 0 {
+			t.Errorf("contention=%v: reflow of 64 flowing transfers allocates %v/op, want 0", contention, allocs)
+		}
 	}
 }

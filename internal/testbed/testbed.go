@@ -92,6 +92,10 @@ type Cluster struct {
 
 	ports []*port // per node: in/out segment schedulers
 
+	// freeArrivals recycles fired segment arrivals (a message has one in
+	// flight per MTU; the rest of a transfer's state is allocated once).
+	freeArrivals []*arrival
+
 	totalBytes     int64
 	totalTransfers uint64
 }
@@ -190,12 +194,13 @@ func (c *Cluster) Send(src, dst int, size int64, done func()) {
 		size:    size,
 		done:    done,
 	}
+	t.issue = t.issueSegment
 	c.ports[src].activeOut++
 	c.ports[dst].activeIn++
 	c.notifyCPU(src)
 	c.notifyCPU(dst)
 	// Per-message protocol overhead, then segment pipeline.
-	c.q.After(c.p.MsgOverhead, t.issueSegment)
+	t.issueEv = c.q.After(c.p.MsgOverhead, t.issue)
 }
 
 // notifyCPU mirrors port activity into the CPU communication overhead.
@@ -211,6 +216,44 @@ type transfer struct {
 	issued   int64 // payload bytes whose segments have been scheduled
 	arrived  int64 // payload bytes fully deserialized at the destination
 	done     func()
+
+	// issue is issueSegment bound once. At most one issue is pending at a
+	// time — the next is scheduled by the one that just fired — so its
+	// event is recycled too.
+	issue   func()
+	issueEv *eventq.Event
+}
+
+// arrival is the pending deserialization of one segment: its event, its
+// callback (bound once, when the arrival is first allocated) and what the
+// callback needs. Several can be pending per transfer, so they are pooled
+// on the cluster instead of owned by the transfer.
+type arrival struct {
+	t    *transfer
+	seg  int64
+	ev   *eventq.Event
+	fire func()
+}
+
+// scheduleArrival completes seg bytes of t at the instant at.
+func (c *Cluster) scheduleArrival(t *transfer, seg int64, at eventq.Time) {
+	var a *arrival
+	if n := len(c.freeArrivals); n > 0 {
+		a, c.freeArrivals = c.freeArrivals[n-1], c.freeArrivals[:n-1]
+	} else {
+		a = &arrival{}
+		a.fire = func() {
+			t, seg := a.t, a.seg
+			a.t = nil
+			c.freeArrivals = append(c.freeArrivals, a)
+			t.arrived += seg
+			if t.arrived >= t.size {
+				t.finish()
+			}
+		}
+	}
+	a.t, a.seg = t, seg
+	a.ev = c.q.ReuseAtTier(a.ev, at, 0, a.fire)
 }
 
 // issueSegment serializes the next MTU-sized segment onto the source port.
@@ -252,15 +295,9 @@ func (t *transfer) issueSegment() {
 
 	if t.issued < t.size {
 		// Next segment leaves once the uplink is free.
-		c.q.At(outDone, t.issueSegment)
+		t.issueEv = c.q.ReuseAtTier(t.issueEv, outDone, 0, t.issue)
 	}
-	segSize := seg
-	c.q.At(inDone, func() {
-		t.arrived += segSize
-		if t.arrived >= t.size {
-			t.finish()
-		}
-	})
+	c.scheduleArrival(t, seg, inDone)
 }
 
 func (t *transfer) finish() {
