@@ -192,12 +192,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// requested: the default path runs with no probe, the simulator's
 	// zero-cost configuration.
 	observing := *traceOut != "" || *tsOut != "" || *sumOut != ""
-	dt := *sampleDT
-	if dt == 0 && spec.Observe != nil {
-		dt = spec.Observe.SampleDTS
-	}
-	if dt == 0 {
-		dt = 1
+	dt, err := spec.SampleDT(*sampleDT, 1)
+	if err != nil {
+		fmt.Fprintf(stderr, "clustersim: -sample-dt: %v\n", err)
+		fs.Usage()
+		return 2
 	}
 
 	// Telemetry: simple run/job counters plus a run-duration histogram and

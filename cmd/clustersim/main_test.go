@@ -149,6 +149,21 @@ func TestBadFlagsFail(t *testing.T) {
 	if code := realMain([]string{"-scenario", "does-not-exist.json"}, &out, &errBuf); code == 0 {
 		t.Error("missing scenario accepted")
 	}
+	// A sample interval the simulator would never sample at used to exit
+	// 0 with a header-only time-series; it is a usage error.
+	for _, dt := range []string{"-5", "NaN", "-Inf"} {
+		ts := filepath.Join(t.TempDir(), "ts.csv")
+		errBuf.Reset()
+		if code := realMain([]string{"-jobs", "4", "-timeseries-out", ts, "-sample-dt", dt}, &out, &errBuf); code != 2 {
+			t.Errorf("-sample-dt %s: exit %d, want 2 (stderr: %s)", dt, code, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), "-sample-dt") {
+			t.Errorf("-sample-dt %s: stderr does not name the flag: %s", dt, errBuf.String())
+		}
+		if _, err := os.Stat(ts); err == nil {
+			t.Errorf("-sample-dt %s: a time-series file was still written", dt)
+		}
+	}
 }
 
 // TestTelemetryFlagSmoke: -telemetry-addr binds, prints the address to

@@ -259,6 +259,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return fail("", err)
 		}
 	}
+	sampleDTS, err := spec.SampleDT(*sampleDT, 1)
+	if err != nil {
+		fmt.Fprintf(stderr, "dpssweep: -sample-dt: %v\n", err)
+		fs.Usage()
+		return 2
+	}
 	// writeReports renders the aggregate table and the -csv/-json exports;
 	// shared by the run and merge paths.
 	writeReports := func(stats []sweep.CellStats) int {
@@ -358,13 +364,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	var tsFile *sweep.AtomicFile
 	var tsSink *sweep.TimeSeriesSink
 	if *tsPath != "" {
-		dt := *sampleDT
-		if dt == 0 && spec.Observe != nil {
-			dt = spec.Observe.SampleDTS
-		}
-		if dt == 0 {
-			dt = 1
-		}
 		f, err := sweep.CreateAtomic(*tsPath)
 		if err != nil {
 			return fail("timeseries", err)
@@ -372,7 +371,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		defer f.Abort()
 		tsFile = f
 		tsSink = sweep.NewTimeSeriesSink(f)
-		opt.SampleDTS = dt
+		opt.SampleDTS = sampleDTS
 		opt.Observe = func(c sweep.Cell, rep int) obs.Probe {
 			cfg := obs.Config{Label: c.Scheduler}
 			if spec.Observe != nil {

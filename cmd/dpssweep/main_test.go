@@ -106,6 +106,13 @@ func TestRealMainFlagErrors(t *testing.T) {
 		{"unknown flag", []string{"-nope"}, 2},
 		{"bad telemetry addr", []string{"-scenario", scenarioPath(t), "-telemetry-addr", "256.0.0.1:bad"}, 1},
 		{"missing file", []string{"-scenario", "does-not-exist.json"}, 1},
+		// A sample interval the simulator would never sample at used to
+		// exit 0 with a header-only time-series.
+		{"negative sample-dt", []string{"-scenario", scenarioPath(t), "-q",
+			"-timeseries-out", filepath.Join(t.TempDir(), "ts.csv"), "-sample-dt", "-5"}, 2},
+		{"NaN sample-dt", []string{"-scenario", scenarioPath(t), "-q",
+			"-timeseries-out", filepath.Join(t.TempDir(), "ts.csv"), "-sample-dt", "NaN"}, 2},
+		{"infinite sample-dt", []string{"-scenario", scenarioPath(t), "-q", "-sample-dt", "+Inf"}, 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := realMain(tc.args, &stdout, &stderr); code != tc.code {

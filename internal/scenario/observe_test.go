@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -115,5 +116,41 @@ func TestRunCellSampleOverride(t *testing.T) {
 	}
 	if len(fine.Samples()) <= len(coarse.Samples()) {
 		t.Errorf("fine grid %d samples, coarse %d", len(fine.Samples()), len(coarse.Samples()))
+	}
+}
+
+// TestSampleDTResolution: one resolver orders override → observe block →
+// fallback, and rejects intervals the simulator would never sample at
+// (RunCell used to take them as "no sampling" and return an empty
+// series).
+func TestSampleDTResolution(t *testing.T) {
+	observed, err := Parse([]byte(observeScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &Spec{}
+	for _, tc := range []struct {
+		spec               *Spec
+		override, fallback float64
+		want               float64
+	}{
+		{observed, 0.5, 1, 0.5},
+		{observed, 0, 1, 2},
+		{bare, 0, 1, 1},
+		{bare, 0, 0, 0},
+		{bare, 3, 1, 3},
+	} {
+		if got, err := tc.spec.SampleDT(tc.override, tc.fallback); err != nil || got != tc.want {
+			t.Errorf("SampleDT(%g, %g) = %g, %v; want %g", tc.override, tc.fallback, got, err, tc.want)
+		}
+	}
+	for _, bad := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := observed.SampleDT(bad, 1); err == nil {
+			t.Errorf("SampleDT(%g) accepted", bad)
+		}
+		rec := obs.NewRecorder(obs.Config{})
+		if _, err := observed.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 5, Probe: rec, SampleDTS: bad}); err == nil {
+			t.Errorf("RunCell accepted SampleDTS %g", bad)
+		}
 	}
 }

@@ -177,9 +177,9 @@ func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
 	base.Fork()
 	members := make([]federation.Member, len(clusters))
 	models := make([]appmodel.AppModel, len(clusters))
-	dt := p.SampleDTS
-	if dt == 0 && s.Observe != nil {
-		dt = s.Observe.SampleDTS
+	dt, err := s.SampleDT(p.SampleDTS, 0)
+	if err != nil {
+		return nil, err
 	}
 	for i := range clusters {
 		c := &clusters[i]

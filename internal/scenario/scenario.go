@@ -41,6 +41,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -140,6 +141,23 @@ type ObserveSpec struct {
 	MaxSpans int `json:"max_spans,omitempty"`
 	// MaxEvents bounds the capacity/preemption/charge event logs.
 	MaxEvents int `json:"max_events,omitempty"`
+}
+
+// SampleDT resolves a run's time-series sample interval in virtual
+// seconds: override (a CLI flag, CellParams.SampleDTS) when non-zero,
+// else the observe block's sample_dt_s, else fallback. An override that
+// is negative, NaN or infinite is an error — the simulator samples only
+// at an interval > 0, so it would silently empty the time series.
+func (s *Spec) SampleDT(override, fallback float64) (float64, error) {
+	switch {
+	case override < 0 || math.IsNaN(override) || math.IsInf(override, 0):
+		return 0, fmt.Errorf("scenario: sample interval must be a finite number of seconds >= 0, got %g", override)
+	case override != 0:
+		return override, nil
+	case s.Observe != nil && s.Observe.SampleDTS != 0:
+		return s.Observe.SampleDTS, nil
+	}
+	return fallback, nil
 }
 
 // validate checks the observe block; error messages name the offending

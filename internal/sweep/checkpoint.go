@@ -1,9 +1,9 @@
 package sweep
 
 // Resumable fold checkpoints. A checkpoint is a JSON snapshot of the
-// sweep's fold frontier — every owned cell's streaming accumulator plus
-// the count of replications it has absorbed — keyed by the cell's
-// content hash. Because per-cell folds are independent and strictly
+// sweep's fold frontier — every unit's streaming accumulator plus the
+// count of replications it has absorbed — keyed by the unit's content
+// hash. Because per-cell folds are independent and strictly
 // replication-ordered, restoring an accumulator and folding the
 // remaining replications yields bit-identical aggregates to an
 // uninterrupted run (float64 values survive the JSON round-trip
@@ -29,8 +29,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-
-	"dpsim/internal/metrics"
 )
 
 // CheckpointVersion is the format version of the sweep checkpoint file;
@@ -42,97 +40,42 @@ type checkpointFile struct {
 	Version      int    `json:"version"`
 	Scenario     string `json:"scenario"`
 	Replications int    `json:"replications"`
-	// FoldNext is the fold frontier at snapshot time (informational:
+	// FoldNext is the fold frontier at snapshot time — the grid slots
+	// settled, as dpsim_sweep_fold_frontier counts them (informational:
 	// restore derives everything from the per-cell entries).
 	FoldNext int `json:"fold_next"`
-	// Cells maps each cell's content hash (lowercase hex) to its folded
-	// accumulator state. Cells with nothing folded are omitted.
+	// Cells maps each content hash (lowercase hex) to its unit's folded
+	// accumulator state. Units with nothing folded are omitted.
 	Cells map[string]checkpointCell `json:"cells"`
 }
 
-// checkpointCell is one cell's resumable state.
+// checkpointCell is one unit's resumable state.
 type checkpointCell struct {
 	// Folded counts the replications already absorbed by Accum, in
 	// replication order; the resumed sweep executes reps [Folded, reps).
-	Folded int        `json:"folded"`
-	Accum  accumState `json:"accum"`
+	Folded int       `json:"folded"`
+	Accum  cellAccum `json:"accum"`
 }
 
-// accumState is cellAccum's serialized mirror. The pooled responses ride
-// along so percentile columns survive the resume — the dominant cost of
-// a checkpoint, proportional to jobs folded so far.
-type accumState struct {
-	Unfinished int       `json:"unfinished"`
-	RespSum    float64   `json:"resp_sum"`
-	WaitSum    float64   `json:"wait_sum"`
-	SlowSum    float64   `json:"slow_sum"`
-	SlowN      int       `json:"slow_n"`
-	Responses  []float64 `json:"responses"`
-	Makespan   float64   `json:"makespan_s"`
-	Util       float64   `json:"utilization"`
-	AvailUtil  float64   `json:"avail_utilization"`
-	Reallocs   float64   `json:"reallocations"`
-	CapEvents  float64   `json:"capacity_events"`
-	LostWork   float64   `json:"lost_work_s"`
-	RedistS    float64   `json:"redistribution_s"`
-	// Rejected sums the federation admission rejections; omitted from
-	// legacy checkpoints, it restores as 0 — exactly what a non-federated
-	// cell folded.
-	Rejected  float64         `json:"rejected_jobs,omitempty"`
-	RespW     metrics.Welford `json:"resp_welford"`
-	MakespanW metrics.Welford `json:"makespan_welford"`
-	RespMM    metrics.MinMax  `json:"resp_minmax"`
-}
-
-// state snapshots the accumulator. The responses slice is shared, not
-// copied: callers serialize the state before releasing the sweep lock.
-func (a *cellAccum) state() accumState {
-	return accumState{
-		Unfinished: a.unfinished,
-		RespSum:    a.respSum,
-		WaitSum:    a.waitSum,
-		SlowSum:    a.slowSum,
-		SlowN:      a.slowN,
-		Responses:  a.responses,
-		Makespan:   a.makespan,
-		Util:       a.util,
-		AvailUtil:  a.availUtil,
-		Reallocs:   a.reallocs,
-		CapEvents:  a.capEvents,
-		LostWork:   a.lostWork,
-		RedistS:    a.redistS,
-		Rejected:   a.rejected,
-		RespW:      a.respW,
-		MakespanW:  a.makespanW,
-		RespMM:     a.respMM,
+// save snapshots every unit that has folded anything, keyed by content
+// hash, and rewrites the checkpoint atomically. Called under the fold
+// lock (or after the pool has drained), so the snapshot is a consistent
+// cut; the accumulators' responses are shared, not copied, and
+// serialized before the lock is released.
+func (p *plan) save(path, scenario string) error {
+	ck := &checkpointFile{
+		Version:      CheckpointVersion,
+		Scenario:     scenario,
+		Replications: p.reps,
+		FoldNext:     p.settled,
+		Cells:        make(map[string]checkpointCell, len(p.units)),
 	}
-}
-
-// restore rebuilds the accumulator from a checkpointed snapshot. The
-// responses slice is copied, not adopted: dedup restores the same
-// decoded entry into the representative and every duplicate cell, and
-// each accumulator later appends to and sorts its buffer in place —
-// sharing one backing array would alias them.
-func (a *cellAccum) restore(st accumState) {
-	*a = cellAccum{
-		unfinished: st.Unfinished,
-		respSum:    st.RespSum,
-		waitSum:    st.WaitSum,
-		slowSum:    st.SlowSum,
-		slowN:      st.SlowN,
-		responses:  append([]float64(nil), st.Responses...),
-		makespan:   st.Makespan,
-		util:       st.Util,
-		availUtil:  st.AvailUtil,
-		reallocs:   st.Reallocs,
-		capEvents:  st.CapEvents,
-		lostWork:   st.LostWork,
-		redistS:    st.RedistS,
-		rejected:   st.Rejected,
-		respW:      st.RespW,
-		makespanW:  st.MakespanW,
-		respMM:     st.RespMM,
+	for ui := range p.units {
+		if u := &p.units[ui]; u.folded > 0 && !u.dup {
+			ck.Cells[u.hash.String()] = checkpointCell{Folded: u.folded, Accum: u.acc}
+		}
 	}
+	return saveCheckpointFile(path, ck)
 }
 
 // loadCheckpoint reads a checkpoint file; a missing file is a fresh
@@ -161,13 +104,5 @@ func loadCheckpoint(path string) (*checkpointFile, error) {
 // path: the previous checkpoint stays intact until the new one is
 // durably complete.
 func saveCheckpointFile(path string, ck *checkpointFile) error {
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return WriteFileAtomic(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(ck) })
 }

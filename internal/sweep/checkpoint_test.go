@@ -244,18 +244,33 @@ func TestErrorResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRestoreCopiesResponses: dedup restores one decoded checkpoint
-// entry into the representative and every duplicate cell, and each
-// accumulator appends to and sorts its buffer in place — so restore
-// must copy the responses slice, not adopt it.
+// TestRestoreCopiesResponses: with dedup off, the units of one hash all
+// restore from the same decoded checkpoint entry, and each accumulator
+// appends to and sorts its buffer in place — so the plan must copy the
+// responses slice into each unit, not adopt it.
 func TestRestoreCopiesResponses(t *testing.T) {
-	st := accumState{Responses: []float64{3, 1, 2}}
-	var a, b cellAccum
-	a.restore(st)
-	b.restore(st)
-	a.responses[0] = 99
-	if b.responses[0] != 3 || st.Responses[0] != 3 {
-		t.Fatalf("restored accumulators alias one responses buffer: %v, %v", b.responses, st.Responses)
+	spec := dupSpec(t)
+	h := CellHashes(spec, Cells(spec))[0] // equipartition: cells 0 and 2
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	if err := saveCheckpointFile(ck, &checkpointFile{
+		Version: CheckpointVersion, Scenario: spec.Name, Replications: 2,
+		Cells: map[string]checkpointCell{
+			h.String(): {Folded: 1, Accum: cellAccum{Responses: []float64{3, 1, 2}}},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := newPlan(spec, Options{Replications: 2, NoDedup: true, Checkpoint: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := &p.units[0], &p.units[2]
+	if a.hash != h || b.hash != h || a.folded != 1 || b.folded != 1 || !b.dup {
+		t.Fatalf("units 0 and 2 should both restore hash %s: %+v, %+v", h, a, b)
+	}
+	a.acc.Responses[0] = 99
+	if b.acc.Responses[0] != 3 {
+		t.Fatalf("restored units alias one responses buffer: %v", b.acc.Responses)
 	}
 }
 

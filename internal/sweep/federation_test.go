@@ -158,21 +158,18 @@ func TestFederatedShardMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards []*gridResult
+	merged := make([]CellStats, len(full))
 	for i := 0; i < 2; i++ {
 		o := opt
 		o.Shard = ShardSel{Index: i, Count: 2}
-		g, err := runGrid(spec, o)
+		p, err := runGrid(spec, o)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		shards = append(shards, g)
-	}
-	merged := make([]CellStats, len(full))
-	for _, g := range shards {
-		for i, own := range g.owned {
-			if own {
-				merged[i] = g.stats[i]
+		stats := p.stats()
+		for _, u := range p.units {
+			for _, ci := range u.cells {
+				merged[ci] = stats[ci]
 			}
 		}
 	}

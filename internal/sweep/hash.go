@@ -12,8 +12,8 @@ package sweep
 //     editing the grid — inserting a load, reordering an axis — never
 //     re-seeds the cells that did not change.
 //   - Two cells with identical resolved parameters hash identically, so
-//     the sweep runs their replications once and fans the results out
-//     (content-hash dedup).
+//     they share one unit of the sweep plan and their replications run
+//     once (content-hash dedup).
 //   - Checkpoints and shard artifacts key their entries by hash, which
 //     makes resumes survive grid edits and lets independently-run shards
 //     merge into one consistent report.
@@ -26,7 +26,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 
 	"dpsim/internal/rng"
@@ -52,17 +51,6 @@ func (h CellHash) ShardOf(n int) int {
 		return 0
 	}
 	return int(binary.BigEndian.Uint64(h[8:16]) % uint64(n))
-}
-
-// parseHash inverts String.
-func parseHash(s string) (CellHash, error) {
-	var h CellHash
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(h) {
-		return h, fmt.Errorf("sweep: invalid cell hash %q", s)
-	}
-	copy(h[:], b)
-	return h, nil
 }
 
 // appendSection length-prefixes and appends one canonical blob, so

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"dpsim/internal/scenario"
@@ -101,20 +100,6 @@ func TestDuplicateCellsHashEqual(t *testing.T) {
 	hashes := CellHashes(spec, cells)
 	if hashes[0] != hashes[1] {
 		t.Fatalf("duplicate cells hash differently: %s vs %s", hashes[0], hashes[1])
-	}
-}
-
-func TestCellHashStringRoundTrip(t *testing.T) {
-	spec := hashSpec(t, "[1.0]")
-	h := CellHashes(spec, Cells(spec))[0]
-	got, err := parseHash(h.String())
-	if err != nil || got != h {
-		t.Fatalf("round trip: %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "zz", strings.Repeat("ab", 31), strings.Repeat("xy", 32)} {
-		if _, err := parseHash(bad); err == nil {
-			t.Errorf("parseHash(%q) accepted", bad)
-		}
 	}
 }
 

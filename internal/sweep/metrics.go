@@ -93,9 +93,9 @@ func NewMetrics(reg *telemetry.Registry, workersHint int) *Metrics {
 		workersG: reg.Gauge("dpsim_sweep_workers",
 			"Workers in the pool."),
 		foldFrontier: reg.Gauge("dpsim_sweep_fold_frontier",
-			"Runs folded into aggregates, strictly in index order."),
+			"Grid (cell, replication) slots settled: folded in order into the unit the cell displays, restored, or another shard's."),
 		foldLag: reg.Gauge("dpsim_sweep_fold_lag",
-			"Completed runs parked ahead of the fold frontier."),
+			"Grid slots of completed runs parked ahead of the fold frontier."),
 		runDur: reg.Histogram("dpsim_sweep_run_duration_seconds",
 			"Wall-clock duration of one replication."),
 	}
@@ -163,25 +163,21 @@ func (m *Metrics) ensureWorkers(n int) {
 	}
 }
 
-// begin marks the sweep's start: totals, the worker pool size, and the
-// wall clock. Called by Run before any worker starts.
-func (m *Metrics) begin(cells, reps, workers, total int) {
-	m.cellsTotal.Set(float64(cells))
-	m.replications.Set(float64(reps))
-	m.runsTotal.Set(float64(total))
+// begin publishes the plan — grid size, owed runs, the dedup and resume
+// outcome, and the fold position that sharding and restore start it
+// from — then sizes the worker pool and starts the wall clock. Called by
+// runGrid before any worker starts.
+func (m *Metrics) begin(p *plan, workers int) {
+	m.cellsTotal.Set(float64(len(p.cells)))
+	m.replications.Set(float64(p.reps))
+	m.runsTotal.Set(float64(len(p.runs)))
+	m.cellsDeduped.Set(float64(p.deduped))
+	m.cellsResumed.Set(float64(p.resumed))
+	m.noteFold(p.settled, 0, p.cellsDone)
 	m.workersG.Set(float64(workers))
 	m.ensureWorkers(workers)
 	m.workerSeq.Store(0)
 	m.startNS.Store(time.Now().UnixNano())
-}
-
-// notePlan records the sweep plan's dedup and resume outcome: cells
-// skipped because an identical cell executes for them, and cells whose
-// accumulators restored from the fold checkpoint. Called once by Run
-// after begin.
-func (m *Metrics) notePlan(deduped, resumed int) {
-	m.cellsDeduped.Set(float64(deduped))
-	m.cellsResumed.Set(float64(resumed))
 }
 
 // claimWorker returns the next free worker index; each pool goroutine
@@ -208,15 +204,15 @@ func (m *Metrics) noteRun(worker int, elapsed time.Duration, jobs, unfinished in
 	m.jobsUnfinished.Add(int64(unfinished))
 }
 
-// noteFold publishes the fold frontier's position. marked counts the
-// slots satisfied so far — executed, fanned out to a duplicate, or
-// pre-satisfied by shard/checkpoint planning — so the lag never goes
-// negative on resumed or sharded sweeps. Called under the sweep's fold
-// lock, so reads of marked/foldNext are already ordered.
-func (m *Metrics) noteFold(foldNext, marked, reps int) {
-	m.foldFrontier.Set(float64(foldNext))
-	m.cellsDone.Set(float64(foldNext / reps))
-	m.foldLag.Set(float64(marked - foldNext))
+// noteFold publishes the plan's fold position: the grid slots settled so
+// far, the slots of completed runs parked ahead of the frontier, and the
+// cells with nothing left to fold (plan.settled, plan.cellsDone — every
+// count weighs a unit's run by the cells displaying it). Called under
+// the sweep's fold lock.
+func (m *Metrics) noteFold(settled, parked, cellsDone int) {
+	m.foldFrontier.Set(float64(settled))
+	m.foldLag.Set(float64(parked))
+	m.cellsDone.Set(float64(cellsDone))
 }
 
 // Progress implements telemetry.ProgressSource for the /progress

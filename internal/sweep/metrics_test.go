@@ -143,7 +143,7 @@ func TestMetricsErroredRuns(t *testing.T) {
 func TestMetricsInstrumentationZeroAlloc(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg, 2)
-	m.begin(4, 2, 2, 8)
+	m.begin(&plan{cells: make([]Cell, 4), reps: 2, runs: make([]owedRun, 8)}, 2)
 	if allocs := testing.AllocsPerRun(200, func() {
 		m.runsStarted.Inc()
 		m.noteRun(1, 3*time.Millisecond, 5, 0, false)

@@ -1,0 +1,163 @@
+package sweep
+
+// The sweep plan: which replications does this process still owe?
+// newPlan answers once, keyed by content hash (hash.go) — shard
+// ownership, dedup and checkpoint restore are all decided while the
+// units are built, so a plain grid, a dedup'd grid, a shard and a resume
+// execute, checkpoint and finalize as the same loop over the same lists.
+
+import (
+	"fmt"
+	"slices"
+
+	"dpsim/internal/scenario"
+)
+
+// unit is everything the sweep knows about one content hash: the grid
+// cells that display its aggregate, how many of its replications have
+// folded, and the one accumulator they fold into. Equal-hash cells have
+// equal resolved parameters and therefore equal seeds and equal runs, so
+// they share a unit instead of each folding a copy. With NoDedup or
+// Observe set every owned cell gets a unit of its own.
+type unit struct {
+	hash CellHash
+	// cells indexes plan.cells, ascending; cells[0] names the unit in
+	// errors and probes and supplies the axis indices its runs execute.
+	cells []int
+	// dup marks a unit whose hash an earlier unit already carries (dedup
+	// off). Checkpoints and shard artifacts hold one entry per hash: the
+	// earlier unit's, which has folded at least as far.
+	dup bool
+	// folded counts the replications acc has absorbed, in replication
+	// order — restored from the checkpoint, then one per fold.
+	folded int
+	acc    cellAccum
+}
+
+// owedRun is one replication this process still has to execute.
+type owedRun struct{ unit, rep int }
+
+// plan is a sweep's expanded grid and its progress through it.
+type plan struct {
+	cells []Cell
+	reps  int
+	units []unit
+	// runs lists what is still owed at plan time in (unit, replication)
+	// order — with one unit per cell that is (cell, replication) order.
+	runs []owedRun
+	// deduped counts the cells displaying a unit another cell executes
+	// for, resumed the cells whose unit restored from the checkpoint.
+	deduped, resumed int
+	// settled counts the (cell, replication) slots of the whole grid
+	// that need nothing more from this process — another shard's, or
+	// folded into a unit the cell displays — and cellsDone the cells
+	// whose every slot is settled. fold advances both.
+	settled, cellsDone int
+}
+
+// newPlan expands the grid into units and owed runs. It reads the
+// checkpoint (when one is configured and exists) and nothing else.
+func newPlan(spec *scenario.Spec, opt Options) (*plan, error) {
+	cells := Cells(spec)
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("sweep: empty grid")
+	}
+	shards := opt.Shard.Count
+	if shards > 1 && (opt.Shard.Index < 0 || opt.Shard.Index >= shards) {
+		return nil, fmt.Errorf("sweep: shard index %d outside 0..%d", opt.Shard.Index, shards-1)
+	}
+	p := &plan{cells: cells, reps: max(opt.Replications, 1), units: make([]unit, 0, len(cells))}
+
+	// Entries restore by content hash, so a resume survives grid edits —
+	// unchanged cells restore, new or edited cells (fresh hashes) run
+	// from scratch. A checkpoint with a different replication count is
+	// ignored wholesale: its accumulators fold a different run set.
+	var restore map[string]checkpointCell
+	if opt.Checkpoint != "" {
+		ck, err := loadCheckpoint(opt.Checkpoint)
+		if err != nil {
+			return nil, err
+		}
+		if ck != nil && ck.Replications == p.reps {
+			restore = ck.Cells
+		}
+	}
+
+	// Cells partition across shards by content hash, so every process of
+	// an n-way split derives the same disjoint ownership and a group of
+	// equal-hash cells always lands in one shard.
+	dedup := !opt.NoDedup && opt.Observe == nil
+	first := make(map[CellHash]int, len(cells)) // hash → its first unit
+	self := make([]int, len(cells))             // backs every unit's cells[:1]
+	for ci, h := range CellHashes(spec, cells) {
+		if shards > 1 && h.ShardOf(shards) != opt.Shard.Index {
+			continue
+		}
+		ui, seen := first[h]
+		if seen && dedup {
+			p.units[ui].cells = append(p.units[ui].cells, ci)
+			continue
+		}
+		if !seen {
+			first[h] = len(p.units)
+		}
+		self[ci] = ci
+		u := unit{hash: h, cells: self[ci : ci+1 : ci+1], dup: seen}
+		if restore != nil {
+			if e, ok := restore[h.String()]; ok && e.Folded > 0 && e.Folded <= p.reps {
+				u.folded, u.acc = e.Folded, e.Accum
+				// Units of one hash (dedup off) restore from the same
+				// decoded entry, and each appends to and sorts its
+				// responses in place: copy, never adopt.
+				u.acc.Responses = slices.Clone(e.Accum.Responses)
+			}
+		}
+		p.units = append(p.units, u)
+	}
+
+	p.runs = make([]owedRun, 0, len(p.units)*p.reps)
+	p.settled, p.cellsDone = len(cells)*p.reps, len(cells)
+	for ui := range p.units {
+		u := &p.units[ui]
+		n := len(u.cells)
+		p.deduped += n - 1
+		if u.folded > 0 {
+			p.resumed += n
+		}
+		if u.folded < p.reps {
+			p.cellsDone -= n
+		}
+		for rep := u.folded; rep < p.reps; rep++ {
+			p.runs = append(p.runs, owedRun{ui, rep})
+			p.settled -= n
+		}
+	}
+	return p, nil
+}
+
+// fold absorbs u's next replication. Callers fold a unit's runs in
+// replication order (the float sums are order-sensitive).
+func (p *plan) fold(u *unit, run *scenario.CellRun) {
+	u.acc.fold(run, p.reps)
+	u.folded++
+	p.settled += len(u.cells)
+	if u.folded == p.reps {
+		p.cellsDone += len(u.cells)
+	}
+}
+
+// stats finalizes every unit into the grid's aggregates, in Cells()
+// order: each display cell gets its unit's numbers under its own labels.
+// Cells of other shards stay zero-valued.
+func (p *plan) stats() []CellStats {
+	out := make([]CellStats, len(p.cells))
+	for ui := range p.units {
+		u := &p.units[ui]
+		st := u.acc.stats(p.cells[u.cells[0]], p.reps)
+		for _, ci := range u.cells {
+			st.Cell = p.cells[ci]
+			out[ci] = st
+		}
+	}
+	return out
+}

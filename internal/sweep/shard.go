@@ -69,28 +69,21 @@ type ShardCell struct {
 // the zero value runs everything as shard 0/1) and returns its
 // artifact. Checkpoint, dedup and interrupt options apply per shard.
 func RunShard(spec *scenario.Spec, opt Options) (*ShardArtifact, error) {
-	g, err := runGrid(spec, opt)
+	p, err := runGrid(spec, opt)
 	if err != nil {
 		return nil, err
-	}
-	count := opt.Shard.Count
-	if count < 1 {
-		count = 1
 	}
 	art := &ShardArtifact{
 		Version:      ShardArtifactVersion,
 		Scenario:     spec.Name,
 		ShardIndex:   opt.Shard.Index,
-		ShardCount:   count,
-		Replications: g.reps,
+		ShardCount:   max(opt.Shard.Count, 1),
+		Replications: p.reps,
 	}
-	seen := make(map[CellHash]bool, len(g.cells))
-	for ci := range g.cells {
-		if !g.owned[ci] || seen[g.hashes[ci]] {
-			continue
+	for ui := range p.units {
+		if u := &p.units[ui]; !u.dup {
+			art.Cells = append(art.Cells, ShardCell{Hash: u.hash.String(), Stats: u.acc.stats(p.cells[u.cells[0]], p.reps)})
 		}
-		seen[g.hashes[ci]] = true
-		art.Cells = append(art.Cells, ShardCell{Hash: g.hashes[ci].String(), Stats: g.stats[ci]})
 	}
 	return art, nil
 }
@@ -182,8 +175,8 @@ func MergeShards(spec *scenario.Spec, paths []string) ([]CellStats, int, error) 
 	for ci, c := range cells {
 		st, ok := byHash[hashes[ci].String()]
 		if !ok {
-			return nil, 0, fmt.Errorf("sweep: no shard artifact covers cell %s/%s/%d nodes/load %g/%s/%s (hash %s) — scenario edited after the shards ran, or a shard missing?",
-				c.Arrival, c.Avail, c.Nodes, c.Load, c.Scheduler, c.AppModel, hashes[ci])
+			return nil, 0, fmt.Errorf("sweep: no shard artifact covers cell %s (hash %s) — scenario edited after the shards ran, or a shard missing?",
+				c, hashes[ci])
 		}
 		// The artifact's embedded Cell may carry another duplicate's
 		// display labels; identity comes from the locally expanded grid.

@@ -91,6 +91,37 @@ func TestMergeShardsMissingShard(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("unhelpful merge error: %v", err)
 	}
+
+	// In a federated grid the arrival/availability/scheduler/appmodel
+	// columns read the same for every cell of a load: only the policy
+	// pair tells which cell is missing, so the error must name it.
+	fed := fedSpec(t)
+	art, err = RunShard(fed, Options{Replications: 1, Shard: ShardSel{Index: 0, Count: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShard(p, art); err != nil {
+		t.Fatal(err)
+	}
+	cells := Cells(fed)
+	missing := -1
+	for ci, h := range CellHashes(fed, cells) {
+		if h.ShardOf(2) == 1 {
+			missing = ci
+			break
+		}
+	}
+	if missing < 0 {
+		t.Fatal("shard 0/2 owns the whole federated grid; pick another split")
+	}
+	_, _, err = MergeShards(fed, []string{p})
+	if err == nil {
+		t.Fatal("federated merge with a missing shard succeeded")
+	}
+	c := cells[missing]
+	if want := c.Admission + "/" + c.Routing; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), c.String()) {
+		t.Fatalf("merge error does not name the missing cell's policy pair %q: %v", want, err)
+	}
 }
 
 // TestMergeShardsRepsMismatch: artifacts swept at different replication

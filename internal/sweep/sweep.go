@@ -5,14 +5,20 @@
 // scenario instead sweeps its admission × routing policy axes over the
 // fixed multi-cluster topology declared in the federation block.
 //
+// A sweep is plan → execute → fold. The plan (plan.go) expands the grid
+// once into units — one per unique cell content hash (hash.go) this
+// process owns, holding the cells that display it, the replications a
+// checkpoint already folded and one accumulator — plus the list of
+// (unit, replication) runs still owed; runGrid executes that list on
+// the worker pool and folds completions strictly in list order.
+//
 // Results are bit-identical for identical scenarios regardless of
-// worker count, sharding, deduplication or resume: every cell carries a
-// canonical content hash of its resolved parameters (hash.go), every
-// replication's seed is a pure function of (cell hash, replication
-// index), workers only fill pre-indexed slots, and aggregation always
-// folds replications in index order. The same hash keys the resumable
-// fold checkpoints (checkpoint.go) and the cross-process shard
-// artifacts (shard.go).
+// worker count, sharding, deduplication or resume: every replication's
+// seed is a pure function of (cell hash, replication index), workers
+// only park completed runs at their index in the owed list, and a unit
+// always folds its replications in index order. The same hash keys the
+// resumable fold checkpoints (checkpoint.go) and the cross-process
+// shard artifacts (shard.go).
 package sweep
 
 import (
@@ -63,6 +69,12 @@ type Cell struct {
 	AdmissionIdx int    `json:"-"`
 	Routing      string `json:"routing"`
 	RoutingIdx   int    `json:"-"`
+}
+
+// String names the cell by all eight grid coordinates, for errors.
+func (c Cell) String() string {
+	return fmt.Sprintf("%s/%s/%d nodes/load %g/%s/%s/%s/%s", c.Arrival, c.Avail, c.Nodes, c.Load,
+		c.Scheduler, c.AppModel, c.Admission, c.Routing)
 }
 
 // CellStats aggregates a cell's replications.
@@ -119,90 +131,96 @@ type CellStats struct {
 	MaxResponse *float64 `json:"max_response_s"`
 }
 
-// cellAccum streams one cell's replications into running aggregates as
+// cellAccum streams one unit's replications into running aggregates as
 // they complete. Means that must stay bit-identical to the historical
 // pooled computation are kept as running sums folded in replication
 // order (the addition order matches the old pooled-slice walk exactly);
 // only the response quantiles still pool values, since an exact
-// percentile needs the full sample. The accumulator round-trips through
-// JSON exactly (checkpoint.go), which is what makes resumed sweeps
-// byte-identical to uninterrupted ones.
+// percentile needs the full sample. The accumulator is its own
+// checkpoint record (checkpoint.go): it round-trips through JSON
+// exactly, which is what makes resumed sweeps byte-identical to
+// uninterrupted ones. The pooled responses ride along so percentile
+// columns survive the resume — the dominant cost of a checkpoint,
+// proportional to jobs folded so far.
 type cellAccum struct {
-	unfinished int
-	respSum    float64
-	waitSum    float64
-	slowSum    float64
-	slowN      int
-	responses  []float64 // pooled for P50/P95/P99 only
-	makespan   float64
-	util       float64
-	availUtil  float64
-	reallocs   float64
-	capEvents  float64
-	lostWork   float64
-	redistS    float64
-	rejected   float64
-	respW      metrics.Welford
-	makespanW  metrics.Welford
-	respMM     metrics.MinMax
+	Unfinished int       `json:"unfinished"`
+	RespSum    float64   `json:"resp_sum"`
+	WaitSum    float64   `json:"wait_sum"`
+	SlowSum    float64   `json:"slow_sum"`
+	SlowN      int       `json:"slow_n"`
+	Responses  []float64 `json:"responses"` // pooled for P50/P95/P99 only
+	Makespan   float64   `json:"makespan_s"`
+	Util       float64   `json:"utilization"`
+	AvailUtil  float64   `json:"avail_utilization"`
+	Reallocs   float64   `json:"reallocations"`
+	CapEvents  float64   `json:"capacity_events"`
+	LostWork   float64   `json:"lost_work_s"`
+	RedistS    float64   `json:"redistribution_s"`
+	// Rejected sums the federation admission rejections; omitted from
+	// legacy checkpoints, it restores as 0 — exactly what a non-federated
+	// cell folded.
+	Rejected  float64         `json:"rejected_jobs,omitempty"`
+	RespW     metrics.Welford `json:"resp_welford"`
+	MakespanW metrics.Welford `json:"makespan_welford"`
+	RespMM    metrics.MinMax  `json:"resp_minmax"`
 }
 
 // fold absorbs one completed replication. reps sizes the pooled
 // response buffer on first use: per-job counts are near-constant across
 // a cell's replications, so one allocation usually serves the cell.
 func (a *cellAccum) fold(run *scenario.CellRun, reps int) {
-	if a.responses == nil && len(run.Result.PerJob) > 0 {
-		a.responses = make([]float64, 0, len(run.Result.PerJob)*reps)
+	if a.Responses == nil && len(run.Result.PerJob) > 0 {
+		a.Responses = make([]float64, 0, len(run.Result.PerJob)*reps)
 	}
 	for _, j := range run.Result.PerJob {
-		a.respSum += j.Response
-		a.waitSum += j.Wait
-		a.responses = append(a.responses, j.Response)
-		a.respW.Add(j.Response)
-		a.respMM.Add(j.Response)
+		a.RespSum += j.Response
+		a.WaitSum += j.Wait
+		a.Responses = append(a.Responses, j.Response)
+		a.RespW.Add(j.Response)
+		a.RespMM.Add(j.Response)
 	}
 	for _, s := range run.Slowdowns {
-		a.slowSum += s
-		a.slowN++
+		a.SlowSum += s
+		a.SlowN++
 	}
-	a.unfinished += run.Result.Unfinished
-	a.makespan += run.Result.Makespan
-	a.util += run.Result.Utilization
-	a.availUtil += run.Result.AvailWeightedUtilization
-	a.reallocs += float64(run.Result.Reallocations)
-	a.capEvents += float64(run.Result.CapacityEvents)
-	a.lostWork += run.Result.LostWorkS
-	a.redistS += run.Result.RedistributionS
-	a.rejected += float64(run.Rejected)
-	a.makespanW.Add(run.Result.Makespan)
+	a.Unfinished += run.Result.Unfinished
+	a.Makespan += run.Result.Makespan
+	a.Util += run.Result.Utilization
+	a.AvailUtil += run.Result.AvailWeightedUtilization
+	a.Reallocs += float64(run.Result.Reallocations)
+	a.CapEvents += float64(run.Result.CapacityEvents)
+	a.LostWork += run.Result.LostWorkS
+	a.RedistS += run.Result.RedistributionS
+	a.Rejected += float64(run.Rejected)
+	a.MakespanW.Add(run.Result.Makespan)
 }
 
 // stats finalizes the accumulator into the exported aggregate.
 func (a *cellAccum) stats(c Cell, reps int) CellStats {
-	st := CellStats{Cell: c, Replications: reps, Jobs: len(a.responses), Unfinished: a.unfinished}
-	if n := len(a.responses); n > 0 {
-		st.MeanResponse = a.respSum / float64(n)
-		st.MeanWait = a.waitSum / float64(n)
+	st := CellStats{Cell: c, Replications: reps, Jobs: len(a.Responses), Unfinished: a.Unfinished}
+	if n := len(a.Responses); n > 0 {
+		st.MeanResponse = a.RespSum / float64(n)
+		st.MeanWait = a.WaitSum / float64(n)
 	}
-	sort.Float64s(a.responses) // cell-local; sort once for all quantiles
-	st.P50Response = metrics.PercentileSorted(a.responses, 0.50)
-	st.P95Response = metrics.PercentileSorted(a.responses, 0.95)
-	st.P99Response = metrics.PercentileSorted(a.responses, 0.99)
-	st.MeanMakespan = a.makespan / float64(reps)
-	st.MeanUtilization = a.util / float64(reps)
-	st.MeanAvailUtilization = a.availUtil / float64(reps)
-	if a.slowN > 0 {
-		st.MeanSlowdown = a.slowSum / float64(a.slowN)
+	sort.Float64s(a.Responses) // cell-local; sort once for all quantiles
+	st.P50Response = metrics.PercentileSorted(a.Responses, 0.50)
+	st.P95Response = metrics.PercentileSorted(a.Responses, 0.95)
+	st.P99Response = metrics.PercentileSorted(a.Responses, 0.99)
+	st.MeanMakespan = a.Makespan / float64(reps)
+	st.MeanUtilization = a.Util / float64(reps)
+	st.MeanAvailUtilization = a.AvailUtil / float64(reps)
+	if a.SlowN > 0 {
+		st.MeanSlowdown = a.SlowSum / float64(a.SlowN)
 	}
-	st.MeanReallocations = a.reallocs / float64(reps)
-	st.MeanCapacityEvents = a.capEvents / float64(reps)
-	st.MeanLostWork = a.lostWork / float64(reps)
-	st.MeanRedistribution = a.redistS / float64(reps)
-	st.MeanRejected = a.rejected / float64(reps)
-	st.CI95Response = a.respW.CI95()
-	st.CI95Makespan = a.makespanW.CI95()
-	if a.respMM.N() > 0 {
-		mn, mx := a.respMM.Min(), a.respMM.Max()
+	st.MeanReallocations = a.Reallocs / float64(reps)
+	st.MeanCapacityEvents = a.CapEvents / float64(reps)
+	st.MeanLostWork = a.LostWork / float64(reps)
+	st.MeanRedistribution = a.RedistS / float64(reps)
+	st.MeanRejected = a.Rejected / float64(reps)
+	st.CI95Response = a.RespW.CI95()
+	st.CI95Makespan = a.MakespanW.CI95()
+	if a.RespMM.N() > 0 {
+		mn, mx := a.RespMM.Min(), a.RespMM.Max()
 		st.MinResponse, st.MaxResponse = &mn, &mx
 	}
 	return st
@@ -235,8 +253,8 @@ type Options struct {
 	// replication unobserved (the zero-cost path). The sample interval
 	// comes from the scenario's observe block (Spec.Observe.SampleDTS).
 	// Observation disables dedup (probes are per-run side effects that
-	// fan-out would skip), and checkpoint-restored replications are not
-	// re-observed.
+	// a shared unit would skip), and checkpoint-restored replications are
+	// not re-observed.
 	Observe func(c Cell, rep int) obs.Probe
 	// SampleDTS overrides the observed replications' time-series sample
 	// interval in virtual seconds; 0 uses the scenario's
@@ -256,11 +274,11 @@ type Options struct {
 	// shared by concurrent Run calls.
 	Metrics *Metrics
 	// NoDedup disables content-hash deduplication. By default, cells
-	// with identical content hashes execute once and the completed runs
-	// fan out to every duplicate's fold slots — exported aggregates are
-	// identical either way (identical hash means identical seeds), so
-	// NoDedup mainly serves A/B verification. Dedup also turns itself
-	// off while Observe is set.
+	// with identical content hashes share one unit: their replications
+	// execute and fold once and every such cell displays the result —
+	// exported aggregates are identical either way (identical hash means
+	// identical seeds), so NoDedup mainly serves A/B verification. Dedup
+	// also turns itself off while Observe is set.
 	NoDedup bool
 	// Shard restricts execution to one content-hash partition of the
 	// grid. The zero value runs the whole grid. Sharded execution is
@@ -268,7 +286,7 @@ type Options struct {
 	// its full-grid report would cover only the owned cells.
 	Shard ShardSel
 	// Checkpoint, when non-empty, is the path of the resumable fold
-	// checkpoint: the sweep restores matching per-cell state from it on
+	// checkpoint: the sweep restores matching per-unit state from it on
 	// start, rewrites it every CheckpointEvery executed runs and on
 	// completion, error or interrupt (atomic rename — never torn).
 	// Entries are keyed by cell content hash, so a resume survives grid
@@ -285,34 +303,6 @@ type Options struct {
 	Interrupted func() bool
 }
 
-// axisLabels resolves one axis's display labels, suffixing duplicates
-// with "#idx" so every exported row names its cell unambiguously.
-// Duplicate detection runs against the undecorated labels, and identity
-// (hashing, seeding, dedup) never sees the decoration.
-func axisLabels(n int, label func(int) string) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = label(i)
-	}
-	if n < 2 {
-		return out
-	}
-	dup := make([]bool, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if out[i] == out[j] {
-				dup[i], dup[j] = true, true
-			}
-		}
-	}
-	for i := range out {
-		if dup[i] {
-			out[i] = fmt.Sprintf("%s#%d", out[i], i)
-		}
-	}
-	return out
-}
-
 // axisEntry pairs an axis entry's display label with its spec index
 // (-1 for the pseudo-entry of an empty axis).
 type axisEntry struct {
@@ -320,17 +310,33 @@ type axisEntry struct {
 	idx   int
 }
 
-// axisEntries expands one optional axis: empty axes collapse to the
+// axisEntries expands one optional axis: an empty axis collapses to the
 // single pseudo-entry `none` (so legacy grids keep their historical
-// cell order), populated axes get disambiguated labels.
+// cell order); a populated one resolves each entry's display label,
+// suffixing duplicates with "#idx" so every exported row names its cell
+// unambiguously. Duplicate detection runs against the undecorated
+// labels, and identity (hashing, seeding, dedup) never sees the
+// decoration.
 func axisEntries(n int, none string, label func(int) string) []axisEntry {
 	if n == 0 {
 		return []axisEntry{{label: none, idx: -1}}
 	}
-	labels := axisLabels(n, label)
 	out := make([]axisEntry, n)
 	for i := range out {
-		out[i] = axisEntry{label: labels[i], idx: i}
+		out[i] = axisEntry{label: label(i), idx: i}
+	}
+	dup := make([]bool, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if out[i].label == out[j].label {
+				dup[i], dup[j] = true, true
+			}
+		}
+	}
+	for i := range out {
+		if dup[i] {
+			out[i].label = fmt.Sprintf("%s#%d", out[i].label, i)
+		}
 	}
 	return out
 }
@@ -407,239 +413,70 @@ func Run(spec *scenario.Spec, opt Options) ([]CellStats, error) {
 		return nil, fmt.Errorf("sweep: Run covers the whole grid; use RunShard for shard %d/%d",
 			opt.Shard.Index, opt.Shard.Count)
 	}
-	g, err := runGrid(spec, opt)
+	p, err := runGrid(spec, opt)
 	if err != nil {
 		return nil, err
 	}
-	return g.stats, nil
+	return p.stats(), nil
 }
 
-// gridResult is the internal outcome of runGrid: the expanded grid, its
-// content hashes, the shard-ownership mask and the finalized per-cell
-// aggregates (zero-valued for cells the shard does not own).
-type gridResult struct {
-	cells  []Cell
-	hashes []CellHash
-	owned  []bool
-	reps   int
-	stats  []CellStats
-}
-
-// runGrid plans and executes a sweep: hash the grid, filter to the
-// owned shard, restore checkpointed cells, group duplicates, run what
-// remains, and fold everything — executed, restored and fanned-out —
-// through the in-order frontier.
-func runGrid(spec *scenario.Spec, opt Options) (*gridResult, error) {
-	reps := opt.Replications
-	if reps <= 0 {
-		reps = 1
+// runGrid plans the sweep (plan.go) and executes the runs the plan still
+// owes on the worker pool, folding them into their units through the
+// in-order frontier. It returns the plan with every unit fully folded.
+func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
+	p, err := newPlan(spec, opt)
+	if err != nil {
+		return nil, err
 	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cells := Cells(spec)
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("sweep: empty grid")
-	}
-	hashes := CellHashes(spec, cells)
-	total := len(cells) * reps
-
-	// Shard ownership: cells partition by content hash, so every process
-	// of an n-way sharded sweep derives the same disjoint split.
-	owned := make([]bool, len(cells))
-	if n := opt.Shard.Count; n > 1 {
-		if opt.Shard.Index < 0 || opt.Shard.Index >= n {
-			return nil, fmt.Errorf("sweep: shard index %d outside 0..%d", opt.Shard.Index, n-1)
-		}
-		for i, h := range hashes {
-			owned[i] = h.ShardOf(n) == opt.Shard.Index
-		}
-	} else {
-		for i := range owned {
-			owned[i] = true
-		}
-	}
-
-	// Dedup plan: cells with identical hashes run once — the lowest
-	// owned index is the representative, and its completed runs fan out
-	// to every duplicate's slots. Hash-partitioned sharding puts a
-	// duplicate group entirely in one shard, so the plan never needs a
-	// run from another process.
-	dedup := !opt.NoDedup && opt.Observe == nil
-	repOf := make([]int, len(cells))
-	for i := range repOf {
-		repOf[i] = i
-	}
-	var dupsOf map[int][]int
-	dedupedCells := 0
-	if dedup {
-		byHash := make(map[CellHash]int, len(cells))
-		for i, h := range hashes {
-			if !owned[i] {
-				continue
-			}
-			if r, ok := byHash[h]; ok {
-				repOf[i] = r
-				if dupsOf == nil {
-					dupsOf = make(map[int][]int)
-				}
-				dupsOf[r] = append(dupsOf[r], i)
-				dedupedCells++
-			} else {
-				byHash[h] = i
-			}
-		}
-	}
-
-	accums := make([]cellAccum, len(cells))
-
-	// Checkpoint restore: per-cell accumulator state keyed by content
-	// hash, so a resume survives grid edits — unchanged cells restore,
-	// new or edited cells (fresh hashes) run from scratch. A checkpoint
-	// with a different replication count is ignored wholesale: its
-	// accumulators fold a different run set.
-	restored := make([]int, len(cells))
-	resumedCells := 0
-	if opt.Checkpoint != "" {
-		ck, err := loadCheckpoint(opt.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		if ck != nil && ck.Replications == reps {
-			for ci := range cells {
-				if !owned[ci] {
-					continue
-				}
-				entry, ok := ck.Cells[hashes[ci].String()]
-				if !ok || entry.Folded <= 0 || entry.Folded > reps {
-					continue
-				}
-				accums[ci].restore(entry.Accum)
-				restored[ci] = entry.Folded
-				resumedCells++
-			}
-		}
-	}
-
-	// Slot plan. Every (cell, replication) keeps one pre-indexed slot;
-	// slots this process will not execute — other shards' cells,
-	// restored replications — are pre-marked folded so the frontier
-	// passes them, and a duplicate's remaining slots fill when its
-	// representative's run completes. execIdx is what actually runs.
-	pending := make([]*scenario.CellRun, total)
-	folded := make([]bool, total)
-	marked := 0 // folded[] entries set; foldLag = marked - foldNext
-	execIdx := make([]int, 0, total)
-	for ci := range cells {
-		base := ci * reps
-		if !owned[ci] {
-			for r := 0; r < reps; r++ {
-				folded[base+r] = true
-			}
-			marked += reps
-			continue
-		}
-		k := restored[ci]
-		for r := 0; r < k; r++ {
-			folded[base+r] = true
-		}
-		marked += k
-		if repOf[ci] != ci {
-			continue // reps k..reps-1 arrive by fan-out from the representative
-		}
-		for r := k; r < reps; r++ {
-			execIdx = append(execIdx, base+r)
-		}
-	}
-	execTotal := len(execIdx)
-	if workers > execTotal {
-		workers = execTotal
-	}
-
-	m := opt.Metrics
-	if m != nil {
-		m.begin(len(cells), reps, workers, execTotal)
-		m.notePlan(dedupedCells, resumedCells)
-	}
-
-	// probes parks each observed replication's probe until the fold
-	// frontier reaches it, giving OnObserved its deterministic order.
-	var probes []obs.Probe
-	if opt.Observe != nil {
-		probes = make([]obs.Probe, total)
-	}
+	workers = min(workers, len(p.runs))
 	ckEvery := opt.CheckpointEvery
 	if ckEvery <= 0 {
 		ckEvery = DefaultCheckpointEvery
 	}
-	foldNext := 0
+	m := opt.Metrics
+	if m != nil {
+		m.begin(p, workers)
+	}
+
+	// Completed runs park here, each with its probe, until the frontier
+	// reaches them — which hands OnObserved its deterministic order.
+	type parkedRun struct {
+		run   *scenario.CellRun
+		probe obs.Probe
+	}
+	pending := make([]parkedRun, len(p.runs))
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		done      int
-		sinceSave int
-		stopped   atomic.Bool
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		next     int // fold frontier: p.runs[:next] have folded
+		parked   int // grid slots of the runs completed ahead of it
+		done     int // runs executed, errored ones included
+		stopped  atomic.Bool
 	)
 
 	// advance moves the fold frontier over every contiguous completed
-	// slot, releasing each run's per-job data as it is absorbed: runs
+	// run, releasing each run's per-job data as it is absorbed: runs
 	// must fold in index order (the float sums are order-sensitive and
 	// the exports are pinned bit-for-bit across worker counts), so
 	// out-of-order completions park in pending until the frontier
 	// catches up — memory stays bounded by the in-flight spread instead
 	// of the whole grid's per-job data. Called under mu.
 	advance := func() {
-		for foldNext < total && folded[foldNext] {
-			if r := pending[foldNext]; r != nil {
-				accums[foldNext/reps].fold(r, reps)
-				pending[foldNext] = nil
+		for ; next < len(p.runs) && pending[next].run != nil; next++ {
+			r, got := p.runs[next], pending[next]
+			pending[next] = parkedRun{}
+			u := &p.units[r.unit]
+			p.fold(u, got.run)
+			parked -= len(u.cells)
+			if got.probe != nil && opt.OnObserved != nil {
+				opt.OnObserved(p.cells[u.cells[0]], r.rep, got.probe)
 			}
-			if probes != nil && probes[foldNext] != nil {
-				if opt.OnObserved != nil {
-					opt.OnObserved(cells[foldNext/reps], foldNext%reps, probes[foldNext])
-				}
-				probes[foldNext] = nil
-			}
-			foldNext++
 		}
-	}
-
-	// saveNow snapshots every owned cell's accumulator keyed by content
-	// hash and rewrites the checkpoint atomically. Called under mu, so
-	// the snapshot is a consistent fold-frontier cut. Duplicate hashes
-	// keep the least-folded entry: restore applies one entry to every
-	// duplicate, so it must not overstate any of them.
-	saveNow := func() error {
-		ck := &checkpointFile{
-			Version:      CheckpointVersion,
-			Scenario:     spec.Name,
-			Replications: reps,
-			FoldNext:     foldNext,
-			Cells:        make(map[string]checkpointCell, len(cells)),
-		}
-		for ci := range cells {
-			if !owned[ci] {
-				continue
-			}
-			fi := foldNext - ci*reps
-			if fi > reps {
-				fi = reps
-			}
-			if fi < restored[ci] {
-				fi = restored[ci] // restored ahead of the frontier
-			}
-			if fi <= 0 {
-				continue
-			}
-			key := hashes[ci].String()
-			if prev, ok := ck.Cells[key]; ok && prev.Folded <= fi {
-				continue
-			}
-			ck.Cells[key] = checkpointCell{Folded: fi, Accum: accums[ci].state()}
-		}
-		return saveCheckpointFile(opt.Checkpoint, ck)
 	}
 
 	jobs := make(chan int)
@@ -650,115 +487,53 @@ func runGrid(spec *scenario.Spec, opt Options) (*gridResult, error) {
 		// Workers self-number through the Metrics when one is attached.
 		go func() {
 			defer wg.Done()
-			m := opt.Metrics
 			worker := 0
 			if m != nil {
 				worker = m.claimWorker()
 			}
 			for idx := range jobs {
-				ci, rep := idx/reps, idx%reps
-				c := cells[ci]
-				var probe obs.Probe
-				if opt.Observe != nil {
-					probe = opt.Observe(c, rep)
-				}
-				var t0 time.Time
-				if m != nil {
-					m.runsStarted.Inc()
-					t0 = time.Now()
-				}
-				run, err := spec.RunCell(scenario.CellParams{
-					Nodes:        c.Nodes,
-					Load:         c.Load,
-					SchedulerIdx: c.SchedulerIdx,
-					ArrivalIdx:   c.ArrivalIdx,
-					AvailIdx:     c.AvailIdx,
-					AppModelIdx:  c.AppModelIdx,
-					AdmissionIdx: c.AdmissionIdx,
-					RoutingIdx:   c.RoutingIdx,
-					Seed:         runSeed(hashes[ci], rep),
-					Probe:        probe,
-					SampleDTS:    opt.SampleDTS,
-				})
-				if m != nil {
-					jobsDone, unfinished := 0, 0
-					if run != nil {
-						jobsDone = len(run.Result.PerJob)
-						unfinished = run.Result.Unfinished
-					}
-					m.noteRun(worker, time.Since(t0), jobsDone, unfinished, err != nil)
-				}
+				r := p.runs[idx]
+				u := &p.units[r.unit]
+				run, probe, err := p.execute(spec, &opt, u, r.rep, worker)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
-						firstErr = fmt.Errorf("sweep: cell %s/%s/%d nodes/load %g/%s/%s/%s/%s rep %d: %w",
-							c.Arrival, c.Avail, c.Nodes, c.Load, c.Scheduler, c.AppModel,
-							c.Admission, c.Routing, rep, err)
+						firstErr = err
 					}
 					// Fail fast: the dispatcher stops handing out runs; the
 					// in-flight ones drain so the fold frontier stays
-					// consistent for the final checkpoint. The errored slot
-					// (and its duplicates) stays unfolded — the frontier
-					// stalls before it, so the checkpoint records only
-					// replications whose data was actually absorbed and a
-					// resume re-runs this one.
+					// consistent for the final checkpoint. The errored run
+					// never parks — the frontier stalls before it, so the
+					// checkpoint records only replications whose data was
+					// actually absorbed and a resume re-runs this one.
 					stopped.Store(true)
 				} else {
-					pending[idx] = run
-					folded[idx] = true
-					marked++
-					if probes != nil && run != nil {
-						probes[idx] = probe
-					}
-					// Fan the completed run out to every duplicate cell's
-					// matching slot: identical hash means identical seeds, so
-					// one execution stands in for all of them.
-					if dupsOf != nil {
-						for _, d := range dupsOf[ci] {
-							slot := d*reps + rep
-							pending[slot] = run
-							folded[slot] = true
-							marked++
-						}
-					}
+					pending[idx] = parkedRun{run, probe}
+					parked += len(u.cells)
 					advance()
 				}
 				done++
 				if m != nil {
-					m.noteFold(foldNext, marked, reps)
+					m.noteFold(p.settled, parked, p.cellsDone)
 				}
-				if opt.Checkpoint != "" {
-					sinceSave++
-					if sinceSave >= ckEvery {
-						sinceSave = 0
-						if err := saveNow(); err != nil && firstErr == nil {
-							firstErr = fmt.Errorf("sweep: checkpoint: %w", err)
-							stopped.Store(true)
-						}
+				if opt.Checkpoint != "" && done%ckEvery == 0 {
+					if err := p.save(opt.Checkpoint, spec.Name); err != nil && firstErr == nil {
+						firstErr = fmt.Errorf("sweep: checkpoint: %w", err)
+						stopped.Store(true)
 					}
 				}
 				if opt.Progress != nil {
 					// Under the lock so counts reach the callback in order
 					// (a stale count printed after the final one would
 					// corrupt progress displays).
-					opt.Progress(done, execTotal)
+					opt.Progress(done, len(p.runs))
 				}
 				mu.Unlock()
 			}
 		}()
 	}
 
-	// Pre-marked slots at the head of the grid (other shards' cells,
-	// restored replications) fold before any run completes — and, when
-	// everything restored, without any worker at all.
-	mu.Lock()
-	advance()
-	if m != nil {
-		m.noteFold(foldNext, marked, reps)
-	}
-	mu.Unlock()
-
-	for _, idx := range execIdx {
+	for idx := range p.runs {
 		if stopped.Load() {
 			break
 		}
@@ -778,22 +553,53 @@ func runGrid(spec *scenario.Spec, opt Options) (*gridResult, error) {
 	// The final checkpoint lands on every exit path — completion, error,
 	// interrupt — so the next run never re-executes folded work.
 	if opt.Checkpoint != "" {
-		mu.Lock()
-		err := saveNow()
-		mu.Unlock()
-		if err != nil && firstErr == nil {
+		if err := p.save(opt.Checkpoint, spec.Name); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("sweep: checkpoint: %w", err)
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	return p, nil
+}
 
-	stats := make([]CellStats, len(cells))
-	for ci, c := range cells {
-		if owned[ci] {
-			stats[ci] = accums[ci].stats(c, reps)
-		}
+// execute runs one replication of u — seeded by (hash, replication),
+// with cells[0]'s axis indices — observed and metered as opt asks.
+func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker int) (*scenario.CellRun, obs.Probe, error) {
+	c := p.cells[u.cells[0]]
+	var probe obs.Probe
+	if opt.Observe != nil {
+		probe = opt.Observe(c, rep)
 	}
-	return &gridResult{cells: cells, hashes: hashes, owned: owned, reps: reps, stats: stats}, nil
+	m := opt.Metrics
+	var t0 time.Time
+	if m != nil {
+		m.runsStarted.Inc()
+		t0 = time.Now()
+	}
+	run, err := spec.RunCell(scenario.CellParams{
+		Nodes:        c.Nodes,
+		Load:         c.Load,
+		SchedulerIdx: c.SchedulerIdx,
+		ArrivalIdx:   c.ArrivalIdx,
+		AvailIdx:     c.AvailIdx,
+		AppModelIdx:  c.AppModelIdx,
+		AdmissionIdx: c.AdmissionIdx,
+		RoutingIdx:   c.RoutingIdx,
+		Seed:         runSeed(u.hash, rep),
+		Probe:        probe,
+		SampleDTS:    opt.SampleDTS,
+	})
+	if m != nil {
+		jobsDone, unfinished := 0, 0
+		if run != nil {
+			jobsDone = len(run.Result.PerJob)
+			unfinished = run.Result.Unfinished
+		}
+		m.noteRun(worker, time.Since(t0), jobsDone, unfinished, err != nil)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("sweep: cell %s rep %d: %w", c, rep, err)
+	}
+	return run, probe, nil
 }

@@ -29,7 +29,7 @@ func TestSweepDoc(t *testing.T) {
 		}
 		return keys
 	}
-	for _, v := range []any{checkpointFile{}, checkpointCell{}, accumState{}, ShardArtifact{}, ShardCell{}} {
+	for _, v := range []any{checkpointFile{}, checkpointCell{}, cellAccum{}, ShardArtifact{}, ShardCell{}} {
 		keys := jsonKeys(v)
 		if len(keys) == 0 {
 			t.Fatalf("%T has no JSON keys — schema moved?", v)

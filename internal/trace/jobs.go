@@ -48,9 +48,10 @@ func WriteJobs(w io.Writer, jobs []JobRecord) error {
 }
 
 // ReadJobs parses a workload trace written by WriteJobs (or by hand).
-// Records must be sorted by arrival; ReadJobs verifies monotonicity so a
-// corrupted trace fails loudly instead of tripping the simulator's
-// causality check mid-run.
+// Records must be sorted by arrival and carry unique ids; ReadJobs
+// verifies both so a corrupted trace fails loudly instead of tripping
+// the simulator's causality check — or silently merging two jobs —
+// mid-run.
 func ReadJobs(r io.Reader) ([]JobRecord, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 4
@@ -66,12 +67,19 @@ func ReadJobs(r io.Reader) ([]JobRecord, error) {
 	}
 	var out []JobRecord
 	prev := 0.0
+	lineOf := make(map[int]int, len(rows)-1) // id → the line that declared it
 	for n, row := range rows[1:] {
 		line := n + 2
 		id, err := strconv.Atoi(row[0])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad id %q", line, row[0])
 		}
+		// IDs key the simulator's active-job state: a second job with the
+		// same id would replace the first mid-run and corrupt both.
+		if first, dup := lineOf[id]; dup {
+			return nil, fmt.Errorf("trace: line %d: duplicate job id %d (first used on line %d)", line, id, first)
+		}
+		lineOf[id] = line
 		arrival, err := strconv.ParseFloat(row[1], 64)
 		if err != nil || arrival < 0 {
 			return nil, fmt.Errorf("trace: line %d: bad arrival %q", line, row[1])

@@ -45,10 +45,21 @@ func TestReadJobsRejectsMalformed(t *testing.T) {
 		"bad phase pair":    "id,arrival_s,max_nodes,phases\n0,0,4,1\n",
 		"zero work":         "id,arrival_s,max_nodes,phases\n0,0,4,0:0.1\n",
 		"negative comm":     "id,arrival_s,max_nodes,phases\n0,0,4,1:-0.1\n",
+		"duplicate id":      "id,arrival_s,max_nodes,phases\n7,0,4,1:0\n7,1,4,1:0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadJobs(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// A repeated id names both offending lines.
+	_, err := ReadJobs(strings.NewReader("id,arrival_s,max_nodes,phases\n0,0,4,1:0\n1,1,4,1:0\n1,2,4,1:0\n2,3,4,1:0\n"))
+	if err == nil {
+		t.Fatal("duplicate id: accepted")
+	}
+	for _, want := range []string{"duplicate job id 1", "line 4", "line 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("duplicate id error %q does not mention %q", err, want)
 		}
 	}
 }
