@@ -15,6 +15,7 @@ import (
 	"dpsim/internal/lu"
 	"dpsim/internal/metrics"
 	"dpsim/internal/netmodel"
+	"dpsim/internal/sched"
 )
 
 func quickSetup() experiments.Setup {
@@ -101,17 +102,22 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterServer runs the §9 future-work scenario: schedulers on a
-// malleable cluster serving LU-profile jobs.
+// BenchmarkClusterServer runs the §9 future-work scenario: every
+// registered scheduler on a malleable cluster serving LU-profile jobs.
 func BenchmarkClusterServer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		wl := cluster.PoissonWorkload(24, 16, 12, uint64(i)+1)
-		results, err := cluster.Compare(16, wl)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(results) != 4 {
-			b.Fatal("missing scheduler results")
+		for _, name := range sched.Names() {
+			policy, err := sched.New(name, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim, err := cluster.NewSim(16, policy, cluster.PoissonWorkload(24, 16, 12, uint64(i)+1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res := sim.Run(); res.Scheduler != name || res.Unfinished != 0 {
+				b.Fatalf("%s: result %q with %d unfinished jobs", name, res.Scheduler, res.Unfinished)
+			}
 		}
 	}
 }

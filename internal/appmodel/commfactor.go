@@ -66,8 +66,8 @@ func (m CommFactor) PhaseTime(work float64, nodes int) float64 {
 
 // LUPhase returns the model of LU iteration k of blocks total: the
 // communication factor rises inversely with the remaining block count,
-// matching cluster.LUProfile's measured efficiency decay
-// expression-for-expression.
+// matching the measured efficiency decay. This is the one definition of
+// the LU factor: cluster.LUProfile takes its phases' Comm from here.
 func LUPhase(blocks, k int) CommFactor {
 	rem := float64(blocks - k)
 	return CommFactor{model: "lu", C: 0.08 + 0.25/math.Max(rem, 1)}

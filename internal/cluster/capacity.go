@@ -134,7 +134,7 @@ func (s *Sim) fireCapacity() {
 // say) would otherwise keep churning the event loop long after the last
 // job.
 func (s *Sim) maybeSuspendCapacity() {
-	if s.capStopped || len(s.actives) > 0 || s.pendingArrivals > 0 {
+	if s.capStopped || len(s.finished) < len(s.jobs) {
 		return
 	}
 	s.q.Cancel(s.ev)
@@ -154,8 +154,6 @@ func (s *Sim) resumeCapacity() {
 		if at > now {
 			break
 		}
-		s.capEvents++
-		s.capHist = append(s.capHist, capStep{at: at, cap: c.Capacity})
 		s.capNow = c.Capacity
 		s.nextChange++
 	}
@@ -177,7 +175,7 @@ func (s *Sim) announceCapacity(idx int) {
 	s.announced++
 	if next := s.effectiveSchedCap(); next < s.schedCap {
 		s.schedCap = next
-		s.markDirty()
+		s.dirty = true
 	}
 }
 
@@ -189,8 +187,6 @@ func (s *Sim) applyCapacity(idx int) {
 	if s.probe != nil {
 		s.probe.CapacityChange(s.q.Now().Seconds(), c.Capacity)
 	}
-	s.capEvents++
-	s.capHist = append(s.capHist, capStep{at: s.q.Now(), cap: c.Capacity})
 	if len(s.open) > 0 && int(s.open[0]) == idx { // its notice is no longer outstanding
 		s.open = slices.Delete(s.open, 0, 1)
 		s.announced--
@@ -204,7 +200,7 @@ func (s *Sim) applyCapacity(idx int) {
 	}
 	s.capNow = c.Capacity
 	s.schedCap = s.effectiveSchedCap()
-	s.markDirty()
+	s.dirty = true
 }
 
 // effectiveSchedCap is the capacity the scheduler may use right now: the

@@ -113,8 +113,9 @@ func cursorJobs(src *rng.Source, bursts int, horizon float64) []*Job {
 // driveOpen is the open drive loop (the scenario.RunCell shape): inject
 // every job whose arrival does not follow the next pending event, else
 // step. It returns the ProcessNextEvent count and how many injections
-// found the capacity timeline suspended.
-func driveOpen(tb testing.TB, sim *Sim, jobs []*Job) (events, resumes int) {
+// found the capacity timeline suspended. A non-nil observe runs after
+// every step, with the step count.
+func driveOpen(tb testing.TB, sim *Sim, jobs []*Job, observe func(events int)) (events, resumes int) {
 	tb.Helper()
 	i := 0
 	for {
@@ -136,6 +137,9 @@ func driveOpen(tb testing.TB, sim *Sim, jobs []*Job) (events, resumes int) {
 		}
 		sim.ProcessNextEvent()
 		events++
+		if observe != nil {
+			observe(events)
+		}
 	}
 }
 
@@ -199,7 +203,7 @@ func TestCapacityCursorGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		events, resumes := driveOpen(t, sim, jobs)
+		events, resumes := driveOpen(t, sim, jobs, nil)
 		cycles[min(resumes, 3)] = true
 		fmt.Fprintf(&probe.b, "events=%d resumes=%d\n%s\n", events, resumes, fingerprintResult(sim.Result()))
 		got := fmt.Sprintf("%x", sha256.Sum256([]byte(probe.b.String())))[:16]
@@ -239,9 +243,10 @@ func TestCapacityQueueDepthBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for sim.ProcessNextEvent() {
-		if got, bound := sim.q.Len(), len(sim.actives)+sim.pendingArrivals+2; got > bound {
+		pending := len(sim.jobs) - len(sim.actives) - len(sim.finished)
+		if got, bound := sim.q.Len(), len(sim.actives)+pending+2; got > bound {
 			t.Fatalf("t=%v: %d events queued, want <= %d (%d active, %d arrivals pending)",
-				sim.Now(), got, bound, len(sim.actives), sim.pendingArrivals)
+				sim.Now(), got, bound, len(sim.actives), pending)
 		}
 	}
 	if r := sim.Result(); r.Unfinished != 0 || r.CapacityEvents < 1000 {

@@ -140,18 +140,28 @@ func TestDynamicReallocationOnDeparture(t *testing.T) {
 	}
 }
 
+// runEveryPolicy runs the same PoissonWorkload under every registered
+// policy (default parameters), regenerating it per run so no two runs
+// share a job.
+func runEveryPolicy(t *testing.T, jobs, nodes int, meanInterarrival float64, seed uint64) map[string]Result {
+	out := map[string]Result{}
+	for _, name := range sched.Names() {
+		policy, err := sched.New(name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := NewSim(nodes, policy, PoissonWorkload(jobs, nodes, meanInterarrival, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = sim.Run()
+	}
+	return out
+}
+
 func TestCompareOrdersSchedulers(t *testing.T) {
-	jobs := PoissonWorkload(12, 16, 20, 99)
-	results, err := Compare(16, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(sched.Names()) {
-		t.Fatalf("results = %d, want %d schedulers", len(results), len(sched.Names()))
-	}
-	byName := map[string]Result{}
-	for _, r := range results {
-		byName[r.Scheduler] = r
+	byName := runEveryPolicy(t, 12, 16, 20, 99)
+	for _, r := range byName {
 		if len(r.PerJob) != 12 {
 			t.Fatalf("%s finished %d of 12 jobs", r.Scheduler, len(r.PerJob))
 		}
@@ -173,12 +183,7 @@ func TestAllJobsFinishProperty(t *testing.T) {
 	prop := func(seed uint64, jobsRaw, nodesRaw uint8) bool {
 		jobs := int(jobsRaw%10) + 1
 		nodes := int(nodesRaw%12) + 2
-		wl := PoissonWorkload(jobs, nodes, 5, seed)
-		results, err := Compare(nodes, wl)
-		if err != nil {
-			return false
-		}
-		for _, r := range results {
+		for _, r := range runEveryPolicy(t, jobs, nodes, 5, seed) {
 			if len(r.PerJob) != jobs {
 				return false
 			}
@@ -210,15 +215,6 @@ func TestNewSimValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkClusterServer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		wl := PoissonWorkload(40, 32, 10, uint64(i))
-		if _, err := Compare(32, wl); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestMoldableHoldsAllocation(t *testing.T) {
 	job := &Job{ID: 0, Phases: SyntheticProfile(3, 30, 0.2), MaxNodes: 8}
 	sim, err := NewSim(8, &sched.Moldable{}, []*Job{job})
@@ -228,56 +224,5 @@ func TestMoldableHoldsAllocation(t *testing.T) {
 	res := sim.Run()
 	if len(res.PerJob) != 1 || res.PerJob[0].Finish <= 0 {
 		t.Fatalf("moldable run: %+v", res)
-	}
-}
-
-func TestCompareIncludesMoldable(t *testing.T) {
-	wl := PoissonWorkload(8, 12, 15, 5)
-	results, err := Compare(12, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(sched.Names()) {
-		t.Fatalf("results = %d, want %d schedulers", len(results), len(sched.Names()))
-	}
-	names := map[string]bool{}
-	for _, r := range results {
-		names[r.Scheduler] = true
-	}
-	if !names["moldable"] {
-		t.Fatalf("moldable missing: %v", names)
-	}
-}
-
-func TestFitProfileRoundTrip(t *testing.T) {
-	// A profile fitted from iteration stats must reproduce the observed
-	// efficiency at the observed allocation.
-	iters := []IterLike{
-		{SerialSeconds: 60, Nodes: 8, Efficiency: 0.40},
-		{SerialSeconds: 30, Nodes: 8, Efficiency: 0.30},
-		{SerialSeconds: 10, Nodes: 8, Efficiency: 0.15},
-	}
-	phases := FitProfile(iters)
-	if len(phases) != 3 {
-		t.Fatalf("phases = %d", len(phases))
-	}
-	for i, ph := range phases {
-		if got := ph.Efficiency(iters[i].Nodes); math.Abs(got-iters[i].Efficiency) > 1e-9 {
-			t.Fatalf("phase %d: fitted eff(%d) = %v, want %v", i, iters[i].Nodes, got, iters[i].Efficiency)
-		}
-		if ph.Work != iters[i].SerialSeconds {
-			t.Fatalf("phase %d work %v", i, ph.Work)
-		}
-	}
-	// Efficiency at 1 node is always 1 under the fitted model.
-	if phases[0].Efficiency(1) != 1 {
-		t.Fatal("eff(1) != 1")
-	}
-}
-
-func TestFitProfileDegenerate(t *testing.T) {
-	phases := FitProfile([]IterLike{{SerialSeconds: 5, Nodes: 1, Efficiency: 1}})
-	if phases[0].Comm != 0 {
-		t.Fatalf("single-node fit comm = %v, want 0", phases[0].Comm)
 	}
 }

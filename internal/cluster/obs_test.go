@@ -196,7 +196,7 @@ func TestSampleAtCapacityChangeInstant(t *testing.T) {
 		if err := sim.SetSampleInterval(10); err != nil {
 			t.Fatal(err)
 		}
-		driveOpen(t, sim, injected)
+		driveOpen(t, sim, injected, nil)
 		byT := map[float64]obs.Sample{}
 		for _, s := range rec.Samples() {
 			byT[s.T] = s

@@ -1,0 +1,157 @@
+package cluster
+
+import (
+	"cmp"
+	"slices"
+
+	"dpsim/internal/eventq"
+)
+
+// Result summarizes one simulated workload.
+type Result struct {
+	Scheduler    string
+	Makespan     float64
+	MeanResponse float64
+	MaxResponse  float64
+	// MeanWait is the mean time finished jobs spent between arrival and
+	// first node allocation.
+	MeanWait float64
+	// Utilization is total useful serial work divided by nodes×makespan
+	// (nodes = the full pool, counting unavailable capacity as waste).
+	Utilization float64
+	// AvailWeightedUtilization divides the same work by the integral of
+	// the *available* capacity over [0, makespan]: utilization relative
+	// to what the volatile pool actually offered. Equal to Utilization
+	// when capacity never changes.
+	AvailWeightedUtilization float64
+	// MeanAllocEfficiency is the work-weighted dynamic efficiency.
+	MeanAllocEfficiency float64
+	// Unfinished counts jobs that arrived (or were scheduled) but did
+	// not complete — e.g. stranded by a permanent capacity loss their
+	// scheduler cannot work around.
+	Unfinished int
+	// Reallocations counts per-job allocation changes applied over the
+	// run: admissions, resizes and preemptions. Changes are counted once
+	// per coalesced scheduler invocation — the net delta across all
+	// events of an instant — so a job admitted and resized within one
+	// equal-instant burst counts once, not per event.
+	Reallocations int
+	// CapacityEvents counts the capacity changes applied to the pool.
+	CapacityEvents int
+	// LostWorkS totals the work-seconds rolled back by abrupt capacity
+	// drops under the reconfiguration-cost model.
+	LostWorkS float64
+	// RedistributionS totals the per-job pause time charged for data
+	// redistribution on allocation deltas.
+	RedistributionS float64
+	PerJob          []JobOutcome
+}
+
+// JobOutcome is one job's fate.
+type JobOutcome struct {
+	ID       int
+	Arrival  float64
+	Finish   float64
+	Response float64
+	// FirstStart is the instant the job first held nodes; Wait is
+	// FirstStart-Arrival, the queueing delay before any progress.
+	FirstStart float64
+	Wait       float64
+}
+
+// Result summarizes the simulation so far: call it after Run, or after the
+// stepped event loop drains, to collect the outcome. The makespan is the
+// instant of the last job event (arrival or completion): capacity events
+// outliving the workload do not stretch it.
+func (s *Sim) Result() Result {
+	res := Result{
+		Scheduler: s.sched.Name(), Makespan: s.lastJobEvent.Seconds(),
+		Reallocations: s.reallocs, CapacityEvents: s.nextChange,
+		LostWorkS: s.lostWork, RedistributionS: s.redistS,
+		Unfinished: len(s.jobs) - len(s.finished),
+	}
+	var sum, waitSum float64
+	for _, js := range s.finished {
+		resp := js.finished - js.Job.Arrival
+		wait := js.firstStart - js.Job.Arrival
+		if wait < 0 {
+			wait = 0 // nanosecond arrival rounding can undercut the float instant
+		}
+		res.PerJob = append(res.PerJob, JobOutcome{
+			ID: js.Job.ID, Arrival: js.Job.Arrival, Finish: js.finished, Response: resp,
+			FirstStart: js.firstStart, Wait: wait,
+		})
+		sum += resp
+		waitSum += wait
+		if resp > res.MaxResponse {
+			res.MaxResponse = resp
+		}
+	}
+	slices.SortFunc(res.PerJob, func(a, b JobOutcome) int { return cmp.Compare(a.ID, b.ID) })
+	if len(s.finished) > 0 {
+		res.MeanResponse = sum / float64(len(s.finished))
+		res.MeanWait = waitSum / float64(len(s.finished))
+	}
+	// Useful work is what was actually completed, summed in intake order
+	// (which fixes the float sum's last bits). With every job finished
+	// this sums TotalWork over the workload, exactly the fixed-pool
+	// computation.
+	var work float64
+	for _, js := range s.jobs {
+		work += js.workDone()
+	}
+	if res.Makespan > 0 {
+		res.Utilization = work / (float64(s.nodes) * res.Makespan)
+		if avail := s.capacityIntegral(s.lastJobEvent); avail > 0 {
+			res.AvailWeightedUtilization = work / avail
+		}
+	}
+	if s.effDen > 0 {
+		res.MeanAllocEfficiency = s.effNum / s.effDen
+	}
+	return res
+}
+
+// workDone is the useful work js has completed: its full profile once
+// finished, the settled progress of an active job, nothing while its
+// arrival is pending — stranded or pending jobs must not inflate
+// utilization.
+func (js *jobState) workDone() float64 {
+	j := js.Job
+	switch {
+	case js.PhaseIdx < 0:
+		return 0
+	case js.PhaseIdx >= len(j.Phases):
+		return j.TotalWork()
+	}
+	completed := j.TotalWork() - js.Remaining
+	for k := js.PhaseIdx + 1; k < len(j.Phases); k++ {
+		completed -= j.Phases[k].Work
+	}
+	return max(completed, 0)
+}
+
+// capacityIntegral is ∫₀ᵉⁿᵈ capacity(t) dt in node-seconds, from the
+// applied capacity history. With no capacity events it reduces to the
+// fixed pool's nodes×makespan, bit-identically.
+func (s *Sim) capacityIntegral(end eventq.Time) float64 {
+	if s.nextChange == 0 {
+		return float64(s.nodes) * end.Seconds()
+	}
+	var integral float64
+	level := s.nodes
+	prev := eventq.Time(0)
+	for _, c := range s.changes[:s.nextChange] {
+		at := changeAt(c)
+		if at >= end {
+			break
+		}
+		integral += float64(level) * (at - prev).Seconds()
+		level = c.Capacity
+		prev = at
+	}
+	if end > prev {
+		integral += float64(level) * (end - prev).Seconds()
+	}
+	return integral
+}
