@@ -14,7 +14,9 @@
 // stream of LU-profile jobs. With -scenario, the named scenario file
 // supplies nodes, mix, arrival process and — when declared — the node
 // availability process and reconfiguration-cost model (its first grid
-// point is used; run cmd/dpssweep to cover the full grid).
+// point is used; run cmd/dpssweep to cover the full grid); setting one of
+// the workload flags -nodes, -jobs, -interarrival or -seed alongside it is
+// a usage error.
 //
 // -schedulers overrides the compared policies with a comma-separated
 // list of scheduler specs — a registered name, optionally with
@@ -30,7 +32,8 @@
 // the comparison from schedulers to federation policies: the fixed
 // multi-cluster fleet runs once per admission × routing pair, sharing the
 // open arrival stream through the federation orchestrator
-// (internal/federation). -admissions and -routings override the compared
+// (internal/federation). A plain scenario runs as a fleet of one member,
+// so both comparisons share one run loop and differ only in the report. -admissions and -routings override the compared
 // policy lists. The table and -json report the merged fleet metrics plus
 // per-pair rejected/routed job counts; observability exports carry one
 // track per member cluster ("<pair>:<cluster>"), and -telemetry-addr
@@ -47,7 +50,8 @@
 //
 // Observability (internal/obs): -trace-out writes a Chrome trace-event
 // JSON file (load it in Perfetto or chrome://tracing; one process per
-// scheduler, one track per job, capacity and queue-depth counters),
+// member cluster of each compared run, one track per job, capacity and
+// queue-depth counters),
 // -timeseries-out writes fixed-interval samples as CSV, and
 // -summary-out writes per-run summaries (counts, charges, scheduler
 // wall-clock latency) as JSON. The sample interval comes from
@@ -60,10 +64,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strings"
-
 	"time"
 
 	"dpsim/internal/appmodel"
@@ -89,7 +91,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 40, "jobs in the workload")
 	inter := fs.Float64("interarrival", 10, "mean inter-arrival time [s]")
 	seed := fs.Uint64("seed", 7, "workload seed")
-	scenarioPath := fs.String("scenario", "", "scenario JSON file (overrides the workload flags)")
+	scenarioPath := fs.String("scenario", "", "scenario JSON file (replaces the workload flags, which may not be set with it)")
 	schedulers := fs.String("schedulers", "",
 		"comma-separated scheduler specs to compare, each NAME or NAME(k=v,...)\n"+
 			"(overrides the scenario's list; valid names: "+strings.Join(sched.Names(), ", ")+")")
@@ -145,6 +147,21 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 	var spec *scenario.Spec
 	if *scenarioPath != "" {
+		// The scenario file supplies the workload; a workload flag set
+		// alongside it would be silently ignored.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "nodes", "jobs", "interarrival", "seed":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(stderr, "clustersim: %s cannot be combined with -scenario: the scenario file sets the workload\n",
+				strings.Join(ignored, ", "))
+			fs.Usage()
+			return 2
+		}
 		var err error
 		spec, err = scenario.Load(*scenarioPath)
 		if err != nil {
@@ -163,29 +180,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 				{Process: "poisson", MeanInterarrivalS: *inter},
 			},
 		}
-		if err := spec.Validate(); err != nil {
-			return fail(err)
-		}
 	}
-	if *schedulers != "" {
-		if err := spec.ApplySchedulerOverride(*schedulers); err != nil {
-			return fail(err)
-		}
-	}
-	if *appmodels != "" {
-		if err := spec.ApplyAppModelOverride(*appmodels); err != nil {
-			return fail(err)
-		}
-	}
-	if *admissionsFlag != "" {
-		if err := spec.ApplyAdmissionOverride(*admissionsFlag); err != nil {
-			return fail(err)
-		}
-	}
-	if *routingsFlag != "" {
-		if err := spec.ApplyRoutingOverride(*routingsFlag); err != nil {
-			return fail(err)
-		}
+	if err := spec.ApplyOverrides(scenario.Overrides{
+		Schedulers: *schedulers, AppModels: *appmodels,
+		Admissions: *admissionsFlag, Routings: *routingsFlag,
+	}); err != nil {
+		return fail(err)
 	}
 
 	// Recorders are attached only when an observability export was
@@ -200,13 +200,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Telemetry: simple run/job counters plus a run-duration histogram and
-	// Go runtime health; clustersim has no grid, so there is no progress
-	// source and /progress reports inactive.
-	var runsMetric, jobsMetric *telemetry.Counter
+	// Go runtime health, and per-member routed and rejected job counters
+	// for a federated fleet; clustersim has no grid, so there is no
+	// progress source and /progress reports inactive.
+	f := spec.Federation
+	var runsMetric, jobsMetric, fedRejected *telemetry.Counter
+	var fedRouted []*telemetry.Counter
 	var runDur *telemetry.Histogram
-	var reg *telemetry.Registry
 	if *telemetryAddr != "" {
-		reg = telemetry.NewRegistry()
+		reg := telemetry.NewRegistry()
 		telemetry.RegisterRuntimeMetrics(reg)
 		runsMetric = reg.Counter("dpsim_clustersim_runs_total",
 			"Completed scheduler-comparison runs.")
@@ -214,6 +216,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			"Jobs finished across all compared runs.")
 		runDur = reg.Histogram("dpsim_clustersim_run_duration_seconds",
 			"Wall-clock duration of one scheduler's simulation run.")
+		if f != nil {
+			for _, c := range f.Clusters {
+				fedRouted = append(fedRouted, reg.Counter("dpsim_federation_routed_jobs_total",
+					"Jobs the federation routing policy placed on each member cluster.",
+					telemetry.L("cluster", c.Name)))
+			}
+			fedRejected = reg.Counter("dpsim_federation_rejected_jobs_total",
+				"Jobs turned away by the federation admission policy.")
+		}
 		srv, err := telemetry.NewServer(*telemetryAddr, reg, nil)
 		if err != nil {
 			return fail(err)
@@ -223,62 +234,108 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		logger.Info("telemetry serving", "addr", srv.Addr())
 	}
 
-	if spec.Federation != nil {
-		return runFederated(spec, fedEnv{
-			stdout: stdout, logger: logger, fail: fail,
-			jsonOut: *jsonOut, observing: observing, dt: dt,
-			traceOut: *traceOut, tsOut: *tsOut, sumOut: *sumOut,
-			reg: reg, runsMetric: runsMetric, jobsMetric: jobsMetric, runDur: runDur,
-		})
+	// The compared entries: one per scheduler of a plain scenario, one per
+	// admission × routing pair (admission-major) of a federated one, each
+	// at the first grid point (including the first availability process).
+	// A plain cell is a one-member fleet, so both run, record and log
+	// through the one loop below; only their reports differ.
+	cell := scenario.CellParams{Nodes: spec.Nodes[0], Load: spec.Loads[0], Seed: spec.Seed}
+	var entries []*entry
+	if f == nil {
+		for i := range spec.Schedulers {
+			label := spec.Schedulers[i].Label()
+			e := &entry{labels: []string{label}, members: []string{label}, attrs: []any{"scheduler", label}, params: cell}
+			e.params.SchedulerIdx = i
+			entries = append(entries, e)
+		}
+		logger.Info("comparison starting", "scenario", spec.Name, "nodes", cell.Nodes,
+			"schedulers", len(spec.Schedulers))
+	} else {
+		for ai := range f.Admissions {
+			for ri := range f.Routings {
+				adm, rt := f.Admissions[ai].Label(), f.Routings[ri].Label()
+				e := &entry{labels: []string{adm, rt}, attrs: []any{"admission", adm, "routing", rt}, params: cell}
+				e.params.AdmissionIdx, e.params.RoutingIdx = ai, ri
+				for _, c := range f.Clusters {
+					e.members = append(e.members, adm+"/"+rt+":"+c.Name)
+				}
+				entries = append(entries, e)
+			}
+		}
+		logger.Info("federated comparison starting", "scenario", spec.Name,
+			"nodes", cell.Nodes, "clusters", len(f.Clusters),
+			"admissions", len(f.Admissions), "routings", len(f.Routings))
 	}
 
-	n := spec.Nodes[0]
-	load := spec.Loads[0]
-	logger.Info("comparison starting", "scenario", spec.Name, "nodes", n,
-		"schedulers", len(spec.Schedulers))
-	var results []cluster.Result
 	var recorders []*obs.Recorder
-	labels := make([]string, len(spec.Schedulers))
-	for i := range spec.Schedulers {
-		labels[i] = spec.Schedulers[i].Label()
-		params := scenario.CellParams{
-			Nodes: n, Load: load, SchedulerIdx: i, ArrivalIdx: 0, AvailIdx: 0, AppModelIdx: 0,
-			Seed: spec.Seed,
-		}
+	for _, e := range entries {
 		if observing {
-			cfg := obs.Config{Label: labels[i]}
-			if spec.Observe != nil {
-				cfg = spec.Observe.RecorderConfig(labels[i])
+			// One recorder per member cluster, attached as its member probe.
+			e.params.SampleDTS = dt
+			for _, label := range e.members {
+				cfg := obs.Config{Label: label}
+				if spec.Observe != nil {
+					cfg = spec.Observe.RecorderConfig(label)
+				}
+				rec := obs.NewRecorder(cfg)
+				recorders = append(recorders, rec)
+				e.params.MemberProbes = append(e.params.MemberProbes, rec)
 			}
-			rec := obs.NewRecorder(cfg)
-			recorders = append(recorders, rec)
-			params.Probe = rec
-			params.SampleDTS = dt
 		}
-		// The first grid point throughout, including the first
-		// availability process when the scenario declares any.
 		t0 := time.Now()
-		run, err := spec.RunCell(params)
+		run, err := spec.RunCell(e.params)
 		if err != nil {
 			return fail(err)
 		}
+		e.run = run
 		if runsMetric != nil {
 			runsMetric.Inc()
 			jobsMetric.Add(int64(len(run.Result.PerJob)))
 			runDur.Observe(time.Since(t0))
 		}
-		logger.Info("run finished", "scheduler", labels[i],
-			"elapsed_s", time.Since(t0).Seconds(), "jobs", len(run.Result.PerJob))
-		results = append(results, run.Result)
+		if fedRejected != nil {
+			fedRejected.Add(int64(run.Rejected))
+			for m, routed := range run.Routed {
+				fedRouted[m].Add(int64(routed))
+			}
+		}
+		done := []any{"elapsed_s", time.Since(t0).Seconds(), "jobs", len(run.Result.PerJob)}
+		if f != nil {
+			done = append(done, "rejected", run.Rejected)
+		}
+		logger.With(e.attrs...).Info("run finished", done...)
 	}
 
 	if observing {
-		if err := writeObservability(*traceOut, *tsOut, *sumOut, labels, recorders); err != nil {
+		if err := writeObservability(*traceOut, *tsOut, *sumOut, recorders); err != nil {
 			return fail(err)
 		}
 	}
+	render := renderSchedulers
+	if f != nil {
+		render = renderPairs
+	}
+	if err := render(stdout, spec, entries, *jsonOut); err != nil {
+		return fail(err)
+	}
+	return 0
+}
 
-	if *jsonOut {
+// entry is one compared run: its policy labels (the scheduler, or the
+// admission and routing pair) and their slog attributes, its grid cell,
+// the recorder label of each member cluster and, once run, its outcome.
+type entry struct {
+	labels  []string
+	attrs   []any
+	params  scenario.CellParams
+	members []string
+	run     *scenario.CellRun
+}
+
+// renderSchedulers reports a scheduler comparison as a table, or as -json
+// results labelled with their scheduler specs.
+func renderSchedulers(w io.Writer, spec *scenario.Spec, entries []*entry, jsonOut bool) error {
+	if jsonOut {
 		// Attach the parameterized label: Result.Scheduler is the bare
 		// policy name, which cannot distinguish two parameter variants
 		// of one policy. SchedulerSpec round-trips through
@@ -287,18 +344,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			SchedulerSpec string `json:"scheduler_spec"`
 			cluster.Result
 		}
-		labeled := make([]labeledResult, len(results))
-		for i, r := range results {
-			labeled[i] = labeledResult{SchedulerSpec: labels[i], Result: r}
+		rows := make([]labeledResult, len(entries))
+		for i, e := range entries {
+			rows[i] = labeledResult{SchedulerSpec: e.labels[0], Result: e.run.Result}
 		}
-		enc := json.NewEncoder(stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(labeled); err != nil {
-			return fail(err)
-		}
-		return 0
+		return enc.Encode(rows)
 	}
-
 	availLabel := "fixed pool"
 	if len(spec.Availability) > 0 {
 		availLabel = spec.Availability[0].Label() + " availability"
@@ -307,189 +360,82 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if len(spec.AppModels) > 0 {
 		modelLabel = spec.AppModels[0].Label()
 	}
-	fmt.Fprintf(stdout, "scenario %q: cluster of %d nodes, %s arrivals, %s, app model %s\n\n",
-		spec.Name, n, spec.Arrivals[0].Label(), availLabel, modelLabel)
+	fmt.Fprintf(w, "scenario %q: cluster of %d nodes, %s arrivals, %s, app model %s\n\n",
+		spec.Name, spec.Nodes[0], spec.Arrivals[0].Label(), availLabel, modelLabel)
 	width := len("scheduler")
-	for _, l := range labels {
-		if len(l) > width {
-			width = len(l)
-		}
+	for _, e := range entries {
+		width = max(width, len(e.labels[0]))
 	}
-	fmt.Fprintf(stdout, "%-*s  %10s  %12s  %10s  %11s  %9s  %8s  %10s\n",
+	fmt.Fprintf(w, "%-*s  %10s  %12s  %10s  %11s  %9s  %8s  %10s\n",
 		width, "scheduler", "makespan", "mean resp.", "mean wait", "utilization", "mean eff.", "realloc", "lost work")
-	for i, r := range results {
-		fmt.Fprintf(stdout, "%-*s  %9.1fs  %11.1fs  %9.1fs  %10.1f%%  %8.1f%%  %8d  %9.1fs\n",
-			width, labels[i], r.Makespan, r.MeanResponse, r.MeanWait,
+	for _, e := range entries {
+		r := e.run.Result
+		fmt.Fprintf(w, "%-*s  %9.1fs  %11.1fs  %9.1fs  %10.1f%%  %8.1f%%  %8d  %9.1fs\n",
+			width, e.labels[0], r.Makespan, r.MeanResponse, r.MeanWait,
 			100*r.Utilization, 100*r.MeanAllocEfficiency, r.Reallocations, r.LostWorkS)
 	}
-	fmt.Fprintln(stdout, "\nDynamic node allocation (equipartition, efficiency-greedy) raises the")
-	fmt.Fprintln(stdout, "cluster's service rate over rigid FCFS — the paper's §1/§9 motivation.")
-	return 0
+	fmt.Fprintln(w, "\nDynamic node allocation (equipartition, efficiency-greedy) raises the")
+	fmt.Fprintln(w, "cluster's service rate over rigid FCFS — the paper's §1/§9 motivation.")
+	return nil
 }
 
-// fedEnv carries the already-resolved CLI environment into the
-// federated comparison path.
-type fedEnv struct {
-	stdout    io.Writer
-	logger    *slog.Logger
-	fail      func(error) int
-	jsonOut   bool
-	observing bool
-	dt        float64
-	traceOut  string
-	tsOut     string
-	sumOut    string
-
-	reg        *telemetry.Registry
-	runsMetric *telemetry.Counter
-	jobsMetric *telemetry.Counter
-	runDur     *telemetry.Histogram
-}
-
-// runFederated compares the federated scenario's admission × routing
-// policy pairs over its fixed multi-cluster fleet. Each pair is one
-// orchestrated run of the shared arrival stream; the report carries the
-// merged fleet result plus the pair's rejected count and per-cluster
-// routed counts.
-func runFederated(spec *scenario.Spec, env fedEnv) int {
-	f := spec.Federation
-	n := spec.Nodes[0]
-	load := spec.Loads[0]
-	clusters := make([]string, len(f.Clusters))
-	for i := range f.Clusters {
-		clusters[i] = f.Clusters[i].Name
-	}
-	var fedRouted []*telemetry.Counter
-	var fedRejected *telemetry.Counter
-	if env.reg != nil {
-		for _, cn := range clusters {
-			fedRouted = append(fedRouted, env.reg.Counter("dpsim_federation_routed_jobs_total",
-				"Jobs the federation routing policy placed on each member cluster.",
-				telemetry.L("cluster", cn)))
+// renderPairs reports a federated policy-pair comparison: the merged
+// fleet result plus each pair's rejected count and per-cluster routed
+// counts, as a table or as -json.
+func renderPairs(w io.Writer, spec *scenario.Spec, entries []*entry, jsonOut bool) error {
+	if jsonOut {
+		type fedRun struct {
+			Admission string `json:"admission"`
+			Routing   string `json:"routing"`
+			// RejectedJobs and RoutedJobs (federation.clusters order) account
+			// for every offered job: rejected + sum(routed) == offered.
+			RejectedJobs int   `json:"rejected_jobs"`
+			RoutedJobs   []int `json:"routed_jobs"`
+			cluster.Result
 		}
-		fedRejected = env.reg.Counter("dpsim_federation_rejected_jobs_total",
-			"Jobs turned away by the federation admission policy.")
-	}
-	env.logger.Info("federated comparison starting", "scenario", spec.Name,
-		"nodes", n, "clusters", len(clusters),
-		"admissions", len(f.Admissions), "routings", len(f.Routings))
-
-	type fedRun struct {
-		Admission string `json:"admission"`
-		Routing   string `json:"routing"`
-		// RejectedJobs and RoutedJobs (federation.clusters order) account
-		// for every offered job: rejected + sum(routed) == offered.
-		RejectedJobs int   `json:"rejected_jobs"`
-		RoutedJobs   []int `json:"routed_jobs"`
-		cluster.Result
-	}
-	var runs []fedRun
-	var labels []string
-	var recorders []*obs.Recorder
-	for ai := range f.Admissions {
-		for ri := range f.Routings {
-			pair := f.Admissions[ai].Label() + "/" + f.Routings[ri].Label()
-			params := scenario.CellParams{
-				Nodes: n, Load: load, ArrivalIdx: 0,
-				AdmissionIdx: ai, RoutingIdx: ri,
-				Seed: spec.Seed,
-			}
-			if env.observing {
-				// One recorder per member cluster: the federated exports get
-				// one track per "<pair>:<cluster>" instead of one per run.
-				probes := make([]obs.Probe, len(clusters))
-				for i, cn := range clusters {
-					label := pair + ":" + cn
-					cfg := obs.Config{Label: label}
-					if spec.Observe != nil {
-						cfg = spec.Observe.RecorderConfig(label)
-					}
-					rec := obs.NewRecorder(cfg)
-					labels = append(labels, label)
-					recorders = append(recorders, rec)
-					probes[i] = rec
-				}
-				params.MemberProbes = probes
-				params.SampleDTS = env.dt
-			}
-			t0 := time.Now()
-			run, err := spec.RunCell(params)
-			if err != nil {
-				return env.fail(err)
-			}
-			if env.runsMetric != nil {
-				env.runsMetric.Inc()
-				env.jobsMetric.Add(int64(len(run.Result.PerJob)))
-				env.runDur.Observe(time.Since(t0))
-			}
-			if fedRejected != nil {
-				fedRejected.Add(int64(run.Rejected))
-				for i, routed := range run.Routed {
-					fedRouted[i].Add(int64(routed))
-				}
-			}
-			env.logger.Info("run finished", "admission", f.Admissions[ai].Label(),
-				"routing", f.Routings[ri].Label(), "elapsed_s", time.Since(t0).Seconds(),
-				"jobs", len(run.Result.PerJob), "rejected", run.Rejected)
-			runs = append(runs, fedRun{
-				Admission:    f.Admissions[ai].Label(),
-				Routing:      f.Routings[ri].Label(),
-				RejectedJobs: run.Rejected,
-				RoutedJobs:   run.Routed,
-				Result:       run.Result,
-			})
+		rows := make([]fedRun, len(entries))
+		for i, e := range entries {
+			rows[i] = fedRun{Admission: e.labels[0], Routing: e.labels[1],
+				RejectedJobs: e.run.Rejected, RoutedJobs: e.run.Routed, Result: e.run.Result}
 		}
-	}
-
-	if env.observing {
-		if err := writeObservability(env.traceOut, env.tsOut, env.sumOut, labels, recorders); err != nil {
-			return env.fail(err)
-		}
-	}
-
-	if env.jsonOut {
-		enc := json.NewEncoder(env.stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(runs); err != nil {
-			return env.fail(err)
-		}
-		return 0
+		return enc.Encode(rows)
 	}
-
-	fmt.Fprintf(env.stdout, "scenario %q: federated fleet of %d nodes (%s), %s arrivals\n\n",
-		spec.Name, n, strings.Join(clusters, ", "), spec.Arrivals[0].Label())
+	clusters := make([]string, len(spec.Federation.Clusters))
+	for i, c := range spec.Federation.Clusters {
+		clusters[i] = c.Name
+	}
+	fmt.Fprintf(w, "scenario %q: federated fleet of %d nodes (%s), %s arrivals\n\n",
+		spec.Name, spec.Nodes[0], strings.Join(clusters, ", "), spec.Arrivals[0].Label())
 	awidth, rwidth := len("admission"), len("routing")
-	for _, r := range runs {
-		if len(r.Admission) > awidth {
-			awidth = len(r.Admission)
-		}
-		if len(r.Routing) > rwidth {
-			rwidth = len(r.Routing)
-		}
+	for _, e := range entries {
+		awidth, rwidth = max(awidth, len(e.labels[0])), max(rwidth, len(e.labels[1]))
 	}
-	fmt.Fprintf(env.stdout, "%-*s  %-*s  %10s  %12s  %10s  %11s  %8s  %s\n",
+	fmt.Fprintf(w, "%-*s  %-*s  %10s  %12s  %10s  %11s  %8s  %s\n",
 		awidth, "admission", rwidth, "routing",
 		"makespan", "mean resp.", "mean wait", "utilization", "rejected", "routed")
-	for _, r := range runs {
-		routed := make([]string, len(r.RoutedJobs))
-		for i, c := range r.RoutedJobs {
-			routed[i] = fmt.Sprintf("%s=%d", clusters[i], c)
+	for _, e := range entries {
+		routed := make([]string, len(e.run.Routed))
+		for m, c := range e.run.Routed {
+			routed[m] = fmt.Sprintf("%s=%d", clusters[m], c)
 		}
-		fmt.Fprintf(env.stdout, "%-*s  %-*s  %9.1fs  %11.1fs  %9.1fs  %10.1f%%  %8d  %s\n",
-			awidth, r.Admission, rwidth, r.Routing, r.Makespan, r.MeanResponse, r.MeanWait,
-			100*r.Utilization, r.RejectedJobs, strings.Join(routed, " "))
+		r := e.run.Result
+		fmt.Fprintf(w, "%-*s  %-*s  %9.1fs  %11.1fs  %9.1fs  %10.1f%%  %8d  %s\n",
+			awidth, e.labels[0], rwidth, e.labels[1], r.Makespan, r.MeanResponse, r.MeanWait,
+			100*r.Utilization, e.run.Rejected, strings.Join(routed, " "))
 	}
-	fmt.Fprintln(env.stdout, "\nAdmission throttling trades rejected jobs for responsiveness; routing")
-	fmt.Fprintln(env.stdout, "decides how the shared stream spreads over the heterogeneous fleet.")
-	return 0
+	fmt.Fprintln(w, "\nAdmission throttling trades rejected jobs for responsiveness; routing")
+	fmt.Fprintln(w, "decides how the shared stream spreads over the heterogeneous fleet.")
+	return nil
 }
 
 // writeObservability renders the recorders into the requested export
 // files: one trace process, one CSV block and one summary entry per
-// compared scheduler, in comparison order. Every file is written
-// atomically (temp file + rename), so a failure never leaves a
-// truncated export.
-func writeObservability(traceOut, tsOut, sumOut string, labels []string, recorders []*obs.Recorder) error {
+// recorder (per member cluster of each compared run), in comparison
+// order. Every file is written atomically (temp file + rename), so a
+// failure never leaves a truncated export.
+func writeObservability(traceOut, tsOut, sumOut string, recorders []*obs.Recorder) error {
 	if traceOut != "" {
 		var tr obs.Trace
 		for i, rec := range recorders {
@@ -502,8 +448,8 @@ func writeObservability(traceOut, tsOut, sumOut string, labels []string, recorde
 	if tsOut != "" {
 		if err := sweep.WriteFileAtomic(tsOut, func(w io.Writer) error {
 			tw := obs.NewTimeSeriesWriter(w, "scheduler")
-			for i, rec := range recorders {
-				if err := tw.WriteAll([]string{labels[i]}, rec.Samples()); err != nil {
+			for _, rec := range recorders {
+				if err := tw.WriteAll([]string{rec.Label()}, rec.Samples()); err != nil {
 					return err
 				}
 			}

@@ -149,6 +149,18 @@ func TestBadFlagsFail(t *testing.T) {
 	if code := realMain([]string{"-scenario", "does-not-exist.json"}, &out, &errBuf); code == 0 {
 		t.Error("missing scenario accepted")
 	}
+	// The scenario file sets the workload, so a workload flag beside it
+	// used to be silently ignored; it is a usage error naming the flag.
+	for _, flag := range []string{"-nodes", "-jobs", "-interarrival", "-seed"} {
+		errBuf.Reset()
+		args := []string{"-scenario", scenarioFile("downey_spot.json"), flag, "3"}
+		if code := realMain(args, &out, &errBuf); code != 2 {
+			t.Errorf("%s with -scenario: exit %d, want 2 (stderr: %s)", flag, code, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), flag+" cannot be combined with -scenario") {
+			t.Errorf("%s with -scenario: stderr does not name the flag: %s", flag, errBuf.String())
+		}
+	}
 	// A sample interval the simulator would never sample at used to exit
 	// 0 with a header-only time-series; it is a usage error.
 	for _, dt := range []string{"-5", "NaN", "-Inf"} {

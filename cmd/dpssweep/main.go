@@ -58,7 +58,9 @@
 // rep) followed by the sample columns. Rows appear in grid order and
 // the file is byte-identical for any -workers value; the aggregate
 // exports are unchanged by sampling. -sample-dt sets the interval,
-// falling back to the scenario's observe.sample_dt_s, then 1s.
+// falling back to the scenario's observe.sample_dt_s, then 1s. A
+// federated scenario rejects -timeseries-out (clustersim -timeseries-out
+// writes one series per member cluster instead).
 //
 // All file exports (-csv, -json, -timeseries-out) are written
 // atomically: content streams into a temp file in the destination
@@ -239,25 +241,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("", err)
 	}
-	if *schedulers != "" {
-		if err := spec.ApplySchedulerOverride(*schedulers); err != nil {
-			return fail("", err)
-		}
+	if err := spec.ApplyOverrides(scenario.Overrides{
+		Schedulers: *schedulers, AppModels: *appmodels,
+		Admissions: *admissionsFlag, Routings: *routingsFlag,
+	}); err != nil {
+		return fail("", err)
 	}
-	if *appmodels != "" {
-		if err := spec.ApplyAppModelOverride(*appmodels); err != nil {
-			return fail("", err)
-		}
-	}
-	if *admissionsFlag != "" {
-		if err := spec.ApplyAdmissionOverride(*admissionsFlag); err != nil {
-			return fail("", err)
-		}
-	}
-	if *routingsFlag != "" {
-		if err := spec.ApplyRoutingOverride(*routingsFlag); err != nil {
-			return fail("", err)
-		}
+	if spec.Federation != nil && *tsPath != "" {
+		fmt.Fprintln(stderr, "dpssweep: -timeseries-out cannot be combined with a federated scenario: one recorder per replication would interleave every member's samples; clustersim -timeseries-out writes one series per member")
+		return 2
 	}
 	sampleDTS, err := spec.SampleDT(*sampleDT, 1)
 	if err != nil {
@@ -271,21 +263,18 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if !*quiet {
 			printTable(stdout, stats)
 		}
-		if err := export(*csvPath, stdout, func(w io.Writer) error {
-			return sweep.WriteCSV(w, spec.Name, stats)
-		}); err != nil {
-			return fail("csv", err)
-		}
-		if *csvPath != "" && *csvPath != "-" {
-			logger.Info("export written", "kind", "csv", "path", *csvPath)
-		}
-		if err := export(*jsonPath, stdout, func(w io.Writer) error {
-			return sweep.WriteJSON(w, spec.Name, stats)
-		}); err != nil {
-			return fail("json", err)
-		}
-		if *jsonPath != "" && *jsonPath != "-" {
-			logger.Info("export written", "kind", "json", "path", *jsonPath)
+		for _, x := range []struct {
+			kind, path string
+			write      func(io.Writer, string, []sweep.CellStats) error
+		}{{"csv", *csvPath, sweep.WriteCSV}, {"json", *jsonPath, sweep.WriteJSON}} {
+			if err := export(x.path, stdout, func(w io.Writer) error {
+				return x.write(w, spec.Name, stats)
+			}); err != nil {
+				return fail(x.kind, err)
+			}
+			if x.path != "" && x.path != "-" {
+				logger.Info("export written", "kind", x.kind, "path", x.path)
+			}
 		}
 		return 0
 	}

@@ -69,9 +69,10 @@ func TestAppModelOverrideChangesOutcome(t *testing.T) {
 }
 
 // TestMixSentinelBitIdentical: selecting the "mix" axis entry, forcing
-// the native baseline with AppModelIdx -1, and running a spec with no
-// appmodels block at all must all produce bit-identical results — the
-// axis's zero point is exactly the historical simulator.
+// the native baseline with AppModelIdx -1, an explicit "mix" override and
+// running a spec with no appmodels block at all must all produce
+// bit-identical results — the axis's zero point is exactly the historical
+// simulator.
 func TestMixSentinelBitIdentical(t *testing.T) {
 	withAxis, err := Parse([]byte(appmodelSpecJSON))
 	if err != nil {
@@ -98,31 +99,41 @@ func TestMixSentinelBitIdentical(t *testing.T) {
 	if got := run(withAxis, CellParams{AppModelIdx: -1}); got != base {
 		t.Error("AppModelIdx -1 diverged from the axis-free baseline")
 	}
-	if got := run(withAxis, CellParams{AppModel: "mix"}); got != base {
-		t.Error("explicit \"mix\" spec diverged from the axis-free baseline")
+	if err := withAxis.ApplyOverrides(Overrides{AppModels: "MIX"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := run(withAxis, CellParams{}); got != base {
+		t.Error("explicit \"mix\" override diverged from the axis-free baseline")
 	}
 }
 
-// TestAppModelSpecStringSelectsModel: CellParams.AppModel spec strings
-// resolve like scheduler spec strings, and the same model via index or
-// string is bit-identical.
+// TestAppModelSpecStringSelectsModel: -appmodels spec strings resolve
+// like scheduler spec strings, and the same model from the scenario file
+// or from an override is bit-identical.
 func TestAppModelSpecStringSelectsModel(t *testing.T) {
 	spec, err := Parse([]byte(appmodelSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byIdx, err := spec.RunCell(CellParams{Nodes: 16, Load: 1, AppModelIdx: 1, Seed: spec.Seed})
+	fromFile, err := spec.RunCell(CellParams{Nodes: 16, Load: 1, AppModelIdx: 1, Seed: spec.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bySpec, err := spec.RunCell(CellParams{Nodes: 16, Load: 1, AppModel: "amdahl(f=0.1)", Seed: spec.Seed})
+	overridden, err := Parse([]byte(appmodelSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%+v", byIdx.Result) != fmt.Sprintf("%+v", bySpec.Result) {
-		t.Error("index and spec-string selection diverged")
+	if err := overridden.ApplyOverrides(Overrides{AppModels: "amdahl(f=0.1)"}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := spec.RunCell(CellParams{Nodes: 16, Load: 1, AppModel: "amdahl(nope=1)", Seed: 1}); err == nil {
+	bySpec, err := overridden.RunCell(CellParams{Nodes: 16, Load: 1, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", fromFile.Result) != fmt.Sprintf("%+v", bySpec.Result) {
+		t.Error("scenario-file and spec-string selection diverged")
+	}
+	if err := overridden.ApplyOverrides(Overrides{AppModels: "amdahl(nope=1)"}); err == nil {
 		t.Error("bad model spec accepted")
 	}
 	if _, err := spec.RunCell(CellParams{Nodes: 16, Load: 1, AppModelIdx: 7, Seed: 1}); err == nil {
@@ -144,32 +155,36 @@ func TestAppModelValidation(t *testing.T) {
 	}
 }
 
-// TestParseAppModelList: the CLI list splitter is paren-aware and
+// TestParseAppModelList: the -appmodels list splitter is paren-aware and
 // rejects empty entries.
 func TestParseAppModelList(t *testing.T) {
-	list, err := ParseAppModelList("mix,amdahl(f=0.1),downey(A=8,sigma=2)")
+	parse := func(arg string) (AppModelList, error) {
+		spec, err := Parse([]byte(appmodelSpecJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = spec.ApplyOverrides(Overrides{AppModels: arg})
+		return spec.AppModels, err
+	}
+	list, err := parse("mix,amdahl(f=0.1),downey(A=8,sigma=2)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(list) != 3 || list[2].Label() != "downey(A=8,sigma=2)" {
 		t.Fatalf("list = %+v", list)
 	}
-	for _, arg := range []string{"", "a,,b", "amdahl(f=0.1"} {
-		if _, err := ParseAppModelList(arg); err == nil {
-			t.Errorf("ParseAppModelList(%q) accepted", arg)
+	for _, arg := range []string{" ", "mix,,fixed", "amdahl(f=0.1"} {
+		if _, err := parse(arg); err == nil {
+			t.Errorf("override %q accepted", arg)
 		}
 	}
-	spec, err := Parse([]byte(appmodelSpecJSON))
-	if err != nil {
+	if list, err = parse("roofline(sat=4),fixed"); err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.ApplyAppModelOverride("roofline(sat=4),fixed"); err != nil {
-		t.Fatal(err)
+	if len(list) != 2 || list[0].Label() != "roofline(sat=4)" {
+		t.Fatalf("override = %+v", list)
 	}
-	if len(spec.AppModels) != 2 || spec.AppModels[0].Label() != "roofline(sat=4)" {
-		t.Fatalf("override = %+v", spec.AppModels)
-	}
-	if err := spec.ApplyAppModelOverride("not-a-model"); err == nil {
+	if _, err := parse("not-a-model"); err == nil {
 		t.Error("override with unknown model accepted")
 	}
 }

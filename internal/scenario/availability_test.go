@@ -101,7 +101,7 @@ func TestUnknownSchedulerErrorListsNames(t *testing.T) {
 }
 
 // TestSchedulerNamesCaseInsensitiveInSpec: mixed-case scheduler names in
-// scenario files resolve.
+// scenario files and CLI overrides resolve to the canonical names.
 func TestSchedulerNamesCaseInsensitiveInSpec(t *testing.T) {
 	spec, err := Parse([]byte(`{
 		"name": "x", "nodes": [4], "seed": 1, "jobs": 2,
@@ -112,7 +112,16 @@ func TestSchedulerNamesCaseInsensitiveInSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spec.RunCell(CellParams{Nodes: 4, Load: 1, Scheduler: "Equipartition", ArrivalIdx: 0, Seed: 1}); err != nil {
+	if spec.Schedulers[0].Name != "equipartition" || spec.Schedulers[1].Name != "rigid-fcfs" {
+		t.Fatalf("schedulers not canonicalized: %+v", spec.Schedulers)
+	}
+	if err := spec.ApplyOverrides(Overrides{Schedulers: "RIGID-fcfs,Equipartition"}); err != nil {
+		t.Fatal(err)
+	}
+	if spec.Schedulers[1].Name != "equipartition" {
+		t.Fatalf("override not canonicalized: %+v", spec.Schedulers)
+	}
+	if _, err := spec.RunCell(CellParams{Nodes: 4, Load: 1, SchedulerIdx: 1, ArrivalIdx: 0, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -125,8 +134,11 @@ func TestRunCellAvailabilityAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := spec.ApplyOverrides(Overrides{Schedulers: "equipartition"}); err != nil {
+		t.Fatal(err)
+	}
 	run := func(availIdx int) *CellRun {
-		r, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, Scheduler: "equipartition", ArrivalIdx: 0, AvailIdx: availIdx, Seed: 5})
+		r, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, ArrivalIdx: 0, AvailIdx: availIdx, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

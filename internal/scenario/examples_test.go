@@ -29,16 +29,12 @@ func TestExampleScenarios(t *testing.T) {
 		if len(spec.Availability) > 0 {
 			availIdx = len(spec.Availability) - 1 // the most dynamic axis entry
 		}
-		params := CellParams{
+		// The first entry of every policy axis; federated scenarios have
+		// no scheduler axis and run their first admission × routing pair.
+		run, err := spec.RunCell(CellParams{
 			Nodes: spec.Nodes[0], Load: spec.Loads[0],
 			ArrivalIdx: 0, AvailIdx: availIdx, Seed: spec.Seed,
-		}
-		if spec.Federation == nil {
-			// Federated scenarios have no scheduler axis — RunCell routes
-			// them through the federation orchestrator instead.
-			params.Scheduler = spec.Schedulers[0].Label()
-		}
-		run, err := spec.RunCell(params)
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -240,20 +240,24 @@ func TestFederationOverrides(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := spec.ApplyAdmissionOverride("always,token-bucket(rate=2,burst=3)"); err != nil {
+	if err := spec.ApplyOverrides(Overrides{
+		Admissions: "always,token-bucket(rate=2,burst=3)",
+		Routings:   "weighted(free=2,queue=1),least-loaded",
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(spec.Federation.Admissions) != 2 || spec.Federation.Admissions[1].Label() != "token-bucket(burst=3,rate=2)" {
 		t.Errorf("admission override = %+v", spec.Federation.Admissions)
 	}
-	if err := spec.ApplyRoutingOverride("weighted(free=2,queue=1),least-loaded"); err != nil {
-		t.Fatal(err)
-	}
 	if len(spec.Federation.Routings) != 2 || spec.Federation.Routings[0].Label() != "weighted(free=2,queue=1)" {
 		t.Errorf("routing override = %+v", spec.Federation.Routings)
 	}
-	if err := spec.ApplyAdmissionOverride("nope"); err == nil {
+	if err := spec.ApplyOverrides(Overrides{Admissions: "nope"}); err == nil {
 		t.Error("unknown admission accepted")
+	}
+	if err := spec.ApplyOverrides(Overrides{Routings: "least-loaded,,round-robin"}); err == nil ||
+		!strings.Contains(err.Error(), "empty routing spec") {
+		t.Errorf("empty routing entry: %v", err)
 	}
 
 	plain := &Spec{
@@ -264,12 +268,12 @@ func TestFederationOverrides(t *testing.T) {
 	if err := plain.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.ApplyAdmissionOverride("always"); err == nil ||
-		!strings.Contains(err.Error(), "federation block") {
+	if err := plain.ApplyOverrides(Overrides{Admissions: "always"}); err == nil ||
+		err.Error() != "scenario: -admissions requires a federation block" {
 		t.Errorf("non-federated -admissions: %v", err)
 	}
-	if err := plain.ApplyRoutingOverride("round-robin"); err == nil ||
-		!strings.Contains(err.Error(), "federation block") {
+	if err := plain.ApplyOverrides(Overrides{Routings: "round-robin"}); err == nil ||
+		err.Error() != "scenario: -routings requires a federation block" {
 		t.Errorf("non-federated -routings: %v", err)
 	}
 }
@@ -285,7 +289,7 @@ func TestCanonicalFederation(t *testing.T) {
 			t.Errorf("CanonicalFederation() = %s, missing %s", blob, frag)
 		}
 	}
-	if err := fed.ApplyAdmissionOverride("token-bucket(rate=2)"); err != nil {
+	if err := fed.ApplyOverrides(Overrides{Admissions: "token-bucket(rate=2)"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(fed.CanonicalFederation()); got != blob {
@@ -350,14 +354,16 @@ func FuzzFederation(f *testing.F) {
 		}
 		for i := range fed.Admissions {
 			label := fed.Admissions[i].Label()
-			if _, err := ParseAdmissionList(label); err != nil {
-				t.Fatalf("admission label %q does not round-trip: %v", label, err)
+			var list AdmissionList
+			if err := list.set(label); err != nil || len(list) != 1 || list[0].Label() != label {
+				t.Fatalf("admission label %q does not round-trip: %v %v", label, list, err)
 			}
 		}
 		for i := range fed.Routings {
 			label := fed.Routings[i].Label()
-			if _, err := ParseRoutingList(label); err != nil {
-				t.Fatalf("routing label %q does not round-trip: %v", label, err)
+			var list RoutingList
+			if err := list.set(label); err != nil || len(list) != 1 || list[0].Label() != label {
+				t.Fatalf("routing label %q does not round-trip: %v %v", label, list, err)
 			}
 		}
 		if len(spec.Nodes) != 1 || spec.Nodes[0] != fed.TotalNodes() {

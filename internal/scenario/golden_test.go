@@ -1,6 +1,9 @@
 package scenario
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Golden values produced by the scenario layer BEFORE the availability
 // subsystem existed (PR 1 state), %.17g. A scenario with no availability
@@ -8,7 +11,7 @@ import "testing"
 // RunCell — the whole declarative path, not just the simulator core —
 // and the extraction of the policies into internal/sched (PR 3) must be
 // bit-invisible too, which is why every scheduler is resolved by name
-// through the registry here.
+// through the registry here (a CLI-style -schedulers override).
 var goldenCells = []struct {
 	scheduler                      string
 	makespan, meanResp             float64
@@ -44,8 +47,15 @@ func TestGoldenScenarioBackwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range goldenCells {
-		run, err := spec.RunCell(CellParams{Nodes: 16, Load: 1, Scheduler: want.scheduler, ArrivalIdx: 0, Seed: spec.Seed})
+	names := make([]string, len(goldenCells))
+	for i, want := range goldenCells {
+		names[i] = want.scheduler
+	}
+	if err := spec.ApplyOverrides(Overrides{Schedulers: strings.Join(names, ",")}); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range goldenCells {
+		run, err := spec.RunCell(CellParams{Nodes: 16, Load: 1, SchedulerIdx: i, ArrivalIdx: 0, Seed: spec.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ const observeScenario = `{
   "arrivals": {"process": "poisson", "mean_interarrival_s": 10},
   "availability": {"process": "spot", "reclaim_mean_s": 60, "reclaim_nodes": 2, "restore_mean_s": 30, "horizon_s": 600},
   "reconfig": {"redistribution_s_per_node": 0.05, "lost_work_s": 1},
-  "observe": {"sample_dt_s": 2, "trace": true, "timeseries": true}
+  "observe": {"sample_dt_s": 2, "max_spans": 512}
 }`
 
 // TestObserveBlockParses: the observe block round-trips through Parse
@@ -33,12 +33,12 @@ func TestObserveBlockParses(t *testing.T) {
 	if o == nil {
 		t.Fatal("observe block dropped")
 	}
-	if o.SampleDTS != 2 || !o.Trace || !o.Timeseries {
+	if o.SampleDTS != 2 || o.MaxSpans != 512 {
 		t.Errorf("observe = %+v", o)
 	}
 	cfg := o.RecorderConfig("equipartition")
-	if cfg.Label != "equipartition" {
-		t.Errorf("config label = %q", cfg.Label)
+	if cfg.Label != "equipartition" || cfg.MaxSpans != 512 {
+		t.Errorf("recorder config = %+v", cfg)
 	}
 }
 
@@ -47,7 +47,6 @@ func TestObserveBlockParses(t *testing.T) {
 func TestObserveValidationNamesKeys(t *testing.T) {
 	cases := []struct{ block, key string }{
 		{`{"sample_dt_s": -1}`, "observe.sample_dt_s"},
-		{`{"timeseries": true}`, "observe.sample_dt_s"},
 		{`{"max_samples": -1}`, "observe.max_samples"},
 		{`{"max_spans": -1}`, "observe.max_spans"},
 		{`{"max_events": -1}`, "observe.max_events"},

@@ -185,12 +185,49 @@ type RoutingSpec = PolicySpec[federation.Router, routingFamily]
 // RoutingList is the federation block's routings axis.
 type RoutingList = PolicyList[federation.Router, routingFamily]
 
-// parseList splits a comma-separated CLI spec list into specs. Commas
-// inside a parameter list — "a(x=1,y=2),b" — belong to the spec, so
-// splitting tracks parenthesis depth. Empty tokens are an error (what is
-// the name of the item before ",,"?). Entries are not yet validated;
+// Overrides are the CLIs' comma-separated policy-axis lists (-schedulers,
+// -appmodels, -admissions, -routings); an empty list keeps the scenario's
+// axis.
+type Overrides struct {
+	Schedulers, AppModels, Admissions, Routings string
+}
+
+// ApplyOverrides replaces every policy axis given in o with its parsed
+// list, then validates the spec once (also when o is empty) — the shared
+// implementation of both CLIs' override flags. The admission and routing
+// axes exist only in a federation block.
+func (s *Spec) ApplyOverrides(o Overrides) error {
+	if err := s.Schedulers.set(o.Schedulers); err != nil {
+		return err
+	}
+	if err := s.AppModels.set(o.AppModels); err != nil {
+		return err
+	}
+	switch f := s.Federation; {
+	case f != nil:
+		if err := f.Admissions.set(o.Admissions); err != nil {
+			return err
+		}
+		if err := f.Routings.set(o.Routings); err != nil {
+			return err
+		}
+	case o.Admissions != "":
+		return fmt.Errorf("scenario: -admissions requires a federation block")
+	case o.Routings != "":
+		return fmt.Errorf("scenario: -routings requires a federation block")
+	}
+	return s.Validate()
+}
+
+// set replaces the axis with a comma-separated CLI list ("" keeps it).
+// Commas inside a parameter list — "a(x=1,y=2),b" — belong to the spec,
+// so splitting tracks parenthesis depth. Empty tokens are an error (what
+// is the name of the item before ",,"?). Entries are not yet validated;
 // Spec.Validate resolves them.
-func parseList[T any, F family[T]](arg string) (PolicyList[T, F], error) {
+func (l *PolicyList[T, F]) set(arg string) error {
+	if arg == "" {
+		return nil
+	}
 	var (
 		list PolicyList[T, F]
 		f    F
@@ -216,81 +253,15 @@ func parseList[T any, F family[T]](arg string) (PolicyList[T, F], error) {
 		case ',':
 			if depth == 0 {
 				if err := flush(arg[start:i]); err != nil {
-					return nil, err
+					return err
 				}
 				start = i + 1
 			}
 		}
 	}
 	if err := flush(arg[start:]); err != nil {
-		return nil, err
-	}
-	return list, nil
-}
-
-// ParseSchedulerList splits a comma-separated CLI scheduler list into
-// specs (paren-aware: "a(x=1,y=2),b" is two entries).
-func ParseSchedulerList(arg string) (SchedulerList, error) {
-	return parseList[sched.Scheduler, schedFamily](arg)
-}
-
-// ParseAppModelList splits a comma-separated CLI appmodel list into
-// specs, like ParseSchedulerList.
-func ParseAppModelList(arg string) (AppModelList, error) {
-	return parseList[appmodel.AppModel, appModelFamily](arg)
-}
-
-// ParseAdmissionList splits a comma-separated CLI admission list into
-// specs, like ParseSchedulerList.
-func ParseAdmissionList(arg string) (AdmissionList, error) {
-	return parseList[federation.Admission, admissionFamily](arg)
-}
-
-// ParseRoutingList splits a comma-separated CLI routing list into specs.
-func ParseRoutingList(arg string) (RoutingList, error) {
-	return parseList[federation.Router, routingFamily](arg)
-}
-
-// applyOverride replaces one policy axis with a CLI-provided
-// comma-separated list and re-validates the spec.
-func applyOverride[T any, F family[T]](s *Spec, axis *PolicyList[T, F], arg string) error {
-	list, err := parseList[T, F](arg)
-	if err != nil {
 		return err
 	}
-	*axis = list
-	return s.Validate()
-}
-
-// ApplySchedulerOverride replaces the spec's scheduler axis with a
-// CLI-provided comma-separated list and re-validates the spec — the
-// shared implementation of both CLIs' -schedulers flags.
-func (s *Spec) ApplySchedulerOverride(arg string) error {
-	return applyOverride(s, &s.Schedulers, arg)
-}
-
-// ApplyAppModelOverride replaces the spec's appmodel axis with a
-// CLI-provided comma-separated list and re-validates the spec — the
-// shared implementation of both CLIs' -appmodels flags.
-func (s *Spec) ApplyAppModelOverride(arg string) error {
-	return applyOverride(s, &s.AppModels, arg)
-}
-
-// ApplyAdmissionOverride replaces a federated spec's admission axis with
-// a CLI-provided comma-separated list and re-validates the spec — the
-// shared implementation of both CLIs' -admissions flags.
-func (s *Spec) ApplyAdmissionOverride(arg string) error {
-	if s.Federation == nil {
-		return fmt.Errorf("scenario: -admissions requires a federation block")
-	}
-	return applyOverride(s, &s.Federation.Admissions, arg)
-}
-
-// ApplyRoutingOverride replaces a federated spec's routing axis with a
-// CLI-provided comma-separated list and re-validates the spec.
-func (s *Spec) ApplyRoutingOverride(arg string) error {
-	if s.Federation == nil {
-		return fmt.Errorf("scenario: -routings requires a federation block")
-	}
-	return applyOverride(s, &s.Federation.Routings, arg)
+	*l = list
+	return nil
 }

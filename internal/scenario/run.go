@@ -12,34 +12,23 @@ import (
 )
 
 // CellParams identifies one point of the experiment grid plus the seed of
-// one replication.
+// one replication. Each policy axis is selected by index into the spec's
+// list — SchedulerIdx and AppModelIdx into Spec.Schedulers and
+// Spec.AppModels, AdmissionIdx and RoutingIdx into the federation block's
+// lists (ignored for non-federated specs) — and the zero value selects
+// the first entry, as for ArrivalIdx.
 type CellParams struct {
-	Nodes int
-	Load  float64
-	// Scheduler selects the policy as a spec string — a bare name or
-	// "name(key=value,...)", e.g. a SchedulerSpec.Label(). When empty,
-	// SchedulerIdx indexes Spec.Schedulers instead — like ArrivalIdx,
-	// its zero value selects the first axis entry.
-	Scheduler    string
+	Nodes        int
+	Load         float64
 	SchedulerIdx int
 	ArrivalIdx   int
 	// AvailIdx indexes Spec.Availability; any value is the fixed pool
 	// when the spec lists no availability processes, and -1 forces it.
 	AvailIdx int
-	// AppModel selects the application performance model as a spec
-	// string — "mix" (the native per-component models), a registered
-	// model name, or "name(key=value,...)". When empty, AppModelIdx
-	// indexes Spec.AppModels instead: any value is the native baseline
-	// when the spec lists no appmodels, and -1 forces it.
-	AppModel    string
-	AppModelIdx int
-	// Admission and Routing select the federation policy axes, ignored
-	// for non-federated specs. Like Scheduler, the spec strings take
-	// precedence; when empty, AdmissionIdx / RoutingIdx index the
-	// federation block's lists (zero value = first entry).
-	Admission    string
+	// AppModelIdx is the native baseline for any value when the spec
+	// lists no appmodels, and -1 forces it.
+	AppModelIdx  int
 	AdmissionIdx int
-	Routing      string
 	RoutingIdx   int
 	Seed         uint64
 	// Probe attaches an observability probe to the run (nil = the
@@ -73,26 +62,13 @@ type CellRun struct {
 	ClusterResults []cluster.Result
 }
 
-// pick resolves one policy axis of a cell: the spec string when given,
-// else the axis entry at idx.
-func pick[T any, F family[T]](str string, idx int, axis PolicyList[T, F]) (PolicySpec[T, F], error) {
-	var (
-		sp PolicySpec[T, F]
-		f  F
-	)
-	switch {
-	case str != "":
-		name, params, err := f.parse(str)
-		if err != nil {
-			return sp, fmt.Errorf("scenario: %w", err)
-		}
-		sp.Name, sp.Params = name, params
-	case idx >= 0 && idx < len(axis):
-		sp = axis[idx]
-	default:
-		return sp, fmt.Errorf("scenario: %s index %d out of range", f.noun(), idx)
+// pick resolves one policy axis of a cell: the axis entry at idx.
+func pick[T any, F family[T]](idx int, axis PolicyList[T, F]) (PolicySpec[T, F], error) {
+	if idx < 0 || idx >= len(axis) {
+		var f F
+		return PolicySpec[T, F]{}, fmt.Errorf("scenario: %s index %d out of range", f.noun(), idx)
 	}
-	return sp, nil
+	return axis[idx], nil
 }
 
 // fleet is one resolved cell: its member clusters and the two policies
@@ -110,20 +86,20 @@ type fleet struct {
 // through to member 0.
 func (s *Spec) fleet(p CellParams) (fleet, error) {
 	if f := s.Federation; f != nil {
-		adm, err := pick(p.Admission, p.AdmissionIdx, f.Admissions)
+		adm, err := pick(p.AdmissionIdx, f.Admissions)
 		if err != nil {
 			return fleet{}, err
 		}
-		rt, err := pick(p.Routing, p.RoutingIdx, f.Routings)
+		rt, err := pick(p.RoutingIdx, f.Routings)
 		return fleet{f.Clusters, adm, rt}, err
 	}
-	sc, err := pick(p.Scheduler, p.SchedulerIdx, s.Schedulers)
+	sc, err := pick(p.SchedulerIdx, s.Schedulers)
 	if err != nil {
 		return fleet{}, err
 	}
 	member := FederationClusterSpec{Nodes: p.Nodes, Scheduler: &sc}
-	if p.AppModel != "" || (len(s.AppModels) > 0 && p.AppModelIdx >= 0) {
-		am, err := pick(p.AppModel, p.AppModelIdx, s.AppModels)
+	if len(s.AppModels) > 0 && p.AppModelIdx >= 0 {
+		am, err := pick(p.AppModelIdx, s.AppModels)
 		if err != nil {
 			return fleet{}, err
 		}

@@ -103,10 +103,10 @@ type Spec struct {
 	// Reconfig prices dynamic reconfiguration (applies to every cell);
 	// nil means reconfiguration is free, the classic simulator.
 	Reconfig *ReconfigSpec `json:"reconfig,omitempty"`
-	// Observe configures the observability layer (internal/obs) for runs
-	// of this scenario: the time-series sample interval and which exports
-	// the CLIs should produce. nil leaves observation off — the simulator
-	// runs with no probe attached (the zero-cost path).
+	// Observe tunes the observability layer (internal/obs) for runs of
+	// this scenario: the time-series sample interval and the recorders'
+	// ring bounds. The CLIs' export flags decide whether a run is observed
+	// at all; an unobserved run attaches no probe (the zero-cost path).
 	Observe *ObserveSpec `json:"observe,omitempty"`
 	// Federation turns the scenario into a multi-cluster experiment: the
 	// block's member clusters replace the spec-level nodes, schedulers,
@@ -120,20 +120,14 @@ type Spec struct {
 	dir string
 }
 
-// ObserveSpec is the scenario's "observe" block: it opts runs into the
-// observability layer and sets its knobs. Samples ride the simulator's
-// event queue but mutate nothing, so enabling observation never changes
-// a Result or a golden output.
+// ObserveSpec is the scenario's "observe" block: the observability
+// layer's knobs. Samples ride the simulator's event queue but mutate
+// nothing, so enabling observation never changes a Result or a golden
+// output.
 type ObserveSpec struct {
 	// SampleDTS is the fixed time-series sample interval in virtual
-	// seconds. Required (> 0) when Timeseries is set; 0 disables
-	// sampling.
+	// seconds; 0 leaves the choice to the caller (CLIs default to 1s).
 	SampleDTS float64 `json:"sample_dt_s,omitempty"`
-	// Trace requests the Chrome trace-event export (Perfetto /
-	// chrome://tracing) from CLIs honoring this block.
-	Trace bool `json:"trace,omitempty"`
-	// Timeseries requests the time-series CSV export.
-	Timeseries bool `json:"timeseries,omitempty"`
 	// MaxSamples, MaxSpans and MaxEvents bound the recorder's ring
 	// buffers (0 = the internal/obs defaults).
 	MaxSamples int `json:"max_samples,omitempty"`
@@ -165,9 +159,6 @@ func (s *Spec) SampleDT(override, fallback float64) (float64, error) {
 func (o *ObserveSpec) validate() error {
 	if o.SampleDTS < 0 {
 		return fmt.Errorf("observe.sample_dt_s must be >= 0, got %g", o.SampleDTS)
-	}
-	if o.Timeseries && o.SampleDTS == 0 {
-		return fmt.Errorf("observe.timeseries requires observe.sample_dt_s > 0")
 	}
 	if o.MaxSamples < 0 {
 		return fmt.Errorf("observe.max_samples must be >= 0, got %d", o.MaxSamples)

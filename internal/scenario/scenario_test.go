@@ -239,7 +239,7 @@ func TestTraceReplayStream(t *testing.T) {
 func TestRunCellProducesSaneResults(t *testing.T) {
 	spec := baseSpec()
 	run, err := spec.RunCell(CellParams{
-		Nodes: 8, Load: 1, Scheduler: "equipartition", ArrivalIdx: 0, Seed: 11,
+		Nodes: 8, Load: 1, ArrivalIdx: 0, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestRunCellProducesSaneResults(t *testing.T) {
 	}
 	// Same cell, same seed: identical outcome.
 	again, err := spec.RunCell(CellParams{
-		Nodes: 8, Load: 1, Scheduler: "equipartition", ArrivalIdx: 0, Seed: 11,
+		Nodes: 8, Load: 1, ArrivalIdx: 0, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestRunCellMatchesClosedSim(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, Scheduler: "equipartition", Seed: 3})
+	run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

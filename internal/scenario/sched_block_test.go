@@ -115,47 +115,59 @@ func TestJobWeightPlumbed(t *testing.T) {
 	}
 }
 
+// TestParseSchedulerListSplitting: a -schedulers override splits on
+// top-level commas only, and rejects empty entries and malformed specs.
 func TestParseSchedulerListSplitting(t *testing.T) {
-	list, err := ParseSchedulerList("rigid-fcfs, malleable-hysteresis(epoch_s=45,min_delta=2) ,fair-share")
-	if err != nil {
+	spec := baseSpec()
+	if err := spec.ApplyOverrides(Overrides{
+		Schedulers: "rigid-fcfs, malleable-hysteresis(epoch_s=45,min_delta=2) ,fair-share",
+	}); err != nil {
 		t.Fatal(err)
 	}
+	list := spec.Schedulers
 	if len(list) != 3 {
 		t.Fatalf("list = %+v", list)
 	}
 	if list[1].Name != "malleable-hysteresis" || list[1].Params["min_delta"] != 2 {
 		t.Fatalf("parameterized entry = %+v", list[1])
 	}
-	for _, bad := range []string{"", "a,,b", "a(x=1", "a(x=y)"} {
-		if _, err := ParseSchedulerList(bad); err == nil {
-			t.Errorf("ParseSchedulerList(%q) accepted", bad)
+	for _, bad := range []string{" ", "rigid-fcfs,,fair-share", "rigid-fcfs,"} {
+		err := baseSpec().ApplyOverrides(Overrides{Schedulers: bad})
+		if err == nil || !strings.Contains(err.Error(), "empty scheduler spec") {
+			t.Errorf("override %q: err = %v, want an empty-entry error", bad, err)
+		}
+	}
+	for _, bad := range []string{"a(x=1", "a(x=y)"} {
+		if err := baseSpec().ApplyOverrides(Overrides{Schedulers: bad}); err == nil {
+			t.Errorf("override %q accepted", bad)
 		}
 	}
 }
 
-// TestRunCellWithParameterizedScheduler: a label-form scheduler spec
-// drives RunCell, and different parameters change the outcome while
+// TestRunCellWithParameterizedScheduler: label-form scheduler specs
+// drive RunCell, and different parameters change the outcome while
 // identical ones reproduce it.
 func TestRunCellWithParameterizedScheduler(t *testing.T) {
 	spec := baseSpec()
 	spec.Jobs = 10
-	if err := spec.Validate(); err != nil {
+	if err := spec.ApplyOverrides(Overrides{Schedulers: "malleable-hysteresis(epoch_s=60,min_delta=4)," +
+		"malleable-hysteresis(epoch_s=0,min_delta=1)"}); err != nil {
 		t.Fatal(err)
 	}
-	cell := func(scheduler string) *CellRun {
-		run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, Scheduler: scheduler, ArrivalIdx: 0, Seed: 17})
+	cell := func(idx int) *CellRun {
+		run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, SchedulerIdx: idx, ArrivalIdx: 0, Seed: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return run
 	}
-	throttled := cell("malleable-hysteresis(epoch_s=60,min_delta=4)")
-	free := cell("malleable-hysteresis(epoch_s=0,min_delta=1)")
+	throttled := cell(0)
+	free := cell(1)
 	if throttled.Result.Reallocations >= free.Result.Reallocations {
 		t.Fatalf("hysteresis did not bound churn: %d vs %d reallocations",
 			throttled.Result.Reallocations, free.Result.Reallocations)
 	}
-	again := cell("malleable-hysteresis(epoch_s=60,min_delta=4)")
+	again := cell(0)
 	if again.Result.Reallocations != throttled.Result.Reallocations {
 		t.Fatal("parameterized cell not deterministic")
 	}
