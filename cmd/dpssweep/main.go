@@ -11,8 +11,8 @@
 //	         [-appmodels "mix,amdahl(f=0.1),roofline(sat=8)"]
 //	         [-admissions "always,token-bucket(rate=0.5)"] [-routings "round-robin,least-loaded"]
 //	         [-timeseries-out ts.csv] [-sample-dt 5]
-//	         [-checkpoint ck.json] [-checkpoint-every N] [-no-dedup]
-//	         [-shard i/n -shard-out shard.json | -merge "a.json,b.json"]
+//	         [-checkpoint ck.json] [-checkpoint-every N]
+//	         [-shard i/n | -merge "a.json,b.json"]
 //	         [-telemetry-addr 127.0.0.1:9100] [-log-json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -28,14 +28,11 @@
 // time-series. See docs/sweep.md.
 //
 // -shard i/n runs only the cells that content-hash into shard i of n
-// and writes their aggregates as a shard artifact (-shard-out, required;
-// the report exports -csv/-json/-timeseries-out are disallowed). Shards
-// are disjoint and cover the grid, so n processes — on one machine or
-// many — each run one shard, and -merge combines the artifacts into the
-// full report, byte-identical to a single-process run.
-//
-// -no-dedup disables content-hash deduplication (identical cells run
-// once and share results by default; exports are identical either way).
+// into its -checkpoint (required; -csv/-json/-timeseries-out are not):
+// the completed checkpoint is the shard's artifact, and rerunning a
+// killed shard resumes it. n processes — on one machine or many — each
+// run one shard, and -merge combines their checkpoints into the full
+// report, byte-identical to a single-process run.
 //
 // -telemetry-addr starts the runtime telemetry server (internal/telemetry)
 // for the duration of the sweep: /metrics serves the process's live
@@ -155,15 +152,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			"written on completion, error or interrupt (SIGINT exits 130 after checkpointing)")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"checkpoint cadence in executed runs (0 = default "+fmt.Sprint(sweep.DefaultCheckpointEvery)+")")
-	noDedup := fs.Bool("no-dedup", false,
-		"run duplicate grid cells instead of deduplicating them by content hash")
 	shardSpec := fs.String("shard", "",
-		"run only shard i/n of the grid (content-hash partition) and write a shard\n"+
-			"artifact to -shard-out instead of report exports")
-	shardOut := fs.String("shard-out", "", "shard artifact output file (required with -shard)")
+		"run only shard i/n of the grid (content-hash partition) into -checkpoint,\n"+
+			"the shard's artifact, instead of writing report exports")
 	mergeList := fs.String("merge", "",
-		"merge comma-separated shard artifacts into the full report instead of running\n"+
-			"(requires the -scenario the shards ran)")
+		"merge comma-separated completed shard checkpoints into the full report instead\n"+
+			"of running (requires the -scenario the shards ran)")
 	telemetryAddr := fs.String("telemetry-addr", "",
 		"serve runtime telemetry on this address while the sweep runs:\n"+
 			strings.Join(telemetry.Endpoints(), ", ")+" (\":0\" picks a free port;\n"+
@@ -178,8 +172,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			"usage: dpssweep -scenario FILE [-replications N] [-workers N] [-schedulers LIST] [-appmodels LIST]\n"+
 				"                [-admissions LIST] [-routings LIST]\n"+
 				"                [-csv FILE] [-json FILE] [-timeseries-out FILE] [-sample-dt S]\n"+
-				"                [-checkpoint FILE] [-checkpoint-every N] [-no-dedup]\n"+
-				"                [-shard I/N -shard-out FILE | -merge FILES]\n"+
+				"                [-checkpoint FILE] [-checkpoint-every N] [-shard I/N | -merge FILES]\n"+
 				"                [-telemetry-addr ADDR] [-log-json] [-cpuprofile FILE] [-memprofile FILE]\n")
 		fs.PrintDefaults()
 	}
@@ -214,22 +207,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dpssweep: -shard and -merge are mutually exclusive")
 		return 2
 	}
-	if *shardSpec != "" {
-		if *shardOut == "" {
-			fmt.Fprintln(stderr, "dpssweep: -shard requires -shard-out")
-			return 2
-		}
-		if *csvPath != "" || *jsonPath != "" || *tsPath != "" {
-			fmt.Fprintln(stderr, "dpssweep: -shard writes a shard artifact; -csv/-json/-timeseries-out belong to the merged report")
-			return 2
-		}
-	}
-	if *shardSpec == "" && *shardOut != "" {
-		fmt.Fprintln(stderr, "dpssweep: -shard-out requires -shard")
+	if *shardSpec != "" && (*checkpointPath == "" || *csvPath != "" || *jsonPath != "" || *tsPath != "") {
+		fmt.Fprintln(stderr, "dpssweep: -shard requires -checkpoint FILE, the shard's artifact; -csv/-json/-timeseries-out belong to the merged report")
 		return 2
 	}
 	if *mergeList != "" && (*tsPath != "" || *checkpointPath != "") {
-		fmt.Fprintln(stderr, "dpssweep: -merge combines existing artifacts; -timeseries-out/-checkpoint do not apply")
+		fmt.Fprintln(stderr, "dpssweep: -merge combines completed shard checkpoints; -timeseries-out/-checkpoint do not apply")
 		return 2
 	}
 	if *checkpointPath != "" && *tsPath != "" {
@@ -279,11 +262,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Merge mode: no simulation — combine shard artifacts into the full
+	// Merge mode: no simulation — combine shard checkpoints into the full
 	// grid report (byte-identical to a single-process run).
 	if *mergeList != "" {
 		paths := strings.Split(*mergeList, ",")
 		stats, reps, err := sweep.MergeShards(spec, paths)
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "replications" && err == nil && *replications != reps {
+				err = fmt.Errorf("-replications %d, but the shard checkpoints folded %d replications", *replications, reps)
+			}
+		})
 		if err != nil {
 			return fail("merge", err)
 		}
@@ -295,7 +283,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	opt := sweep.Options{
 		Replications:    *replications,
 		Workers:         *workers,
-		NoDedup:         *noDedup,
 		Checkpoint:      *checkpointPath,
 		CheckpointEvery: *checkpointEvery,
 	}
@@ -371,28 +358,30 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		opt.OnObserved = tsSink.OnObserved
 	}
 	start := time.Now()
-	totalRuns := len(cells) * *replications
 	logger.Info("sweep starting", "scenario", spec.Name, "cells", len(cells),
-		"replications", *replications, "runs", totalRuns, "workers", poolSize)
-	if !*quiet {
-		fmt.Fprintf(stdout, "scenario %q: %d cells × %d replications = %d runs on %d workers\n",
-			spec.Name, len(cells), *replications, totalRuns, poolSize)
-		// The progress line adds live throughput and an ETA extrapolated
+		"replications", *replications, "workers", poolSize)
+	// runs counts the runs this process executes — the plan's owed runs,
+	// net of dedup, resume and other shards — as Progress reports them.
+	runs := 0
+	opt.Progress = func(done, total int) {
+		runs = total
+		if *quiet {
+			return
+		}
+		// The progress line shows live throughput and an ETA extrapolated
 		// from it (the same numbers /progress serves).
-		opt.Progress = func(done, total int) {
-			elapsed := time.Since(start).Seconds()
-			var rate float64
-			if elapsed > 0 {
-				rate = float64(done) / elapsed
-			}
-			eta := "--"
-			if rate > 0 {
-				eta = (time.Duration(float64(total-done) / rate * float64(time.Second))).Round(time.Second).String()
-			}
-			fmt.Fprintf(stdout, "\r%d/%d runs  %.1f runs/s  ETA %s ", done, total, rate, eta)
-			if done == total {
-				fmt.Fprintln(stdout)
-			}
+		elapsed := time.Since(start).Seconds()
+		var rate float64
+		if elapsed > 0 {
+			rate = float64(done) / elapsed
+		}
+		eta := "--"
+		if rate > 0 {
+			eta = (time.Duration(float64(total-done) / rate * float64(time.Second))).Round(time.Second).String()
+		}
+		fmt.Fprintf(stdout, "\r%d/%d runs  %.1f runs/s  ETA %s ", done, total, rate, eta)
+		if done == total {
+			fmt.Fprintln(stdout)
 		}
 	}
 	if *cpuProfile != "" {
@@ -407,9 +396,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 	}
 	var stats []sweep.CellStats
-	var art *sweep.ShardArtifact
+	var units int
 	if *shardSpec != "" {
-		art, err = sweep.RunShard(spec, opt)
+		units, err = sweep.RunShard(spec, opt)
 	} else {
 		stats, err = sweep.Run(spec, opt)
 	}
@@ -429,9 +418,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return fail("", err)
 	}
 	elapsed := time.Since(start)
-	logger.Info("sweep finished", "runs", totalRuns,
+	if !*quiet {
+		fmt.Fprintf(stdout, "scenario %q: %d cells × %d replications, %d runs executed on %d workers\n",
+			spec.Name, len(cells), *replications, runs, poolSize)
+	}
+	logger.Info("sweep finished", "runs", runs,
 		"elapsed_s", elapsed.Seconds(),
-		"runs_per_second", float64(totalRuns)/elapsed.Seconds())
+		"runs_per_second", float64(runs)/elapsed.Seconds())
 	if tsSink != nil {
 		ferr := tsSink.Flush()
 		if ferr == nil {
@@ -456,14 +449,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if art != nil {
-		if err := sweep.WriteShard(*shardOut, art); err != nil {
-			return fail("shard", err)
-		}
-		logger.Info("export written", "kind", "shard", "path", *shardOut)
+	if *shardSpec != "" {
+		logger.Info("export written", "kind", "shard", "path", *checkpointPath)
 		if !*quiet {
 			fmt.Fprintf(stdout, "shard %d/%d: %d unique cells -> %s\n",
-				opt.Shard.Index, opt.Shard.Count, len(art.Cells), *shardOut)
+				opt.Shard.Index, opt.Shard.Count, units, *checkpointPath)
 		}
 		return 0
 	}

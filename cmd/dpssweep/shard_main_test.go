@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,13 +11,15 @@ import (
 )
 
 // TestRealMainShardMerge drives the sharded workflow end to end through
-// the CLI: two shard runs plus a merge export byte-identical CSV and
-// JSON to a single-process run.
+// the CLI: two shard runs, each into its checkpoint, plus a merge export
+// byte-identical CSV and JSON to a single-process run — and a merge that
+// leaves -replications to the checkpoints agrees.
 func TestRealMainShardMerge(t *testing.T) {
 	dir := t.TempDir()
 	singleCSV := filepath.Join(dir, "single.csv")
 	singleJSON := filepath.Join(dir, "single.json")
-	common := []string{"-scenario", scenarioPath(t), "-replications", "2", "-q"}
+	scenario := []string{"-scenario", scenarioPath(t), "-q"}
+	common := append(scenario, "-replications", "2")
 	var stdout, stderr bytes.Buffer
 	if code := realMain(append(common, "-csv", singleCSV, "-json", singleJSON), &stdout, &stderr); code != 0 {
 		t.Fatalf("single run exit %d: %s", code, stderr.String())
@@ -27,28 +30,57 @@ func TestRealMainShardMerge(t *testing.T) {
 		p := filepath.Join(dir, fmt.Sprintf("s%d.json", i))
 		stdout.Reset()
 		stderr.Reset()
-		args := append(common, "-shard", fmt.Sprintf("%d/2", i), "-shard-out", p)
+		args := append(common, "-shard", fmt.Sprintf("%d/2", i), "-checkpoint", p)
 		if code := realMain(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("shard %d exit %d: %s", i, code, stderr.String())
 		}
 		shardPaths = append(shardPaths, p)
 	}
 
-	mergedCSV := filepath.Join(dir, "merged.csv")
-	mergedJSON := filepath.Join(dir, "merged.json")
-	stdout.Reset()
-	stderr.Reset()
-	args := append(common, "-merge", strings.Join(shardPaths, ","),
-		"-csv", mergedCSV, "-json", mergedJSON)
-	if code := realMain(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("merge exit %d: %s", code, stderr.String())
+	for _, args := range [][]string{common, scenario} {
+		mergedCSV := filepath.Join(dir, "merged.csv")
+		mergedJSON := filepath.Join(dir, "merged.json")
+		stdout.Reset()
+		stderr.Reset()
+		args = append(args, "-merge", strings.Join(shardPaths, ","), "-csv", mergedCSV, "-json", mergedJSON)
+		if code := realMain(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("merge %v exit %d: %s", args, code, stderr.String())
+		}
+		if !bytes.Equal(mustRead(t, mergedCSV), mustRead(t, singleCSV)) {
+			t.Errorf("merge %v: CSV differs from the single-process run", args)
+		}
+		if !bytes.Equal(mustRead(t, mergedJSON), mustRead(t, singleJSON)) {
+			t.Errorf("merge %v: JSON differs from the single-process run", args)
+		}
 	}
+}
 
-	if !bytes.Equal(mustRead(t, mergedCSV), mustRead(t, singleCSV)) {
-		t.Error("merged CSV differs from the single-process run")
+// TestRealMainMergeReplicationsMismatch: the shard checkpoints fix the
+// replication count, so an explicit -replications that disagrees is an
+// error naming both counts instead of a silently ignored flag.
+func TestRealMainMergeReplicationsMismatch(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	var stdout, stderr bytes.Buffer
+	for i := 0; i < 2; i++ {
+		p := filepath.Join(dir, fmt.Sprintf("s%d.json", i))
+		if code := realMain([]string{"-scenario", scenarioPath(t), "-q", "-replications", "2",
+			"-shard", fmt.Sprintf("%d/2", i), "-checkpoint", p}, &stdout, &stderr); code != 0 {
+			t.Fatalf("shard %d exit %d: %s", i, code, stderr.String())
+		}
+		paths = append(paths, p)
 	}
-	if !bytes.Equal(mustRead(t, mergedJSON), mustRead(t, singleJSON)) {
-		t.Error("merged JSON differs from the single-process run")
+	out := filepath.Join(dir, "merged.csv")
+	code := realMain([]string{"-scenario", scenarioPath(t), "-q", "-replications", "50",
+		"-merge", strings.Join(paths, ","), "-csv", out}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-replications 50") || !strings.Contains(msg, "folded 2 replications") {
+		t.Errorf("error does not name both replication counts: %s", msg)
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("a mismatched merge still wrote its export")
 	}
 }
 
@@ -79,6 +111,34 @@ func TestRealMainCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestRealMainLogsExecutedRuns: the "sweep finished" record counts the
+// runs this process executed, not the grid's cells × replications — a
+// fresh sweep executes the whole grid, resuming its completed
+// checkpoint executes nothing.
+func TestRealMainLogsExecutedRuns(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	args := []string{"-scenario", scenarioPath(t), "-replications", "2", "-q", "-checkpoint", ck, "-log-json"}
+	for _, want := range []float64{32, 0} { // openload: 16 cells × 2 replications
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		runs := -1.0
+		for _, line := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+			var rec struct {
+				Msg  string  `json:"msg"`
+				Runs float64 `json:"runs"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err == nil && rec.Msg == "sweep finished" {
+				runs = rec.Runs
+			}
+		}
+		if runs != want {
+			t.Errorf("sweep finished logged runs %v, want %v:\n%s", runs, want, stderr.String())
+		}
+	}
+}
+
 // TestRealMainShardFlagErrors: the shard/merge/checkpoint flag surface
 // rejects contradictory combinations with usage errors (exit 2).
 func TestRealMainShardFlagErrors(t *testing.T) {
@@ -87,11 +147,10 @@ func TestRealMainShardFlagErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"shard without shard-out", []string{"-scenario", sc, "-shard", "0/2"}},
-		{"shard-out without shard", []string{"-scenario", sc, "-shard-out", "s.json"}},
-		{"bad shard spec", []string{"-scenario", sc, "-shard", "2/2", "-shard-out", "s.json"}},
-		{"shard with csv", []string{"-scenario", sc, "-shard", "0/2", "-shard-out", "s.json", "-csv", "o.csv"}},
-		{"shard with merge", []string{"-scenario", sc, "-shard", "0/2", "-shard-out", "s.json", "-merge", "a.json"}},
+		{"shard without checkpoint", []string{"-scenario", sc, "-shard", "0/2"}},
+		{"bad shard spec", []string{"-scenario", sc, "-shard", "2/2", "-checkpoint", "s.json"}},
+		{"shard with csv", []string{"-scenario", sc, "-shard", "0/2", "-checkpoint", "s.json", "-csv", "o.csv"}},
+		{"shard with merge", []string{"-scenario", sc, "-shard", "0/2", "-checkpoint", "s.json", "-merge", "a.json"}},
 		{"merge with checkpoint", []string{"-scenario", sc, "-merge", "a.json", "-checkpoint", "ck.json"}},
 		{"merge with timeseries", []string{"-scenario", sc, "-merge", "a.json", "-timeseries-out", "ts.csv"}},
 		{"checkpoint with timeseries", []string{"-scenario", sc, "-checkpoint", "ck.json", "-timeseries-out", "ts.csv"}},

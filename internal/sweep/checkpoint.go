@@ -19,7 +19,7 @@ package sweep
 //     every hash, so a stale checkpoint is ignored rather than merged —
 //     no explicit scenario-fingerprint check is needed.
 //
-// Files are written through the PR 7 atomic-rename path, so a crash
+// Files are written through the atomic-rename path, so a crash
 // mid-write leaves the previous complete checkpoint in place.
 
 import (
@@ -37,9 +37,14 @@ const CheckpointVersion = 1
 
 // checkpointFile is the on-disk checkpoint layout.
 type checkpointFile struct {
-	Version      int    `json:"version"`
-	Scenario     string `json:"scenario"`
-	Replications int    `json:"replications"`
+	Version  int    `json:"version"`
+	Scenario string `json:"scenario"`
+	// ShardIndex and ShardCount record the run's shard selection (a
+	// shard's checkpoint is its artifact); both are omitted for the
+	// whole grid, and a count of 0 reads as 1.
+	ShardIndex   int `json:"shard_index,omitempty"`
+	ShardCount   int `json:"shard_count,omitempty"`
+	Replications int `json:"replications"`
 	// FoldNext is the fold frontier at snapshot time — the grid slots
 	// settled, as dpsim_sweep_fold_frontier counts them (informational:
 	// restore derives everything from the per-cell entries).
@@ -58,14 +63,16 @@ type checkpointCell struct {
 }
 
 // save snapshots every unit that has folded anything, keyed by content
-// hash, and rewrites the checkpoint atomically. Called under the fold
+// hash, and rewrites opt.Checkpoint atomically. Called under the fold
 // lock (or after the pool has drained), so the snapshot is a consistent
 // cut; the accumulators' responses are shared, not copied, and
 // serialized before the lock is released.
-func (p *plan) save(path, scenario string) error {
+func (p *plan) save(scenario string, opt *Options) error {
 	ck := &checkpointFile{
 		Version:      CheckpointVersion,
 		Scenario:     scenario,
+		ShardIndex:   opt.Shard.Index,
+		ShardCount:   opt.Shard.Count,
 		Replications: p.reps,
 		FoldNext:     p.settled,
 		Cells:        make(map[string]checkpointCell, len(p.units)),
@@ -75,7 +82,30 @@ func (p *plan) save(path, scenario string) error {
 			ck.Cells[u.hash.String()] = checkpointCell{Folded: u.folded, Accum: u.acc}
 		}
 	}
-	return saveCheckpointFile(path, ck)
+	return saveCheckpointFile(opt.Checkpoint, ck)
+}
+
+// resume returns the entries opt's run restores from opt.Checkpoint:
+// none without a checkpoint or before its first save, and none from a
+// file of another replication count (its accumulators fold a different
+// run set). A file saved under another shard selection is an error —
+// resuming it would let one shard silently overwrite another's artifact.
+func resume(opt *Options) (map[string]checkpointCell, error) {
+	if opt.Checkpoint == "" {
+		return nil, nil
+	}
+	ck, err := loadCheckpoint(opt.Checkpoint)
+	if ck == nil {
+		return nil, err
+	}
+	if ck.ShardIndex != opt.Shard.Index || max(ck.ShardCount, 1) != max(opt.Shard.Count, 1) {
+		return nil, fmt.Errorf("sweep: checkpoint %s was saved by shard %d/%d, this run is shard %d/%d",
+			opt.Checkpoint, ck.ShardIndex, max(ck.ShardCount, 1), opt.Shard.Index, max(opt.Shard.Count, 1))
+	}
+	if ck.Replications != max(opt.Replications, 1) {
+		return nil, nil
+	}
+	return ck.Cells, nil
 }
 
 // loadCheckpoint reads a checkpoint file; a missing file is a fresh
@@ -92,7 +122,7 @@ func loadCheckpoint(path string) (*checkpointFile, error) {
 	}
 	var ck checkpointFile
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("sweep: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("sweep: %s is not a sweep checkpoint: %w", path, err)
 	}
 	if ck.Version != CheckpointVersion {
 		return nil, fmt.Errorf("sweep: checkpoint %s: version %d, want %d", path, ck.Version, CheckpointVersion)

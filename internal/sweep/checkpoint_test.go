@@ -1,9 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dpsim/internal/scenario"
@@ -244,23 +246,17 @@ func TestErrorResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRestoreCopiesResponses: with dedup off, the units of one hash all
-// restore from the same decoded checkpoint entry, and each accumulator
-// appends to and sorts its buffer in place — so the plan must copy the
-// responses slice into each unit, not adopt it.
+// TestRestoreCopiesResponses: with dedup off (an observed sweep), the
+// units of one hash all restore from the same decoded checkpoint entry,
+// and each accumulator appends to and sorts its buffer in place — so
+// the plan must copy the responses slice into each unit, not adopt it.
 func TestRestoreCopiesResponses(t *testing.T) {
 	spec := dupSpec(t)
 	h := CellHashes(spec, Cells(spec))[0] // equipartition: cells 0 and 2
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	if err := saveCheckpointFile(ck, &checkpointFile{
-		Version: CheckpointVersion, Scenario: spec.Name, Replications: 2,
-		Cells: map[string]checkpointCell{
-			h.String(): {Folded: 1, Accum: cellAccum{Responses: []float64{3, 1, 2}}},
-		},
-	}); err != nil {
-		t.Fatal(err)
+	restore := map[string]checkpointCell{
+		h.String(): {Folded: 1, Accum: cellAccum{Responses: []float64{3, 1, 2}}},
 	}
-	p, err := newPlan(spec, Options{Replications: 2, NoDedup: true, Checkpoint: ck})
+	p, err := newPlan(spec, Options{Replications: 2, Observe: observeNone}, restore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +265,7 @@ func TestRestoreCopiesResponses(t *testing.T) {
 		t.Fatalf("units 0 and 2 should both restore hash %s: %+v, %+v", h, a, b)
 	}
 	a.acc.Responses[0] = 99
-	if b.acc.Responses[0] != 3 {
+	if b.acc.Responses[0] != 3 || restore[h.String()].Accum.Responses[0] != 3 {
 		t.Fatalf("restored units alias one responses buffer: %v", b.acc.Responses)
 	}
 }
@@ -290,5 +286,52 @@ func TestCheckpointCorruptRejected(t *testing.T) {
 	}
 	if _, err := Run(spec, Options{Replications: 1, Checkpoint: ck}); err == nil {
 		t.Fatal("foreign checkpoint version accepted")
+	}
+}
+
+// TestResumeRejectsOtherShard: a checkpoint records the shard selection
+// that saved it, and a resume under another selection — shard 1 pointed
+// at shard 0's file, a whole-grid run at a shard's, a shard at a
+// whole-grid run's — is an error that leaves the file alone, instead of
+// one run silently overwriting another's artifact.
+func TestResumeRejectsOtherShard(t *testing.T) {
+	spec := dupSpec(t)
+	dir := t.TempDir()
+	s0 := filepath.Join(dir, "s0.json")
+	whole := filepath.Join(dir, "whole.json")
+	if _, err := RunShard(spec, Options{Replications: 1, Shard: ShardSel{0, 2}, Checkpoint: s0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(spec, Options{Replications: 1, Checkpoint: whole}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path  string
+		sel   ShardSel
+		saved string
+	}{
+		{s0, ShardSel{1, 2}, "0/2"},
+		{s0, ShardSel{0, 3}, "0/2"},
+		{s0, ShardSel{}, "0/2"},
+		{s0, ShardSel{0, 1}, "0/2"},
+		{whole, ShardSel{0, 2}, "0/1"},
+	} {
+		before, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunShard(spec, Options{Replications: 1, Shard: tc.sel, Checkpoint: tc.path})
+		if err == nil || !strings.Contains(err.Error(), "saved by shard "+tc.saved) {
+			t.Errorf("shard %d/%d resumed the checkpoint of shard %s: %v", tc.sel.Index, tc.sel.Count, tc.saved, err)
+		}
+		if after, _ := os.ReadFile(tc.path); !bytes.Equal(after, before) {
+			t.Errorf("shard %d/%d rewrote the checkpoint of shard %s", tc.sel.Index, tc.sel.Count, tc.saved)
+		}
+	}
+	// The saving selection resumes, with nothing left to run.
+	calls := 0
+	if _, err := RunShard(spec, Options{Replications: 1, Shard: ShardSel{0, 2}, Checkpoint: s0,
+		Progress: func(int, int) { calls++ }}); err != nil || calls != 0 {
+		t.Fatalf("shard 0/2 resuming its own completed checkpoint: %d runs, %v", calls, err)
 	}
 }

@@ -14,7 +14,7 @@ package sweep
 //   - Two cells with identical resolved parameters hash identically, so
 //     they share one unit of the sweep plan and their replications run
 //     once (content-hash dedup).
-//   - Checkpoints and shard artifacts key their entries by hash, which
+//   - Checkpoints, shard artifacts included, key their entries by hash, which
 //     makes resumes survive grid edits and lets independently-run shards
 //     merge into one consistent report.
 //
@@ -36,7 +36,7 @@ import (
 type CellHash [sha256.Size]byte
 
 // String returns the full lowercase-hex digest — the key format of
-// checkpoint files and shard artifacts.
+// checkpoint files.
 func (h CellHash) String() string { return hex.EncodeToString(h[:]) }
 
 // Seed64 folds the first 8 digest bytes into the seed domain; runSeed

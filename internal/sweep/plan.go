@@ -3,8 +3,9 @@ package sweep
 // The sweep plan: which replications does this process still owe?
 // newPlan answers once, keyed by content hash (hash.go) — shard
 // ownership, dedup and checkpoint restore are all decided while the
-// units are built, so a plain grid, a dedup'd grid, a shard and a resume
-// execute, checkpoint and finalize as the same loop over the same lists.
+// units are built, so a plain grid, a dedup'd grid, a shard, a resume
+// and a merge execute, checkpoint and finalize as the same loop over the
+// same lists.
 
 import (
 	"fmt"
@@ -17,16 +18,16 @@ import (
 // cells that display its aggregate, how many of its replications have
 // folded, and the one accumulator they fold into. Equal-hash cells have
 // equal resolved parameters and therefore equal seeds and equal runs, so
-// they share a unit instead of each folding a copy. With NoDedup or
-// Observe set every owned cell gets a unit of its own.
+// they share a unit instead of each folding a copy. With Observe set
+// every owned cell gets a unit of its own.
 type unit struct {
 	hash CellHash
 	// cells indexes plan.cells, ascending; cells[0] names the unit in
 	// errors and probes and supplies the axis indices its runs execute.
 	cells []int
 	// dup marks a unit whose hash an earlier unit already carries (dedup
-	// off). Checkpoints and shard artifacts hold one entry per hash: the
-	// earlier unit's, which has folded at least as far.
+	// off). Checkpoints hold one entry per hash: the earlier unit's,
+	// which has folded at least as far.
 	dup bool
 	// folded counts the replications acc has absorbed, in replication
 	// order — restored from the checkpoint, then one per fold.
@@ -55,9 +56,11 @@ type plan struct {
 	settled, cellsDone int
 }
 
-// newPlan expands the grid into units and owed runs. It reads the
-// checkpoint (when one is configured and exists) and nothing else.
-func newPlan(spec *scenario.Spec, opt Options) (*plan, error) {
+// newPlan expands the grid into units and owed runs, restoring each
+// unit's folded state from the checkpoint entries of its hash. Entries
+// restore by content hash, so a resume survives grid edits — unchanged
+// cells restore, new or edited cells (fresh hashes) run from scratch.
+func newPlan(spec *scenario.Spec, opt Options, restore map[string]checkpointCell) (*plan, error) {
 	cells := Cells(spec)
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("sweep: empty grid")
@@ -68,25 +71,10 @@ func newPlan(spec *scenario.Spec, opt Options) (*plan, error) {
 	}
 	p := &plan{cells: cells, reps: max(opt.Replications, 1), units: make([]unit, 0, len(cells))}
 
-	// Entries restore by content hash, so a resume survives grid edits —
-	// unchanged cells restore, new or edited cells (fresh hashes) run
-	// from scratch. A checkpoint with a different replication count is
-	// ignored wholesale: its accumulators fold a different run set.
-	var restore map[string]checkpointCell
-	if opt.Checkpoint != "" {
-		ck, err := loadCheckpoint(opt.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		if ck != nil && ck.Replications == p.reps {
-			restore = ck.Cells
-		}
-	}
-
 	// Cells partition across shards by content hash, so every process of
 	// an n-way split derives the same disjoint ownership and a group of
 	// equal-hash cells always lands in one shard.
-	dedup := !opt.NoDedup && opt.Observe == nil
+	dedup := opt.Observe == nil
 	first := make(map[CellHash]int, len(cells)) // hash → its first unit
 	self := make([]int, len(cells))             // backs every unit's cells[:1]
 	for ci, h := range CellHashes(spec, cells) {

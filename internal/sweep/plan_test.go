@@ -55,13 +55,12 @@ func TestPlanUnits(t *testing.T) {
 		}
 		return out
 	}
-	observe := func(Cell, int) obs.Probe { return nil }
 	all := map[int]int{}
 	for ci := 0; ci < 12; ci++ {
 		all[ci] = reps
 	}
-	noDedupSome := singletons(12, 2, 5, 8, 11)
-	noDedupSome[0].folded, noDedupSome[2].folded, noDedupSome[4].folded = 2, 2, 1
+	observeSome := singletons(12, 2, 5, 8, 11)
+	observeSome[0].folded, observeSome[2].folded, observeSome[4].folded = 2, 2, 1
 	observeAll := singletons(12, 2, 5, 8, 11)
 	for i := range observeAll {
 		observeAll[i].folded = reps
@@ -79,9 +78,7 @@ func TestPlanUnits(t *testing.T) {
 	}{
 		{name: "plain", spec: plain, units: singletons(4), runs: 12},
 		{name: "duplicate axis entries", spec: dupSpec, units: deduped(), runs: 24, deduped: 4},
-		{name: "NoDedup", spec: dupSpec, opt: Options{NoDedup: true},
-			units: singletons(12, 2, 5, 8, 11), runs: 36},
-		{name: "Observe", spec: dupSpec, opt: Options{Observe: observe},
+		{name: "Observe", spec: dupSpec, opt: Options{Observe: observeNone},
 			units: singletons(12, 2, 5, 8, 11), runs: 36},
 		{name: "checkpoint restores some", spec: dupSpec, ckReps: reps,
 			folds: map[int]int{0: 3, 1: 1, 4: 2},
@@ -100,10 +97,10 @@ func TestPlanUnits(t *testing.T) {
 		{name: "plain + checkpoint", spec: plain, ckReps: reps, folds: map[int]int{0: 3, 1: 2},
 			units: []wantUnit{{cells: []int{0}, folded: 3}, {cells: []int{1}, folded: 2}, {cells: []int{2}}, {cells: []int{3}}},
 			runs:  7, resumed: 2},
-		{name: "NoDedup + checkpoint", spec: dupSpec, opt: Options{NoDedup: true}, ckReps: reps,
+		{name: "Observe + checkpoint", spec: dupSpec, opt: Options{Observe: observeNone}, ckReps: reps,
 			folds: map[int]int{0: 2, 4: 1},
-			units: noDedupSome, runs: 31, resumed: 3},
-		{name: "Observe + checkpoint restores all", spec: dupSpec, opt: Options{Observe: observe},
+			units: observeSome, runs: 31, resumed: 3},
+		{name: "Observe + checkpoint restores all", spec: dupSpec, opt: Options{Observe: observeNone},
 			ckReps: reps, folds: all, units: observeAll, runs: 0, resumed: 12},
 	} {
 		spec := tc.spec(t)
@@ -111,24 +108,33 @@ func TestPlanUnits(t *testing.T) {
 		hashes := CellHashes(spec, cells)
 		opt := tc.opt
 		opt.Replications = reps
+		var ck *checkpointFile
 		if tc.ckReps > 0 {
-			ck := &checkpointFile{Version: CheckpointVersion, Scenario: spec.Name,
+			ck = &checkpointFile{Version: CheckpointVersion, Scenario: spec.Name,
 				Replications: tc.ckReps, Cells: map[string]checkpointCell{}}
 			for ci, k := range tc.folds {
 				// Unfinished marks the accumulator so the test can see it restored.
 				ck.Cells[hashes[ci].String()] = checkpointCell{Folded: k, Accum: cellAccum{Unfinished: 100 + k}}
 			}
 			opt.Checkpoint = filepath.Join(t.TempDir(), "ck.json")
-			if err := saveCheckpointFile(opt.Checkpoint, ck); err != nil {
-				t.Fatal(err)
-			}
 		}
 		for _, n := range []int{1, 2, 3} {
 			sumRuns, sumDeduped, sumResumed := 0, 0, 0
 			for i := 0; i < n; i++ {
 				name := fmt.Sprintf("%s/shard %d of %d", tc.name, i, n)
 				opt.Shard = ShardSel{Index: i, Count: n}
-				p, err := newPlan(spec, opt)
+				if ck != nil {
+					// Each shard resumes a file saved under its own selection.
+					ck.ShardIndex, ck.ShardCount = i, n
+					if err := saveCheckpointFile(opt.Checkpoint, ck); err != nil {
+						t.Fatal(err)
+					}
+				}
+				restore, err := resume(&opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				p, err := newPlan(spec, opt, restore)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -192,11 +198,12 @@ func TestPlanUnits(t *testing.T) {
 	}
 }
 
-// TestPlanRejects: the planner owns the grid-level rejections.
+// TestPlanRejects: the planner owns the grid-level rejections, and the
+// checkpoint it restores from is read by resume alone.
 func TestPlanRejects(t *testing.T) {
 	spec := dupSpec(t)
 	for _, sel := range []ShardSel{{Index: 2, Count: 2}, {Index: -1, Count: 3}} {
-		if _, err := newPlan(spec, Options{Shard: sel}); err == nil {
+		if _, err := newPlan(spec, Options{Shard: sel}, nil); err == nil {
 			t.Errorf("newPlan accepted shard %d/%d", sel.Index, sel.Count)
 		}
 	}
@@ -204,8 +211,8 @@ func TestPlanRejects(t *testing.T) {
 	if err := os.WriteFile(ck, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newPlan(spec, Options{Checkpoint: ck}); err == nil {
-		t.Error("newPlan accepted a corrupt checkpoint")
+	if _, err := resume(&Options{Checkpoint: ck}); err == nil {
+		t.Error("resume accepted a corrupt checkpoint")
 	}
 }
 
@@ -240,13 +247,15 @@ func matrixSpec(t *testing.T) *scenario.Spec {
 
 // TestDedupShardResumeMatrix: dedup, sharding and resume compose. On a
 // grid with duplicate scheduler and availability entries, every
-// combination of {dedup, no-dedup} × {1, 2, 3 shards merged} × {fresh,
-// interrupted and resumed with a checkpoint after every run} exports
-// CSV and JSON byte-identical to the fresh single-process run.
+// combination of {dedup, observed (no dedup)} × {1, 2, 3 shards} ×
+// {fresh, interrupted and resumed with a checkpoint after every run}
+// exports CSV and JSON byte-identical to the fresh single-process run —
+// both the whole-grid Run of the one-shard case and the merge of every
+// case's completed shard checkpoints.
 func TestDedupShardResumeMatrix(t *testing.T) {
 	spec := matrixSpec(t)
 	const reps = 2
-	if p, err := newPlan(spec, Options{Replications: reps}); err != nil || len(p.cells) != 9 || len(p.units) != 4 {
+	if p, err := newPlan(spec, Options{Replications: reps}, nil); err != nil || len(p.cells) != 9 || len(p.units) != 4 {
 		t.Fatalf("matrix grid should plan 9 cells into 4 units: %+v, %v", p, err)
 	}
 	ref, err := Run(spec, Options{Replications: reps, Workers: 1})
@@ -254,20 +263,30 @@ func TestDedupShardResumeMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCSV, wantJSON := exportBoth(t, spec, ref)
+	check := func(name string, stats []CellStats) {
+		t.Helper()
+		gotCSV, gotJSON := exportBoth(t, spec, stats)
+		if gotCSV != wantCSV {
+			t.Errorf("%s: CSV differs from the fresh single-process run\n%s\nvs\n%s", name, gotCSV, wantCSV)
+		}
+		if gotJSON != wantJSON {
+			t.Errorf("%s: JSON differs from the fresh single-process run", name)
+		}
+	}
 
-	for _, noDedup := range []bool{false, true} {
+	for _, observe := range []func(Cell, int) obs.Probe{nil, observeNone} {
 		for _, n := range []int{1, 2, 3} {
-			for _, resume := range []bool{false, true} {
-				name := fmt.Sprintf("noDedup=%v/shards=%d/resume=%v", noDedup, n, resume)
+			for _, interrupted := range []bool{false, true} {
+				name := fmt.Sprintf("observed=%v/shards=%d/interrupted=%v", observe != nil, n, interrupted)
 				dir := t.TempDir()
 				var paths []string
-				var single []CellStats
 				for i := 0; i < n; i++ {
-					opt := Options{Replications: reps, Workers: 2, NoDedup: noDedup, Shard: ShardSel{Index: i, Count: n}}
-					if resume {
+					opt := Options{Replications: reps, Workers: 2, Observe: observe, Shard: ShardSel{Index: i, Count: n},
+						Checkpoint: filepath.Join(dir, fmt.Sprintf("ck%d.json", i))}
+					paths = append(paths, opt.Checkpoint)
+					if interrupted {
 						// First leg: stop after two dispatched runs. A shard
 						// owing no more than that simply completes.
-						opt.Checkpoint = filepath.Join(dir, fmt.Sprintf("ck%d.json", i))
 						opt.CheckpointEvery = 1
 						opt.Interrupted = interruptAfter(2)
 						if _, err := RunShard(spec, opt); err != nil && !errors.Is(err, ErrInterrupted) {
@@ -276,32 +295,20 @@ func TestDedupShardResumeMatrix(t *testing.T) {
 						opt.Interrupted = nil
 					}
 					if n == 1 {
-						if single, err = Run(spec, opt); err != nil {
+						single, err := Run(spec, opt)
+						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						continue
-					}
-					art, err := RunShard(spec, opt)
-					if err != nil {
+						check(name+"/run", single)
+					} else if _, err := RunShard(spec, opt); err != nil {
 						t.Fatalf("%s shard %d: %v", name, i, err)
 					}
-					paths = append(paths, filepath.Join(dir, fmt.Sprintf("shard%d.json", i)))
-					if err := WriteShard(paths[i], art); err != nil {
-						t.Fatal(err)
-					}
 				}
-				if n > 1 {
-					if single, _, err = MergeShards(spec, paths); err != nil {
-						t.Fatalf("%s merge: %v", name, err)
-					}
+				merged, _, err := MergeShards(spec, paths)
+				if err != nil {
+					t.Fatalf("%s merge: %v", name, err)
 				}
-				gotCSV, gotJSON := exportBoth(t, spec, single)
-				if gotCSV != wantCSV {
-					t.Errorf("%s: CSV differs from the fresh single-process run\n%s\nvs\n%s", name, gotCSV, wantCSV)
-				}
-				if gotJSON != wantJSON {
-					t.Errorf("%s: JSON differs from the fresh single-process run", name)
-				}
+				check(name+"/merge", merged)
 			}
 		}
 	}
@@ -312,10 +319,10 @@ func TestDedupShardResumeMatrix(t *testing.T) {
 // preceded the plan (per-cell accumulators behind a separate JSON
 // mirror): dupSpec at 3 replications, interrupted after 7 runs with the
 // frontier in the middle of a cell. The current engine must resume from
-// it — dedup on or off — to exports byte-identical to a fresh run, and
-// must write a completed plain sweep's checkpoint byte-identical to the
-// old engine's (testdata/ck_v1_parent_complete.json: ckSpec, 3
-// replications).
+// it — dedup on or off (observed) — to exports byte-identical to a
+// fresh run, and must write a completed plain sweep's checkpoint
+// byte-identical to the old engine's
+// (testdata/ck_v1_parent_complete.json: ckSpec, 3 replications).
 func TestResumeFromParentCheckpoint(t *testing.T) {
 	copyFixture := func(name string) string {
 		t.Helper()
@@ -339,22 +346,22 @@ func TestResumeFromParentCheckpoint(t *testing.T) {
 	// 8 units × 3 replications, 7 of them folded by the old engine; with
 	// dedup off the 12 cells owe 36 less the restored 3+3+3+1+1.
 	for _, tc := range []struct {
-		noDedup bool
+		observe func(Cell, int) obs.Probe
 		owed    int
-	}{{false, 17}, {true, 25}} {
+	}{{nil, 17}, {observeNone, 25}} {
 		executed := -1
-		stats, err := Run(spec, Options{Replications: reps, NoDedup: tc.noDedup,
+		stats, err := Run(spec, Options{Replications: reps, Observe: tc.observe,
 			Checkpoint: copyFixture("ck_v1_parent.json"),
 			Progress:   func(done, total int) { executed = total }})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if executed != tc.owed {
-			t.Errorf("noDedup=%v: resume executed %d runs, want %d", tc.noDedup, executed, tc.owed)
+			t.Errorf("observed=%v: resume executed %d runs, want %d", tc.observe != nil, executed, tc.owed)
 		}
 		gotCSV, gotJSON := exportBoth(t, spec, stats)
 		if gotCSV != wantCSV || gotJSON != wantJSON {
-			t.Errorf("noDedup=%v: exports resumed from the old engine's checkpoint differ from a fresh run", tc.noDedup)
+			t.Errorf("observed=%v: exports resumed from the old engine's checkpoint differ from a fresh run", tc.observe != nil)
 		}
 	}
 
@@ -418,7 +425,7 @@ func TestMetricsFinalValuesMatchParent(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		expose(fmt.Sprintf("shard %d/2", i), func(m *Metrics) error {
 			_, err := RunShard(dupSpec(t), Options{Replications: 2, Workers: 2, Metrics: m,
-				Shard: ShardSel{Index: i, Count: 2}})
+				Shard: ShardSel{Index: i, Count: 2}, Checkpoint: filepath.Join(t.TempDir(), "shard.json")})
 			return err
 		})
 	}

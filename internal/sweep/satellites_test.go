@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpsim/internal/obs"
 	"dpsim/internal/telemetry"
 )
 
@@ -65,14 +64,14 @@ func TestRunFailFast(t *testing.T) {
 		"arrivals": {"process": "poisson", "mean_interarrival_s": 3}
 	}`)
 	// Force every run to fail the same way TestMetricsErroredRuns does.
-	// NoDedup keeps all 8 cells executable: with both scheduler entries
-	// renamed to the same broken name, dedup would halve the grid.
+	// Observation keeps all 8 cells executable: with both scheduler
+	// entries renamed to the same broken name, dedup would halve the grid.
 	spec.Schedulers[0].Name = "no-such-policy"
 	spec.Schedulers[1].Name = "no-such-policy"
 	executed := 0
 	total := 0
 	_, err := Run(spec, Options{
-		Replications: 4, Workers: 1, NoDedup: true,
+		Replications: 4, Workers: 1, Observe: observeNone,
 		Progress: func(done, t int) { executed = done; total = t },
 	})
 	if err == nil {
@@ -117,7 +116,8 @@ func TestEmptyCellExtremes(t *testing.T) {
 
 // TestDedupLeavesExportsByteIdentical is the dedup contract: skipping
 // identical cells and fanning results out must never change a byte of
-// the exported aggregates, only the amount of work executed.
+// the exported aggregates, only the amount of work executed. An
+// observed sweep, which gives every cell its own unit, is the baseline.
 func TestDedupLeavesExportsByteIdentical(t *testing.T) {
 	spec := dupSpec(t) // duplicate "equipartition" axis entry
 	const reps = 3
@@ -127,13 +127,13 @@ func TestDedupLeavesExportsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(spec, Options{Replications: reps, NoDedup: true,
+	full, err := Run(spec, Options{Replications: reps, Observe: observeNone,
 		Progress: func(done, total int) { fullTotal = total }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dedupTotal >= fullTotal {
-		t.Fatalf("dedup executed %d runs, NoDedup %d — nothing was deduplicated", dedupTotal, fullTotal)
+		t.Fatalf("dedup executed %d runs, the observed sweep %d — nothing was deduplicated", dedupTotal, fullTotal)
 	}
 	// 12 cells, 4 of which duplicate another: 8 unique cells execute.
 	if want := 8 * reps; dedupTotal != want {
@@ -156,7 +156,7 @@ func TestObserveDisablesDedup(t *testing.T) {
 	total := 0
 	_, err := Run(spec, Options{
 		Replications: 1,
-		Observe:      func(c Cell, rep int) obs.Probe { return nil },
+		Observe:      observeNone,
 		Progress:     func(done, t int) { total = t },
 	})
 	if err != nil {

@@ -17,8 +17,8 @@
 // seed is a pure function of (cell hash, replication index), workers
 // only park completed runs at their index in the owed list, and a unit
 // always folds its replications in index order. The same hash keys the
-// resumable fold checkpoints (checkpoint.go) and the cross-process
-// shard artifacts (shard.go).
+// resumable fold checkpoints (checkpoint.go), which are also the
+// cross-process shards' artifacts (shard.go).
 package sweep
 
 import (
@@ -273,17 +273,12 @@ type Options struct {
 	// check per run, no atomics, no allocations. One Metrics must not be
 	// shared by concurrent Run calls.
 	Metrics *Metrics
-	// NoDedup disables content-hash deduplication. By default, cells
-	// with identical content hashes share one unit: their replications
-	// execute and fold once and every such cell displays the result —
-	// exported aggregates are identical either way (identical hash means
-	// identical seeds), so NoDedup mainly serves A/B verification. Dedup
-	// also turns itself off while Observe is set.
-	NoDedup bool
 	// Shard restricts execution to one content-hash partition of the
 	// grid. The zero value runs the whole grid. Sharded execution is
 	// driven through RunShard; Run rejects a non-trivial Shard because
-	// its full-grid report would cover only the owned cells.
+	// its full-grid report would cover only the owned cells. The
+	// checkpoint records the selection, and a resume under another one is
+	// an error.
 	Shard ShardSel
 	// Checkpoint, when non-empty, is the path of the resumable fold
 	// checkpoint: the sweep restores matching per-unit state from it on
@@ -424,7 +419,11 @@ func Run(spec *scenario.Spec, opt Options) ([]CellStats, error) {
 // owes on the worker pool, folding them into their units through the
 // in-order frontier. It returns the plan with every unit fully folded.
 func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
-	p, err := newPlan(spec, opt)
+	restore, err := resume(&opt)
+	if err != nil {
+		return nil, err
+	}
+	p, err := newPlan(spec, opt, restore)
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +516,7 @@ func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
 					m.noteFold(p.settled, parked, p.cellsDone)
 				}
 				if opt.Checkpoint != "" && done%ckEvery == 0 {
-					if err := p.save(opt.Checkpoint, spec.Name); err != nil && firstErr == nil {
+					if err := p.save(spec.Name, &opt); err != nil && firstErr == nil {
 						firstErr = fmt.Errorf("sweep: checkpoint: %w", err)
 						stopped.Store(true)
 					}
@@ -553,7 +552,7 @@ func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
 	// The final checkpoint lands on every exit path — completion, error,
 	// interrupt — so the next run never re-executes folded work.
 	if opt.Checkpoint != "" {
-		if err := p.save(opt.Checkpoint, spec.Name); err != nil && firstErr == nil {
+		if err := p.save(spec.Name, &opt); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("sweep: checkpoint: %w", err)
 		}
 	}

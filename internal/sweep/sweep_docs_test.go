@@ -9,8 +9,9 @@ import (
 )
 
 // TestSweepDoc pins docs/sweep.md to the code: every JSON key of the
-// checkpoint and shard-artifact schemas, every sharding/resume CLI
-// flag, and the planning gauge names must appear in the document.
+// checkpoint schema (which is also the shard artifact's), every
+// sharding/resume CLI flag, and the planning gauge names must appear in
+// the document.
 func TestSweepDoc(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "sweep.md"))
 	if err != nil {
@@ -29,7 +30,7 @@ func TestSweepDoc(t *testing.T) {
 		}
 		return keys
 	}
-	for _, v := range []any{checkpointFile{}, checkpointCell{}, cellAccum{}, ShardArtifact{}, ShardCell{}} {
+	for _, v := range []any{checkpointFile{}, checkpointCell{}, cellAccum{}} {
 		keys := jsonKeys(v)
 		if len(keys) == 0 {
 			t.Fatalf("%T has no JSON keys — schema moved?", v)
@@ -40,7 +41,7 @@ func TestSweepDoc(t *testing.T) {
 			}
 		}
 	}
-	for _, flag := range []string{"-checkpoint", "-checkpoint-every", "-no-dedup", "-shard", "-shard-out", "-merge"} {
+	for _, flag := range []string{"-checkpoint", "-checkpoint-every", "-shard", "-merge"} {
 		if !strings.Contains(doc, "`"+flag+" ") && !strings.Contains(doc, "`"+flag+"`") {
 			t.Errorf("flag %s is not documented in docs/sweep.md", flag)
 		}
