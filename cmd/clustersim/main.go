@@ -16,7 +16,8 @@
 // availability process and reconfiguration-cost model (its first grid
 // point is used; run cmd/dpssweep to cover the full grid); setting one of
 // the workload flags -nodes, -jobs, -interarrival or -seed alongside it is
-// a usage error.
+// a usage error, and so is -nodes or -jobs below 1 or an -interarrival
+// that is not a finite number > 0.
 //
 // -schedulers overrides the compared policies with a comma-separated
 // list of scheduler specs — a registered name, optionally with
@@ -64,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -139,10 +141,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		logger.Error("run failed", "err", err.Error())
 		return 1
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "clustersim: unexpected arguments: %v\n", fs.Args())
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "clustersim: "+format+"\n", args...)
 		fs.Usage()
 		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments: %v", fs.Args())
 	}
 
 	var spec *scenario.Spec
@@ -157,10 +162,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			}
 		})
 		if len(ignored) > 0 {
-			fmt.Fprintf(stderr, "clustersim: %s cannot be combined with -scenario: the scenario file sets the workload\n",
+			return usage("%s cannot be combined with -scenario: the scenario file sets the workload",
 				strings.Join(ignored, ", "))
-			fs.Usage()
-			return 2
 		}
 		var err error
 		spec, err = scenario.Load(*scenarioPath)
@@ -169,7 +172,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		// The classic clustersim workload, expressed as a scenario: an
-		// open Poisson stream of LU-profile jobs.
+		// open Poisson stream of LU-profile jobs. Its flags are checked
+		// here, so an error names the flag rather than a scenario key.
+		switch {
+		case *nodes < 1:
+			return usage("-nodes %d: the cluster needs at least 1 node", *nodes)
+		case *jobs < 1:
+			return usage("-jobs %d: the workload needs at least 1 job", *jobs)
+		case !(*inter > 0) || math.IsInf(*inter, 1):
+			return usage("-interarrival %v: the mean inter-arrival time must be finite and > 0", *inter)
+		}
 		spec = &scenario.Spec{
 			Name:  "clustersim",
 			Nodes: []int{*nodes},
@@ -194,9 +206,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	observing := *traceOut != "" || *tsOut != "" || *sumOut != ""
 	dt, err := spec.SampleDT(*sampleDT, 1)
 	if err != nil {
-		fmt.Fprintf(stderr, "clustersim: -sample-dt: %v\n", err)
-		fs.Usage()
-		return 2
+		return usage("-sample-dt: %v", err)
 	}
 
 	// Telemetry: simple run/job counters plus a run-duration histogram and

@@ -161,6 +161,21 @@ func TestBadFlagsFail(t *testing.T) {
 			t.Errorf("%s with -scenario: stderr does not name the flag: %s", flag, errBuf.String())
 		}
 	}
+	// A built-in workload flag out of range used to exit 1 with a message
+	// naming a scenario key the user never wrote; it is a usage error
+	// naming the flag.
+	for _, args := range [][]string{
+		{"-nodes", "0"}, {"-nodes", "-3"}, {"-jobs", "0"},
+		{"-interarrival", "-5"}, {"-interarrival", "NaN"}, {"-interarrival", "+Inf"},
+	} {
+		errBuf.Reset()
+		if code := realMain(args, &out, &errBuf); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", args, code, errBuf.String())
+		}
+		if !strings.Contains(errBuf.String(), "clustersim: "+args[0]+" ") {
+			t.Errorf("%v: stderr does not name the flag: %s", args, errBuf.String())
+		}
+	}
 	// A sample interval the simulator would never sample at used to exit
 	// 0 with a header-only time-series; it is a usage error.
 	for _, dt := range []string{"-5", "NaN", "-Inf"} {

@@ -35,15 +35,17 @@
 //     and "name(key=value,...)" spec strings), eight built-in policies
 //     spanning the rigidity spectrum (rigid-fcfs, easy-backfill,
 //     moldable, sjf-moldable, equipartition, fair-share,
-//     efficiency-greedy, malleable-hysteresis), and the CheckInvariants
-//     harness certifying any registered policy against the simulator's
-//     invariants under randomized workloads and availability timelines.
-//     The allocation contract is buffer-reuse based: Allocate writes
-//     into a caller-provided slice indexed like the value-typed
-//     State.Active snapshot, and policies keep per-instance scratch
-//     buffers, which makes the simulator's scheduler-invocation hot
-//     path allocation-free in steady state (asserted by
-//     testing.AllocsPerRun regression tests in both packages).
+//     efficiency-greedy, malleable-hysteresis), every one certified by
+//     the one invariant harness, internal/federation's CheckInvariants,
+//     on one-member and multi-member fleets under randomized workloads
+//     and availability timelines. The allocation contract is buffer-reuse
+//     based: Allocate writes into a caller-provided slice indexed like
+//     the value-typed State.Active snapshot, and policies keep
+//     per-instance scratch buffers, which makes the simulator's
+//     scheduler-invocation hot path allocation-free in steady state
+//     (asserted by testing.AllocsPerRun regression tests in both
+//     packages). The simulator checks every grant against the contract
+//     and panics on any out-of-contract allocation.
 //   - internal/appmodel — the application performance-model subsystem:
 //     the AppModel interface (phase time/rate/efficiency as a function
 //     of work and allocation), a self-registering registry mirroring

@@ -514,7 +514,8 @@ func (s *Sim) reallocate() {
 // exactly the fields the allocation contract names, and no per-event
 // boxing occurs. The policy fills allocBuf (zeroed here) indexed like the
 // views. It returns the call's wall time (read only with a probe attached)
-// and the total allocation, which must fit the usable capacity.
+// and the total allocation, having checked the sched.Scheduler contract:
+// a grant outside [0, MaxNodes] or a sum above the usable nodes panics.
 func (s *Sim) allocate(now eventq.Time) (wallNS int64, total int) {
 	s.views = grow(s.views, len(s.actives))
 	s.allocBuf = grow(s.allocBuf, len(s.actives))
@@ -530,44 +531,22 @@ func (s *Sim) allocate(now eventq.Time) (wallNS int64, total int) {
 	} else {
 		s.sched.Allocate(st, s.allocBuf)
 	}
-	for _, a := range s.allocBuf {
+	for i, a := range s.allocBuf {
+		// A zero grant is always in contract and skips the MaxNodes load.
+		if a != 0 && (a < 0 || a > s.views[i].Job.MaxNodes) {
+			s.breach(now, s.views[i].Job, a)
+		}
 		total += a
 	}
 	if total > s.schedCap {
-		panic(fmt.Sprintf("cluster: scheduler %s over-allocated %d of %d nodes", s.sched.Name(), total, s.schedCap))
+		panic(fmt.Sprintf("cluster: scheduler %s over-allocated %d of %d usable nodes at t=%v",
+			s.sched.Name(), total, s.schedCap, now))
 	}
 	return wallNS, total
 }
 
-// InvariantRunner adapts the cluster simulator to sched.CheckInvariants:
-// it runs the policy over the given workload and capacity timeline with
-// a non-zero reconfiguration cost (so the lost-work and redistribution
-// paths are exercised too) and fingerprints the full Result.
-func InvariantRunner(policy sched.Scheduler, nodes int, jobs []*sched.Job, changes []sched.CapacityChange) (out sched.Outcome, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: simulation panicked: %v", r)
-		}
-	}()
-	sim, err := NewSim(nodes, policy, jobs)
-	if err != nil {
-		return sched.Outcome{}, err
-	}
-	av := make([]availability.Change, len(changes))
-	for i, c := range changes {
-		av[i] = availability.Change{At: c.At, Capacity: c.Capacity, NoticeS: c.NoticeS}
-	}
-	if err := sim.SetCapacityChanges(av); err != nil {
-		return sched.Outcome{}, err
-	}
-	if err := sim.SetReconfigCost(ReconfigCost{RedistributionSPerNode: 0.2, LostWorkS: 2}); err != nil {
-		return sched.Outcome{}, err
-	}
-	res := sim.Run()
-	return sched.Outcome{
-		Fingerprint: fmt.Sprintf("%+v", res),
-		Jobs:        len(jobs),
-		Finished:    len(res.PerJob),
-		Unfinished:  res.Unfinished,
-	}, nil
+// breach is allocate's out-of-line panic for a grant outside [0, MaxNodes].
+func (s *Sim) breach(now eventq.Time, j *Job, a int) {
+	panic(fmt.Sprintf("cluster: scheduler %s granted job %d %d nodes outside [0, MaxNodes %d] at t=%v",
+		s.sched.Name(), j.ID, a, j.MaxNodes, now))
 }

@@ -32,7 +32,7 @@ func TestFederationDoc(t *testing.T) {
 		"`free`", "`queue`",
 		// Public API surface.
 		"ParseSpec", "FormatSpec", "CheckInvariants",
-		"Offer", "InjectInto", "Dispatch", "ProcessNextEvent",
+		"Offer", "InjectInto", "ProcessNextEvent", "SchedulerFactory",
 		"Merged", "ClusterView", "LoadInfo",
 		// Certifying tests and benchmarks.
 		"TestCheckInvariantsAllPairs",

@@ -28,8 +28,8 @@ type Member struct {
 // composes with any number of members without reordering events.
 //
 // Arrivals flow through Offer (admission + routing decision) and
-// InjectInto (delivery); Dispatch combines the two. The zero value is
-// not usable; construct with NewSim.
+// InjectInto (delivery). The zero value is not usable; construct with
+// NewSim.
 //
 // Once the federation has started (its first PeekNextEventTime or
 // ProcessNextEvent) the members are driven only through it: it caches
@@ -86,12 +86,6 @@ func NewSim(members []Member, admit Admission, route Router) (*Sim, error) {
 	}
 	return f, nil
 }
-
-// Members returns the federation's member count.
-func (f *Sim) Members() int { return len(f.members) }
-
-// Member returns the i-th member.
-func (f *Sim) Member(i int) Member { return f.members[i] }
 
 // PeekNextEventTime reports the earliest pending event time across all
 // members, or ok=false when every member queue is empty.
@@ -217,17 +211,6 @@ func (f *Sim) InjectInto(idx int, j *cluster.Job) error {
 	f.routed[idx]++
 	f.now = at
 	return nil
-}
-
-// Dispatch is Offer followed by InjectInto for the admitted case: the
-// one-call path for drivers that don't need to inspect the routing
-// decision before delivery.
-func (f *Sim) Dispatch(j *cluster.Job) (idx int, admitted bool, err error) {
-	idx, admitted, err = f.Offer(j)
-	if err != nil || !admitted {
-		return idx, admitted, err
-	}
-	return idx, true, f.InjectInto(idx, j)
 }
 
 // Offered, Admitted and Rejected report the admission counters:

@@ -37,7 +37,8 @@ func drivePlain(t *testing.T, sim *cluster.Sim, jobs []*cluster.Job) cluster.Res
 }
 
 // driveFed runs the same jobs through a federation with the identical
-// drive order, dispatching each arrival through admission + routing.
+// drive order, offering each arrival to admission + routing and
+// delivering the admitted ones.
 func driveFed(t *testing.T, fed *Sim, jobs []*cluster.Job) cluster.Result {
 	t.Helper()
 	next := 0
@@ -46,9 +47,7 @@ func driveFed(t *testing.T, fed *Sim, jobs []*cluster.Job) cluster.Result {
 		if next < len(jobs) {
 			at := eventq.Time(eventq.DurationOf(jobs[next].Arrival))
 			if !evOK || at <= et {
-				if _, _, err := fed.Dispatch(jobs[next]); err != nil {
-					t.Fatal(err)
-				}
+				offer(t, fed, jobs[next])
 				next++
 				continue
 			}
@@ -59,6 +58,18 @@ func driveFed(t *testing.T, fed *Sim, jobs []*cluster.Job) cluster.Result {
 		fed.ProcessNextEvent()
 	}
 	return fed.Merged()
+}
+
+// offer runs one arrival through Offer and, when admitted, InjectInto.
+func offer(t *testing.T, fed *Sim, j *cluster.Job) {
+	t.Helper()
+	idx, admitted, err := fed.Offer(j)
+	if err == nil && admitted {
+		err = fed.InjectInto(idx, j)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func mustPolicies(t *testing.T, admission, router string) (Admission, Router) {
@@ -243,9 +254,7 @@ func TestDispatchErrors(t *testing.T) {
 	if err := fed.InjectInto(3, j); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("out-of-range member: %v", err)
 	}
-	if _, _, err := fed.Dispatch(j); err != nil {
-		t.Fatal(err)
-	}
+	offer(t, fed, j)
 	// The shared clock now sits at t=5; injecting an earlier arrival
 	// must be refused.
 	early := &cluster.Job{ID: 1, Arrival: 1, Phases: []cluster.Phase{{Work: 1}}, MaxNodes: 2}

@@ -19,6 +19,11 @@ type CheckConfig struct {
 	// RouterFactory overrides name resolution; nil resolves
 	// NewRouter(name, nil).
 	RouterFactory func() (Router, error)
+	// SchedulerFactory builds every member's policy, overriding the
+	// scheduler each member draws from the sched registry (the draw still
+	// happens, so cases stay the same). Every call must return a fresh
+	// instance — policies may be stateful.
+	SchedulerFactory func() (sched.Scheduler, error)
 	// Seed roots the randomized federations (default 1).
 	Seed uint64
 	// Rounds is the number of randomized federation cases (default 12);
@@ -37,6 +42,9 @@ type CheckConfig struct {
 // (heterogeneous pool sizes, schedulers and availability timelines) and
 // randomized open arrival streams:
 //
+//  0. every member's scheduler honours the sched.Scheduler allocation
+//     contract — each grant in [0, MaxNodes], the sum within the usable
+//     nodes (cluster.Sim panics on a violation; the harness reports it);
 //  1. every offered arrival is admitted or rejected exactly once, and
 //     the harness's own counts agree with the orchestrator's counters;
 //  2. every admitted job is routed to exactly one member, in range
@@ -52,7 +60,9 @@ type CheckConfig struct {
 //     federation-wide.
 //
 // Any registered policy — including future ones — is certified by name;
-// the test suite runs every AdmissionNames()×RouterNames() pair.
+// the test suite runs every AdmissionNames()×RouterNames() pair, and every
+// sched.Names() policy through SchedulerFactory on one-member and
+// multi-member fleets.
 func CheckInvariants(admission, router string, cfg CheckConfig) error {
 	pair := admission + "×" + router
 	newAdmit := cfg.AdmissionFactory
@@ -99,7 +109,7 @@ func CheckInvariants(admission, router string, cfg CheckConfig) error {
 			if err != nil {
 				return fmt.Errorf("federation: CheckInvariants(%s): %w", pair, err)
 			}
-			fp, err := runCase(fleet, jobs, admit, route)
+			fp, err := runCase(fleet, jobs, admit, route, cfg.SchedulerFactory)
 			if err != nil {
 				return fmt.Errorf("federation: CheckInvariants(%s): round %d: %w", pair, round, err)
 			}
@@ -173,7 +183,8 @@ func randomFederation(seed uint64, maxClusters, maxNodes, maxJobs int) ([]member
 // observe from outside, returning a fingerprint of the full outcome.
 // Panics anywhere in the stack are converted to errors so a broken
 // policy cannot crash the harness.
-func runCase(fleet []memberCase, jobs []*cluster.Job, admit Admission, route Router) (fp string, err error) {
+func runCase(fleet []memberCase, jobs []*cluster.Job, admit Admission, route Router,
+	newPolicy func() (sched.Scheduler, error)) (fp string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("federation: simulation panicked: %v", r)
@@ -181,7 +192,12 @@ func runCase(fleet []memberCase, jobs []*cluster.Job, admit Admission, route Rou
 	}()
 	members := make([]Member, len(fleet))
 	for i, mc := range fleet {
-		policy, err := sched.New(mc.scheduler, nil)
+		var policy sched.Scheduler
+		if newPolicy != nil {
+			policy, err = newPolicy()
+		} else {
+			policy, err = sched.New(mc.scheduler, nil)
+		}
 		if err != nil {
 			return "", err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpsim/internal/cluster"
+	"dpsim/internal/sched"
 )
 
 // TestCheckInvariantsAllPairs certifies every registered admission ×
@@ -75,4 +76,28 @@ func TestCheckInvariantsBitesRouter(t *testing.T) {
 	if !strings.Contains(err.Error(), "router broken-router returned member") {
 		t.Errorf("err = %v, want an out-of-range routing fault", err)
 	}
+}
+
+// FuzzCheckInvariants drives the event loop rather than a parser: each
+// input picks a scheduler, an admission policy and a router from their
+// registries (modulo each name list) plus a fleet of one to four members,
+// then runs one randomized round of CheckInvariants with every member on
+// that scheduler. Any broken invariant or panic fails the input.
+func FuzzCheckInvariants(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, policy, admission, router, clusters uint8) {
+		names := sched.Names()
+		name := names[int(policy)%len(names)]
+		admissions, routers := AdmissionNames(), RouterNames()
+		err := CheckInvariants(admissions[int(admission)%len(admissions)], routers[int(router)%len(routers)],
+			CheckConfig{
+				SchedulerFactory: func() (sched.Scheduler, error) { return sched.New(name, nil) },
+				Seed:             seed,
+				Rounds:           1,
+				MaxClusters:      1 + int(clusters%4),
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 }

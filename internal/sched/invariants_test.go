@@ -4,31 +4,49 @@ import (
 	"strings"
 	"testing"
 
-	"dpsim/internal/cluster"
+	"dpsim/internal/federation"
 	"dpsim/internal/sched"
 )
+
+// fleetShapes are the two fleet shapes every policy is certified on: a
+// single cluster (a plain cell is a one-member fleet), and the federation
+// harness's default fleets of one to four members.
+var fleetShapes = []struct {
+	name string
+	cfg  federation.CheckConfig
+}{
+	{"one-member", federation.CheckConfig{Seed: 0xD05, Rounds: 16, MaxClusters: 1, MaxNodes: 24, MaxJobs: 16}},
+	{"multi-member", federation.CheckConfig{Seed: 0xD05}},
+}
+
+// certify runs one policy through federation.CheckInvariants, every member
+// of every fleet running a fresh instance from newPolicy.
+func certify(newPolicy func() (sched.Scheduler, error), cfg federation.CheckConfig) error {
+	cfg.SchedulerFactory = newPolicy
+	return federation.CheckInvariants("always", "round-robin", cfg)
+}
 
 // TestCheckInvariantsAllPolicies certifies every registered policy —
 // present and future, since the loop is over Names() — against the
 // simulator's invariants under randomized workloads and randomized
-// availability timelines.
+// availability timelines, on one-member and multi-member fleets.
 func TestCheckInvariantsAllPolicies(t *testing.T) {
 	for _, name := range sched.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			err := sched.CheckInvariants(name, sched.CheckConfig{
-				Runner: cluster.InvariantRunner,
-				Seed:   0xD05, // keep the suite's seed stable across runs
-			})
-			if err != nil {
-				t.Fatal(err)
+			t.Parallel()
+			for _, shape := range fleetShapes {
+				err := certify(func() (sched.Scheduler, error) { return sched.New(name, nil) }, shape.cfg)
+				if err != nil {
+					t.Errorf("%s: %v", shape.name, err)
+				}
 			}
 		})
 	}
 }
 
-// overAllocator violates invariant 1 on purpose: it hands every job its
-// MaxNodes regardless of capacity.
+// overAllocator breaks the capacity half of the allocation contract: it
+// hands every job its MaxNodes regardless of capacity.
 type overAllocator struct{}
 
 func (overAllocator) Name() string { return "test-over-allocator" }
@@ -38,8 +56,8 @@ func (overAllocator) Allocate(st sched.State, out []int) {
 	}
 }
 
-// greedyBeyondMax violates invariant 2: one node too many for the first
-// job.
+// greedyBeyondMax breaks the per-job half: one node too many for the
+// first job, while the sum still fits the pool.
 type greedyBeyondMax struct{}
 
 func (greedyBeyondMax) Name() string { return "test-beyond-max" }
@@ -53,7 +71,7 @@ func (greedyBeyondMax) Allocate(st sched.State, out []int) {
 }
 
 // TestCheckInvariantsCatchesViolations: the harness must reject broken
-// policies, not just bless working ones.
+// policies, not just bless working ones, on every fleet shape.
 func TestCheckInvariantsCatchesViolations(t *testing.T) {
 	cases := []struct {
 		policy sched.Scheduler
@@ -62,24 +80,15 @@ func TestCheckInvariantsCatchesViolations(t *testing.T) {
 		{overAllocator{}, "usable nodes"},
 		{greedyBeyondMax{}, "MaxNodes"},
 	}
-	for _, c := range cases {
-		err := sched.CheckInvariants(c.policy.Name(), sched.CheckConfig{
-			Runner:  cluster.InvariantRunner,
-			Factory: func() (sched.Scheduler, error) { return c.policy, nil },
-		})
-		if err == nil {
-			t.Fatalf("%s passed the invariant suite", c.policy.Name())
+	for _, shape := range fleetShapes {
+		for _, c := range cases {
+			err := certify(func() (sched.Scheduler, error) { return c.policy, nil }, shape.cfg)
+			if err == nil {
+				t.Fatalf("%s: %s passed the invariant suite", shape.name, c.policy.Name())
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: %s: error %q does not mention %q", shape.name, c.policy.Name(), err, c.want)
+			}
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("%s: error %q does not mention %q", c.policy.Name(), err, c.want)
-		}
-	}
-}
-
-// TestCheckInvariantsNeedsRunner: the config must demand its injection
-// point.
-func TestCheckInvariantsNeedsRunner(t *testing.T) {
-	if err := sched.CheckInvariants("equipartition", sched.CheckConfig{}); err == nil {
-		t.Fatal("missing Runner accepted")
 	}
 }

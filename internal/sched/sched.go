@@ -22,8 +22,9 @@
 //
 // New policies self-register via Register (typically from an init
 // function) and are then resolvable by name everywhere — scenario JSON,
-// CLI flags, sweep grids — and certified against the simulator's
-// invariants by CheckInvariants for free.
+// CLI flags, sweep grids — and certified for free by the one invariant
+// harness, federation.CheckInvariants, which the sched tests run for
+// every Names() entry on one-member and multi-member fleets.
 package sched
 
 import (
@@ -45,8 +46,8 @@ type Phase struct {
 
 // Efficiency returns the dynamic efficiency of the phase on p nodes
 // under the Comm formula. Jobs with an attached performance model
-// override this curve: model-aware callers must use JobState.EffAt (or
-// branch on Job.Model like the built-in policies do).
+// override this curve: model-aware callers must branch on Job.Model like
+// the built-in policies do (JobState.EstRemaining already does).
 func (ph Phase) Efficiency(p int) float64 {
 	if p <= 0 {
 		return 0
@@ -129,26 +130,6 @@ func (js JobState) RemainingWork() float64 {
 	return w
 }
 
-// EffAt returns the current phase's dynamic efficiency on p nodes under
-// the job's performance model (the phase's Comm formula when the job
-// has none). Policies that are not allocation-evaluation hot loops
-// should prefer this over Phase.Efficiency — it is model-correct by
-// construction.
-func (js JobState) EffAt(p int) float64 {
-	if m := js.Job.Model; m != nil {
-		return modelEfficiency(m, js.Phase().Work, p)
-	}
-	return js.Phase().Efficiency(p)
-}
-
-// RateAt is the model-aware analog of Phase.Rate for the current phase.
-func (js JobState) RateAt(p int) float64 {
-	if m := js.Job.Model; m != nil {
-		return modelRate(m, js.Phase().Work, p)
-	}
-	return js.Phase().Rate(p)
-}
-
 // EstRemaining estimates the job's remaining runtime on p nodes: the
 // current phase's remaining work plus every later phase, each at the
 // phase's own dynamic-efficiency rate (or the job's performance model).
@@ -194,7 +175,8 @@ type State struct {
 // count into out[i]; the caller provides out with len(st.Active),
 // zeroed, so a policy that grants a job nothing may simply skip it. On
 // return the counts must each lie in [0, MaxNodes] and sum to at most
-// st.Nodes.
+// st.Nodes: the simulator checks every grant and panics on any
+// out-of-contract allocation, naming the policy, the job and the instant.
 //
 // The buffer-reuse contract is what keeps the simulator's event loop
 // allocation-free: the caller owns st.Active and out and recycles both
@@ -205,9 +187,8 @@ type State struct {
 // per simulation.
 //
 // Policies that evaluate phase rates or efficiencies must respect the
-// job's performance model: use JobState.RateAt/EffAt/EstRemaining
-// (model-aware by construction), or branch on Job.Model like the
-// built-in policies do when the evaluation sits in a hot loop.
+// job's performance model: use JobState.EstRemaining (model-aware by
+// construction), or branch on Job.Model like the built-in policies do.
 type Scheduler interface {
 	Name() string
 	Allocate(st State, out []int)

@@ -320,10 +320,6 @@ func maxTime(a, b eventq.Time) eventq.Time {
 	return b
 }
 
-// Reseed replaces the noise stream (used to obtain independent repetition
-// runs of the same configuration).
-func (c *Cluster) Reseed(seed uint64) { c.rnd = rng.New(seed) }
-
 // DurationSource returns the testbed's duration source for ModeModel runs:
 // the analytic estimate plus dispatch overhead, scaled by lognormal noise.
 // This is what the application's computations "really" cost on the virtual
