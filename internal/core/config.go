@@ -5,11 +5,11 @@
 //
 // # Execution model
 //
-// Every operation invocation runs in its own goroutine (the analogue of a
-// DPS execution thread); the engine (the simulator thread) resumes exactly
-// one of them at a time and regains control whenever an atomic step ends:
-// at every Post, at a flow-control suspension, and at invocation end
-// (paper Fig. 3/4). The duration of each atomic step is either measured by
+// Every operation invocation runs on a coroutine (the analogue of a DPS
+// execution thread; finished invocations hand theirs to the next one);
+// the engine (the simulator thread) resumes exactly one of them at a time
+// and regains control whenever an atomic step ends: at every Post, at a
+// flow-control suspension, and at invocation end (paper Fig. 3/4). The duration of each atomic step is either measured by
 // direct execution (scaled wall-clock time), taken from a calibration
 // table, or charged from an analytic model — the partial direct execution
 // spectrum of §4. Step completions are scheduled on the per-node CPU model

@@ -156,12 +156,11 @@ type Engine struct {
 
 	mode       dps.ExecMode
 	nextInstID uint64
-	// nextInvID numbers this engine's invocations in start order; the ids
-	// only order them against each other (shutdown).
-	nextInvID uint64
 
-	// live invocations for shutdown and deadlock diagnostics
-	live map[*invocation]bool
+	// coros holds every coroutine in creation order (shutdown, deadlock
+	// diagnostics); free holds those bound to no invocation.
+	coros []*coro
+	free  []*coro
 
 	// ModeModel per-key instance counters; direct-memo measurement state.
 	keyCount map[string]int
@@ -221,7 +220,6 @@ func New(cfg Config) (*Engine, error) {
 		graph:    cfg.Graph,
 		threads:  make(map[threadKey]*thread),
 		mode:     cfg.Mode,
-		live:     make(map[*invocation]bool),
 		keyCount: make(map[string]int),
 		memoSum:  make(map[string]eventq.Duration),
 		memoCnt:  make(map[string]int),
@@ -403,22 +401,20 @@ func (e *Engine) drive() (err error) {
 	return nil
 }
 
-// shutdown unblocks every live invocation goroutine so none leaks.
+// shutdown stops every coroutine in creation order so none leaks: a bound
+// one unwinds its handler, a free one leaves its loop.
 func (e *Engine) shutdown() {
-	invs := make([]*invocation, 0, len(e.live))
-	for inv := range e.live {
-		invs = append(invs, inv)
-	}
-	sort.Slice(invs, func(i, j int) bool { return invs[i].id < invs[j].id })
-	for _, inv := range invs {
-		inv.abort()
+	for _, c := range e.coros {
+		c.stop()
 	}
 }
 
 func (e *Engine) pendingDescriptions() []string {
 	var out []string
-	for inv := range e.live {
-		out = append(out, inv.describe())
+	for _, c := range e.coros {
+		if c.inv != nil {
+			out = append(out, c.inv.describe())
+		}
 	}
 	for _, th := range e.threads {
 		if len(th.queue) > 0 {

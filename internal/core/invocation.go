@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"time"
 
@@ -34,26 +35,46 @@ func (k invKind) String() string {
 	}
 }
 
-// yieldMsg is what an invocation goroutine hands back to the engine at the
-// end of every atomic step.
+// yieldMsg is what an invocation hands back to the engine at the end of
+// every atomic step.
 type yieldMsg struct {
-	done     bool            // invocation finished (no further resume expected)
-	work     eventq.Duration // duration of the step that just ended
-	post     *envelope       // non-nil when the step ended with a post
-	panicked any             // user-code panic value
-	stack    []byte
+	done bool            // invocation finished (no further resume expected)
+	work eventq.Duration // duration of the step that just ended
+	post *envelope       // non-nil when the step ended with a post
 }
 
-// abortSignal unwinds invocation goroutines during shutdown.
+// abortSignal unwinds a handler whose coroutine shutdown stopped.
 var abortSignal = new(int)
 
+// coro is one execution thread of the engine: an iter.Pull coroutine that
+// runs the invocations bound to it one after another. The engine (the
+// simulator thread of Fig. 3) resumes exactly one coroutine at a time and
+// regains control at every atomic-step end. A finished invocation returns
+// its coroutine to Engine.free, so an engine creates only as many
+// coroutines as invocations are ever live at once.
+type coro struct {
+	inv   *invocation // bound invocation; nil while on the free list
+	yield func(yieldMsg) bool
+	next  func() (yieldMsg, bool)
+	stop  func()
+}
+
+// loop is the coroutine body. The done step of one invocation stays
+// parked in yield until the coroutine is bound again or stopped.
+func (c *coro) loop(yield func(yieldMsg) bool) {
+	c.yield = yield
+	for c.inv.run() {
+		if !yield(yieldMsg{done: true, work: c.inv.stepWork()}) {
+			return
+		}
+	}
+}
+
 // invocation is one operation activation: the analogue of a DPS execution
-// thread running one operation (paper §3). Exactly one invocation
-// goroutine runs at any moment; the engine alternates with it through the
-// resume/yield channels, exactly like the simulator thread of Fig. 3.
+// thread running one operation (paper §3).
 type invocation struct {
-	id   uint64
 	eng  *Engine
+	co   *coro
 	th   *thread
 	op   *dps.Op
 	kind invKind
@@ -61,10 +82,6 @@ type invocation struct {
 	env  *envelope   // input (nil for finish)
 	inst *instance   // sink instance for absorb/finish
 	act  *activation // output activation (split invocations)
-
-	resume  chan struct{}
-	yield   chan yieldMsg
-	aborted bool
 
 	charged  eventq.Duration // Compute charges in the current step
 	wallMark time.Time       // step start (direct execution measurement)
@@ -101,49 +118,28 @@ func (inv *invocation) stepWork() eventq.Duration {
 	return w
 }
 
-// waitResume blocks until the engine hands control back.
-func (inv *invocation) waitResume() {
-	<-inv.resume
-	if inv.aborted {
+// handoff ends the current atomic step: it yields msg to the engine and
+// returns when resumed.
+func (inv *invocation) handoff(msg yieldMsg) {
+	if !inv.co.yield(msg) {
 		panic(abortSignal)
 	}
 	inv.wallMark = time.Now()
 }
 
-// handoff ends the current atomic step: it yields msg to the engine and
-// blocks until resumed.
-func (inv *invocation) handoff(msg yieldMsg) {
-	inv.yield <- msg
-	inv.waitResume()
-}
-
-// abort unblocks a parked goroutine during shutdown. The non-blocking send
-// covers invocations whose goroutine already exited (e.g. a failure raised
-// during their end-of-invocation bookkeeping).
-func (inv *invocation) abort() {
-	inv.aborted = true
-	select {
-	case inv.resume <- struct{}{}:
-	default:
-	}
-}
-
-// body is the goroutine running the operation handler.
-func (inv *invocation) body() {
+// run executes the operation handler on the coroutine. It reports false
+// when shutdown stopped the coroutine mid-handler. A user panic becomes
+// an engine failure, which reaches Run through the engine's next call.
+func (inv *invocation) run() (finished bool) {
 	defer func() {
-		r := recover()
-		if r == nil || r == abortSignal {
-			return
+		if r := recover(); r != nil && r != abortSignal {
+			if _, ok := r.(engineFailure); ok {
+				panic(r)
+			}
+			inv.eng.fail(fmt.Errorf("core: panic in %s: %v\n%s", inv.describe(), r, debug.Stack()))
 		}
-		if f, ok := r.(engineFailure); ok {
-			// Engine-originated failure raised inside a ctx call: forward
-			// the error itself.
-			inv.yield <- yieldMsg{panicked: f.err}
-			return
-		}
-		inv.yield <- yieldMsg{panicked: r, stack: debug.Stack()}
 	}()
-	inv.waitResume()
+	inv.wallMark = time.Now()
 	ctx := &opCtx{inv: inv}
 	switch inv.kind {
 	case iSplit:
@@ -155,7 +151,7 @@ func (inv *invocation) body() {
 	case iFinish:
 		inv.inst.state.Finish(ctx)
 	}
-	inv.yield <- yieldMsg{done: true, work: inv.stepWork()}
+	return true
 }
 
 // --- engine-side invocation driving ---
@@ -168,14 +164,7 @@ func (e *Engine) startInvocation(th *thread, item workItem) {
 		e.resumeInv(item.parked.inv)
 		return
 	}
-	e.nextInvID++
-	inv := &invocation{
-		id:     e.nextInvID,
-		eng:    e,
-		th:     th,
-		resume: make(chan struct{}),
-		yield:  make(chan yieldMsg),
-	}
+	inv := &invocation{eng: e, th: th}
 	switch item.kind {
 	case wData:
 		env := item.env
@@ -213,28 +202,27 @@ func (e *Engine) startInvocation(th *thread, item workItem) {
 			inv.inst.act = newActivation(inv.inst.parent)
 		}
 	}
-	e.live[inv] = true
-	go inv.body()
+	var c *coro
+	if n := len(e.free); n > 0 {
+		c, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		c = &coro{}
+		c.next, c.stop = iter.Pull(c.loop)
+		e.coros = append(e.coros, c)
+	}
+	c.inv, inv.co = inv, c
 	e.resumeInv(inv)
 }
 
-// resumeInv hands control to the invocation goroutine and processes the
+// resumeInv hands control to the invocation's coroutine and processes the
 // next yielded step.
 func (e *Engine) resumeInv(inv *invocation) {
-	inv.resume <- struct{}{}
-	msg := <-inv.yield
+	msg, _ := inv.co.next()
 	e.handleYield(inv, msg)
 }
 
 // handleYield accounts an atomic step and schedules its effects.
 func (e *Engine) handleYield(inv *invocation, msg yieldMsg) {
-	if msg.panicked != nil {
-		delete(e.live, inv)
-		if err, ok := msg.panicked.(error); ok && len(msg.stack) == 0 {
-			e.fail(err)
-		}
-		e.fail(fmt.Errorf("core: panic in %s: %v\n%s", inv.describe(), msg.panicked, msg.stack))
-	}
 	e.stats.Steps++
 	st := &e.opStats[inv.op.ID()]
 	st.Steps++
@@ -282,11 +270,11 @@ func (e *Engine) performPost(inv *invocation, env *envelope) bool {
 	return false
 }
 
-// finishInvocation runs the end-of-invocation bookkeeping. The invocation
-// leaves the live set first: its goroutine has already exited, so shutdown
-// must not try to unblock it even if the bookkeeping below fails.
+// finishInvocation returns the invocation's coroutine to the free list
+// and runs the end-of-invocation bookkeeping.
 func (e *Engine) finishInvocation(inv *invocation) {
-	delete(e.live, inv)
+	inv.co.inv = nil
+	e.free = append(e.free, inv.co)
 	switch inv.kind {
 	case iSplit:
 		e.closeActivation(inv.act, inv.th)
@@ -375,8 +363,8 @@ func (e *Engine) newInstance(pair *dps.Pair, parent token, first dps.DataObject,
 	}
 }
 
-// buildEnvelope routes a posted object. Runs on the invocation goroutine
-// while the engine is blocked, so engine state access is exclusive.
+// buildEnvelope routes a posted object. Runs on the invocation's coroutine
+// while the engine is suspended, so engine state access is exclusive.
 func (e *Engine) buildEnvelope(inv *invocation, edgeIdx int, obj dps.DataObject) *envelope {
 	if obj == nil {
 		e.fail(fmt.Errorf("core: %s posted a nil data object", inv.op))

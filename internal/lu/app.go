@@ -179,7 +179,6 @@ func (a *App) build() {
 		trsmEdge := g.Connect(runner, trsms[k], func(r dps.Routing) int {
 			return a.owner(r.Obj.(*TrsmReq).Block)
 		})
-		_ = trsmEdge
 		g.Connect(trsms[k], colls[k], nil)
 		g.PairOps(runner, colls[k], func(dps.DataObject, int) int { return a.owner(k) }, trsmEdge)
 

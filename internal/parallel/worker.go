@@ -14,7 +14,8 @@ import (
 // engine (which suspends the posting operation, as real DPS does), the
 // real runtime lets the posting invocation continue — this keeps execution
 // threads deadlock-free regardless of operation placement, at the price of
-// slightly different timing semantics (documented in DESIGN.md).
+// slightly different timing semantics (ARCHITECTURE.md, "Flow control:
+// simulated vs real runtime").
 type pendingPost struct {
 	op        *dps.Op
 	obj       dps.DataObject
@@ -44,7 +45,7 @@ func (th *workerThread) process(it item) {
 	}()
 	switch it.kind {
 	case kindClosure:
-		si := th.sink(it.pair, it.instID, nil)
+		si := th.sink(it.pair, it.instID)
 		si.total = it.total
 		th.checkComplete(it.pair, it.instID, si)
 	case kindData:
@@ -71,7 +72,7 @@ func (th *workerThread) process(it item) {
 				rt.fail(fmt.Errorf("parallel: object at %s carries mismatched frame", op))
 				return
 			}
-			si := th.sink(pair, top.instID, it.obj)
+			si := th.sink(pair, top.instID)
 			if si.state == nil {
 				si.state = op.NewState(it.obj)
 			}
@@ -91,7 +92,7 @@ func (th *workerThread) process(it item) {
 }
 
 // sink returns (creating if needed) the sink-side instance state.
-func (th *workerThread) sink(pair *dps.Pair, instID uint64, first dps.DataObject) *sinkInstance {
+func (th *workerThread) sink(pair *dps.Pair, instID uint64) *sinkInstance {
 	k := instKey{uint32(pair.ID()), instID}
 	si := th.sinks[k]
 	if si == nil {
