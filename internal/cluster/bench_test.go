@@ -165,6 +165,34 @@ func BenchmarkSchedulerInvokeScale(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerInvoke1k is BenchmarkSchedulerInvoke at 1,000
+// active jobs on 32 nodes: one rung per registered policy, so a policy
+// whose pass grows superlinearly in the active set (a per-node rescan of
+// every job, a per-width efficiency walk) stands out of the ladder.
+func BenchmarkSchedulerInvoke1k(b *testing.B) {
+	for _, name := range sched.Names() {
+		b.Run(name, func(b *testing.B) {
+			policy := func() Scheduler {
+				p, err := sched.New(name, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return p
+			}
+			sim := scaleSim(b, policy(), 1000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !sim.ProcessNextEvent() {
+					b.StopTimer()
+					sim = scaleSim(b, policy(), 1000)
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
 // idleCycleTimeline is n changes, one every 10 s, drops announced 2 s
 // ahead.
 func idleCycleTimeline(n int) []availability.Change {

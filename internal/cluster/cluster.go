@@ -55,8 +55,13 @@ type jobState struct {
 	Remaining float64 // work-seconds left in the current phase
 	Alloc     int
 	finished  float64
-	rate      float64
-	last      eventq.Time
+	// rate and eff are the progress rate and efficiency at (PhaseIdx,
+	// Alloc), cached while both hold; rate > 0 only while the job runs.
+	rate float64
+	eff  float64
+	// last is the job's last settlement; it is kept current only while
+	// the job holds nodes (a waiting job takes now when granted some).
+	last eventq.Time
 	// ev is the job's one event: its arrival, then each phase completion.
 	// Once fired or cancelled it is recycled (eventq.RescheduleAfter), so
 	// rescheduling the phase completion at every scheduling event costs no
@@ -114,15 +119,19 @@ type Sim struct {
 	effNum   float64
 	effDen   float64
 
-	// Scratch buffers owned by the scheduler-invocation hot path and
-	// reused across events: the value-typed snapshot arena handed to the
-	// policy, the allocation out-buffer it fills, the pre-event
-	// allocation snapshot, and the preemption victim list. After warm-up
-	// a steady-state scheduling event allocates nothing.
+	// views and oldAlloc are persistent arenas parallel to actives,
+	// inserted into and deleted from alongside it: views is the value
+	// snapshot handed to the policy, refreshed only for jobs that hold or
+	// are granted nodes, and oldAlloc is each job's allocation in force
+	// before the current pass. So a job waiting through a pass costs only
+	// contiguous-array work. allocBuf is the out-buffer the policy fills
+	// (it becomes oldAlloc when the pass ends), victims the preemption
+	// scratch list. After warm-up a steady-state scheduling event
+	// allocates nothing.
 	views    []sched.JobState
-	allocBuf []int
 	oldAlloc []int
-	victims  []*jobState
+	allocBuf []int
+	victims  []int
 
 	// Time-varying capacity (empty changes = the classic fixed pool).
 	changes  []availability.Change
@@ -416,10 +425,10 @@ type LoadInfo struct {
 // contract.
 func (s *Sim) LoadInfo() LoadInfo {
 	li := LoadInfo{Nodes: s.nodes, Capacity: s.capNow}
-	for _, js := range s.actives {
-		if js.Alloc > 0 {
+	for _, a := range s.oldAlloc {
+		if a > 0 {
 			li.Running++
-			li.Allocated += js.Alloc
+			li.Allocated += a
 		} else {
 			li.Waiting++
 		}
@@ -458,13 +467,17 @@ func (s *Sim) searchActive(id int) (int, bool) {
 		func(a *jobState, id int) int { return cmp.Compare(a.Job.ID, id) })
 }
 
-// insertActive places js into the ID-sorted active list, replacing any
-// existing entry with the same (pathological, duplicate) job ID.
+// insertActive places a just-arrived (waiting) js into the ID-sorted
+// active list and its arenas, replacing any existing entry with the same
+// (pathological, duplicate) job ID.
 func (s *Sim) insertActive(js *jobState) {
+	v := sched.JobState{Job: js.Job, PhaseIdx: js.PhaseIdx, Remaining: js.Remaining}
 	if i, found := s.searchActive(js.Job.ID); found {
-		s.actives[i] = js
+		s.actives[i], s.views[i], s.oldAlloc[i] = js, v, 0
 	} else {
 		s.actives = slices.Insert(s.actives, i, js)
+		s.views = slices.Insert(s.views, i, v)
+		s.oldAlloc = slices.Insert(s.oldAlloc, i, 0)
 	}
 }
 
@@ -472,7 +485,15 @@ func (s *Sim) insertActive(js *jobState) {
 func (s *Sim) removeActive(id int) {
 	if i, found := s.searchActive(id); found {
 		s.actives = slices.Delete(s.actives, i, i+1)
+		s.views = slices.Delete(s.views, i, i+1)
+		s.oldAlloc = slices.Delete(s.oldAlloc, i, i+1)
 	}
+}
+
+// refresh copies js's mutable fields into its view at index i.
+func (s *Sim) refresh(i int, js *jobState) {
+	v := &s.views[i]
+	v.PhaseIdx, v.Remaining, v.Alloc = js.PhaseIdx, js.Remaining, js.Alloc
 }
 
 // grow returns buf resized to n, reusing its backing array when the
@@ -488,10 +509,12 @@ func grow[T any](buf []T, n int) []T {
 // reallocate is the coalesced scheduling pass of a dirty instant, in the
 // five stages ARCHITECTURE.md draws: settle, preempt, allocate, charge,
 // reschedule. It is the simulator's hot path and runs entirely on reused
-// state: the ID-sorted active list is maintained incrementally, the policy
-// writes into a recycled buffer, and the phase events are recycled objects
-// with callbacks bound at intake. In steady state (no arrival, no
-// completion) it performs zero heap allocations.
+// state: the ID-sorted active list and its arenas are maintained
+// incrementally, the policy writes into a recycled buffer, and the phase
+// events are recycled objects with callbacks bound at intake. Every stage
+// dereferences a job's state only where it holds nodes before or after
+// the pass. In steady state (no arrival, no completion) it performs zero
+// heap allocations.
 func (s *Sim) reallocate() {
 	now := s.q.Now()
 	if total := s.settle(now); total > s.schedCap {
@@ -500,6 +523,7 @@ func (s *Sim) reallocate() {
 	wallNS, total := s.allocate(now)
 	changed := s.charge(now)
 	s.reschedule(now)
+	s.oldAlloc, s.allocBuf = s.allocBuf, s.oldAlloc
 	s.reallocs += changed
 	if s.probe != nil {
 		s.probe.SchedulerInvoke(now.Seconds(), obs.SchedulerInvocation{
@@ -509,20 +533,16 @@ func (s *Sim) reallocate() {
 }
 
 // allocate is the third stage of reallocate: the policy call. The
-// scheduler sees value snapshots in a reused arena, not the live
-// bookkeeping: a policy can never corrupt simulator state, the views pin
-// exactly the fields the allocation contract names, and no per-event
-// boxing occurs. The policy fills allocBuf (zeroed here) indexed like the
-// views. It returns the call's wall time (read only with a probe attached)
-// and the total allocation, having checked the sched.Scheduler contract:
-// a grant outside [0, MaxNodes] or a sum above the usable nodes panics.
+// scheduler sees value snapshots in the persistent views arena, not the
+// live bookkeeping: the views pin exactly the fields the allocation
+// contract names, and no per-event boxing occurs. The policy fills
+// allocBuf (zeroed here) indexed like the views. It returns the call's
+// wall time (read only with a probe attached) and the total allocation,
+// having checked the sched.Scheduler contract: a grant outside
+// [0, MaxNodes] or a sum above the usable nodes panics.
 func (s *Sim) allocate(now eventq.Time) (wallNS int64, total int) {
-	s.views = grow(s.views, len(s.actives))
 	s.allocBuf = grow(s.allocBuf, len(s.actives))
-	for i, js := range s.actives {
-		s.views[i] = sched.JobState{Job: js.Job, PhaseIdx: js.PhaseIdx, Remaining: js.Remaining, Alloc: js.Alloc}
-		s.allocBuf[i] = 0
-	}
+	clear(s.allocBuf)
 	st := sched.State{Nodes: s.schedCap, Now: now.Seconds(), Active: s.views}
 	if s.probe != nil {
 		t0 := time.Now()

@@ -38,26 +38,29 @@ type ReconfigCost struct {
 // FCFS when space returns.
 func (s *Sim) preempt(now eventq.Time, total int) {
 	s.victims = s.victims[:0]
-	for _, js := range s.actives {
-		if js.Alloc > 0 {
-			s.victims = append(s.victims, js)
+	for i, a := range s.oldAlloc {
+		if a > 0 {
+			s.victims = append(s.victims, i)
 		}
 	}
-	slices.SortStableFunc(s.victims, func(a, b *jobState) int {
+	slices.SortStableFunc(s.victims, func(i, k int) int {
+		a, b := s.actives[i].Job, s.actives[k].Job
 		switch {
-		case a.Job.Arrival > b.Job.Arrival:
+		case a.Arrival > b.Arrival:
 			return -1
-		case a.Job.Arrival < b.Job.Arrival:
+		case a.Arrival < b.Arrival:
 			return 1
 		}
-		return cmp.Compare(b.Job.ID, a.Job.ID)
+		return cmp.Compare(b.ID, a.ID)
 	})
-	for _, v := range s.victims {
+	for _, i := range s.victims {
 		if total <= s.schedCap {
 			break
 		}
+		v := s.actives[i]
 		total -= v.Alloc
 		v.Alloc = 0
+		s.refresh(i, v)
 		if s.probe != nil {
 			s.probe.Preempt(now.Seconds(), v.Job.ID)
 		}
@@ -72,12 +75,13 @@ func (s *Sim) preempt(now eventq.Time, total int) {
 // allocates nothing, and a zero-cost hook leaves the charges bit-identical
 // to the hook-free path.
 func (s *Sim) charge(now eventq.Time) (changed int) {
-	for i, js := range s.actives {
-		old, alloc := s.oldAlloc[i], s.allocBuf[i]
+	for i, alloc := range s.allocBuf {
+		old := s.oldAlloc[i]
 		if alloc == old {
 			continue
 		}
 		changed++
+		js := s.actives[i]
 		var hook appmodel.Reconfigurer
 		if m := js.Job.Model; m != nil {
 			hook, _ = m.(appmodel.Reconfigurer)

@@ -23,7 +23,9 @@ func (s *Sim) phaseDone(js *jobState) {
 	if dt := (now - progressStart(js, now)).Seconds(); dt > 0 && js.rate > 0 && js.Alloc > 0 {
 		s.credit(js, js.rate*dt)
 	}
-	js.last = now
+	// The cached rate belonged to the finished phase: zero it, so the
+	// reschedule stage recomputes it for the next one.
+	js.last, js.rate = now, 0
 	s.lastJobEvent = now
 	if s.probe != nil {
 		s.probe.PhaseDone(now.Seconds(), js.Job.ID, js.PhaseIdx, len(js.Job.Phases))
@@ -42,16 +44,21 @@ func (s *Sim) phaseDone(js *jobState) {
 	s.dirty = true
 }
 
-// settle is the first stage of reallocate. It settles every active job in
-// ID order — the efficiency counters are float accumulators, and any
-// other walk order would make their last bits depend on iteration order,
-// breaking bit-reproducibility across runs; the sorted active list IS
-// that order. The same pass snapshots the pre-event allocations (the
-// charge stage prices the net per-job delta across preemption and the
-// policy) and returns their total.
+// settle is the first stage of reallocate. It settles every job holding
+// nodes (oldAlloc, the allocations in force before this pass, which the
+// charge stage later prices against the policy's) in ID order — the
+// efficiency counters are float accumulators, and any other walk order
+// would make their last bits depend on iteration order, breaking
+// bit-reproducibility across runs; the sorted active list IS that order.
+// A waiting job makes no progress and is not touched. It returns the
+// total allocation.
 func (s *Sim) settle(now eventq.Time) (total int) {
-	s.oldAlloc = grow(s.oldAlloc, len(s.actives))
-	for i, js := range s.actives {
+	for i, a := range s.oldAlloc {
+		if a == 0 {
+			continue
+		}
+		total += a
+		js := s.actives[i]
 		// Only a running job progresses; one already settled at this
 		// instant (a same-instant arrival, or a phase boundary that
 		// credited its slice) has dt exactly zero.
@@ -62,28 +69,21 @@ func (s *Sim) settle(now eventq.Time) (total int) {
 					done = js.Remaining
 				}
 				js.Remaining -= done
-				if js.Alloc > 0 {
-					s.credit(js, done)
-				}
+				s.credit(js, done)
 			}
 		}
 		js.last = now
-		s.oldAlloc[i] = js.Alloc
-		total += js.Alloc
+		s.refresh(i, js)
 	}
 	return total
 }
 
 // credit is the efficiency accounting of done work-seconds run at the
-// job's current allocation, shared by settle and phaseDone. The Model
-// branch sits here, not behind an interface, so the comm formula inlines.
+// job's current allocation, shared by settle and phaseDone, at the
+// efficiency cached with the rate.
 func (s *Sim) credit(js *jobState, done float64) {
 	s.effNum += done
-	if m := js.Job.Model; m == nil {
-		s.effDen += done / js.Phase().Efficiency(js.Alloc)
-	} else {
-		s.effDen += done / m.Efficiency(js.Phase().Work, js.Alloc)
-	}
+	s.effDen += done / js.eff
 }
 
 // progressStart is the instant from which a job has been progressing at
@@ -101,20 +101,35 @@ func progressStart(js *jobState, now eventq.Time) eventq.Time {
 	return from
 }
 
-// reschedule is the last stage of reallocate: every active job takes its
-// new allocation and rate, and its completion event moves to the new ETA
-// (plus any redistribution pause still to run), allocation-free. A job
-// left without nodes has no completion; only a running one had one.
+// reschedule is the last stage of reallocate: every job holding nodes
+// before or after the pass takes its new allocation and rate, and its
+// completion event moves to the new ETA (plus any redistribution pause
+// still to run), allocation-free. A job left without nodes has no
+// completion; only a running one had one. A job waiting before and after
+// is not touched, and one newly granted nodes starts progressing now.
 func (s *Sim) reschedule(now eventq.Time) {
-	for i, js := range s.actives {
-		js.Alloc = s.allocBuf[i]
-		var rate float64 // a waiting job never touches its phase list
-		switch m := js.Job.Model; {
-		case js.Alloc <= 0:
-		case m == nil:
-			rate = js.Phase().Rate(js.Alloc)
-		default:
-			rate = m.Rate(js.Phase().Work, js.Alloc)
+	for i, alloc := range s.allocBuf {
+		old := s.oldAlloc[i]
+		if old == 0 && alloc == 0 {
+			continue
+		}
+		js := s.actives[i]
+		if old == 0 {
+			js.last = now
+		}
+		js.Alloc = alloc
+		s.refresh(i, js)
+		rate := js.rate // cached while the phase and the allocation hold
+		if alloc != old || rate == 0 {
+			rate, js.eff = 0, 0
+			switch m := js.Job.Model; {
+			case alloc <= 0:
+			case m == nil:
+				js.eff = js.Phase().Efficiency(alloc)
+				rate = float64(alloc) * js.eff
+			default:
+				rate, js.eff = m.Rate(js.Phase().Work, alloc), m.Efficiency(js.Phase().Work, alloc)
+			}
 		}
 		if rate > 0 {
 			eta := eventq.DurationOf(js.Remaining / rate)

@@ -25,7 +25,11 @@ func (Equipartition) Allocate(st State, out []int) {
 	}
 	share := st.Nodes / len(st.Active)
 	extra := st.Nodes % len(st.Active)
-	for i := range st.Active {
+	n := len(st.Active)
+	if share == 0 {
+		n = extra // the rest get nothing, and out arrives zeroed
+	}
+	for i := range n {
 		a := share
 		if i < extra {
 			a++

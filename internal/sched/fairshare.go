@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"math"
 	"slices"
 )
@@ -56,18 +57,21 @@ func (f *FairShare) Allocate(st State, out []int) {
 	}
 	// Hand the rounding leftover to the largest fractional remainders
 	// (ties: lower ID), then cycle any cap surplus over uncapped jobs.
+	// (frac desc, index asc) is a total order, so an unstable sort yields
+	// the stable permutation — in O(n) when every share is equal, as the
+	// identity order is then already sorted.
 	f.order = grow(f.order, len(st.Active))
 	for i := range f.order {
 		f.order[i] = i
 	}
-	slices.SortStableFunc(f.order, func(a, b int) int {
+	slices.SortFunc(f.order, func(a, b int) int {
 		switch {
 		case f.frac[a] > f.frac[b]:
 			return -1
 		case f.frac[a] < f.frac[b]:
 			return 1
 		}
-		return 0
+		return cmp.Compare(a, b)
 	})
 	for _, i := range f.order {
 		if used >= st.Nodes {

@@ -13,12 +13,24 @@ func init() {
 // marginal rate gain under its current phase's efficiency curve — the
 // dynamic-efficiency-aware policy the paper's simulator enables.
 type EfficiencyGreedy struct {
-	// gains caches each job's marginal gain at its current working
-	// allocation: a job's gain only changes when it is granted a node,
-	// so the selection loop recomputes one entry per grant instead of
-	// every entry (bit-identical — cached values are the same floats the
-	// recomputation would produce).
-	gains []float64
+	// heap is a binary max-heap of the jobs whose marginal gain at their
+	// working allocation is positive, keyed (gain desc, index asc): its
+	// root is exactly the job a linear scan for the first largest gain
+	// would pick. A job's gain only changes when it is granted a node, so
+	// each grant recomputes one entry (bit-identical — the cached values
+	// are the same floats the recomputation would produce).
+	heap []gainEntry
+}
+
+// gainEntry is one job's marginal gain, by its index in State.Active.
+type gainEntry struct {
+	gain float64
+	i    int
+}
+
+// before is the heap order: larger gain first, lower index on ties.
+func (e gainEntry) before(f gainEntry) bool {
+	return e.gain > f.gain || e.gain == f.gain && e.i < f.i
 }
 
 // Name implements Scheduler.
@@ -41,27 +53,46 @@ func marginalGain(js *JobState, alloc int) float64 {
 
 // Allocate implements Scheduler. The out buffer doubles as the working
 // allocation array (it arrives zeroed); ties in marginal gain resolve to
-// the lowest index, i.e. the lowest job ID, as Active is ID-sorted.
+// the lowest index, i.e. the lowest job ID, as Active is ID-sorted. Each
+// node pops the heap's root and re-inserts it at its next gain, so a pass
+// costs O((active + nodes)·log active) rather than a scan per node.
 func (g *EfficiencyGreedy) Allocate(st State, out []int) {
-	n := len(st.Active)
-	if n == 0 {
-		return
-	}
-	g.gains = grow(g.gains, n)
+	g.heap = grow(g.heap, len(st.Active))[:0]
 	for i := range st.Active {
-		g.gains[i] = marginalGain(&st.Active[i], 0)
+		if gain := marginalGain(&st.Active[i], 0); gain > 0 { // a zero, negative or NaN gain is never picked
+			g.heap = append(g.heap, gainEntry{gain, i})
+		}
 	}
-	for node := 0; node < st.Nodes; node++ {
-		best, bestGain := -1, 0.0
-		for i, gain := range g.gains {
-			if gain > bestGain {
-				bestGain, best = gain, i
-			}
+	for k := len(g.heap)/2 - 1; k >= 0; k-- {
+		g.down(k)
+	}
+	for node := 0; node < st.Nodes && len(g.heap) > 0; node++ {
+		top := &g.heap[0]
+		out[top.i]++
+		if top.gain = marginalGain(&st.Active[top.i], out[top.i]); !(top.gain > 0) {
+			last := len(g.heap) - 1
+			g.heap[0] = g.heap[last]
+			g.heap = g.heap[:last]
 		}
-		if best < 0 {
-			break
+		g.down(0)
+	}
+}
+
+// down restores the heap order below position k.
+func (g *EfficiencyGreedy) down(k int) {
+	h := g.heap
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
 		}
-		out[best]++
-		g.gains[best] = marginalGain(&st.Active[best], out[best])
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
 	}
 }

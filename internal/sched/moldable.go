@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 func init() {
 	Register("moldable", func(p Params) (Scheduler, error) {
@@ -81,6 +84,12 @@ func moldWidth(js JobState, minEff float64) int {
 			}
 		}
 		return want
+	}
+	if ph.Comm >= 0 {
+		// Efficiency is then non-increasing in p, in float arithmetic too
+		// (each step of 1/(1+Comm·(p-1)) is monotone), so the widths that
+		// pass form a prefix of [2, MaxNodes]: binary-search its end.
+		return 1 + sort.Search(js.Job.MaxNodes-1, func(k int) bool { return !(ph.Efficiency(k+2) >= minEff) })
 	}
 	for p := 2; p <= js.Job.MaxNodes; p++ {
 		if ph.Efficiency(p) >= minEff {

@@ -11,10 +11,11 @@ func init() {
 	})
 }
 
-// Rigid allocates each job its MaxNodes, FCFS, holding until completion
-// (the conventional space-sharing baseline). The struct carries a
-// reusable admission-order scratch buffer: construct one instance per
-// simulation.
+// Rigid allocates each job its MaxNodes, holding until completion (the
+// conventional space-sharing baseline). Waiting jobs are admitted
+// first-fit in FCFS order: a job too wide for the free nodes does not
+// block later, narrower jobs. The struct carries a reusable
+// admission-order scratch buffer: construct one instance per simulation.
 type Rigid struct {
 	waiting []int
 }
@@ -23,8 +24,9 @@ type Rigid struct {
 func (*Rigid) Name() string { return "rigid-fcfs" }
 
 // Allocate implements Scheduler. Running jobs keep their nodes; waiting
-// jobs are admitted FCFS into whatever remains (a running job admitted by
-// backfilling must never be evicted by an older waiter).
+// jobs are admitted first-fit in FCFS order into whatever remains (a
+// running job admitted by backfilling must never be evicted by an older
+// waiter).
 func (r *Rigid) Allocate(st State, out []int) {
 	free := st.Nodes
 	for i := range st.Active {

@@ -6,9 +6,10 @@
 // arrival, phase boundary, departure and capacity change; the policy sees
 // a State snapshot — the usable node count, the current virtual instant
 // and one JobState view per active job — and returns a per-job allocation.
-// Policies never mutate simulator state, so any policy that respects the
-// allocation contract (see Scheduler) can be dropped into the simulator,
-// the scenario layer and the sweep grid without touching them.
+// Policies never mutate simulator state or the snapshot, so any policy
+// that respects the allocation contract (see Scheduler) can be dropped
+// into the simulator, the scenario layer and the sweep grid without
+// touching them.
 //
 // Built-in policies, by rigidity class:
 //
@@ -160,6 +161,10 @@ func (js JobState) EstRemaining(p int) float64 {
 // Active (and the out buffer paired with it) is owned by the caller and
 // valid only for the duration of the Allocate call: the simulator reuses
 // the backing array between events, so policies must not retain it.
+// Active is read-only: the simulator keeps it as a persistent arena and
+// refreshes only the views of jobs that hold or are granted nodes, so a
+// write to a waiting job's view would show up in later passes (the
+// cluster package's arena oracle test catches a policy that writes).
 type State struct {
 	// Nodes is the capacity usable right now: the current pool, already
 	// shrunk by any outstanding reclaim notice.
@@ -172,7 +177,8 @@ type State struct {
 }
 
 // Scheduler decides allocations. Allocate writes st.Active[i]'s node
-// count into out[i]; the caller provides out with len(st.Active),
+// count into out[i] and must not write st.Active itself (see State);
+// the caller provides out with len(st.Active),
 // zeroed, so a policy that grants a job nothing may simply skip it. On
 // return the counts must each lie in [0, MaxNodes] and sum to at most
 // st.Nodes: the simulator checks every grant and panics on any

@@ -24,6 +24,7 @@ type SJFMoldable struct {
 	MinEfficiency float64
 
 	waiting []int
+	work    []float64 // remaining serial work, by Active index
 }
 
 // Name implements Scheduler.
@@ -37,19 +38,22 @@ func (m *SJFMoldable) Allocate(st State, out []int) {
 	}
 	free := st.Nodes
 	m.waiting = m.waiting[:0]
+	m.work = grow(m.work, len(st.Active))
 	for i := range st.Active {
 		if a := st.Active[i].Alloc; a > 0 {
 			out[i] = a
 			free -= a
 		} else {
 			m.waiting = append(m.waiting, i)
+			m.work[i] = st.Active[i].RemainingWork()
 		}
 	}
 	// Shortest remaining serial work first; ties FCFS, then by ID, so
-	// the order is total and deterministic.
+	// the order is total and deterministic. The keys are computed once
+	// per job above, not per comparison: a key walks the job's phases.
 	slices.SortFunc(m.waiting, func(a, b int) int {
 		ja, jb := st.Active[a], st.Active[b]
-		wa, wb := ja.RemainingWork(), jb.RemainingWork()
+		wa, wb := m.work[a], m.work[b]
 		switch {
 		case wa < wb:
 			return -1

@@ -576,19 +576,31 @@ func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker i
 		m.runsStarted.Inc()
 		t0 = time.Now()
 	}
-	run, err := spec.RunCell(scenario.CellParams{
-		Nodes:        c.Nodes,
-		Load:         c.Load,
-		SchedulerIdx: c.SchedulerIdx,
-		ArrivalIdx:   c.ArrivalIdx,
-		AvailIdx:     c.AvailIdx,
-		AppModelIdx:  c.AppModelIdx,
-		AdmissionIdx: c.AdmissionIdx,
-		RoutingIdx:   c.RoutingIdx,
-		Seed:         runSeed(u.hash, rep),
-		Probe:        probe,
-		SampleDTS:    opt.SampleDTS,
-	})
+	seed := runSeed(u.hash, rep)
+	run, err := func() (run *scenario.CellRun, err error) {
+		// A panic inside the run — a policy breaking the allocation
+		// contract, an event scheduled before now — errors this run
+		// instead of killing the process: the sweep takes its error path,
+		// which saves the checkpoint and exits non-zero.
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic in unit %s, seed %d: %v", u.hash, seed, r)
+			}
+		}()
+		return spec.RunCell(scenario.CellParams{
+			Nodes:        c.Nodes,
+			Load:         c.Load,
+			SchedulerIdx: c.SchedulerIdx,
+			ArrivalIdx:   c.ArrivalIdx,
+			AvailIdx:     c.AvailIdx,
+			AppModelIdx:  c.AppModelIdx,
+			AdmissionIdx: c.AdmissionIdx,
+			RoutingIdx:   c.RoutingIdx,
+			Seed:         seed,
+			Probe:        probe,
+			SampleDTS:    opt.SampleDTS,
+		})
+	}()
 	if m != nil {
 		jobsDone, unfinished := 0, 0
 		if run != nil {
