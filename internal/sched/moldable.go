@@ -72,12 +72,12 @@ func (m *Moldable) Allocate(st State, out []int) {
 }
 
 // moldWidth is the largest allocation whose first-phase efficiency stays
-// above the threshold, bounded by the job's request. The model branch
-// sits outside the width loop so the comm formula inlines.
+// above the threshold, bounded by the job's request. A model's efficiency
+// need not fall monotonically in p, so the model branch walks every width.
 func moldWidth(js JobState, minEff float64) int {
 	ph := js.Job.Phases[0]
-	want := 1
 	if m := js.Job.Model; m != nil {
+		want := 1
 		for p := 2; p <= js.Job.MaxNodes; p++ {
 			if modelEfficiency(m, ph.Work, p) >= minEff {
 				want = p
@@ -85,16 +85,9 @@ func moldWidth(js JobState, minEff float64) int {
 		}
 		return want
 	}
-	if ph.Comm >= 0 {
-		// Efficiency is then non-increasing in p, in float arithmetic too
-		// (each step of 1/(1+Comm·(p-1)) is monotone), so the widths that
-		// pass form a prefix of [2, MaxNodes]: binary-search its end.
-		return 1 + sort.Search(js.Job.MaxNodes-1, func(k int) bool { return !(ph.Efficiency(k+2) >= minEff) })
-	}
-	for p := 2; p <= js.Job.MaxNodes; p++ {
-		if ph.Efficiency(p) >= minEff {
-			want = p
-		}
-	}
-	return want
+	// Every loader rejects a negative Comm, so efficiency is non-increasing
+	// in p, in float arithmetic too (each step of 1/(1+Comm·(p-1)) is
+	// monotone), and the widths that pass form a prefix of [2, MaxNodes]:
+	// binary-search its end. A NaN Comm passes no width, as in a scan.
+	return 1 + sort.Search(js.Job.MaxNodes-1, func(k int) bool { return !(ph.Efficiency(k+2) >= minEff) })
 }

@@ -60,6 +60,7 @@ func TestPanicInRunIsContained(t *testing.T) {
 	hash := CellHashes(spec, cells)[1]
 	for _, want := range []string{
 		bad.String(), hash.String(), "rep 0", "seed " + strconv.FormatUint(runSeed(hash, 0), 10), "injected fault",
+		"goroutine ", // the panic's stack trace
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)

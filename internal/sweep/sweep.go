@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -584,7 +585,7 @@ func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker i
 		// which saves the checkpoint and exits non-zero.
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("panic in unit %s, seed %d: %v", u.hash, seed, r)
+				err = fmt.Errorf("panic in unit %s, seed %d: %v\n%s", u.hash, seed, r, debug.Stack())
 			}
 		}()
 		return spec.RunCell(scenario.CellParams{
