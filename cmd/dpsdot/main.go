@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dpsim/internal/lu"
@@ -18,17 +19,39 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "lu", "application: lu or stencil")
-	n := flag.Int("n", 648, "problem size")
-	r := flag.Int("r", 162, "LU block size")
-	nodes := flag.Int("nodes", 4, "nodes")
-	pipelined := flag.Bool("p", false, "pipelined LU graph")
-	pm := flag.Bool("pm", false, "parallel sub-block multiplication")
-	window := flag.Int("window", 0, "flow-control window")
-	bands := flag.Int("bands", 4, "stencil bands")
-	iters := flag.Int("iters", 2, "stencil iterations")
-	summary := flag.Bool("summary", false, "plain-text summary instead of dot")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// realMain is main with its environment made explicit, so the CLI smoke
+// test can drive the binary's full path in-process.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dpsdot", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "lu", "application: lu or stencil")
+	n := fs.Int("n", 648, "problem size")
+	r := fs.Int("r", 162, "LU block size")
+	nodes := fs.Int("nodes", 4, "nodes")
+	pipelined := fs.Bool("p", false, "pipelined LU graph")
+	pm := fs.Bool("pm", false, "parallel sub-block multiplication")
+	window := fs.Int("window", 0, "flow-control window")
+	bands := fs.Int("bands", 4, "stencil bands")
+	iters := fs.Int("iters", 2, "stencil iterations")
+	summary := fs.Bool("summary", false, "plain-text summary instead of dot")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "dpsdot: "+format+"\n", args...)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dpsdot: %v\n", err)
+		return 1
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments: %v", fs.Args())
+	}
 
 	var out interface {
 		Dot() string
@@ -41,8 +64,7 @@ func main() {
 			Pipelined: *pipelined, ParallelMult: *pm, Window: *window,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpsdot: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		out = a.Graph
 	case "stencil":
@@ -50,17 +72,16 @@ func main() {
 			N: *n, Bands: *bands, Nodes: *nodes, Iterations: *iters,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpsdot: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		out = a.Graph
 	default:
-		fmt.Fprintf(os.Stderr, "dpsdot: unknown app %q\n", *app)
-		os.Exit(2)
+		return usage("unknown app %q", *app)
 	}
 	if *summary {
-		fmt.Print(out.Summary())
-		return
+		fmt.Fprint(stdout, out.Summary())
+		return 0
 	}
-	fmt.Print(out.Dot())
+	fmt.Fprint(stdout, out.Dot())
+	return 0
 }

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dpsim/internal/core"
@@ -30,21 +31,39 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 648, "matrix size")
-	r := flag.Int("r", 162, "block size")
-	nodes := flag.Int("nodes", 4, "nodes")
-	pipelined := flag.Bool("p", false, "pipelined flow graph")
-	window := flag.Int("window", 0, "flow-control window")
-	width := flag.Int("width", 100, "gantt width in characters")
-	jsonOut := flag.Bool("json", false, "emit Chrome trace-event JSON (Perfetto) to stdout instead of the Gantt chart")
-	flag.Parse()
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// realMain is main with its environment made explicit, so the CLI smoke
+// test can drive the binary's full path in-process.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dpstrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 648, "matrix size")
+	r := fs.Int("r", 162, "block size")
+	nodes := fs.Int("nodes", 4, "nodes")
+	pipelined := fs.Bool("p", false, "pipelined flow graph")
+	window := fs.Int("window", 0, "flow-control window")
+	width := fs.Int("width", 100, "gantt width in characters")
+	jsonOut := fs.Bool("json", false, "emit Chrome trace-event JSON (Perfetto) to stdout instead of the Gantt chart")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "dpstrace: unexpected arguments: %v\n", fs.Args())
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dpstrace: %v\n", err)
+		return 1
+	}
 
 	app, err := lu.Build(lu.Config{
 		N: *n, R: *r, Nodes: *nodes, Pipelined: *pipelined, Window: *window,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpstrace: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	rec := trace.NewRecorder()
 	eng, err := core.New(core.Config{
@@ -55,26 +74,24 @@ func main() {
 		Trace:           rec.Hook,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpstrace: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	app.Start(eng)
 	res, err := eng.Run()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpstrace: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *jsonOut {
 		var tr obs.Trace
 		rec.AppendChromeTrace(&tr)
-		if err := tr.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "dpstrace: %v\n", err)
-			os.Exit(1)
+		if err := tr.WriteJSON(stdout); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
-	fmt.Printf("predicted running time: %v  (steps %d, transfers %d)\n\n",
+	fmt.Fprintf(stdout, "predicted running time: %v  (steps %d, transfers %d)\n\n",
 		res.Elapsed, res.Steps, res.Transfers)
-	fmt.Println(rec.Gantt(*width))
-	fmt.Println(rec.Summary())
+	fmt.Fprintln(stdout, rec.Gantt(*width))
+	fmt.Fprintln(stdout, rec.Summary())
+	return 0
 }

@@ -22,7 +22,10 @@
 //     factorization in the basic, pipelined (P), flow-controlled (FC) and
 //     parallel-sub-block-multiplication (PM) variants, with dynamic
 //     multiplication-thread removal.
-//   - internal/experiments — regenerates Table 1 and Figs. 8–13.
+//   - internal/experiments — regenerates Table 1, Figs. 8–13, the model
+//     ablations and the flow-control window sweep. Every engine run goes
+//     through its one LU run path (runLU), the only owner of the engine
+//     overheads the simulator charges per step.
 //   - internal/cluster — the §9 future work: a malleable cluster server,
 //     drivable run-to-completion or through step primitives
 //     (PeekNextEventTime/ProcessNextEvent/Inject) for open arrivals, with

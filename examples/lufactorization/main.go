@@ -33,13 +33,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	orig := app.Prepare(eng, 2026)
+	orig := app.Prepare(eng.Store, 2026)
 	app.Start(eng)
 	res, err := eng.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	got := app.Assemble(eng)
+	got := app.Assemble(eng.Store)
 	ref := orig.Clone()
 	if _, err := linalg.BlockedLU(ref, cfg.R); err != nil {
 		log.Fatal(err)

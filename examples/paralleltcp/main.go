@@ -36,7 +36,7 @@ func main() {
 	}
 	defer rt.Close()
 
-	orig := app.PrepareOn(rt.Store, 99)
+	orig := app.Prepare(rt.Store, 99)
 	start := time.Now()
 	rt.Inject(app.Init, 0, &lu.Seed{})
 	if err := rt.Wait(); err != nil {
@@ -44,7 +44,7 @@ func main() {
 	}
 	wall := time.Since(start)
 
-	got := app.AssembleFrom(rt.Store)
+	got := app.Assemble(rt.Store)
 	ref := orig.Clone()
 	if _, err := linalg.BlockedLU(ref, cfg.R); err != nil {
 		log.Fatal(err)

@@ -31,12 +31,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	init := app.Prepare(eng, 7)
+	init := app.Prepare(eng.Store, 7)
 	app.Start(eng)
 	if _, err := eng.Run(); err != nil {
 		log.Fatal(err)
 	}
-	got := app.AssembleFrom(eng.Store)
+	got := app.Assemble(eng.Store)
 	want := stencil.SerialReference(init, cfg.Iterations)
 	var worst float64
 	for i := range want {

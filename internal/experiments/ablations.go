@@ -66,23 +66,7 @@ func Ablations(s Setup) (*Table, error) {
 // predictAnalytic predicts cfg's running time on an 8-node simulator
 // platform with the given model parameters and purely analytic durations.
 func predictAnalytic(cfg lu.Config, np netmodel.Params, cp cpumodel.Params) (float64, error) {
-	app, err := lu.Build(cfg)
-	if err != nil {
-		return 0, err
-	}
-	eng, err := core.New(core.Config{
-		Graph:           app.Graph,
-		Platform:        core.NewSimPlatform(8, np, cp),
-		NoAlloc:         true,
-		PerStepOverhead: perStepOverhead,
-		LocalLatency:    localLatency,
-		ControlBytes:    controlBytes,
-	})
-	if err != nil {
-		return 0, err
-	}
-	app.Start(eng)
-	res, err := eng.Run()
+	_, _, res, err := runLU(cfg, core.NewSimPlatform(8, np, cp), core.Config{NoAlloc: true})
 	return res.Elapsed.Seconds(), err
 }
 

@@ -71,11 +71,11 @@ func table1Golden() (string, error) {
 
 // TestFig10QuickGolden pins the simulated results of every experiment
 // whose output does not depend on the host. testdata/fig10_quick.golden
-// (the paper-lu benchmark workload) was recorded at the commit before
-// PR 14 (map + sort.Slice reflow, Cancel + After per flow, sequential
-// configurations); the others were recorded before the experiments'
-// engine set-ups were folded into one run path. Every later engine and
-// harness must reproduce them byte for byte.
+// (the paper-lu benchmark workload) was recorded from the engine with
+// the map + sort.Slice reflow, Cancel + After per flow and sequential
+// configurations; the others from the harness with one hand-written
+// engine set-up per run. Every later engine and harness must reproduce
+// them byte for byte.
 func TestFig10QuickGolden(t *testing.T) {
 	cases := []struct {
 		name string

@@ -10,7 +10,8 @@
 // PDEXEC durations calibrated from the first measured run — the
 // "Prediction" series. This mirrors the paper, where the simulator
 // predicts a real cluster from benchmarked operation times and a small set
-// of platform parameters.
+// of platform parameters. Every engine, testbed or simulator, runs through
+// runLU, which alone sets the engine overheads both platforms share.
 package experiments
 
 import (
@@ -62,8 +63,9 @@ func (s Setup) scale(v int) int {
 // N returns the matrix size (paper: 2592).
 func (s Setup) N() int { return s.scale(2592) }
 
-// engine overheads shared by both platforms (the simulator directly
-// executes the same DPS runtime, so it knows these costs exactly).
+// Engine overheads shared by every platform: the simulator directly
+// executes the same DPS runtime, so it knows these costs exactly. runLU is
+// their one reader.
 const (
 	perStepOverhead = 25 * eventq.Microsecond
 	localLatency    = 20 * eventq.Microsecond
@@ -131,77 +133,84 @@ func nodesFor(cfg lu.Config) int {
 	return n
 }
 
+// runLU is the one LU run path of the paper harness. It builds cfg's
+// flow graph, fills in c's Graph, Platform (plat) and engine overheads,
+// seeds the matrix when the run allocates (!c.NoAlloc), starts the
+// application and runs it. It returns the filled application, the engine
+// and its result; a nil engine means lu or core rejected the
+// configuration before anything ran.
+func runLU(cfg lu.Config, plat core.Platform, c core.Config) (*lu.App, *core.Engine, core.Result, error) {
+	app, err := lu.Build(cfg)
+	if err != nil {
+		return nil, nil, core.Result{}, err
+	}
+	c.Graph, c.Platform = app.Graph, plat
+	c.PerStepOverhead, c.LocalLatency, c.ControlBytes = perStepOverhead, localLatency, controlBytes
+	eng, err := core.New(c)
+	if err != nil {
+		return nil, nil, core.Result{}, err
+	}
+	if !c.NoAlloc {
+		app.Prepare(eng.Store, 1)
+	}
+	app.Start(eng)
+	res, err := eng.Run()
+	return app, eng, res, err
+}
+
+// iterations returns a run's per-iteration statistics (dynamic
+// efficiency, Fig. 11).
+func iterations(app *lu.App, eng *core.Engine, res core.Result) []metrics.IterationStat {
+	c := app.Cfg
+	return metrics.Iterations(eng.Phases(), eng.Allocations(), res.Elapsed,
+		func(k int) eventq.Duration { return lu.SerialWork(c.Costs, c.N, c.R, k) })
+}
+
 // MeasureAndPredict runs one configuration on the testbed (Setup.Seeds
 // times) and once on the simulator with durations calibrated from the
 // first measured run.
 func MeasureAndPredict(label string, cfg lu.Config, s Setup) (*LURun, error) {
 	s.fill()
 	run := &LURun{Label: label, Cfg: cfg}
-	var table map[string]eventq.Duration
-
-	for i := 0; i < s.Seeds; i++ {
-		app, err := lu.Build(cfg)
+	// record adds an engine run to the totals, and a failed run's error
+	// gains where it happened; a configuration rejected before running
+	// fails with lu's or core's error as is.
+	record := func(eng *core.Engine, res core.Result, err error, where string, args ...any) error {
 		if err != nil {
+			if eng == nil {
+				return err
+			}
+			return fmt.Errorf("%s (%s): %w", label, fmt.Sprintf(where, args...), err)
+		}
+		run.Steps += res.Steps
+		run.Events += eng.Queue().Fired()
+		return nil
+	}
+
+	var table map[string]eventq.Duration
+	for i := 0; i < s.Seeds; i++ {
+		cl := testbed.New(testbed.FastEthernetCluster(nodesFor(cfg), s.BaseSeed+uint64(i)*7919))
+		app, eng, res, err := runLU(cfg, cl, core.Config{
+			Durations: cl.DurationSource(), NoAlloc: true, RecordDurations: i == 0,
+		})
+		if err := record(eng, res, err, "measured, seed %d", i); err != nil {
 			return nil, err
 		}
 		run.Cfg = app.Cfg // filled defaults (cost model, thread counts)
-		cl := testbed.New(testbed.FastEthernetCluster(nodesFor(cfg), s.BaseSeed+uint64(i)*7919))
-		eng, err := core.New(core.Config{
-			Graph:           app.Graph,
-			Platform:        cl,
-			Durations:       cl.DurationSource(),
-			NoAlloc:         true,
-			PerStepOverhead: perStepOverhead,
-			LocalLatency:    localLatency,
-			ControlBytes:    controlBytes,
-			RecordDurations: i == 0,
-		})
-		if err != nil {
-			return nil, err
-		}
-		app.Start(eng)
-		res, err := eng.Run()
-		if err != nil {
-			return nil, fmt.Errorf("%s (measured, seed %d): %w", label, i, err)
-		}
 		run.Measured = append(run.Measured, res.Elapsed.Seconds())
-		run.Steps += res.Steps
-		run.Events += eng.Queue().Fired()
 		if i == 0 {
 			table = eng.DurationTable()
-			filled := app.Cfg
-			run.MeasuredIters = metrics.Iterations(eng.Phases(), eng.Allocations(), res.Elapsed,
-				func(k int) eventq.Duration { return lu.SerialWork(filled.Costs, filled.N, filled.R, k) })
+			run.MeasuredIters = iterations(app, eng, res)
 		}
 	}
 
-	app, err := lu.Build(cfg)
-	if err != nil {
+	plat := core.NewSimPlatform(nodesFor(cfg), simNetParams(), simCPUParams())
+	app, eng, res, err := runLU(cfg, plat, core.Config{Durations: core.TableSource{Table: table}, NoAlloc: true})
+	if err := record(eng, res, err, "predicted"); err != nil {
 		return nil, err
-	}
-	eng, err := core.New(core.Config{
-		Graph:           app.Graph,
-		Platform:        core.NewSimPlatform(nodesFor(cfg), simNetParams(), simCPUParams()),
-		Durations:       core.TableSource{Table: table},
-		NoAlloc:         true,
-		PerStepOverhead: perStepOverhead,
-		LocalLatency:    localLatency,
-		ControlBytes:    controlBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	app.Start(eng)
-	res, err := eng.Run()
-	if err != nil {
-		return nil, fmt.Errorf("%s (predicted): %w", label, err)
 	}
 	run.Predicted = res.Elapsed.Seconds()
-	run.Steps += res.Steps
-	run.Events += eng.Queue().Fired()
-	filled := app.Cfg
-	run.PredictedIters = metrics.Iterations(eng.Phases(), eng.Allocations(), res.Elapsed,
-		func(k int) eventq.Duration { return lu.SerialWork(filled.Costs, filled.N, filled.R, k) })
+	run.PredictedIters = iterations(app, eng, res)
 	return run, nil
 }
 

@@ -82,10 +82,7 @@ func Table1(s Setup) (*Table, error) {
 	}
 	cfg := lu.Config{N: n, R: r, Nodes: 8}
 	hostFlops := HostFlopsPerSec()
-	scale := hostFlops / cfg.Costs.FlopsPerSec
-	if cfg.Costs.FlopsPerSec == 0 {
-		scale = hostFlops / lu.DefaultCostModel().FlopsPerSec
-	}
+	scale := hostFlops / lu.DefaultCostModel().FlopsPerSec
 
 	t := &Table{
 		Title:  fmt.Sprintf("Table 1 — simulation cost, LU %dx%d r=%d on 8 nodes", n, n, r),
@@ -103,124 +100,43 @@ func Table1(s Setup) (*Table, error) {
 	t.Add("Real application (1 node, serial model)", "-", "-",
 		f1(lu.TotalSerialWork(lu.DefaultCostModel(), n, r).Seconds()))
 
-	// Direct execution: kernels actually run on this host; wall time is
-	// measured and scaled. Records the duration table for PDEXEC.
+	// The simulation settings, each on the 8-node simulator platform. The
+	// first records the duration table the two PDEXEC rows replay.
+	settings := []struct {
+		label  string
+		c      core.Config
+		replay bool
+	}{
+		// Direct execution: kernels actually run on this host; CPUScale
+		// converts host wall seconds to target seconds (the host is
+		// `scale` times faster than the modeled UltraSparc).
+		{"Direct execution (sim)", core.Config{Mode: dps.ModeDirectMemo, MemoN: 3, CPUScale: scale}, false},
+		// PDEXEC: kernel calls replaced by the benchmarked durations; the
+		// matrix is still allocated (the paper's middle row).
+		{"PDEXEC (sim)", core.Config{}, true},
+		// PDEXEC NOALLOC: no matrix, no payloads; sizes from the counting
+		// serializer.
+		{"PDEXEC NOALLOC (sim)", core.Config{NoAlloc: true}, true},
+		// Portability check: predicting from purely analytic durations (a
+		// different duration source, standing in for a different host).
+		{"PDEXEC NOALLOC (analytic durations)", core.Config{NoAlloc: true}, false},
+	}
 	var table map[string]eventq.Duration
-	direct, err := measureSimulation(func() (eventq.Time, error) {
-		app, err := lu.Build(cfg)
-		if err != nil {
-			return 0, err
+	for i, st := range settings {
+		if st.replay {
+			st.c.Durations = core.TableSource{Table: table}
 		}
-		eng, err := core.New(core.Config{
-			Graph:    app.Graph,
-			Platform: core.NewSimPlatform(8, simNetParams(), simCPUParams()),
-			Mode:     dps.ModeDirectMemo,
-			MemoN:    3,
-			// CPUScale converts host wall seconds to target seconds: the
-			// host is `scale` times faster than the modeled UltraSparc.
-			CPUScale:        scale,
-			PerStepOverhead: perStepOverhead,
-			LocalLatency:    localLatency,
-			ControlBytes:    controlBytes,
+		cost, err := measureSimulation(func() (eventq.Time, error) {
+			_, eng, res, err := runLU(cfg, core.NewSimPlatform(8, simNetParams(), simCPUParams()), st.c)
+			if err == nil && i == 0 {
+				table = eng.DurationTable()
+			}
+			return res.Elapsed, err
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		app.Prepare(eng, 1)
-		app.Start(eng)
-		res, err := eng.Run()
-		if err != nil {
-			return 0, err
-		}
-		table = eng.DurationTable()
-		return res.Elapsed, nil
-	})
-	if err != nil {
-		return nil, err
+		t.Add(st.label, f2(cost.wall), f1(cost.allocMB), f1(cost.predicted))
 	}
-	t.Add("Direct execution (sim)", f2(direct.wall), f1(direct.allocMB), f1(direct.predicted))
-
-	// PDEXEC: kernel calls replaced by the benchmarked durations; the
-	// matrix is still allocated (the paper's middle row).
-	pdexec, err := measureSimulation(func() (eventq.Time, error) {
-		app, err := lu.Build(cfg)
-		if err != nil {
-			return 0, err
-		}
-		eng, err := core.New(core.Config{
-			Graph:           app.Graph,
-			Platform:        core.NewSimPlatform(8, simNetParams(), simCPUParams()),
-			Durations:       core.TableSource{Table: table},
-			PerStepOverhead: perStepOverhead,
-			LocalLatency:    localLatency,
-			ControlBytes:    controlBytes,
-		})
-		if err != nil {
-			return 0, err
-		}
-		app.Prepare(eng, 1) // allocates the full matrix, as PDEXEC did
-		app.Start(eng)
-		res, err := eng.Run()
-		return res.Elapsed, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Add("PDEXEC (sim)", f2(pdexec.wall), f1(pdexec.allocMB), f1(pdexec.predicted))
-
-	// PDEXEC NOALLOC: no matrix, no payloads; sizes from the counting
-	// serializer.
-	noalloc, err := measureSimulation(func() (eventq.Time, error) {
-		app, err := lu.Build(cfg)
-		if err != nil {
-			return 0, err
-		}
-		eng, err := core.New(core.Config{
-			Graph:           app.Graph,
-			Platform:        core.NewSimPlatform(8, simNetParams(), simCPUParams()),
-			Durations:       core.TableSource{Table: table},
-			NoAlloc:         true,
-			PerStepOverhead: perStepOverhead,
-			LocalLatency:    localLatency,
-			ControlBytes:    controlBytes,
-		})
-		if err != nil {
-			return 0, err
-		}
-		app.Start(eng)
-		res, err := eng.Run()
-		return res.Elapsed, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Add("PDEXEC NOALLOC (sim)", f2(noalloc.wall), f1(noalloc.allocMB), f1(noalloc.predicted))
-
-	// Portability check: predicting from purely analytic durations (a
-	// different duration source, standing in for a different host).
-	analytic, err := measureSimulation(func() (eventq.Time, error) {
-		app, err := lu.Build(cfg)
-		if err != nil {
-			return 0, err
-		}
-		eng, err := core.New(core.Config{
-			Graph:           app.Graph,
-			Platform:        core.NewSimPlatform(8, simNetParams(), simCPUParams()),
-			NoAlloc:         true,
-			PerStepOverhead: perStepOverhead,
-			LocalLatency:    localLatency,
-			ControlBytes:    controlBytes,
-		})
-		if err != nil {
-			return 0, err
-		}
-		app.Start(eng)
-		res, err := eng.Run()
-		return res.Elapsed, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.Add("PDEXEC NOALLOC (analytic durations)", f2(analytic.wall), f1(analytic.allocMB), f1(analytic.predicted))
 	return t, nil
 }

@@ -587,14 +587,11 @@ func (s *doneState) Finish(dps.Ctx)                 {}
 
 // --- driving helpers ---
 
-// StoreAccessor yields the local store of a DPS thread; both the
-// simulation engine and the real parallel runtime provide one.
-type StoreAccessor func(coll *dps.Collection, idx int) dps.Store
-
-// PrepareOn seeds the worker thread stores with the column blocks of a
+// Prepare seeds the worker thread stores with the column blocks of a
 // random well-conditioned matrix and returns the original for reference
-// checks. Only needed when computations execute.
-func (a *App) PrepareOn(store StoreAccessor, contentSeed uint64) *linalg.Mat {
+// checks. store is a simulation engine's or the parallel runtime's
+// Store. Only needed when computations execute.
+func (a *App) Prepare(store func(*dps.Collection, int) dps.Store, contentSeed uint64) *linalg.Mat {
 	src := rng.New(contentSeed)
 	orig := linalg.RandomSPDish(a.Cfg.N, src)
 	for j := 0; j < a.blocks; j++ {
@@ -604,19 +601,14 @@ func (a *App) PrepareOn(store StoreAccessor, contentSeed uint64) *linalg.Mat {
 	return orig.Clone()
 }
 
-// Prepare seeds the stores of a simulation engine.
-func (a *App) Prepare(eng *core.Engine, contentSeed uint64) *linalg.Mat {
-	return a.PrepareOn(eng.Store, contentSeed)
-}
-
 // Start injects the bootstrap seed on owner(0).
 func (a *App) Start(eng *core.Engine) {
 	eng.Inject(a.Init, a.owner(0), &Seed{})
 }
 
-// AssembleFrom reconstructs the packed LU factors from the distributed
-// column blocks (correctness verification).
-func (a *App) AssembleFrom(store StoreAccessor) *linalg.Mat {
+// Assemble reconstructs the packed LU factors from the distributed
+// column blocks (correctness verification); store is as for Prepare.
+func (a *App) Assemble(store func(*dps.Collection, int) dps.Store) *linalg.Mat {
 	out := linalg.NewMat(a.Cfg.N, a.Cfg.N)
 	for j := 0; j < a.blocks; j++ {
 		st := store(a.Workers, a.owner(j))
@@ -624,11 +616,6 @@ func (a *App) AssembleFrom(store StoreAccessor) *linalg.Mat {
 		out.View(0, j*a.Cfg.R, a.Cfg.N, a.Cfg.R).CopyFrom(blk)
 	}
 	return out
-}
-
-// Assemble reads the factors back from a simulation engine.
-func (a *App) Assemble(eng *core.Engine) *linalg.Mat {
-	return a.AssembleFrom(eng.Store)
 }
 
 // Blocks returns the number of column blocks (and LU iterations).

@@ -35,13 +35,13 @@ func runCorrect(t *testing.T, cfg Config, seed uint64) core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := app.Prepare(eng, seed)
+	orig := app.Prepare(eng.Store, seed)
 	app.Start(eng)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := app.Assemble(eng)
+	got := app.Assemble(eng.Store)
 
 	ref := orig.Clone()
 	piv, err := linalg.BlockedLU(ref, cfg.R)
@@ -349,7 +349,7 @@ func TestDirectExecutionSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := app.Prepare(eng, 20)
+	orig := app.Prepare(eng.Store, 20)
 	app.Start(eng)
 	res, err := eng.Run()
 	if err != nil {
@@ -358,7 +358,7 @@ func TestDirectExecutionSmall(t *testing.T) {
 	if res.Elapsed <= 0 {
 		t.Fatal("no time measured")
 	}
-	got := app.Assemble(eng)
+	got := app.Assemble(eng.Store)
 	ref := orig.Clone()
 	if _, err := linalg.BlockedLU(ref, cfg.R); err != nil {
 		t.Fatal(err)
@@ -443,12 +443,12 @@ func TestDistributedFactorsSolveSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := app.Prepare(eng, 31)
+	orig := app.Prepare(eng.Store, 31)
 	app.Start(eng)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	factors := app.Assemble(eng)
+	factors := app.Assemble(eng.Store)
 	refPiv, err := linalg.BlockedLU(orig.Clone(), cfg.R)
 	if err != nil {
 		t.Fatal(err)

@@ -229,12 +229,12 @@ func TestRealLUOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	orig := app.PrepareOn(rt.Store, 42)
+	orig := app.Prepare(rt.Store, 42)
 	rt.Inject(app.Init, 0, &lu.Seed{})
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	got := app.AssembleFrom(rt.Store)
+	got := app.Assemble(rt.Store)
 	ref := orig.Clone()
 	if _, err := linalg.BlockedLU(ref, cfg.R); err != nil {
 		t.Fatal(err)
@@ -260,12 +260,12 @@ func TestRealLUWithFlowControlLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	orig := app.PrepareOn(rt.Store, 7)
+	orig := app.Prepare(rt.Store, 7)
 	rt.Inject(app.Init, 0, &lu.Seed{})
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	got := app.AssembleFrom(rt.Store)
+	got := app.Assemble(rt.Store)
 	ref := orig.Clone()
 	if _, err := linalg.BlockedLU(ref, cfg.R); err != nil {
 		t.Fatal(err)

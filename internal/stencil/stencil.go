@@ -356,13 +356,11 @@ func (b *band) update(upper, lower []float64) float64 {
 
 // --- driving helpers ---
 
-// StoreAccessor yields the local store of a DPS thread.
-type StoreAccessor func(coll *dps.Collection, idx int) dps.Store
-
-// PrepareOn seeds the band stores with a deterministic initial grid
-// (hot left wall, random interior) and returns a full copy for the serial
-// reference.
-func (a *App) PrepareOn(store StoreAccessor, seed uint64) [][]float64 {
+// Prepare seeds the band stores with a deterministic initial grid (hot
+// left wall, random interior) and returns a full copy for the serial
+// reference. store is a simulation engine's or the parallel runtime's
+// Store.
+func (a *App) Prepare(store func(*dps.Collection, int) dps.Store, seed uint64) [][]float64 {
 	src := rng.New(seed)
 	full := make([][]float64, a.Cfg.N)
 	for i := range full {
@@ -397,18 +395,14 @@ func (a *App) PrepareOn(store StoreAccessor, seed uint64) [][]float64 {
 	return out
 }
 
-// Prepare seeds a simulation engine's stores.
-func (a *App) Prepare(eng *core.Engine, seed uint64) [][]float64 {
-	return a.PrepareOn(eng.Store, seed)
-}
-
 // Start injects the first iteration seed.
 func (a *App) Start(eng *core.Engine) {
 	eng.Inject(a.Entry, 0, &IterSeed{Iter: 0})
 }
 
-// AssembleFrom reads the grid back from the band stores.
-func (a *App) AssembleFrom(store StoreAccessor) [][]float64 {
+// Assemble reads the grid back from the band stores; store is as for
+// Prepare.
+func (a *App) Assemble(store func(*dps.Collection, int) dps.Store) [][]float64 {
 	out := make([][]float64, a.Cfg.N)
 	for b0 := 0; b0 < a.Cfg.Bands; b0++ {
 		bd := store(a.Bands, b0)[bandKey(b0)].(*band)

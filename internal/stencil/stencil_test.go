@@ -31,12 +31,12 @@ func runReal(t *testing.T, cfg Config, seed uint64) *App {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := app.Prepare(eng, seed)
+	init := app.Prepare(eng.Store, seed)
 	app.Start(eng)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := app.AssembleFrom(eng.Store)
+	got := app.Assemble(eng.Store)
 	want := SerialReference(init, cfg.Iterations)
 	var worst float64
 	for i := range want {
