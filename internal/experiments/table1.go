@@ -70,15 +70,9 @@ func measureSimulation(fn func() (eventq.Time, error)) (runCost, error) {
 // show the prediction is insensitive to the duration source.
 func Table1(s Setup) (*Table, error) {
 	s.fill()
-	n := s.N()
-	var r int
+	n, r := s.N(), 216
 	if s.Quick {
-		r = 72 // 864/72 = 12 blocks, the structure of the paper's r=216
-	} else {
-		r = 216
-	}
-	if s.Quick {
-		n = 864
+		n, r = 864, 72 // 864/72 = 12 blocks, the structure of the paper's r=216
 	}
 	cfg := lu.Config{N: n, R: r, Nodes: 8}
 	hostFlops := HostFlopsPerSec()
