@@ -17,7 +17,8 @@
 //     the paper's 8×UltraSparc II / Fast Ethernet testbed (packetized
 //     network, jitter, per-node speed variation): the "Measurement" series.
 //   - internal/parallel, internal/transport — the real concurrent DPS
-//     runtime over goroutines and TCP sockets.
+//     runtime: goroutine execution threads on a loopback TCP mesh, pinned
+//     against internal/core on LU and stencil (TestRealRuntimeMatchesEngine).
 //   - internal/lu — the paper's test application: parallel block LU
 //     factorization in the basic, pipelined (P), flow-controlled (FC) and
 //     parallel-sub-block-multiplication (PM) variants, with dynamic

@@ -26,10 +26,9 @@ func main() {
 	lu.RegisterCodec(codec)
 
 	rt, err := parallel.New(parallel.Config{
-		Graph:  app.Graph,
-		Nodes:  cfg.Nodes,
-		Codec:  codec,
-		UseTCP: true,
+		Graph: app.Graph,
+		Nodes: cfg.Nodes,
+		Codec: codec,
 	})
 	if err != nil {
 		log.Fatal(err)

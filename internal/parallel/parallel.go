@@ -1,17 +1,18 @@
 // Package parallel is the real (non-simulated) DPS runtime: DPS execution
-// threads are goroutines, data objects move through an in-process channel
-// transport or real TCP sockets, and computations actually execute. It
-// implements the same flow-graph semantics as the simulation engine —
+// threads are goroutines, data objects crossing nodes travel serialized
+// over real TCP sockets, and computations actually execute. It implements
+// the same flow-graph semantics as the simulation engine —
 // split/merge/stream instances, routing functions, closure and
 // acknowledgement control messages, credit-window flow control — so a DPS
 // application runs unmodified either way, which is the premise of the
 // paper's direct-execution methodology (§3: "the real and simulated
-// applications may be run identically").
+// applications may be run identically"). TestRealRuntimeMatchesEngine pins
+// the two executors against each other.
 //
-// Deployment note: all logical nodes live in one OS process (the TCP
-// transport still uses real loopback sockets). Quiescence detection uses a
-// shared in-flight counter; a multi-process deployment would replace it
-// with a distributed termination protocol.
+// Deployment note: all logical nodes live in one OS process, connected by
+// a loopback TCP mesh. Quiescence detection uses a shared in-flight
+// counter; a multi-process deployment would replace it with a distributed
+// termination protocol.
 package parallel
 
 import (
@@ -33,6 +34,11 @@ const (
 	kindAck
 )
 
+// queueDepth bounds each execution thread's input queue: deep enough that
+// a post rarely waits on a busy thread, while a full queue still holds
+// back the poster.
+const queueDepth = 4096
+
 // Config assembles a runtime.
 type Config struct {
 	// Graph is the application flow graph.
@@ -40,16 +46,23 @@ type Config struct {
 	// Nodes is the number of logical compute nodes.
 	Nodes int
 	// Codec decodes data objects arriving over the transport. Required
-	// when UseTCP (and for any cross-node traffic).
+	// for any cross-node traffic.
 	Codec *transport.Codec
-	// UseTCP selects real loopback sockets instead of channels.
-	UseTCP bool
-	// QueueDepth bounds each execution thread's input queue (default
-	// 4096).
-	QueueDepth int
-	// SleepModelled makes Compute sleep for the modeled duration when no
-	// kernel function is supplied (useful for demo workloads).
-	SleepModelled bool
+}
+
+// Stats counts what a run did, under the names of core.Result.
+type Stats struct {
+	// Posts is the number of data objects posted.
+	Posts uint64
+	// Transfers is the number of posted objects that crossed nodes.
+	Transfers uint64
+	// ControlMsgs counts closure and acknowledgement messages.
+	ControlMsgs uint64
+	// Instances is the number of pair instances opened.
+	Instances uint64
+	// Invocations counts operation invocations: one per data object an
+	// operation receives, plus one per Finish.
+	Invocations uint64
 }
 
 // wireFrame is one instance-stack level on the wire. It carries enough to
@@ -59,7 +72,6 @@ type wireFrame struct {
 	pairID     uint32
 	instID     uint64
 	srcNode    uint32
-	srcThread  uint32
 	sinkThread uint32
 }
 
@@ -75,21 +87,20 @@ type item struct {
 	total  int
 }
 
-type instKey struct {
-	pair uint32
-	inst uint64
-}
-
-// srcInstance is the source-side state of one pair instance: posted count,
-// flow-control credits and the deferred posts awaiting credits.
+// srcInstance is the source-side record of one pair instance: its sink
+// thread, posted count, flow-control credits and the deferred posts
+// awaiting credits. The opening activation and the node's ack index share
+// it.
 type srcInstance struct {
+	pair       *dps.Pair
+	id         uint64
+	sinkThread int
+
 	mu       sync.Mutex
 	posted   int
 	inflight int
 	pending  []pendingPost
 }
-
-func newSrcInstance() *srcInstance { return &srcInstance{} }
 
 // sinkInstance is the sink-side state of one pair instance.
 type sinkInstance struct {
@@ -104,44 +115,39 @@ type sinkInstance struct {
 // activation tracks the output instances opened by a source activation.
 type activation struct {
 	parent []wireFrame
-	insts  map[*dps.Pair]*openInst
-	order  []*openInst
-}
-
-type openInst struct {
-	pair       *dps.Pair
-	id         uint64
-	sinkThread int
-	src        *srcInstance
+	insts  map[*dps.Pair]*srcInstance
+	order  []*srcInstance
 }
 
 func newActivation(parent []wireFrame) *activation {
-	return &activation{parent: parent, insts: make(map[*dps.Pair]*openInst)}
+	return &activation{parent: parent, insts: make(map[*dps.Pair]*srcInstance)}
 }
 
 // Runtime executes one DPS application across logical nodes.
 type Runtime struct {
-	cfg    Config
-	graph  *dps.Graph
-	tr     transport.Transport
-	codec  *transport.Codec
-	nodes  []*nodeState
-	pairs  map[uint32]*dps.Pair
-	nextID atomic.Uint64
+	graph   *dps.Graph
+	codec   *transport.Codec
+	tr      *transport.TCP
+	nodes   []*nodeState
+	threads map[*dps.Collection][]*workerThread
+	nextID  atomic.Uint64
 
+	posts, transfers, controlMsgs, instances, invocations atomic.Uint64
+
+	// inflight counts work not yet done; Wait sleeps on idle until it
+	// reaches zero or err is set.
 	inflight atomic.Int64
-	idleMu   sync.Mutex
-	idleCond *sync.Cond
-
-	errMu sync.Mutex
-	err   error
+	mu       sync.Mutex
+	idle     *sync.Cond
+	err      error
 
 	phaseMu sync.Mutex
 	phases  []Phase
 	started time.Time
 
-	closed  chan struct{}
-	closeMu sync.Once
+	closed    chan struct{}
+	closeOnce sync.Once
+	workers   sync.WaitGroup
 }
 
 // Phase is a wall-clock phase mark recorded by operations.
@@ -153,9 +159,8 @@ type Phase struct {
 type nodeState struct {
 	rt      *Runtime
 	id      int
-	threads map[string]*workerThread
 	srcMu   sync.Mutex
-	srcInst map[instKey]*srcInstance
+	srcInst map[uint64]*srcInstance
 }
 
 type workerThread struct {
@@ -164,12 +169,7 @@ type workerThread struct {
 	idx   int
 	queue chan item
 	store dps.Store
-	sinks map[instKey]*sinkInstance
-	wg    *sync.WaitGroup
-}
-
-func threadName(coll *dps.Collection, idx int) string {
-	return fmt.Sprintf("%s/%d", coll.Name(), idx)
+	sinks map[uint64]*sinkInstance
 }
 
 // New builds and starts a runtime (worker goroutines and transport).
@@ -183,125 +183,108 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Nodes <= 0 {
 		return nil, errors.New("parallel: need at least one node")
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4096
-	}
 	rt := &Runtime{
-		cfg:     cfg,
 		graph:   cfg.Graph,
 		codec:   cfg.Codec,
-		pairs:   make(map[uint32]*dps.Pair),
+		threads: make(map[*dps.Collection][]*workerThread),
 		closed:  make(chan struct{}),
 		started: time.Now(),
 	}
-	rt.idleCond = sync.NewCond(&rt.idleMu)
-	for _, p := range cfg.Graph.Pairs() {
-		rt.pairs[uint32(p.ID())] = p
-	}
+	rt.idle = sync.NewCond(&rt.mu)
 	rt.nodes = make([]*nodeState, cfg.Nodes)
-	var wg sync.WaitGroup
+	handlers := make([]transport.Handler, cfg.Nodes)
 	for i := range rt.nodes {
-		rt.nodes[i] = &nodeState{
-			rt: rt, id: i,
-			threads: make(map[string]*workerThread),
-			srcInst: make(map[instKey]*srcInstance),
-		}
+		rt.nodes[i] = &nodeState{rt: rt, id: i, srcInst: make(map[uint64]*srcInstance)}
+		handlers[i] = rt.nodes[i].handleMessage
 	}
 	// Materialize one execution thread per (collection, index).
-	seen := make(map[*dps.Collection]bool)
 	for _, op := range cfg.Graph.Ops() {
 		coll := op.Collection()
-		if seen[coll] {
+		if rt.threads[coll] != nil {
 			continue
 		}
-		seen[coll] = true
-		for idx := 0; idx < coll.Width(); idx++ {
-			node := rt.nodes[coll.Node(idx)%cfg.Nodes]
-			th := &workerThread{
-				node: node, coll: coll, idx: idx,
-				queue: make(chan item, cfg.QueueDepth),
+		ths := make([]*workerThread, coll.Width())
+		for idx := range ths {
+			ths[idx] = &workerThread{
+				node: rt.nodes[coll.Node(idx)%cfg.Nodes], coll: coll, idx: idx,
+				queue: make(chan item, queueDepth),
 				store: make(dps.Store),
-				sinks: make(map[instKey]*sinkInstance),
-				wg:    &wg,
+				sinks: make(map[uint64]*sinkInstance),
 			}
-			node.threads[threadName(coll, idx)] = th
-			wg.Add(1)
-			go th.run()
+			rt.workers.Add(1)
+			go ths[idx].run()
 		}
-	}
-	handlers := make([]transport.Handler, cfg.Nodes)
-	for i := range handlers {
-		node := rt.nodes[i]
-		handlers[i] = node.handleMessage
+		rt.threads[coll] = ths
 	}
 	var err error
-	if cfg.UseTCP {
-		rt.tr, err = transport.NewTCP(handlers)
-	} else {
-		rt.tr = transport.NewLocal(handlers)
-	}
-	if err != nil {
+	if rt.tr, err = transport.NewTCP(handlers); err != nil {
+		rt.Close()
 		return nil, err
 	}
 	return rt, nil
 }
 
-// fail records the first runtime error.
+// fail records the first runtime error and wakes Wait.
 func (rt *Runtime) fail(err error) {
-	rt.errMu.Lock()
+	rt.mu.Lock()
 	if rt.err == nil {
 		rt.err = err
 	}
-	rt.errMu.Unlock()
-	rt.done() // wake Wait so the error surfaces
+	rt.idle.Broadcast()
+	rt.mu.Unlock()
 }
 
+// addWork and done bracket one unit of in-flight work: every addWork is
+// matched by exactly one done.
 func (rt *Runtime) addWork() { rt.inflight.Add(1) }
 
 func (rt *Runtime) done() {
-	if rt.inflight.Add(-1) <= 0 {
-		rt.idleMu.Lock()
-		rt.idleCond.Broadcast()
-		rt.idleMu.Unlock()
+	if rt.inflight.Add(-1) == 0 {
+		rt.mu.Lock()
+		rt.idle.Broadcast()
+		rt.mu.Unlock()
 	}
+}
+
+// drop abandons one unit of in-flight work with err.
+func (rt *Runtime) drop(err error) {
+	rt.fail(err)
+	rt.done()
 }
 
 // Inject delivers obj to thread t of op's collection (the application
 // bootstrap).
 func (rt *Runtime) Inject(op *dps.Op, t int, obj dps.DataObject) {
 	rt.addWork()
-	rt.route(item{kind: kindData, op: op, obj: obj, frames: nil}, t)
+	rt.route(item{kind: kindData, op: op, obj: obj}, t)
 }
 
-// Wait blocks until the application quiesces and returns the first error.
+// Wait blocks until the application quiesces or fails and returns the
+// first error.
 func (rt *Runtime) Wait() error {
-	rt.idleMu.Lock()
-	for rt.inflight.Load() > 0 {
-		rt.idleCond.Wait()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for rt.inflight.Load() > 0 && rt.err == nil {
+		rt.idle.Wait()
 	}
-	rt.idleMu.Unlock()
-	rt.errMu.Lock()
-	defer rt.errMu.Unlock()
 	return rt.err
 }
 
-// Close stops worker goroutines and the transport.
+// Close stops the transport and the worker goroutines, and returns once
+// the workers have exited.
 func (rt *Runtime) Close() {
-	rt.closeMu.Do(func() {
+	rt.closeOnce.Do(func() {
 		close(rt.closed)
-		for _, n := range rt.nodes {
-			for _, th := range n.threads {
-				close(th.queue)
-			}
+		if rt.tr != nil {
+			rt.tr.Close()
 		}
-		rt.tr.Close()
+		rt.workers.Wait()
 	})
 }
 
 // Store returns a thread's local store (seed inputs, read results).
 func (rt *Runtime) Store(coll *dps.Collection, idx int) dps.Store {
-	node := rt.nodes[coll.Node(idx)%rt.cfg.Nodes]
-	return node.threads[threadName(coll, idx)].store
+	return rt.threads[coll][idx].store
 }
 
 // Phases returns the recorded wall-clock phase marks.
@@ -311,65 +294,80 @@ func (rt *Runtime) Phases() []Phase {
 	return append([]Phase(nil), rt.phases...)
 }
 
-// route hands an item to the destination execution thread, crossing the
-// transport when the destination lives on another node.
-func (rt *Runtime) route(it item, dstThread int) {
-	coll := it.op.Collection()
-	if dstThread < 0 || dstThread >= coll.Width() {
-		rt.fail(fmt.Errorf("parallel: object for %s routed to thread %d outside width %d", it.op, dstThread, coll.Width()))
-		return
-	}
-	dstNode := coll.Node(dstThread) % rt.cfg.Nodes
-	node := rt.nodes[dstNode]
-	th := node.threads[threadName(coll, dstThread)]
-	select {
-	case th.queue <- it:
-	case <-rt.closed:
-		rt.done()
+// Stats returns the run's counters so far.
+func (rt *Runtime) Stats() Stats {
+	return Stats{
+		Posts:       rt.posts.Load(),
+		Transfers:   rt.transfers.Load(),
+		ControlMsgs: rt.controlMsgs.Load(),
+		Instances:   rt.instances.Load(),
+		Invocations: rt.invocations.Load(),
 	}
 }
 
-// sendData ships a data envelope to the destination thread, serializing
-// when it crosses nodes.
-func (rt *Runtime) sendData(srcNode int, op *dps.Op, obj dps.DataObject, frames []wireFrame, seq, dstThread int) {
-	rt.addWork()
-	coll := op.Collection()
-	if dstThread < 0 || dstThread >= coll.Width() {
-		rt.fail(fmt.Errorf("parallel: %s routed to thread %d outside width %d", op, dstThread, coll.Width()))
-		return
+// pair returns the pair with wire ID id, or nil.
+func (rt *Runtime) pair(id uint32) *dps.Pair {
+	if pairs := rt.graph.Pairs(); int64(id) < int64(len(pairs)) {
+		return pairs[id]
 	}
-	dstNode := coll.Node(dstThread) % rt.cfg.Nodes
-	if dstNode == srcNode {
-		rt.route(item{kind: kindData, op: op, obj: obj, frames: frames, seq: seq}, dstThread)
-		return
+	return nil
+}
+
+// thread returns execution thread idx of op's collection.
+func (rt *Runtime) thread(op *dps.Op, idx int) (*workerThread, error) {
+	ths := rt.threads[op.Collection()]
+	if idx < 0 || idx >= len(ths) {
+		return nil, fmt.Errorf("parallel: object for %s routed to thread %d outside width %d", op, idx, len(ths))
 	}
-	body, err := rt.encodeData(op, obj, frames, seq, dstThread)
+	return ths[idx], nil
+}
+
+// route hands an item, and its unit of in-flight work, to its destination
+// execution thread.
+func (rt *Runtime) route(it item, dst int) {
+	th, err := rt.thread(it.op, dst)
 	if err != nil {
-		rt.fail(err)
+		rt.drop(err)
 		return
 	}
-	if err := rt.tr.Send(dstNode, transport.Message{From: srcNode, Kind: kindData, Body: body}); err != nil {
-		rt.fail(err)
+	th.enqueue(it)
+}
+
+// send ships a data or closure item to thread dst of it.op: onto the
+// thread's queue when it lives on srcNode, over the transport otherwise.
+func (rt *Runtime) send(srcNode int, it item, dst int) {
+	rt.addWork()
+	th, err := rt.thread(it.op, dst)
+	if err != nil {
+		rt.drop(err)
+		return
 	}
+	if th.node.id == srcNode {
+		th.enqueue(it)
+		return
+	}
+	if it.kind == kindData {
+		rt.transfers.Add(1)
+	}
+	body, err := rt.encode(it, dst)
+	if err == nil {
+		err = rt.tr.Send(th.node.id, transport.Message{From: srcNode, Kind: it.kind, Body: body})
+	}
+	if err != nil {
+		rt.drop(err)
+	}
+}
+
+// sendData posts a data item to thread dst of it.op.
+func (rt *Runtime) sendData(srcNode int, it item, dst int) {
+	rt.posts.Add(1)
+	rt.send(srcNode, it, dst)
 }
 
 // sendClosure informs the sink of an instance's final posted count.
-func (rt *Runtime) sendClosure(srcNode int, oi *openInst, total int) {
-	rt.addWork()
-	sinkColl := oi.pair.Sink().Collection()
-	dstNode := sinkColl.Node(oi.sinkThread) % rt.cfg.Nodes
-	if dstNode == srcNode {
-		rt.route(item{kind: kindClosure, op: oi.pair.Sink(), pair: oi.pair, instID: oi.id, total: total}, oi.sinkThread)
-		return
-	}
-	b := serial.NewBuffer(32)
-	b.U32(uint32(oi.pair.ID()))
-	b.U64(oi.id)
-	b.U32(uint32(total))
-	b.U32(uint32(oi.sinkThread))
-	if err := rt.tr.Send(dstNode, transport.Message{From: srcNode, Kind: kindClosure, Body: b.BytesOut()}); err != nil {
-		rt.fail(err)
-	}
+func (rt *Runtime) sendClosure(srcNode int, si *srcInstance, total int) {
+	rt.controlMsgs.Add(1)
+	rt.send(srcNode, item{kind: kindClosure, op: si.pair.Sink(), pair: si.pair, instID: si.id, total: total}, si.sinkThread)
 }
 
 // sendAck returns a flow-control credit to the posting node. Acks count as
@@ -377,39 +375,44 @@ func (rt *Runtime) sendClosure(srcNode int, oi *openInst, total int) {
 // still waiting for its credit.
 func (rt *Runtime) sendAck(srcNode int, fr wireFrame) {
 	rt.addWork()
+	rt.controlMsgs.Add(1)
 	dstNode := int(fr.srcNode)
 	if dstNode == srcNode {
-		rt.nodes[dstNode].handleAck(fr.pairID, fr.instID)
+		rt.nodes[dstNode].handleAck(fr.instID)
 		rt.done()
 		return
 	}
-	b := serial.NewBuffer(16)
-	b.U32(fr.pairID)
+	b := serial.NewBuffer(8)
 	b.U64(fr.instID)
 	if err := rt.tr.Send(dstNode, transport.Message{From: srcNode, Kind: kindAck, Body: b.BytesOut()}); err != nil {
-		rt.fail(err)
-		rt.done()
+		rt.drop(err)
 	}
 }
 
-// encodeData frames a data envelope for the wire.
-func (rt *Runtime) encodeData(op *dps.Op, obj dps.DataObject, frames []wireFrame, seq, dstThread int) ([]byte, error) {
+// encode frames a data or closure item bound for thread dst.
+func (rt *Runtime) encode(it item, dst int) ([]byte, error) {
+	b := serial.NewBuffer(256)
+	if it.kind == kindClosure {
+		b.U32(uint32(it.pair.ID()))
+		b.U64(it.instID)
+		b.U32(uint32(it.total))
+		b.U32(uint32(dst))
+		return b.BytesOut(), nil
+	}
 	if rt.codec == nil {
 		return nil, errors.New("parallel: cross-node traffic requires a Codec")
 	}
-	b := serial.NewBuffer(256)
-	b.U32(uint32(op.ID()))
-	b.U32(uint32(dstThread))
-	b.U32(uint32(seq))
-	b.U8(uint8(len(frames)))
-	for _, f := range frames {
+	b.U32(uint32(it.op.ID()))
+	b.U32(uint32(dst))
+	b.U32(uint32(it.seq))
+	b.U8(uint8(len(it.frames)))
+	for _, f := range it.frames {
 		b.U32(f.pairID)
 		b.U64(f.instID)
 		b.U32(f.srcNode)
-		b.U32(f.srcThread)
 		b.U32(f.sinkThread)
 	}
-	payload, err := rt.codec.Encode(obj)
+	payload, err := rt.codec.Encode(it.obj)
 	if err != nil {
 		return nil, err
 	}
@@ -417,84 +420,81 @@ func (rt *Runtime) encodeData(op *dps.Op, obj dps.DataObject, frames []wireFrame
 	return b.BytesOut(), nil
 }
 
-// handleMessage decodes transport messages arriving at a node.
+// handleMessage decodes transport messages arriving at a node. Each
+// message carries the unit of in-flight work its sender added.
 func (n *nodeState) handleMessage(msg transport.Message) {
 	rt := n.rt
+	r := serial.NewReader(msg.Body)
 	switch msg.Kind {
 	case kindData:
-		r := serial.NewReader(msg.Body)
 		opID := int(r.U32())
-		dstThread := int(r.U32())
+		dst := int(r.U32())
 		seq := int(r.U32())
-		nf := int(r.U8())
-		frames := make([]wireFrame, nf)
+		frames := make([]wireFrame, r.U8())
 		for i := range frames {
-			frames[i] = wireFrame{
-				pairID:     r.U32(),
-				instID:     r.U64(),
-				srcNode:    r.U32(),
-				srcThread:  r.U32(),
-				sinkThread: r.U32(),
-			}
+			frames[i] = wireFrame{pairID: r.U32(), instID: r.U64(), srcNode: r.U32(), sinkThread: r.U32()}
 		}
 		payload := r.Bytes()
 		if r.Err() != nil {
-			rt.fail(fmt.Errorf("parallel: corrupt data frame: %w", r.Err()))
+			rt.drop(fmt.Errorf("parallel: corrupt data frame: %w", r.Err()))
 			return
 		}
 		if opID < 0 || opID >= len(rt.graph.Ops()) {
-			rt.fail(fmt.Errorf("parallel: unknown op id %d", opID))
+			rt.drop(fmt.Errorf("parallel: unknown op id %d", opID))
 			return
 		}
 		obj, err := rt.codec.Decode(payload)
 		if err != nil {
-			rt.fail(err)
+			rt.drop(err)
 			return
 		}
-		op := rt.graph.Ops()[opID]
-		rt.route(item{kind: kindData, op: op, obj: obj, frames: frames, seq: seq}, dstThread)
+		rt.route(item{kind: kindData, op: rt.graph.Ops()[opID], obj: obj, frames: frames, seq: seq}, dst)
 	case kindClosure:
-		r := serial.NewReader(msg.Body)
-		pairID := r.U32()
+		pair := rt.pair(r.U32())
 		instID := r.U64()
 		total := int(r.U32())
-		dstThread := int(r.U32())
-		pair := rt.pairs[pairID]
+		dst := int(r.U32())
 		if pair == nil || r.Err() != nil {
-			rt.fail(fmt.Errorf("parallel: corrupt closure frame"))
+			rt.drop(errors.New("parallel: corrupt closure frame"))
 			return
 		}
-		rt.route(item{kind: kindClosure, op: pair.Sink(), pair: pair, instID: instID, total: total}, dstThread)
+		rt.route(item{kind: kindClosure, op: pair.Sink(), pair: pair, instID: instID, total: total}, dst)
 	case kindAck:
-		r := serial.NewReader(msg.Body)
-		pairID := r.U32()
 		instID := r.U64()
 		if r.Err() != nil {
-			rt.fail(fmt.Errorf("parallel: corrupt ack frame"))
-			rt.done()
+			rt.drop(errors.New("parallel: corrupt ack frame"))
 			return
 		}
-		n.handleAck(pairID, instID)
+		n.handleAck(instID)
 		rt.done()
+	default:
+		rt.drop(fmt.Errorf("parallel: unknown message kind %d", msg.Kind))
 	}
 }
 
-// handleAck returns a credit; if a deferred post was waiting, it ships now.
-func (n *nodeState) handleAck(pairID uint32, instID uint64) {
+// open registers a new pair instance sourced on this node, where its acks
+// will return.
+func (n *nodeState) open(pair *dps.Pair, sinkThread int) *srcInstance {
+	si := &srcInstance{pair: pair, id: n.rt.nextID.Add(1), sinkThread: sinkThread}
+	n.rt.instances.Add(1)
 	n.srcMu.Lock()
-	si := n.srcInst[instKey{pairID, instID}]
+	n.srcInst[si.id] = si
+	n.srcMu.Unlock()
+	return si
+}
+
+// handleAck returns a credit; if a deferred post was waiting, it ships now.
+func (n *nodeState) handleAck(instID uint64) {
+	n.srcMu.Lock()
+	si := n.srcInst[instID]
 	n.srcMu.Unlock()
 	if si == nil {
 		return
 	}
-	w := 0
-	if pair := n.rt.pairs[pairID]; pair != nil {
-		w = pair.Window()
-	}
 	var pp *pendingPost
 	si.mu.Lock()
 	si.inflight--
-	if len(si.pending) > 0 && (w == 0 || si.inflight < w) {
+	if w := si.pair.Window(); len(si.pending) > 0 && (w == 0 || si.inflight < w) {
 		p := si.pending[0]
 		si.pending = si.pending[1:]
 		si.inflight++
@@ -502,18 +502,6 @@ func (n *nodeState) handleAck(pairID uint32, instID uint64) {
 	}
 	si.mu.Unlock()
 	if pp != nil {
-		n.rt.sendData(pp.srcNode, pp.op, pp.obj, pp.frames, pp.seq, pp.dstThread)
+		n.rt.sendData(n.id, pp.it, pp.dst)
 	}
-}
-
-func (n *nodeState) srcInstance(pairID uint32, instID uint64) *srcInstance {
-	n.srcMu.Lock()
-	defer n.srcMu.Unlock()
-	k := instKey{pairID, instID}
-	si := n.srcInst[k]
-	if si == nil {
-		si = newSrcInstance()
-		n.srcInst[k] = si
-	}
-	return si
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dpsim/internal/dps"
-	"dpsim/internal/eventq"
 	"dpsim/internal/linalg"
 	"dpsim/internal/lu"
 	"dpsim/internal/serial"
@@ -58,39 +57,29 @@ type sumMerge struct {
 func (s *sumMerge) Absorb(ctx dps.Ctx, in dps.DataObject) { s.local += in.(*num).V }
 func (s *sumMerge) Finish(ctx dps.Ctx)                    { s.total.Store(s.local) }
 
-func TestLocalTransportFanOut(t *testing.T) {
-	var total atomic.Int64
-	g, split := sumApp(4, 4, 16, &total)
-	rt, err := New(Config{Graph: g, Nodes: 4, Codec: testCodec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.Inject(split, 0, &num{V: 10})
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// sum of 2*(10..25) = 2*(16*10+120) = 560
-	if total.Load() != 560 {
-		t.Fatalf("sum = %d, want 560", total.Load())
-	}
-}
-
 func TestTCPTransportFanOut(t *testing.T) {
-	var total atomic.Int64
-	g, split := sumApp(3, 3, 9, &total)
-	rt, err := New(Config{Graph: g, Nodes: 3, Codec: testCodec(), UseTCP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	rt.Inject(split, 0, &num{V: 1})
-	if err := rt.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// sum of 2*(1..9) = 90
-	if total.Load() != 90 {
-		t.Fatalf("sum = %d, want 90", total.Load())
+	for _, c := range []struct {
+		nodes, fan int
+		base, want int64
+	}{
+		{nodes: 4, fan: 16, base: 10, want: 560}, // 2*(10+..+25)
+		{nodes: 3, fan: 9, base: 1, want: 90},    // 2*(1+..+9)
+	} {
+		var total atomic.Int64
+		g, split := sumApp(c.nodes, c.nodes, c.fan, &total)
+		rt, err := New(Config{Graph: g, Nodes: c.nodes, Codec: testCodec()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Inject(split, 0, &num{V: c.base})
+		err = rt.Wait()
+		rt.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total.Load() != c.want {
+			t.Fatalf("%d nodes: sum = %d, want %d", c.nodes, total.Load(), c.want)
+		}
 	}
 }
 
@@ -213,9 +202,8 @@ type relayState struct{}
 func (relayState) Absorb(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) }
 func (relayState) Finish(dps.Ctx)                        {}
 
-// TestRealLUOverTCP runs the full LU application on the real runtime with
-// TCP transport and verifies the distributed factors: the paper's claim
-// that the real and simulated applications run identically.
+// TestRealLUOverTCP runs the full LU application on the real runtime and
+// verifies the distributed factors against a serial reference.
 func TestRealLUOverTCP(t *testing.T) {
 	cfg := lu.Config{N: 24, R: 6, Nodes: 2, Pipelined: true}
 	app, err := lu.Build(cfg)
@@ -224,7 +212,7 @@ func TestRealLUOverTCP(t *testing.T) {
 	}
 	codec := transport.NewCodec()
 	lu.RegisterCodec(codec)
-	rt, err := New(Config{Graph: app.Graph, Nodes: 2, Codec: codec, UseTCP: true})
+	rt, err := New(Config{Graph: app.Graph, Nodes: 2, Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +235,7 @@ func TestRealLUOverTCP(t *testing.T) {
 	}
 }
 
-func TestRealLUWithFlowControlLocal(t *testing.T) {
+func TestRealLUWithFlowControl(t *testing.T) {
 	cfg := lu.Config{N: 24, R: 6, Nodes: 3, Pipelined: true, Window: 2}
 	app, err := lu.Build(cfg)
 	if err != nil {
@@ -275,21 +263,26 @@ func TestRealLUWithFlowControlLocal(t *testing.T) {
 	}
 }
 
-func TestSleepModelled(t *testing.T) {
+// TestSameNamedCollectionsStayApart: collection names need not be unique,
+// so two collections called "w" must still get their own threads and
+// stores, as they do on the simulated engine.
+func TestSameNamedCollectionsStayApart(t *testing.T) {
 	master := dps.NewCollection("m", 1, 1)
-	g := dps.NewGraph("sleep")
-	ran := false
-	split := g.Split("s", master, func(ctx dps.Ctx, in dps.DataObject) {
-		ctx.Compute("w", eventq.Millisecond, nil) // sleeps 1ms
-		ran = true
-		ctx.Post(&num{})
+	a := dps.NewCollection("w", 1, 1)
+	b := dps.NewCollection("w", 1, 1)
+	g := dps.NewGraph("names")
+	split := g.Split("s", master, func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) })
+	leafA := g.Leaf("la", a, func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) })
+	leafB := g.Leaf("lb", b, func(ctx dps.Ctx, in dps.DataObject) {
+		ctx.Store()["seen"] = true
+		ctx.Post(in)
 	})
-	leaf := g.Leaf("l", master, func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) })
 	merge := g.Merge("m", master, func(dps.DataObject) dps.MergeState { return &sumMerge{total: &atomic.Int64{}} })
-	g.Connect(split, leaf, dps.RoundRobin)
-	g.Connect(leaf, merge, nil)
+	g.Connect(split, leafA, dps.RoundRobin)
+	g.Connect(leafA, leafB, dps.RoundRobin)
+	g.Connect(leafB, merge, nil)
 	g.PairOps(split, merge, nil)
-	rt, err := New(Config{Graph: g, Nodes: 1, SleepModelled: true})
+	rt, err := New(Config{Graph: g, Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +291,28 @@ func TestSleepModelled(t *testing.T) {
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Fatal("split did not run")
+	if rt.Store(a, 0)["seen"] != nil || rt.Store(b, 0)["seen"] == nil {
+		t.Fatalf("stores shared: a = %v, b = %v", rt.Store(a, 0), rt.Store(b, 0))
+	}
+}
+
+// TestCorruptAckLeavesNoWork: a corrupt ack frame drops exactly the unit
+// of in-flight work its sender added, and Wait returns the error.
+func TestCorruptAckLeavesNoWork(t *testing.T) {
+	var total atomic.Int64
+	g, _ := sumApp(2, 2, 1, &total)
+	rt, err := New(Config{Graph: g, Nodes: 2, Codec: testCodec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.addWork() // the sender's share of the ack
+	rt.nodes[0].handleMessage(transport.Message{From: 1, Kind: kindAck, Body: []byte{1}})
+	if n := rt.inflight.Load(); n != 0 {
+		t.Fatalf("in-flight work = %d after a corrupt ack, want 0", n)
+	}
+	if err := rt.Wait(); err == nil || !strings.Contains(err.Error(), "corrupt ack") {
+		t.Fatalf("Wait = %v, want the corrupt-ack error", err)
 	}
 }
 

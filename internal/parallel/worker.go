@@ -17,20 +17,32 @@ import (
 // slightly different timing semantics (ARCHITECTURE.md, "Flow control:
 // simulated vs real runtime").
 type pendingPost struct {
-	op        *dps.Op
-	obj       dps.DataObject
-	frames    []wireFrame
-	seq       int
-	dstThread int
-	srcNode   int
+	it  item
+	dst int
 }
 
 // run is the execution-thread goroutine: it drains the queue, processing
-// one item at a time (DPS threads are sequential execution contexts).
+// one item at a time (DPS threads are sequential execution contexts),
+// until the runtime closes.
 func (th *workerThread) run() {
-	defer th.wg.Done()
-	for it := range th.queue {
-		th.process(it)
+	rt := th.node.rt
+	defer rt.workers.Done()
+	for {
+		select {
+		case it := <-th.queue:
+			th.process(it)
+			rt.done()
+		case <-rt.closed:
+			return
+		}
+	}
+}
+
+// enqueue hands the item, and its unit of in-flight work, to the thread.
+func (th *workerThread) enqueue(it item) {
+	select {
+	case th.queue <- it:
+	case <-th.node.rt.closed:
 		th.node.rt.done()
 	}
 }
@@ -45,10 +57,11 @@ func (th *workerThread) process(it item) {
 	}()
 	switch it.kind {
 	case kindClosure:
-		si := th.sink(it.pair, it.instID)
+		si := th.sink(it.instID)
 		si.total = it.total
 		th.checkComplete(it.pair, it.instID, si)
 	case kindData:
+		rt.invocations.Add(1)
 		op := it.op
 		switch op.Kind() {
 		case dps.KindSplit:
@@ -67,12 +80,12 @@ func (th *workerThread) process(it item) {
 				return
 			}
 			top := it.frames[len(it.frames)-1]
-			pair := rt.pairs[top.pairID]
+			pair := rt.pair(top.pairID)
 			if pair == nil || pair.Sink() != op {
 				rt.fail(fmt.Errorf("parallel: object at %s carries mismatched frame", op))
 				return
 			}
-			si := th.sink(pair, top.instID)
+			si := th.sink(top.instID)
 			if si.state == nil {
 				si.state = op.NewState(it.obj)
 			}
@@ -92,12 +105,11 @@ func (th *workerThread) process(it item) {
 }
 
 // sink returns (creating if needed) the sink-side instance state.
-func (th *workerThread) sink(pair *dps.Pair, instID uint64) *sinkInstance {
-	k := instKey{uint32(pair.ID()), instID}
-	si := th.sinks[k]
+func (th *workerThread) sink(instID uint64) *sinkInstance {
+	si := th.sinks[instID]
 	if si == nil {
 		si = &sinkInstance{total: -1}
-		th.sinks[k] = si
+		th.sinks[instID] = si
 	}
 	return si
 }
@@ -109,6 +121,7 @@ func (th *workerThread) checkComplete(pair *dps.Pair, instID uint64, si *sinkIns
 		return
 	}
 	si.finished = true
+	th.node.rt.invocations.Add(1)
 	op := pair.Sink()
 	if si.state == nil {
 		si.state = op.NewState(nil)
@@ -121,7 +134,7 @@ func (th *workerThread) checkComplete(pair *dps.Pair, instID uint64, si *sinkIns
 	if op.Kind() == dps.KindStream {
 		th.closeActivation(si.act)
 	}
-	delete(th.sinks, instKey{uint32(pair.ID()), instID})
+	delete(th.sinks, instID)
 }
 
 // closeActivation emits the closure messages of every opened instance.
@@ -129,11 +142,11 @@ func (th *workerThread) closeActivation(act *activation) {
 	if act == nil {
 		return
 	}
-	for _, oi := range act.order {
-		oi.src.mu.Lock()
-		total := oi.src.posted
-		oi.src.mu.Unlock()
-		th.node.rt.sendClosure(th.node.id, oi, total)
+	for _, si := range act.order {
+		si.mu.Lock()
+		total := si.posted
+		si.mu.Unlock()
+		th.node.rt.sendClosure(th.node.id, si, total)
 	}
 }
 
@@ -182,51 +195,43 @@ func (c *pctx) PostTo(edgeIdx int, obj dps.DataObject) {
 			rt.fail(fmt.Errorf("parallel: %s cannot open pair instances here", c.op))
 			return
 		}
-		oi := act.insts[pair]
-		if oi == nil {
-			id := rt.nextID.Add(1)
+		src := act.insts[pair]
+		if src == nil {
 			width := pair.Sink().Collection().Width()
 			st := pair.RouteInstance(obj, width)
 			if st < 0 || st >= width {
 				rt.fail(fmt.Errorf("parallel: %s instance routed to %d of %d", pair, st, width))
 				return
 			}
-			oi = &openInst{
-				pair: pair, id: id, sinkThread: st,
-				src: c.th.node.srcInstance(uint32(pair.ID()), id),
-			}
-			act.insts[pair] = oi
-			act.order = append(act.order, oi)
+			src = c.th.node.open(pair, st)
+			act.insts[pair] = src
+			act.order = append(act.order, src)
 		}
 		frames := append(append([]wireFrame(nil), act.parent...), wireFrame{
 			pairID:     uint32(pair.ID()),
-			instID:     oi.id,
+			instID:     src.id,
 			srcNode:    uint32(srcNode),
-			srcThread:  uint32(c.th.idx),
-			sinkThread: uint32(oi.sinkThread),
+			sinkThread: uint32(src.sinkThread),
 		})
-		src := oi.src
 		src.mu.Lock()
 		seq := src.posted
 		src.posted++
 		var dst int
 		if edge.To() == pair.Sink() {
-			dst = oi.sinkThread
+			dst = src.sinkThread
 		} else {
 			dst = edge.Route()(dps.Routing{Obj: obj, Width: edge.To().Collection().Width(), SrcThread: c.th.idx, Seq: seq})
 		}
+		it := item{kind: kindData, op: edge.To(), obj: obj, frames: frames, seq: seq}
 		if w := pair.Window(); w > 0 && src.inflight >= w {
 			// Defer the fully routed post until a credit arrives.
-			src.pending = append(src.pending, pendingPost{
-				op: edge.To(), obj: obj, frames: frames, seq: seq,
-				dstThread: dst, srcNode: srcNode,
-			})
+			src.pending = append(src.pending, pendingPost{it: it, dst: dst})
 			src.mu.Unlock()
 			return
 		}
 		src.inflight++
 		src.mu.Unlock()
-		rt.sendData(srcNode, edge.To(), obj, frames, seq, dst)
+		rt.sendData(srcNode, it, dst)
 		return
 	}
 	// Plain edge: leaf pass-through or merge-finish output.
@@ -243,7 +248,7 @@ func (c *pctx) PostTo(edgeIdx int, obj dps.DataObject) {
 			return
 		}
 		top := frames[len(frames)-1]
-		if rt.pairs[top.pairID].Sink() != edge.To() {
+		if p := rt.pair(top.pairID); p == nil || p.Sink() != edge.To() {
 			rt.fail(fmt.Errorf("parallel: %s forwards to %s with mismatched frame", c.op, edge.To()))
 			return
 		}
@@ -251,16 +256,12 @@ func (c *pctx) PostTo(edgeIdx int, obj dps.DataObject) {
 	} else {
 		dst = edge.Route()(dps.Routing{Obj: obj, Width: edge.To().Collection().Width(), SrcThread: c.th.idx, Seq: seq})
 	}
-	rt.sendData(srcNode, edge.To(), obj, frames, seq, dst)
+	rt.sendData(srcNode, item{kind: kindData, op: edge.To(), obj: obj, frames: frames, seq: seq}, dst)
 }
 
 func (c *pctx) Compute(key string, work eventq.Duration, f func()) {
 	if f != nil {
 		f()
-		return
-	}
-	if c.th.node.rt.cfg.SleepModelled && work > 0 {
-		time.Sleep(time.Duration(work))
 	}
 }
 

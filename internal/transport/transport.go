@@ -1,12 +1,12 @@
-// Package transport provides the message transports of the real
-// (non-simulated) DPS runtime: an in-process channel transport and a TCP
-// transport with length-prefixed frames — the communication layer that the
-// paper's simulator replaces with its simulated network (§3).
+// Package transport is the communication layer of the real
+// (non-simulated) DPS runtime: a full mesh of loopback TCP connections
+// carrying length-prefixed frames, and the codec that turns data objects
+// into frames and back. It is the layer that the paper's simulator
+// replaces with its simulated network (§3).
 package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,73 +26,8 @@ type Message struct {
 	Body []byte
 }
 
-// Transport moves messages between numbered nodes.
-type Transport interface {
-	// Send delivers msg to node dst. It may block briefly (TCP
-	// backpressure) but never loses messages.
-	Send(dst int, msg Message) error
-	// Close releases resources. Pending deliveries may be dropped.
-	Close() error
-}
-
 // Handler consumes delivered messages on the receiving node.
 type Handler func(msg Message)
-
-// --- in-process transport ---
-
-// Local is a channel-based transport for single-process deployments.
-// Every node gets a buffered queue drained by one delivery goroutine.
-type Local struct {
-	handlers []Handler
-	queues   []chan Message
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	once     sync.Once
-}
-
-// NewLocal creates an in-process transport for n nodes; handler[i]
-// receives node i's messages.
-func NewLocal(handlers []Handler) *Local {
-	l := &Local{handlers: handlers, closed: make(chan struct{})}
-	l.queues = make([]chan Message, len(handlers))
-	for i := range l.queues {
-		i := i
-		l.queues[i] = make(chan Message, 1024)
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			for {
-				select {
-				case m := <-l.queues[i]:
-					l.handlers[i](m)
-				case <-l.closed:
-					return
-				}
-			}
-		}()
-	}
-	return l
-}
-
-// Send implements Transport.
-func (l *Local) Send(dst int, msg Message) error {
-	if dst < 0 || dst >= len(l.queues) {
-		return fmt.Errorf("transport: node %d outside %d", dst, len(l.queues))
-	}
-	select {
-	case l.queues[dst] <- msg:
-		return nil
-	case <-l.closed:
-		return errors.New("transport: closed")
-	}
-}
-
-// Close implements Transport.
-func (l *Local) Close() error {
-	l.once.Do(func() { close(l.closed) })
-	l.wg.Wait()
-	return nil
-}
 
 // --- TCP transport ---
 
@@ -211,16 +146,12 @@ func (t *TCP) readLoop(at, src int, conn net.Conn) {
 	}
 }
 
-// Send implements Transport. Local loopback (dst == src is not known at
-// this layer) still goes through the socket pair.
+// Send delivers msg from node msg.From to node dst, another node; a node
+// has no connection to itself. It may block briefly (TCP backpressure) but
+// never loses messages.
 func (t *TCP) Send(dst int, msg Message) error {
-	if dst < 0 || dst >= t.nodes {
-		return fmt.Errorf("transport: node %d outside %d", dst, t.nodes)
-	}
-	if msg.From == dst {
-		// Same node: skip the wire.
-		t.handlers[dst](msg)
-		return nil
+	if dst < 0 || dst >= t.nodes || msg.From < 0 || msg.From >= t.nodes {
+		return fmt.Errorf("transport: message %d→%d outside %d nodes", msg.From, dst, t.nodes)
 	}
 	conn := t.conns[msg.From][dst]
 	if conn == nil {
@@ -239,7 +170,7 @@ func (t *TCP) Send(dst int, msg Message) error {
 	return err
 }
 
-// Close implements Transport.
+// Close tears down the mesh. Pending deliveries may be dropped.
 func (t *TCP) Close() error {
 	t.once.Do(func() { close(t.closed) })
 	for _, ln := range t.lns {

@@ -32,35 +32,6 @@ func collect(n int) ([]Handler, []*[]Message, *sync.WaitGroup) {
 	return handlers, boxes, &wg
 }
 
-func TestLocalDelivery(t *testing.T) {
-	handlers, boxes, wg := collect(3)
-	tr := NewLocal(handlers)
-	defer tr.Close()
-	wg.Add(2)
-	if err := tr.Send(1, Message{From: 0, Kind: 7, Body: []byte("hi")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Send(2, Message{From: 0, Kind: 8, Body: []byte("yo")}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if len(*boxes[1]) != 1 || (*boxes[1])[0].Kind != 7 {
-		t.Fatalf("node1 got %+v", *boxes[1])
-	}
-	if string((*boxes[2])[0].Body) != "yo" {
-		t.Fatalf("node2 got %+v", *boxes[2])
-	}
-}
-
-func TestLocalBadDestination(t *testing.T) {
-	handlers, _, _ := collect(2)
-	tr := NewLocal(handlers)
-	defer tr.Close()
-	if err := tr.Send(9, Message{}); err == nil {
-		t.Fatal("send to missing node accepted")
-	}
-}
-
 func TestTCPMeshDelivery(t *testing.T) {
 	handlers, boxes, wg := collect(3)
 	tr, err := NewTCP(handlers)
@@ -91,20 +62,17 @@ func TestTCPMeshDelivery(t *testing.T) {
 	}
 }
 
-func TestTCPSameNodeShortCircuit(t *testing.T) {
-	handlers, boxes, wg := collect(2)
+func TestTCPBadRoutes(t *testing.T) {
+	handlers, _, _ := collect(2)
 	tr, err := NewTCP(handlers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	wg.Add(1)
-	if err := tr.Send(0, Message{From: 0, Kind: 5, Body: []byte("self")}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if len(*boxes[0]) != 1 {
-		t.Fatal("self-send lost")
+	for _, c := range []struct{ from, dst int }{{0, 9}, {9, 0}, {-1, 1}, {0, 0}} {
+		if err := tr.Send(c.dst, Message{From: c.from}); err == nil {
+			t.Fatalf("send %d→%d accepted", c.from, c.dst)
+		}
 	}
 }
 
