@@ -57,30 +57,33 @@ type sumMerge struct {
 func (s *sumMerge) Absorb(ctx dps.Ctx, in dps.DataObject) { s.local += in.(*num).V }
 func (s *sumMerge) Finish(ctx dps.Ctx)                    { s.total.Store(s.local) }
 
-func TestTCPTransportFanOut(t *testing.T) {
-	for _, c := range []struct {
-		nodes, fan int
-		base, want int64
-	}{
-		{nodes: 4, fan: 16, base: 10, want: 560}, // 2*(10+..+25)
-		{nodes: 3, fan: 9, base: 1, want: 90},    // 2*(1+..+9)
-	} {
-		var total atomic.Int64
-		g, split := sumApp(c.nodes, c.nodes, c.fan, &total)
-		rt, err := New(Config{Graph: g, Nodes: c.nodes, Codec: testCodec()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.Inject(split, 0, &num{V: c.base})
-		err = rt.Wait()
-		rt.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total.Load() != c.want {
-			t.Fatalf("%d nodes: sum = %d, want %d", c.nodes, total.Load(), c.want)
-		}
+// runFanOut fans base..base+fan-1 out over nodes on the loopback TCP mesh,
+// doubles each on a leaf, and checks the merged sum.
+func runFanOut(t *testing.T, nodes, fan int, base, want int64) {
+	t.Helper()
+	var total atomic.Int64
+	g, split := sumApp(nodes, nodes, fan, &total)
+	rt, err := New(Config{Graph: g, Nodes: nodes, Codec: testCodec()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer rt.Close()
+	rt.Inject(split, 0, &num{V: base})
+	if err := rt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if total.Load() != want {
+		t.Fatalf("%d nodes: sum = %d, want %d", nodes, total.Load(), want)
+	}
+}
+
+// TestLocalTransportFanOut: four in-process nodes, 16 items.
+func TestLocalTransportFanOut(t *testing.T) {
+	runFanOut(t, 4, 16, 10, 560) // 2*(10+..+25)
+}
+
+func TestTCPTransportFanOut(t *testing.T) {
+	runFanOut(t, 3, 9, 1, 90) // 2*(1+..+9)
 }
 
 func TestSingleNodeNoCodecNeeded(t *testing.T) {
