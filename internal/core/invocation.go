@@ -57,6 +57,14 @@ type coro struct {
 	yield func(yieldMsg) bool
 	next  func() (yieldMsg, bool)
 	stop  func()
+
+	// A coroutine has at most one atomic step in flight. Its yielded
+	// message and the node it was submitted on wait here for stepDone,
+	// the completion callback bound once per coroutine, so a step
+	// allocates no closure.
+	msg      yieldMsg
+	node     int
+	stepDone func()
 }
 
 // loop is the coroutine body. The done step of one invocation stays
@@ -84,8 +92,10 @@ type invocation struct {
 	act  *activation // output activation (split invocations)
 
 	charged  eventq.Duration // Compute charges in the current step
-	wallMark time.Time       // step start (direct execution measurement)
+	wallMark time.Time       // step start (ModeDirect measurement only)
 	posts    int             // posts in this invocation (leaf 1:1 check)
+
+	ctx opCtx // the dps.Ctx handed to the handler
 }
 
 func (inv *invocation) describe() string {
@@ -124,7 +134,15 @@ func (inv *invocation) handoff(msg yieldMsg) {
 	if !inv.co.yield(msg) {
 		panic(abortSignal)
 	}
-	inv.wallMark = time.Now()
+	inv.markWall()
+}
+
+// markWall starts the wall-clock measurement of a step; only ModeDirect
+// reads it.
+func (inv *invocation) markWall() {
+	if inv.eng.mode == dps.ModeDirect {
+		inv.wallMark = time.Now()
+	}
 }
 
 // run executes the operation handler on the coroutine. It reports false
@@ -139,8 +157,9 @@ func (inv *invocation) run() (finished bool) {
 			inv.eng.fail(fmt.Errorf("core: panic in %s: %v\n%s", inv.describe(), r, debug.Stack()))
 		}
 	}()
-	inv.wallMark = time.Now()
-	ctx := &opCtx{inv: inv}
+	inv.markWall()
+	inv.ctx.inv = inv
+	ctx := &inv.ctx
 	switch inv.kind {
 	case iSplit:
 		inv.op.CallSplit(ctx, inv.env.obj)
@@ -208,6 +227,7 @@ func (e *Engine) startInvocation(th *thread, item workItem) {
 	} else {
 		c = &coro{}
 		c.next, c.stop = iter.Pull(c.loop)
+		c.stepDone = func() { e.stepDone(c) }
 		e.coros = append(e.coros, c)
 	}
 	c.inv, inv.co = inv, c
@@ -232,25 +252,33 @@ func (e *Engine) handleYield(inv *invocation, msg yieldMsg) {
 		e.cfg.Trace(TraceEvent{Kind: TraceStepStart, Time: e.q.Now(), Node: node,
 			Op: inv.op.Name(), Thread: inv.th.idx, Detail: fmt.Sprintf("%v %s", msg.work, inv.kind)})
 	}
-	e.plat.Submit(node, msg.work, func() {
-		if e.cfg.Trace != nil {
-			e.cfg.Trace(TraceEvent{Kind: TraceStepEnd, Time: e.q.Now(), Node: node,
-				Op: inv.op.Name(), Thread: inv.th.idx, Detail: inv.kind.String()})
-		}
-		if msg.post != nil {
-			if e.performPost(inv, msg.post) {
-				// Parked on flow control: the operation is suspended, so
-				// its thread becomes available for other queued work.
-				e.threadIdle(inv.th)
-				return
-			}
-		}
-		if msg.done {
-			e.finishInvocation(inv)
+	c := inv.co
+	c.msg, c.node = msg, node
+	e.plat.Submit(node, msg.work, c.stepDone)
+}
+
+// stepDone runs when the atomic step in flight on coroutine c completes:
+// it launches the step's post, then finishes or resumes the invocation.
+func (e *Engine) stepDone(c *coro) {
+	inv, msg := c.inv, c.msg
+	c.msg = yieldMsg{}
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(TraceEvent{Kind: TraceStepEnd, Time: e.q.Now(), Node: c.node,
+			Op: inv.op.Name(), Thread: inv.th.idx, Detail: inv.kind.String()})
+	}
+	if msg.post != nil {
+		if e.performPost(inv, msg.post) {
+			// Parked on flow control: the operation is suspended, so
+			// its thread becomes available for other queued work.
+			e.threadIdle(inv.th)
 			return
 		}
-		e.resumeInv(inv)
-	})
+	}
+	if msg.done {
+		e.finishInvocation(inv)
+		return
+	}
+	e.resumeInv(inv)
 }
 
 // performPost launches (or parks) a post whose atomic step just completed.

@@ -62,15 +62,16 @@ func Defaults() Params {
 	}
 }
 
-// Job is one atomic step executing on a CPU.
-type Job struct {
-	id        uint64
+// job is one atomic step executing on a CPU.
+type job struct {
 	total     float64 // submitted work in seconds at power 1.0
 	remaining float64 // seconds of work at power 1.0
 	rate      float64 // work-seconds per second
 	last      eventq.Time
 	// finish is the job's one completion event, moved by every reflow,
-	// and complete its one callback: a job allocates neither after Submit.
+	// and complete its one callback, bound when the job is first
+	// allocated: a finished job returns to its CPU's free list with both,
+	// so a Submit allocates nothing in steady state.
 	finish   *eventq.Event
 	complete func()
 	done     func()
@@ -79,13 +80,13 @@ type Job struct {
 // CPU models one node's processor. Not safe for concurrent use; only the
 // single-threaded event engine calls it.
 type CPU struct {
-	q      *eventq.Queue
-	p      Params
-	node   int
-	nextID uint64
-	jobs   []*Job // running jobs in ascending ID (= submission) order
-	nIn    int
-	nOut   int
+	q    *eventq.Queue
+	p    Params
+	node int
+	jobs []*job // running jobs in submission order
+	free []*job // finished jobs, for reuse
+	nIn  int
+	nOut int
 
 	// accounting
 	workDone     float64 // completed work-seconds
@@ -152,32 +153,26 @@ func (c *CPU) SetTransfers(in, out int) {
 // Submit starts an atomic step requiring work (time at power 1.0 on an
 // idle node) and calls done when it completes. Zero work completes on the
 // next event round without occupying the processor.
-func (c *CPU) Submit(work eventq.Duration, done func()) *Job {
+func (c *CPU) Submit(work eventq.Duration, done func()) {
+	var j *job
+	if n := len(c.free); n > 0 {
+		j, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		j = &job{}
+		j.complete = func() { c.complete(j) }
+	}
+	j.done = done
 	if work <= 0 {
-		j := &Job{id: c.nextID, done: done}
-		c.nextID++
-		c.q.After(0, func() {
-			if j.done != nil {
-				j.done()
-			}
-		})
-		return j
+		j.total = 0
+		j.finish = c.q.ReuseAfter(j.finish, 0, j.complete)
+		return
 	}
-	j := &Job{
-		id:        c.nextID,
-		total:     work.Seconds(),
-		remaining: work.Seconds(),
-		last:      c.q.Now(),
-		done:      done,
-	}
-	c.nextID++
+	j.total, j.remaining, j.rate, j.last = work.Seconds(), work.Seconds(), 0, c.q.Now()
 	if len(c.jobs) == 0 {
 		c.busySince = c.q.Now()
 	}
-	j.complete = func() { c.complete(j) }
 	c.jobs = append(c.jobs, j)
 	c.reflow()
-	return j
 }
 
 // rateOf computes a job's current execution rate in work-seconds/second.
@@ -210,17 +205,22 @@ func (c *CPU) reflow() {
 	}
 }
 
-func (c *CPU) complete(j *Job) {
-	// A completed job performed exactly the work it was submitted with.
-	c.workDone += j.total
-	i := slices.Index(c.jobs, j)
-	c.jobs = slices.Delete(c.jobs, i, i+1)
-	if len(c.jobs) == 0 {
-		c.busyIntegral += (c.q.Now() - c.busySince).Seconds()
-	}
+// complete ends job j. The job goes back to the free list before done
+// runs, since done may Submit again.
+func (c *CPU) complete(j *job) {
 	done := j.done
 	j.done = nil
-	c.reflow()
+	c.free = append(c.free, j)
+	if j.total > 0 {
+		// A completed job performed exactly the work it was submitted with.
+		c.workDone += j.total
+		i := slices.Index(c.jobs, j)
+		c.jobs = slices.Delete(c.jobs, i, i+1)
+		if len(c.jobs) == 0 {
+			c.busyIntegral += (c.q.Now() - c.busySince).Seconds()
+		}
+		c.reflow()
+	}
 	if done != nil {
 		done()
 	}

@@ -540,3 +540,25 @@ func TestReflowZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("%d jobs running, want 32", c.Active())
 	}
 }
+
+// TestSubmitZeroAllocSteadyState: a finished job returns to its CPU's free
+// list with its event and callback, so once the pool is warm a Submit and
+// its completion allocate nothing, zero-work jobs included.
+func TestSubmitZeroAllocSteadyState(t *testing.T) {
+	q := eventq.New()
+	c := New(q, 0, Defaults())
+	done := func() {}
+	cycle := func() {
+		c.Submit(eventq.Millisecond, done)
+		c.Submit(0, done)
+		c.Submit(2*eventq.Millisecond, done)
+		q.Run(0)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("Submit/complete cycle allocates %v/op, want 0", allocs)
+	}
+	if c.Active() != 0 {
+		t.Fatalf("%d jobs still running", c.Active())
+	}
+}

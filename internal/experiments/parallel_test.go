@@ -85,8 +85,11 @@ func TestInParallelOrderAndFirstError(t *testing.T) {
 // BenchmarkFig10Quick is the paper-side end of the benchmark ladder: the
 // 16 configurations (32 engine runs) behind `paperrepro -exp fig10 -quick
 // -seeds 1`, which is the repository benchmark's paper-lu workload.
-// allocs/step and events/s divide by the atomic steps and fired events
-// of one pass, which are exact and counted once, untimed.
+// allocs/step, ns/step and events/s divide by the atomic steps and fired
+// events of one pass, which are exact and counted once, untimed. ns/step
+// is the unit to compare across changes that remove events: events/s
+// falls when a run fires fewer events for the same steps, however much
+// faster it gets.
 func BenchmarkFig10Quick(b *testing.B) {
 	s := quick()
 	s.fill()
@@ -112,8 +115,9 @@ func BenchmarkFig10Quick(b *testing.B) {
 	runtime.ReadMemStats(&m1)
 	allocs := float64(m1.Mallocs-m0.Mallocs) / float64(b.N)
 	b.ReportMetric(allocs/float64(steps), "allocs/step")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*steps), "ns/step")
 	b.ReportMetric(float64(uint64(b.N)*events)/b.Elapsed().Seconds(), "events/s")
-	// CI's allocs/op gate is exact, and of this benchmark's 2.9 M objects a
+	// CI's allocs/op gate is exact, and of this benchmark's 1.2 M objects a
 	// handful (goroutine descriptors, sync.Pool refills after a GC cycle)
 	// come and go from run to run: report the nearest thousand.
 	b.ReportMetric(math.Round(allocs/1000)*1000, "allocs/op")

@@ -72,14 +72,37 @@ func (s *Source) Norm() float64 {
 // LogNormal returns a deviate with E[X] = 1 and the given coefficient of
 // variation cv (standard deviation / mean). It models multiplicative
 // execution-time noise: durations are scaled by a LogNormal sample.
-// cv = 0 returns exactly 1.
+// cv = 0 returns exactly 1. A caller drawing many deviates of one cv
+// prepares the law once with NewLogNormal instead.
 func (s *Source) LogNormal(cv float64) float64 {
+	return NewLogNormal(cv).Draw(s)
+}
+
+// LogNormalDist is the law of LogNormal for one coefficient of variation,
+// with its parameters computed once. The zero value is the constant 1.
+type LogNormalDist struct {
+	on        bool    // cv > 0: Draw consumes a normal deviate
+	mu, sigma float64 // of the underlying normal
+}
+
+// NewLogNormal prepares the lognormal law with E[X] = 1 and coefficient of
+// variation cv; cv <= 0 gives the constant 1.
+func NewLogNormal(cv float64) LogNormalDist {
 	if cv <= 0 {
-		return 1
+		return LogNormalDist{}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := -sigma2 / 2 // so that E[exp(N(mu, sigma2))] == 1
-	return math.Exp(mu + math.Sqrt(sigma2)*s.Norm())
+	// mu = -sigma2/2, so that E[exp(N(mu, sigma2))] == 1.
+	return LogNormalDist{on: true, mu: -sigma2 / 2, sigma: math.Sqrt(sigma2)}
+}
+
+// Draw returns one deviate of d from s. Unless d is the constant 1, it
+// consumes one normal deviate (two Uint64) from s.
+func (d LogNormalDist) Draw(s *Source) float64 {
+	if !d.on {
+		return 1
+	}
+	return math.Exp(d.mu + d.sigma*s.Norm())
 }
 
 // Exp returns an exponential deviate with the given mean.

@@ -149,6 +149,35 @@ func TestLogNormalZeroCV(t *testing.T) {
 	}
 }
 
+// refLogNormal is LogNormal as it was written before NewLogNormal, with
+// its parameters derived from cv on every draw.
+func refLogNormal(s *Source, cv float64) float64 {
+	if cv <= 0 {
+		return 1
+	}
+	sigma2 := math.Log(1 + cv*cv)
+	mu := -sigma2 / 2
+	return math.Exp(mu + math.Sqrt(sigma2)*s.Norm())
+}
+
+// TestNewLogNormalBitIdentical: a prepared law draws the very bits that
+// LogNormal and the per-draw formula do, and consumes the same stream.
+func TestNewLogNormalBitIdentical(t *testing.T) {
+	for _, cv := range []float64{-1, 0, 0.025, 0.03, 0.04, 0.6, 3} {
+		d := NewLogNormal(cv)
+		prepared, direct, ref := New(31), New(31), New(31)
+		for i := 0; i < 10_000; i++ {
+			a, b, c := d.Draw(prepared), direct.LogNormal(cv), refLogNormal(ref, cv)
+			if math.Float64bits(a) != math.Float64bits(b) || math.Float64bits(a) != math.Float64bits(c) {
+				t.Fatalf("cv %v, draw %d: Draw %v, LogNormal %v, reference %v", cv, i, a, b, c)
+			}
+		}
+		if *prepared != *direct || *prepared != *ref {
+			t.Fatalf("cv %v: source states diverged: %v, %v, %v", cv, *prepared, *direct, *ref)
+		}
+	}
+}
+
 func TestLogNormalPositive(t *testing.T) {
 	s := New(29)
 	for i := 0; i < 100000; i++ {

@@ -92,9 +92,14 @@ type Cluster struct {
 
 	ports []*port // per node: in/out segment schedulers
 
-	// freeArrivals recycles fired segment arrivals (a message has one in
-	// flight per MTU; the rest of a transfer's state is allocated once).
-	freeArrivals []*arrival
+	// jitter and noise are the per-segment and per-step lognormal laws,
+	// prepared once from JitterCV and ComputeNoiseCV (a CV of 0 gives the
+	// constant 1, which draws nothing and scales exactly).
+	jitter, noise rng.LogNormalDist
+
+	// free recycles finished transfers, each with its two events and two
+	// bound callbacks: a message allocates nothing in steady state.
+	free []*transfer
 
 	totalBytes     int64
 	totalTransfers uint64
@@ -120,7 +125,13 @@ func New(p Params) *Cluster {
 		panic("testbed: link bandwidth must be positive")
 	}
 	q := eventq.New()
-	c := &Cluster{q: q, p: p, rnd: rng.New(p.Seed)}
+	c := &Cluster{
+		q:      q,
+		p:      p,
+		rnd:    rng.New(p.Seed),
+		jitter: rng.NewLogNormal(p.JitterCV),
+		noise:  rng.NewLogNormal(p.ComputeNoiseCV),
+	}
 	c.cpus = make([]*cpumodel.CPU, p.Nodes)
 	c.ports = make([]*port, p.Nodes)
 	for i := range c.cpus {
@@ -181,26 +192,26 @@ func (c *Cluster) Send(src, dst int, size int64, done func()) {
 	if size < 0 {
 		size = 0
 	}
+	var t *transfer
+	if n := len(c.free); n > 0 {
+		t, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		t = &transfer{cluster: c}
+		t.issue, t.finish = t.issueSegment, t.complete
+	}
+	t.src, t.dst, t.size, t.issued, t.done = src, dst, size, 0, done
 	if src == dst {
 		// Local: pay the message overhead only (memory copy is part of
 		// the dispatch overhead of the receiving step).
-		c.q.After(c.p.MsgOverhead, done)
+		t.finishEv = c.q.ReuseAfter(t.finishEv, c.p.MsgOverhead, t.finish)
 		return
 	}
-	t := &transfer{
-		cluster: c,
-		src:     src,
-		dst:     dst,
-		size:    size,
-		done:    done,
-	}
-	t.issue = t.issueSegment
 	c.ports[src].activeOut++
 	c.ports[dst].activeIn++
 	c.notifyCPU(src)
 	c.notifyCPU(dst)
 	// Per-message protocol overhead, then segment pipeline.
-	t.issueEv = c.q.After(c.p.MsgOverhead, t.issue)
+	t.issueEv = c.q.ReuseAfter(t.issueEv, c.p.MsgOverhead, t.issue)
 }
 
 // notifyCPU mirrors port activity into the CPU communication overhead.
@@ -209,51 +220,20 @@ func (c *Cluster) notifyCPU(node int) {
 	c.cpus[node].SetTransfers(p.activeIn, p.activeOut)
 }
 
+// transfer is one message in flight. It owns its two events and its two
+// callbacks, bound once when the transfer is first allocated: at most one
+// segment issue is pending at a time (the next is scheduled by the one
+// that just fired), and the message completes once, when its last
+// segment has been deserialized.
 type transfer struct {
 	cluster  *Cluster
 	src, dst int
 	size     int64
 	issued   int64 // payload bytes whose segments have been scheduled
-	arrived  int64 // payload bytes fully deserialized at the destination
 	done     func()
 
-	// issue is issueSegment bound once. At most one issue is pending at a
-	// time — the next is scheduled by the one that just fired — so its
-	// event is recycled too.
-	issue   func()
-	issueEv *eventq.Event
-}
-
-// arrival is the pending deserialization of one segment: its event, its
-// callback (bound once, when the arrival is first allocated) and what the
-// callback needs. Several can be pending per transfer, so they are pooled
-// on the cluster instead of owned by the transfer.
-type arrival struct {
-	t    *transfer
-	seg  int64
-	ev   *eventq.Event
-	fire func()
-}
-
-// scheduleArrival completes seg bytes of t at the instant at.
-func (c *Cluster) scheduleArrival(t *transfer, seg int64, at eventq.Time) {
-	var a *arrival
-	if n := len(c.freeArrivals); n > 0 {
-		a, c.freeArrivals = c.freeArrivals[n-1], c.freeArrivals[:n-1]
-	} else {
-		a = &arrival{}
-		a.fire = func() {
-			t, seg := a.t, a.seg
-			a.t = nil
-			c.freeArrivals = append(c.freeArrivals, a)
-			t.arrived += seg
-			if t.arrived >= t.size {
-				t.finish()
-			}
-		}
-	}
-	a.t, a.seg = t, seg
-	a.ev = c.q.ReuseAtTier(a.ev, at, 0, a.fire)
+	issue, finish     func() // issueSegment and complete, bound once
+	issueEv, finishEv *eventq.Event
 }
 
 // issueSegment serializes the next MTU-sized segment onto the source port.
@@ -261,6 +241,11 @@ func (c *Cluster) scheduleArrival(t *transfer, seg int64, at eventq.Time) {
 // the segments of one message pipeline across serialization, wire and
 // deserialization, while concurrent messages on the same port interleave
 // segment by segment (approximate fair queueing).
+//
+// Only the last segment schedules an arrival: nothing reads a message
+// before all of it has been deserialized, and the last segment's inDone is
+// the latest of the message's (the destination port's busy horizon only
+// grows, and every segment takes a positive time on it).
 func (t *transfer) issueSegment() {
 	c := t.cluster
 	seg := t.size - t.issued
@@ -274,9 +259,7 @@ func (t *transfer) issueSegment() {
 		wire = 64
 	}
 	serTime := eventq.DurationOf(float64(wire) / c.p.LinkBandwidth)
-	if c.p.JitterCV > 0 {
-		serTime = eventq.Duration(float64(serTime) * c.rnd.LogNormal(c.p.JitterCV))
-	}
+	serTime = eventq.Duration(float64(serTime) * c.jitter.Draw(c.rnd))
 	// Serialize on the source port, cross the wire, deserialize on the
 	// destination port; each port is a serial resource shared in FIFO
 	// order by all concurrent transfers of that node.
@@ -296,20 +279,28 @@ func (t *transfer) issueSegment() {
 	if t.issued < t.size {
 		// Next segment leaves once the uplink is free.
 		t.issueEv = c.q.ReuseAtTier(t.issueEv, outDone, 0, t.issue)
+		return
 	}
-	c.scheduleArrival(t, seg, inDone)
+	t.finishEv = c.q.ReuseAtTier(t.finishEv, inDone, 0, t.finish)
 }
 
-func (t *transfer) finish() {
+// complete delivers the message. The transfer goes back to the free list
+// before done runs, since done may Send again.
+func (t *transfer) complete() {
 	c := t.cluster
-	c.ports[t.src].activeOut--
-	c.ports[t.dst].activeIn--
-	c.notifyCPU(t.src)
-	c.notifyCPU(t.dst)
-	c.totalTransfers++
-	c.totalBytes += t.arrived
-	if t.done != nil {
-		t.done()
+	if t.src != t.dst {
+		c.ports[t.src].activeOut--
+		c.ports[t.dst].activeIn--
+		c.notifyCPU(t.src)
+		c.notifyCPU(t.dst)
+		c.totalTransfers++
+		c.totalBytes += t.size
+	}
+	done := t.done
+	t.done = nil
+	c.free = append(c.free, t)
+	if done != nil {
+		done()
 	}
 }
 
@@ -334,8 +325,5 @@ type noisySource struct{ c *Cluster }
 
 func (s *noisySource) StepWork(_ string, analytic eventq.Duration, _ int) eventq.Duration {
 	d := analytic + s.c.p.DispatchOverhead
-	if s.c.p.ComputeNoiseCV > 0 {
-		d = eventq.Duration(float64(d) * s.c.rnd.LogNormal(s.c.p.ComputeNoiseCV))
-	}
-	return d
+	return eventq.Duration(float64(d) * s.c.noise.Draw(s.c.rnd))
 }
