@@ -33,7 +33,7 @@ var goldenCases = []struct {
 	{"downey_spot", []string{"-scenario", scenarioFile("downey_spot.json")},
 		[]string{"table", "csv", "json", "timeseries"}},
 	{"failures", []string{"-scenario", scenarioFile("failures.json")},
-		[]string{"table", "csv", "json"}},
+		[]string{"table", "csv", "json", "timeseries"}},
 	{"federated_basic", []string{"-scenario", scenarioFile("federated_basic.json")},
 		[]string{"table", "csv", "json"}},
 }

@@ -335,9 +335,10 @@ func (s *Sim) fireSample() {
 		T: s.q.Now().Seconds(), Waiting: li.Waiting, Running: li.Running,
 		Allocated: li.Allocated, Available: li.Capacity, Utilization: util,
 	})
-	if len(s.finished) == len(s.jobs) {
-		// Nothing left to observe: let the event loop drain. Inject
-		// resumes the grid.
+	if len(s.finished) == len(s.jobs) || (s.q.Len() == 0 && !s.dirty) {
+		// Nothing left to observe — every job finished, or the ones left
+		// are stranded with no event pending that could move them: let
+		// the event loop drain. Inject resumes the grid.
 		s.sampleStopped = true
 		return
 	}

@@ -271,6 +271,33 @@ func TestSamplerResumesAfterIdle(t *testing.T) {
 	}
 }
 
+// TestSamplerStopsOnStrandedJob: a job no capacity change can ever
+// place again (a rigid 8-node job on a pool that dropped to 4 for good)
+// leaves the event queue empty but for the sampler; the sampler must
+// stop there instead of sampling the stranded job forever.
+func TestSamplerStopsOnStrandedJob(t *testing.T) {
+	sim := avSim(t, 8, &sched.Rigid{}, []*Job{singleJob(400, 1, 8)},
+		[]availability.Change{{At: 5, Capacity: 4}}, ReconfigCost{})
+	rec := obs.NewRecorder(obs.Config{})
+	if err := sim.SetProbe(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SetSampleInterval(1); err != nil {
+		t.Fatal(err)
+	}
+	for events := 0; sim.ProcessNextEvent(); events++ {
+		if events > 1000 {
+			t.Fatalf("still running at t=%g with %d samples", sim.Now().Seconds(), len(rec.Samples()))
+		}
+	}
+	if res := sim.Result(); res.Unfinished != 1 {
+		t.Errorf("unfinished = %d, want the stranded job", res.Unfinished)
+	}
+	if n := len(rec.Samples()); n == 0 || n > 10 {
+		t.Errorf("%d samples of a run whose last change lands at t=5", n)
+	}
+}
+
 // TestProbeSetupErrors: the observability setters must refuse to run
 // mid-flight, and reject a non-positive interval.
 func TestProbeSetupErrors(t *testing.T) {
