@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dpsim/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/cli_golden.txt from the current CLI")
@@ -19,7 +22,12 @@ var exportFlags = map[string]string{
 	"csv":        "-csv",
 	"json":       "-json",
 	"timeseries": "-timeseries-out",
+	"trace":      "-trace-out",
+	"summary":    "-summary-out",
 }
+
+// observed is every artifact, the three observability exports included.
+var observed = []string{"table", "csv", "json", "timeseries", "trace", "summary"}
 
 // goldenCases are the invocations the CLI golden pins, each with the
 // artifacts it fingerprints.
@@ -36,6 +44,12 @@ var goldenCases = []struct {
 		[]string{"table", "csv", "json", "timeseries"}},
 	{"federated_basic", []string{"-scenario", scenarioFile("federated_basic.json")},
 		[]string{"table", "csv", "json"}},
+	{"downey_spot_cell", []string{"-scenario", scenarioFile("downey_spot.json"),
+		"-cell", "f2a1465f7015", "-replications", "2"}, observed},
+	{"classic_schedulers", []string{"-scenario", scenarioFile("classic.json"),
+		"-schedulers", "rigid-fcfs,easy-backfill,malleable-hysteresis(epoch_s=45,min_delta=2)"}, observed},
+	{"federated_basic_observed", []string{"-scenario", scenarioFile("federated_basic.json")}, observed},
+	{"federated_volatile", []string{"-scenario", scenarioFile("federated_volatile.json")}, observed},
 }
 
 func scenarioFile(name string) string {
@@ -46,7 +60,8 @@ func scenarioFile(name string) string {
 // requested export and returns the SHA-256 of each artifact, keyed
 // "<case> <artifact>". The table is stdout from its header on: the
 // progress line and the run-count line before it carry wall-clock rates
-// and the worker count.
+// and the worker count. The summary's scheduler_latency block is
+// wall-clock time and is zeroed before hashing.
 func cliFingerprints(t *testing.T, name string, args, artifacts []string, workers int) []string {
 	t.Helper()
 	dir := t.TempDir()
@@ -65,13 +80,16 @@ func cliFingerprints(t *testing.T, name string, args, artifacts []string, worker
 		var data []byte
 		if a == "table" {
 			out := stdout.Bytes()
-			at := bytes.Index(out, []byte("\narrival "))
+			at := bytes.Index(out, []byte("\ncell "))
 			if at < 0 {
 				t.Fatalf("%s: no table on stdout:\n%s", name, out)
 			}
 			data = out[at:]
 		} else {
 			data = mustRead(t, filepath.Join(dir, a))
+		}
+		if a == "summary" {
+			data = zeroLatency(t, data)
 		}
 		lines[i] = fmt.Sprintf("%s %s %x", name, a, sha256.Sum256(data))
 	}
@@ -113,4 +131,22 @@ func TestCLIGolden(t *testing.T) {
 			t.Errorf("fingerprint drifted:\n got  %s\n want %s", got[i], want[i])
 		}
 	}
+}
+
+// zeroLatency re-renders a -summary-out file with every
+// scheduler_latency block zeroed.
+func zeroLatency(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var summaries []obs.Summary
+	if err := json.Unmarshal(data, &summaries); err != nil {
+		t.Fatal(err)
+	}
+	for i := range summaries {
+		summaries[i].SchedulerLatency = obs.LatencySummary{}
+	}
+	var b bytes.Buffer
+	if err := obs.WriteSummaryJSON(&b, summaries); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }

@@ -1,7 +1,10 @@
-// Command dpssweep expands a declarative scenario file into an experiment
-// grid — arrival process × availability process × cluster size × offered
-// load × scheduler — and runs every cell with seed replications across a
-// parallel worker pool.
+// Command dpssweep runs the paper's §9 cluster scenario — a cluster, or
+// a federation of clusters, serving a stream of malleable applications —
+// over a declarative scenario file. It expands the file into an
+// experiment grid (arrival process × availability process × cluster
+// size × offered load × scheduler × application model, or admission ×
+// routing for a federated scenario) and runs every cell with seed
+// replications across a parallel worker pool.
 //
 // Usage:
 //
@@ -10,11 +13,43 @@
 //	         [-schedulers "equipartition,malleable-hysteresis(epoch_s=45)"]
 //	         [-appmodels "mix,amdahl(f=0.1),roofline(sat=8)"]
 //	         [-admissions "always,token-bucket(rate=0.5)"] [-routings "round-robin,least-loaded"]
-//	         [-timeseries-out ts.csv] [-sample-dt 5]
+//	         [-cell HASH-PREFIX]
+//	         [-timeseries-out ts.csv] [-trace-out run.trace.json] [-summary-out summary.json] [-sample-dt 5]
 //	         [-checkpoint ck.json] [-checkpoint-every N]
 //	         [-shard i/n | -merge "a.json,b.json"]
 //	         [-telemetry-addr 127.0.0.1:9100] [-log-json]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// The aggregate table always prints to stdout (-q suppresses it and the
+// progress line); -csv and -json additionally export machine-readable
+// results ("-" writes to stdout instead of a file). Identical scenarios
+// and seeds produce identical exports regardless of the worker count.
+// examples/scenarios/classic.json is the classic workload: an open
+// Poisson stream of 40 LU jobs on 32 nodes under every scheduler.
+//
+// The table's first column, cell, is the first 12 hex digits of the
+// cell's content hash. -cell HASH-PREFIX runs only the cells carrying
+// that hash, with the full grid's seeds, so each of its rows equals the
+// full grid's row byte for byte: a row of any sweep can be replayed with
+// the observability exporters on. A prefix that matches no hash or
+// several is a usage error.
+//
+// Observability (internal/obs): -timeseries-out writes fixed-interval
+// samples as CSV — the grid-identity columns (arrival, availability,
+// nodes, load, scheduler, appmodel, admission, routing, rep) followed by
+// the sample columns, one series per member cluster of each
+// replication, a federation member's reading "federated:<cluster>" in
+// the scheduler column. -trace-out writes a Chrome trace-event JSON file
+// (Perfetto, chrome://tracing) with one process per member cluster of
+// each replication, one track per job and capacity and queue-depth
+// counters; -summary-out writes one run summary (counts, charges,
+// scheduler wall-clock latency) per member cluster of each replication.
+// Processes and summaries are labelled by policy, cell and replication
+// ("equipartition f2a1465f7015 rep 0", or "always/least-loaded:stable …"
+// for a federation member). -sample-dt sets the sample interval, falling
+// back to the scenario's observe.sample_dt_s, then 1s. Every observed
+// file is byte-identical for any -workers value, and observing never
+// changes the aggregate exports.
 //
 // -checkpoint makes the sweep resumable: per-cell aggregate state is
 // restored from the file on start (cells keyed by content hash, so a
@@ -23,73 +58,31 @@
 // error or interrupt. SIGINT stops dispatching, drains in-flight runs,
 // writes the final checkpoint and exits 130; re-running the identical
 // command resumes and produces byte-identical exports. -checkpoint is
-// rejected alongside -timeseries-out: checkpoint-restored replications
-// are not re-observed, so a resumed sweep would write an incomplete
-// time-series. See docs/sweep.md.
+// rejected alongside the observability exports: checkpoint-restored
+// replications are not re-observed, so a resumed sweep would write
+// incomplete files. See docs/sweep.md.
 //
 // -shard i/n runs only the cells that content-hash into shard i of n
-// into its -checkpoint (required; -csv/-json/-timeseries-out are not):
-// the completed checkpoint is the shard's artifact, and rerunning a
-// killed shard resumes it. n processes — on one machine or many — each
-// run one shard, and -merge combines their checkpoints into the full
-// report, byte-identical to a single-process run.
+// into its -checkpoint (required; the report exports are not): the
+// completed checkpoint is the shard's artifact, and rerunning a killed
+// shard resumes it. n processes — on one machine or many — each run one
+// shard, and -merge combines their checkpoints into the full report,
+// byte-identical to a single-process run.
 //
-// -telemetry-addr starts the runtime telemetry server (internal/telemetry)
-// for the duration of the sweep: /metrics serves the process's live
-// metrics in Prometheus text format (cells done, throughput, per-worker
-// busy fractions, fold-frontier lag, Go heap/GC health; ?format=json for
-// JSON), /progress serves a machine-readable progress report with ETA,
-// /healthz answers liveness probes, and /debug/pprof/ exposes the Go
-// profiler for live CPU/heap profiling of a long sweep. The bound
-// address is printed to stderr ("telemetry: serving on http://..."), so
-// ":0" picks a free port. See docs/telemetry.md.
+// -telemetry-addr serves the runtime telemetry endpoints
+// (internal/telemetry: /metrics, /progress, /healthz, /debug/pprof/)
+// while the sweep runs; the bound address is printed to stderr, so ":0"
+// picks a free port (see docs/telemetry.md). -log-json mirrors the run's
+// lifecycle as structured log/slog JSON records on stderr. -cpuprofile
+// and -memprofile write pprof profiles of the sweep. All file exports
+// are written atomically (temp file + rename), so a killed or failed
+// sweep never leaves a truncated export behind.
 //
-// -log-json mirrors the run's lifecycle (start, telemetry address, run
-// completion with throughput, each export) as structured log/slog JSON
-// records on stderr — one object per line for log shippers. Without the
-// flag no structured records are emitted.
-//
-// -timeseries-out opts every replication into fixed-interval sampling
-// (internal/obs) and streams the samples as one CSV: the grid-identity
-// columns (arrival, availability, nodes, load, scheduler, appmodel,
-// rep) followed by the sample columns. Rows appear in grid order and
-// the file is byte-identical for any -workers value; the aggregate
-// exports are unchanged by sampling. -sample-dt sets the interval,
-// falling back to the scenario's observe.sample_dt_s, then 1s. A
-// federated scenario rejects -timeseries-out (clustersim -timeseries-out
-// writes one series per member cluster instead).
-//
-// All file exports (-csv, -json, -timeseries-out) are written
-// atomically: content streams into a temp file in the destination
-// directory and is renamed into place only on success, so a killed or
-// failed sweep never leaves a truncated export behind.
-//
-// -cpuprofile and -memprofile write pprof profiles of the sweep (the CPU
-// profile covers the grid run; the heap profile is captured after it),
-// so hot-path regressions can be diagnosed with `go tool pprof` without
-// editing code.
-//
-// The aggregate table always prints to stdout; -csv and -json additionally
-// export machine-readable results ("-" writes to stdout instead of a
-// file). Identical scenarios and seeds produce identical exports
-// regardless of the worker count.
-//
-// -schedulers overrides the scenario's scheduler axis with a
-// comma-separated list of scheduler specs — a registered policy name,
-// optionally parameterized as "name(key=value,...)"; valid names come
-// from the policy registry (internal/sched) and are listed in the
-// flag's help text.
-//
-// -appmodels overrides the scenario's application performance-model axis
-// the same way: a comma-separated list of model specs from the appmodel
-// registry (internal/appmodel), plus the sentinel "mix" for each mix
-// component's native model.
-//
-// -admissions and -routings override a federated scenario's admission
-// and routing policy axes (internal/federation registries; the scenario
-// must carry a "federation" block — see docs/federation.md). A federated
-// sweep fixes the per-cluster topology and sweeps admission × routing
-// instead of the scheduler/appmodel/availability axes.
+// -schedulers, -appmodels, -admissions and -routings override the
+// scenario's policy axes with comma-separated specs — a registered name,
+// optionally parameterized as "name(key=value,...)" ("mix" keeps each
+// mix component's native model; the last two need a federated scenario,
+// see docs/federation.md).
 package main
 
 import (
@@ -143,8 +136,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			strings.Join(federation.RouterNames(), ", ")+")")
 	csvPath := fs.String("csv", "", "write aggregate CSV to this file (\"-\" for stdout)")
 	jsonPath := fs.String("json", "", "write aggregate JSON to this file (\"-\" for stdout)")
+	cellPrefix := fs.String("cell", "",
+		"run only the cells whose content hash starts with this hex prefix (the table's cell column)")
 	tsPath := fs.String("timeseries-out", "",
-		"write per-replication time-series samples as CSV (enables per-cell sampling)")
+		"write each observed run's fixed-interval time-series samples as CSV")
+	tracePath := fs.String("trace-out", "",
+		"write a Chrome trace-event JSON file of every run for Perfetto / chrome://tracing")
+	sumPath := fs.String("summary-out", "",
+		"write a JSON summary of every run")
 	sampleDT := fs.Float64("sample-dt", 0,
 		"time-series sample interval [s] (0 = the scenario's observe.sample_dt_s, else 1)")
 	checkpointPath := fs.String("checkpoint", "",
@@ -171,7 +170,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(fs.Output(),
 			"usage: dpssweep -scenario FILE [-replications N] [-workers N] [-schedulers LIST] [-appmodels LIST]\n"+
 				"                [-admissions LIST] [-routings LIST]\n"+
-				"                [-csv FILE] [-json FILE] [-timeseries-out FILE] [-sample-dt S]\n"+
+				"                [-csv FILE] [-json FILE] [-cell PREFIX]\n"+
+				"                [-timeseries-out FILE] [-trace-out FILE] [-summary-out FILE] [-sample-dt S]\n"+
 				"                [-checkpoint FILE] [-checkpoint-every N] [-shard I/N | -merge FILES]\n"+
 				"                [-telemetry-addr ADDR] [-log-json] [-cpuprofile FILE] [-memprofile FILE]\n")
 		fs.PrintDefaults()
@@ -189,35 +189,35 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		logger.Error("sweep failed", "context", context, "err", err.Error())
 		return 1
 	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "dpssweep: "+format+"\n", args...)
+		return 2
+	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "dpssweep: unexpected arguments: %v\n", fs.Args())
+		usage("unexpected arguments: %v", fs.Args())
 		fs.Usage()
 		return 2
 	}
 	if *scenarioPath == "" {
-		fmt.Fprintln(stderr, "dpssweep: -scenario is required")
+		usage("-scenario is required")
 		fs.Usage()
 		return 2
 	}
 	if *replications <= 0 {
-		fmt.Fprintln(stderr, "dpssweep: -replications must be positive")
-		return 2
+		return usage("-replications must be positive")
 	}
-	if *shardSpec != "" && *mergeList != "" {
-		fmt.Fprintln(stderr, "dpssweep: -shard and -merge are mutually exclusive")
-		return 2
-	}
-	if *shardSpec != "" && (*checkpointPath == "" || *csvPath != "" || *jsonPath != "" || *tsPath != "") {
-		fmt.Fprintln(stderr, "dpssweep: -shard requires -checkpoint FILE, the shard's artifact; -csv/-json/-timeseries-out belong to the merged report")
-		return 2
-	}
-	if *mergeList != "" && (*tsPath != "" || *checkpointPath != "") {
-		fmt.Fprintln(stderr, "dpssweep: -merge combines completed shard checkpoints; -timeseries-out/-checkpoint do not apply")
-		return 2
-	}
-	if *checkpointPath != "" && *tsPath != "" {
-		fmt.Fprintln(stderr, "dpssweep: -checkpoint cannot be combined with -timeseries-out: checkpoint-restored replications are not re-observed, so a resumed sweep would write an incomplete time-series")
-		return 2
+	observing := *tsPath != "" || *tracePath != "" || *sumPath != ""
+	switch {
+	case *shardSpec != "" && *mergeList != "":
+		return usage("-shard and -merge are mutually exclusive")
+	case *cellPrefix != "" && (*shardSpec != "" || *mergeList != ""):
+		return usage("-cell replays cells of the whole grid; -shard/-merge do not apply")
+	case *shardSpec != "" && (*checkpointPath == "" || *csvPath != "" || *jsonPath != "" || observing):
+		return usage("-shard requires -checkpoint FILE, the shard's artifact; the report and observability exports belong to the merged report")
+	case *mergeList != "" && (observing || *checkpointPath != ""):
+		return usage("-merge combines completed shard checkpoints; the observability exports and -checkpoint do not apply")
+	case *checkpointPath != "" && observing:
+		return usage("-checkpoint cannot be combined with -timeseries-out, -trace-out or -summary-out: checkpoint-restored replications are not re-observed, so a resumed sweep would write incomplete exports")
 	}
 
 	spec, err := scenario.Load(*scenarioPath)
@@ -230,15 +230,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}); err != nil {
 		return fail("", err)
 	}
-	if spec.Federation != nil && *tsPath != "" {
-		fmt.Fprintln(stderr, "dpssweep: -timeseries-out cannot be combined with a federated scenario: one recorder per replication would interleave every member's samples; clustersim -timeseries-out writes one series per member")
-		return 2
-	}
 	sampleDTS, err := spec.SampleDT(*sampleDT, 1)
 	if err != nil {
-		fmt.Fprintf(stderr, "dpssweep: -sample-dt: %v\n", err)
+		usage("-sample-dt: %v", err)
 		fs.Usage()
 		return 2
+	}
+	cells, _, err := sweep.CellsMatching(spec, *cellPrefix)
+	if err != nil {
+		return usage("-cell: %v", err)
 	}
 	// writeReports renders the aggregate table and the -csv/-json exports;
 	// shared by the run and merge paths.
@@ -279,18 +279,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return writeReports(stats)
 	}
 
-	cells := sweep.Cells(spec)
 	opt := sweep.Options{
 		Replications:    *replications,
 		Workers:         *workers,
 		Checkpoint:      *checkpointPath,
 		CheckpointEvery: *checkpointEvery,
+		Cell:            *cellPrefix,
 	}
 	if *shardSpec != "" {
 		sel, err := sweep.ParseShard(*shardSpec)
 		if err != nil {
-			fmt.Fprintf(stderr, "dpssweep: %v\n", err)
-			return 2
+			return usage("%v", err)
 		}
 		opt.Shard = sel
 	}
@@ -331,31 +330,45 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		opt.Metrics = m
 	}
 
-	// Per-cell sampling: each replication gets its own recorder, and the
-	// sink drains them at the in-order fold frontier, so the CSV is
-	// byte-identical for any -workers value. Aggregate exports are
-	// untouched — probes observe, they never participate. The file is
-	// written atomically: samples stream into a temp file that is only
-	// renamed onto -timeseries-out after a clean finish.
+	// Observation: each member cluster of each replication gets its own
+	// recorder, and the exporters drain them at the in-order fold
+	// frontier, so every file is byte-identical for any -workers value.
+	// Aggregate exports are untouched — probes observe, they never
+	// participate. The time series streams into a temp file that is only
+	// renamed onto -timeseries-out after a clean finish; the trace and the
+	// summaries are written atomically at the end.
 	var tsFile *sweep.AtomicFile
 	var tsSink *sweep.TimeSeriesSink
-	if *tsPath != "" {
-		f, err := sweep.CreateAtomic(*tsPath)
-		if err != nil {
-			return fail("timeseries", err)
-		}
-		defer f.Abort()
-		tsFile = f
-		tsSink = sweep.NewTimeSeriesSink(f)
-		opt.SampleDTS = sampleDTS
-		opt.Observe = func(c sweep.Cell, rep int) obs.Probe {
-			cfg := obs.Config{Label: c.Scheduler}
-			if spec.Observe != nil {
-				cfg = spec.Observe.RecorderConfig(c.Scheduler)
+	var trace obs.Trace
+	var summaries []obs.Summary
+	if observing {
+		if *tsPath != "" {
+			f, err := sweep.CreateAtomic(*tsPath)
+			if err != nil {
+				return fail("timeseries", err)
 			}
-			return obs.NewRecorder(cfg)
+			defer f.Abort()
+			tsFile = f
+			tsSink = sweep.NewTimeSeriesSink(f)
 		}
-		opt.OnObserved = tsSink.OnObserved
+		opt.SampleDTS = sampleDTS
+		opt.Observe = func(o sweep.Observation) obs.Probe {
+			return obs.NewRecorder(spec.Observe.RecorderConfig(o.Label()))
+		}
+		pid := 0
+		opt.OnObserved = func(o sweep.Observation, p obs.Probe) {
+			if tsSink != nil {
+				tsSink.OnObserved(o, p)
+			}
+			rec := p.(*obs.Recorder)
+			pid++
+			if *tracePath != "" {
+				rec.AppendTrace(&trace, pid)
+			}
+			if *sumPath != "" {
+				summaries = append(summaries, rec.Summarize())
+			}
+		}
 	}
 	start := time.Now()
 	logger.Info("sweep starting", "scenario", spec.Name, "cells", len(cells),
@@ -435,6 +448,21 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		logger.Info("export written", "kind", "timeseries", "path", *tsPath)
 	}
+	for _, x := range []struct {
+		kind, path string
+		write      func(io.Writer) error
+	}{
+		{"trace", *tracePath, trace.WriteJSON},
+		{"summary", *sumPath, func(w io.Writer) error { return obs.WriteSummaryJSON(w, summaries) }},
+	} {
+		if x.path == "" {
+			continue
+		}
+		if err := sweep.WriteFileAtomic(x.path, x.write); err != nil {
+			return fail(x.kind, err)
+		}
+		logger.Info("export written", "kind", x.kind, "path", x.path)
+	}
 	if *memProfile != "" {
 		f, ferr := os.Create(*memProfile)
 		if ferr == nil {
@@ -494,12 +522,12 @@ func printTable(stdout io.Writer, stats []sweep.CellStats) {
 	if federated {
 		policyHeader = fmt.Sprintf(" %-*s %-*s", awidth, "admission", rwidth, "routing")
 	}
-	fmt.Fprintf(stdout, "\n%-16s %-16s %6s %5s %-*s %-*s%s %10s %10s %9s %10s %8s %8s %8s %8s %9s %9s\n",
-		"arrival", "availability", "nodes", "load", width, "scheduler", mwidth, "appmodel", policyHeader,
+	fmt.Fprintf(stdout, "\n%-12s %-16s %-16s %6s %5s %-*s %-*s%s %10s %10s %9s %10s %8s %8s %8s %8s %9s %9s\n",
+		"cell", "arrival", "availability", "nodes", "load", width, "scheduler", mwidth, "appmodel", policyHeader,
 		"mean resp", "p95 resp", "wait", "makespan", "util", "avutil", "slowdn", "realloc", "lost work", "redist")
 	for _, st := range stats {
-		fmt.Fprintf(stdout, "%-16s %-16s %6d %5.2g %-*s %-*s%s %9.1fs %9.1fs %8.1fs %9.1fs %7.1f%% %7.1f%% %8.2f %8.1f %8.1fs %8.1fs\n",
-			st.Arrival, st.Avail, st.Nodes, st.Load, width, st.Scheduler, mwidth, st.AppModel, policy(st),
+		fmt.Fprintf(stdout, "%-12s %-16s %-16s %6d %5.2g %-*s %-*s%s %9.1fs %9.1fs %8.1fs %9.1fs %7.1f%% %7.1f%% %8.2f %8.1f %8.1fs %8.1fs\n",
+			st.Hash.Short(), st.Arrival, st.Avail, st.Nodes, st.Load, width, st.Scheduler, mwidth, st.AppModel, policy(st),
 			st.MeanResponse, st.P95Response, st.MeanWait,
 			st.MeanMakespan, 100*st.MeanUtilization, 100*st.MeanAvailUtilization,
 			st.MeanSlowdown, st.MeanReallocations, st.MeanLostWork, st.MeanRedistribution)

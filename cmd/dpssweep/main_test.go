@@ -121,27 +121,6 @@ func TestRealMainFlagErrors(t *testing.T) {
 	}
 }
 
-// TestFederatedTimeseriesRejected: a federated sweep shares one recorder
-// per replication across every member cluster, so its time series would
-// interleave all members' samples with no member column (t_s=0 twice,
-// with different available_nodes). That used to exit 0; it is a usage
-// error pointing at clustersim, which writes one series per member.
-func TestFederatedTimeseriesRejected(t *testing.T) {
-	ts := filepath.Join(t.TempDir(), "ts.csv")
-	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-scenario", filepath.Join("..", "..", "examples", "scenarios", "federated_basic.json"),
-		"-q", "-timeseries-out", ts}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "clustersim -timeseries-out") {
-		t.Errorf("stderr does not point to clustersim: %s", stderr.String())
-	}
-	if _, err := os.Stat(ts); err == nil {
-		t.Error("a time-series file was still written")
-	}
-}
-
 // TestRealMainTelemetryScrape: with -telemetry-addr :0, the CLI prints
 // the bound address to stderr and a live scrape mid-sweep serves sweep
 // metrics and progress.

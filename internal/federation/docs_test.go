@@ -9,8 +9,8 @@ import (
 
 // TestFederationDoc pins docs/federation.md to the code it describes:
 // every registered policy name, every policy parameter, the public API
-// surface, the certifying tests, the CLI flags and the telemetry metric
-// names must all be mentioned. Renaming any of them without updating the
+// surface, the certifying tests, the CLI flags and the exported
+// per-member accounting must all be mentioned. Renaming any of them without updating the
 // doc fails CI.
 func TestFederationDoc(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "federation.md"))
@@ -45,12 +45,10 @@ func TestFederationDoc(t *testing.T) {
 		"FuzzFederation",
 		"TestFederatedSweepWorkerDeterminism",
 		"TestFederatedShardMerge",
-		// CLI and export surface.
-		"`-admissions`", "`-routings`",
+		// CLI and export surface, per-member accounting included.
+		"`-admissions`", "`-routings`", "`-summary-out`",
 		"`admission`", "`routing`", "`mean_rejected_jobs`",
-		// Telemetry metric names.
-		"dpsim_federation_routed_jobs_total",
-		"dpsim_federation_rejected_jobs_total",
+		"`arrived`", "MemberProbes", "TestMemberProbesCountRoutedJobs",
 	)
 	for _, needle := range needles {
 		if !strings.Contains(doc, needle) {

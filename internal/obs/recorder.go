@@ -140,9 +140,6 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 }
 
-// Label returns the run label passed at construction.
-func (r *Recorder) Label() string { return r.label }
-
 func (r *Recorder) touch(t float64) {
 	if t > r.end {
 		r.end = t

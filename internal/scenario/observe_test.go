@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,6 +151,42 @@ func TestSampleDTResolution(t *testing.T) {
 		rec := obs.NewRecorder(obs.Config{})
 		if _, err := observed.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 5, Probe: rec, SampleDTS: bad}); err == nil {
 			t.Errorf("RunCell accepted SampleDTS %g", bad)
+		}
+	}
+}
+
+// TestMemberProbesCountRoutedJobs: with one recorder per member cluster,
+// each member's summary counts exactly the jobs routing delivered to it,
+// and arrivals plus rejections account for the whole workload — the
+// per-member view dpssweep -summary-out exports for a federated cell.
+func TestMemberProbesCountRoutedJobs(t *testing.T) {
+	spec, err := Load(filepath.Join("..", "..", "examples", "scenarios", "federated_volatile.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := spec.Federation
+	for ai := range f.Admissions {
+		for ri := range f.Routings {
+			recs := make([]*obs.Recorder, len(f.Clusters))
+			p := CellParams{Nodes: spec.Nodes[0], Load: spec.Loads[0], AdmissionIdx: ai, RoutingIdx: ri, Seed: spec.Seed}
+			for m := range recs {
+				recs[m] = obs.NewRecorder(obs.Config{})
+				p.MemberProbes = append(p.MemberProbes, recs[m])
+			}
+			run, err := spec.RunCell(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrived := run.Rejected
+			for m, rec := range recs {
+				if got := rec.Summarize().Arrived; got != run.Routed[m] {
+					t.Errorf("pair %d/%d member %s: %d arrivals recorded, %d routed", ai, ri, f.Clusters[m].Name, got, run.Routed[m])
+				}
+				arrived += rec.Summarize().Arrived
+			}
+			if arrived != spec.Jobs {
+				t.Errorf("pair %d/%d: arrivals + rejections = %d, want %d jobs", ai, ri, arrived, spec.Jobs)
+			}
 		}
 	}
 }

@@ -194,7 +194,7 @@ type Overrides struct {
 
 // ApplyOverrides replaces every policy axis given in o with its parsed
 // list, then validates the spec once (also when o is empty) — the shared
-// implementation of both CLIs' override flags. The admission and routing
+// implementation of dpssweep's override flags. The admission and routing
 // axes exist only in a federation block.
 func (s *Spec) ApplyOverrides(o Overrides) error {
 	if err := s.Schedulers.set(o.Schedulers); err != nil {

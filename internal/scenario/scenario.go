@@ -173,8 +173,12 @@ func (o *ObserveSpec) validate() error {
 }
 
 // RecorderConfig translates the block into the recorder bounds, naming
-// the run with the given label.
+// the run with the given label; a nil block keeps the internal/obs
+// defaults.
 func (o *ObserveSpec) RecorderConfig(label string) obs.Config {
+	if o == nil {
+		return obs.Config{Label: label}
+	}
 	return obs.Config{
 		Label:      label,
 		MaxSamples: o.MaxSamples,

@@ -1,11 +1,14 @@
 package sweep
 
 import (
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"dpsim/internal/cluster"
+	"dpsim/internal/scenario"
 	"dpsim/internal/sched"
 )
 
@@ -76,5 +79,73 @@ func TestPanicInRunIsContained(t *testing.T) {
 	}
 	if _, ok := saved.Cells[hash.String()]; ok {
 		t.Error("checkpoint holds a fold of the panicking cell")
+	}
+}
+
+// TestNonFiniteResultIsAnErroredRun: a run whose result carries a NaN or
+// an infinity in any field the sweep folds errors exactly as a panic
+// does — naming the field, the cell, its unit hash, the replication and
+// the seed, with the checkpoint saved — instead of being folded into the
+// cell's sums and exported as a plausible-looking row.
+func TestNonFiniteResultIsAnErroredRun(t *testing.T) {
+	spec := parseSpec(t, `{
+		"name": "finite",
+		"nodes": [4],
+		"loads": [1.0],
+		"schedulers": ["equipartition", "rigid-fcfs"],
+		"seed": 5,
+		"jobs": 6,
+		"mix": [{"kind": "synthetic", "phases": 2, "work_s": 12, "comm": 0.05}],
+		"arrivals": {"process": "poisson", "mean_interarrival_s": 4}
+	}`)
+	cells := Cells(spec)
+	hashes := CellHashes(spec, cells)
+	t.Cleanup(func() { runCell = (*scenario.Spec).RunCell })
+	for i, tc := range []struct {
+		field  string
+		poison func(r *cluster.Result, v float64)
+	}{
+		{"Makespan", func(r *cluster.Result, v float64) { r.Makespan = v }},
+		{"MeanResponse", func(r *cluster.Result, v float64) { r.MeanResponse = v }},
+		{"MeanWait", func(r *cluster.Result, v float64) { r.MeanWait = v }},
+		{"Utilization", func(r *cluster.Result, v float64) { r.Utilization = v }},
+		{"AvailWeightedUtilization", func(r *cluster.Result, v float64) { r.AvailWeightedUtilization = v }},
+		{"MeanAllocEfficiency", func(r *cluster.Result, v float64) { r.MeanAllocEfficiency = v }},
+		{"LostWorkS", func(r *cluster.Result, v float64) { r.LostWorkS = v }},
+		{"RedistributionS", func(r *cluster.Result, v float64) { r.RedistributionS = v }},
+		{"response of job", func(r *cluster.Result, v float64) { r.PerJob[len(r.PerJob)-1].Response = v }},
+	} {
+		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+		runCell = func(s *scenario.Spec, p scenario.CellParams) (*scenario.CellRun, error) {
+			run, err := s.RunCell(p)
+			if err == nil && p.SchedulerIdx == 1 {
+				tc.poison(&run.Result, bad)
+			}
+			return run, err
+		}
+		ck := filepath.Join(t.TempDir(), "ck.json")
+		_, err := Run(spec, Options{Replications: 2, Workers: 1, Checkpoint: ck})
+		if err == nil {
+			t.Errorf("%s = %g: the sweep reported no error", tc.field, bad)
+			continue
+		}
+		for _, want := range []string{
+			"non-finite " + tc.field, cells[1].String(), hashes[1].String(), "rep 0",
+			"seed " + strconv.FormatUint(runSeed(hashes[1], 0), 10),
+		} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.field, err, want)
+			}
+		}
+		saved, err := loadCheckpoint(ck)
+		if err != nil || saved == nil {
+			t.Fatalf("%s: no checkpoint after the errored run: %v", tc.field, err)
+		}
+		if c := saved.Cells[hashes[0].String()]; c.Folded != 2 {
+			t.Errorf("%s: checkpoint holds %+v for the healthy cell, want both replications folded", tc.field, c)
+		}
+		if _, ok := saved.Cells[hashes[1].String()]; ok {
+			t.Errorf("%s: checkpoint holds a fold of the poisoned cell", tc.field)
+		}
 	}
 }

@@ -170,7 +170,9 @@ func TimeSeriesPrefixColumns() []string {
 
 // TimeSeriesSink streams every observed replication's time-series
 // samples into one CSV: columns TimeSeriesPrefixColumns +
-// obs.SampleColumns. Its OnObserved method is shaped for
+// obs.SampleColumns, one series per member cluster of each replication.
+// A federation member's series reads "federated:<cluster>" in the
+// scheduler column. Its OnObserved method is shaped for
 // Options.OnObserved, which serializes calls in grid order — the sink
 // needs no locking and its output is bit-identical across worker
 // counts.
@@ -184,18 +186,23 @@ func NewTimeSeriesSink(w io.Writer) *TimeSeriesSink {
 	return &TimeSeriesSink{tw: obs.NewTimeSeriesWriter(w, TimeSeriesPrefixColumns()...)}
 }
 
-// OnObserved appends the replication's samples; probes that are not
+// OnObserved appends the member's samples; probes that are not
 // *obs.Recorder are ignored. The first write error sticks and is
 // reported by Flush.
-func (s *TimeSeriesSink) OnObserved(c Cell, rep int, p obs.Probe) {
+func (s *TimeSeriesSink) OnObserved(o Observation, p obs.Probe) {
 	rec, ok := p.(*obs.Recorder)
 	if !ok || s.err != nil {
 		return
 	}
+	c := o.Cell
+	scheduler := c.Scheduler
+	if o.Cluster != "" {
+		scheduler += ":" + o.Cluster
+	}
 	prefix := []string{
 		c.Arrival, c.Avail,
 		fmt.Sprintf("%d", c.Nodes), fmt.Sprintf("%g", c.Load),
-		c.Scheduler, c.AppModel, c.Admission, c.Routing, fmt.Sprintf("%d", rep),
+		scheduler, c.AppModel, c.Admission, c.Routing, fmt.Sprintf("%d", o.Rep),
 	}
 	s.err = s.tw.WriteAll(prefix, rec.Samples())
 }

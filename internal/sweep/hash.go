@@ -39,6 +39,10 @@ type CellHash [sha256.Size]byte
 // checkpoint files.
 func (h CellHash) String() string { return hex.EncodeToString(h[:]) }
 
+// Short is the first 12 hex digits of the digest: dpssweep's cell
+// column, and a -cell prefix that selects one cell of any shipped grid.
+func (h CellHash) Short() string { return hex.EncodeToString(h[:6]) }
+
 // Seed64 folds the first 8 digest bytes into the seed domain; runSeed
 // expands it per replication.
 func (h CellHash) Seed64() uint64 { return binary.BigEndian.Uint64(h[:8]) }

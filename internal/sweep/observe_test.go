@@ -39,8 +39,8 @@ func TestObserveLeavesAggregatesByteIdentical(t *testing.T) {
 	}
 	observed, err := Run(spec, Options{
 		Replications: 2, Workers: 4,
-		Observe: func(c Cell, rep int) obs.Probe {
-			return obs.NewRecorder(spec.Observe.RecorderConfig(c.Scheduler))
+		Observe: func(o Observation) obs.Probe {
+			return obs.NewRecorder(spec.Observe.RecorderConfig(o.Label()))
 		},
 	})
 	if err != nil {
@@ -75,8 +75,8 @@ func sweepTimeseries(t *testing.T, spec *scenario.Spec, workers int) string {
 	sink := NewTimeSeriesSink(&b)
 	_, err := Run(spec, Options{
 		Replications: 2, Workers: workers,
-		Observe: func(c Cell, rep int) obs.Probe {
-			return obs.NewRecorder(spec.Observe.RecorderConfig(c.Scheduler))
+		Observe: func(o Observation) obs.Probe {
+			return obs.NewRecorder(spec.Observe.RecorderConfig(o.Label()))
 		},
 		OnObserved: sink.OnObserved,
 	})
@@ -122,11 +122,11 @@ func TestOnObservedOrder(t *testing.T) {
 	reps := 3
 	_, err := Run(spec, Options{
 		Replications: reps, Workers: 8,
-		Observe: func(c Cell, rep int) obs.Probe {
+		Observe: func(Observation) obs.Probe {
 			return obs.NewRecorder(obs.Config{})
 		},
-		OnObserved: func(c Cell, rep int, p obs.Probe) {
-			got = append(got, rep)
+		OnObserved: func(o Observation, p obs.Probe) {
+			got = append(got, o.Rep)
 		},
 	})
 	if err != nil {

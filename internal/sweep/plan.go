@@ -10,6 +10,7 @@ package sweep
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"dpsim/internal/scenario"
 )
@@ -42,7 +43,10 @@ type owedRun struct{ unit, rep int }
 type plan struct {
 	cells []Cell
 	reps  int
-	units []unit
+	// members names each cell's member clusters, the federation block's
+	// clusters in order; a non-federated cell is its own member "".
+	members []string
+	units   []unit
 	// runs lists what is still owed at plan time in (unit, replication)
 	// order — with one unit per cell that is (cell, replication) order.
 	runs []owedRun
@@ -61,7 +65,10 @@ type plan struct {
 // restore by content hash, so a resume survives grid edits — unchanged
 // cells restore, new or edited cells (fresh hashes) run from scratch.
 func newPlan(spec *scenario.Spec, opt Options, restore map[string]checkpointCell) (*plan, error) {
-	cells := Cells(spec)
+	cells, hashes, err := CellsMatching(spec, opt.Cell)
+	if err != nil {
+		return nil, err
+	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("sweep: empty grid")
 	}
@@ -69,7 +76,13 @@ func newPlan(spec *scenario.Spec, opt Options, restore map[string]checkpointCell
 	if shards > 1 && (opt.Shard.Index < 0 || opt.Shard.Index >= shards) {
 		return nil, fmt.Errorf("sweep: shard index %d outside 0..%d", opt.Shard.Index, shards-1)
 	}
-	p := &plan{cells: cells, reps: max(opt.Replications, 1), units: make([]unit, 0, len(cells))}
+	p := &plan{cells: cells, reps: max(opt.Replications, 1), members: []string{""}, units: make([]unit, 0, len(cells))}
+	if f := spec.Federation; f != nil {
+		p.members = make([]string, len(f.Clusters))
+		for i, c := range f.Clusters {
+			p.members[i] = c.Name
+		}
+	}
 
 	// Cells partition across shards by content hash, so every process of
 	// an n-way split derives the same disjoint ownership and a group of
@@ -77,7 +90,7 @@ func newPlan(spec *scenario.Spec, opt Options, restore map[string]checkpointCell
 	dedup := opt.Observe == nil
 	first := make(map[CellHash]int, len(cells)) // hash → its first unit
 	self := make([]int, len(cells))             // backs every unit's cells[:1]
-	for ci, h := range CellHashes(spec, cells) {
+	for ci, h := range hashes {
 		if shards > 1 && h.ShardOf(shards) != opt.Shard.Index {
 			continue
 		}
@@ -123,6 +136,38 @@ func newPlan(spec *scenario.Spec, opt Options, restore map[string]checkpointCell
 	return p, nil
 }
 
+// CellsMatching returns the cells of spec's grid, in grid order, with
+// their content hashes — only those whose hash starts with the
+// lowercase-hex prefix when it is non-empty. A prefix must select
+// exactly one hash (the equal-hash cells of a duplicated axis entry
+// share it); one that matches none or several is an error naming the
+// count.
+func CellsMatching(spec *scenario.Spec, prefix string) ([]Cell, []CellHash, error) {
+	cells := Cells(spec)
+	hashes := CellHashes(spec, cells)
+	if prefix == "" {
+		return cells, hashes, nil
+	}
+	seen := make(map[CellHash]bool)
+	var keptCells []Cell
+	var keptHashes []CellHash
+	for i, h := range hashes {
+		if strings.HasPrefix(h.String(), prefix) {
+			seen[h] = true
+			keptCells, keptHashes = append(keptCells, cells[i]), append(keptHashes, h)
+		}
+	}
+	if len(seen) != 1 {
+		return nil, nil, fmt.Errorf("sweep: cell prefix %q matches %d cell hashes, want exactly 1", prefix, len(seen))
+	}
+	return keptCells, keptHashes, nil
+}
+
+// observation names member m of u's replication rep.
+func (p *plan) observation(u *unit, rep, m int) Observation {
+	return Observation{Cell: p.cells[u.cells[0]], Hash: u.hash, Rep: rep, Cluster: p.members[m]}
+}
+
 // fold absorbs u's next replication. Callers fold a unit's runs in
 // replication order (the float sums are order-sensitive).
 func (p *plan) fold(u *unit, run *scenario.CellRun) {
@@ -142,6 +187,7 @@ func (p *plan) stats() []CellStats {
 	for ui := range p.units {
 		u := &p.units[ui]
 		st := u.acc.stats(p.cells[u.cells[0]], p.reps)
+		st.Hash = u.hash
 		for _, ci := range u.cells {
 			st.Cell = p.cells[ci]
 			out[ci] = st

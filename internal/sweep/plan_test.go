@@ -274,7 +274,7 @@ func TestDedupShardResumeMatrix(t *testing.T) {
 		}
 	}
 
-	for _, observe := range []func(Cell, int) obs.Probe{nil, observeNone} {
+	for _, observe := range []func(Observation) obs.Probe{nil, observeNone} {
 		for _, n := range []int{1, 2, 3} {
 			for _, interrupted := range []bool{false, true} {
 				name := fmt.Sprintf("observed=%v/shards=%d/interrupted=%v", observe != nil, n, interrupted)
@@ -346,7 +346,7 @@ func TestResumeFromParentCheckpoint(t *testing.T) {
 	// 8 units × 3 replications, 7 of them folded by the old engine; with
 	// dedup off the 12 cells owe 36 less the restored 3+3+3+1+1.
 	for _, tc := range []struct {
-		observe func(Cell, int) obs.Probe
+		observe func(Observation) obs.Probe
 		owed    int
 	}{{nil, 17}, {observeNone, 25}} {
 		executed := -1

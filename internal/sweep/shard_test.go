@@ -32,7 +32,7 @@ func dupSpec(t *testing.T) *scenario.Spec {
 // observeNone attaches an observer that observes nothing: dedup stands
 // down under observation, so it puts every owned cell in a unit of its
 // own while leaving every run unobserved.
-func observeNone(Cell, int) obs.Probe { return nil }
+func observeNone(Observation) obs.Probe { return nil }
 
 // runShard runs shard sel into a checkpoint in dir and returns its path.
 func runShard(t *testing.T, spec *scenario.Spec, dir string, opt Options, sel ShardSel) string {
@@ -52,7 +52,7 @@ func runShard(t *testing.T, spec *scenario.Spec, dir string, opt Options, sel Sh
 func TestShardMergeByteIdentical(t *testing.T) {
 	spec := dupSpec(t)
 	const reps = 2
-	for _, observe := range []func(Cell, int) obs.Probe{nil, observeNone} {
+	for _, observe := range []func(Observation) obs.Probe{nil, observeNone} {
 		single, err := Run(spec, Options{Replications: reps, Observe: observe})
 		if err != nil {
 			t.Fatal(err)

@@ -24,6 +24,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -31,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dpsim/internal/cluster"
 	"dpsim/internal/metrics"
 	"dpsim/internal/obs"
 	"dpsim/internal/scenario"
@@ -81,7 +83,10 @@ func (c Cell) String() string {
 // CellStats aggregates a cell's replications.
 type CellStats struct {
 	Cell
-	Replications int `json:"replications"`
+	// Hash is the cell's content hash; it is not exported, only shown
+	// (abbreviated) in dpssweep's table for -cell to replay.
+	Hash         CellHash `json:"-"`
+	Replications int      `json:"replications"`
 	// Jobs is the total finished jobs pooled over all replications;
 	// Unfinished counts jobs that arrived but never completed (e.g.
 	// stranded by a permanent capacity loss) — response/wait/slowdown
@@ -249,24 +254,30 @@ type Options struct {
 	// are excluded. Calls arrive from worker goroutines.
 	Progress func(done, total int)
 	// Observe, when non-nil, constructs the observability probe of each
-	// replication before it runs. It is called from worker goroutines and
-	// must be safe for concurrent use; returning nil leaves that
-	// replication unobserved (the zero-cost path). The sample interval
-	// comes from the scenario's observe block (Spec.Observe.SampleDTS).
+	// member cluster of each replication before it runs (a non-federated
+	// cell is its own single member). It is called from worker goroutines
+	// and must be safe for concurrent use; returning nil leaves that
+	// member unobserved (the zero-cost path). The sample interval comes
+	// from the scenario's observe block (Spec.Observe.SampleDTS).
 	// Observation disables dedup (probes are per-run side effects that
 	// a shared unit would skip), and checkpoint-restored replications are
 	// not re-observed.
-	Observe func(c Cell, rep int) obs.Probe
+	Observe func(o Observation) obs.Probe
 	// SampleDTS overrides the observed replications' time-series sample
 	// interval in virtual seconds; 0 uses the scenario's
 	// observe.sample_dt_s. Ignored without Observe.
 	SampleDTS float64
-	// OnObserved hands each observed replication's probe back at the
-	// in-order fold frontier: calls arrive strictly in (cell, replication)
+	// OnObserved hands each observed member's probe back at the in-order
+	// fold frontier: calls arrive strictly in (cell, replication, member)
 	// index order, serialized under the sweep's lock, so a sink writing
 	// CSV or traces needs no synchronization and its output is
 	// bit-identical across worker counts.
-	OnObserved func(c Cell, rep int, p obs.Probe)
+	OnObserved func(o Observation, p obs.Probe)
+	// Cell, when non-empty, is a lowercase-hex prefix of a cell content
+	// hash: only the cells carrying that hash run (see CellsMatching).
+	// Their seeds are the full grid's, so every row replays the full
+	// grid's row byte for byte.
+	Cell string
 	// Metrics, when non-nil, instruments the run on its
 	// telemetry.Registry: runs started/finished/errored, per-worker busy
 	// time, the fold frontier, and job totals (see Metrics for the cost
@@ -297,6 +308,28 @@ type Options struct {
 	// in-flight ones, writes a final checkpoint and returns
 	// ErrInterrupted.
 	Interrupted func() bool
+}
+
+// Observation names one member cluster of one observed replication:
+// the grid cell, its content hash, the replication index and, in a
+// federated cell, the member cluster ("" in a non-federated cell).
+type Observation struct {
+	Cell    Cell
+	Hash    CellHash
+	Rep     int
+	Cluster string
+}
+
+// Label names the observation in trace processes and run summaries:
+// the cell's policy — its scheduler, or "<admission>/<routing>:<cluster>"
+// for a federation member — then the cell column of dpssweep's table
+// and the replication, e.g. "equipartition f2a1465f7015 rep 0".
+func (o Observation) Label() string {
+	policy := o.Cell.Scheduler
+	if o.Cluster != "" {
+		policy = o.Cell.Admission + "/" + o.Cell.Routing + ":" + o.Cluster
+	}
+	return fmt.Sprintf("%s %s rep %d", policy, o.Hash.Short(), o.Rep)
 }
 
 // axisEntry pairs an axis entry's display label with its spec index
@@ -442,11 +475,11 @@ func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
 		m.begin(p, workers)
 	}
 
-	// Completed runs park here, each with its probe, until the frontier
+	// Completed runs park here, each with its probes, until the frontier
 	// reaches them — which hands OnObserved its deterministic order.
 	type parkedRun struct {
-		run   *scenario.CellRun
-		probe obs.Probe
+		run    *scenario.CellRun
+		probes []obs.Probe
 	}
 	pending := make([]parkedRun, len(p.runs))
 	var (
@@ -473,8 +506,10 @@ func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
 			u := &p.units[r.unit]
 			p.fold(u, got.run)
 			parked -= len(u.cells)
-			if got.probe != nil && opt.OnObserved != nil {
-				opt.OnObserved(p.cells[u.cells[0]], r.rep, got.probe)
+			for m, probe := range got.probes {
+				if probe != nil && opt.OnObserved != nil {
+					opt.OnObserved(p.observation(u, r.rep, m), probe)
+				}
 			}
 		}
 	}
@@ -494,7 +529,7 @@ func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
 			for idx := range jobs {
 				r := p.runs[idx]
 				u := &p.units[r.unit]
-				run, probe, err := p.execute(spec, &opt, u, r.rep, worker)
+				run, probes, err := p.execute(spec, &opt, u, r.rep, worker)
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil {
@@ -508,7 +543,7 @@ func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
 					// actually absorbed and a resume re-runs this one.
 					stopped.Store(true)
 				} else {
-					pending[idx] = parkedRun{run, probe}
+					pending[idx] = parkedRun{run, probes}
 					parked += len(u.cells)
 					advance()
 				}
@@ -563,13 +598,22 @@ func runGrid(spec *scenario.Spec, opt Options) (*plan, error) {
 	return p, nil
 }
 
+// runCell runs one replication; a variable so tests can inject faulty
+// results.
+var runCell = (*scenario.Spec).RunCell
+
 // execute runs one replication of u — seeded by (hash, replication),
-// with cells[0]'s axis indices — observed and metered as opt asks.
-func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker int) (*scenario.CellRun, obs.Probe, error) {
+// with cells[0]'s axis indices — observed and metered as opt asks. A
+// panic or a non-finite result errors the run, naming the cell, hash,
+// replication and seed.
+func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker int) (*scenario.CellRun, []obs.Probe, error) {
 	c := p.cells[u.cells[0]]
-	var probe obs.Probe
+	var probes []obs.Probe
 	if opt.Observe != nil {
-		probe = opt.Observe(c, rep)
+		probes = make([]obs.Probe, len(p.members))
+		for m := range probes {
+			probes[m] = opt.Observe(p.observation(u, rep, m))
+		}
 	}
 	m := opt.Metrics
 	var t0 time.Time
@@ -588,7 +632,7 @@ func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker i
 				err = fmt.Errorf("panic in unit %s, seed %d: %v\n%s", u.hash, seed, r, debug.Stack())
 			}
 		}()
-		return spec.RunCell(scenario.CellParams{
+		run, err = runCell(spec, scenario.CellParams{
 			Nodes:        c.Nodes,
 			Load:         c.Load,
 			SchedulerIdx: c.SchedulerIdx,
@@ -598,9 +642,15 @@ func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker i
 			AdmissionIdx: c.AdmissionIdx,
 			RoutingIdx:   c.RoutingIdx,
 			Seed:         seed,
-			Probe:        probe,
+			MemberProbes: probes,
 			SampleDTS:    opt.SampleDTS,
 		})
+		if err == nil {
+			if field, v, ok := nonFinite(&run.Result); ok {
+				err = fmt.Errorf("non-finite %s = %g in unit %s, seed %d", field, v, u.hash, seed)
+			}
+		}
+		return run, err
 	}()
 	if m != nil {
 		jobsDone, unfinished := 0, 0
@@ -613,5 +663,30 @@ func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker i
 	if err != nil {
 		return nil, nil, fmt.Errorf("sweep: cell %s rep %d: %w", c, rep, err)
 	}
-	return run, probe, nil
+	return run, probes, nil
+}
+
+// nonFinite reports the first NaN or infinite value among the result
+// fields the sweep folds, by name: folded into a cell's sums it would
+// silently poison every aggregate of the cell.
+func nonFinite(r *cluster.Result) (string, float64, bool) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Makespan", r.Makespan}, {"MeanResponse", r.MeanResponse}, {"MeanWait", r.MeanWait},
+		{"Utilization", r.Utilization}, {"AvailWeightedUtilization", r.AvailWeightedUtilization},
+		{"MeanAllocEfficiency", r.MeanAllocEfficiency},
+		{"LostWorkS", r.LostWorkS}, {"RedistributionS", r.RedistributionS},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return f.name, f.v, true
+		}
+	}
+	for _, j := range r.PerJob {
+		if math.IsNaN(j.Response) || math.IsInf(j.Response, 0) {
+			return fmt.Sprintf("response of job %d", j.ID), j.Response, true
+		}
+	}
+	return "", 0, false
 }

@@ -26,8 +26,8 @@
 //     net/http/pprof under /debug/pprof/ for live profiling.
 //
 // internal/sweep instruments its worker pool on top of this package
-// (sweep.Metrics), and cmd/dpssweep / cmd/clustersim expose it via
-// -telemetry-addr. The registry is generic: the upcoming dpsserve
+// (sweep.Metrics), and cmd/dpssweep exposes it via -telemetry-addr.
+// The registry is generic: the upcoming dpsserve
 // service and sharded sweep engine register their own families the same
 // way. See docs/telemetry.md for the endpoint and metric reference.
 package telemetry
