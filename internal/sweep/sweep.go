@@ -83,8 +83,8 @@ func (c Cell) String() string {
 // CellStats aggregates a cell's replications.
 type CellStats struct {
 	Cell
-	// Hash is the cell's content hash; it is not exported, only shown
-	// (abbreviated) in dpssweep's table for -cell to replay.
+	// Hash is the cell's content hash. It is not a CSV or JSON column;
+	// dpssweep's table shows it abbreviated, for -cell to replay the row.
 	Hash         CellHash `json:"-"`
 	Replications int      `json:"replications"`
 	// Jobs is the total finished jobs pooled over all replications;
