@@ -121,6 +121,42 @@ func TestRealMainFlagErrors(t *testing.T) {
 	}
 }
 
+// TestBadFlagsFail: a usage error names what was wrong on stderr. The
+// workload flags of the built-in classic workload (-nodes, -jobs,
+// -interarrival, -seed) are not flags: the scenario file sets the
+// workload, so passing one is a usage error rather than silently ignored.
+func TestBadFlagsFail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"stray argument", []string{"-scenario", scenarioFile("classic.json"), "stray"}, "unexpected arguments: [stray]"},
+		{"no scenario", []string{"-replications", "2"}, "-scenario is required"},
+		{"-nodes", []string{"-scenario", scenarioFile("downey_spot.json"), "-nodes", "3"}, "-nodes"},
+		{"-jobs", []string{"-scenario", scenarioFile("downey_spot.json"), "-jobs", "3"}, "-jobs"},
+		{"-interarrival", []string{"-scenario", scenarioFile("downey_spot.json"), "-interarrival", "3"}, "-interarrival"},
+		{"-seed", []string{"-scenario", scenarioFile("downey_spot.json"), "-seed", "3"}, "-seed"},
+		{"bad sample-dt", []string{"-scenario", scenarioFile("classic.json"), "-q",
+			"-timeseries-out", filepath.Join(t.TempDir(), "ts.csv"), "-sample-dt", "-Inf"}, "-sample-dt"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr: %s)", tc.name, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: stderr does not name %q: %s", tc.name, tc.want, stderr.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"-scenario", "does-not-exist.json"}, &stdout, &stderr); code == 0 {
+		t.Error("missing scenario file accepted")
+	}
+	if !strings.Contains(stderr.String(), "does-not-exist.json") {
+		t.Errorf("missing scenario file: stderr does not name it: %s", stderr.String())
+	}
+}
+
 // TestRealMainTelemetryScrape: with -telemetry-addr :0, the CLI prints
 // the bound address to stderr and a live scrape mid-sweep serves sweep
 // metrics and progress.
