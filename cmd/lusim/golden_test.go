@@ -36,6 +36,14 @@ var goldenCases = []struct {
 	{"p_fc", []string{"-seeds", "2", "-p", "-window", "2"}, []string{"stdout"}},
 	{"pm", []string{"-seeds", "2", "-pm"}, []string{"stdout"}},
 	{"kill", []string{"-seeds", "2", "-kill", "1:2"}, []string{"stdout"}},
+	// The -dot fingerprints are those of the flow graphs the former
+	// single-purpose dot command printed for the same LU flags.
+	{"dot_basic", []string{"-seeds", "1"}, []string{"dot"}},
+	{"dot_p", []string{"-seeds", "1", "-p"}, []string{"dot"}},
+	{"dot_pm_fc", []string{"-seeds", "1", "-pm", "-window", "2"}, []string{"dot"}},
+	{"gantt_basic", []string{"-seeds", "1", "-gantt", "100"}, []string{"stdout", "trace"}},
+	{"gantt_p_fc", []string{"-seeds", "1", "-p", "-window", "2", "-gantt", "100"}, []string{"stdout", "trace"}},
+	{"gantt_kill", []string{"-seeds", "1", "-kill", "1:2", "-gantt", "100"}, []string{"stdout", "trace"}},
 }
 
 // cliFingerprints runs one case with every requested file artifact and

@@ -1,15 +1,26 @@
 // Command lusim measures and predicts one LU factorization configuration:
 // the workhorse for exploring parallelization strategies with the
-// simulator (paper §6–8).
+// simulator (paper §6–8). It also draws and exports the predicted run —
+// the calibrated simulator run behind the "predicted (sim)" line — so a
+// timing diagram (paper Figs. 2, 4 and 6) and the prediction never
+// disagree, thread removals included.
 //
 // Usage:
 //
 //	lusim [-n 2592] [-r 324] [-nodes 4] [-threads 0] [-multthreads 0]
 //	      [-multnodes 0] [-p] [-window 0] [-pm] [-kill "1:4,3:2"]
-//	      [-seeds 3] [-iters]
+//	      [-seeds 3] [-iters] [-gantt 100] [-trace-out lu.trace.json]
+//	      [-dot lu.dot]
 //
 // -kill takes comma-separated afterIteration:threads pairs, e.g. "1:4"
 // reproduces the paper's "kill 4 after iteration 1".
+//
+// -gantt WIDTH prints the predicted run's ASCII timing diagram and its
+// per-operation busy time after the report. -trace-out writes the same
+// run as Chrome trace-event JSON (load it in Perfetto or
+// chrome://tracing); -dot writes the configured flow graph in Graphviz
+// syntax (render with `dot -Tsvg lu.dot`). Both files are replaced
+// atomically; stdout carries the report.
 package main
 
 import (
@@ -17,11 +28,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"dpsim/internal/experiments"
 	"dpsim/internal/lu"
 	"dpsim/internal/metrics"
+	"dpsim/internal/obs"
+	"dpsim/internal/sweep"
+	"dpsim/internal/trace"
 )
 
 func main() {
@@ -45,6 +60,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	kill := fs.String("kill", "", "removals, e.g. 1:4,3:2 (after iter 1 shrink to 4 mult threads, ...)")
 	seeds := fs.Int("seeds", 3, "measured repetitions")
 	iters := fs.Bool("iters", false, "print per-iteration dynamic efficiency")
+	gantt := fs.Int("gantt", 0, "print the predicted run's timing diagram this many characters wide (0=off)")
+	traceOut := fs.String("trace-out", "", "write the predicted run as Chrome trace-event JSON to this file")
+	dotOut := fs.String("dot", "", "write the configured flow graph in Graphviz dot syntax to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -58,6 +76,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return usage("unexpected arguments: %v", fs.Args())
 	case *seeds < 1:
 		return usage("-seeds %d: need at least 1 measured repetition", *seeds)
+	case *gantt < 0:
+		return usage("-gantt %d: need a positive width, or 0 for none", *gantt)
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "lusim: %v\n", err)
+		return 1
 	}
 
 	cfg := lu.Config{
@@ -67,19 +91,25 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *kill != "" {
 		for _, part := range strings.Split(*kill, ",") {
-			var after, to int
-			if _, err := fmt.Sscanf(part, "%d:%d", &after, &to); err != nil {
-				fmt.Fprintf(stderr, "lusim: bad -kill entry %q: %v\n", part, err)
-				return 2
+			after, to, ok := strings.Cut(part, ":")
+			a, errA := strconv.Atoi(after)
+			t, errT := strconv.Atoi(to)
+			if !ok || errA != nil || errT != nil {
+				return usage("bad -kill entry %q: want afterIteration:threads, e.g. 1:4", part)
 			}
-			cfg.Removals = append(cfg.Removals, lu.Removal{AfterIter: after, MultThreads: to})
+			cfg.Removals = append(cfg.Removals, lu.Removal{AfterIter: a, MultThreads: t})
 		}
 	}
 
-	run, err := experiments.MeasureAndPredict("lusim", cfg, experiments.Setup{Seeds: *seeds})
+	setup := experiments.Setup{Seeds: *seeds}
+	var rec *trace.Recorder
+	if *gantt > 0 || *traceOut != "" {
+		rec = trace.NewRecorder()
+		setup.Trace = rec.Hook
+	}
+	run, err := experiments.MeasureAndPredict("lusim", cfg, setup)
 	if err != nil {
-		fmt.Fprintf(stderr, "lusim: %v\n", err)
-		return 1
+		return fail(err)
 	}
 	fmt.Fprintf(stdout, "configuration: n=%d r=%d nodes=%d threads=%d multThreads=%d multNodes=%d P=%v FC=%d PM=%v removals=%v\n",
 		run.Cfg.N, run.Cfg.R, run.Cfg.Nodes, run.Cfg.Threads, run.Cfg.MultThreads,
@@ -105,6 +135,32 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%9d  %9.1f  %13.1f  %8.1f%%  %12.1f  %7.1f%%  %5d\n",
 				it.Index+1, it.SerialWork.Seconds(), it.Elapsed.Seconds(),
 				100*it.Efficiency, sim.Elapsed.Seconds(), 100*sim.Efficiency, it.Nodes)
+		}
+	}
+
+	if *gantt > 0 {
+		fmt.Fprintf(stdout, "\n%s\n%s", rec.Gantt(*gantt), rec.Summary())
+	}
+	if *traceOut != "" {
+		err := sweep.WriteFileAtomic(*traceOut, func(w io.Writer) error {
+			var tr obs.Trace
+			rec.AppendChromeTrace(&tr)
+			return tr.WriteJSON(w)
+		})
+		if err != nil {
+			return fail(err)
+		}
+	}
+	if *dotOut != "" {
+		app, err := lu.Build(cfg)
+		if err == nil {
+			err = sweep.WriteFileAtomic(*dotOut, func(w io.Writer) error {
+				_, err := io.WriteString(w, app.Graph.Dot())
+				return err
+			})
+		}
+		if err != nil {
+			return fail(err)
 		}
 	}
 	return 0

@@ -81,12 +81,12 @@
 //     steady state), a ring-buffered Recorder with fixed-interval
 //     time-series sampling on the virtual clock, and exporters for
 //     Chrome trace-event JSON (Perfetto), time-series CSV and
-//     run-summary JSON, wired into dpssweep and dpstrace.
+//     run-summary JSON, wired into dpssweep and lusim.
 //   - internal/docs — documentation-drift checks: markdown link check,
 //     scenario-schema and export-column cross-checks against docs/.
 //
 // Entry points: cmd/paperrepro (all tables and figures), cmd/lusim (one
-// configuration), cmd/dpstrace (timing diagrams), cmd/dpssweep (the
+// configuration, predicted and drawn as a timing diagram), cmd/dpssweep (the
 // multi-application scheduler comparison as scenario-driven parallel
 // experiment sweeps), and the runnable programs in examples/.
 package dpsim

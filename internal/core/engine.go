@@ -174,20 +174,10 @@ type Engine struct {
 	phases []PhaseMark
 	allocs []AllocMark
 
-	opStats []OpStat // indexed by Op.ID
-
 	stats   Result
 	pending int // queued + running work items and parked posts
 	failure error
 	ran     bool
-}
-
-// OpStat aggregates the atomic steps of one operation.
-type OpStat struct {
-	// Steps is the number of atomic steps executed by the operation.
-	Steps uint64
-	// Busy is the total charged step duration (before CPU sharing).
-	Busy eventq.Duration
 }
 
 // New builds an engine for the configured graph and platform.
@@ -224,7 +214,6 @@ func New(cfg Config) (*Engine, error) {
 		memoSum:  make(map[string]eventq.Duration),
 		memoCnt:  make(map[string]int),
 		samples:  make(map[string][]eventq.Duration),
-		opStats:  make([]OpStat, len(cfg.Graph.Ops())),
 	}
 	// Record allocation history whenever any collection changes.
 	seen := make(map[*dps.Collection]bool)
@@ -275,19 +264,6 @@ func (e *Engine) MarkPhase(name string) {
 	if e.cfg.Trace != nil {
 		e.cfg.Trace(TraceEvent{Kind: TracePhase, Time: e.q.Now(), Detail: name})
 	}
-}
-
-// OpStats returns per-operation step counts and charged busy time — a
-// quick profile identifying the operations worth optimizing (paper §4).
-func (e *Engine) OpStats() map[string]OpStat {
-	out := make(map[string]OpStat, len(e.opStats))
-	for _, op := range e.graph.Ops() {
-		if st := e.opStats[op.ID()]; st.Steps > 0 {
-			sum := out[op.Name()]
-			out[op.Name()] = OpStat{Steps: sum.Steps + st.Steps, Busy: sum.Busy + st.Busy}
-		}
-	}
-	return out
 }
 
 // DurationTable returns the mean recorded duration per computation key

@@ -345,25 +345,3 @@ func TestManyConcurrentInstances(t *testing.T) {
 		t.Fatalf("instances = %d, want 20", res.Instances)
 	}
 }
-
-func TestOpStats(t *testing.T) {
-	g, _, _ := buildFanOut(2, 2, 6, 2*eventq.Millisecond, 0)
-	eng, _ := New(Config{Graph: g, Platform: testPlatform(2)})
-	eng.Inject(g.Ops()[0], 0, &intObj{})
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	stats := eng.OpStats()
-	double := stats["double"]
-	// Each leaf invocation contributes two atomic steps: the step ending
-	// at its Post and the (empty) completion step.
-	if double.Steps != 12 {
-		t.Fatalf("double ran %d steps, want 12 (6 invocations x 2 steps)", double.Steps)
-	}
-	if double.Busy < 12*eventq.Millisecond {
-		t.Fatalf("double busy %v, want >= 12ms (6 x 2ms)", double.Busy)
-	}
-	if stats["distribute"].Steps == 0 || stats["collect"].Steps == 0 {
-		t.Fatalf("missing op stats: %v", stats)
-	}
-}

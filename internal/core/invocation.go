@@ -244,9 +244,6 @@ func (e *Engine) resumeInv(inv *invocation) {
 // handleYield accounts an atomic step and schedules its effects.
 func (e *Engine) handleYield(inv *invocation, msg yieldMsg) {
 	e.stats.Steps++
-	st := &e.opStats[inv.op.ID()]
-	st.Steps++
-	st.Busy += msg.work
 	node := inv.th.coll.Node(inv.th.idx)
 	if e.cfg.Trace != nil {
 		e.cfg.Trace(TraceEvent{Kind: TraceStepStart, Time: e.q.Now(), Node: node,

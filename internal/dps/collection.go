@@ -1,6 +1,9 @@
 package dps
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Collection is a named group of DPS threads onto which operations are
 // mapped. The deployment of threads onto compute nodes happens at runtime
@@ -9,12 +12,13 @@ import "fmt"
 // (instance boundaries) and every thread's placement may be changed.
 //
 // Collections are shared mutable state between the application and the
-// engine; the single-threaded engines read them at routing time, so a
-// resize performed inside an operation handler takes effect for all
-// subsequently routed objects.
+// engine; the engines read them at routing time, so a resize performed
+// inside an operation handler takes effect for all subsequently routed
+// objects. The width is atomic because the real runtime routes on many
+// goroutines while a handler resizes; placement is fixed there at start.
 type Collection struct {
 	name     string
-	width    int
+	width    atomic.Int32
 	maxWidth int
 	place    []int // thread index -> node
 
@@ -29,7 +33,8 @@ func NewCollection(name string, width, nodes int) *Collection {
 	if width <= 0 || nodes <= 0 {
 		panic(fmt.Sprintf("dps: collection %q needs positive width (%d) and nodes (%d)", name, width, nodes))
 	}
-	c := &Collection{name: name, width: width, maxWidth: width}
+	c := &Collection{name: name, maxWidth: width}
+	c.width.Store(int32(width))
 	c.place = make([]int, width)
 	for i := range c.place {
 		c.place[i] = i % nodes
@@ -41,7 +46,7 @@ func NewCollection(name string, width, nodes int) *Collection {
 func (c *Collection) Name() string { return c.name }
 
 // Width returns the number of active threads.
-func (c *Collection) Width() int { return c.width }
+func (c *Collection) Width() int { return int(c.width.Load()) }
 
 // MaxWidth returns the largest width the collection ever had.
 func (c *Collection) MaxWidth() int { return c.maxWidth }
@@ -49,7 +54,7 @@ func (c *Collection) MaxWidth() int { return c.maxWidth }
 // Node returns the node hosting thread i.
 func (c *Collection) Node(i int) int {
 	if i < 0 || i >= len(c.place) {
-		panic(fmt.Sprintf("dps: collection %q has no thread %d (width %d)", c.name, i, c.width))
+		panic(fmt.Sprintf("dps: collection %q has no thread %d (width %d)", c.name, i, c.Width()))
 	}
 	return c.place[i]
 }
@@ -60,7 +65,7 @@ func (c *Collection) Node(i int) int {
 // discipline.
 func (c *Collection) Place(i, node int) {
 	if i < 0 || i >= len(c.place) {
-		panic(fmt.Sprintf("dps: placing thread %d outside collection %q (width %d)", i, c.name, c.width))
+		panic(fmt.Sprintf("dps: placing thread %d outside collection %q (width %d)", i, c.name, c.Width()))
 	}
 	if node < 0 {
 		panic("dps: negative node")
@@ -77,7 +82,7 @@ func (c *Collection) PlaceAll(nodes []int) {
 	if len(nodes) == 0 {
 		panic("dps: PlaceAll with no nodes")
 	}
-	for i := 0; i < c.width; i++ {
+	for i := range c.Width() {
 		c.place[i] = nodes[i%len(nodes)]
 	}
 	c.changed()
@@ -96,7 +101,7 @@ func (c *Collection) Resize(width int) {
 	for len(c.place) < width {
 		c.place = append(c.place, c.place[len(c.place)%oldLen])
 	}
-	c.width = width
+	c.width.Store(int32(width))
 	if width > c.maxWidth {
 		c.maxWidth = width
 	}
@@ -109,7 +114,7 @@ func (c *Collection) Resize(width int) {
 func (c *Collection) Nodes() []int {
 	seen := make(map[int]bool)
 	var out []int
-	for i := 0; i < c.width; i++ {
+	for i := range c.Width() {
 		if !seen[c.place[i]] {
 			seen[c.place[i]] = true
 			out = append(out, c.place[i])

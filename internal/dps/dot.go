@@ -60,17 +60,3 @@ func (g *Graph) Dot() string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// Summary returns a one-line-per-op textual description of the graph.
-func (g *Graph) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s: %d ops, %d edges, %d pairs\n", g.name, len(g.ops), len(g.edges), len(g.pairs))
-	for _, op := range g.ops {
-		var outs []string
-		for _, e := range op.outs {
-			outs = append(outs, e.to.name)
-		}
-		fmt.Fprintf(&b, "  %-24s %-7s on %-10s -> %s\n", op.name, op.kind, op.coll.name, strings.Join(outs, ", "))
-	}
-	return b.String()
-}

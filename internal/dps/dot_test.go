@@ -46,13 +46,3 @@ func TestDotOutput(t *testing.T) {
 		t.Fatalf("dot has %d edges, want 4:\n%s", strings.Count(dot, "->"), dot)
 	}
 }
-
-func TestGraphSummary(t *testing.T) {
-	g := buildDotGraph()
-	sum := g.Summary()
-	for _, want := range []string{"5 ops", "4 edges", "2 pairs", "distribute", "stream"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
-		}
-	}
-}

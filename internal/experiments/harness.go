@@ -41,6 +41,11 @@ type Setup struct {
 	Seeds int
 	// BaseSeed decorrelates repetition sets.
 	BaseSeed uint64
+	// Trace, when set, receives the prediction run's trace events (the
+	// measured runs are not traced), so a timing diagram drawn from them
+	// is the run behind LURun.Predicted. Only MeasureAndPredict reads it;
+	// a figure runs its configurations concurrently, so it needs nil.
+	Trace core.TraceFn
 }
 
 func (s *Setup) fill() {
@@ -205,7 +210,9 @@ func MeasureAndPredict(label string, cfg lu.Config, s Setup) (*LURun, error) {
 	}
 
 	plat := core.NewSimPlatform(nodesFor(cfg), simNetParams(), simCPUParams())
-	app, eng, res, err := runLU(cfg, plat, core.Config{Durations: core.TableSource{Table: table}, NoAlloc: true})
+	app, eng, res, err := runLU(cfg, plat, core.Config{
+		Durations: core.TableSource{Table: table}, NoAlloc: true, Trace: s.Trace,
+	})
 	if err := record(eng, res, err, "predicted"); err != nil {
 		return nil, err
 	}

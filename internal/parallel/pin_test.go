@@ -13,6 +13,14 @@ import (
 	"dpsim/internal/transport"
 )
 
+// Thread removals for TestRealRuntimeMatchesEngine: the multiplication
+// collection shrinks from 8 threads on 4 nodes while other threads route
+// to it (paper Figs. 11–12).
+var (
+	oneRemoval  = []lu.Removal{{AfterIter: 2, MultThreads: 2}}
+	twoRemovals = []lu.Removal{{AfterIter: 2, MultThreads: 4}, {AfterIter: 5, MultThreads: 2}}
+)
+
 // TestRealRuntimeMatchesEngine runs one application on both DPS executors
 // — this runtime, and the simulated engine (core with RunComputations on
 // a SimPlatform) — and pins them against each other: the paper's §3 claim
@@ -44,15 +52,22 @@ func TestRealRuntimeMatchesEngine(t *testing.T) {
 		{"P+FC", lu.Config{N: 24, R: 6, Nodes: 3, Pipelined: true, Window: 2}, false},
 		{"PM", lu.Config{N: 24, R: 6, Nodes: 2, ParallelMult: true}, true},
 		{"P+PM+FC", lu.Config{N: 24, R: 6, Nodes: 2, Pipelined: true, ParallelMult: true, Window: 2}, true},
+		{"basic, one removal", lu.Config{N: 48, R: 6, Nodes: 2, MultNodes: 4, Removals: oneRemoval}, false},
+		{"basic, two removals", lu.Config{N: 48, R: 6, Nodes: 2, MultNodes: 4, Removals: twoRemovals}, false},
+		{"P, one removal", lu.Config{N: 48, R: 6, Nodes: 2, MultNodes: 4, Pipelined: true, Removals: oneRemoval}, false},
+		{"P, two removals", lu.Config{N: 48, R: 6, Nodes: 2, MultNodes: 4, Pipelined: true, Removals: twoRemovals}, false},
+		{"P+FC, one removal", lu.Config{N: 48, R: 6, Nodes: 2, MultNodes: 4, Pipelined: true, Window: 2, Removals: oneRemoval}, false},
+		{"P+FC, two removals", lu.Config{N: 48, R: 6, Nodes: 2, MultNodes: 4, Pipelined: true, Window: 2, Removals: twoRemovals}, false},
 	} {
 		t.Run(v.name, func(t *testing.T) {
+			nodes := max(v.cfg.Nodes, v.cfg.MultNodes)
 			live, err := lu.Build(v.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			codec := transport.NewCodec()
 			lu.RegisterCodec(codec)
-			rt := runReal(t, Config{Graph: live.Graph, Nodes: v.cfg.Nodes, Codec: codec}, func(rt *Runtime) {
+			rt := runReal(t, Config{Graph: live.Graph, Nodes: nodes, Codec: codec}, func(rt *Runtime) {
 				live.Prepare(rt.Store, 11)
 				rt.Inject(live.Init, 0, &lu.Seed{})
 			})
@@ -60,7 +75,7 @@ func TestRealRuntimeMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, res := runSim(t, sim.Graph, v.cfg.Nodes, func(eng *core.Engine) {
+			eng, res := runSim(t, sim.Graph, nodes, func(eng *core.Engine) {
 				sim.Prepare(eng.Store, 11)
 				sim.Start(eng)
 			})

@@ -216,11 +216,13 @@ func (c *pctx) PostTo(edgeIdx int, obj dps.DataObject) {
 		src.mu.Lock()
 		seq := src.posted
 		src.posted++
-		var dst int
-		if edge.To() == pair.Sink() {
-			dst = src.sinkThread
-		} else {
-			dst = edge.Route()(dps.Routing{Obj: obj, Width: edge.To().Collection().Width(), SrcThread: c.th.idx, Seq: seq})
+		dst := src.sinkThread
+		if edge.To() != pair.Sink() {
+			var ok bool
+			if dst, ok = c.route(edge, obj, seq); !ok {
+				src.mu.Unlock()
+				return
+			}
 		}
 		it := item{kind: kindData, op: edge.To(), obj: obj, frames: frames, seq: seq}
 		if w := pair.Window(); w > 0 && src.inflight >= w {
@@ -254,9 +256,26 @@ func (c *pctx) PostTo(edgeIdx int, obj dps.DataObject) {
 		}
 		dst = int(top.sinkThread)
 	} else {
-		dst = edge.Route()(dps.Routing{Obj: obj, Width: edge.To().Collection().Width(), SrcThread: c.th.idx, Seq: seq})
+		var ok bool
+		if dst, ok = c.route(edge, obj, seq); !ok {
+			return
+		}
 	}
 	rt.sendData(srcNode, item{kind: kindData, op: edge.To(), obj: obj, frames: frames, seq: seq}, dst)
+}
+
+// route evaluates edge's routing function and, as the simulated engine
+// does, fails the run when the destination lies outside the active width
+// (a removed thread still addressed).
+func (c *pctx) route(edge *dps.Edge, obj dps.DataObject, seq int) (int, bool) {
+	width := edge.To().Collection().Width()
+	dst := edge.Route()(dps.Routing{Obj: obj, Width: width, SrcThread: c.th.idx, Seq: seq})
+	if dst < 0 || dst >= width {
+		c.th.node.rt.fail(fmt.Errorf("parallel: edge %s→%s routed object to thread %d outside active width %d",
+			edge.From(), edge.To(), dst, width))
+		return 0, false
+	}
+	return dst, true
 }
 
 func (c *pctx) Compute(key string, work eventq.Duration, f func()) {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -183,24 +182,4 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n-1] + "…"
-}
-
-// CSV writes the spans as comma-separated records (kind, node, op, thread,
-// start_ns, end_ns, detail) for offline analysis and plotting.
-func (r *Recorder) CSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "kind,node,op,thread,start_ns,end_ns,detail"); err != nil {
-		return err
-	}
-	for _, s := range r.Spans() {
-		kind := "step"
-		if s.Kind == core.TraceTransferStart {
-			kind = "transfer"
-		}
-		detail := strings.ReplaceAll(s.Detail, ",", ";")
-		if _, err := fmt.Fprintf(w, "%s,%d,%s,%d,%d,%d,%s\n",
-			kind, s.Node, s.Op, s.Thread, int64(s.Start), int64(s.End), detail); err != nil {
-			return err
-		}
-	}
-	return nil
 }
