@@ -44,18 +44,36 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-n", "648", "-r", "162", "-kill", "1:4junk"}, `bad -kill entry "1:4junk"`},
 		{[]string{"-n", "648", "-r", "162", "-kill", "1:2,3"}, `bad -kill entry "3"`},
 		{[]string{"-n", "648", "-r", "162", "-gantt", "-1"}, "-gantt -1"},
-		{[]string{"-gantt", "80", "x"}, "unexpected arguments: [x]"},
-		{[]string{"-trace-out", "t.json", "x"}, "unexpected arguments: [x]"},
-		{[]string{"-dot", "g.dot", "x"}, "unexpected arguments: [x]"},
 	} {
-		var stdout, stderr bytes.Buffer
-		code := realMain(c.args, &stdout, &stderr)
-		if code != 2 || !strings.Contains(stderr.String(), c.want) {
-			t.Errorf("%v: exit %d, want 2 naming %q; stderr:\n%s", c.args, code, c.want, stderr.String())
-		}
-		if stdout.Len() > 0 {
-			t.Errorf("%v: printed %q", c.args, stdout.String())
-		}
+		expectUsageError(t, c.args, c.want)
+	}
+}
+
+// TestTraceStrayArgumentFails: a positional argument next to the timing
+// exporters, -gantt and -trace-out, is a usage error naming it, not the
+// silent end of flag parsing.
+func TestTraceStrayArgumentFails(t *testing.T) {
+	expectUsageError(t, []string{"-gantt", "80", "x"}, "unexpected arguments: [x]")
+	expectUsageError(t, []string{"-trace-out", "t.json", "x", "-gantt", "80"}, "unexpected arguments: [x -gantt 80]")
+}
+
+// TestDotStrayArgumentFails: a positional argument next to -dot is a usage
+// error naming it, not the silent end of flag parsing.
+func TestDotStrayArgumentFails(t *testing.T) {
+	expectUsageError(t, []string{"-dot", "g.dot", "x"}, "unexpected arguments: [x]")
+}
+
+// expectUsageError runs lusim with args and wants exit 2, a message on
+// stderr containing want and nothing on stdout.
+func expectUsageError(t *testing.T, args []string, want string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := realMain(args, &stdout, &stderr)
+	if code != 2 || !strings.Contains(stderr.String(), want) {
+		t.Errorf("%v: exit %d, want 2 naming %q; stderr:\n%s", args, code, want, stderr.String())
+	}
+	if stdout.Len() > 0 {
+		t.Errorf("%v: printed %q", args, stdout.String())
 	}
 }
 
