@@ -79,6 +79,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	case *gantt < 0:
 		return usage("-gantt %d: need a positive width, or 0 for none", *gantt)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"threads", *threads}, {"multthreads", *multThreads}, {"multnodes", *multNodes}, {"window", *window}} {
+		if f.v < 0 {
+			return usage("-%s %d: must not be negative (0 for the default)", f.name, f.v)
+		}
+	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "lusim: %v\n", err)
 		return 1

@@ -31,8 +31,9 @@ func TestMainSmoke(t *testing.T) {
 }
 
 // TestUsageErrors: a stray argument, a repetition count below 1, a
-// malformed -kill entry and a negative -gantt width are usage errors that
-// name the culprit, before anything runs or any file is written.
+// malformed -kill entry, a negative -gantt width and a negative thread,
+// node or window count are usage errors that name the culprit, before
+// anything runs or any file is written.
 func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -44,8 +45,23 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-n", "648", "-r", "162", "-kill", "1:4junk"}, `bad -kill entry "1:4junk"`},
 		{[]string{"-n", "648", "-r", "162", "-kill", "1:2,3"}, `bad -kill entry "3"`},
 		{[]string{"-n", "648", "-r", "162", "-gantt", "-1"}, "-gantt -1"},
+		{[]string{"-n", "48", "-r", "6", "-threads", "-1"}, "-threads -1"},
+		{[]string{"-n", "48", "-r", "6", "-multthreads", "-2"}, "-multthreads -2"},
+		{[]string{"-n", "48", "-r", "6", "-multnodes", "-1"}, "-multnodes -1"},
+		{[]string{"-n", "48", "-r", "6", "-window", "-1"}, "-window -1"},
 	} {
 		expectUsageError(t, c.args, c.want)
+	}
+}
+
+// TestGrowingRemovalFails: a -kill entry wider than the start
+// multiplication width is a configuration error naming the removal, not
+// a silently grown collection.
+func TestGrowingRemovalFails(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := realMain([]string{"-n", "48", "-r", "6", "-multthreads", "8", "-kill", "1:9", "-seeds", "1"}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "removal to 9 threads outside 1..8") {
+		t.Errorf("exit %d, want 1 naming the removal; stderr:\n%s", code, stderr.String())
 	}
 }
 
@@ -69,7 +85,7 @@ func expectUsageError(t *testing.T, args []string, want string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
 	code := realMain(args, &stdout, &stderr)
-	if code != 2 || !strings.Contains(stderr.String(), want) {
+	if code != 2 || !strings.Contains(stderr.String(), want) || strings.Contains(stderr.String(), "panic:") {
 		t.Errorf("%v: exit %d, want 2 naming %q; stderr:\n%s", args, code, want, stderr.String())
 	}
 	if stdout.Len() > 0 {

@@ -9,8 +9,10 @@
 //     objects, runtime routing functions, thread collections with dynamic
 //     width and placement, flow control.
 //   - internal/core — the simulation engine: direct execution of the DPS
-//     runtime and application code with atomic-step accounting, partial
-//     direct execution (PDEXEC), the NOALLOC mode, and the paper's network
+//     runtime and application code with atomic-step accounting; one
+//     duration source per run that decides what a computation costs and
+//     whether its kernel runs (direct execution, the PDEXEC calibration
+//     table, the analytic model); the NOALLOC mode; and the paper's network
 //     (t = l + s/b with equal-share contention) and CPU (processor sharing
 //     plus communication overhead) models.
 //   - internal/testbed — a high-fidelity virtual cluster standing in for

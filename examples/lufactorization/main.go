@@ -16,8 +16,9 @@ import (
 )
 
 func main() {
-	// Small enough to execute the real kernels during the simulation
-	// (direct execution of the computations, paper §4).
+	// Small enough to execute the real kernels during the simulation:
+	// core.Executing runs every kernel while the analytic model times it,
+	// so the result can be checked against the serial reference.
 	cfg := lu.Config{N: 96, R: 16, Nodes: 4}
 
 	fmt.Println("== correctness: simulated parallel LU vs serial reference ==")
@@ -26,9 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 	eng, err := core.New(core.Config{
-		Graph:           app.Graph,
-		Platform:        core.NewSimPlatform(cfg.Nodes, netmodel.FastEthernet(), cpumodel.Defaults()),
-		RunComputations: true,
+		Graph:     app.Graph,
+		Platform:  core.NewSimPlatform(cfg.Nodes, netmodel.FastEthernet(), cpumodel.Defaults()),
+		Durations: core.Executing(core.AnalyticSource()),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,16 +17,17 @@ import (
 )
 
 func main() {
-	// Correctness: real computations inside the simulation.
+	// Correctness: core.Executing runs the real computations inside the
+	// simulation while the analytic model times them.
 	cfg := stencil.Config{N: 64, Bands: 8, Nodes: 4, Iterations: 20}
 	app, err := stencil.Build(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng, err := core.New(core.Config{
-		Graph:           app.Graph,
-		Platform:        core.NewSimPlatform(cfg.Nodes, netmodel.FastEthernet(), cpumodel.Defaults()),
-		RunComputations: true,
+		Graph:     app.Graph,
+		Platform:  core.NewSimPlatform(cfg.Nodes, netmodel.FastEthernet(), cpumodel.Defaults()),
+		Durations: core.Executing(core.AnalyticSource()),
 	})
 	if err != nil {
 		log.Fatal(err)

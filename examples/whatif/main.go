@@ -20,9 +20,11 @@ func predict(cfg lu.Config, np netmodel.Params, speedup map[string]float64) floa
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A kernel what-if is a duration source: it charges a sped-up
+	// analytic estimate and runs no kernel.
 	durations := core.AnalyticSource()
 	if speedup != nil {
-		durations = core.SourceFunc(func(key string, analytic eventq.Duration, _ int) eventq.Duration {
+		durations = core.SourceFunc(func(key string, analytic eventq.Duration, _ func()) eventq.Duration {
 			if f, ok := speedup[key]; ok {
 				return eventq.Duration(float64(analytic) / f)
 			}

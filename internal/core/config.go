@@ -9,16 +9,24 @@
 // execution thread; finished invocations hand theirs to the next one);
 // the engine (the simulator thread) resumes exactly one of them at a time
 // and regains control whenever an atomic step ends: at every Post, at a
-// flow-control suspension, and at invocation end (paper Fig. 3/4). The duration of each atomic step is either measured by
-// direct execution (scaled wall-clock time), taken from a calibration
-// table, or charged from an analytic model — the partial direct execution
-// spectrum of §4. Step completions are scheduled on the per-node CPU model
-// and posted objects travel through the platform's network model, so the
+// flow-control suspension, and at invocation end (paper Fig. 3/4).
+//
+// Config.Durations, a DurationSource, decides what each computation of a
+// step costs and whether its kernel runs — the partial direct execution
+// spectrum of §4: Direct measures the kernels by direct execution (scaled
+// wall-clock time), TableSource charges a calibration table, and
+// AnalyticSource the application's analytic model; Executing runs the
+// kernels of any of them for a correctness check.
+//
+// Step completions are scheduled on the per-node CPU model and posted
+// objects travel through the platform's network model, so the
 // reconstructed timeline reflects CPU sharing, communication overhead and
 // network contention.
 package core
 
 import (
+	"time"
+
 	"dpsim/internal/dps"
 	"dpsim/internal/eventq"
 )
@@ -40,26 +48,27 @@ type Platform interface {
 	Nodes() int
 }
 
-// DurationSource supplies modeled atomic-step durations in ModeModel.
-// StepWork returns the duration of the idx-th executed instance of the
-// computation identified by key, given the analytic estimate supplied by
-// the application.
+// DurationSource decides what each computation costs and whether its
+// kernel runs. StepWork returns the duration of one computation of the
+// class key, given the application's analytic estimate; kernel executes
+// the real computation and is nil when there is nothing to run. A source
+// that does not call kernel models the computation without performing it.
 type DurationSource interface {
-	StepWork(key string, analytic eventq.Duration, idx int) eventq.Duration
+	StepWork(key string, analytic eventq.Duration, kernel func()) eventq.Duration
 }
 
 // SourceFunc adapts a function to the DurationSource interface.
-type SourceFunc func(key string, analytic eventq.Duration, idx int) eventq.Duration
+type SourceFunc func(key string, analytic eventq.Duration, kernel func()) eventq.Duration
 
 // StepWork implements DurationSource.
-func (f SourceFunc) StepWork(key string, analytic eventq.Duration, idx int) eventq.Duration {
-	return f(key, analytic, idx)
+func (f SourceFunc) StepWork(key string, analytic eventq.Duration, kernel func()) eventq.Duration {
+	return f(key, analytic, kernel)
 }
 
 // AnalyticSource returns the application's analytic estimate unchanged:
 // the pure parametric model of §4.
 func AnalyticSource() DurationSource {
-	return SourceFunc(func(_ string, analytic eventq.Duration, _ int) eventq.Duration {
+	return SourceFunc(func(_ string, analytic eventq.Duration, _ func()) eventq.Duration {
 		return analytic
 	})
 }
@@ -72,9 +81,54 @@ type TableSource struct {
 }
 
 // StepWork implements DurationSource.
-func (t TableSource) StepWork(key string, analytic eventq.Duration, _ int) eventq.Duration {
+func (t TableSource) StepWork(key string, analytic eventq.Duration, _ func()) eventq.Duration {
 	if d, ok := t.Table[key]; ok {
 		return d
+	}
+	return analytic
+}
+
+// Executing runs every kernel and charges src's duration, so a small
+// correctness run computes real results on a modeled timeline. src is
+// handed no kernel, so none runs twice.
+func Executing(src DurationSource) DurationSource {
+	return SourceFunc(func(key string, analytic eventq.Duration, kernel func()) eventq.Duration {
+		if kernel != nil {
+			kernel()
+		}
+		return src.StepWork(key, analytic, nil)
+	})
+}
+
+// Direct is direct execution with memoization (paper §4: "measure the
+// running times of the first n instances of an operation, and reuse the
+// averaged measure"). The first n kernels of each key run, and their
+// wall-clock time times scale (host speed / target speed) is charged;
+// later computations of the key are charged the mean of those
+// measurements. A key with no measurement yet, because its kernels are
+// nil, is charged the analytic estimate. The source keeps per-key state,
+// so each engine needs its own.
+func Direct(n int, scale float64) DurationSource {
+	return &direct{n: n, scale: scale, keys: make(map[string]durationSum)}
+}
+
+type direct struct {
+	n     int
+	scale float64
+	keys  map[string]durationSum // measured durations per key
+}
+
+func (d *direct) StepWork(key string, analytic eventq.Duration, kernel func()) eventq.Duration {
+	m := d.keys[key]
+	switch {
+	case m.n < d.n && kernel != nil:
+		t0 := time.Now()
+		kernel()
+		w := eventq.Duration(float64(time.Since(t0).Nanoseconds()) * d.scale)
+		d.keys[key] = m.add(w)
+		return w
+	case m.n > 0:
+		return m.mean()
 	}
 	return analytic
 }
@@ -85,26 +139,13 @@ type Config struct {
 	Graph *dps.Graph
 	// Platform is the virtual hardware.
 	Platform Platform
-	// Mode selects direct execution, direct-with-memoization or modeled
-	// durations. Default ModeModel.
-	Mode dps.ExecMode
-	// RunComputations makes ModeModel execute kernel closures (for small
-	// correctness runs). Ignored in the direct modes, which always run
-	// kernels while measuring.
-	RunComputations bool
+	// Durations decides what each computation costs and whether its
+	// kernel runs. Default AnalyticSource().
+	Durations DurationSource
 	// NoAlloc tells the application (via Ctx.NoAlloc) to skip payload
 	// allocation; sizes then come from the counting serializer.
 	NoAlloc bool
-	// CPUScale converts measured host seconds into target virtual seconds
-	// in the direct modes (host_speed / target_speed). Default 1.
-	CPUScale float64
-	// MemoN is the number of instances measured per key before
-	// ModeDirectMemo switches to the averaged measurement. Default 3.
-	MemoN int
-	// Durations supplies modeled step durations in ModeModel.
-	// Default AnalyticSource().
-	Durations DurationSource
-	// PerStepOverhead is added to every modeled atomic step: the cost of
+	// PerStepOverhead is added to every atomic step: the cost of
 	// executing the DPS runtime code itself. Zero is allowed.
 	PerStepOverhead eventq.Duration
 	// LocalLatency is the delivery delay between threads on the same
@@ -113,8 +154,9 @@ type Config struct {
 	// ControlBytes is the wire size of closure and acknowledgement
 	// control messages. Default 64.
 	ControlBytes int64
-	// RecordDurations collects per-key duration samples during the run;
-	// DurationTable() then yields a PDEXEC calibration table.
+	// RecordDurations collects the per-key mean of charged durations
+	// during the run; DurationTable() then yields a PDEXEC calibration
+	// table.
 	RecordDurations bool
 	// Trace receives timeline events (nil disables tracing).
 	Trace TraceFn

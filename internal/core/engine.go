@@ -154,7 +154,6 @@ type Engine struct {
 
 	threads map[threadKey]*thread
 
-	mode       dps.ExecMode
 	nextInstID uint64
 
 	// coros holds every coroutine in creation order (shutdown, deadlock
@@ -162,14 +161,8 @@ type Engine struct {
 	coros []*coro
 	free  []*coro
 
-	// ModeModel per-key instance counters; direct-memo measurement state.
-	keyCount map[string]int
-	memoSum  map[string]eventq.Duration
-	memoCnt  map[string]int
-
-	// recorded duration samples (RecordDurations)
-	samples map[string][]eventq.Duration
-	keys    []string
+	// per-key sum and count of charged durations (RecordDurations)
+	samples map[string]durationSum
 
 	phases []PhaseMark
 	allocs []AllocMark
@@ -191,12 +184,6 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Graph.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid flow graph: %w", err)
 	}
-	if cfg.CPUScale <= 0 {
-		cfg.CPUScale = 1
-	}
-	if cfg.MemoN <= 0 {
-		cfg.MemoN = 3
-	}
 	if cfg.Durations == nil {
 		cfg.Durations = AnalyticSource()
 	}
@@ -204,16 +191,12 @@ func New(cfg Config) (*Engine, error) {
 		cfg.ControlBytes = 64
 	}
 	e := &Engine{
-		cfg:      cfg,
-		q:        cfg.Platform.Queue(),
-		plat:     cfg.Platform,
-		graph:    cfg.Graph,
-		threads:  make(map[threadKey]*thread),
-		mode:     cfg.Mode,
-		keyCount: make(map[string]int),
-		memoSum:  make(map[string]eventq.Duration),
-		memoCnt:  make(map[string]int),
-		samples:  make(map[string][]eventq.Duration),
+		cfg:     cfg,
+		q:       cfg.Platform.Queue(),
+		plat:    cfg.Platform,
+		graph:   cfg.Graph,
+		threads: make(map[threadKey]*thread),
+		samples: make(map[string]durationSum),
 	}
 	// Record allocation history whenever any collection changes.
 	seen := make(map[*dps.Collection]bool)
@@ -266,32 +249,24 @@ func (e *Engine) MarkPhase(name string) {
 	}
 }
 
-// DurationTable returns the mean recorded duration per computation key
-// (requires RecordDurations or a direct mode). This is the paper's "prior
-// measurements" source for partial direct execution.
+// durationSum accumulates one key's durations in the order they occur.
+type durationSum struct {
+	sum eventq.Duration
+	n   int
+}
+
+func (s durationSum) add(d eventq.Duration) durationSum { return durationSum{s.sum + d, s.n + 1} }
+func (s durationSum) mean() eventq.Duration             { return s.sum / eventq.Duration(s.n) }
+
+// DurationTable returns the mean charged duration per computation key
+// (requires RecordDurations). This is the paper's "prior measurements"
+// source for partial direct execution.
 func (e *Engine) DurationTable() map[string]eventq.Duration {
 	out := make(map[string]eventq.Duration, len(e.samples))
-	for k, v := range e.samples {
-		var sum eventq.Duration
-		for _, d := range v {
-			sum += d
-		}
-		out[k] = sum / eventq.Duration(len(v))
+	for k, s := range e.samples {
+		out[k] = s.mean()
 	}
 	return out
-}
-
-// DurationSamples returns all recorded samples per key, in execution
-// order.
-func (e *Engine) DurationSamples() map[string][]eventq.Duration {
-	return e.samples
-}
-
-func (e *Engine) recordSample(key string, d eventq.Duration) {
-	if _, ok := e.samples[key]; !ok {
-		e.keys = append(e.keys, key)
-	}
-	e.samples[key] = append(e.samples[key], d)
 }
 
 // threadOf returns (creating lazily) the engine thread for (coll, idx).

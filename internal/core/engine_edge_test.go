@@ -136,34 +136,18 @@ func (s *bufferAllState) Finish(ctx dps.Ctx) {
 	}
 }
 
-func TestDirectMemoNilKernelFallsBack(t *testing.T) {
-	g := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
-		ctx.Compute("modeled", 7*eventq.Millisecond, nil) // no kernel
-		ctx.Post(in)
-	})
-	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Mode: dps.ModeDirectMemo})
-	eng.Inject(g.Ops()[0], 0, &intObj{})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Elapsed < eventq.Time(7*eventq.Millisecond) {
-		t.Fatalf("memo mode with nil kernel charged %v, want >= 7ms analytic", res.Elapsed)
-	}
-}
-
 func TestTableSourceFallback(t *testing.T) {
 	src := TableSource{Table: map[string]eventq.Duration{"known": eventq.Second}}
-	if src.StepWork("known", eventq.Millisecond, 0) != eventq.Second {
+	if src.StepWork("known", eventq.Millisecond, nil) != eventq.Second {
 		t.Fatal("table hit ignored")
 	}
-	if src.StepWork("unknown", eventq.Millisecond, 0) != eventq.Millisecond {
+	if src.StepWork("unknown", eventq.Millisecond, nil) != eventq.Millisecond {
 		t.Fatal("fallback to analytic failed")
 	}
 }
 
 func TestAnalyticSourceIdentity(t *testing.T) {
-	if AnalyticSource().StepWork("x", 5*eventq.Second, 9) != 5*eventq.Second {
+	if AnalyticSource().StepWork("x", 5*eventq.Second, nil) != 5*eventq.Second {
 		t.Fatal("analytic source modified the estimate")
 	}
 }
@@ -240,9 +224,12 @@ func TestPerStepOverheadAccumulates(t *testing.T) {
 	}
 }
 
+// TestRecordDurationsSamples: the table holds each key's mean charged
+// duration.
 func TestRecordDurationsSamples(t *testing.T) {
 	g := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
-		ctx.Compute("k", 3*eventq.Millisecond, nil)
+		ctx.Compute("k", 2*eventq.Millisecond, nil)
+		ctx.Compute("k", 4*eventq.Millisecond, nil)
 		ctx.Post(in)
 	})
 	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), RecordDurations: true})
@@ -250,9 +237,9 @@ func TestRecordDurationsSamples(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	samples := eng.DurationSamples()
-	if len(samples["k"]) != 1 || samples["k"][0] != 3*eventq.Millisecond {
-		t.Fatalf("samples = %v", samples)
+	table := eng.DurationTable()
+	if len(table) != 1 || table["k"] != 3*eventq.Millisecond {
+		t.Fatalf("table = %v", table)
 	}
 }
 

@@ -513,35 +513,72 @@ func TestInvalidGraphRejected(t *testing.T) {
 	}
 }
 
-// --- modes ---
+// --- duration sources ---
 
-func TestModelModeRunsComputationsWhenAsked(t *testing.T) {
-	executed := 0
-	g := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
-		ctx.Compute("k", eventq.Millisecond, func() { executed++ })
-		ctx.Post(in)
-	})
-	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), RunComputations: true})
-	eng.Inject(g.Ops()[0], 0, &intObj{})
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
+// spinKernel is busy work a wall-clock measurement must capture.
+func spinKernel(n int) func() {
+	return func() {
+		x := 0.0
+		for i := 0; i < n; i++ {
+			x += float64(i)
+		}
+		_ = x
 	}
-	if executed != 1 {
-		t.Fatalf("kernel executed %d times, want 1", executed)
-	}
+}
 
-	executed = 0
-	g2 := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
-		ctx.Compute("k", eventq.Millisecond, func() { executed++ })
-		ctx.Post(in)
-	})
-	eng2, _ := New(Config{Graph: g2, Platform: testPlatform(1), RunComputations: false})
-	eng2.Inject(g2.Ops()[0], 0, &intObj{})
-	if _, err := eng2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if executed != 0 {
-		t.Fatalf("kernel executed %d times in PDEXEC, want 0", executed)
+// TestKernelRunsPerSource: the duration source alone decides whether a
+// kernel runs. A split posts five objects; each leaf computes two keys
+// with kernels and one without.
+func TestKernelRunsPerSource(t *testing.T) {
+	const instances = 5
+	for _, c := range []struct {
+		name string
+		src  DurationSource
+		runs int // per key with a kernel
+	}{
+		{"analytic", AnalyticSource(), 0},
+		{"table", TableSource{Table: map[string]eventq.Duration{"a": eventq.Second}}, 0},
+		{"executing", Executing(AnalyticSource()), instances},
+		{"direct-3", Direct(3, 1), 3},
+		{"direct-n-above-instances", Direct(2*instances, 1), instances},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runs := map[string]int{}
+			master := dps.NewCollection("m", 1, 1)
+			g := dps.NewGraph("kernels")
+			split := g.Split("s", master, func(ctx dps.Ctx, in dps.DataObject) {
+				for i := 0; i < instances; i++ {
+					ctx.Post(&intObj{v: i})
+				}
+			})
+			leaf := g.Leaf("l", master, func(ctx dps.Ctx, in dps.DataObject) {
+				for _, key := range []string{"a", "b"} {
+					spin := spinKernel(10_000)
+					ctx.Compute(key, eventq.Millisecond, func() { runs[key]++; spin() })
+				}
+				ctx.Compute("modeled", 7*eventq.Millisecond, nil)
+				ctx.Post(in)
+			})
+			merge := g.Merge("mg", master, func(dps.DataObject) dps.MergeState { return &countingState{} })
+			g.Connect(split, leaf, dps.RoundRobin)
+			g.Connect(leaf, merge, nil)
+			g.PairOps(split, merge, nil)
+			eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Durations: c.src, RecordDurations: true})
+			eng.Inject(split, 0, &intObj{})
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if runs["a"] != c.runs || runs["b"] != c.runs {
+				t.Fatalf("kernel runs = %v, want %d per key", runs, c.runs)
+			}
+			table := eng.DurationTable()
+			if table["modeled"] != 7*eventq.Millisecond {
+				t.Fatalf("nil kernel charged %v, want the 7ms analytic estimate", table["modeled"])
+			}
+			if c.runs > 0 && table["a"] <= 0 {
+				t.Fatalf("no duration charged for a: %v", table)
+			}
+		})
 	}
 }
 
@@ -562,17 +599,10 @@ func microGraph(leafFn dps.LeafFunc) *dps.Graph {
 
 func TestDirectModeMeasuresWallTime(t *testing.T) {
 	g := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
-		ctx.Compute("spin", 0, func() {
-			// Busy work the measurement must capture.
-			x := 0.0
-			for i := 0; i < 2_000_000; i++ {
-				x += float64(i)
-			}
-			_ = x
-		})
+		ctx.Compute("spin", 0, spinKernel(2_000_000))
 		ctx.Post(in)
 	})
-	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Mode: dps.ModeDirect})
+	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Durations: Direct(1, 1)})
 	eng.Inject(g.Ops()[0], 0, &intObj{})
 	res, err := eng.Run()
 	if err != nil {
@@ -586,16 +616,10 @@ func TestDirectModeMeasuresWallTime(t *testing.T) {
 func TestDirectModeCPUScale(t *testing.T) {
 	run := func(scale float64) eventq.Time {
 		g := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
-			ctx.Compute("spin", 0, func() {
-				x := 0.0
-				for i := 0; i < 3_000_000; i++ {
-					x += float64(i)
-				}
-				_ = x
-			})
+			ctx.Compute("spin", 0, spinKernel(3_000_000))
 			ctx.Post(in)
 		})
-		eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Mode: dps.ModeDirect, CPUScale: scale})
+		eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Durations: Direct(1, scale)})
 		eng.Inject(g.Ops()[0], 0, &intObj{})
 		res, err := eng.Run()
 		if err != nil {
@@ -607,45 +631,7 @@ func TestDirectModeCPUScale(t *testing.T) {
 	slow := run(100)
 	// A 100x scale factor must dominate wall-clock noise on 3M additions.
 	if float64(slow) < 5*float64(fast) {
-		t.Fatalf("CPUScale=100 (%v) not clearly slower than 1 (%v)", slow, fast)
-	}
-}
-
-func TestDirectMemoMeasuresFirstN(t *testing.T) {
-	executions := 0
-	master := dps.NewCollection("m", 1, 1)
-	g := dps.NewGraph("memo")
-	split := g.Split("s", master, func(ctx dps.Ctx, in dps.DataObject) {
-		for i := 0; i < 10; i++ {
-			ctx.Post(&intObj{v: i})
-		}
-	})
-	leaf := g.Leaf("l", master, func(ctx dps.Ctx, in dps.DataObject) {
-		ctx.Compute("kernel", eventq.Millisecond, func() {
-			executions++
-			x := 0.0
-			for i := 0; i < 100_000; i++ {
-				x += float64(i)
-			}
-			_ = x
-		})
-		ctx.Post(in)
-	})
-	merge := g.Merge("mg", master, func(dps.DataObject) dps.MergeState { return &countingState{} })
-	g.Connect(split, leaf, dps.RoundRobin)
-	g.Connect(leaf, merge, nil)
-	g.PairOps(split, merge, nil)
-	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Mode: dps.ModeDirectMemo, MemoN: 3})
-	eng.Inject(split, 0, &intObj{})
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if executions != 3 {
-		t.Fatalf("memo mode executed kernel %d times, want 3", executions)
-	}
-	table := eng.DurationTable()
-	if table["kernel"] <= 0 {
-		t.Fatal("memo mode recorded no duration table")
+		t.Fatalf("scale 100 (%v) not clearly slower than 1 (%v)", slow, fast)
 	}
 }
 
@@ -660,7 +646,7 @@ func TestDurationTableFeedsTableSource(t *testing.T) {
 		eng.Inject(g.Ops()[0], 0, &intObj{})
 		return eng
 	}
-	rec := mk(SourceFunc(func(_ string, d eventq.Duration, _ int) eventq.Duration { return 2 * d }), true)
+	rec := mk(SourceFunc(func(_ string, d eventq.Duration, _ func()) eventq.Duration { return 2 * d }), true)
 	if _, err := rec.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"time"
 
 	"dpsim/internal/dps"
 	"dpsim/internal/eventq"
@@ -91,9 +90,8 @@ type invocation struct {
 	inst *instance   // sink instance for absorb/finish
 	act  *activation // output activation (split invocations)
 
-	charged  eventq.Duration // Compute charges in the current step
-	wallMark time.Time       // step start (ModeDirect measurement only)
-	posts    int             // posts in this invocation (leaf 1:1 check)
+	charged eventq.Duration // Compute charges in the current step
+	posts   int             // posts in this invocation (leaf 1:1 check)
 
 	ctx opCtx // the dps.Ctx handed to the handler
 }
@@ -117,14 +115,8 @@ func (inv *invocation) activationForPosts() *activation {
 
 // stepWork computes and resets the duration of the step ending now.
 func (inv *invocation) stepWork() eventq.Duration {
-	w := inv.charged
+	w := inv.charged + inv.eng.cfg.PerStepOverhead
 	inv.charged = 0
-	if inv.eng.mode == dps.ModeDirect {
-		elapsed := time.Since(inv.wallMark)
-		w += eventq.Duration(float64(elapsed.Nanoseconds()) * inv.eng.cfg.CPUScale)
-	} else {
-		w += inv.eng.cfg.PerStepOverhead
-	}
 	return w
 }
 
@@ -133,15 +125,6 @@ func (inv *invocation) stepWork() eventq.Duration {
 func (inv *invocation) handoff(msg yieldMsg) {
 	if !inv.co.yield(msg) {
 		panic(abortSignal)
-	}
-	inv.markWall()
-}
-
-// markWall starts the wall-clock measurement of a step; only ModeDirect
-// reads it.
-func (inv *invocation) markWall() {
-	if inv.eng.mode == dps.ModeDirect {
-		inv.wallMark = time.Now()
 	}
 }
 
@@ -157,7 +140,6 @@ func (inv *invocation) run() (finished bool) {
 			inv.eng.fail(fmt.Errorf("core: panic in %s: %v\n%s", inv.describe(), r, debug.Stack()))
 		}
 	}()
-	inv.markWall()
 	inv.ctx.inv = inv
 	ctx := &inv.ctx
 	switch inv.kind {
@@ -479,58 +461,18 @@ func (c *opCtx) PostTo(edgeIdx int, obj dps.DataObject) {
 }
 
 func (c *opCtx) Compute(key string, work eventq.Duration, f func()) {
-	inv := c.inv
-	e := inv.eng
-	switch e.mode {
-	case dps.ModeModel:
-		idx := e.keyCount[key]
-		e.keyCount[key]++
-		d := e.cfg.Durations.StepWork(key, work, idx)
-		if e.cfg.RecordDurations {
-			e.recordSample(key, d)
-		}
-		inv.charged += d
-		if e.cfg.RunComputations && f != nil {
-			f()
-		}
-	case dps.ModeDirect:
-		if f == nil {
-			inv.charged += work
-			return
-		}
-		if e.cfg.RecordDurations {
-			t0 := time.Now()
-			f()
-			d := eventq.Duration(float64(time.Since(t0).Nanoseconds()) * e.cfg.CPUScale)
-			e.recordSample(key, d)
-			return // wall measurement of the step already covers f
-		}
-		f()
-	case dps.ModeDirectMemo:
-		n := e.keyCount[key]
-		e.keyCount[key]++
-		if n < e.cfg.MemoN && f != nil {
-			t0 := time.Now()
-			f()
-			d := eventq.Duration(float64(time.Since(t0).Nanoseconds()) * e.cfg.CPUScale)
-			e.memoSum[key] += d
-			e.memoCnt[key]++
-			e.recordSample(key, d)
-			inv.charged += d
-		} else if cnt := e.memoCnt[key]; cnt > 0 {
-			inv.charged += e.memoSum[key] / eventq.Duration(cnt)
-		} else {
-			inv.charged += work
-		}
+	e := c.inv.eng
+	d := e.cfg.Durations.StepWork(key, work, f)
+	if e.cfg.RecordDurations {
+		e.samples[key] = e.samples[key].add(d)
 	}
+	c.inv.charged += d
 }
 
-func (c *opCtx) Phase(name string)     { c.inv.eng.MarkPhase(name) }
-func (c *opCtx) Thread() int           { return c.inv.th.idx }
-func (c *opCtx) Width() int            { return c.inv.op.Collection().Width() }
-func (c *opCtx) Node() int             { return c.inv.th.coll.Node(c.inv.th.idx) }
-func (c *opCtx) Now() eventq.Time      { return c.inv.eng.q.Now() }
-func (c *opCtx) Mode() dps.ExecMode    { return c.inv.eng.mode }
-func (c *opCtx) NoAlloc() bool         { return c.inv.eng.cfg.NoAlloc }
-func (c *opCtx) Store() dps.Store      { return c.inv.th.store }
-func (c *opCtx) RunComputations() bool { return c.inv.eng.cfg.RunComputations }
+func (c *opCtx) Phase(name string) { c.inv.eng.MarkPhase(name) }
+func (c *opCtx) Thread() int       { return c.inv.th.idx }
+func (c *opCtx) Width() int        { return c.inv.op.Collection().Width() }
+func (c *opCtx) Node() int         { return c.inv.th.coll.Node(c.inv.th.idx) }
+func (c *opCtx) Now() eventq.Time  { return c.inv.eng.q.Now() }
+func (c *opCtx) NoAlloc() bool     { return c.inv.eng.cfg.NoAlloc }
+func (c *opCtx) Store() dps.Store  { return c.inv.th.store }

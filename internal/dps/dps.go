@@ -74,38 +74,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ExecMode tells operation code how computations are carried out.
-type ExecMode int
-
-const (
-	// ModeModel: computations are charged from the duration model and the
-	// kernel function is only executed when the engine is configured to
-	// run computations (small correctness runs). This is the partial
-	// direct execution (PDEXEC) regime of paper §4.
-	ModeModel ExecMode = iota
-	// ModeDirect: kernels actually run; their wall-clock time, scaled by
-	// the host-to-target CPU factor, becomes the atomic step duration.
-	ModeDirect
-	// ModeDirectMemo: like ModeDirect for the first n instances of each
-	// computation key, after which the averaged measurement is reused
-	// (paper §4: "measure the running times of the first n instances of
-	// an operation, and reuse the averaged measure").
-	ModeDirectMemo
-)
-
-func (m ExecMode) String() string {
-	switch m {
-	case ModeModel:
-		return "model"
-	case ModeDirect:
-		return "direct"
-	case ModeDirectMemo:
-		return "direct-memo"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // Store is the per-DPS-thread local state visible to the operations that
 // execute on that thread (the paper's thread state, e.g. locally stored
 // column blocks).
@@ -125,8 +93,9 @@ type Ctx interface {
 	// Compute performs (or models) a computation. key identifies the
 	// computation class for calibration tables; work is the analytic
 	// duration estimate at reference node power; f executes the real
-	// kernel and may be nil when there is nothing to run. Whether f runs
-	// and how the duration is obtained depend on the execution mode.
+	// kernel and may be nil when there is nothing to run. The simulation
+	// engine's duration source decides whether f runs and what the
+	// computation costs; the real runtime always runs f.
 	Compute(key string, work eventq.Duration, f func())
 	// Thread returns the index of the executing DPS thread within the
 	// operation's collection.
@@ -137,16 +106,11 @@ type Ctx interface {
 	Node() int
 	// Now returns the current virtual time.
 	Now() eventq.Time
-	// Mode reports how computations are executed.
-	Mode() ExecMode
 	// NoAlloc reports whether the application should avoid allocating
 	// data payloads (paper §7, PDEXEC NOALLOC).
 	NoAlloc() bool
 	// Store returns the executing thread's local state.
 	Store() Store
-	// RunComputations reports whether kernel closures passed to Compute
-	// are executed in ModeModel (true for small correctness runs).
-	RunComputations() bool
 	// Phase records a named phase boundary at the current virtual time
 	// (e.g. the start of an LU iteration); the metrics package slices
 	// per-phase efficiency from these marks.

@@ -35,12 +35,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestModeStrings(t *testing.T) {
-	if ModeModel.String() != "model" || ModeDirect.String() != "direct" || ModeDirectMemo.String() != "direct-memo" {
-		t.Fatal("mode strings wrong")
-	}
-}
-
 // --- Collection ---
 
 func TestCollectionRoundRobinPlacement(t *testing.T) {

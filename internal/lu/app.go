@@ -11,7 +11,8 @@ import (
 
 // Removal schedules a change of the multiplication-thread allocation:
 // after iteration AfterIter (1-based, as the paper labels them), the
-// multiplication collection shrinks (or grows) to MultThreads threads.
+// multiplication collection shrinks to MultThreads threads, at most its
+// start width.
 // Multiplication requests carry both operand tiles, so no data migrates;
 // nodes hosting only multiplication threads become free — the paper's
 // dynamic node deallocation.
@@ -61,6 +62,14 @@ func (c *Config) fill() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("lu: need at least one node")
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Threads", c.Threads}, {"MultThreads", c.MultThreads}, {"MultNodes", c.MultNodes}, {"Window", c.Window}, {"SubBlock", c.SubBlock}} {
+		if f.v < 0 {
+			return fmt.Errorf("lu: %s %d must not be negative", f.name, f.v)
+		}
+	}
 	if c.Threads == 0 {
 		c.Threads = c.N / c.R
 	}
@@ -83,8 +92,8 @@ func (c *Config) fill() error {
 		if rm.AfterIter < 1 || rm.AfterIter >= c.N/c.R {
 			return fmt.Errorf("lu: removal after iteration %d outside 1..%d", rm.AfterIter, c.N/c.R-1)
 		}
-		if rm.MultThreads < 1 {
-			return fmt.Errorf("lu: removal to %d threads", rm.MultThreads)
+		if rm.MultThreads < 1 || rm.MultThreads > c.MultThreads {
+			return fmt.Errorf("lu: removal to %d threads outside 1..%d MultThreads", rm.MultThreads, c.MultThreads)
 		}
 	}
 	return nil

@@ -28,9 +28,9 @@ func runCorrect(t *testing.T, cfg Config, seed uint64) core.Result {
 		t.Fatal(err)
 	}
 	eng, err := core.New(core.Config{
-		Graph:           app.Graph,
-		Platform:        simPlatform(maxInt(cfg.Nodes, cfg.MultNodes)),
-		RunComputations: true,
+		Graph:     app.Graph,
+		Platform:  simPlatform(maxInt(cfg.Nodes, cfg.MultNodes)),
+		Durations: core.Executing(core.AnalyticSource()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,18 +119,35 @@ func TestMoreBlocksThanThreads(t *testing.T) {
 	runCorrect(t, Config{N: 32, R: 4, Nodes: 3, Threads: 3}, 11)
 }
 
+// TestConfigValidation: a bad configuration is an error naming the
+// culprit, not a panic deep in the collection, a silently ignored window
+// or a removal that grows the multiplication collection past its start
+// width.
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{N: 10, R: 3, Nodes: 1},                                                      // R doesn't divide N
-		{N: 12, R: 4, Nodes: 0},                                                      // no nodes
-		{N: 12, R: 4, Nodes: 1, ParallelMult: true, SubBlock: 3},                     // s doesn't divide r
-		{N: 12, R: 4, Nodes: 1, Removals: []Removal{{AfterIter: 9, MultThreads: 1}}}, // removal too late
-		{N: 12, R: 4, Nodes: 1, Removals: []Removal{{AfterIter: 1, MultThreads: 0}}}, // zero threads
-	}
-	for i, cfg := range bad {
-		if _, err := Build(cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	for i, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{N: 10, R: 3, Nodes: 1}, "must divide matrix size"},
+		{Config{N: 12, R: 4, Nodes: 0}, "at least one node"},
+		{Config{N: 12, R: 4, Nodes: 1, ParallelMult: true, SubBlock: 3}, "PM strip width 3"},
+		{Config{N: 12, R: 4, Nodes: 1, Removals: []Removal{{AfterIter: 9, MultThreads: 1}}}, "after iteration 9"},
+		{Config{N: 12, R: 4, Nodes: 1, Removals: []Removal{{AfterIter: 1, MultThreads: 0}}}, "removal to 0 threads"},
+		{Config{N: 48, R: 6, Nodes: 2, Threads: -1}, "Threads -1"},
+		{Config{N: 48, R: 6, Nodes: 2, MultThreads: -2}, "MultThreads -2"},
+		{Config{N: 48, R: 6, Nodes: 2, MultNodes: -1}, "MultNodes -1"},
+		{Config{N: 48, R: 6, Nodes: 2, Window: -1}, "Window -1"},
+		{Config{N: 48, R: 6, Nodes: 2, ParallelMult: true, SubBlock: -3}, "SubBlock -3"},
+		{Config{N: 48, R: 6, Nodes: 2, MultThreads: 8, Removals: []Removal{{AfterIter: 1, MultThreads: 9}}}, "removal to 9 threads outside 1..8"},
+		{Config{N: 48, R: 6, Nodes: 2, Removals: []Removal{{AfterIter: 1, MultThreads: 9}}}, "removal to 9 threads outside 1..8"}, // default N/R
+		{Config{N: 48, R: 6, Nodes: 2, Removals: []Removal{{AfterIter: 1, MultThreads: 4}, {AfterIter: 2, MultThreads: 9}}}, "removal to 9 threads"},
+	} {
+		if _, err := Build(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("config %d %+v: err %v, want one naming %q", i, c.cfg, err, c.want)
 		}
+	}
+	if _, err := Build(Config{N: 48, R: 6, Nodes: 2, Removals: []Removal{{AfterIter: 1, MultThreads: 8}}}); err != nil {
+		t.Errorf("removal to the start width rejected: %v", err)
 	}
 }
 
@@ -334,17 +351,17 @@ func TestViewCloneInMarshalNonCompact(t *testing.T) {
 }
 
 func TestDirectExecutionSmall(t *testing.T) {
-	// Direct execution: kernels run and wall time is measured.
+	// Direct execution: every kernel runs (n covers every instance of a
+	// key) and its scaled wall time is charged.
 	cfg := Config{N: 24, R: 6, Nodes: 2}
 	app, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng, err := core.New(core.Config{
-		Graph:    app.Graph,
-		Platform: simPlatform(2),
-		Mode:     dps.ModeDirect,
-		CPUScale: 50,
+		Graph:     app.Graph,
+		Platform:  simPlatform(2),
+		Durations: core.Direct(1<<20, 50),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -436,9 +453,9 @@ func TestDistributedFactorsSolveSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, err := core.New(core.Config{
-		Graph:           app.Graph,
-		Platform:        simPlatform(2),
-		RunComputations: true,
+		Graph:     app.Graph,
+		Platform:  simPlatform(2),
+		Durations: core.Executing(core.AnalyticSource()),
 	})
 	if err != nil {
 		t.Fatal(err)

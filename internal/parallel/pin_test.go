@@ -22,8 +22,8 @@ var (
 )
 
 // TestRealRuntimeMatchesEngine runs one application on both DPS executors
-// — this runtime, and the simulated engine (core with RunComputations on
-// a SimPlatform) — and pins them against each other: the paper's §3 claim
+// — this runtime, and the simulated engine (core with an Executing
+// duration source on a SimPlatform) — and pins them against each other: the paper's §3 claim
 // that "the real and simulated applications may be run identically".
 //
 // Both executors post the same objects, open the same instances and send
@@ -133,9 +133,9 @@ func runReal(t *testing.T, cfg Config, start func(*Runtime)) *Runtime {
 func runSim(t *testing.T, g *dps.Graph, nodes int, start func(*core.Engine)) (*core.Engine, core.Result) {
 	t.Helper()
 	eng, err := core.New(core.Config{
-		Graph:           g,
-		Platform:        core.NewSimPlatform(nodes, netmodel.FastEthernet(), cpumodel.Defaults()),
-		RunComputations: true,
+		Graph:     g,
+		Platform:  core.NewSimPlatform(nodes, netmodel.FastEthernet(), cpumodel.Defaults()),
+		Durations: core.Executing(core.AnalyticSource()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -290,10 +290,8 @@ func (c *pctx) Node() int   { return c.th.node.id }
 func (c *pctx) Now() eventq.Time {
 	return eventq.Time(time.Since(c.th.node.rt.started).Nanoseconds())
 }
-func (c *pctx) Mode() dps.ExecMode    { return dps.ModeDirect }
-func (c *pctx) NoAlloc() bool         { return false }
-func (c *pctx) Store() dps.Store      { return c.th.store }
-func (c *pctx) RunComputations() bool { return true }
+func (c *pctx) NoAlloc() bool    { return false }
+func (c *pctx) Store() dps.Store { return c.th.store }
 
 func (c *pctx) Phase(name string) {
 	rt := c.th.node.rt

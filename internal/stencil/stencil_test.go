@@ -24,9 +24,9 @@ func runReal(t *testing.T, cfg Config, seed uint64) *App {
 		t.Fatal(err)
 	}
 	eng, err := core.New(core.Config{
-		Graph:           app.Graph,
-		Platform:        platform(cfg.Nodes),
-		RunComputations: true,
+		Graph:     app.Graph,
+		Platform:  platform(cfg.Nodes),
+		Durations: core.Executing(core.AnalyticSource()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -311,19 +311,20 @@ func maxTime(a, b eventq.Time) eventq.Time {
 	return b
 }
 
-// DurationSource returns the testbed's duration source for ModeModel runs:
-// the analytic estimate plus dispatch overhead, scaled by lognormal noise.
-// This is what the application's computations "really" cost on the virtual
-// cluster; the simulator only ever sees averaged calibration samples.
+// DurationSource returns the testbed's duration source (a
+// core.DurationSource): the analytic estimate plus dispatch overhead,
+// scaled by lognormal noise; kernels do not run. This is what the
+// application's computations "really" cost on the virtual cluster; the
+// simulator only ever sees averaged calibration samples.
 func (c *Cluster) DurationSource() interface {
-	StepWork(key string, analytic eventq.Duration, idx int) eventq.Duration
+	StepWork(key string, analytic eventq.Duration, kernel func()) eventq.Duration
 } {
 	return &noisySource{c: c}
 }
 
 type noisySource struct{ c *Cluster }
 
-func (s *noisySource) StepWork(_ string, analytic eventq.Duration, _ int) eventq.Duration {
+func (s *noisySource) StepWork(_ string, analytic eventq.Duration, _ func()) eventq.Duration {
 	d := analytic + s.c.p.DispatchOverhead
 	return eventq.Duration(float64(d) * s.c.noise.Draw(s.c.rnd))
 }

@@ -133,7 +133,7 @@ func TestComputeNoiseThroughDurationSource(t *testing.T) {
 	base := 10 * eventq.Millisecond
 	var min, max eventq.Duration
 	for i := 0; i < 200; i++ {
-		d := src.StepWork("k", base, i)
+		d := src.StepWork("k", base, nil)
 		if i == 0 || d < min {
 			min = d
 		}
@@ -496,7 +496,7 @@ func TestOneArrivalPerMessageMatchesReference(t *testing.T) {
 		src := c.DurationSource()
 		gotDone, gotTold, _, _ := playTestbed(tbPlay{
 			q: c.q, ports: c.ports, send: c.Send, submit: c.Submit,
-			stepWork: func(d eventq.Duration) eventq.Duration { return src.StepWork("", d, 0) },
+			stepWork: func(d eventq.Duration) eventq.Duration { return src.StepWork("", d, nil) },
 		}, p.MTU, script)
 
 		if messages == 0 || segments == messages {
