@@ -136,6 +136,22 @@ func (s *bufferAllState) Finish(ctx dps.Ctx) {
 	}
 }
 
+func TestDirectMemoNilKernelFallsBack(t *testing.T) {
+	g := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
+		ctx.Compute("modeled", 7*eventq.Millisecond, nil) // no kernel
+		ctx.Post(in)
+	})
+	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Durations: Direct(3, 1)})
+	eng.Inject(g.Ops()[0], 0, &intObj{})
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Elapsed < eventq.Time(7*eventq.Millisecond) {
+		t.Fatalf("Direct with nil kernel charged %v, want >= 7ms analytic", res.Elapsed)
+	}
+}
+
 func TestTableSourceFallback(t *testing.T) {
 	src := TableSource{Table: map[string]eventq.Duration{"known": eventq.Second}}
 	if src.StepWork("known", eventq.Millisecond, nil) != eventq.Second {

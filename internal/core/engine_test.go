@@ -582,6 +582,59 @@ func TestKernelRunsPerSource(t *testing.T) {
 	}
 }
 
+func TestModelModeRunsComputationsWhenAsked(t *testing.T) {
+	run := func(src DurationSource) int {
+		executed := 0
+		g := microGraph(func(ctx dps.Ctx, in dps.DataObject) {
+			ctx.Compute("k", eventq.Millisecond, func() { executed++ })
+			ctx.Post(in)
+		})
+		eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Durations: src})
+		eng.Inject(g.Ops()[0], 0, &intObj{})
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return executed
+	}
+	if n := run(Executing(AnalyticSource())); n != 1 {
+		t.Fatalf("kernel executed %d times under Executing, want 1", n)
+	}
+	if n := run(nil); n != 0 {
+		t.Fatalf("kernel executed %d times under the analytic default, want 0", n)
+	}
+}
+
+func TestDirectMemoMeasuresFirstN(t *testing.T) {
+	executions := 0
+	master := dps.NewCollection("m", 1, 1)
+	g := dps.NewGraph("memo")
+	split := g.Split("s", master, func(ctx dps.Ctx, in dps.DataObject) {
+		for i := 0; i < 10; i++ {
+			ctx.Post(&intObj{v: i})
+		}
+	})
+	leaf := g.Leaf("l", master, func(ctx dps.Ctx, in dps.DataObject) {
+		spin := spinKernel(100_000)
+		ctx.Compute("kernel", eventq.Millisecond, func() { executions++; spin() })
+		ctx.Post(in)
+	})
+	merge := g.Merge("mg", master, func(dps.DataObject) dps.MergeState { return &countingState{} })
+	g.Connect(split, leaf, dps.RoundRobin)
+	g.Connect(leaf, merge, nil)
+	g.PairOps(split, merge, nil)
+	eng, _ := New(Config{Graph: g, Platform: testPlatform(1), Durations: Direct(3, 1), RecordDurations: true})
+	eng.Inject(split, 0, &intObj{})
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if executions != 3 {
+		t.Fatalf("Direct(3) executed kernel %d times, want 3", executions)
+	}
+	if eng.DurationTable()["kernel"] <= 0 {
+		t.Fatal("Direct(3) recorded no duration table")
+	}
+}
+
 // microGraph: single split posting one object to a one-thread leaf + merge.
 func microGraph(leafFn dps.LeafFunc) *dps.Graph {
 	master := dps.NewCollection("m", 1, 1)
