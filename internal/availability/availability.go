@@ -30,11 +30,9 @@
 package availability
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"dpsim/internal/rng"
 	"dpsim/internal/trace"
@@ -58,8 +56,10 @@ type Change struct {
 const DefaultHorizonS = 86400
 
 // maxChanges guards against runaway parameterizations (sub-second MTTF on
-// a large cluster over a long horizon) producing timelines that dwarf the
-// workload they perturb.
+// a large cluster over a long horizon, or a maintenance period of
+// milliseconds) producing timelines that dwarf the workload they perturb:
+// a process generating more raw events than this before its horizon
+// fails with the error of Spec.budget.
 const maxChanges = 1 << 20
 
 // Spec declares one availability process. It is the JSON schema embedded
@@ -207,7 +207,9 @@ func (s *Spec) Validate() error {
 }
 
 // transition is an un-normalized raw event before folding: either a delta
-// on the running node count or an absolute capacity step.
+// on the running node count or an absolute capacity step. Every process
+// emits its transitions ordered by at, ties in the order a stable sort of
+// the process's draw order would leave them.
 type transition struct {
 	at     float64
 	delta  int
@@ -235,7 +237,7 @@ func (s Spec) Generate(nodes int, src *rng.Source) ([]Change, error) {
 	case "", "none":
 		return nil, nil
 	case "maintenance":
-		raw = spec.maintenance()
+		raw, err = spec.maintenance()
 	case "failures":
 		raw, err = spec.perNode(nodes, src, false)
 	case "churn":
@@ -251,37 +253,67 @@ func (s Spec) Generate(nodes int, src *rng.Source) ([]Change, error) {
 	return fold(raw, nodes, spec.MinCapacity), nil
 }
 
-func (s Spec) maintenance() []transition {
-	var out []transition
-	for t := s.StartS; t < s.HorizonS && len(out) < maxChanges; t += s.PeriodS {
+// budget fails a process that has generated n raw events once n passes
+// maxChanges.
+func (s Spec) budget(n int) error {
+	if n > maxChanges {
+		return fmt.Errorf("availability: %s process exceeds %d events before horizon %gs", s.Process, maxChanges, s.HorizonS)
+	}
+	return nil
+}
+
+// expected sizes a raw timeline for about n events, the process's mean
+// count over the horizon, so a typical run never regrows it; a runaway
+// spec is capped at the budget.
+func expected(n float64) int {
+	switch {
+	case !(n > 0): // NaN parameters, or nothing before the horizon
+		return 16
+	case n >= maxChanges:
+		return maxChanges
+	}
+	return int(n*1.1) + 16
+}
+
+func (s Spec) maintenance() ([]transition, error) {
+	out := make([]transition, 0, expected(2*(s.HorizonS-s.StartS)/s.PeriodS))
+	for t := s.StartS; t < s.HorizonS; t += s.PeriodS {
 		out = append(out, transition{at: t, delta: -s.NodesDown, notice: s.NoticeS})
 		// A window straddling the horizon never restores: like every
 		// other process, nothing is emitted at or past HorizonS.
 		if t+s.DurationS < s.HorizonS {
 			out = append(out, transition{at: t + s.DurationS, delta: s.NodesDown})
 		}
+		if err := s.budget(len(out)); err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
 // perNode generates an alternating up/down renewal process per node and
 // merges the transitions. Failures start every node up and draw TTF from
 // the configured law; churn starts nodes in their stationary state and is
 // purely exponential. Each node forks its own stream so a node's timeline
-// is independent of the cluster size ordering.
+// is independent of the cluster size ordering. Each node's run is ordered,
+// so a k-way merge keyed (at, node) orders the whole timeline.
 func (s Spec) perNode(nodes int, src *rng.Source, churn bool) ([]transition, error) {
 	upMean, downMean := s.MTTFS, s.MTTRS
 	if churn {
 		upMean, downMean = s.MeanOnS, s.MeanOffS
 	}
-	var out []transition
+	// runs holds the nodes' runs back to back; node i's is
+	// runs[ends[i-1]:ends[i]]. A node cycles up and down once per
+	// upMean+downMean on average.
+	runs := make([]transition, 0, expected(float64(nodes)*2*s.HorizonS/(upMean+downMean)))
+	ends := make([]int, nodes)
 	for i := 0; i < nodes; i++ {
 		r := src.Fork()
 		up := true
 		if churn {
 			up = r.Float64() < upMean/(upMean+downMean)
 			if !up {
-				out = append(out, transition{at: 0, delta: -1})
+				runs = append(runs, transition{at: 0, delta: -1})
 			}
 		}
 		t := 0.0
@@ -304,35 +336,134 @@ func (s Spec) perNode(nodes int, src *rng.Source, churn bool) ([]transition, err
 			if up {
 				d = -1
 			}
-			out = append(out, transition{at: t, delta: d, notice: 0})
+			runs = append(runs, transition{at: t, delta: d, notice: 0})
 			up = !up
-			if len(out) > maxChanges {
-				return nil, fmt.Errorf("availability: %s process exceeds %d events before horizon %gs", s.Process, maxChanges, s.HorizonS)
+			if err := s.budget(len(runs)); err != nil {
+				return nil, err
 			}
 		}
+		ends[i] = len(runs)
 	}
-	return out, nil
+	return mergeRuns(runs, ends), nil
+}
+
+// mergeRuns merges the back-to-back ordered runs of runs (run i ends at
+// ends[i]) into one slice ordered by (at, run, position in run), the
+// order a stable sort by at leaves them in. heads is a binary min-heap
+// of the runs not yet exhausted; next[i] is run i's next position.
+func mergeRuns(runs []transition, ends []int) []transition {
+	scratch := make([]int, 2*len(ends))
+	next, heads := scratch[:len(ends)], scratch[len(ends):len(ends)]
+	for i, end := range ends {
+		if i > 0 {
+			next[i] = ends[i-1]
+		}
+		if next[i] < end {
+			heads = append(heads, i)
+		}
+	}
+	less := func(a, b int) bool {
+		ta, tb := runs[next[a]].at, runs[next[b]].at
+		return ta < tb || ta == tb && a < b
+	}
+	for k := len(heads)/2 - 1; k >= 0; k-- {
+		siftDown(heads, k, less)
+	}
+	out := make([]transition, 0, len(runs))
+	for len(heads) > 0 {
+		i := heads[0]
+		out = append(out, runs[next[i]])
+		if next[i]++; next[i] == ends[i] {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(heads, 0, less)
+	}
+	return out
+}
+
+// siftDown moves h[k] down to restore the binary min-heap order of h
+// under less.
+func siftDown[T any](h []T, k int, less func(a, b T) bool) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && less(h[c+1], h[c]) {
+			c++
+		}
+		if !less(h[c], h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
+}
+
+// siftUp moves h[k] up to restore the binary min-heap order of h under
+// less.
+func siftUp[T any](h []T, k int, less func(a, b T) bool) {
+	for k > 0 {
+		p := (k - 1) / 2
+		if !less(h[k], h[p]) {
+			return
+		}
+		h[k], h[p] = h[p], h[k]
+		k = p
+	}
 }
 
 func (s Spec) spot(src *rng.Source) ([]transition, error) {
-	r := src.Fork()
-	var out []transition
+	return s.spotTimeline(src.Fork().Exp)
+}
+
+// spotTimeline draws reclaims in time order from exp, each followed by
+// the draw of its restore. Pending restores wait in a min-heap by instant
+// and are emitted once no earlier reclaim can follow; a restore drawn
+// before a reclaim at the same instant is emitted first, as it was drawn
+// first. Restores at one instant are identical transitions, so their
+// order among themselves needs no tie rule.
+func (s Spec) spotTimeline(exp func(mean float64) float64) ([]transition, error) {
+	n := s.HorizonS / s.ReclaimMeanS
+	if s.RestoreMeanS > 0 {
+		n *= 2
+	}
+	out := make([]transition, 0, expected(n))
+	// pending is a min-heap of the instants of restores not yet emitted.
+	pending := make([]float64, 0, 16)
+	earlier := func(a, b float64) bool { return a < b }
+	emitRestore := func() {
+		out = append(out, transition{at: pending[0], delta: s.ReclaimNodes})
+		last := len(pending) - 1
+		pending[0] = pending[last]
+		pending = pending[:last]
+		siftDown(pending, 0, earlier)
+	}
 	t := 0.0
 	for {
-		t += r.Exp(s.ReclaimMeanS)
+		t += exp(s.ReclaimMeanS)
 		if t >= s.HorizonS {
-			return out, nil
+			break
+		}
+		for len(pending) > 0 && pending[0] <= t {
+			emitRestore()
 		}
 		out = append(out, transition{at: t, delta: -s.ReclaimNodes, notice: s.NoticeS})
 		if s.RestoreMeanS > 0 {
-			if back := t + r.Exp(s.RestoreMeanS); back < s.HorizonS {
-				out = append(out, transition{at: back, delta: s.ReclaimNodes})
+			if back := t + exp(s.RestoreMeanS); back < s.HorizonS {
+				pending = append(pending, back)
+				siftUp(pending, len(pending)-1, earlier)
 			}
 		}
-		if len(out) > maxChanges {
-			return nil, fmt.Errorf("availability: spot process exceeds %d events before horizon %gs", maxChanges, s.HorizonS)
+		if err := s.budget(len(out) + len(pending)); err != nil {
+			return nil, err
 		}
 	}
+	for len(pending) > 0 {
+		emitRestore()
+	}
+	return out, nil
 }
 
 func (s Spec) traceReplay() ([]transition, error) {
@@ -356,14 +487,14 @@ func (s Spec) traceReplay() ([]transition, error) {
 	return out, nil
 }
 
-// fold sorts raw transitions, accumulates them into an absolute capacity
-// level, clamps to [minCap, nodes], coalesces same-instant events, and
-// drops steps that do not change the clamped capacity.
+// fold accumulates raw transitions, already ordered by at, into an
+// absolute capacity level, clamps to [minCap, nodes], coalesces
+// same-instant events, and drops steps that do not change the clamped
+// capacity.
 func fold(raw []transition, nodes, minCap int) []Change {
 	if minCap > nodes {
 		minCap = nodes
 	}
-	slices.SortStableFunc(raw, func(a, b transition) int { return cmp.Compare(a.at, b.at) })
 	clamp := func(v int) int {
 		if v < minCap {
 			return minCap

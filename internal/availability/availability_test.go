@@ -256,10 +256,3 @@ func TestLabels(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

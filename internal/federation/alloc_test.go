@@ -11,7 +11,7 @@ import (
 // steadyMembers builds a warmed-up federation mid-flight: every member
 // carries a closed workload whose steady state is long and uneventful
 // (the cluster-package steadySim recipe), so each federated step is a
-// pure member phase-completion plus the orchestrator's argmin scan.
+// pure member phase-completion plus the orchestrator's winner-tree pick.
 func steadyMembers(tb testing.TB, clusters int, admission, router string) *Sim {
 	tb.Helper()
 	members := make([]Member, clusters)
@@ -59,7 +59,7 @@ func steadyMembers(tb testing.TB, clusters int, admission, router string) *Sim {
 
 // TestFederationStepZeroAllocSteadyState extends the zero-allocation
 // contract through the federated tier: once warmed up, a federated step
-// — argmin scan plus the member's own steady-state event — must not
+// — tree pick plus the member's own steady-state event — must not
 // allocate, for every admission×routing pair (the policies are idle
 // during stepping, but the pin runs per pair so a stateful policy that
 // leaks into the step path is caught).
@@ -107,12 +107,13 @@ func TestOfferZeroAllocSteadyState(t *testing.T) {
 }
 
 // BenchmarkFederationStep measures the orchestrator's stepping overhead:
-// one op is one federated steady-state event — the argmin scan over N
-// members plus the chosen member's own event. Comparing against
+// one op is one federated steady-state event — the chosen member's own
+// event plus one leaf-to-root replay of the winner tree over N members,
+// so ns/op grows with log N, not N. Comparing against
 // BenchmarkSchedulerInvoke isolates the federation tax; allocs/op must
-// report 0.
+// report 0 at every size.
 func BenchmarkFederationStep(b *testing.B) {
-	for _, clusters := range []int{2, 4, 8} {
+	for _, clusters := range []int{2, 4, 8, 32, 512} {
 		clusters := clusters
 		b.Run(fmt.Sprintf("clusters=%d", clusters), func(b *testing.B) {
 			fed := steadyMembers(b, clusters, "always", "round-robin")

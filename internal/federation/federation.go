@@ -33,19 +33,23 @@ type Member struct {
 //
 // Once the federation has started (its first PeekNextEventTime or
 // ProcessNextEvent) the members are driven only through it: it caches
-// each member's next-event instant and refreshes the entry of the one
-// member a step or an injection touched, so stepping or injecting into a
-// member's Sim directly would leave the cache stale.
+// each member's next-event instant in a winner tree and refreshes the
+// one leaf-to-root path of the member a step or an injection touched, so
+// stepping or injecting into a member's Sim directly would leave the
+// cache stale.
 type Sim struct {
 	members []Member
 	admit   Admission
 	route   Router
 
-	// next[i] is member i's next pending event instant, valid where
-	// pending[i]; both are filled by the first scan. The per-event scan
-	// reads these flat slices instead of calling into every member.
-	next    []eventq.Time
-	pending []bool
+	// tree is the winner tree over the members, built when the
+	// federation starts. Leaf tree[width+i] caches member i's next-event
+	// instant (width is a power of two; the padding leaves never have an
+	// event), and tree[k] for k in [1, width) holds the earliest
+	// (instant, member index) key of its two children, so tree[1] names
+	// the member to step. A step or an injection replays one leaf-to-root
+	// path instead of scanning every member.
+	tree []node
 
 	// views is the scratch slice rebuilt for each routing decision so
 	// the steady-state Offer path allocates nothing.
@@ -94,31 +98,68 @@ func (f *Sim) PeekNextEventTime() (eventq.Time, bool) {
 	return bestT, best >= 0
 }
 
-// earliest scans the cached next-event instants for the member holding
-// the globally earliest pending event (lowest member index on ties), -1
-// when no member has one.
+// node is one entry of the winner tree: a member and its next-event
+// instant, valid where pending.
+type node struct {
+	at      eventq.Time
+	pending bool
+	member  int32
+}
+
+// earliest reads the member holding the globally earliest pending event
+// (lowest member index on ties) off the winner tree's root, -1 when no
+// member has one.
 func (f *Sim) earliest() (int, eventq.Time) {
-	if f.next == nil {
-		f.next = make([]eventq.Time, len(f.members))
-		f.pending = make([]bool, len(f.members))
-		for i := range f.members {
-			f.refresh(i)
+	if f.tree == nil {
+		f.start()
+	}
+	if root := f.tree[1]; root.pending {
+		return int(root.member), root.at
+	}
+	return -1, 0
+}
+
+// start reads every member's next-event instant and builds the winner
+// tree bottom-up.
+func (f *Sim) start() {
+	width := 1
+	for width < len(f.members) {
+		width *= 2
+	}
+	f.tree = make([]node, 2*width)
+	for i := range width {
+		leaf := &f.tree[width+i]
+		leaf.member = int32(i)
+		if i < len(f.members) {
+			leaf.at, leaf.pending = f.members[i].Sim.PeekNextEventTime()
 		}
 	}
-	best := -1
-	var bestT eventq.Time
-	for i, t := range f.next {
-		if f.pending[i] && (best < 0 || t < bestT) {
-			best, bestT = i, t
-		}
+	for k := width - 1; k >= 1; k-- {
+		f.play(k)
 	}
-	return best, bestT
+}
+
+// play replays the match at internal node k. The left child holds the
+// lower member indices, so it wins ties and wins whenever the right
+// child has nothing pending.
+func (f *Sim) play(k int) {
+	l, r := f.tree[2*k], f.tree[2*k+1]
+	if r.pending && (!l.pending || r.at < l.at) {
+		l = r
+	}
+	f.tree[k] = l
 }
 
 // refresh re-reads member i's next-event instant after the federation
-// stepped it or injected into it.
+// stepped it or injected into it, and replays the matches on its path
+// to the root.
 func (f *Sim) refresh(i int) {
-	f.next[i], f.pending[i] = f.members[i].Sim.PeekNextEventTime()
+	k := len(f.tree)/2 + i
+	leaf := &f.tree[k]
+	leaf.at, leaf.pending = f.members[i].Sim.PeekNextEventTime()
+	for k /= 2; k >= 1; k /= 2 {
+		f.play(k)
+	}
 }
 
 // ProcessNextEvent advances the member holding the globally earliest
@@ -205,7 +246,7 @@ func (f *Sim) InjectInto(idx int, j *cluster.Job) error {
 	if err := f.members[idx].Sim.Inject(j); err != nil {
 		return err
 	}
-	if f.next != nil {
+	if f.tree != nil {
 		f.refresh(idx)
 	}
 	f.routed[idx]++

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"math"
 
 	"dpsim/internal/availability"
 	"dpsim/internal/cluster"
@@ -53,9 +54,10 @@ type CheckConfig struct {
 //     every member;
 //  4. the shared clock never regresses — Now() is monotone, every
 //     member's own event sequence is non-decreasing, and each step
-//     advances the member holding the globally earliest pending event
-//     (injections may legally replay a quiet member's suspended
-//     capacity timeline behind the frontier; the clock stays put); and
+//     advances the member holding the globally earliest pending event,
+//     the lowest-indexed one when several hold it (injections may
+//     legally replay a quiet member's suspended capacity timeline behind
+//     the frontier; the clock stays put); and
 //  5. identical seeds produce bit-identical results, per-member and
 //     federation-wide.
 //
@@ -141,12 +143,15 @@ func randomFederation(seed uint64, maxClusters, maxNodes, maxJobs int) ([]member
 	for i := range fleet {
 		nodes := 2 + src.Intn(maxNodes-1)
 		mc := memberCase{nodes: nodes, scheduler: schedNames[src.Intn(len(schedNames))]}
+		// Instants on a 10 s grid and whole-second notices, so members'
+		// capacity events tie and the tie rule of invariant 4 is
+		// exercised.
 		ct := 0.0
 		for j, n := 0, src.Intn(5); j < n; j++ {
-			ct += src.Exp(40)
+			ct += 10 * math.Ceil(src.Exp(40)/10)
 			c := availability.Change{At: ct, Capacity: src.Intn(nodes + 1)}
 			if src.Float64() < 0.4 {
-				c.NoticeS = src.Uniform(1, 15)
+				c.NoticeS = math.Ceil(src.Uniform(1, 15))
 			}
 			mc.changes = append(mc.changes, c)
 		}
@@ -250,16 +255,27 @@ func runCase(fleet []memberCase, jobs []*cluster.Job, admit Admission, route Rou
 		if !evOK {
 			break
 		}
+		// The first member holding the earliest event, read off the
+		// members themselves rather than the federation's cache.
+		first, firstT := -1, eventq.Time(0)
+		for i := range members {
+			if t, ok := members[i].Sim.PeekNextEventTime(); ok && (first < 0 || t < firstT) {
+				first, firstT = i, t
+			}
+		}
 		before := fed.Now()
 		idx, stepT, ok := fed.step()
 		if !ok {
 			return "", fmt.Errorf("step reported no events after a successful peek at %v", et)
 		}
 		// Invariant 4: each step takes the globally earliest pending
-		// event, member event sequences are non-decreasing, and the
-		// shared clock is monotone.
-		if stepT != et {
-			return "", fmt.Errorf("step processed t=%v, but the global minimum was %v", stepT, et)
+		// event, from the lowest-indexed member holding it, member event
+		// sequences are non-decreasing, and the shared clock is monotone.
+		if stepT != et || stepT != firstT {
+			return "", fmt.Errorf("step processed t=%v, but the global minimum was %v (peeked %v)", stepT, firstT, et)
+		}
+		if idx != first {
+			return "", fmt.Errorf("step advanced member %d at t=%v, but member %d holds that instant", idx, stepT, first)
 		}
 		if stepT < lastPerMember[idx] {
 			return "", fmt.Errorf("member %d event time regressed: %v after %v", idx, stepT, lastPerMember[idx])

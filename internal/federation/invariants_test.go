@@ -80,7 +80,7 @@ func TestCheckInvariantsBitesRouter(t *testing.T) {
 
 // FuzzCheckInvariants drives the event loop rather than a parser: each
 // input picks a scheduler, an admission policy and a router from their
-// registries (modulo each name list) plus a fleet of one to four members,
+// registries (modulo each name list) plus a fleet of one to twelve members,
 // then runs one randomized round of CheckInvariants with every member on
 // that scheduler. Any broken invariant or panic fails the input.
 func FuzzCheckInvariants(f *testing.F) {
@@ -94,7 +94,7 @@ func FuzzCheckInvariants(f *testing.F) {
 				SchedulerFactory: func() (sched.Scheduler, error) { return sched.New(name, nil) },
 				Seed:             seed,
 				Rounds:           1,
-				MaxClusters:      1 + int(clusters%4),
+				MaxClusters:      1 + int(clusters%12),
 			})
 		if err != nil {
 			t.Fatal(err)
