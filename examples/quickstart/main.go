@@ -23,9 +23,9 @@ type workItem struct {
 	payload int // bytes
 }
 
-func (w *workItem) MarshalDPS(enc serial.Writer) {
-	enc.I64(int64(w.id))
-	enc.Skip(w.payload)
+func (w *workItem) Wire(s serial.Stream) {
+	w.id = int(s.I64(int64(w.id)))
+	s.Skip(w.payload)
 }
 
 // sumState aggregates the results of one split–merge instance.

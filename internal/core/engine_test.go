@@ -18,9 +18,9 @@ type intObj struct {
 	blob int // extra payload bytes, for transfer-time tests
 }
 
-func (o *intObj) MarshalDPS(w serial.Writer) {
-	w.I64(int64(o.v))
-	w.Skip(o.blob)
+func (o *intObj) Wire(s serial.Stream) {
+	o.v = int(s.I64(int64(o.v)))
+	s.Skip(o.blob)
 }
 
 // --- helpers ---

@@ -31,11 +31,12 @@ import (
 )
 
 // DataObject is the unit of information moving along flow-graph edges.
-// Objects describe their wire representation through MarshalDPS, which the
-// runtime uses both for real transport and for size counting (the paper's
-// modified serializer that avoids memory copies).
+// Its one method, Wire, states the object's wire layout on a
+// serial.Stream: the simulated platforms count it (the paper's modified
+// serializer that avoids memory copies), and the real runtime encodes it
+// and decodes it on the receiving node.
 type DataObject interface {
-	serial.Marshaler
+	serial.Object
 }
 
 // SizeOf returns the wire size of a data object in bytes.

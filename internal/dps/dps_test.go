@@ -10,7 +10,7 @@ import (
 
 type obj struct{ n int }
 
-func (o *obj) MarshalDPS(w serial.Writer) { w.I64(int64(o.n)) }
+func (o *obj) Wire(s serial.Stream) { o.n = int(s.I64(int64(o.n))) }
 
 type nullState struct{}
 

@@ -1,17 +1,20 @@
 package lu
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"dpsim/internal/linalg"
 	"dpsim/internal/rng"
 	"dpsim/internal/serial"
+	"dpsim/internal/stencil"
 	"dpsim/internal/transport"
 )
 
 // roundTrip encodes obj through the codec and decodes it back.
-func roundTrip(t *testing.T, c *transport.Codec, obj transport.Decodable) transport.Decodable {
+func roundTrip(t *testing.T, c *transport.Codec, obj serial.Object) serial.Object {
 	t.Helper()
 	body, err := c.Encode(obj)
 	if err != nil {
@@ -24,9 +27,11 @@ func roundTrip(t *testing.T, c *transport.Codec, obj transport.Decodable) transp
 	return out
 }
 
+// luCodec carries the LU and the stencil objects.
 func luCodec() *transport.Codec {
 	c := transport.NewCodec()
 	RegisterCodec(c)
+	stencil.RegisterCodec(c)
 	return c
 }
 
@@ -59,7 +64,7 @@ func TestAllObjectsRoundTripProperty(t *testing.T) {
 		iter, block := int(iterRaw%16), int(blockRaw%16)
 		r := int(rRaw%6)*2 + 2 // even, 2..12
 		s := r / 2
-		objs := []transport.Decodable{
+		objs := []serial.Object{
 			&Seed{},
 			&TrsmReq{Iter: iter, Block: block, R: r, L11: randMat(r, r, src), Piv: src.Perm(r)},
 			&TrsmDone{Iter: iter, Block: block, R: r, T12: randMat(r, r, src)},
@@ -81,10 +86,10 @@ func TestAllObjectsRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			// Wire size must be identical when re-encoding the decoded
-			// object (a canonical-form check).
+			// Re-encoding the decoded object must give the same bytes
+			// (a canonical-form check).
 			again, err := c.Encode(out)
-			if err != nil || len(again) != len(body) {
+			if err != nil || !bytes.Equal(again, body) {
 				return false
 			}
 		}
@@ -106,8 +111,6 @@ func TestDecodeCorruptFails(t *testing.T) {
 		t.Fatal("truncated MultReq accepted")
 	}
 	// Wrong tag for the payload shape.
-	r := serial.NewReader(body)
-	_ = r
 	bad := append([]byte(nil), body...)
 	bad[0] = 6 // FlipDone tag with MultReq payload: header tag mismatch
 	if _, err := c.Decode(bad); err == nil {
@@ -134,11 +137,59 @@ func TestMatrixPayloadShapeMismatch(t *testing.T) {
 	b.U32(0)
 	b.U32(0)
 	b.U32(0)
-	b.U32(5)                   // rows=5
-	b.U32(5)                   // cols=5
-	b.F64s([]float64{1, 2}, 0) // but only 2 values
+	b.U32(5) // rows=5
+	b.U32(5) // cols=5
+	b.U64(2) // but only 2 values
+	b.F64s([]float64{1, 2}, 2)
 	c := luCodec()
 	if _, err := c.Decode(b.BytesOut()); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
+}
+
+// TestHugePivotCountBoundedAllocation decodes 21-byte FlipReq frames that
+// declare far more pivots than they hold: each must fail before the pivot
+// vector is allocated.
+func TestHugePivotCountBoundedAllocation(t *testing.T) {
+	c := luCodec()
+	for _, n := range []uint32{50_000_000, 1<<32 - 1} {
+		b := serial.NewBuffer(21)
+		b.U32(8) // FlipReq codec tag
+		b.U8(6)  // wire tag
+		b.U32(0)
+		b.U32(0)
+		b.U32(0)
+		b.U32(n) // pivot count, with no pivots following
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.Decode(b.BytesOut())
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("FlipReq with %d pivots in 21 bytes accepted", n)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Fatalf("decoding %d pivots allocated %d bytes", n, grew)
+		}
+	}
+}
+
+// FuzzCodecDecode feeds arbitrary frames to the LU and stencil codecs. A
+// frame decodes to an object or an error, never a panic, and an object
+// re-encodes to exactly the frame it came from. The seed corpus holds one
+// valid frame per object type.
+func FuzzCodecDecode(f *testing.F) {
+	c := luCodec()
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		obj, err := c.Decode(frame)
+		if err != nil {
+			return
+		}
+		again, err := c.Encode(obj)
+		if err != nil {
+			t.Fatalf("decoded %T does not encode: %v", obj, err)
+		}
+		if !bytes.Equal(again, frame) {
+			t.Fatalf("decoded %T re-encodes to\n%x\nnot\n%x", obj, again, frame)
+		}
+	})
 }

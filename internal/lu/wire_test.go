@@ -1,6 +1,7 @@
 package lu
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -60,19 +61,24 @@ func wireCases() []wireCase {
 // wireBytes encodes obj with the real serializer.
 func wireBytes(obj dps.DataObject) []byte {
 	b := serial.NewBuffer(0)
-	obj.MarshalDPS(b)
+	obj.Wire(b)
 	return b.BytesOut()
 }
 
 // TestWireGolden pins every object's encoded bytes (by SHA-256) and its
 // counted size: NOALLOC sizes drive simulated transfer times, and the real
-// runtime's peers must agree on the bytes.
+// runtime's peers must agree on the bytes. Every object, NOALLOC ones
+// too, also decodes back to the same bytes.
 func TestWireGolden(t *testing.T) {
 	var got strings.Builder
+	codec := luCodec()
 	for _, c := range wireCases() {
 		p := wireBytes(c.obj)
 		if size := serial.SizeOf(c.obj); size != int64(len(p)) {
 			t.Errorf("%s: counted %d bytes, encoded %d", c.name, size, len(p))
+		}
+		if back := wireBytes(roundTrip(t, codec, c.obj)); !bytes.Equal(back, p) {
+			t.Errorf("%s: decoded object encodes to %x, not %x", c.name, back, p)
 		}
 		fmt.Fprintf(&got, "%s %d %x\n", c.name, len(p), sha256.Sum256(p))
 	}

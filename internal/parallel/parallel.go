@@ -427,12 +427,12 @@ func (n *nodeState) handleMessage(msg transport.Message) {
 	r := serial.NewReader(msg.Body)
 	switch msg.Kind {
 	case kindData:
-		opID := int(r.U32())
-		dst := int(r.U32())
-		seq := int(r.U32())
-		frames := make([]wireFrame, r.U8())
+		opID := int(r.U32(0))
+		dst := int(r.U32(0))
+		seq := int(r.U32(0))
+		frames := make([]wireFrame, r.U8(0))
 		for i := range frames {
-			frames[i] = wireFrame{pairID: r.U32(), instID: r.U64(), srcNode: r.U32(), sinkThread: r.U32()}
+			frames[i] = wireFrame{pairID: r.U32(0), instID: r.U64(0), srcNode: r.U32(0), sinkThread: r.U32(0)}
 		}
 		payload := r.Bytes()
 		if r.Err() != nil {
@@ -450,17 +450,17 @@ func (n *nodeState) handleMessage(msg transport.Message) {
 		}
 		rt.route(item{kind: kindData, op: rt.graph.Ops()[opID], obj: obj, frames: frames, seq: seq}, dst)
 	case kindClosure:
-		pair := rt.pair(r.U32())
-		instID := r.U64()
-		total := int(r.U32())
-		dst := int(r.U32())
+		pair := rt.pair(r.U32(0))
+		instID := r.U64(0)
+		total := int(r.U32(0))
+		dst := int(r.U32(0))
 		if pair == nil || r.Err() != nil {
 			rt.drop(errors.New("parallel: corrupt closure frame"))
 			return
 		}
 		rt.route(item{kind: kindClosure, op: pair.Sink(), pair: pair, instID: instID, total: total}, dst)
 	case kindAck:
-		instID := r.U64()
+		instID := r.U64(0)
 		if r.Err() != nil {
 			rt.drop(errors.New("parallel: corrupt ack frame"))
 			return

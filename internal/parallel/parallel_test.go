@@ -17,12 +17,11 @@ import (
 
 type num struct{ V int64 }
 
-func (n *num) MarshalDPS(w serial.Writer)          { w.I64(n.V) }
-func (n *num) UnmarshalDPS(r *serial.Reader) error { n.V = r.I64(); return r.Err() }
+func (n *num) Wire(s serial.Stream) { n.V = s.I64(n.V) }
 
 func testCodec() *transport.Codec {
 	c := transport.NewCodec()
-	c.Register(100, func() transport.Decodable { return &num{} })
+	c.Register(100, func() serial.Object { return &num{} })
 	return c
 }
 

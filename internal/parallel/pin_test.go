@@ -83,21 +83,22 @@ func TestRealRuntimeMatchesEngine(t *testing.T) {
 			sameBits(t, "LU factors", live.Assemble(rt.Store).A, sim.Assemble(eng.Store).A)
 		})
 	}
-	// Stencil objects have no decoder, so the real runtime runs them on
-	// one node; the counts pinned here do not depend on placement. Only
-	// the counts are pinned. The stencil pulls its halo rows, and nothing
-	// in its flow graph stops a band from updating before a neighbour has
-	// fetched the band's row for the same iteration. A concurrent
-	// executor occasionally lets it (about 1 run in 3,000, 20 in 3,000
-	// under -race), and the grid is then wrong. The residuals also sum
-	// band contributions in arrival order, so they agree only to rounding.
+	// Only the counts are pinned for stencil, on as many nodes as the
+	// simulated run. The stencil pulls its halo rows, and nothing in its
+	// flow graph stops a band from updating before a neighbour has fetched
+	// the band's row for the same iteration. A concurrent executor
+	// occasionally lets it (about 1 run in 3,000, 20 in 3,000 under
+	// -race), and the grid is then wrong. The residuals also sum band
+	// contributions in arrival order, so they agree only to rounding.
 	t.Run("stencil", func(t *testing.T) {
 		cfg := stencil.Config{N: 24, Bands: 4, Nodes: 2, Iterations: 5}
 		live, err := stencil.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := runReal(t, Config{Graph: live.Graph, Nodes: 1}, func(rt *Runtime) {
+		codec := transport.NewCodec()
+		stencil.RegisterCodec(codec)
+		rt := runReal(t, Config{Graph: live.Graph, Nodes: cfg.Nodes, Codec: codec}, func(rt *Runtime) {
 			live.Prepare(rt.Store, 3)
 			rt.Inject(live.Entry, 0, &stencil.IterSeed{})
 		})

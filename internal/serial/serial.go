@@ -1,7 +1,8 @@
 // Package serial implements the DPS data-object serialization layer.
 //
-// DPS data objects cross node boundaries as length-prefixed binary
-// records. The same Marshal method drives three back ends:
+// DPS data objects cross node boundaries as binary records. Each object
+// states its wire layout once, in its Wire method, against a Stream, and
+// that one method drives three back ends:
 //
 //   - Buffer: a real encoder used by the TCP transport of the parallel
 //     runtime (internal/parallel).
@@ -10,10 +11,16 @@
 //     performing no memory copies or allocations. This is what makes the
 //     NOALLOC simulation mode possible: the simulated network layer only
 //     needs sizes, never bytes.
+//   - Reader: the decoder that rebuilds an object on the receiving node.
 //
-// Layout is little-endian, fixed width for numeric types, and
-// u64-length-prefixed for variable-size values. There is no reflection;
-// objects describe themselves through the Marshaler interface.
+// Every Stream method takes a field's value and returns one: the encoders
+// return what they were given, the Reader what it read. An object assigns
+// each returned value back to its own field, so writing, counting and
+// reading cannot drift apart.
+//
+// Layout is little-endian and fixed width for numeric types; a slice is
+// preceded by whatever count field its object states for it. There is no
+// reflection.
 package serial
 
 import (
@@ -24,51 +31,47 @@ import (
 	"sync"
 )
 
-// Marshaler is implemented by every data object that can cross a node
-// boundary. Marshal must write the object's full wire representation to w;
-// the same method serves real encoding and size counting.
-type Marshaler interface {
-	MarshalDPS(w Writer)
+// Object is implemented by every data object that can cross a node
+// boundary. Wire states the object's full wire layout on s, passing each
+// field to s and assigning the returned value back to it. Decoding starts
+// from the object's zero value.
+type Object interface {
+	Wire(s Stream)
 }
 
-// Unmarshaler is implemented by data objects that the real (TCP) transport
-// must reconstruct on the receiving side. Purely simulated runs never call
-// it.
-type Unmarshaler interface {
-	UnmarshalDPS(r *Reader) error
-}
-
-// Writer is the encoding surface shared by Buffer and Counter.
-type Writer interface {
-	U8(v uint8)
-	U32(v uint32)
-	U64(v uint64)
-	I64(v int64)
-	F64(v float64)
-	Bool(v bool)
-	String(s string)
-	Bytes(b []byte)
-	// F64s encodes a []float64. If data is nil but logicalLen > 0 the
-	// encoder writes logicalLen zeros (Buffer) or just counts them
-	// (Counter); this is how NOALLOC data objects declare payload size
-	// without owning a backing array.
-	F64s(data []float64, logicalLen int)
-	// Skip accounts for n raw bytes of opaque payload (zeros on a real
-	// encoder).
+// Stream is the surface shared by Buffer, Counter and Reader.
+type Stream interface {
+	U8(v uint8) uint8
+	U32(v uint32) uint32
+	U64(v uint64) uint64
+	I64(v int64) int64
+	F64(v float64) float64
+	// F64s states n float64s, without a length prefix: the first n of v,
+	// padded with zeros (all zeros when v is nil). This is how NOALLOC
+	// data objects declare payload size without owning a backing array.
+	// The Reader returns the n values it reads in a new slice.
+	F64s(v []float64, n int) []float64
+	// Ints states n ints as int64s, like F64s.
+	Ints(v []int, n int) []int
+	// Skip states n raw bytes of opaque payload (zeros on a real encoder).
 	Skip(n int)
+	// Failf records a validation failure, such as a wrong tag or shape, in
+	// a Reader. The encoders ignore it: an object's checks of the values it
+	// reads back hold whenever it is the one being written.
+	Failf(format string, args ...any)
 }
 
 // counterPool avoids one heap allocation per SizeOf call: the Counter
-// escapes through the Writer interface, so a stack instance would be
+// escapes through the Stream interface, so a stack instance would be
 // heap-allocated every time.
 var counterPool = sync.Pool{New: func() any { return new(Counter) }}
 
-// SizeOf returns the wire size of m in bytes without allocating or
-// copying: it runs Marshal against a Counter.
-func SizeOf(m Marshaler) int64 {
+// SizeOf returns the wire size of o in bytes without allocating or
+// copying: it runs Wire against a Counter.
+func SizeOf(o Object) int64 {
 	c := counterPool.Get().(*Counter)
 	c.Reset()
-	m.MarshalDPS(c)
+	o.Wire(c)
 	n := c.Size()
 	counterPool.Put(c)
 	return n
@@ -85,17 +88,14 @@ func (c *Counter) Size() int64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-func (c *Counter) U8(uint8)        { c.n++ }
-func (c *Counter) U32(uint32)      { c.n += 4 }
-func (c *Counter) U64(uint64)      { c.n += 8 }
-func (c *Counter) I64(int64)       { c.n += 8 }
-func (c *Counter) F64(float64)     { c.n += 8 }
-func (c *Counter) Bool(bool)       { c.n++ }
-func (c *Counter) String(s string) { c.n += 8 + int64(len(s)) }
-func (c *Counter) Bytes(b []byte)  { c.n += 8 + int64(len(b)) }
-func (c *Counter) F64s(data []float64, logicalLen int) {
-	c.n += 8 + 8*int64(effLen(data, logicalLen))
-}
+func (c *Counter) U8(v uint8) uint8                  { c.n++; return v }
+func (c *Counter) U32(v uint32) uint32               { c.n += 4; return v }
+func (c *Counter) U64(v uint64) uint64               { c.n += 8; return v }
+func (c *Counter) I64(v int64) int64                 { c.n += 8; return v }
+func (c *Counter) F64(v float64) float64             { c.n += 8; return v }
+func (c *Counter) F64s(v []float64, n int) []float64 { c.Skip(8 * n); return v }
+func (c *Counter) Ints(v []int, n int) []int         { c.Skip(8 * n); return v }
+func (c *Counter) Failf(string, ...any)              {}
 func (c *Counter) Skip(n int) {
 	if n > 0 {
 		c.n += int64(n)
@@ -113,7 +113,7 @@ func NewBuffer(capacity int) *Buffer {
 	return &Buffer{buf: make([]byte, 0, capacity)}
 }
 
-// Bytes returns the encoded bytes. The slice aliases the buffer.
+// BytesOut returns the encoded bytes. The slice aliases the buffer.
 func (b *Buffer) BytesOut() []byte { return b.buf }
 
 // Len returns the number of encoded bytes.
@@ -122,53 +122,39 @@ func (b *Buffer) Len() int { return len(b.buf) }
 // Reset truncates the buffer, retaining capacity.
 func (b *Buffer) Reset() { b.buf = b.buf[:0] }
 
-func (b *Buffer) U8(v uint8)   { b.buf = append(b.buf, v) }
-func (b *Buffer) U32(v uint32) { b.buf = binary.LittleEndian.AppendUint32(b.buf, v) }
-func (b *Buffer) U64(v uint64) { b.buf = binary.LittleEndian.AppendUint64(b.buf, v) }
-func (b *Buffer) I64(v int64)  { b.U64(uint64(v)) }
-func (b *Buffer) F64(v float64) {
-	b.U64(math.Float64bits(v))
+func (b *Buffer) U8(v uint8) uint8 { b.buf = append(b.buf, v); return v }
+func (b *Buffer) U32(v uint32) uint32 {
+	b.buf = binary.LittleEndian.AppendUint32(b.buf, v)
+	return v
 }
-func (b *Buffer) Bool(v bool) {
-	if v {
-		b.U8(1)
-	} else {
-		b.U8(0)
+func (b *Buffer) U64(v uint64) uint64 {
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, v)
+	return v
+}
+func (b *Buffer) I64(v int64) int64                 { b.U64(uint64(v)); return v }
+func (b *Buffer) F64(v float64) float64             { b.U64(math.Float64bits(v)); return v }
+func (b *Buffer) F64s(v []float64, n int) []float64 { return putWords(b, v, n, math.Float64bits) }
+func (b *Buffer) Ints(v []int, n int) []int {
+	return putWords(b, v, n, func(x int) uint64 { return uint64(x) })
+}
+func (b *Buffer) Skip(n int)           { b.buf = append(b.buf, make([]byte, max(n, 0))...) }
+func (b *Buffer) Failf(string, ...any) {}
+
+// putWords writes the first n of v as 8-byte words, padded with zeros.
+func putWords[T any](b *Buffer, v []T, n int, bits func(T) uint64) []T {
+	m := min(max(n, 0), len(v))
+	for _, x := range v[:m] {
+		b.U64(bits(x))
 	}
+	b.Skip(8 * (n - m))
+	return v
 }
-func (b *Buffer) String(s string) {
-	b.U64(uint64(len(s)))
-	b.buf = append(b.buf, s...)
-}
+
+// Bytes writes p with a u64 length prefix (the parallel runtime's frame
+// envelope; no data object states raw bytes).
 func (b *Buffer) Bytes(p []byte) {
 	b.U64(uint64(len(p)))
 	b.buf = append(b.buf, p...)
-}
-func (b *Buffer) F64s(data []float64, logicalLen int) {
-	n := effLen(data, logicalLen)
-	b.U64(uint64(n))
-	for i := 0; i < n; i++ {
-		if i < len(data) {
-			b.F64(data[i])
-		} else {
-			b.F64(0)
-		}
-	}
-}
-func (b *Buffer) Skip(n int) {
-	for i := 0; i < n; i++ {
-		b.buf = append(b.buf, 0)
-	}
-}
-
-func effLen(data []float64, logicalLen int) int {
-	if data != nil {
-		return len(data)
-	}
-	if logicalLen > 0 {
-		return logicalLen
-	}
-	return 0
 }
 
 // --- Reader ---
@@ -178,7 +164,8 @@ var ErrShortBuffer = errors.New("serial: short buffer")
 
 // Reader decodes values written by Buffer. Decoding errors are sticky:
 // after the first failure every subsequent read returns zero values and
-// Err reports the failure.
+// Err reports the failure. Every length is checked against the bytes
+// remaining before anything is allocated.
 type Reader struct {
 	buf []byte
 	off int
@@ -194,91 +181,64 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-func (r *Reader) take(n int) []byte {
+// Failf records a validation failure unless an earlier error stands.
+func (r *Reader) Failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+// take consumes size·n bytes.
+func (r *Reader) take(n, size int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrShortBuffer, n, r.off, len(r.buf))
+	if n < 0 || n > r.Remaining()/size {
+		r.err = fmt.Errorf("%w: need %d×%d bytes at offset %d of %d", ErrShortBuffer, n, size, r.off, len(r.buf))
 		return nil
 	}
-	p := r.buf[r.off : r.off+n]
-	r.off += n
+	p := r.buf[r.off : r.off+n*size]
+	r.off += n * size
 	return p
 }
 
-func (r *Reader) U8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
+// fixed reads one n-byte value, or zeros after an error.
+func (r *Reader) fixed(n int) []byte {
+	if p := r.take(1, n); p != nil {
+		return p
 	}
-	return p[0]
+	return make([]byte, n)
 }
 
-func (r *Reader) U32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
+func (r *Reader) U8(uint8) uint8                    { return r.fixed(1)[0] }
+func (r *Reader) U32(uint32) uint32                 { return binary.LittleEndian.Uint32(r.fixed(4)) }
+func (r *Reader) U64(uint64) uint64                 { return binary.LittleEndian.Uint64(r.fixed(8)) }
+func (r *Reader) I64(int64) int64                   { return int64(r.U64(0)) }
+func (r *Reader) F64(float64) float64               { return math.Float64frombits(r.U64(0)) }
+func (r *Reader) F64s(_ []float64, n int) []float64 { return words(r, n, math.Float64frombits) }
+func (r *Reader) Ints(_ []int, n int) []int {
+	return words(r, n, func(u uint64) int { return int(int64(u)) })
 }
 
-func (r *Reader) U64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-func (r *Reader) String() string {
-	n := r.U64()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.Remaining()) {
-		r.err = fmt.Errorf("%w: string length %d exceeds remaining %d", ErrShortBuffer, n, r.Remaining())
-		return ""
-	}
-	return string(r.take(int(n)))
-}
-
-func (r *Reader) Bytes() []byte {
-	n := r.U64()
+// words reads n 8-byte words into a new slice, allocating it only after
+// n is checked against the bytes remaining.
+func words[T any](r *Reader, n int, from func(uint64) T) []T {
+	p := r.take(n, 8)
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(r.Remaining()) {
-		r.err = fmt.Errorf("%w: bytes length %d exceeds remaining %d", ErrShortBuffer, n, r.Remaining())
-		return nil
-	}
-	p := r.take(int(n))
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
-}
-
-func (r *Reader) F64s() []float64 {
-	n := r.U64()
-	if r.err != nil {
-		return nil
-	}
-	if n*8 > uint64(r.Remaining()) {
-		r.err = fmt.Errorf("%w: f64 slice length %d exceeds remaining %d bytes", ErrShortBuffer, n, r.Remaining())
-		return nil
-	}
-	out := make([]float64, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = r.F64()
+		out[i] = from(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
 
 // Skip discards n bytes.
-func (r *Reader) Skip(n int) { r.take(n) }
+func (r *Reader) Skip(n int) { r.take(n, 1) }
+
+// Bytes reads a u64-length-prefixed byte slice written by Buffer.Bytes
+// into a copy.
+func (r *Reader) Bytes() []byte {
+	return append([]byte(nil), r.take(int(r.U64(0)), 1)...)
+}

@@ -31,6 +31,7 @@ import (
 	"dpsim/internal/eventq"
 	"dpsim/internal/rng"
 	"dpsim/internal/serial"
+	"dpsim/internal/transport"
 )
 
 // Config sizes the solver.
@@ -66,20 +67,20 @@ func (c *Config) fill() error {
 
 // --- data objects ---
 
+// u32 states a non-negative int field as a u32.
+func u32(s serial.Stream, v int) int { return int(s.U32(uint32(v))) }
+
 // IterSeed starts iteration t.
 type IterSeed struct{ Iter int }
 
-// MarshalDPS implements dps.DataObject.
-func (o *IterSeed) MarshalDPS(w serial.Writer) { w.U32(uint32(o.Iter)) }
+// Wire implements dps.DataObject.
+func (o *IterSeed) Wire(s serial.Stream) { o.Iter = u32(s, o.Iter) }
 
 // BandIter triggers band j's halo requests for iteration t.
 type BandIter struct{ Iter, Band int }
 
-// MarshalDPS implements dps.DataObject.
-func (o *BandIter) MarshalDPS(w serial.Writer) {
-	w.U32(uint32(o.Iter))
-	w.U32(uint32(o.Band))
-}
+// Wire implements dps.DataObject.
+func (o *BandIter) Wire(s serial.Stream) { o.Iter, o.Band = u32(s, o.Iter), u32(s, o.Band) }
 
 // HaloRequest asks neighbor band From±1 for the row facing band For.
 type HaloRequest struct {
@@ -88,11 +89,9 @@ type HaloRequest struct {
 	From int // band that owns the row
 }
 
-// MarshalDPS implements dps.DataObject.
-func (o *HaloRequest) MarshalDPS(w serial.Writer) {
-	w.U32(uint32(o.Iter))
-	w.U32(uint32(o.For))
-	w.U32(uint32(o.From))
+// Wire implements dps.DataObject.
+func (o *HaloRequest) Wire(s serial.Stream) {
+	o.Iter, o.For, o.From = u32(s, o.Iter), u32(s, o.For), u32(s, o.From)
 }
 
 // HaloRow carries one boundary row to the requesting band.
@@ -104,12 +103,11 @@ type HaloRow struct {
 	Row  []float64 // nil in NOALLOC
 }
 
-// MarshalDPS implements dps.DataObject.
-func (o *HaloRow) MarshalDPS(w serial.Writer) {
-	w.U32(uint32(o.Iter))
-	w.U32(uint32(o.For))
-	w.U32(uint32(o.From))
-	w.F64s(o.Row, o.N)
+// Wire implements dps.DataObject.
+func (o *HaloRow) Wire(s serial.Stream) {
+	o.Iter, o.For, o.From = u32(s, o.Iter), u32(s, o.For), u32(s, o.From)
+	o.N = int(s.U64(uint64(o.N)))
+	o.Row = s.F64s(o.Row, o.N)
 }
 
 // BandResidual reports one band's squared-residual contribution.
@@ -119,11 +117,21 @@ type BandResidual struct {
 	Sum  float64
 }
 
-// MarshalDPS implements dps.DataObject.
-func (o *BandResidual) MarshalDPS(w serial.Writer) {
-	w.U32(uint32(o.Iter))
-	w.U32(uint32(o.Band))
-	w.F64(o.Sum)
+// Wire implements dps.DataObject.
+func (o *BandResidual) Wire(s serial.Stream) {
+	o.Iter, o.Band = u32(s, o.Iter), u32(s, o.Band)
+	o.Sum = s.F64(o.Sum)
+}
+
+// RegisterCodec registers every stencil data object with a transport
+// codec so the solver can run on the real TCP runtime. Its tags follow
+// the LU application's, so one codec can carry both.
+func RegisterCodec(c *transport.Codec) {
+	c.Register(11, func() serial.Object { return &IterSeed{} })
+	c.Register(12, func() serial.Object { return &BandIter{} })
+	c.Register(13, func() serial.Object { return &HaloRequest{} })
+	c.Register(14, func() serial.Object { return &HaloRow{} })
+	c.Register(15, func() serial.Object { return &BandResidual{} })
 }
 
 // --- application ---

@@ -526,7 +526,7 @@ func TestOneArrivalPerMessageMatchesReference(t *testing.T) {
 
 type payload struct{ blob int }
 
-func (p *payload) MarshalDPS(w serial.Writer) { w.Skip(p.blob) }
+func (p *payload) Wire(s serial.Stream) { s.Skip(p.blob) }
 
 type devNull struct{}
 

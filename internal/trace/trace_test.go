@@ -68,7 +68,7 @@ func TestGanttEmpty(t *testing.T) {
 
 type blob struct{ n int }
 
-func (b *blob) MarshalDPS(w serial.Writer) { w.Skip(b.n) }
+func (b *blob) Wire(s serial.Stream) { s.Skip(b.n) }
 
 type null struct{}
 

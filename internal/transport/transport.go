@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -195,24 +196,18 @@ func (t *TCP) Close() error {
 // reconstruct typed objects (the real DPS serialization layer).
 type Codec struct {
 	mu        sync.RWMutex
-	factories map[uint16]func() Decodable
+	factories map[uint16]func() serial.Object
 	types     map[reflect.Type]uint16
-}
-
-// Decodable is a data object that can be reconstructed from its wire form.
-type Decodable interface {
-	serial.Marshaler
-	UnmarshalDPS(r *serial.Reader) error
 }
 
 // NewCodec returns an empty codec.
 func NewCodec() *Codec {
-	return &Codec{factories: make(map[uint16]func() Decodable), types: make(map[reflect.Type]uint16)}
+	return &Codec{factories: make(map[uint16]func() serial.Object), types: make(map[reflect.Type]uint16)}
 }
 
 // Register binds a tag to a factory. Tags must be unique; the factory's
 // concrete type is remembered so Encode can frame objects automatically.
-func (c *Codec) Register(tag uint16, factory func() Decodable) {
+func (c *Codec) Register(tag uint16, factory func() serial.Object) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.factories[tag]; dup {
@@ -222,8 +217,8 @@ func (c *Codec) Register(tag uint16, factory func() Decodable) {
 	c.types[reflect.TypeOf(factory())] = tag
 }
 
-// Encode frames obj with its registered tag.
-func (c *Codec) Encode(obj serial.Marshaler) ([]byte, error) {
+// Encode frames obj with its registered tag: a u32 tag, then the object.
+func (c *Codec) Encode(obj serial.Object) ([]byte, error) {
 	c.mu.RLock()
 	tag, ok := c.types[reflect.TypeOf(obj)]
 	c.mu.RUnlock()
@@ -232,23 +227,34 @@ func (c *Codec) Encode(obj serial.Marshaler) ([]byte, error) {
 	}
 	b := serial.NewBuffer(64)
 	b.U32(uint32(tag))
-	obj.MarshalDPS(b)
+	obj.Wire(b)
 	return b.BytesOut(), nil
 }
 
-// Decode reconstructs a registered object.
-func (c *Codec) Decode(body []byte) (Decodable, error) {
+// Decode reconstructs a registered object from a frame that holds exactly
+// one object.
+func (c *Codec) Decode(body []byte) (serial.Object, error) {
 	r := serial.NewReader(body)
-	tag := uint16(r.U32())
+	tag := r.U32(0)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("transport: codec tag: %w", r.Err())
+	}
+	if tag > math.MaxUint16 {
+		return nil, fmt.Errorf("transport: codec tag %d exceeds 16 bits", tag)
+	}
 	c.mu.RLock()
-	factory, ok := c.factories[tag]
+	factory, ok := c.factories[uint16(tag)]
 	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown codec tag %d", tag)
 	}
 	obj := factory()
-	if err := obj.UnmarshalDPS(r); err != nil {
-		return nil, fmt.Errorf("transport: decode tag %d: %w", tag, err)
+	obj.Wire(r)
+	if r.Remaining() > 0 {
+		r.Failf("%d bytes after the object", r.Remaining())
+	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("transport: decode tag %d: %w", tag, r.Err())
 	}
 	return obj, nil
 }

@@ -11,8 +11,13 @@ import (
 
 type echo struct{ V int64 }
 
-func (e *echo) MarshalDPS(w serial.Writer)          { w.I64(e.V) }
-func (e *echo) UnmarshalDPS(r *serial.Reader) error { e.V = r.I64(); return r.Err() }
+func (e *echo) Wire(s serial.Stream) { e.V = s.I64(e.V) }
+
+func echoCodec() *Codec {
+	c := NewCodec()
+	c.Register(5, func() serial.Object { return &echo{} })
+	return c
+}
 
 func collect(n int) ([]Handler, []*[]Message, *sync.WaitGroup) {
 	var wg sync.WaitGroup
@@ -86,7 +91,7 @@ func TestTCPOrderingPerPair(t *testing.T) {
 		func(m Message) {
 			r := serial.NewReader(m.Body)
 			mu.Lock()
-			got = append(got, r.I64())
+			got = append(got, r.I64(0))
 			mu.Unlock()
 			if count.Add(1) == 100 {
 				close(done)
@@ -116,8 +121,7 @@ func TestTCPOrderingPerPair(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	c := NewCodec()
-	c.Register(5, func() Decodable { return &echo{} })
+	c := echoCodec()
 	body, err := c.Encode(&echo{V: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -150,16 +154,43 @@ func TestCodecDuplicateTagPanics(t *testing.T) {
 		}
 	}()
 	c := NewCodec()
-	c.Register(1, func() Decodable { return &echo{} })
-	c.Register(1, func() Decodable { return &echo{} })
+	c.Register(1, func() serial.Object { return &echo{} })
+	c.Register(1, func() serial.Object { return &echo{} })
 }
 
 func TestCodecCorruptPayload(t *testing.T) {
-	c := NewCodec()
-	c.Register(5, func() Decodable { return &echo{} })
+	c := echoCodec()
 	b := serial.NewBuffer(8)
 	b.U32(5) // tag but no payload
 	if _, err := c.Decode(b.BytesOut()); err == nil {
 		t.Fatal("corrupt payload accepted")
+	}
+}
+
+// TestCodecRejectsWideTag checks that a u32 tag above 16 bits is not
+// truncated onto a registered tag: 65541 = 65536 + 5.
+func TestCodecRejectsWideTag(t *testing.T) {
+	c := echoCodec()
+	b := serial.NewBuffer(12)
+	b.U32(65541)
+	b.I64(42)
+	if obj, err := c.Decode(b.BytesOut()); err == nil {
+		t.Fatalf("tag 65541 decoded as %T", obj)
+	}
+}
+
+// TestCodecRejectsTrailingBytes checks that one frame holds exactly one
+// object.
+func TestCodecRejectsTrailingBytes(t *testing.T) {
+	c := echoCodec()
+	body, err := c.Encode(&echo{V: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Decode(append(body, 0)); err == nil {
+		t.Fatal("frame with a trailing byte accepted")
+	}
+	if _, err := c.Decode(body); err != nil {
+		t.Fatal(err)
 	}
 }
