@@ -340,7 +340,7 @@ func TestTotalSerialWorkCalibration(t *testing.T) {
 }
 
 func TestViewCloneInMarshalNonCompact(t *testing.T) {
-	// matPayload must serialize non-compact views correctly.
+	// matrix must serialize non-compact views correctly.
 	m := linalg.NewMatFrom(3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	v := m.View(1, 1, 2, 2)
 	obj := &TrsmDone{R: 2, T12: v}
