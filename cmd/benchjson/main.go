@@ -18,8 +18,10 @@
 // present in the baseline, the current min allocs/op across runs must
 // not exceed the baseline's min. Allocation counts are deterministic
 // (unlike ns/op), so any increase is a real steady-state regression and
-// the command exits 1 naming the offending benchmarks. Benchmarks absent
-// from the baseline are informational only.
+// the command exits 1 naming the offending benchmarks. A baseline
+// benchmark missing from the run fails the gate the same way, so a
+// renamed benchmark or a -bench pattern typo cannot pass it unchecked.
+// Benchmarks absent from the baseline are informational only.
 //
 // -time-tolerance F additionally gates wall time: the current min ns/op
 // across runs must not exceed the baseline's min by more than the
@@ -169,62 +171,52 @@ func loadReport(path string) (*Report, error) {
 }
 
 // diffAllocs compares min allocs/op per benchmark against the baseline.
-// Only benchmarks present in the baseline gate the run; the min across
-// repeated runs absorbs one-time warmup allocations so the comparison
-// reflects steady state.
+// The min across repeated runs absorbs one-time warmup allocations so the
+// comparison reflects steady state.
 func diffAllocs(base, cur *Report) (regressions []string, checked int) {
-	current := make(map[string]Result, len(cur.Results))
-	for _, r := range cur.Results {
-		current[r.Name] = r
-	}
-	for _, b := range base.Results {
-		want, ok := b.Metrics["allocs/op"]
-		if !ok {
-			continue
+	return diff(base, cur, "allocs/op", func(got, want float64) string {
+		if got > want {
+			return fmt.Sprintf("%g allocs/op > baseline %g", got, want)
 		}
-		c, ok := current[b.Name]
-		if !ok {
-			continue
-		}
-		got, ok := c.Metrics["allocs/op"]
-		if !ok {
-			continue
-		}
-		checked++
-		if got.Min > want.Min {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %g allocs/op > baseline %g", b.Name, got.Min, want.Min))
-		}
-	}
-	return regressions, checked
+		return ""
+	})
 }
 
 // diffTime compares min ns/op per benchmark against the baseline with a
 // fractional tolerance: the min across repeated runs is each side's best
 // case, so the comparison is as noise-free as wall time gets.
 func diffTime(base, cur *Report, tol float64) (regressions []string, checked int) {
+	return diff(base, cur, "ns/op", func(got, want float64) string {
+		if limit := want * (1 + tol); got > limit {
+			return fmt.Sprintf("%g ns/op > baseline %g +%g%% = %g", got, want, 100*tol, limit)
+		}
+		return ""
+	})
+}
+
+// diff gates every baseline benchmark that carries unit: worse describes
+// a regression of the run's min against the baseline's min ("" = none).
+// A gated benchmark the run did not produce, or produced without unit, is
+// a regression too: a renamed benchmark or a -bench pattern typo must not
+// pass the gate while gating nothing.
+func diff(base, cur *Report, unit string, worse func(got, want float64) string) (regressions []string, checked int) {
 	current := make(map[string]Result, len(cur.Results))
 	for _, r := range cur.Results {
 		current[r.Name] = r
 	}
 	for _, b := range base.Results {
-		want, ok := b.Metrics["ns/op"]
+		want, ok := b.Metrics[unit]
 		if !ok {
 			continue
 		}
-		c, ok := current[b.Name]
+		got, ok := current[b.Name].Metrics[unit]
 		if !ok {
-			continue
-		}
-		got, ok := c.Metrics["ns/op"]
-		if !ok {
+			regressions = append(regressions, fmt.Sprintf("%s: no %s in this run (benchmark missing)", b.Name, unit))
 			continue
 		}
 		checked++
-		if limit := want.Min * (1 + tol); got.Min > limit {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %g ns/op > baseline %g +%g%% = %g",
-					b.Name, got.Min, want.Min, 100*tol, limit))
+		if msg := worse(got.Min, want.Min); msg != "" {
+			regressions = append(regressions, b.Name+": "+msg)
 		}
 	}
 	return regressions, checked

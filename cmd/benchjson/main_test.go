@@ -78,6 +78,30 @@ func TestBaselineIgnoresNewBenchmarks(t *testing.T) {
 	}
 }
 
+// TestBaselineMissingBenchmarkFails: a baseline benchmark the run did not
+// produce (a renamed rung, a -bench pattern typo) fails both gates, named.
+func TestBaselineMissingBenchmarkFails(t *testing.T) {
+	base := writeBaseline(t, benchText)
+	renamed := strings.ReplaceAll(benchText, "BenchmarkSchedulerInvokeProbed-8", "BenchmarkSchedulerInvokeProbedRenamed-8")
+	code, _, stderr := run(t, []string{"-baseline", base, "-time-tolerance", "1"}, renamed)
+	if code != 1 {
+		t.Fatalf("run missing a baseline benchmark should exit 1, got %d: %s", code, stderr)
+	}
+	for _, want := range []string{
+		"allocs/op regression: BenchmarkSchedulerInvokeProbed-8: no allocs/op in this run",
+		"ns/op regression: BenchmarkSchedulerInvokeProbed-8: no ns/op in this run",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr should contain %q, got: %s", want, stderr)
+		}
+	}
+	// Without -benchmem the run has no allocs/op to gate: missing too.
+	noMem := "BenchmarkClusterStep-8   	 1000000	      1100 ns/op\nBenchmarkSchedulerInvokeProbed-8   	  500000	      2100 ns/op\n"
+	if code, _, stderr := run(t, []string{"-baseline", base}, noMem); code != 1 || !strings.Contains(stderr, "BenchmarkClusterStep-8: no allocs/op") {
+		t.Errorf("run without allocs/op should fail the allocs gate, got exit %d: %s", code, stderr)
+	}
+}
+
 func TestBaselineMissingFileFails(t *testing.T) {
 	code, _, stderr := run(t, []string{"-baseline", filepath.Join(t.TempDir(), "nope.json")}, benchText)
 	if code != 1 {

@@ -24,8 +24,8 @@ func init() {
 // carries reusable queue and release scratch buffers: construct one
 // instance per simulation.
 type EasyBackfill struct {
-	waiting []int
-	rel     []release
+	queue []queued
+	rel   []release
 }
 
 // Name implements Scheduler.
@@ -48,18 +48,34 @@ func (e *EasyBackfill) Allocate(st State, out []int) {
 			e.rel = append(e.rel, release{at: st.Active[i].EstRemaining(a), nodes: a})
 		}
 	}
-	e.waiting = appendWaitingFCFS(st, e.waiting)
-	waiting := e.waiting
+	// Free nodes only fall during the pass, so a waiting job wider than
+	// free now can never be admitted, and only the FCFS-first of those
+	// can become the blocked head: queue it and the jobs that fit.
+	e.queue = e.queue[:0]
+	misfit := -1
+	for i := range st.Active {
+		if js := &st.Active[i]; js.Alloc == 0 {
+			if js.Job.MaxNodes <= free {
+				e.queue = append(e.queue, queued{i: i, width: js.Job.MaxNodes})
+			} else if misfit < 0 || cmpFCFS(js.Job, st.Active[misfit].Job) < 0 {
+				misfit = i
+			}
+		}
+	}
+	if misfit >= 0 {
+		e.queue = append(e.queue, queued{i: misfit, width: st.Active[misfit].Job.MaxNodes})
+	}
+	sortFCFS(st, e.queue)
+	waiting := e.queue
 	// Admit from the front while the head fits: plain FCFS.
 	for len(waiting) > 0 {
-		i := waiting[0]
-		want := st.Active[i].Job.MaxNodes
-		if want > free {
+		c := waiting[0]
+		if c.width > free {
 			break
 		}
-		out[i] = want
-		free -= want
-		e.rel = append(e.rel, release{at: st.Active[i].EstRemaining(want), nodes: want})
+		out[c.i] = c.width
+		free -= c.width
+		e.rel = append(e.rel, release{at: st.Active[c.i].EstRemaining(c.width), nodes: c.width})
 		waiting = waiting[1:]
 	}
 	if len(waiting) <= 1 {
@@ -70,19 +86,16 @@ func (e *EasyBackfill) Allocate(st State, out []int) {
 	// free enough nodes; extra is what remains beyond the head's request
 	// at that instant (nodes a backfilled job may hold across the
 	// shadow).
-	head := st.Active[waiting[0]]
-	shadow, extra := reservation(e.rel, free, head.Job.MaxNodes)
-	for _, i := range waiting[1:] {
-		js := st.Active[i]
-		want := js.Job.MaxNodes
-		if want > free {
+	shadow, extra := reservation(e.rel, free, waiting[0].width)
+	for _, c := range waiting[1:] {
+		if c.width > free {
 			continue
 		}
-		if est := js.EstRemaining(want); est <= shadow || want <= extra {
-			out[i] = want
-			free -= want
-			if want <= extra {
-				extra -= want
+		if est := st.Active[c.i].EstRemaining(c.width); est <= shadow || c.width <= extra {
+			out[c.i] = c.width
+			free -= c.width
+			if c.width <= extra {
+				extra -= c.width
 			}
 		}
 	}

@@ -43,7 +43,7 @@ type Moldable struct {
 	// picking the start allocation (default 0.5).
 	MinEfficiency float64
 
-	waiting []int
+	queue []queued
 }
 
 // Name implements Scheduler.
@@ -51,24 +51,34 @@ func (*Moldable) Name() string { return "moldable" }
 
 // Allocate implements Scheduler.
 func (m *Moldable) Allocate(st State, out []int) {
-	minEff := m.MinEfficiency
+	var free int
+	m.queue, free = queueMold(st, out, m.MinEfficiency, m.queue)
+	sortFCFS(st, m.queue)
+	admit(m.queue, out, free)
+}
+
+// queueMold places the running jobs and returns q refilled with the
+// waiting jobs whose moldable width fits the nodes they leave free (each
+// width computed once), and that free count. Free nodes only fall during
+// a pass, so no other waiting job can be admitted in it.
+func queueMold(st State, out []int, minEff float64, q []queued) ([]queued, int) {
 	if minEff <= 0 {
 		minEff = 0.5
 	}
-	free := st.Nodes
+	free := placeRunning(st, out)
+	q = q[:0]
+	if free < 1 { // moldWidth is at least 1
+		return q, free
+	}
 	for i := range st.Active {
-		if a := st.Active[i].Alloc; a > 0 {
-			out[i] = a
-			free -= a
+		if st.Active[i].Alloc > 0 {
+			continue
+		}
+		if w := moldWidth(st.Active[i], minEff); w <= free {
+			q = append(q, queued{i: i, width: w})
 		}
 	}
-	m.waiting = appendWaitingFCFS(st, m.waiting)
-	for _, i := range m.waiting {
-		if want := moldWidth(st.Active[i], minEff); want <= free {
-			out[i] = want
-			free -= want
-		}
-	}
+	return q, free
 }
 
 // moldWidth is the largest allocation whose first-phase efficiency stays

@@ -17,7 +17,7 @@ func init() {
 // block later, narrower jobs. The struct carries a reusable
 // admission-order scratch buffer: construct one instance per simulation.
 type Rigid struct {
-	waiting []int
+	queue []queued
 }
 
 // Name implements Scheduler.
@@ -26,8 +26,31 @@ func (*Rigid) Name() string { return "rigid-fcfs" }
 // Allocate implements Scheduler. Running jobs keep their nodes; waiting
 // jobs are admitted first-fit in FCFS order into whatever remains (a
 // running job admitted by backfilling must never be evicted by an older
-// waiter).
+// waiter). Free nodes only fall during the pass, so only the waiting
+// jobs that fit what the running jobs leave are queued and sorted.
 func (r *Rigid) Allocate(st State, out []int) {
+	free := placeRunning(st, out)
+	r.queue = r.queue[:0]
+	for i := range st.Active {
+		if js := &st.Active[i]; js.Alloc == 0 && js.Job.MaxNodes <= free {
+			r.queue = append(r.queue, queued{i: i, width: js.Job.MaxNodes})
+		}
+	}
+	sortFCFS(st, r.queue)
+	admit(r.queue, out, free)
+}
+
+// queued is a waiting job one pass may admit: its State.Active index,
+// the width it would be granted and, for sjf-moldable, its remaining
+// serial work (the sort key).
+type queued struct {
+	i, width int
+	work     float64
+}
+
+// placeRunning copies every running job's allocation into out and
+// returns the nodes left free for the waiting jobs.
+func placeRunning(st State, out []int) int {
 	free := st.Nodes
 	for i := range st.Active {
 		if a := st.Active[i].Alloc; a > 0 {
@@ -35,39 +58,37 @@ func (r *Rigid) Allocate(st State, out []int) {
 			free -= a
 		}
 	}
-	r.waiting = appendWaitingFCFS(st, r.waiting)
-	for _, i := range r.waiting {
-		if want := st.Active[i].Job.MaxNodes; want <= free {
-			out[i] = want
-			free -= want
+	return free
+}
+
+// admit grants the queued jobs their widths first-fit, in queue order.
+func admit(q []queued, out []int, free int) {
+	for _, c := range q {
+		if c.width <= free {
+			out[c.i] = c.width
+			free -= c.width
 		}
 	}
 }
 
-// appendWaitingFCFS fills buf (reusing its capacity) with the indices of
-// the jobs holding no allocation, ordered by arrival then ID — the
-// shared admission order of the FCFS-family policies. (Arrival, ID) is a
-// total order over distinct jobs, so the sort is deterministic.
-func appendWaitingFCFS(st State, buf []int) []int {
-	buf = buf[:0]
-	for i := range st.Active {
-		if st.Active[i].Alloc == 0 {
-			buf = append(buf, i)
-		}
+// sortFCFS orders q by arrival then ID — the shared admission order of
+// the FCFS-family policies.
+func sortFCFS(st State, q []queued) {
+	slices.SortFunc(q, func(a, b queued) int { return cmpFCFS(st.Active[a.i].Job, st.Active[b.i].Job) })
+}
+
+// cmpFCFS compares two jobs by arrival then ID. (Arrival, ID) is a total
+// order over distinct jobs, so sorting by it is deterministic.
+func cmpFCFS(ja, jb *Job) int {
+	switch {
+	case ja.Arrival < jb.Arrival:
+		return -1
+	case ja.Arrival > jb.Arrival:
+		return 1
+	case ja.ID < jb.ID:
+		return -1
+	case ja.ID > jb.ID:
+		return 1
 	}
-	slices.SortFunc(buf, func(a, b int) int {
-		ja, jb := st.Active[a].Job, st.Active[b].Job
-		switch {
-		case ja.Arrival < jb.Arrival:
-			return -1
-		case ja.Arrival > jb.Arrival:
-			return 1
-		case ja.ID < jb.ID:
-			return -1
-		case ja.ID > jb.ID:
-			return 1
-		}
-		return 0
-	})
-	return buf
+	return 0
 }

@@ -23,8 +23,7 @@ type SJFMoldable struct {
 	// picking the start allocation (default 0.5).
 	MinEfficiency float64
 
-	waiting []int
-	work    []float64 // remaining serial work, by Active index
+	queue []queued
 }
 
 // Name implements Scheduler.
@@ -32,48 +31,23 @@ func (*SJFMoldable) Name() string { return "sjf-moldable" }
 
 // Allocate implements Scheduler.
 func (m *SJFMoldable) Allocate(st State, out []int) {
-	minEff := m.MinEfficiency
-	if minEff <= 0 {
-		minEff = 0.5
-	}
-	free := st.Nodes
-	m.waiting = m.waiting[:0]
-	m.work = grow(m.work, len(st.Active))
-	for i := range st.Active {
-		if a := st.Active[i].Alloc; a > 0 {
-			out[i] = a
-			free -= a
-		} else {
-			m.waiting = append(m.waiting, i)
-			m.work[i] = st.Active[i].RemainingWork()
-		}
-	}
+	var free int
+	m.queue, free = queueMold(st, out, m.MinEfficiency, m.queue)
 	// Shortest remaining serial work first; ties FCFS, then by ID, so
 	// the order is total and deterministic. The keys are computed once
-	// per job above, not per comparison: a key walks the job's phases.
-	slices.SortFunc(m.waiting, func(a, b int) int {
-		ja, jb := st.Active[a], st.Active[b]
-		wa, wb := m.work[a], m.work[b]
-		switch {
-		case wa < wb:
-			return -1
-		case wa > wb:
-			return 1
-		case ja.Job.Arrival < jb.Job.Arrival:
-			return -1
-		case ja.Job.Arrival > jb.Job.Arrival:
-			return 1
-		case ja.Job.ID < jb.Job.ID:
-			return -1
-		case ja.Job.ID > jb.Job.ID:
-			return 1
-		}
-		return 0
-	})
-	for _, i := range m.waiting {
-		if want := moldWidth(st.Active[i], minEff); want <= free {
-			out[i] = want
-			free -= want
-		}
+	// per queued job here, not per comparison: a key walks the job's
+	// phases.
+	for k := range m.queue {
+		m.queue[k].work = st.Active[m.queue[k].i].RemainingWork()
 	}
+	slices.SortFunc(m.queue, func(a, b queued) int {
+		switch {
+		case a.work < b.work:
+			return -1
+		case a.work > b.work:
+			return 1
+		}
+		return cmpFCFS(st.Active[a.i].Job, st.Active[b.i].Job)
+	})
+	admit(m.queue, out, free)
 }
