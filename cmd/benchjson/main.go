@@ -21,7 +21,8 @@
 // the command exits 1 naming the offending benchmarks. A baseline
 // benchmark missing from the run fails the gate the same way, so a
 // renamed benchmark or a -bench pattern typo cannot pass it unchecked.
-// Benchmarks absent from the baseline are informational only.
+// So does a benchmark the run produced but the baseline lacks: a new rung
+// is gated from the start, by recording a new baseline that holds it.
 //
 // -time-tolerance F additionally gates wall time: the current min ns/op
 // across runs must not exceed the baseline's min by more than the
@@ -198,11 +199,22 @@ func diffTime(base, cur *Report, tol float64) (regressions []string, checked int
 // a regression of the run's min against the baseline's min ("" = none).
 // A gated benchmark the run did not produce, or produced without unit, is
 // a regression too: a renamed benchmark or a -bench pattern typo must not
-// pass the gate while gating nothing.
+// pass the gate while gating nothing. So is a benchmark the run produced
+// with unit that the baseline does not gate: it would otherwise go
+// ungated until someone noticed.
 func diff(base, cur *Report, unit string, worse func(got, want float64) string) (regressions []string, checked int) {
 	current := make(map[string]Result, len(cur.Results))
 	for _, r := range cur.Results {
 		current[r.Name] = r
+	}
+	gated := make(map[string]bool, len(base.Results))
+	for _, b := range base.Results {
+		_, gated[b.Name] = b.Metrics[unit]
+	}
+	for _, r := range cur.Results {
+		if _, ok := r.Metrics[unit]; ok && !gated[r.Name] {
+			regressions = append(regressions, fmt.Sprintf("%s: %s in this run but not in the baseline (benchmark absent from baseline)", r.Name, unit))
+		}
 	}
 	for _, b := range base.Results {
 		want, ok := b.Metrics[unit]

@@ -69,12 +69,23 @@ func TestBaselineUsesMinAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestBaselineIgnoresNewBenchmarks(t *testing.T) {
+// TestRunBenchmarkAbsentFromBaselineFails: a benchmark the run produced
+// but the baseline lacks (a new rung recorded in no baseline) fails both
+// gates, named.
+func TestRunBenchmarkAbsentFromBaselineFails(t *testing.T) {
 	base := writeBaseline(t, benchText)
 	extra := benchText + "BenchmarkBrandNew-8   	 1000	      9000 ns/op	     512 B/op	       9 allocs/op\n"
-	code, _, stderr := run(t, []string{"-baseline", base}, extra)
-	if code != 0 {
-		t.Fatalf("benchmarks absent from baseline must not gate, got exit %d: %s", code, stderr)
+	code, _, stderr := run(t, []string{"-baseline", base, "-time-tolerance", "1"}, extra)
+	if code != 1 {
+		t.Fatalf("run with a benchmark absent from the baseline should exit 1, got %d: %s", code, stderr)
+	}
+	for _, want := range []string{
+		"allocs/op regression: BenchmarkBrandNew-8: allocs/op in this run but not in the baseline",
+		"ns/op regression: BenchmarkBrandNew-8: ns/op in this run but not in the baseline",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr should contain %q, got: %s", want, stderr)
+		}
 	}
 }
 

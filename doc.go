@@ -7,7 +7,8 @@
 //   - internal/dps — the Dynamic Parallel Schedules (DPS) framework model:
 //     flow graphs of split/merge/stream/leaf operations, typed data
 //     objects, runtime routing functions, thread collections with dynamic
-//     width and placement, flow control.
+//     width and placement, flow control; and the execution rules both
+//     executors below apply (exec.go).
 //   - internal/core — the simulation engine: direct execution of the DPS
 //     runtime and application code with atomic-step accounting; one
 //     duration source per run that decides what a computation costs and

@@ -9,57 +9,43 @@ import (
 	"dpsim/internal/eventq"
 )
 
-// frame is one level of the instance stack carried by data objects: the
-// object belongs to instance inst of the split–merge pair.
-type frame struct {
-	pair *dps.Pair
-	inst *instance
-}
-
-// token is the immutable instance stack of a data object.
+// token is the immutable instance stack of a data object, innermost
+// instance last.
 type token struct {
-	frames []frame
+	frames []*instance
 }
 
-func (t token) push(f frame) token {
-	out := make([]frame, len(t.frames)+1)
+func (t token) push(inst *instance) token {
+	out := make([]*instance, len(t.frames)+1)
 	copy(out, t.frames)
-	out[len(t.frames)] = f
+	out[len(t.frames)] = inst
 	return token{frames: out}
 }
 
-func (t token) top() (frame, bool) {
+// top returns the innermost instance's frame (no pair when there is none)
+// and the instance itself.
+func (t token) top() (dps.Frame, *instance) {
 	if len(t.frames) == 0 {
-		return frame{}, false
+		return dps.Frame{}, nil
 	}
-	return t.frames[len(t.frames)-1], true
+	inst := t.frames[len(t.frames)-1]
+	return inst.Frame, inst
 }
 
-func (t token) pop() token {
-	return token{frames: t.frames[:len(t.frames)-1]}
-}
-
-// instance is one activation of a split–merge pair.
+// instance is one activation of a split–merge pair. Source and sink share
+// its dps.Instance account: the simulated platform has one memory.
 type instance struct {
-	id     uint64
-	pair   *dps.Pair
+	dps.Instance
 	parent token // instance stack of the context that opened it
-
-	sinkThread int // collection-local thread of the aggregating sink
-	posted     int
-	absorbed   int
-	closed     bool // source finished posting
-	finished   bool // Finish has been scheduled
-	state      dps.MergeState
+	state  dps.MergeState
 
 	// activation of the sink (for streams): output instances opened by
 	// the state's posts, closed when the input instance finishes.
 	act *activation
 
-	// source-side bookkeeping for flow control
+	// the source thread, where acks return and parked posts wait
 	srcColl   *dps.Collection
 	srcThread int
-	inflight  int
 	waiters   []*parkedPost
 }
 
@@ -154,7 +140,9 @@ type Engine struct {
 
 	threads map[threadKey]*thread
 
-	nextInstID uint64
+	// unfinished counts each pair's instances opened and not yet
+	// complete, by pair ID.
+	unfinished []int
 
 	// coros holds every coroutine in creation order (shutdown, deadlock
 	// diagnostics); free holds those bound to no invocation.
@@ -169,7 +157,6 @@ type Engine struct {
 
 	stats   Result
 	pending int // queued + running work items and parked posts
-	failure error
 	ran     bool
 }
 
@@ -191,21 +178,18 @@ func New(cfg Config) (*Engine, error) {
 		cfg.ControlBytes = 64
 	}
 	e := &Engine{
-		cfg:     cfg,
-		q:       cfg.Platform.Queue(),
-		plat:    cfg.Platform,
-		graph:   cfg.Graph,
-		threads: make(map[threadKey]*thread),
-		samples: make(map[string]durationSum),
+		cfg:        cfg,
+		q:          cfg.Platform.Queue(),
+		plat:       cfg.Platform,
+		graph:      cfg.Graph,
+		threads:    make(map[threadKey]*thread),
+		unfinished: make([]int, len(cfg.Graph.Pairs())),
+		samples:    make(map[string]durationSum),
 	}
 	// Record allocation history whenever any collection changes.
-	seen := make(map[*dps.Collection]bool)
+	onChange := func() { e.recordAlloc() }
 	for _, op := range cfg.Graph.Ops() {
-		c := op.Collection()
-		if !seen[c] {
-			seen[c] = true
-			c.SetOnChange(func() { e.recordAlloc() })
-		}
+		op.Collection().SetOnChange(onChange)
 	}
 	e.recordAlloc()
 	return e, nil
@@ -289,30 +273,22 @@ func (e *Engine) Store(coll *dps.Collection, idx int) dps.Store {
 // Inject queues obj for delivery to thread t of op's collection before the
 // run starts (or during it, from application event callbacks). Only split
 // and leaf operations accept injected objects. The delivery happens
-// through the event queue, inside Run's failure handling.
+// through the event queue, inside Run's failure handling, which is also
+// where a rejected injection fails the run.
 func (e *Engine) Inject(op *dps.Op, t int, obj dps.DataObject) {
-	if op.IsSink() {
-		if e.failure == nil {
-			e.failure = fmt.Errorf("core: cannot inject into %s", op)
-		}
-		return
-	}
-	env := &envelope{
-		obj:   obj,
-		size:  dps.SizeOf(obj),
-		token: token{},
-		dstOp: op,
-		dst:   t,
-	}
-	e.q.After(0, func() { e.deliver(env) })
+	env := &envelope{obj: obj, size: dps.SizeOf(obj), dstOp: op, dst: t}
+	e.q.After(0, func() {
+		e.check(op.CheckInject(t))
+		e.deliver(env)
+	})
 }
 
-// fail aborts the run with err.
-func (e *Engine) fail(err error) {
-	if e.failure == nil {
-		e.failure = err
+// check aborts the run with err, a broken DPS rule or a handler's panic,
+// unless it is nil.
+func (e *Engine) check(err error) {
+	if err != nil {
+		panic(engineFailure{fmt.Errorf("core: %w", err)})
 	}
-	panic(engineFailure{err})
 }
 
 // Run executes events until the simulation drains, returning the run
@@ -331,13 +307,13 @@ func (e *Engine) Run() (Result, error) {
 	if e.pending > 0 {
 		return e.stats, &DeadlockError{Pending: e.pendingDescriptions()}
 	}
+	if err := e.graph.CheckQuiescent(func(p *dps.Pair) int { return e.unfinished[p.ID()] }); err != nil {
+		return e.stats, fmt.Errorf("core: %w", err)
+	}
 	return e.stats, nil
 }
 
 func (e *Engine) drive() (err error) {
-	if e.failure != nil {
-		return e.failure
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			if f, ok := r.(engineFailure); ok {
@@ -400,19 +376,12 @@ func (e *Engine) threadIdle(th *thread) {
 	e.dispatch(th)
 }
 
-// deliver routes an envelope to its destination thread's queue. Threads
-// deactivated by a resize still drain objects that were routed before the
-// resize (the DPS thread manager destroys a thread only once its queue is
-// empty); newly routed objects are validated against the active width at
-// routing time.
+// deliver queues an envelope on its destination thread, which the DPS
+// rules checked was active when the object was routed or injected. A
+// thread deactivated since still drains it (the DPS thread manager
+// destroys a thread only once its queue is empty).
 func (e *Engine) deliver(env *envelope) {
-	coll := env.dstOp.Collection()
-	if env.dst < 0 || env.dst >= coll.MaxWidth() {
-		e.fail(fmt.Errorf("core: object for %s delivered to thread %d outside placement of %d threads",
-			env.dstOp, env.dst, coll.MaxWidth()))
-		return
-	}
-	e.enqueue(e.threadOf(coll, env.dst), workItem{kind: wData, env: env})
+	e.enqueue(e.threadOf(env.dstOp.Collection(), env.dst), workItem{kind: wData, env: env})
 }
 
 // send transports an envelope: local deliveries wait LocalLatency; remote

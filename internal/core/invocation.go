@@ -88,7 +88,7 @@ type invocation struct {
 
 	env  *envelope   // input (nil for finish)
 	inst *instance   // sink instance for absorb/finish
-	act  *activation // output activation (split invocations)
+	act  *activation // output activation: the split's, or the stream instance's
 
 	charged eventq.Duration // Compute charges in the current step
 	posts   int             // posts in this invocation (leaf 1:1 check)
@@ -98,19 +98,6 @@ type invocation struct {
 
 func (inv *invocation) describe() string {
 	return fmt.Sprintf("%s invocation of %s on %s[%d]", inv.kind, inv.op, inv.th.coll.Name(), inv.th.idx)
-}
-
-// activationForPosts returns the activation that owns pair instances
-// opened by this invocation's posts.
-func (inv *invocation) activationForPosts() *activation {
-	switch inv.kind {
-	case iSplit:
-		return inv.act
-	case iAbsorb, iFinish:
-		return inv.inst.act
-	default:
-		return nil
-	}
 }
 
 // stepWork computes and resets the duration of the step ending now.
@@ -137,7 +124,7 @@ func (inv *invocation) run() (finished bool) {
 			if _, ok := r.(engineFailure); ok {
 				panic(r)
 			}
-			inv.eng.fail(fmt.Errorf("core: panic in %s: %v\n%s", inv.describe(), r, debug.Stack()))
+			inv.eng.check(fmt.Errorf("panic in %s: %v\n%s", inv.describe(), r, debug.Stack()))
 		}
 	}()
 	inv.ctx.inv = inv
@@ -178,30 +165,23 @@ func (e *Engine) startInvocation(th *thread, item workItem) {
 		case dps.KindLeaf:
 			inv.kind = iLeaf
 		case dps.KindMerge, dps.KindStream:
-			fr, ok := env.token.top()
-			if !ok || fr.pair.Sink() != env.dstOp {
-				e.fail(fmt.Errorf("core: object delivered to %s carries no matching pair frame", env.dstOp))
-			}
+			// Dest checked that the object belongs to an instance of
+			// this sink.
+			_, inv.inst = env.token.top()
 			inv.kind = iAbsorb
-			inv.inst = fr.inst
 			if inv.inst.state == nil {
 				inv.inst.state = env.dstOp.NewState(env.obj)
 			}
 			if env.dstOp.Kind() == dps.KindStream && inv.inst.act == nil {
 				inv.inst.act = newActivation(inv.inst.parent)
 			}
+			inv.act = inv.inst.act
 		}
 	case wFinish:
 		inv.kind = iFinish
 		inv.inst = item.inst
-		inv.op = item.inst.pair.Sink()
-		if inv.inst.state == nil {
-			// The instance closed without receiving any object.
-			inv.inst.state = inv.op.NewState(nil)
-		}
-		if inv.op.Kind() == dps.KindStream && inv.inst.act == nil {
-			inv.inst.act = newActivation(inv.inst.parent)
-		}
+		inv.op = item.inst.Pair.Sink()
+		inv.act = inv.inst.act
 	}
 	var c *coro
 	if n := len(e.free); n > 0 {
@@ -264,14 +244,12 @@ func (e *Engine) stepDone(c *coro) {
 // It reports whether the invocation was parked by flow control.
 func (e *Engine) performPost(inv *invocation, env *envelope) bool {
 	if env.edge != nil && env.edge.Pair() != nil {
-		fr, _ := env.token.top()
-		inst := fr.inst
-		if w := fr.pair.Window(); w > 0 && inst.inflight >= w {
+		_, inst := env.token.top()
+		if !inst.Acquire() {
 			inst.waiters = append(inst.waiters, &parkedPost{env: env, inv: inv})
 			e.pending++
 			return true
 		}
-		inst.inflight++
 	}
 	e.send(inv.th.coll.Node(inv.th.idx), env)
 	return false
@@ -283,21 +261,17 @@ func (e *Engine) finishInvocation(inv *invocation) {
 	inv.co.inv = nil
 	e.free = append(e.free, inv.co)
 	switch inv.kind {
-	case iSplit:
-		e.closeActivation(inv.act, inv.th)
-	case iLeaf:
-		if inv.posts != 1 {
-			e.fail(fmt.Errorf("core: leaf %s posted %d objects; DPS leaves must post exactly one", inv.op, inv.posts))
+	case iSplit, iFinish:
+		if inv.act != nil { // a merge opens no instances
+			e.closeActivation(inv.act, inv.th)
 		}
+	case iLeaf:
+		e.check(inv.op.CheckEnd(inv.posts))
 	case iAbsorb:
 		inst := inv.inst
-		inst.absorbed++
+		e.check(inst.Absorb())
 		e.ackAbsorb(inst, inv.th.coll.Node(inv.th.idx))
 		e.checkComplete(inst)
-	case iFinish:
-		if inv.op.Kind() == dps.KindStream {
-			e.closeActivation(inv.inst.act, inv.th)
-		}
 	}
 	e.threadIdle(inv.th)
 }
@@ -305,15 +279,11 @@ func (e *Engine) finishInvocation(inv *invocation) {
 // closeActivation emits closure control messages for every pair instance
 // the activation opened: the sink learns the final posted count.
 func (e *Engine) closeActivation(act *activation, srcTh *thread) {
-	if act == nil {
-		return
-	}
 	srcNode := srcTh.coll.Node(srcTh.idx)
 	for _, inst := range act.order {
-		inst := inst
-		sinkNode := inst.pair.Sink().Collection().Node(inst.sinkThread)
+		sinkNode := inst.Pair.Sink().Collection().Node(inst.SinkThread)
 		e.control(srcNode, sinkNode, func() {
-			inst.closed = true
+			e.check(inst.Close(inst.Posted()))
 			e.checkComplete(inst)
 		})
 	}
@@ -321,17 +291,16 @@ func (e *Engine) closeActivation(act *activation, srcTh *thread) {
 
 // ackAbsorb returns a flow-control credit to the instance's source.
 func (e *Engine) ackAbsorb(inst *instance, sinkNode int) {
-	if inst.pair.Window() <= 0 {
+	if inst.Pair.Window() <= 0 {
 		return
 	}
 	srcNode := inst.srcColl.Node(inst.srcThread)
 	e.control(sinkNode, srcNode, func() {
-		inst.inflight--
-		if len(inst.waiters) > 0 && inst.inflight < inst.pair.Window() {
+		inst.Release()
+		if len(inst.waiters) > 0 && inst.Acquire() {
 			p := inst.waiters[0]
 			inst.waiters = inst.waiters[1:]
 			e.pending--
-			inst.inflight++
 			// The suspended post ships as soon as the credit arrives; the
 			// operation's continuation re-queues on its thread.
 			e.send(p.inv.th.coll.Node(p.inv.th.idx), p.env)
@@ -343,85 +312,47 @@ func (e *Engine) ackAbsorb(inst *instance, sinkNode int) {
 // checkComplete schedules the Finish invocation once an instance is closed
 // and fully absorbed.
 func (e *Engine) checkComplete(inst *instance) {
-	if inst.finished || !inst.closed || inst.absorbed != inst.posted {
+	if !inst.Complete() {
 		return
 	}
-	inst.finished = true
-	sinkTh := e.threadOf(inst.pair.Sink().Collection(), inst.sinkThread)
+	e.unfinished[inst.Pair.ID()]--
+	sinkTh := e.threadOf(inst.Pair.Sink().Collection(), inst.SinkThread)
 	e.enqueue(sinkTh, workItem{kind: wFinish, inst: inst})
-}
-
-// newInstance opens a pair instance; first is the first posted object.
-func (e *Engine) newInstance(pair *dps.Pair, parent token, first dps.DataObject, srcTh *thread) *instance {
-	e.nextInstID++
-	e.stats.Instances++
-	width := pair.Sink().Collection().Width()
-	st := pair.RouteInstance(first, width)
-	if st < 0 || st >= width {
-		e.fail(fmt.Errorf("core: %s routed instance to thread %d outside width %d", pair, st, width))
-	}
-	return &instance{
-		id:         e.nextInstID,
-		pair:       pair,
-		parent:     parent,
-		sinkThread: st,
-		srcColl:    srcTh.coll,
-		srcThread:  srcTh.idx,
-	}
 }
 
 // buildEnvelope routes a posted object. Runs on the invocation's coroutine
 // while the engine is suspended, so engine state access is exclusive.
 func (e *Engine) buildEnvelope(inv *invocation, edgeIdx int, obj dps.DataObject) *envelope {
-	if obj == nil {
-		e.fail(fmt.Errorf("core: %s posted a nil data object", inv.op))
-	}
-	if edgeIdx < 0 || edgeIdx >= inv.op.Outs() {
-		e.fail(fmt.Errorf("core: %s posted on edge %d of %d", inv.op, edgeIdx, inv.op.Outs()))
-	}
-	edge := inv.op.Out(edgeIdx)
+	edge, err := inv.op.CheckPost(edgeIdx, obj, inv.posts)
+	e.check(err)
 	inv.posts++
 	var tok token
-	var seq, dst int
+	var seq int
 	if pair := edge.Pair(); pair != nil {
-		act := inv.activationForPosts()
-		if act == nil {
-			e.fail(fmt.Errorf("core: %s invocation cannot open pair instances", inv.kind))
-		}
+		act := inv.act
 		inst := act.insts[pair]
 		if inst == nil {
-			inst = e.newInstance(pair, act.parent, obj, inv.th)
+			c, err := pair.OpenInstance(obj)
+			e.check(err)
+			e.stats.Instances++
+			e.unfinished[pair.ID()]++
+			inst = &instance{Instance: c, parent: act.parent, srcColl: inv.th.coll, srcThread: inv.th.idx}
 			act.insts[pair] = inst
 			act.order = append(act.order, inst)
 		}
-		seq = inst.posted
-		inst.posted++
-		tok = act.parent.push(frame{pair: pair, inst: inst})
-		if edge.To() == pair.Sink() {
-			dst = inst.sinkThread
-		} else {
-			dst = e.route(inv, edge, obj, seq)
-		}
+		seq = inst.Post()
+		tok = act.parent.push(inst)
 	} else {
 		switch inv.kind {
 		case iLeaf:
-			tok = inv.env.token
-			seq = inv.env.seq
+			tok, seq = inv.env.token, inv.env.seq
 		case iFinish, iAbsorb:
 			tok = inv.inst.parent
-		default:
-			tok = token{}
-		}
-		if edge.To().IsSink() {
-			fr, ok := tok.top()
-			if !ok || fr.pair.Sink() != edge.To() {
-				e.fail(fmt.Errorf("core: %s posted to %s but the object's instance frame belongs elsewhere", inv.op, edge.To()))
-			}
-			dst = fr.inst.sinkThread
-		} else {
-			dst = e.route(inv, edge, obj, seq)
 		}
 	}
+	top, _ := tok.top()
+	dst, err := edge.Dest(obj, top, inv.th.idx, seq)
+	e.check(err)
 	return &envelope{
 		obj:   obj,
 		size:  dps.SizeOf(obj),
@@ -431,18 +362,6 @@ func (e *Engine) buildEnvelope(inv *invocation, edgeIdx int, obj dps.DataObject)
 		dst:   dst,
 		seq:   seq,
 	}
-}
-
-// route evaluates an edge's routing function and validates the result
-// against the destination collection's active width.
-func (e *Engine) route(inv *invocation, edge *dps.Edge, obj dps.DataObject, seq int) int {
-	width := edge.To().Collection().Width()
-	dst := edge.Route()(dps.Routing{Obj: obj, Width: width, SrcThread: inv.th.idx, Seq: seq})
-	if dst < 0 || dst >= width {
-		e.fail(fmt.Errorf("core: edge %s→%s routed object to thread %d outside active width %d (removed thread still addressed?)",
-			edge.From(), edge.To(), dst, width))
-	}
-	return dst
 }
 
 // --- Ctx implementation ---

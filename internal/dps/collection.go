@@ -17,10 +17,9 @@ import (
 // objects. The width is atomic because the real runtime routes on many
 // goroutines while a handler resizes; placement is fixed there at start.
 type Collection struct {
-	name     string
-	width    atomic.Int32
-	maxWidth int
-	place    []int // thread index -> node
+	name  string
+	width atomic.Int32
+	place []int // thread index -> node
 
 	// history of (virtual-time, width, nodes) records appended by the
 	// engine on every change, for dynamic-efficiency accounting.
@@ -28,12 +27,12 @@ type Collection struct {
 }
 
 // NewCollection creates a collection of width threads placed round-robin
-// over nodes. maxWidth bounds later growth; it defaults to width.
+// over nodes.
 func NewCollection(name string, width, nodes int) *Collection {
 	if width <= 0 || nodes <= 0 {
 		panic(fmt.Sprintf("dps: collection %q needs positive width (%d) and nodes (%d)", name, width, nodes))
 	}
-	c := &Collection{name: name, maxWidth: width}
+	c := &Collection{name: name}
 	c.width.Store(int32(width))
 	c.place = make([]int, width)
 	for i := range c.place {
@@ -47,9 +46,6 @@ func (c *Collection) Name() string { return c.name }
 
 // Width returns the number of active threads.
 func (c *Collection) Width() int { return int(c.width.Load()) }
-
-// MaxWidth returns the largest width the collection ever had.
-func (c *Collection) MaxWidth() int { return c.maxWidth }
 
 // Node returns the node hosting thread i.
 func (c *Collection) Node(i int) int {
@@ -102,9 +98,6 @@ func (c *Collection) Resize(width int) {
 		c.place = append(c.place, c.place[len(c.place)%oldLen])
 	}
 	c.width.Store(int32(width))
-	if width > c.maxWidth {
-		c.maxWidth = width
-	}
 	c.changed()
 }
 

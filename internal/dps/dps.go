@@ -4,12 +4,13 @@
 // objects, executed by DPS threads grouped into collections that are
 // deployed — and re-deployed — onto compute nodes at runtime.
 //
-// This package holds the *model*: graph structure, operation handlers,
-// routing functions, thread collections and validation. Execution lives in
-// internal/core (simulated platforms) and internal/parallel (real
-// concurrent runtime over TCP); both directly execute the handlers and the
-// routing functions registered here, which is what the paper calls direct
-// execution of the application and DPS runtime code.
+// This package holds the *model* (graph structure, operation handlers,
+// routing functions, thread collections, validation) and, in exec.go, the
+// execution rules. Execution lives in internal/core (simulated platforms)
+// and internal/parallel (real concurrent runtime over TCP), which add only
+// timing or transport to those rules; both directly execute the handlers
+// and routing functions registered here, which is what the paper calls
+// direct execution of the application and DPS runtime code.
 //
 // # Instances and pairing
 //

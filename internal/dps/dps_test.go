@@ -66,9 +66,6 @@ func TestCollectionResizeShrink(t *testing.T) {
 	if got := len(c.Nodes()); got != 4 {
 		t.Fatalf("allocated nodes after shrink = %d", got)
 	}
-	if c.MaxWidth() != 8 {
-		t.Fatalf("MaxWidth = %d", c.MaxWidth())
-	}
 }
 
 func TestCollectionResizeGrow(t *testing.T) {
@@ -186,8 +183,8 @@ func TestPairDefaults(t *testing.T) {
 	if p.Window() != 5 {
 		t.Fatal("SetWindow failed")
 	}
-	if p.RouteInstance(&obj{}, 4) != 0 {
-		t.Fatal("default instance routing not thread 0")
+	if inst, err := p.OpenInstance(&obj{}); err != nil || inst.SinkThread != 0 {
+		t.Fatalf("default instance routing: %+v, %v; want thread 0", inst, err)
 	}
 	if p.Source().Name() != "split" || p.Sink().Name() != "merge" {
 		t.Fatal("pair endpoints wrong")

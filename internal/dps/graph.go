@@ -33,12 +33,6 @@ func (o *Op) Kind() Kind { return o.kind }
 // Collection returns the thread collection the operation executes on.
 func (o *Op) Collection() *Collection { return o.coll }
 
-// Outs returns the number of outgoing edges.
-func (o *Op) Outs() int { return len(o.outs) }
-
-// Out returns the i-th outgoing edge.
-func (o *Op) Out(i int) *Edge { return o.outs[i] }
-
 func (o *Op) String() string { return fmt.Sprintf("%s(%s)", o.name, o.kind) }
 
 // CallLeaf invokes the leaf handler (engine use).
@@ -48,8 +42,7 @@ func (o *Op) CallLeaf(ctx Ctx, in DataObject) { o.leaf(ctx, in) }
 func (o *Op) CallSplit(ctx Ctx, in DataObject) { o.split(ctx, in) }
 
 // NewState creates merge/stream per-instance state (engine use). first is
-// the object that opened the instance, or nil for an instance that closed
-// without receiving any object.
+// the object that opened the instance.
 func (o *Op) NewState(first DataObject) MergeState { return o.newState(first) }
 
 // IsSink reports whether the operation aggregates pair instances (merge or
@@ -69,15 +62,8 @@ type Edge struct {
 	pair  *Pair // set when this edge's posts open instances of a pair
 }
 
-// From returns the source operation.
-func (e *Edge) From() *Op { return e.from }
-
 // To returns the destination operation.
 func (e *Edge) To() *Op { return e.to }
-
-// Route returns the routing function (nil for edges into a pair sink,
-// where the instance's aggregation thread decides).
-func (e *Edge) Route() RouteFunc { return e.route }
 
 // Pair returns the split–merge pair whose instances are opened by posts on
 // this edge, or nil.
@@ -116,14 +102,6 @@ func (p *Pair) SetWindow(w int) {
 		panic("dps: negative flow-control window")
 	}
 	p.window = w
-}
-
-// RouteInstance evaluates the pair's instance routing.
-func (p *Pair) RouteInstance(first DataObject, width int) int {
-	if p.routeInstance == nil {
-		return 0
-	}
-	return p.routeInstance(first, width)
 }
 
 func (p *Pair) String() string {

@@ -1,13 +1,14 @@
 // Package parallel is the real (non-simulated) DPS runtime: DPS execution
 // threads are goroutines, data objects crossing nodes travel serialized
-// over real TCP sockets, and computations actually execute. It implements
-// the same flow-graph semantics as the simulation engine —
-// split/merge/stream instances, routing functions, closure and
-// acknowledgement control messages, credit-window flow control — so a DPS
-// application runs unmodified either way, which is the premise of the
-// paper's direct-execution methodology (§3: "the real and simulated
-// applications may be run identically"). TestRealRuntimeMatchesEngine pins
-// the two executors against each other.
+// over real TCP sockets, and computations actually execute. Its execution
+// rules (instances, routing, closure and acknowledgement messages, credit
+// windows) are the simulation engine's, stated once in internal/dps; this
+// package adds goroutines, locks, wire frames and deferred posts. So a DPS
+// application runs unmodified either way, the premise of the paper's
+// direct-execution methodology (§3: "the real and simulated applications
+// may be run identically"). TestRealRuntimeMatchesEngine pins the two
+// executors' results against each other, TestExecutorsFailAlike their
+// errors.
 //
 // Deployment note: all logical nodes live in one OS process, connected by
 // a loopback TCP mesh. Quiescence detection uses a shared in-flight
@@ -87,29 +88,29 @@ type item struct {
 	total  int
 }
 
-// srcInstance is the source-side record of one pair instance: its sink
-// thread, posted count, flow-control credits and the deferred posts
-// awaiting credits. The opening activation and the node's ack index share
-// it.
+// srcInstance is the source-side record of one pair instance: its
+// account's posts and flow-control credits, and the deferred posts
+// awaiting credits. The opening activation holds it and, while acks may
+// still arrive for a windowed pair, so does the node's ack index. mu
+// guards all but the posted count, which only the opening thread touches.
 type srcInstance struct {
-	pair       *dps.Pair
-	id         uint64
-	sinkThread int
+	id uint64
 
-	mu       sync.Mutex
-	posted   int
-	inflight int
-	pending  []pendingPost
+	mu sync.Mutex
+	dps.Instance
+	closed  bool // the opening activation ended
+	pending []pendingPost
 }
 
-// sinkInstance is the sink-side state of one pair instance.
+// sinkInstance is the sink-side record of one pair instance: its
+// account's absorbed objects and closure, and the merge state. A finished
+// instance keeps its account, so that an object delivered to it later is
+// named rather than opening a new instance.
 type sinkInstance struct {
-	state    dps.MergeState
-	absorbed int
-	total    int // -1 until the closure arrives
-	finished bool
-	act      *activation // stream output instances
-	parent   []wireFrame
+	dps.Instance
+	state  dps.MergeState
+	act    *activation // stream output instances
+	parent []wireFrame
 }
 
 // activation tracks the output instances opened by a source activation.
@@ -133,6 +134,9 @@ type Runtime struct {
 	nextID  atomic.Uint64
 
 	posts, transfers, controlMsgs, instances, invocations atomic.Uint64
+	// unfinished counts each pair's instances opened and not yet
+	// complete, by pair ID.
+	unfinished []atomic.Int64
 
 	// inflight counts work not yet done; Wait sleeps on idle until it
 	// reaches zero or err is set.
@@ -157,9 +161,11 @@ type Phase struct {
 }
 
 type nodeState struct {
-	rt      *Runtime
-	id      int
-	srcMu   sync.Mutex
+	rt    *Runtime
+	id    int
+	srcMu sync.Mutex
+	// srcInst indexes the windowed instances sourced here by ID, for
+	// their acks.
 	srcInst map[uint64]*srcInstance
 }
 
@@ -184,11 +190,12 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, errors.New("parallel: need at least one node")
 	}
 	rt := &Runtime{
-		graph:   cfg.Graph,
-		codec:   cfg.Codec,
-		threads: make(map[*dps.Collection][]*workerThread),
-		closed:  make(chan struct{}),
-		started: time.Now(),
+		graph:      cfg.Graph,
+		codec:      cfg.Codec,
+		threads:    make(map[*dps.Collection][]*workerThread),
+		unfinished: make([]atomic.Int64, len(cfg.Graph.Pairs())),
+		closed:     make(chan struct{}),
+		started:    time.Now(),
 	}
 	rt.idle = sync.NewCond(&rt.mu)
 	rt.nodes = make([]*nodeState, cfg.Nodes)
@@ -252,20 +259,36 @@ func (rt *Runtime) drop(err error) {
 	rt.done()
 }
 
+// broken records err, if any, as a broken DPS rule, and reports whether
+// there was one.
+func (rt *Runtime) broken(err error) bool {
+	if err != nil {
+		rt.fail(fmt.Errorf("parallel: %w", err))
+	}
+	return err != nil
+}
+
 // Inject delivers obj to thread t of op's collection (the application
 // bootstrap).
 func (rt *Runtime) Inject(op *dps.Op, t int, obj dps.DataObject) {
+	if rt.broken(op.CheckInject(t)) {
+		return
+	}
 	rt.addWork()
 	rt.route(item{kind: kindData, op: op, obj: obj}, t)
 }
 
 // Wait blocks until the application quiesces or fails and returns the
-// first error.
+// first error. Quiescence with an instance that never finished is an
+// error too.
 func (rt *Runtime) Wait() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for rt.inflight.Load() > 0 && rt.err == nil {
 		rt.idle.Wait()
+	}
+	if err := rt.graph.CheckQuiescent(func(p *dps.Pair) int { return int(rt.unfinished[p.ID()].Load()) }); err != nil && rt.err == nil {
+		rt.err = fmt.Errorf("parallel: %w", err)
 	}
 	return rt.err
 }
@@ -311,6 +334,16 @@ func (rt *Runtime) pair(id uint32) *dps.Pair {
 		return pairs[id]
 	}
 	return nil
+}
+
+// top reads the innermost of an object's wire frames, as sent and as a
+// dps.Frame (with no pair for no frame or an unknown pair ID).
+func (rt *Runtime) top(frames []wireFrame) (wireFrame, dps.Frame) {
+	if len(frames) == 0 {
+		return wireFrame{}, dps.Frame{}
+	}
+	top := frames[len(frames)-1]
+	return top, dps.Frame{Pair: rt.pair(top.pairID), SinkThread: int(top.sinkThread)}
 }
 
 // thread returns execution thread idx of op's collection.
@@ -365,9 +398,9 @@ func (rt *Runtime) sendData(srcNode int, it item, dst int) {
 }
 
 // sendClosure informs the sink of an instance's final posted count.
-func (rt *Runtime) sendClosure(srcNode int, si *srcInstance, total int) {
+func (rt *Runtime) sendClosure(srcNode int, si *srcInstance) {
 	rt.controlMsgs.Add(1)
-	rt.send(srcNode, item{kind: kindClosure, op: si.pair.Sink(), pair: si.pair, instID: si.id, total: total}, si.sinkThread)
+	rt.send(srcNode, item{kind: kindClosure, op: si.Pair.Sink(), pair: si.Pair, instID: si.id, total: si.Posted()}, si.SinkThread)
 }
 
 // sendAck returns a flow-control credit to the posting node. Acks count as
@@ -472,15 +505,34 @@ func (n *nodeState) handleMessage(msg transport.Message) {
 	}
 }
 
-// open registers a new pair instance sourced on this node, where its acks
-// will return.
-func (n *nodeState) open(pair *dps.Pair, sinkThread int) *srcInstance {
-	si := &srcInstance{pair: pair, id: n.rt.nextID.Add(1), sinkThread: sinkThread}
+// open opens a pair instance sourced on this node for its first object.
+// A windowed instance joins the node's ack index.
+func (n *nodeState) open(pair *dps.Pair, first dps.DataObject) (*srcInstance, error) {
+	c, err := pair.OpenInstance(first)
+	if err != nil {
+		return nil, err
+	}
+	si := &srcInstance{id: n.rt.nextID.Add(1), Instance: c}
 	n.rt.instances.Add(1)
-	n.srcMu.Lock()
-	n.srcInst[si.id] = si
-	n.srcMu.Unlock()
-	return si
+	n.rt.unfinished[pair.ID()].Add(1)
+	if pair.Window() > 0 {
+		n.srcMu.Lock()
+		n.srcInst[si.id] = si
+		n.srcMu.Unlock()
+	}
+	return si, nil
+}
+
+// retire drops si from the ack index once no ack can arrive for it: its
+// activation closed it, every credit came back and no post is pending. An
+// unwindowed instance, never indexed, keeps its credits. Callers hold
+// si.mu.
+func (n *nodeState) retire(si *srcInstance) {
+	if si.closed && si.InFlight() == 0 && len(si.pending) == 0 {
+		n.srcMu.Lock()
+		delete(n.srcInst, si.id)
+		n.srcMu.Unlock()
+	}
 }
 
 // handleAck returns a credit; if a deferred post was waiting, it ships now.
@@ -491,17 +543,15 @@ func (n *nodeState) handleAck(instID uint64) {
 	if si == nil {
 		return
 	}
-	var pp *pendingPost
+	var next *pendingPost
 	si.mu.Lock()
-	si.inflight--
-	if w := si.pair.Window(); len(si.pending) > 0 && (w == 0 || si.inflight < w) {
-		p := si.pending[0]
-		si.pending = si.pending[1:]
-		si.inflight++
-		pp = &p
+	si.Release()
+	if len(si.pending) > 0 && si.Acquire() {
+		next, si.pending = &si.pending[0], si.pending[1:]
 	}
+	n.retire(si)
 	si.mu.Unlock()
-	if pp != nil {
-		n.rt.sendData(n.id, pp.it, pp.dst)
+	if next != nil {
+		n.rt.sendData(n.id, next.it, next.dst)
 	}
 }

@@ -138,7 +138,7 @@ func TestLeafViolationSurfaces(t *testing.T) {
 	defer rt.Close()
 	rt.Inject(split, 0, &num{})
 	err = rt.Wait()
-	if err == nil || !strings.Contains(err.Error(), "exactly 1") {
+	if err == nil || !strings.Contains(err.Error(), "exactly one") {
 		t.Fatalf("leaf violation not surfaced: %v", err)
 	}
 }
@@ -262,6 +262,15 @@ func TestRealLUWithFlowControl(t *testing.T) {
 	}
 	if !got.Equalish(ref, 1e-9*float64(cfg.N)) {
 		t.Fatalf("windowed real LU differs by %g", got.MaxAbsDiff(ref))
+	}
+	// Every windowed instance left its node's ack index once closed and
+	// fully acknowledged.
+	for _, n := range rt.nodes {
+		n.srcMu.Lock()
+		if len(n.srcInst) != 0 {
+			t.Errorf("node %d still indexes %d source instances after the run", n.id, len(n.srcInst))
+		}
+		n.srcMu.Unlock()
 	}
 }
 

@@ -3,6 +3,8 @@ package parallel
 import (
 	"fmt"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dpsim/internal/core"
@@ -178,5 +180,126 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
 		}
+	}
+}
+
+// TestExecutorsFailAlike runs malformed applications on both executors.
+// Each must fail, and with the same error once the executor's package
+// prefix is stripped: both apply the rules stated in internal/dps.
+func TestExecutorsFailAlike(t *testing.T) {
+	forward := func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) }
+	for _, c := range []struct {
+		name   string
+		thread int // the injection's
+		build  func() (g *dps.Graph, inject *dps.Op)
+	}{
+		{"nil post", 0, func() (*dps.Graph, *dps.Op) {
+			g, s, _ := flatApp(func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(nil) }, forward, dps.RoundRobin, nil)
+			return g, s
+		}},
+		{"post on edge 5 of 1", 0, func() (*dps.Graph, *dps.Op) {
+			g, s, _ := flatApp(func(ctx dps.Ctx, in dps.DataObject) { ctx.PostTo(5, in) }, forward, dps.RoundRobin, nil)
+			return g, s
+		}},
+		{"route to thread 7 of 2", 0, func() (*dps.Graph, *dps.Op) {
+			g, s, _ := flatApp(forward, forward, func(dps.Routing) int { return 7 }, nil)
+			return g, s
+		}},
+		{"leaf posts 0", 0, func() (*dps.Graph, *dps.Op) {
+			g, s, _ := flatApp(forward, func(dps.Ctx, dps.DataObject) {}, dps.RoundRobin, nil)
+			return g, s
+		}},
+		{"leaf posts 2", 0, func() (*dps.Graph, *dps.Op) {
+			g, s, _ := flatApp(forward, func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in); ctx.Post(in) }, dps.RoundRobin, nil)
+			return g, s
+		}},
+		{"instance routed to 9 of 2", 0, func() (*dps.Graph, *dps.Op) {
+			g, s, _ := flatApp(forward, forward, dps.RoundRobin, func(dps.DataObject, int) int { return 9 })
+			return g, s
+		}},
+		{"inject into a merge", 0, func() (*dps.Graph, *dps.Op) {
+			g, _, m := flatApp(forward, forward, dps.RoundRobin, nil)
+			return g, m
+		}},
+		{"inject into thread 3 of 1", 3, func() (*dps.Graph, *dps.Op) {
+			g, s, _ := flatApp(forward, forward, dps.RoundRobin, nil)
+			return g, s
+		}},
+		{"nested merge posts 0", 0, func() (*dps.Graph, *dps.Op) { return nestedApp(0) }},
+		{"nested merge posts 2", 0, func() (*dps.Graph, *dps.Op) { return nestedApp(2) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, op := c.build()
+			eng, err := core.New(core.Config{Graph: g, Platform: core.NewSimPlatform(1, netmodel.FastEthernet(), cpumodel.Defaults())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Inject(op, c.thread, &num{})
+			_, simErr := eng.Run()
+
+			g, op = c.build()
+			rt, err := New(Config{Graph: g, Nodes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			rt.Inject(op, c.thread, &num{})
+			realErr := rt.Wait()
+
+			if simErr == nil || realErr == nil {
+				t.Fatalf("simulated error %v, real error %v: both executors must fail", simErr, realErr)
+			}
+			sim, simOK := strings.CutPrefix(simErr.Error(), "core: ")
+			real, realOK := strings.CutPrefix(realErr.Error(), "parallel: ")
+			if !simOK || !realOK || sim != real {
+				t.Errorf("executors fail differently:\nsimulated %q\nreal      %q", simErr, realErr)
+			}
+		})
+	}
+}
+
+// flatApp builds s → l → m: a split on one thread, a leaf on two threads
+// reached by route, and a merge on two threads whose instances inst
+// routes.
+func flatApp(split dps.SplitFunc, leaf dps.LeafFunc, route dps.RouteFunc, inst dps.InstanceRouteFunc) (g *dps.Graph, s, m *dps.Op) {
+	one := dps.NewCollection("one", 1, 1)
+	two := dps.NewCollection("two", 2, 1)
+	g = dps.NewGraph("flat")
+	s = g.Split("s", one, split)
+	l := g.Leaf("l", two, leaf)
+	m = g.Merge("m", two, func(dps.DataObject) dps.MergeState { return &sumMerge{total: &atomic.Int64{}} })
+	g.Connect(s, l, route)
+	g.Connect(l, m, nil)
+	g.PairOps(s, m, inst)
+	return g, s, m
+}
+
+// nestedApp builds s1 → s2 → l → m2 → m1, where s1 and m1 pair around the
+// s2–m2 pair, and m2's Finish posts posts objects to m1 instead of one.
+func nestedApp(posts int) (*dps.Graph, *dps.Op) {
+	c := dps.NewCollection("c", 1, 1)
+	g := dps.NewGraph("nested")
+	forward := func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) }
+	s1 := g.Split("s1", c, forward)
+	s2 := g.Split("s2", c, forward)
+	l := g.Leaf("l", c, forward)
+	m2 := g.Merge("m2", c, func(dps.DataObject) dps.MergeState { return reposter(posts) })
+	m1 := g.Merge("m1", c, func(dps.DataObject) dps.MergeState { return &sumMerge{total: &atomic.Int64{}} })
+	g.Connect(s1, s2, dps.RoundRobin)
+	g.Connect(s2, l, dps.RoundRobin)
+	g.Connect(l, m2, nil)
+	g.Connect(m2, m1, nil)
+	g.PairOps(s1, m1, nil)
+	g.PairOps(s2, m2, nil)
+	return g, s1
+}
+
+// reposter is a merge state whose Finish posts its count of objects.
+type reposter int
+
+func (reposter) Absorb(dps.Ctx, dps.DataObject) {}
+func (n reposter) Finish(ctx dps.Ctx) {
+	for range int(n) {
+		ctx.Post(&num{})
 	}
 }

@@ -57,9 +57,10 @@ func (th *workerThread) process(it item) {
 	}()
 	switch it.kind {
 	case kindClosure:
-		si := th.sink(it.instID)
-		si.total = it.total
-		th.checkComplete(it.pair, it.instID, si)
+		si := th.sink(it.pair, it.instID)
+		if !rt.broken(si.Close(it.total)) {
+			th.checkComplete(si)
+		}
 	case kindData:
 		rt.invocations.Add(1)
 		op := it.op
@@ -71,21 +72,22 @@ func (th *workerThread) process(it item) {
 		case dps.KindLeaf:
 			ctx := &pctx{th: th, op: op, inFrames: it.frames, seq: it.seq}
 			op.CallLeaf(ctx, it.obj)
-			if ctx.posts != 1 {
-				rt.fail(fmt.Errorf("parallel: leaf %s posted %d objects, want exactly 1", op, ctx.posts))
-			}
+			rt.broken(op.CheckEnd(ctx.posts))
 		case dps.KindMerge, dps.KindStream:
-			if len(it.frames) == 0 {
-				rt.fail(fmt.Errorf("parallel: object at %s carries no instance frame", op))
-				return
-			}
-			top := it.frames[len(it.frames)-1]
-			pair := rt.pair(top.pairID)
+			// Frames decoded off the wire are checked here; a local
+			// object's frame was checked when it was posted.
+			top, fr := rt.top(it.frames)
+			pair := fr.Pair
 			if pair == nil || pair.Sink() != op {
-				rt.fail(fmt.Errorf("parallel: object at %s carries mismatched frame", op))
+				rt.fail(fmt.Errorf("parallel: object at %s carries no matching instance frame", op))
 				return
 			}
-			si := th.sink(top.instID)
+			// The thread absorbs one object at a time, so counting it
+			// before its handler runs is counting it after.
+			si := th.sink(pair, top.instID)
+			if rt.broken(si.Absorb()) {
+				return
+			}
 			if si.state == nil {
 				si.state = op.NewState(it.obj)
 			}
@@ -93,60 +95,50 @@ func (th *workerThread) process(it item) {
 			if op.Kind() == dps.KindStream && si.act == nil {
 				si.act = newActivation(si.parent)
 			}
-			ctx := &pctx{th: th, op: op, inst: si, inFrames: it.frames, seq: it.seq}
-			si.state.Absorb(ctx, it.obj)
-			si.absorbed++
+			si.state.Absorb(&pctx{th: th, op: op, act: si.act, inst: si, inFrames: it.frames, seq: it.seq}, it.obj)
 			if pair.Window() > 0 {
 				rt.sendAck(th.node.id, top)
 			}
-			th.checkComplete(pair, top.instID, si)
+			th.checkComplete(si)
 		}
 	}
 }
 
-// sink returns (creating if needed) the sink-side instance state.
-func (th *workerThread) sink(instID uint64) *sinkInstance {
+// sink returns (creating if needed) the sink-side record of an instance.
+func (th *workerThread) sink(pair *dps.Pair, instID uint64) *sinkInstance {
 	si := th.sinks[instID]
 	if si == nil {
-		si = &sinkInstance{total: -1}
+		si = &sinkInstance{Instance: dps.Instance{Frame: dps.Frame{Pair: pair, SinkThread: th.idx}}}
 		th.sinks[instID] = si
 	}
 	return si
 }
 
 // checkComplete runs Finish once the closure arrived and every posted
-// object was absorbed.
-func (th *workerThread) checkComplete(pair *dps.Pair, instID uint64, si *sinkInstance) {
-	if si.finished || si.total < 0 || si.absorbed != si.total {
+// object was absorbed, then releases the instance's merge state.
+func (th *workerThread) checkComplete(si *sinkInstance) {
+	if !si.Complete() {
 		return
 	}
-	si.finished = true
-	th.node.rt.invocations.Add(1)
-	op := pair.Sink()
-	if si.state == nil {
-		si.state = op.NewState(nil)
-	}
-	if op.Kind() == dps.KindStream && si.act == nil {
-		si.act = newActivation(si.parent)
-	}
-	ctx := &pctx{th: th, op: op, inst: si, isFinish: true}
-	si.state.Finish(ctx)
+	rt := th.node.rt
+	rt.unfinished[si.Pair.ID()].Add(-1)
+	rt.invocations.Add(1)
+	op := si.Pair.Sink()
+	si.state.Finish(&pctx{th: th, op: op, act: si.act, inst: si})
 	if op.Kind() == dps.KindStream {
 		th.closeActivation(si.act)
 	}
-	delete(th.sinks, instID)
+	si.state, si.act, si.parent = nil, nil, nil
 }
 
 // closeActivation emits the closure messages of every opened instance.
 func (th *workerThread) closeActivation(act *activation) {
-	if act == nil {
-		return
-	}
 	for _, si := range act.order {
 		si.mu.Lock()
-		total := si.posted
+		si.closed = true
+		th.node.retire(si)
 		si.mu.Unlock()
-		th.node.rt.sendClosure(th.node.id, si, total)
+		th.node.rt.sendClosure(th.node.id, si)
 	}
 }
 
@@ -156,126 +148,67 @@ func (th *workerThread) closeActivation(act *activation) {
 type pctx struct {
 	th       *workerThread
 	op       *dps.Op
-	act      *activation   // split activations
+	act      *activation   // output activation: the split's, or the stream instance's
 	inst     *sinkInstance // absorb/finish invocations
 	inFrames []wireFrame
 	seq      int
 	posts    int
-	isFinish bool
-}
-
-func (c *pctx) activation() *activation {
-	if c.act != nil {
-		return c.act
-	}
-	if c.inst != nil {
-		return c.inst.act
-	}
-	return nil
 }
 
 func (c *pctx) Post(obj dps.DataObject) { c.PostTo(0, obj) }
 
 func (c *pctx) PostTo(edgeIdx int, obj dps.DataObject) {
 	rt := c.th.node.rt
-	if obj == nil {
-		rt.fail(fmt.Errorf("parallel: %s posted nil", c.op))
+	edge, err := c.op.CheckPost(edgeIdx, obj, c.posts)
+	if rt.broken(err) {
 		return
 	}
-	if edgeIdx < 0 || edgeIdx >= c.op.Outs() {
-		rt.fail(fmt.Errorf("parallel: %s posted on edge %d of %d", c.op, edgeIdx, c.op.Outs()))
-		return
-	}
-	edge := c.op.Out(edgeIdx)
 	c.posts++
 	srcNode := c.th.node.id
+	// A leaf forwards its input's frames; a merge or stream posts on a
+	// plain edge into its input instance's parent.
+	frames, seq := c.inFrames, c.seq
+	if c.inst != nil {
+		frames, seq = c.inst.parent, 0
+	}
+	_, top := rt.top(frames)
+	var src *srcInstance
 	if pair := edge.Pair(); pair != nil {
-		act := c.activation()
-		if act == nil {
-			rt.fail(fmt.Errorf("parallel: %s cannot open pair instances here", c.op))
-			return
-		}
-		src := act.insts[pair]
-		if src == nil {
-			width := pair.Sink().Collection().Width()
-			st := pair.RouteInstance(obj, width)
-			if st < 0 || st >= width {
-				rt.fail(fmt.Errorf("parallel: %s instance routed to %d of %d", pair, st, width))
+		act := c.act
+		if src = act.insts[pair]; src == nil {
+			if src, err = c.th.node.open(pair, obj); rt.broken(err) {
 				return
 			}
-			src = c.th.node.open(pair, st)
 			act.insts[pair] = src
 			act.order = append(act.order, src)
 		}
-		frames := append(append([]wireFrame(nil), act.parent...), wireFrame{
+		frames = append(append([]wireFrame(nil), act.parent...), wireFrame{
 			pairID:     uint32(pair.ID()),
 			instID:     src.id,
 			srcNode:    uint32(srcNode),
-			sinkThread: uint32(src.sinkThread),
+			sinkThread: uint32(src.SinkThread),
 		})
-		src.mu.Lock()
-		seq := src.posted
-		src.posted++
-		dst := src.sinkThread
-		if edge.To() != pair.Sink() {
-			var ok bool
-			if dst, ok = c.route(edge, obj, seq); !ok {
-				src.mu.Unlock()
-				return
-			}
-		}
-		it := item{kind: kindData, op: edge.To(), obj: obj, frames: frames, seq: seq}
-		if w := pair.Window(); w > 0 && src.inflight >= w {
-			// Defer the fully routed post until a credit arrives.
-			src.pending = append(src.pending, pendingPost{it: it, dst: dst})
-			src.mu.Unlock()
-			return
-		}
-		src.inflight++
-		src.mu.Unlock()
-		rt.sendData(srcNode, it, dst)
+		seq = src.Post()
+		top = src.Frame
+	}
+	dst, err := edge.Dest(obj, top, c.th.idx, seq)
+	if rt.broken(err) {
 		return
 	}
-	// Plain edge: leaf pass-through or merge-finish output.
-	frames := c.inFrames
-	seq := c.seq
-	if c.inst != nil {
-		frames = c.inst.parent
-		seq = 0
-	}
-	var dst int
-	if edge.To().IsSink() {
-		if len(frames) == 0 {
-			rt.fail(fmt.Errorf("parallel: %s forwards to %s without an instance frame", c.op, edge.To()))
-			return
+	it := item{kind: kindData, op: edge.To(), obj: obj, frames: frames, seq: seq}
+	if src != nil {
+		src.mu.Lock()
+		ok := src.Acquire()
+		if !ok {
+			// Defer the fully routed post until a credit arrives.
+			src.pending = append(src.pending, pendingPost{it: it, dst: dst})
 		}
-		top := frames[len(frames)-1]
-		if p := rt.pair(top.pairID); p == nil || p.Sink() != edge.To() {
-			rt.fail(fmt.Errorf("parallel: %s forwards to %s with mismatched frame", c.op, edge.To()))
-			return
-		}
-		dst = int(top.sinkThread)
-	} else {
-		var ok bool
-		if dst, ok = c.route(edge, obj, seq); !ok {
+		src.mu.Unlock()
+		if !ok {
 			return
 		}
 	}
-	rt.sendData(srcNode, item{kind: kindData, op: edge.To(), obj: obj, frames: frames, seq: seq}, dst)
-}
-
-// route evaluates edge's routing function and, as the simulated engine
-// does, fails the run when the destination lies outside the active width
-// (a removed thread still addressed).
-func (c *pctx) route(edge *dps.Edge, obj dps.DataObject, seq int) (int, bool) {
-	width := edge.To().Collection().Width()
-	dst := edge.Route()(dps.Routing{Obj: obj, Width: width, SrcThread: c.th.idx, Seq: seq})
-	if dst < 0 || dst >= width {
-		c.th.node.rt.fail(fmt.Errorf("parallel: edge %s→%s routed object to thread %d outside active width %d",
-			edge.From(), edge.To(), dst, width))
-		return 0, false
-	}
-	return dst, true
+	rt.sendData(srcNode, it, dst)
 }
 
 func (c *pctx) Compute(key string, work eventq.Duration, f func()) {
