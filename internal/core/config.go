@@ -158,7 +158,8 @@ type Config struct {
 	// during the run; DurationTable() then yields a PDEXEC calibration
 	// table.
 	RecordDurations bool
-	// Trace receives timeline events (nil disables tracing).
+	// Trace receives each step, transfer and phase mark as it ends (nil
+	// disables tracing).
 	Trace TraceFn
 }
 
@@ -167,42 +168,26 @@ type TraceKind int
 
 // Trace event kinds.
 const (
-	TraceStepStart TraceKind = iota
-	TraceStepEnd
-	TraceTransferStart
-	TraceTransferEnd
-	TracePhase
+	TraceStep     TraceKind = iota // an atomic step on its thread
+	TraceTransfer                  // a data object crossing the network
+	TracePhase                     // a phase mark (Start == End)
 )
 
-func (k TraceKind) String() string {
-	switch k {
-	case TraceStepStart:
-		return "step-start"
-	case TraceStepEnd:
-		return "step-end"
-	case TraceTransferStart:
-		return "xfer-start"
-	case TraceTransferEnd:
-		return "xfer-end"
-	case TracePhase:
-		return "phase"
-	default:
-		return "?"
-	}
-}
-
-// TraceEvent is one timeline record (atomic steps and transfers), enough
-// to redraw the paper's Fig. 2/4 timing diagrams.
+// TraceEvent is one finished span of the timeline, enough to redraw the
+// paper's Fig. 2/4 timing diagrams. A step lies on the node and thread
+// that ran it, Detail "<work> <invocation kind>". A transfer runs from
+// its post to its arrival on the receiving thread's track, Detail
+// "<size>B from node <source>". A phase mark names its phase in Detail.
 type TraceEvent struct {
-	Kind   TraceKind
-	Time   eventq.Time
-	Node   int
-	Op     string
-	Thread int
-	Detail string
+	Kind       TraceKind
+	Start, End eventq.Time
+	Node       int
+	Op         string
+	Thread     int
+	Detail     string
 }
 
-// TraceFn consumes trace events as they happen.
+// TraceFn consumes each span as it ends.
 type TraceFn func(ev TraceEvent)
 
 // PhaseMark labels an instant of the run (the application marks iteration

@@ -47,6 +47,11 @@ type instance struct {
 	srcColl   *dps.Collection
 	srcThread int
 	waiters   []*parkedPost
+
+	// absorbing counts absorb invocations started and not yet ended: a
+	// stream absorb can park mid-invocation, and the instance completes
+	// only once every absorb has ended.
+	absorbing int
 }
 
 // activation groups the output pair instances opened by one source
@@ -229,7 +234,7 @@ func (e *Engine) recordAlloc() {
 func (e *Engine) MarkPhase(name string) {
 	e.phases = append(e.phases, PhaseMark{Time: e.q.Now(), Name: name})
 	if e.cfg.Trace != nil {
-		e.cfg.Trace(TraceEvent{Kind: TracePhase, Time: e.q.Now(), Detail: name})
+		e.cfg.Trace(TraceEvent{Kind: TracePhase, Start: e.q.Now(), End: e.q.Now(), Detail: name})
 	}
 }
 
@@ -395,13 +400,10 @@ func (e *Engine) send(srcNode int, env *envelope) {
 		return
 	}
 	e.stats.Transfers++
-	if e.cfg.Trace != nil {
-		e.cfg.Trace(TraceEvent{Kind: TraceTransferStart, Time: e.q.Now(), Node: srcNode,
-			Op: env.dstOp.Name(), Thread: env.dst, Detail: fmt.Sprintf("%dB to node %d", env.size, dstNode)})
-	}
+	sent := e.q.Now() // captured by value: the callback allocates no more for it
 	e.plat.Send(srcNode, dstNode, env.size, func() {
 		if e.cfg.Trace != nil {
-			e.cfg.Trace(TraceEvent{Kind: TraceTransferEnd, Time: e.q.Now(), Node: dstNode,
+			e.cfg.Trace(TraceEvent{Kind: TraceTransfer, Start: sent, End: e.q.Now(), Node: dstNode,
 				Op: env.dstOp.Name(), Thread: env.dst, Detail: fmt.Sprintf("%dB from node %d", env.size, srcNode)})
 		}
 		e.deliver(env)

@@ -63,6 +63,7 @@ type coro struct {
 	// allocates no closure.
 	msg      yieldMsg
 	node     int
+	start    eventq.Time // the step's start, noted only while tracing
 	stepDone func()
 }
 
@@ -166,8 +167,10 @@ func (e *Engine) startInvocation(th *thread, item workItem) {
 			inv.kind = iLeaf
 		case dps.KindMerge, dps.KindStream:
 			// Dest checked that the object belongs to an instance of
-			// this sink.
+			// this sink; the instance counts it before its handler runs.
 			_, inv.inst = env.token.top()
+			e.check(inv.inst.Absorb())
+			inv.inst.absorbing++
 			inv.kind = iAbsorb
 			if inv.inst.state == nil {
 				inv.inst.state = env.dstOp.NewState(env.obj)
@@ -207,12 +210,11 @@ func (e *Engine) resumeInv(inv *invocation) {
 func (e *Engine) handleYield(inv *invocation, msg yieldMsg) {
 	e.stats.Steps++
 	node := inv.th.coll.Node(inv.th.idx)
-	if e.cfg.Trace != nil {
-		e.cfg.Trace(TraceEvent{Kind: TraceStepStart, Time: e.q.Now(), Node: node,
-			Op: inv.op.Name(), Thread: inv.th.idx, Detail: fmt.Sprintf("%v %s", msg.work, inv.kind)})
-	}
 	c := inv.co
 	c.msg, c.node = msg, node
+	if e.cfg.Trace != nil {
+		c.start = e.q.Now()
+	}
 	e.plat.Submit(node, msg.work, c.stepDone)
 }
 
@@ -222,8 +224,8 @@ func (e *Engine) stepDone(c *coro) {
 	inv, msg := c.inv, c.msg
 	c.msg = yieldMsg{}
 	if e.cfg.Trace != nil {
-		e.cfg.Trace(TraceEvent{Kind: TraceStepEnd, Time: e.q.Now(), Node: c.node,
-			Op: inv.op.Name(), Thread: inv.th.idx, Detail: inv.kind.String()})
+		e.cfg.Trace(TraceEvent{Kind: TraceStep, Start: c.start, End: e.q.Now(), Node: c.node,
+			Op: inv.op.Name(), Thread: inv.th.idx, Detail: fmt.Sprintf("%v %s", msg.work, inv.kind)})
 	}
 	if msg.post != nil {
 		if e.performPost(inv, msg.post) {
@@ -269,7 +271,7 @@ func (e *Engine) finishInvocation(inv *invocation) {
 		e.check(inv.op.CheckEnd(inv.posts))
 	case iAbsorb:
 		inst := inv.inst
-		e.check(inst.Absorb())
+		inst.absorbing--
 		e.ackAbsorb(inst, inv.th.coll.Node(inv.th.idx))
 		e.checkComplete(inst)
 	}
@@ -312,7 +314,7 @@ func (e *Engine) ackAbsorb(inst *instance, sinkNode int) {
 // checkComplete schedules the Finish invocation once an instance is closed
 // and fully absorbed.
 func (e *Engine) checkComplete(inst *instance) {
-	if !inst.Complete() {
+	if inst.absorbing > 0 || !inst.Complete() {
 		return
 	}
 	e.unfinished[inst.Pair.ID()]--

@@ -109,7 +109,7 @@ func (c *Instance) Release() { c.inflight-- }
 // InFlight returns the number of credits taken and not released.
 func (c *Instance) InFlight() int { return c.inflight }
 
-// Absorb counts an object absorbed by the sink.
+// Absorb counts an object reaching the sink, before its handler runs.
 func (c *Instance) Absorb() error {
 	c.absorbed++
 	return c.overflow()

@@ -186,8 +186,13 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // TestExecutorsFailAlike runs malformed applications on both executors.
 // Each must fail, and with the same error once the executor's package
 // prefix is stripped: both apply the rules stated in internal/dps.
+//
+// An object delivered to a finished instance fails before its handler
+// runs: in "nested merge posts 2", m1's Absorb runs exactly once on each
+// executor, for the object its instance was posted.
 func TestExecutorsFailAlike(t *testing.T) {
 	forward := func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) }
+	var m1Absorbs atomic.Int64
 	for _, c := range []struct {
 		name   string
 		thread int // the injection's
@@ -225,10 +230,11 @@ func TestExecutorsFailAlike(t *testing.T) {
 			g, s, _ := flatApp(forward, forward, dps.RoundRobin, nil)
 			return g, s
 		}},
-		{"nested merge posts 0", 0, func() (*dps.Graph, *dps.Op) { return nestedApp(0) }},
-		{"nested merge posts 2", 0, func() (*dps.Graph, *dps.Op) { return nestedApp(2) }},
+		{"nested merge posts 0", 0, func() (*dps.Graph, *dps.Op) { return nestedApp(0, &m1Absorbs) }},
+		{"nested merge posts 2", 0, func() (*dps.Graph, *dps.Op) { return nestedApp(2, &m1Absorbs) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			once := c.name == "nested merge posts 2" // m1's Absorb runs exactly once
 			g, op := c.build()
 			eng, err := core.New(core.Config{Graph: g, Platform: core.NewSimPlatform(1, netmodel.FastEthernet(), cpumodel.Defaults())})
 			if err != nil {
@@ -236,6 +242,9 @@ func TestExecutorsFailAlike(t *testing.T) {
 			}
 			eng.Inject(op, c.thread, &num{})
 			_, simErr := eng.Run()
+			if n := m1Absorbs.Swap(0); once && n != 1 {
+				t.Errorf("simulated: m1's Absorb ran %d times, want 1", n)
+			}
 
 			g, op = c.build()
 			rt, err := New(Config{Graph: g, Nodes: 1})
@@ -245,6 +254,9 @@ func TestExecutorsFailAlike(t *testing.T) {
 			defer rt.Close()
 			rt.Inject(op, c.thread, &num{})
 			realErr := rt.Wait()
+			if n := m1Absorbs.Swap(0); once && n != 1 {
+				t.Errorf("real: m1's Absorb ran %d times, want 1", n)
+			}
 
 			if simErr == nil || realErr == nil {
 				t.Fatalf("simulated error %v, real error %v: both executors must fail", simErr, realErr)
@@ -275,8 +287,9 @@ func flatApp(split dps.SplitFunc, leaf dps.LeafFunc, route dps.RouteFunc, inst d
 }
 
 // nestedApp builds s1 → s2 → l → m2 → m1, where s1 and m1 pair around the
-// s2–m2 pair, and m2's Finish posts posts objects to m1 instead of one.
-func nestedApp(posts int) (*dps.Graph, *dps.Op) {
+// s2–m2 pair, m2's Finish posts posts objects to m1 instead of one, and
+// m1's Absorb calls add to m1Absorbs.
+func nestedApp(posts int, m1Absorbs *atomic.Int64) (*dps.Graph, *dps.Op) {
 	c := dps.NewCollection("c", 1, 1)
 	g := dps.NewGraph("nested")
 	forward := func(ctx dps.Ctx, in dps.DataObject) { ctx.Post(in) }
@@ -284,7 +297,7 @@ func nestedApp(posts int) (*dps.Graph, *dps.Op) {
 	s2 := g.Split("s2", c, forward)
 	l := g.Leaf("l", c, forward)
 	m2 := g.Merge("m2", c, func(dps.DataObject) dps.MergeState { return reposter(posts) })
-	m1 := g.Merge("m1", c, func(dps.DataObject) dps.MergeState { return &sumMerge{total: &atomic.Int64{}} })
+	m1 := g.Merge("m1", c, func(dps.DataObject) dps.MergeState { return absorbCounter{m1Absorbs} })
 	g.Connect(s1, s2, dps.RoundRobin)
 	g.Connect(s2, l, dps.RoundRobin)
 	g.Connect(l, m2, nil)
@@ -303,3 +316,9 @@ func (n reposter) Finish(ctx dps.Ctx) {
 		ctx.Post(&num{})
 	}
 }
+
+// absorbCounter is a merge state that counts its Absorb calls.
+type absorbCounter struct{ n *atomic.Int64 }
+
+func (c absorbCounter) Absorb(dps.Ctx, dps.DataObject) { c.n.Add(1) }
+func (absorbCounter) Finish(dps.Ctx)                   {}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"dpsim/internal/obs"
 )
 
 // The queueing oracle: with Poisson arrivals and one-phase jobs that
@@ -159,5 +161,66 @@ func TestQueueingOracle(t *testing.T) {
 		want := oracleWork / nodes / (1 - c.rho)
 		means := oracleMeans(t, oracleSpec(t, "equipartition", nodes, c.jobs), nodes, c, func(resp, _ float64) float64 { return resp })
 		checkInterval(t, "M/G/1-PS mean response", c, means, want)
+	}
+}
+
+// littleSpec is a small open workload under every registered policy (no
+// schedulers key), on a fixed pool and on one failure/repair timeline
+// whose repairs let every job finish.
+const littleSpec = `{
+	"name": "little", "nodes": [8], "seed": 5, "jobs": 40,
+	"mix": [{"kind": "synthetic", "phases": 2, "work_s": 40, "comm": 0.05, "cv": 0.5}],
+	"arrivals": {"process": "poisson", "mean_interarrival_s": 6},
+	"availability": [
+		{"process": "none"},
+		{"process": "failures", "mttf_s": 60, "mttr_s": 20, "horizon_s": 3000}
+	],
+	"reconfig": {"redistribution_s_per_node": 0.1, "lost_work_s": 1}
+}`
+
+// TestLittlesLaw checks L = λW in its exact sampled form. A sample at t
+// reads the gauges after the instant's capacity changes and before its
+// arrivals and phase completions, so it counts job i exactly when
+// a_i < t ≤ f_i. Summed over the grid t = k·dt, each job then contributes
+// its response time to within one dt, and over n jobs
+//
+//	|dt·Σ_k (Waiting_k + Running_k) − Σ_i Response_i| < n·dt.
+func TestLittlesLaw(t *testing.T) {
+	const dt = 0.25
+	spec, err := Parse([]byte(littleSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, sched := range spec.Schedulers {
+		for ai, avail := range spec.Availability {
+			rec := obs.NewRecorder(obs.Config{})
+			run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, SchedulerIdx: si, AvailIdx: ai, Seed: spec.Seed, Probe: rec, SampleDTS: dt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := sched.Label() + "/" + avail.Label()
+			res := run.Result
+			if res.Unfinished != 0 || len(res.PerJob) != spec.Jobs {
+				t.Fatalf("%s: %d jobs finished, %d unfinished, want all %d", label, len(res.PerJob), res.Unfinished, spec.Jobs)
+			}
+			if (avail.Label() == "none") != (res.CapacityEvents == 0) {
+				t.Fatalf("%s: %d capacity events applied", label, res.CapacityEvents)
+			}
+			if sum := rec.Summarize(); sum.DroppedSamples != 0 {
+				t.Fatalf("%s: %d samples dropped", label, sum.DroppedSamples)
+			}
+			var jobs int
+			for _, s := range rec.Samples() {
+				jobs += s.Waiting + s.Running
+			}
+			var responses float64
+			for _, j := range res.PerJob {
+				responses += j.Response
+			}
+			area := dt * float64(jobs)
+			if bound := float64(spec.Jobs) * dt; math.Abs(area-responses) >= bound {
+				t.Errorf("%s: dt·ΣL = %.3f s, ΣW = %.3f s, differ by %.3f ≥ n·dt = %.3f", label, area, responses, math.Abs(area-responses), bound)
+			}
+		}
 	}
 }

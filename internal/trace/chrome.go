@@ -21,8 +21,8 @@ func (r *Recorder) AppendChromeTrace(tr *obs.Trace) {
 	}
 	lanes := make(map[laneID]bool)
 	nodes := make(map[int]bool)
-	for _, s := range r.Spans() {
-		transfer := s.Kind == core.TraceTransferStart
+	for _, s := range r.spans {
+		transfer := s.Kind == core.TraceTransfer
 		pid := s.Node + 1
 		// Interleave each thread's compute and transfer tracks so they
 		// sort adjacently in the viewer.

@@ -5,21 +5,15 @@ import (
 	"strings"
 	"testing"
 
-	"dpsim/internal/core"
 	"dpsim/internal/obs"
 )
 
-// TestAppendChromeTrace: the DPS timing diagram must come out as valid
-// trace-event JSON with node processes, per-thread compute/transfer
-// tracks, and phase instants.
+// TestAppendChromeTrace: an engine run's timing diagram must come out as
+// valid trace-event JSON with node processes, per-thread compute and
+// transfer tracks, one complete event per span (every transfer with a
+// length), and phase instants.
 func TestAppendChromeTrace(t *testing.T) {
-	r := NewRecorder()
-	r.Hook(core.TraceEvent{Kind: core.TraceStepStart, Time: 10, Node: 0, Op: "lu", Thread: 0})
-	r.Hook(core.TraceEvent{Kind: core.TraceStepEnd, Time: 30, Node: 0, Op: "lu", Thread: 0})
-	r.Hook(core.TraceEvent{Kind: core.TraceTransferStart, Time: 30, Node: 1, Op: "col", Thread: 2, Detail: "4KB"})
-	r.Hook(core.TraceEvent{Kind: core.TraceTransferEnd, Time: 45, Node: 1, Op: "col", Thread: 2})
-	r.Hook(core.TraceEvent{Kind: core.TracePhase, Time: 30, Detail: "iter:0"})
-
+	r := runTraced(t)
 	var tr obs.Trace
 	r.AppendChromeTrace(&tr)
 	var b strings.Builder
@@ -34,7 +28,7 @@ func TestAppendChromeTrace(t *testing.T) {
 	}
 	procs := map[string]bool{}
 	threads := map[string]bool{}
-	var phases, completes int
+	var phases, completes, transfers int
 	for _, ev := range file.TraceEvents {
 		switch ev["ph"] {
 		case "M":
@@ -47,24 +41,33 @@ func TestAppendChromeTrace(t *testing.T) {
 			}
 		case "X":
 			completes++
+			if ev["cat"] == "transfer" {
+				transfers++
+				if dur, _ := ev["dur"].(float64); dur <= 0 {
+					t.Errorf("transfer without length: %v", ev)
+				}
+			}
 		case "i":
 			if ev["name"] == "iter:0" {
 				phases++
 			}
 		}
 	}
-	for _, want := range []string{"node 0", "node 1"} {
+	for _, want := range []string{"node 0", "node 1", "node 2"} {
 		if !procs[want] {
 			t.Errorf("missing process %q (have %v)", want, procs)
 		}
 	}
-	for _, want := range []string{"thread 0 compute", "thread 2 transfer"} {
+	for _, want := range []string{"thread 0 compute", "thread 0 transfer", "thread 1 compute", "thread 1 transfer"} {
 		if !threads[want] {
 			t.Errorf("missing track %q (have %v)", want, threads)
 		}
 	}
-	if completes != 2 {
-		t.Errorf("complete events = %d, want 2", completes)
+	if completes != len(r.Spans()) {
+		t.Errorf("complete events = %d, want one per span (%d)", completes, len(r.Spans()))
+	}
+	if transfers != 8 {
+		t.Errorf("transfer events = %d, want 8 (4 out, 4 back)", transfers)
 	}
 	if phases != 1 {
 		t.Errorf("phase instants = %d, want 1", phases)

@@ -9,85 +9,27 @@ import (
 	"dpsim/internal/eventq"
 )
 
-// Span is one completed activity on a node's timeline.
-type Span struct {
-	Node   int
-	Op     string
-	Thread int
-	Kind   core.TraceKind // TraceStepStart or TraceTransferStart
-	Start  eventq.Time
-	End    eventq.Time
-	Detail string
-}
-
-// Recorder collects trace events from a core engine. Pass Recorder.Hook
+// Recorder collects the spans of a core engine's run. Pass Recorder.Hook
 // as Config.Trace.
 type Recorder struct {
-	spans []Span
-	// open steps/transfers keyed by (node, op, thread); the engine is
-	// single-threaded and balances start/end events per key FIFO.
-	open   map[string][]pending
+	spans  []core.TraceEvent
 	phases []core.PhaseMark
 }
 
-type pending struct {
-	start  eventq.Time
-	detail string
-}
-
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{open: make(map[string][]pending)}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
-func key(kind core.TraceKind, node int, op string, thread int) string {
-	base := "s"
-	if kind == core.TraceTransferStart || kind == core.TraceTransferEnd {
-		base = "t"
-	}
-	return fmt.Sprintf("%s/%d/%s/%d", base, node, op, thread)
-}
-
-// Hook consumes engine trace events.
+// Hook consumes the engine's finished spans.
 func (r *Recorder) Hook(ev core.TraceEvent) {
-	switch ev.Kind {
-	case core.TraceStepStart, core.TraceTransferStart:
-		k := key(ev.Kind, ev.Node, ev.Op, ev.Thread)
-		r.open[k] = append(r.open[k], pending{start: ev.Time, detail: ev.Detail})
-	case core.TraceStepEnd, core.TraceTransferEnd:
-		startKind := core.TraceStepStart
-		if ev.Kind == core.TraceTransferEnd {
-			startKind = core.TraceTransferStart
-		}
-		k := key(startKind, ev.Node, ev.Op, ev.Thread)
-		q := r.open[k]
-		if len(q) == 0 {
-			// Transfer ends are recorded at the destination while starts
-			// are recorded at the source; accept unmatched ends as
-			// zero-length markers rather than dropping them.
-			r.spans = append(r.spans, Span{
-				Node: ev.Node, Op: ev.Op, Thread: ev.Thread, Kind: startKind,
-				Start: ev.Time, End: ev.Time, Detail: ev.Detail,
-			})
-			return
-		}
-		p := q[0]
-		r.open[k] = q[1:]
-		r.spans = append(r.spans, Span{
-			Node: ev.Node, Op: ev.Op, Thread: ev.Thread, Kind: startKind,
-			Start: p.start, End: ev.Time, Detail: p.detail,
-		})
-	case core.TracePhase:
-		r.phases = append(r.phases, core.PhaseMark{Time: ev.Time, Name: ev.Detail})
+	if ev.Kind == core.TracePhase {
+		r.phases = append(r.phases, core.PhaseMark{Time: ev.Start, Name: ev.Detail})
+		return
 	}
+	r.spans = append(r.spans, ev)
 }
 
-// Spans returns the completed spans sorted by start time.
-func (r *Recorder) Spans() []Span {
-	out := append([]Span(nil), r.spans...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
+// Spans returns the recorded steps and transfers in the order they ended.
+func (r *Recorder) Spans() []core.TraceEvent { return r.spans }
 
 // Phases returns recorded phase marks.
 func (r *Recorder) Phases() []core.PhaseMark { return r.phases }
@@ -95,12 +37,11 @@ func (r *Recorder) Phases() []core.PhaseMark { return r.phases }
 // Gantt renders one line per (node, op) lane over the given width in
 // characters. Compute steps draw '█', transfers '░'; '·' is idle.
 func (r *Recorder) Gantt(width int) string {
-	spans := r.Spans()
-	if len(spans) == 0 {
+	if len(r.spans) == 0 {
 		return "(empty trace)\n"
 	}
 	var end eventq.Time
-	for _, s := range spans {
+	for _, s := range r.spans {
 		if s.End > end {
 			end = s.End
 		}
@@ -121,7 +62,7 @@ func (r *Recorder) Gantt(width int) string {
 		}
 		return c
 	}
-	for _, s := range spans {
+	for _, s := range r.spans {
 		label := fmt.Sprintf("n%d %-12s", s.Node, truncate(s.Op, 12))
 		idx, ok := laneIdx[label]
 		if !ok {
@@ -134,7 +75,7 @@ func (r *Recorder) Gantt(width int) string {
 			lanes = append(lanes, &lane{label: label, cells: cells})
 		}
 		glyph := '█'
-		if s.Kind == core.TraceTransferStart {
+		if s.Kind == core.TraceTransfer {
 			glyph = '░'
 		}
 		from, to := cellOf(s.Start), cellOf(s.End)
@@ -159,7 +100,7 @@ func (r *Recorder) Summary() string {
 	count := make(map[string]int)
 	var names []string
 	for _, s := range r.spans {
-		if s.Kind != core.TraceStepStart {
+		if s.Kind != core.TraceStep {
 			continue
 		}
 		if _, ok := busy[s.Op]; !ok {
