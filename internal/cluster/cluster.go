@@ -63,7 +63,7 @@ type jobState struct {
 	// the job holds nodes (a waiting job takes now when granted some).
 	last eventq.Time
 	// ev is the job's one event: its arrival, then each phase completion.
-	// Once fired or cancelled it is recycled (eventq.RescheduleAfter), so
+	// Once fired or cancelled it is recycled (eventq.RescheduleKeyed), so
 	// rescheduling the phase completion at every scheduling event costs no
 	// allocation; fn is its callback, bound at intake and rebound to the
 	// phase completion at arrival.
@@ -508,8 +508,8 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // reallocate is the coalesced scheduling pass of a dirty instant, in the
-// five stages ARCHITECTURE.md draws: settle, preempt, allocate, charge,
-// reschedule. It is the simulator's hot path and runs entirely on reused
+// four stages ARCHITECTURE.md draws: settle, preempt, allocate,
+// reschedule (which charges each changed allocation as it goes). It is the simulator's hot path and runs entirely on reused
 // state: the ID-sorted active list and its arenas are maintained
 // incrementally, the policy writes into a recycled buffer, and the phase
 // events are recycled objects with callbacks bound at intake. Every stage
@@ -522,8 +522,7 @@ func (s *Sim) reallocate() {
 		s.preempt(now, total)
 	}
 	wallNS, total := s.allocate(now)
-	changed := s.charge(now)
-	s.reschedule(now)
+	changed := s.reschedule(now)
 	s.oldAlloc, s.allocBuf = s.allocBuf, s.oldAlloc
 	s.reallocs += changed
 	if s.probe != nil {

@@ -67,55 +67,47 @@ func (s *Sim) preempt(now eventq.Time, total int) {
 	}
 }
 
-// charge is the fourth stage of reallocate: it prices every allocation
-// change (the net delta of the instant) and records first starts, and
-// returns the number of changes. Performance models may price their own
-// reconfiguration (checkpoint distance, migration pause); those charges
-// ride the same two cost paths as the cluster-wide model. The assertion
-// allocates nothing, and a zero-cost hook leaves the charges bit-identical
-// to the hook-free path.
-func (s *Sim) charge(now eventq.Time) (changed int) {
-	for i, alloc := range s.allocBuf {
-		old := s.oldAlloc[i]
-		if alloc == old {
-			continue
+// charge prices one job's allocation change from old to alloc (the net
+// delta of the instant) and records its first start; the reschedule stage
+// calls it for every changed job, in ID order, before pricing its
+// completion. Performance models may price their own reconfiguration
+// (checkpoint distance, migration pause); those charges ride the same
+// two cost paths as the cluster-wide model. The assertion allocates
+// nothing, and a zero-cost hook leaves the charges bit-identical to the
+// hook-free path.
+func (s *Sim) charge(js *jobState, old, alloc int, now eventq.Time) {
+	var hook appmodel.Reconfigurer
+	if m := js.Job.Model; m != nil {
+		hook, _ = m.(appmodel.Reconfigurer)
+	}
+	if s.abruptNodes > 0 && alloc < old {
+		perNode := s.cost.LostWorkS
+		if hook != nil {
+			perNode += hook.CheckpointLossS()
 		}
-		changed++
-		js := s.actives[i]
-		var hook appmodel.Reconfigurer
-		if m := js.Job.Model; m != nil {
-			hook, _ = m.(appmodel.Reconfigurer)
-		}
-		if s.abruptNodes > 0 && alloc < old {
-			perNode := s.cost.LostWorkS
-			if hook != nil {
-				perNode += hook.CheckpointLossS()
-			}
-			if perNode > 0 {
-				s.loseWork(js, perNode, old-alloc, now)
-			}
-		}
-		if old > 0 && alloc > 0 {
-			delta := alloc - old
-			if delta < 0 {
-				delta = -delta
-			}
-			pause := s.cost.RedistributionSPerNode * float64(delta)
-			if hook != nil {
-				pause += hook.MigrationS(old, alloc)
-			}
-			if pause > 0 {
-				s.pause(js, pause, now)
-			}
-		}
-		if alloc > 0 && js.firstStart < 0 {
-			js.firstStart = now.Seconds()
-			if s.probe != nil {
-				s.probe.JobFirstStart(js.firstStart, js.Job.ID)
-			}
+		if perNode > 0 {
+			s.loseWork(js, perNode, old-alloc, now)
 		}
 	}
-	return changed
+	if old > 0 && alloc > 0 {
+		delta := alloc - old
+		if delta < 0 {
+			delta = -delta
+		}
+		pause := s.cost.RedistributionSPerNode * float64(delta)
+		if hook != nil {
+			pause += hook.MigrationS(old, alloc)
+		}
+		if pause > 0 {
+			s.pause(js, pause, now)
+		}
+	}
+	if alloc > 0 && js.firstStart < 0 {
+		js.firstStart = now.Seconds()
+		if s.probe != nil {
+			s.probe.JobFirstStart(js.firstStart, js.Job.ID)
+		}
+	}
 }
 
 // loseWork is the rollback of an abrupt drop: in-phase progress on the

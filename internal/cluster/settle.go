@@ -46,7 +46,7 @@ func (s *Sim) phaseDone(js *jobState) {
 
 // settle is the first stage of reallocate. It settles every job holding
 // nodes (oldAlloc, the allocations in force before this pass, which the
-// charge stage later prices against the policy's) in ID order — the
+// reschedule stage later prices against the policy's) in ID order — the
 // efficiency counters are float accumulators, and any other walk order
 // would make their last bits depend on iteration order, breaking
 // bit-reproducibility across runs; the sorted active list IS that order.
@@ -102,18 +102,26 @@ func progressStart(js *jobState, now eventq.Time) eventq.Time {
 }
 
 // reschedule is the last stage of reallocate: every job holding nodes
-// before or after the pass takes its new allocation and rate, and its
-// completion event moves to the new ETA (plus any redistribution pause
-// still to run), allocation-free. A job left without nodes has no
-// completion; only a running one had one. A job waiting before and after
-// is not touched, and one newly granted nodes starts progressing now.
-func (s *Sim) reschedule(now eventq.Time) {
+// before or after the pass is charged for a changed allocation (charge),
+// takes its new allocation and rate, and its completion event moves to
+// the new ETA (plus any redistribution pause still to run),
+// allocation-free. A job left without nodes has no completion; only a
+// running one had one. A job waiting before and after is not touched,
+// and one newly granted nodes starts progressing now. Completions are
+// keyed by job ID, so same-instant ones fire in ID order and one whose
+// instant did not move is not sifted. It returns the changed count.
+func (s *Sim) reschedule(now eventq.Time) (changed int) {
+	olds := s.oldAlloc[:len(s.allocBuf)]
 	for i, alloc := range s.allocBuf {
-		old := s.oldAlloc[i]
+		old := olds[i]
 		if old == 0 && alloc == 0 {
 			continue
 		}
 		js := s.actives[i]
+		if alloc != old {
+			changed++
+			s.charge(js, old, alloc, now)
+		}
 		if old == 0 {
 			js.last = now
 		}
@@ -136,10 +144,11 @@ func (s *Sim) reschedule(now eventq.Time) {
 			if js.pausedUntil > now {
 				eta += eventq.Duration(js.pausedUntil - now)
 			}
-			js.ev = s.q.RescheduleAfter(js.ev, eta, js.fn)
+			js.ev = s.q.RescheduleKeyed(js.ev, eta, int64(js.Job.ID), js.fn)
 		} else if js.rate > 0 {
 			s.q.Cancel(js.ev)
 		}
 		js.rate = rate
 	}
+	return changed
 }

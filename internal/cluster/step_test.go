@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dpsim/internal/eventq"
@@ -221,5 +223,59 @@ func TestInjectValidation(t *testing.T) {
 	}
 	if big.MaxNodes != 4 {
 		t.Fatalf("MaxNodes not clamped: %d", big.MaxNodes)
+	}
+}
+
+// phaseOrderProbe records the order of phase completions.
+type phaseOrderProbe struct {
+	invokeCountProbe
+	done []string
+}
+
+func (p *phaseOrderProbe) PhaseDone(t float64, jobID, phase, phases int) {
+	p.done = append(p.done, fmt.Sprintf("t=%g job %d", t, jobID))
+}
+
+// TestSameInstantCompletionsFireInIDOrder pins the tie order that keying
+// each phase completion by its job ID preserves. Job A (ID 1, work 30)
+// runs on 2 nodes, then on 4 from t=5, so its completion moves from
+// t=15 to exactly t=10. Job B (ID 2, work 10) runs on 1 node throughout
+// and completes at t=10, its completion never moving. Job C arrives at
+// t=5 and waits, to force the pass. A fires before B, as when every pass
+// gave every running job a fresh FIFO position in ID order: a pass that
+// left B's completion where it was without the key would fire B first.
+func TestSameInstantCompletionsFireInIDOrder(t *testing.T) {
+	script := contractBreaker{name: "test-script", grant: func(st sched.State, out []int) {
+		for i, v := range st.Active {
+			switch v.Job.ID {
+			case 1:
+				out[i] = 2
+				if st.Now >= 5 {
+					out[i] = 4
+				}
+			case 2:
+				out[i] = 1
+			case 3:
+				if len(st.Active) == 1 {
+					out[i] = 1
+				}
+			}
+		}
+	}}
+	job := func(id int, arrival, work float64) *Job {
+		return &Job{ID: id, Arrival: arrival, Phases: []Phase{{Work: work}}, MaxNodes: 4}
+	}
+	sim, err := NewSim(5, script, []*Job{job(1, 0, 30), job(2, 0, 10), job(3, 5, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &phaseOrderProbe{}
+	if err := sim.SetProbe(p); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	want := []string{"t=10 job 1", "t=10 job 2", "t=11 job 3"}
+	if !slices.Equal(p.done, want) {
+		t.Fatalf("phase completions %v, want %v", p.done, want)
 	}
 }

@@ -10,10 +10,11 @@
 // round the resulting completion instants to nanoseconds; one nanosecond
 // of quantization is far below every effect the models represent.
 //
-// Two-level tie-breaking makes event order a pure function of the
+// Three-level tie-breaking makes event order a pure function of the
 // schedule, never of heap internals: events at equal instants order by
-// tier (AtTier; the cluster uses capacity < arrival < phase), and
-// within a tier by FIFO insertion order. This is what lets the cluster
+// tier (AtTier; the cluster uses capacity < arrival < phase), within a
+// tier by an owner-chosen key (RescheduleKeyed; 0 for every other entry
+// point), and among equal keys by FIFO insertion order. This is what lets the cluster
 // simulator's open drive (Inject) execute the identical event sequence
 // as its closed drive even at exact time ties.
 //
@@ -23,5 +24,7 @@
 // — the cluster's per-job phase completion — allocates nothing in
 // steady state. A still-pending event is cheaper yet to move:
 // RescheduleAfter repositions the existing heap entry with a single
-// sift, equivalent to (but half the heap traffic of) cancel-and-reuse.
+// sift, equivalent to (but half the heap traffic of) cancel-and-reuse;
+// RescheduleKeyed leaves an event whose instant and key do not move
+// where it is, without a sift.
 package eventq

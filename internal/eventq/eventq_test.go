@@ -1,10 +1,12 @@
 package eventq
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dpsim/internal/rng"
 )
@@ -536,5 +538,279 @@ func TestRescheduleAfterZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("reschedule allocates %v per move, want 0", allocs)
+	}
+}
+
+// TestKeyedOrdering: tier-0 events at one instant fire by ascending key
+// over the whole int64 range, then FIFO among equal keys; key-0 events
+// (every entry point but RescheduleKeyed) keep their FIFO order, and a
+// lower tier still fires first.
+func TestKeyedOrdering(t *testing.T) {
+	q := New()
+	var got []string
+	keyed := func(key int64, name string) {
+		q.RescheduleKeyed(nil, 10, key, func() { got = append(got, name) })
+	}
+	keyed(3, "k3")
+	q.At(10, func() { got = append(got, "k0-a") })
+	keyed(1, "k1-a")
+	keyed(math.MaxInt64, "kmax")
+	keyed(-5, "k-5")
+	q.At(10, func() { got = append(got, "k0-b") })
+	keyed(1, "k1-b")
+	keyed(math.MinInt64, "kmin")
+	q.AtTier(10, -1, func() { got = append(got, "tier-1") })
+	keyed(0, "k0-c")
+	q.Run(0)
+	want := []string{"tier-1", "kmin", "k-5", "k0-a", "k0-b", "k0-c", "k1-a", "k1-b", "k3", "kmax"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+}
+
+// TestRescheduleKeyedInPlace: an event rescheduled to the instant and key
+// it already holds keeps its sequence number and heap slot (so it still
+// fires before a later equal-key event); a move to another instant or key
+// takes a fresh sequence number, as RescheduleAfter does; a fired event
+// is recycled.
+func TestRescheduleKeyedInPlace(t *testing.T) {
+	q := New()
+	var got []string
+	a := q.RescheduleKeyed(nil, 10, 7, func() { got = append(got, "a") })
+	b := q.RescheduleKeyed(nil, 10, 7, func() { got = append(got, "b") })
+	q.At(1, func() {})
+	seq, index := a.seq, a.index
+	if e := q.RescheduleKeyed(a, 10, 7, a.fn); e != a || a.seq != seq || a.index != index {
+		t.Fatalf("same (instant, key): seq %d → %d, index %d → %d", seq, a.seq, index, a.index)
+	}
+	if q.Step(); q.Now() != 1 {
+		t.Fatalf("now %v, want 1ns", q.Now())
+	}
+	if q.RescheduleKeyed(a, 9, 7, a.fn); a.seq != seq {
+		t.Fatal("same instant from a later now: seq renewed")
+	}
+	if q.RescheduleKeyed(a, 8, 7, a.fn); a.seq <= b.seq {
+		t.Fatalf("unmoved seq %d after a move (b's is %d)", a.seq, b.seq)
+	}
+	q.RescheduleKeyed(b, 8, 6, b.fn) // a lower key overtakes the FIFO order
+	q.Run(0)
+	if want := []string{"b", "a"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+	if e := q.RescheduleKeyed(a, 5, 7, a.fn); e != a || !a.Scheduled() || a.Time() != 14 {
+		t.Fatal("fired event not recycled")
+	}
+}
+
+// TestPropertyRescheduleKeyed: for random keyed schedules and random
+// reschedules, the firing order is that of a reference that sorts by
+// (instant, key, seq) and renumbers an entity only when its instant or
+// key moves.
+func TestPropertyRescheduleKeyed(t *testing.T) {
+	type ref struct {
+		when Time
+		key  int64
+		seq  int
+	}
+	prop := func(seed uint64, sizeRaw uint16) bool {
+		size := int(sizeRaw%100) + 2
+		r := rng.New(seed)
+		q := New()
+		var fired []int
+		evs := make([]*Event, size)
+		refs := make([]ref, size)
+		seq := 0
+		arm := func(i int, d Duration, key int64) {
+			moved := refs[i].seq == 0 || refs[i].when != Time(d) || refs[i].key != key
+			evs[i] = q.RescheduleKeyed(evs[i], d, key, func() { fired = append(fired, i) })
+			if moved {
+				seq++
+				refs[i] = ref{Time(d), key, seq}
+			}
+		}
+		for i := range evs {
+			arm(i, Duration(r.Intn(20)), int64(r.Intn(4)))
+		}
+		for k := 0; k < size; k++ {
+			i := r.Intn(size)
+			arm(i, Duration(r.Intn(20)), int64(r.Intn(4)))
+		}
+		want := make([]int, size)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(x, y int) bool {
+			a, b := refs[want[x]], refs[want[y]]
+			if a.when != b.when {
+				return a.when < b.when
+			}
+			if a.key != b.key {
+				return a.key < b.key
+			}
+			return a.seq < b.seq
+		})
+		q.Run(0)
+		return reflect.DeepEqual(fired, want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRescheduleKeyedZeroAlloc: moving a pending keyed event, or leaving
+// it where it is, allocates nothing.
+func TestRescheduleKeyedZeroAlloc(t *testing.T) {
+	q := New()
+	fn := func() {}
+	q.At(1000000, fn)
+	e := q.RescheduleKeyed(nil, 1, 3, fn)
+	d := Duration(1)
+	allocs := testing.AllocsPerRun(200, func() {
+		e = q.RescheduleKeyed(e, d, 3, fn) // same instant: left in place
+		d = 3 - d
+		e = q.RescheduleKeyed(e, d, 3, fn) // moved
+	})
+	if allocs != 0 {
+		t.Fatalf("keyed reschedule allocates %v per move, want 0", allocs)
+	}
+}
+
+// TestEventSize: the key fits in the padding the tier and cancel flag
+// left, so an Event stays in the 48-byte size class that one allocation
+// per fresh push (BenchmarkScheduleFire's 48 B/op) pins.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 48 {
+		t.Fatalf("Event is %d bytes, want at most 48", n)
+	}
+}
+
+// refDurationOf is DurationOf as it was, rounding with math.Round.
+func refDurationOf(seconds float64) Duration {
+	if seconds <= 0 {
+		return 0
+	}
+	if seconds >= float64(math.MaxInt64)/float64(Second) {
+		return Duration(math.MaxInt64)
+	}
+	return Duration(math.Round(seconds * float64(Second)))
+}
+
+// durationEdges are DurationOf inputs where rounding is delicate: zero,
+// subnormals, exact half nanoseconds (m/1024 s is m·976,562.5 ns), the
+// neighbours of 2^52 ns (above which every float64 is an integer), the
+// saturation guard and the non-finite values.
+func durationEdges() []float64 {
+	guard := float64(math.MaxInt64) / float64(Second)
+	edges := []float64{
+		0, math.Copysign(0, -1), -1, math.SmallestNonzeroFloat64, 0x1p-1022,
+		0.5e-9, 1.5e-9, 2.5e-9, 1e-9, 1,
+		1.0 / 1024, 3.0 / 1024, 5.0 / 1024, 1023.0 / 1024, 1e6 + 1.0/1024,
+		math.Nextafter(1.0/1024, 0), math.Nextafter(1.0/1024, 1),
+		guard, math.Nextafter(guard, 0), math.Nextafter(guard, math.Inf(1)),
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for _, x := range []float64{0x1p52 - 1, 0x1p52, 0x1p52 + 1, 0x1p53 - 1, 0x1p53 + 2} {
+		s := x / float64(Second)
+		edges = append(edges, s, math.Nextafter(s, 0), math.Nextafter(s, math.Inf(1)))
+	}
+	return edges
+}
+
+// FuzzDurationOf: the truncate-and-compare rounding equals math.Round for
+// every input (go test -fuzz=FuzzDurationOf ./internal/eventq).
+func FuzzDurationOf(f *testing.F) {
+	for _, s := range durationEdges() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s float64) {
+		if got, want := DurationOf(s), refDurationOf(s); got != want {
+			t.Fatalf("DurationOf(%v) = %d, math.Round gives %d", s, got, want)
+		}
+	})
+}
+
+// TestDurationOfMatchesRound runs the fuzz property over random inputs
+// on every scale from 1e-12 s to the saturation guard, and on every
+// exact half nanosecond m/1024 s for odd m up to 2^20.
+func TestDurationOfMatchesRound(t *testing.T) {
+	r := rng.New(37)
+	check := func(s float64) {
+		if got, want := DurationOf(s), refDurationOf(s); got != want {
+			t.Fatalf("DurationOf(%v) = %d, math.Round gives %d", s, got, want)
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		check(math.Pow(10, r.Uniform(-12, 10)))
+	}
+	for m := 1; m < 1<<20; m += 2 {
+		check(float64(m) / 1024)
+	}
+}
+
+// BenchmarkQueueDepth measures the event-queue operations at a standing
+// depth of 1k and 100k pending events: push-pop pushes one event a
+// random delay ahead and fires the earliest (one allocation, as on the
+// paper side); reschedule moves a random pending event to a random new
+// instant (RescheduleAfter); reschedule-same reschedules one to the
+// instant and key it already holds (RescheduleKeyed's in-place path, the
+// cluster's unmoved completion); cancel removes one and re-arms it.
+func BenchmarkQueueDepth(b *testing.B) {
+	const span = 1 << 20 // ns of pending horizon
+	fn := func() {}
+	for _, depth := range []struct {
+		name string
+		n    int
+	}{{"1k", 1000}, {"100k", 100000}} {
+		setup := func() (*Queue, []*Event, []Duration) {
+			r := rng.New(7)
+			q := New()
+			evs := make([]*Event, depth.n)
+			for i := range evs {
+				evs[i] = q.RescheduleKeyed(nil, Duration(r.Intn(span)), int64(i), fn)
+			}
+			delays := make([]Duration, 4096)
+			for i := range delays {
+				delays[i] = Duration(r.Intn(span))
+			}
+			return q, evs, delays
+		}
+		b.Run(depth.name+"/push-pop", func(b *testing.B) {
+			q, _, delays := setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.After(delays[i%len(delays)], fn)
+				q.Step()
+			}
+		})
+		b.Run(depth.name+"/reschedule", func(b *testing.B) {
+			q, evs, delays := setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := (i * 7919) % len(evs)
+				evs[k] = q.RescheduleAfter(evs[k], delays[i%len(delays)], fn)
+			}
+		})
+		b.Run(depth.name+"/reschedule-same", func(b *testing.B) {
+			q, evs, _ := setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := (i * 7919) % len(evs)
+				e := evs[k]
+				evs[k] = q.RescheduleKeyed(e, Duration(e.Time()-q.Now()), int64(k), fn)
+			}
+		})
+		b.Run(depth.name+"/cancel", func(b *testing.B) {
+			q, evs, delays := setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := (i * 7919) % len(evs)
+				q.Cancel(evs[k])
+				evs[k] = q.ReuseAfter(evs[k], delays[i%len(delays)], fn)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dpsim/internal/cluster"
 	"dpsim/internal/obs"
 )
 
@@ -39,6 +40,20 @@ var tQuantile975 = map[int]float64{15: 2.131450, 19: 2.093024}
 // the per-replication mean of metric over the jobs after the warm-up.
 func oracleMeans(t *testing.T, spec *Spec, nodes int, c oracleCase, metric func(resp, wait float64) float64) []float64 {
 	t.Helper()
+	return oracleRuns(t, spec, nodes, c, func(res *cluster.Result) float64 {
+		var sum float64
+		for _, j := range res.PerJob[c.warm:] {
+			sum += metric(j.Response, j.Wait)
+		}
+		return sum / float64(c.jobs-c.warm)
+	})
+}
+
+// oracleRuns runs the cell of spec on nodes at load rho for each
+// replication (two at a time; each writes only its own slot), requires
+// every job to finish, and returns each replication's value of stat.
+func oracleRuns(t *testing.T, spec *Spec, nodes int, c oracleCase, stat func(*cluster.Result) float64) []float64 {
+	t.Helper()
 	means := make([]float64, c.reps)
 	errs := make([]error, c.reps)
 	var wg sync.WaitGroup
@@ -57,11 +72,7 @@ func oracleMeans(t *testing.T, spec *Spec, nodes int, c oracleCase, metric func(
 					errs[r] = fmt.Errorf("rep %d finished %d of %d jobs", r, got, c.jobs)
 					continue
 				}
-				var sum float64
-				for _, j := range run.Result.PerJob[c.warm:] {
-					sum += metric(j.Response, j.Wait)
-				}
-				means[r] = sum / float64(c.jobs-c.warm)
+				means[r] = stat(&run.Result)
 			}
 		}()
 	}
@@ -106,23 +117,31 @@ func checkInterval(t *testing.T, label string, c oracleCase, means []float64, wa
 }
 
 // oracleSpec is a Poisson stream of one-phase, perfectly parallel
-// synthetic jobs of width maxNodes under one scheduler. The mean
-// inter-arrival time at load 1 fills the nodes exactly (ρ = 1), so a
-// cell's load is its utilisation.
+// synthetic jobs of width maxNodes under one scheduler on a fixed pool.
+// The mean inter-arrival time at load 1 fills the nodes exactly (ρ = 1),
+// so a cell's load is its utilisation.
 func oracleSpec(t *testing.T, scheduler string, nodes, jobs int) *Spec {
+	t.Helper()
+	return oracleSpecOn(t, scheduler, nodes, jobs, `{"process": "none"}`)
+}
+
+// oracleSpecOn is oracleSpec on the pool availability describes.
+func oracleSpecOn(t *testing.T, scheduler string, nodes, jobs int, availability string) *Spec {
 	t.Helper()
 	spec, err := Parse([]byte(fmt.Sprintf(`{
 		"name": "oracle", "nodes": [%d], "schedulers": [%q], "seed": %d, "jobs": %d,
 		"mix": [{"kind": "synthetic", "phases": 1, "work_s": %g, "cv": %g, "max_nodes": %d}],
-		"arrivals": {"process": "poisson", "mean_interarrival_s": %g}
-	}`, nodes, scheduler, oracleSeed, jobs, oracleWork, oracleCV, nodes, oracleWork/float64(nodes))))
+		"arrivals": {"process": "poisson", "mean_interarrival_s": %g},
+		"availability": [%s]
+	}`, nodes, scheduler, oracleSeed, jobs, oracleWork, oracleCV, nodes, oracleWork/float64(nodes), availability)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return spec
 }
 
-// TestQueueingOracle checks two closed forms at ρ ∈ {0.3, 0.6, 0.85}:
+// TestQueueingOracle checks two closed forms at ρ ∈ {0.3, 0.6, 0.85},
+// and one capacity limit at ρ/A ∈ {0.3, 0.6}:
 //
 //   - M/G/1-FCFS: rigid-fcfs on one node. Pollaczek–Khinchine gives the
 //     mean wait λE[S²] / 2(1−ρ).
@@ -135,6 +154,14 @@ func oracleSpec(t *testing.T, scheduler string, nodes, jobs int) *Spec {
 //     bias is −0.07% of the mean at ρ = 0.85 (paired against the same
 //     seeds on a 720,720-node pool, exact up to n = 16), far inside
 //     the interval.
+//   - Capacity: equipartition on 16 nodes, every job as wide as the
+//     pool, under exponential failures (MTTF 300 s, MTTR 100 s, so each
+//     node is up a share A = 0.75 of the time). The policy keeps every
+//     usable node busy while any job is active, so the work it serves
+//     is the work offered, ρ·nodes per second, and
+//     AvailWeightedUtilization tends to ρ/A. Every node starts up; that
+//     transient adds 16·(1−A)·τ = 300 node-seconds (τ = 75 s), 0.1% of
+//     the capacity integral of the shortest run.
 func TestQueueingOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queueing oracle: long simulation")
@@ -161,6 +188,31 @@ func TestQueueingOracle(t *testing.T) {
 		want := oracleWork / nodes / (1 - c.rho)
 		means := oracleMeans(t, oracleSpec(t, "equipartition", nodes, c.jobs), nodes, c, func(resp, _ float64) float64 { return resp })
 		checkInterval(t, "M/G/1-PS mean response", c, means, want)
+	}
+	// Capacity: equipartition on a failure/repair pool is a
+	// work-conserving server of varying speed, so the available capacity
+	// it uses is the offered work: AvailWeightedUtilization → ρ/A.
+	const (
+		poolNodes  = 16
+		mttf, mttr = 300.0, 100.0
+		avail      = mttf / (mttf + mttr)
+	)
+	for _, c := range []oracleCase{
+		{rho: 0.3, reps: 16, jobs: 20_000, half: 0.02},
+		{rho: 0.6, reps: 16, jobs: 20_000, half: 0.02},
+	} {
+		load := c.rho * avail // the offered utilisation of the full pool
+		// Twice the expected last arrival: the timeline outlives the run.
+		horizon := 2 * float64(c.jobs) * oracleWork / (poolNodes * load)
+		spec := oracleSpecOn(t, "equipartition", poolNodes, c.jobs, fmt.Sprintf(
+			`{"process": "failures", "mttf_s": %g, "mttr_s": %g, "horizon_s": %g}`, mttf, mttr, horizon))
+		utils := oracleRuns(t, spec, poolNodes, oracleCase{rho: load, reps: c.reps, jobs: c.jobs}, func(res *cluster.Result) float64 {
+			if res.Makespan >= horizon {
+				t.Errorf("makespan %g s outlives the %g s timeline", res.Makespan, horizon)
+			}
+			return res.AvailWeightedUtilization
+		})
+		checkInterval(t, "capacity ρ/A utilisation", c, utils, c.rho)
 	}
 }
 

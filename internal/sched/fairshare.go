@@ -58,21 +58,29 @@ func (f *FairShare) Allocate(st State, out []int) {
 	// Hand the rounding leftover to the largest fractional remainders
 	// (ties: lower ID), then cycle any cap surplus over uncapped jobs.
 	// (frac desc, index asc) is a total order, so an unstable sort yields
-	// the stable permutation — in O(n) when every share is equal, as the
-	// identity order is then already sorted.
+	// the stable permutation. The identity order is that permutation when
+	// the remainders never rise with the index (every pass with uniform
+	// weights and no binding cap); a plain loop finds that without a sort,
+	// and a NaN remainder (an infinite weight) still takes the sort.
 	f.order = grow(f.order, len(st.Active))
+	sorted := true
 	for i := range f.order {
 		f.order[i] = i
-	}
-	slices.SortFunc(f.order, func(a, b int) int {
-		switch {
-		case f.frac[a] > f.frac[b]:
-			return -1
-		case f.frac[a] < f.frac[b]:
-			return 1
+		if i > 0 && !(f.frac[i-1] >= f.frac[i]) {
+			sorted = false
 		}
-		return cmp.Compare(a, b)
-	})
+	}
+	if !sorted {
+		slices.SortFunc(f.order, func(a, b int) int {
+			switch {
+			case f.frac[a] > f.frac[b]:
+				return -1
+			case f.frac[a] < f.frac[b]:
+				return 1
+			}
+			return cmp.Compare(a, b)
+		})
+	}
 	for _, i := range f.order {
 		if used >= st.Nodes {
 			break

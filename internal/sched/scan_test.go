@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -265,6 +266,101 @@ func TestFairShareOrderMatchesStableSort(t *testing.T) {
 		if want := stableFairOrder(f.frac); !slices.Equal(f.order, want) {
 			t.Fatalf("seed %d: order %v, stable %v", seed, f.order, want)
 		}
+	}
+}
+
+// fullSortFairShare is FairShare's former pass, which sorted the
+// remainders on every call.
+func fullSortFairShare(st State, out []int) {
+	var totalW float64
+	for i := range st.Active {
+		totalW += jobWeight(st.Active[i].Job)
+	}
+	frac := make([]float64, len(st.Active))
+	used := 0
+	for i := range st.Active {
+		js := &st.Active[i]
+		quota := float64(st.Nodes) * jobWeight(js.Job) / totalW
+		out[i] = int(math.Floor(quota))
+		frac[i] = quota - float64(out[i])
+		if out[i] > js.Job.MaxNodes {
+			out[i] = js.Job.MaxNodes
+			frac[i] = 0
+		}
+		used += out[i]
+	}
+	for _, i := range stableFairOrder(frac) {
+		if used >= st.Nodes {
+			break
+		}
+		if out[i] < st.Active[i].Job.MaxNodes && frac[i] > 0 {
+			out[i]++
+			used++
+		}
+	}
+	for used < st.Nodes {
+		grew := false
+		for i := range st.Active {
+			if used >= st.Nodes {
+				break
+			}
+			if out[i] < st.Active[i].Job.MaxNodes {
+				out[i]++
+				used++
+				grew = true
+			}
+		}
+		if !grew {
+			break
+		}
+	}
+}
+
+// TestFairShareMatchesFullSort: FairShare, which skips the sort when the
+// identity order already is (frac desc, index asc), grants exactly what
+// the always-sorting pass granted. The states draw weights from
+// {0, 0.5, 1, 2} (uniform in half of them, so whole passes skip the
+// sort), MaxNodes caps that bind, pools that divide evenly (all
+// remainders equal) and up to 2,000 jobs; both paths must be taken.
+func TestFairShareMatchesFullSort(t *testing.T) {
+	weights := []float64{0, 0.5, 1, 2}
+	f := &FairShare{} // one instance: scratch reuse across passes
+	skipped := 0
+	const states = 2500
+	for seed := uint64(0); seed < states; seed++ {
+		src := rng.New(seed)
+		n := 1 + src.Intn([]int{8, 64, 2000}[src.Intn(3)])
+		nodes := 1 + src.Intn(4*n)
+		if src.Float64() < 0.3 {
+			nodes = n * (1 + src.Intn(8)) // equal shares, equal remainders
+		}
+		uniform := seed%2 == 0
+		w := weights[src.Intn(len(weights))]
+		st := State{Nodes: nodes, Active: make([]JobState, n)}
+		for i := range st.Active {
+			if !uniform {
+				w = weights[src.Intn(len(weights))]
+			}
+			maxNodes := nodes
+			if src.Float64() < 0.3 {
+				maxNodes = 1 + src.Intn(1+nodes/n) // at or below the share: binds
+			}
+			j := mkJob(i, 0, 10, 1, maxNodes, 0)
+			j.Weight = w
+			st.Active[i] = JobState{Job: j, Remaining: 10}
+		}
+		want, got := make([]int, n), make([]int, n)
+		fullSortFairShare(st, want)
+		f.Allocate(st, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: got %v, full sort %v", seed, got, want)
+		}
+		if slices.IsSorted(f.order) {
+			skipped++
+		}
+	}
+	if skipped == 0 || skipped == states {
+		t.Fatalf("%d of %d states had the identity order: both paths must run", skipped, states)
 	}
 }
 
