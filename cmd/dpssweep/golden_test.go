@@ -29,6 +29,9 @@ var exportFlags = map[string]string{
 // observed is every artifact, the three observability exports included.
 var observed = []string{"table", "csv", "json", "timeseries", "trace", "summary"}
 
+// tabular is the stdout table and the two result exports.
+var tabular = []string{"table", "csv", "json"}
+
 // goldenCases are the invocations the CLI golden pins, each with the
 // artifacts it fingerprints.
 var goldenCases = []struct {
@@ -50,6 +53,17 @@ var goldenCases = []struct {
 		"-schedulers", "rigid-fcfs,easy-backfill,malleable-hysteresis(epoch_s=45,min_delta=2)"}, observed},
 	{"federated_basic_observed", []string{"-scenario", scenarioFile("federated_basic.json")}, observed},
 	{"federated_volatile", []string{"-scenario", scenarioFile("federated_volatile.json")}, observed},
+	{"volatile", []string{"-scenario", scenarioFile("volatile.json")}, tabular},
+	{"backfill_spot", []string{"-scenario", scenarioFile("backfill_spot.json")}, tabular},
+	{"spot", []string{"-scenario", scenarioFile("spot.json")}, tabular},
+	{"captrace", []string{"-scenario", scenarioFile("captrace.json")}, tabular},
+	{"replay", []string{"-scenario", scenarioFile("replay.json")}, tabular},
+	{"bursty", []string{"-scenario", scenarioFile("bursty.json")}, tabular},
+	{"closed", []string{"-scenario", scenarioFile("closed.json")}, tabular},
+	{"diurnal", []string{"-scenario", scenarioFile("diurnal.json")}, tabular},
+	{"fairshare_diurnal", []string{"-scenario", scenarioFile("fairshare_diurnal.json")}, tabular},
+	{"amdahl_sweep", []string{"-scenario", scenarioFile("amdahl_sweep.json")}, tabular},
+	{"roofline_mix", []string{"-scenario", scenarioFile("roofline_mix.json")}, tabular},
 }
 
 func scenarioFile(name string) string {
@@ -149,4 +163,26 @@ func zeroLatency(t *testing.T, data []byte) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// TestCLIGoldenCoversEveryExample requires every example scenario to be
+// the scenario of at least one golden case, so a change to any of them
+// shows up as a drifted fingerprint.
+func TestCLIGoldenCoversEveryExample(t *testing.T) {
+	files, err := filepath.Glob(scenarioFile("*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no example scenarios found")
+	}
+	pinned := map[string]bool{}
+	for _, c := range goldenCases {
+		pinned[c.args[1]] = true
+	}
+	for _, f := range files {
+		if !pinned[f] {
+			t.Errorf("%s has no case in goldenCases", f)
+		}
+	}
 }
