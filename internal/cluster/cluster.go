@@ -45,18 +45,18 @@ type (
 	Scheduler = sched.Scheduler
 )
 
-// jobState is the simulator's bookkeeping for one job from intake on:
-// pending (PhaseIdx < 0), active, then finished (PhaseIdx past the last
-// phase). The scheduler sees read-only sched.JobState snapshots of it,
-// never the live struct.
+// jobState is the simulator's own bookkeeping for one job from intake on:
+// pending, active, then finished. An active job's phase, remaining work
+// and allocation live only in its view (Sim.views), the sched.JobState
+// the policy reads; jobState holds what the simulator alone uses.
 type jobState struct {
-	Job       *Job
-	PhaseIdx  int
-	Remaining float64 // work-seconds left in the current phase
-	Alloc     int
-	finished  float64
-	// rate and eff are the progress rate and efficiency at (PhaseIdx,
-	// Alloc), cached while both hold; rate > 0 only while the job runs.
+	Job *Job
+	// finished is the instant the job completed its last phase; -1 until
+	// then.
+	finished float64
+	// rate and eff are the progress rate and efficiency at the view's
+	// (PhaseIdx, Alloc), cached while both hold; rate > 0 only while the
+	// job runs.
 	rate float64
 	eff  float64
 	// last is the job's last settlement; it is kept current only while
@@ -75,9 +75,6 @@ type jobState struct {
 	// firstStart is the instant the job first held nodes; -1 until then.
 	firstStart float64
 }
-
-// Phase returns the job's current phase.
-func (js *jobState) Phase() Phase { return js.Job.Phases[js.PhaseIdx] }
 
 // --- the cluster simulation ---
 
@@ -120,11 +117,11 @@ type Sim struct {
 	effDen   float64
 
 	// views and oldAlloc are persistent arenas parallel to actives,
-	// inserted into and deleted from alongside it: views is the value
-	// snapshot handed to the policy, refreshed only for jobs that hold or
-	// are granted nodes, and oldAlloc is each job's allocation in force
-	// before the current pass. So a job waiting through a pass costs only
-	// contiguous-array work. allocBuf is the out-buffer the policy fills
+	// inserted into and deleted from alongside it: views holds each active
+	// job's phase, remaining work and allocation — the one copy of them,
+	// handed to the policy as is — and oldAlloc is each job's allocation
+	// in force before the current pass. So a job waiting through a pass
+	// costs only contiguous-array work. allocBuf is the out-buffer the policy fills
 	// (it becomes oldAlloc when the pass ends), victims the preemption
 	// scratch list. After warm-up a steady-state scheduling event
 	// allocates nothing.
@@ -183,7 +180,9 @@ type Sim struct {
 	sampleStopped bool
 }
 
-// NewSim creates a simulation of the given cluster size.
+// NewSim creates a simulation of the given cluster size. Job IDs key the
+// active list: no two jobs active at the same time may share one (the
+// second one's arrival panics).
 func NewSim(nodes int, sched Scheduler, jobs []*Job) (*Sim, error) {
 	if nodes <= 0 {
 		return nil, errors.New("cluster: need nodes")
@@ -221,7 +220,7 @@ func (s *Sim) intake(j *Job) error {
 	if at < s.q.Now() {
 		return fmt.Errorf("cluster: job %d arrives at %v, before now %v", j.ID, at, s.q.Now())
 	}
-	js := &jobState{Job: j, PhaseIdx: -1, firstStart: -1}
+	js := &jobState{Job: j, finished: -1, firstStart: -1}
 	js.fn = func() { s.arrive(js) }
 	js.ev = s.q.AtTier(at, tierArrival, js.fn)
 	s.jobs = append(s.jobs, js)
@@ -439,7 +438,8 @@ func (s *Sim) LoadInfo() LoadInfo {
 
 // Inject adds a job while the simulation is running (an open arrival).
 // The job's Arrival must not precede the current clock; its MaxNodes is
-// normalized exactly as NewSim does for the initial workload.
+// normalized exactly as NewSim does for the initial workload. Its ID may
+// not be that of a job still active when it arrives.
 func (s *Sim) Inject(j *Job) error {
 	s.start()
 	if err := s.intake(j); err != nil {
@@ -469,32 +469,24 @@ func (s *Sim) searchActive(id int) (int, bool) {
 }
 
 // insertActive places a just-arrived (waiting) js into the ID-sorted
-// active list and its arenas, replacing any existing entry with the same
-// (pathological, duplicate) job ID.
+// active list and its arenas, its view at the start of phase 0. Two jobs
+// active at once may not share an ID: the second one panics, naming it.
 func (s *Sim) insertActive(js *jobState) {
-	v := sched.JobState{Job: js.Job, PhaseIdx: js.PhaseIdx, Remaining: js.Remaining}
-	if i, found := s.searchActive(js.Job.ID); found {
-		s.actives[i], s.views[i], s.oldAlloc[i] = js, v, 0
-	} else {
-		s.actives = slices.Insert(s.actives, i, js)
-		s.views = slices.Insert(s.views, i, v)
-		s.oldAlloc = slices.Insert(s.oldAlloc, i, 0)
+	i, found := s.searchActive(js.Job.ID)
+	if found {
+		panic(fmt.Sprintf("cluster: job %d arrives at t=%v while another job with that ID is active",
+			js.Job.ID, s.q.Now()))
 	}
+	s.actives = slices.Insert(s.actives, i, js)
+	s.views = slices.Insert(s.views, i, sched.JobState{Job: js.Job, Remaining: js.Job.Phases[0].Work})
+	s.oldAlloc = slices.Insert(s.oldAlloc, i, 0)
 }
 
-// removeActive drops the job with the given ID from the sorted list.
-func (s *Sim) removeActive(id int) {
-	if i, found := s.searchActive(id); found {
-		s.actives = slices.Delete(s.actives, i, i+1)
-		s.views = slices.Delete(s.views, i, i+1)
-		s.oldAlloc = slices.Delete(s.oldAlloc, i, i+1)
-	}
-}
-
-// refresh copies js's mutable fields into its view at index i.
-func (s *Sim) refresh(i int, js *jobState) {
-	v := &s.views[i]
-	v.PhaseIdx, v.Remaining, v.Alloc = js.PhaseIdx, js.Remaining, js.Alloc
+// removeActive drops the active job at index i.
+func (s *Sim) removeActive(i int) {
+	s.actives = slices.Delete(s.actives, i, i+1)
+	s.views = slices.Delete(s.views, i, i+1)
+	s.oldAlloc = slices.Delete(s.oldAlloc, i, i+1)
 }
 
 // grow returns buf resized to n, reusing its backing array when the

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -224,5 +226,49 @@ func TestMoldableHoldsAllocation(t *testing.T) {
 	res := sim.Run()
 	if len(res.PerJob) != 1 || res.PerJob[0].Finish <= 0 {
 		t.Fatalf("moldable run: %+v", res)
+	}
+}
+
+// twoSevens is two ID-7 jobs on a 4-node pool under equipartition: the
+// first (work 10, MaxNodes 2) finishes at t=5, the second (work 100,
+// MaxNodes 2) arrives at t=second.
+func twoSevens(t *testing.T, second float64) *Sim {
+	t.Helper()
+	jobs := []*Job{
+		{ID: 7, Phases: SyntheticProfile(1, 10, 0), MaxNodes: 2},
+		{ID: 7, Arrival: second, Phases: SyntheticProfile(1, 100, 0), MaxNodes: 2},
+	}
+	policy, err := sched.New("equipartition", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(4, policy, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+// TestDuplicateActiveIDPanics: a job arriving while another job with its
+// ID is still active panics, naming the ID, instead of taking the other
+// job's place in the active list (where the first job's completion would
+// drop it, leaving it to run on nodes the pool no longer counts).
+func TestDuplicateActiveIDPanics(t *testing.T) {
+	sim := twoSevens(t, 1)
+	defer func() {
+		if r := recover(); r != nil && !strings.Contains(fmt.Sprint(r), "job 7 ") {
+			t.Fatalf("panic %q does not name job 7", r)
+		}
+	}()
+	res := sim.Run()
+	t.Fatalf("the run completed: %+v", res.PerJob)
+}
+
+// TestReusedIDAfterFinish: an ID may be reused once its first job has
+// finished.
+func TestReusedIDAfterFinish(t *testing.T) {
+	res := twoSevens(t, 6).Run()
+	if res.Unfinished != 0 || len(res.PerJob) != 2 || res.PerJob[1].Finish != 56 {
+		t.Fatalf("two sequential ID-7 jobs: %+v", res)
 	}
 }

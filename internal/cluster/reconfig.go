@@ -7,6 +7,7 @@ import (
 	"dpsim/internal/appmodel"
 	"dpsim/internal/eventq"
 	"dpsim/internal/obs"
+	"dpsim/internal/sched"
 )
 
 // ReconfigCost prices dynamic reconfiguration under time-varying capacity
@@ -57,10 +58,9 @@ func (s *Sim) preempt(now eventq.Time, total int) {
 		if total <= s.schedCap {
 			break
 		}
-		v := s.actives[i]
+		v := &s.views[i]
 		total -= v.Alloc
 		v.Alloc = 0
-		s.refresh(i, v)
 		if s.probe != nil {
 			s.probe.Preempt(now.Seconds(), v.Job.ID)
 		}
@@ -75,7 +75,7 @@ func (s *Sim) preempt(now eventq.Time, total int) {
 // two cost paths as the cluster-wide model. The assertion allocates
 // nothing, and a zero-cost hook leaves the charges bit-identical to the
 // hook-free path.
-func (s *Sim) charge(js *jobState, old, alloc int, now eventq.Time) {
+func (s *Sim) charge(js *jobState, v *sched.JobState, old, alloc int, now eventq.Time) {
 	var hook appmodel.Reconfigurer
 	if m := js.Job.Model; m != nil {
 		hook, _ = m.(appmodel.Reconfigurer)
@@ -86,7 +86,7 @@ func (s *Sim) charge(js *jobState, old, alloc int, now eventq.Time) {
 			perNode += hook.CheckpointLossS()
 		}
 		if perNode > 0 {
-			s.loseWork(js, perNode, old-alloc, now)
+			s.loseWork(v, perNode, old-alloc, now)
 		}
 	}
 	if old > 0 && alloc > 0 {
@@ -114,20 +114,20 @@ func (s *Sim) charge(js *jobState, old, alloc int, now eventq.Time) {
 // reclaimed nodes is gone; completed phases stay committed. Only the
 // nodes the event actually reclaimed are charged — shrink that migrates
 // allocation to another job is redistribution, not loss.
-func (s *Sim) loseWork(js *jobState, perNode float64, nodes int, now eventq.Time) {
+func (s *Sim) loseWork(v *sched.JobState, perNode float64, nodes int, now eventq.Time) {
 	if nodes > s.abruptNodes {
 		nodes = s.abruptNodes
 	}
 	s.abruptNodes -= nodes
 	lost := perNode * float64(nodes)
-	if done := js.Phase().Work - js.Remaining; lost > done {
+	if done := v.Phase().Work - v.Remaining; lost > done {
 		lost = done
 	}
 	if lost > 0 {
-		js.Remaining += lost
+		v.Remaining += lost
 		s.lostWork += lost
 		if s.probe != nil {
-			s.probe.ReconfigCharge(now.Seconds(), js.Job.ID, obs.ChargeLostWork, lost)
+			s.probe.ReconfigCharge(now.Seconds(), v.Job.ID, obs.ChargeLostWork, lost)
 		}
 	}
 }

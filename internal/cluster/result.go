@@ -98,7 +98,7 @@ func (s *Sim) Result() Result {
 	// computation.
 	var work float64
 	for _, js := range s.jobs {
-		work += js.workDone()
+		work += s.workDone(js)
 	}
 	if res.Makespan > 0 {
 		res.Utilization = work / (float64(s.nodes) * res.Makespan)
@@ -113,19 +113,21 @@ func (s *Sim) Result() Result {
 }
 
 // workDone is the useful work js has completed: its full profile once
-// finished, the settled progress of an active job, nothing while its
-// arrival is pending — stranded or pending jobs must not inflate
-// utilization.
-func (js *jobState) workDone() float64 {
+// finished, the settled progress of an active job (read from its view),
+// nothing while its arrival is pending — stranded or pending jobs must
+// not inflate utilization.
+func (s *Sim) workDone(js *jobState) float64 {
 	j := js.Job
-	switch {
-	case js.PhaseIdx < 0:
-		return 0
-	case js.PhaseIdx >= len(j.Phases):
+	if js.finished >= 0 {
 		return j.TotalWork()
 	}
-	completed := j.TotalWork() - js.Remaining
-	for k := js.PhaseIdx + 1; k < len(j.Phases); k++ {
+	i, found := s.searchActive(j.ID)
+	if !found || s.actives[i] != js {
+		return 0 // pending; a job with its ID may be active
+	}
+	v := &s.views[i]
+	completed := j.TotalWork() - v.Remaining
+	for k := v.PhaseIdx + 1; k < len(j.Phases); k++ {
 		completed -= j.Phases[k].Work
 	}
 	return max(completed, 0)

@@ -9,7 +9,7 @@ func (s *Sim) arrive(js *jobState) {
 	if s.probe != nil {
 		s.probe.JobArrive(now.Seconds(), js.Job.ID)
 	}
-	js.PhaseIdx, js.Remaining, js.last = 0, js.Job.Phases[0].Work, now
+	js.last = now
 	js.fn = func() { s.phaseDone(js) }
 	s.insertActive(js)
 	s.lastJobEvent = now
@@ -17,10 +17,11 @@ func (s *Sim) arrive(js *jobState) {
 }
 
 func (s *Sim) phaseDone(js *jobState) {
-	js.Remaining = 0
+	i, _ := s.searchActive(js.Job.ID)
+	v := &s.views[i]
 	// Credit the completed slice.
 	now := s.q.Now()
-	if dt := (now - progressStart(js, now)).Seconds(); dt > 0 && js.rate > 0 && js.Alloc > 0 {
+	if dt := (now - progressStart(js, now)).Seconds(); dt > 0 && js.rate > 0 && v.Alloc > 0 {
 		s.credit(js, js.rate*dt)
 	}
 	// The cached rate belonged to the finished phase: zero it, so the
@@ -28,18 +29,18 @@ func (s *Sim) phaseDone(js *jobState) {
 	js.last, js.rate = now, 0
 	s.lastJobEvent = now
 	if s.probe != nil {
-		s.probe.PhaseDone(now.Seconds(), js.Job.ID, js.PhaseIdx, len(js.Job.Phases))
+		s.probe.PhaseDone(now.Seconds(), js.Job.ID, v.PhaseIdx, len(js.Job.Phases))
 	}
-	js.PhaseIdx++
-	if js.PhaseIdx >= len(js.Job.Phases) {
+	v.PhaseIdx++
+	if v.PhaseIdx >= len(js.Job.Phases) {
 		js.finished = now.Seconds()
 		if s.probe != nil {
 			s.probe.JobFinish(now.Seconds(), js.Job.ID)
 		}
-		s.removeActive(js.Job.ID)
+		s.removeActive(i)
 		s.finished = append(s.finished, js)
 	} else {
-		js.Remaining = js.Job.Phases[js.PhaseIdx].Work
+		v.Remaining = js.Job.Phases[v.PhaseIdx].Work
 	}
 	s.dirty = true
 }
@@ -64,16 +65,16 @@ func (s *Sim) settle(now eventq.Time) (total int) {
 		// credited its slice) has dt exactly zero.
 		if js.rate > 0 && js.last != now {
 			if dt := (now - progressStart(js, now)).Seconds(); dt > 0 {
+				v := &s.views[i]
 				done := js.rate * dt
-				if done > js.Remaining {
-					done = js.Remaining
+				if done > v.Remaining {
+					done = v.Remaining
 				}
-				js.Remaining -= done
+				v.Remaining -= done
 				s.credit(js, done)
 			}
 		}
 		js.last = now
-		s.refresh(i, js)
 	}
 	return total
 }
@@ -117,30 +118,29 @@ func (s *Sim) reschedule(now eventq.Time) (changed int) {
 		if old == 0 && alloc == 0 {
 			continue
 		}
-		js := s.actives[i]
+		js, v := s.actives[i], &s.views[i]
 		if alloc != old {
 			changed++
-			s.charge(js, old, alloc, now)
+			s.charge(js, v, old, alloc, now)
 		}
 		if old == 0 {
 			js.last = now
 		}
-		js.Alloc = alloc
-		s.refresh(i, js)
+		v.Alloc = alloc
 		rate := js.rate // cached while the phase and the allocation hold
 		if alloc != old || rate == 0 {
 			rate, js.eff = 0, 0
 			switch m := js.Job.Model; {
 			case alloc <= 0:
 			case m == nil:
-				js.eff = js.Phase().Efficiency(alloc)
+				js.eff = v.Phase().Efficiency(alloc)
 				rate = float64(alloc) * js.eff
 			default:
-				rate, js.eff = m.Rate(js.Phase().Work, alloc), m.Efficiency(js.Phase().Work, alloc)
+				rate, js.eff = m.Rate(v.Phase().Work, alloc), m.Efficiency(v.Phase().Work, alloc)
 			}
 		}
 		if rate > 0 {
-			eta := eventq.DurationOf(js.Remaining / rate)
+			eta := eventq.DurationOf(v.Remaining / rate)
 			if js.pausedUntil > now {
 				eta += eventq.Duration(js.pausedUntil - now)
 			}

@@ -161,10 +161,10 @@ func (js JobState) EstRemaining(p int) float64 {
 // Active (and the out buffer paired with it) is owned by the caller and
 // valid only for the duration of the Allocate call: the simulator reuses
 // the backing array between events, so policies must not retain it.
-// Active is read-only: the simulator keeps it as a persistent arena and
-// refreshes only the views of jobs that hold or are granted nodes, so a
-// write to a waiting job's view would show up in later passes (the
-// cluster package's arena oracle test catches a policy that writes).
+// Active is read-only: the simulator keeps the active jobs' phase,
+// remaining work and allocation in these views and nowhere else, so a
+// write would change the run itself (the cluster package's arena
+// contract test catches a policy that writes).
 type State struct {
 	// Nodes is the capacity usable right now: the current pool, already
 	// shrunk by any outstanding reclaim notice.
