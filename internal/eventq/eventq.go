@@ -85,23 +85,22 @@ func (t Time) String() string {
 // Event is a callback scheduled at an instant. Events scheduled for the
 // same instant fire by ascending tier, then by ascending key (0 unless set
 // by RescheduleKeyed), then in scheduling order (FIFO), which makes
-// simulations deterministic regardless of heap internals. The two small
-// fields share one word, so the struct stays in the 48-byte size class.
+// simulations deterministic regardless of heap internals. The struct
+// stays in the 48-byte size class.
 type Event struct {
-	when   Time
-	tier   int8
-	canned bool
-	seq    uint64
-	key    int64
-	index  int // heap index; -1 when not queued
-	fn     func()
+	when  Time
+	tier  int8
+	seq   uint64
+	key   int64
+	index int // heap index; -1 when not queued (fired or cancelled)
+	fn    func()
 }
 
 // Time reports the instant the event is scheduled for.
 func (e *Event) Time() Time { return e.when }
 
 // Scheduled reports whether the event is still pending in a queue.
-func (e *Event) Scheduled() bool { return e != nil && e.index >= 0 && !e.canned }
+func (e *Event) Scheduled() bool { return e != nil && e.index >= 0 }
 
 // Queue is a virtual clock plus a pending-event heap. The zero value is
 // ready to use at time 0.
@@ -248,10 +247,9 @@ func (q *Queue) move(e *Event, when Time, key int64, fn func()) *Event {
 // already-cancelled event is a no-op; Cancel reports whether the event
 // was actually removed.
 func (q *Queue) Cancel(e *Event) bool {
-	if e == nil || e.canned || e.index < 0 {
+	if !e.Scheduled() {
 		return false
 	}
-	e.canned = true
 	q.remove(e)
 	return true
 }
@@ -269,17 +267,14 @@ func (q *Queue) NextTime() (Time, bool) {
 // Step fires the earliest pending event, advancing the clock to its
 // instant. It reports false when no events remain.
 func (q *Queue) Step() bool {
-	for len(q.heap) > 0 {
-		e := q.pop()
-		if e.canned {
-			continue
-		}
-		q.now = e.when
-		q.fired++
-		e.fn()
-		return true
+	if len(q.heap) == 0 {
+		return false
 	}
-	return false
+	e := q.pop()
+	q.now = e.when
+	q.fired++
+	e.fn()
+	return true
 }
 
 // Run fires events until the queue drains or limit events have fired
