@@ -90,6 +90,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -206,6 +207,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *replications <= 0 {
 		return usage("-replications must be positive")
 	}
+	if dt := *sampleDT; dt < 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
+		usage("-sample-dt must be a finite number of seconds >= 0, got %g", dt)
+		fs.Usage()
+		return 2
+	}
 	observing := *tsPath != "" || *tracePath != "" || *sumPath != ""
 	switch {
 	case *shardSpec != "" && *mergeList != "":
@@ -229,12 +235,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		Admissions: *admissionsFlag, Routings: *routingsFlag,
 	}); err != nil {
 		return fail("", err)
-	}
-	sampleDTS, err := spec.SampleDT(*sampleDT, 1)
-	if err != nil {
-		usage("-sample-dt: %v", err)
-		fs.Usage()
-		return 2
 	}
 	cells, _, err := sweep.CellsMatching(spec, *cellPrefix)
 	if err != nil {
@@ -351,7 +351,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			tsFile = f
 			tsSink = sweep.NewTimeSeriesSink(f)
 		}
-		opt.SampleDTS = sampleDTS
+		// Resolve the sample interval once, into the observe block every
+		// observed run reads: the flag, else sample_dt_s, else 1s.
+		dt := *sampleDT
+		if dt == 0 {
+			dt = spec.SampleDT(1)
+		}
+		if spec.Observe == nil {
+			spec.Observe = &scenario.ObserveSpec{}
+		}
+		spec.Observe.SampleDTS = dt
 		opt.Observe = func(o sweep.Observation) obs.Probe {
 			return obs.NewRecorder(spec.Observe.RecorderConfig(o.Label()))
 		}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -99,8 +98,9 @@ func TestRunCellProbeIdentity(t *testing.T) {
 	}
 }
 
-// TestRunCellSampleOverride: CellParams.SampleDTS overrides the spec's
-// interval; the finer grid yields strictly more samples.
+// TestRunCellSampleOverride: RunCell samples at the observe block's
+// interval, where dpssweep writes its -sample-dt; a finer grid than the
+// scenario's yields strictly more samples.
 func TestRunCellSampleOverride(t *testing.T) {
 	spec, err := Parse([]byte(observeScenario))
 	if err != nil {
@@ -110,8 +110,9 @@ func TestRunCellSampleOverride(t *testing.T) {
 	if _, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 5, Probe: coarse}); err != nil {
 		t.Fatal(err)
 	}
+	spec.Observe.SampleDTS = 0.5
 	fine := obs.NewRecorder(obs.Config{})
-	if _, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 5, Probe: fine, SampleDTS: 0.5}); err != nil {
+	if _, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 5, Probe: fine}); err != nil {
 		t.Fatal(err)
 	}
 	if len(fine.Samples()) <= len(coarse.Samples()) {
@@ -119,10 +120,9 @@ func TestRunCellSampleOverride(t *testing.T) {
 	}
 }
 
-// TestSampleDTResolution: one resolver orders override → observe block →
-// fallback, and rejects intervals the simulator would never sample at
-// (RunCell used to take them as "no sampling" and return an empty
-// series).
+// TestSampleDTResolution: the resolver orders observe block → fallback,
+// and a scenario whose block holds an interval the simulator would never
+// sample at is rejected at load, naming the key.
 func TestSampleDTResolution(t *testing.T) {
 	observed, err := Parse([]byte(observeScenario))
 	if err != nil {
@@ -130,28 +130,22 @@ func TestSampleDTResolution(t *testing.T) {
 	}
 	bare := &Spec{}
 	for _, tc := range []struct {
-		spec               *Spec
-		override, fallback float64
-		want               float64
+		spec           *Spec
+		fallback, want float64
 	}{
-		{observed, 0.5, 1, 0.5},
-		{observed, 0, 1, 2},
-		{bare, 0, 1, 1},
-		{bare, 0, 0, 0},
-		{bare, 3, 1, 3},
+		{observed, 1, 2},
+		{observed, 0, 2},
+		{bare, 1, 1},
+		{bare, 0, 0},
+		{&Spec{Observe: &ObserveSpec{}}, 1, 1},
 	} {
-		if got, err := tc.spec.SampleDT(tc.override, tc.fallback); err != nil || got != tc.want {
-			t.Errorf("SampleDT(%g, %g) = %g, %v; want %g", tc.override, tc.fallback, got, err, tc.want)
+		if got := tc.spec.SampleDT(tc.fallback); got != tc.want {
+			t.Errorf("SampleDT(%g) = %g; want %g", tc.fallback, got, tc.want)
 		}
 	}
-	for _, bad := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := observed.SampleDT(bad, 1); err == nil {
-			t.Errorf("SampleDT(%g) accepted", bad)
-		}
-		rec := obs.NewRecorder(obs.Config{})
-		if _, err := observed.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 5, Probe: rec, SampleDTS: bad}); err == nil {
-			t.Errorf("RunCell accepted SampleDTS %g", bad)
-		}
+	bad := strings.Replace(observeScenario, `"sample_dt_s": 2`, `"sample_dt_s": -5`, 1)
+	if _, err := Parse([]byte(bad)); err == nil || !strings.Contains(err.Error(), "observe.sample_dt_s") {
+		t.Errorf("a negative sample_dt_s loaded: %v", err)
 	}
 }
 

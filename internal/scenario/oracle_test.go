@@ -243,10 +243,11 @@ func TestLittlesLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.Observe = &ObserveSpec{SampleDTS: dt}
 	for si, sched := range spec.Schedulers {
 		for ai, avail := range spec.Availability {
 			rec := obs.NewRecorder(obs.Config{})
-			run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, SchedulerIdx: si, AvailIdx: ai, Seed: spec.Seed, Probe: rec, SampleDTS: dt})
+			run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, SchedulerIdx: si, AvailIdx: ai, Seed: spec.Seed, Probe: rec})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,10 +40,6 @@ type CellParams struct {
 	// non-federated cell is its own member 0); a nil entry falls back
 	// to Probe.
 	MemberProbes []obs.Probe
-	// SampleDTS overrides the time-series sample interval in virtual
-	// seconds; 0 falls back to the spec's observe.sample_dt_s. Sampling
-	// requires a Probe.
-	SampleDTS float64
 }
 
 // CellRun is the outcome of one simulated replication.
@@ -153,10 +149,7 @@ func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
 	base.Fork()
 	members := make([]federation.Member, len(clusters))
 	models := make([]appmodel.AppModel, len(clusters))
-	dt, err := s.SampleDT(p.SampleDTS, 0)
-	if err != nil {
-		return nil, err
-	}
+	dt := s.SampleDT(0)
 	for i := range clusters {
 		c := &clusters[i]
 		avRng := base.Fork()

@@ -41,7 +41,6 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -126,7 +125,8 @@ type Spec struct {
 // output.
 type ObserveSpec struct {
 	// SampleDTS is the fixed time-series sample interval in virtual
-	// seconds; 0 leaves the choice to the caller (CLIs default to 1s).
+	// seconds; 0 leaves the choice to the caller (dpssweep defaults to
+	// 1s, and writes its -sample-dt here).
 	SampleDTS float64 `json:"sample_dt_s,omitempty"`
 	// MaxSamples, MaxSpans and MaxEvents bound the recorder's ring
 	// buffers (0 = the internal/obs defaults).
@@ -138,20 +138,12 @@ type ObserveSpec struct {
 }
 
 // SampleDT resolves a run's time-series sample interval in virtual
-// seconds: override (a CLI flag, CellParams.SampleDTS) when non-zero,
-// else the observe block's sample_dt_s, else fallback. An override that
-// is negative, NaN or infinite is an error — the simulator samples only
-// at an interval > 0, so it would silently empty the time series.
-func (s *Spec) SampleDT(override, fallback float64) (float64, error) {
-	switch {
-	case override < 0 || math.IsNaN(override) || math.IsInf(override, 0):
-		return 0, fmt.Errorf("scenario: sample interval must be a finite number of seconds >= 0, got %g", override)
-	case override != 0:
-		return override, nil
-	case s.Observe != nil && s.Observe.SampleDTS != 0:
-		return s.Observe.SampleDTS, nil
+// seconds: the observe block's sample_dt_s when set, else fallback.
+func (s *Spec) SampleDT(fallback float64) float64 {
+	if s.Observe != nil && s.Observe.SampleDTS != 0 {
+		return s.Observe.SampleDTS
 	}
-	return fallback, nil
+	return fallback
 }
 
 // validate checks the observe block; error messages name the offending

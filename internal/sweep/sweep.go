@@ -263,10 +263,6 @@ type Options struct {
 	// a shared unit would skip), and checkpoint-restored replications are
 	// not re-observed.
 	Observe func(o Observation) obs.Probe
-	// SampleDTS overrides the observed replications' time-series sample
-	// interval in virtual seconds; 0 uses the scenario's
-	// observe.sample_dt_s. Ignored without Observe.
-	SampleDTS float64
 	// OnObserved hands each observed member's probe back at the in-order
 	// fold frontier: calls arrive strictly in (cell, replication, member)
 	// index order, serialized under the sweep's lock, so a sink writing
@@ -643,7 +639,6 @@ func (p *plan) execute(spec *scenario.Spec, opt *Options, u *unit, rep, worker i
 			RoutingIdx:   c.RoutingIdx,
 			Seed:         seed,
 			MemberProbes: probes,
-			SampleDTS:    opt.SampleDTS,
 		})
 		if err == nil {
 			if field, v, ok := nonFinite(&run.Result); ok {
