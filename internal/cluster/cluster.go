@@ -19,7 +19,6 @@
 package cluster
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -462,10 +461,18 @@ func (s *Sim) Run() Result {
 	return s.Result()
 }
 
-// searchActive locates id in the ID-sorted active list.
+// searchActive locates id in the ID-sorted active list. phaseDone calls
+// it at every phase completion: the loop reads IDs through the views.
 func (s *Sim) searchActive(id int) (int, bool) {
-	return slices.BinarySearchFunc(s.actives, id,
-		func(a *jobState, id int) int { return cmp.Compare(a.Job.ID, id) })
+	lo, hi := 0, len(s.views)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.views[m].Job.ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.views) && s.views[lo].Job.ID == id
 }
 
 // insertActive places a just-arrived (waiting) js into the ID-sorted
@@ -487,16 +494,6 @@ func (s *Sim) removeActive(i int) {
 	s.actives = slices.Delete(s.actives, i, i+1)
 	s.views = slices.Delete(s.views, i, i+1)
 	s.oldAlloc = slices.Delete(s.oldAlloc, i, i+1)
-}
-
-// grow returns buf resized to n, reusing its backing array when the
-// capacity suffices — the scratch-buffer idiom of the hot path.
-// Contents are unspecified; callers that need zeros must clear.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
 }
 
 // reallocate is the coalesced scheduling pass of a dirty instant, in the
@@ -533,8 +530,12 @@ func (s *Sim) reallocate() {
 // having checked the sched.Scheduler contract: a grant outside
 // [0, MaxNodes] or a sum above the usable nodes panics.
 func (s *Sim) allocate(now eventq.Time) (wallNS int64, total int) {
-	s.allocBuf = grow(s.allocBuf, len(s.actives))
-	clear(s.allocBuf)
+	if n := len(s.actives); cap(s.allocBuf) < n {
+		s.allocBuf = make([]int, n)
+	} else {
+		s.allocBuf = s.allocBuf[:n]
+		clear(s.allocBuf)
+	}
 	st := sched.State{Nodes: s.schedCap, Now: now.Seconds(), Active: s.views}
 	if s.probe != nil {
 		t0 := time.Now()
