@@ -120,10 +120,10 @@ type Sim struct {
 	// job's phase, remaining work and allocation — the one copy of them,
 	// handed to the policy as is — and oldAlloc is each job's allocation
 	// in force before the current pass. So a job waiting through a pass
-	// costs only contiguous-array work. allocBuf is the out-buffer the policy fills
-	// (it becomes oldAlloc when the pass ends), victims the preemption
-	// scratch list. After warm-up a steady-state scheduling event
-	// allocates nothing.
+	// costs only contiguous-array work. allocBuf is the out-buffer the
+	// policy fills (it becomes oldAlloc when the pass ends), victims the
+	// preemption scratch list. After warm-up a steady-state scheduling
+	// event allocates nothing.
 	views    []sched.JobState
 	oldAlloc []int
 	allocBuf []int
