@@ -64,6 +64,11 @@ var goldenCases = []struct {
 	{"fairshare_diurnal", []string{"-scenario", scenarioFile("fairshare_diurnal.json")}, tabular},
 	{"amdahl_sweep", []string{"-scenario", scenarioFile("amdahl_sweep.json")}, tabular},
 	{"roofline_mix", []string{"-scenario", scenarioFile("roofline_mix.json")}, tabular},
+	// Every bare and cost-carrying form of the comm-factor and roofline
+	// models, as -appmodels overrides.
+	{"openload_appmodels", []string{"-scenario", scenarioFile("openload.json"), "-replications", "2",
+		"-appmodels", "mix,amdahl(f=0.1),amdahl(f=0.3,migrate_s=2,ckpt_s=1),fixed,fixed(migrate_s=1),roofline(sat=4)"},
+		tabular},
 }
 
 func scenarioFile(name string) string {
