@@ -12,20 +12,20 @@
 // "name(key=value,...)" spec strings via ParseSpec/FormatSpec that
 // round-trip through scenario JSON, sweep-grid labels and CLI flags.
 //
-// Built-in models:
+// The registered names state four curves, each once:
 //
-//   - amdahl — Amdahl's law with serial fraction f:
-//     speedup(n) = n / (1 + f·(n-1)).
+//   - comm-factor (CommFactor) — eff(p) = 1/(1 + C·(p-1)), the curve
+//     sched.Phase.Efficiency computes from its Comm field (both call
+//     CommEfficiency). lu, synthetic and stencil are the simulator's
+//     classic job mixes; amdahl is Amdahl's law with serial fraction f,
+//     which is this curve with C = f: speedup(n) = n / (1 + f·(n-1)).
 //   - downey — Downey's A–σ model of malleable-job speedup (average
 //     parallelism A, coefficient of variance σ).
 //   - comm-bound — latency/bandwidth-bound stencil-style phase:
 //     time(w, n) = w/n + α + β/n for n > 1.
 //   - roofline — linear speedup up to a memory-bandwidth saturation
-//     point: speedup(n) = min(n, sat).
-//   - fixed — a rigid application: speedup 1 at any allocation.
-//   - lu, synthetic, stencil — the simulator's classic job mixes,
-//     re-expressed as registered models of the communication-factor
-//     family eff(p) = 1/(1 + c·(p-1)) (see CommFactor).
+//     point: speedup(n) = min(n, sat). fixed, a rigid application with
+//     speedup 1 at any allocation, is roofline with sat = 1.
 //
 // Every built-in model also accepts the shared reconfiguration
 // parameters migrate_s and ckpt_s (see Costs): models price their own
@@ -37,15 +37,12 @@
 // efficiency evaluated through it, at every scheduling event.
 // Implementations must therefore be allocation-free per call — pure
 // float math over parameters fixed at construction. Cost-free
-// comm-factor models are lowered onto the phase's Comm field by the
-// scenario layer (the curves are identical by construction), so the
-// classic workloads keep the simulator's inlined fast path.
+// comm-factor models (amdahl included) are lowered onto the phase's Comm
+// field by the scenario layer (the curves are identical by
+// construction), so they keep the simulator's inlined fast path.
 package appmodel
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 var errNegativeCost = errors.New("appmodel: migrate_s and ckpt_s must be >= 0")
 
@@ -54,17 +51,14 @@ var errNegativeCost = errors.New("appmodel: migrate_s and ckpt_s must be >= 0")
 // must be immutable after construction and allocation-free per call —
 // they are evaluated inside the simulator's zero-allocation event loop.
 //
-// The three methods are consistent views of one curve:
-// PhaseTime = work/Rate, Efficiency = Rate/nodes. Rate is the primary
-// quantity the simulator consumes (work-seconds of progress per
-// wall-clock second, i.e. the speedup over serial execution).
+// Rate and Efficiency are two views of one curve: Efficiency =
+// Rate/nodes. Rate is the primary quantity the simulator consumes
+// (work-seconds of progress per wall-clock second, i.e. the speedup over
+// serial execution); a phase of w work-seconds takes w/Rate seconds.
+// Both return 0 at nodes <= 0, so callers need no guard of their own.
 type AppModel interface {
 	// Name returns the model's canonical registered name.
 	Name() string
-	// PhaseTime returns the wall-clock seconds needed to execute a phase
-	// of `work` serial work-seconds on `nodes` nodes. It returns +Inf
-	// when nodes <= 0 (no progress without an allocation).
-	PhaseTime(work float64, nodes int) float64
 	// Rate returns the phase's progress in work-seconds per wall-clock
 	// second on `nodes` nodes — the speedup over serial execution. It
 	// returns 0 when nodes <= 0.
@@ -123,13 +117,4 @@ func costsFromParams(p Params, model string, allowed ...string) (Costs, error) {
 		return Costs{}, errNegativeCost
 	}
 	return c, nil
-}
-
-// timeOf converts a speedup into a phase time, guarding the no-progress
-// case: a non-positive rate means the phase never completes.
-func timeOf(work, rate float64) float64 {
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return work / rate
 }

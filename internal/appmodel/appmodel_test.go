@@ -7,9 +7,9 @@ import (
 
 // TestModelContracts checks the AppModel consistency laws every
 // registered model must obey at default parameters: serial execution is
-// the baseline (rate 1 at one node), the three views agree
-// (PhaseTime = work/Rate, Efficiency = Rate/n), speedup never exceeds
-// the allocation, and a non-positive allocation makes no progress.
+// the baseline (rate 1 at one node), the two views agree
+// (Efficiency = Rate/n), speedup never exceeds the allocation, and a
+// non-positive allocation makes no progress.
 func TestModelContracts(t *testing.T) {
 	const work = 120.0
 	for _, name := range Names() {
@@ -29,9 +29,6 @@ func TestModelContracts(t *testing.T) {
 		if e := m.Efficiency(work, 0); e != 0 {
 			t.Errorf("%s: Efficiency(work, 0) = %g, want 0", name, e)
 		}
-		if pt := m.PhaseTime(work, 0); !math.IsInf(pt, 1) {
-			t.Errorf("%s: PhaseTime(work, 0) = %g, want +Inf", name, pt)
-		}
 		for n := 1; n <= 64; n *= 2 {
 			rate := m.Rate(work, n)
 			if rate <= 0 || rate > float64(n)+1e-12 {
@@ -40,15 +37,12 @@ func TestModelContracts(t *testing.T) {
 			if e := m.Efficiency(work, n); math.Abs(e-rate/float64(n)) > 1e-12 {
 				t.Errorf("%s: Efficiency(work, %d) = %g, want Rate/n = %g", name, n, e, rate/float64(n))
 			}
-			if pt := m.PhaseTime(work, n); math.Abs(pt-work/rate) > 1e-9 {
-				t.Errorf("%s: PhaseTime(work, %d) = %g, want work/Rate = %g", name, n, pt, work/rate)
-			}
 		}
 	}
 }
 
 // TestModelShapes pins the distinguishing behavior of each analytical
-// family: where the curve bends is the whole point of having five.
+// family: where the curve bends is the whole point of having four.
 func TestModelShapes(t *testing.T) {
 	amdahl, err := New("amdahl", Params{"f": 0.1})
 	if err != nil {
@@ -108,12 +102,12 @@ func TestModelShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// time(w, n) = w/n + α + β/n for n > 1.
-	if pt := cb.PhaseTime(100, 4); math.Abs(pt-(100.0/4+0.5+2.0/4)) > 1e-12 {
-		t.Errorf("comm-bound time = %g", pt)
+	// time(w, n) = w/n + α + β/n for n > 1, so the rate is w/time.
+	if r := cb.Rate(100, 4); math.Abs(r-100/(100.0/4+0.5+2.0/4)) > 1e-12 {
+		t.Errorf("comm-bound rate = %g", r)
 	}
-	if pt := cb.PhaseTime(100, 1); pt != 100 {
-		t.Errorf("comm-bound serial time = %g, want 100", pt)
+	if r := cb.Rate(100, 1); r != 1 {
+		t.Errorf("comm-bound serial rate = %g, want 1", r)
 	}
 	// A latency-dominated phase can lose from parallelism: that is the
 	// behavior the model exists to exhibit.
@@ -121,7 +115,7 @@ func TestModelShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lat.PhaseTime(10, 2) <= lat.PhaseTime(10, 1) {
+	if lat.Rate(10, 2) >= lat.Rate(10, 1) {
 		t.Error("latency-bound phase should slow down on 2 nodes")
 	}
 }
@@ -141,6 +135,45 @@ func TestCommFactorMatchesLegacyFormula(t *testing.T) {
 			if got, want := m.Rate(7, p), float64(p)*eff; got != want {
 				t.Fatalf("c=%g p=%d: Rate = %g, want %g (bitwise)", c, p, got, want)
 			}
+		}
+	}
+}
+
+// TestAliasesAreTheirFamilies: amdahl is the comm-factor curve with
+// C = f, and fixed is roofline with sat = 1, bit for bit against the
+// closed forms they used to state on their own (speedup n/(1+f·(n-1)),
+// and speedup 1 with efficiency 1/n).
+func TestAliasesAreTheirFamilies(t *testing.T) {
+	amdahl, err := New("amdahl", Params{"f": 0.3, "migrate_s": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cf, ok := amdahl.(CommFactor); !ok || cf.C != 0.3 || cf.MigrateS != 2 {
+		t.Fatalf("amdahl(f=0.3) = %#v, want the comm-factor curve with C = 0.3", amdahl)
+	}
+	fixed, err := New("fixed", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rl, ok := fixed.(Roofline); !ok || rl.Sat != 1 || fixed.Name() != "fixed" {
+		t.Fatalf("fixed = %#v, want roofline with sat = 1", fixed)
+	}
+	if name := (Roofline{Sat: 4}).Name(); name != "roofline" {
+		t.Errorf("Roofline{Sat: 4}.Name() = %q, want roofline", name)
+	}
+	for p := 1; p <= 33; p++ {
+		eff := 1 / (1 + 0.3*float64(p-1))
+		if got := amdahl.Efficiency(7, p); got != eff {
+			t.Fatalf("amdahl p=%d: Efficiency = %g, want %g (bitwise)", p, got, eff)
+		}
+		if got, want := amdahl.Rate(7, p), float64(p)*eff; got != want {
+			t.Fatalf("amdahl p=%d: Rate = %g, want %g (bitwise)", p, got, want)
+		}
+		if got := fixed.Rate(7, p); got != 1 {
+			t.Fatalf("fixed p=%d: Rate = %g, want 1", p, got)
+		}
+		if got, want := fixed.Efficiency(7, p), 1/float64(p); got != want {
+			t.Fatalf("fixed p=%d: Efficiency = %g, want %g (bitwise)", p, got, want)
 		}
 	}
 }

@@ -9,24 +9,31 @@ func init() {
 	Register("lu", newLU)
 	Register("synthetic", newSynthetic)
 	Register("stencil", newStencil)
+	Register("amdahl", newAmdahl)
 }
 
-// CommFactor is the simulator's classic efficiency family: a phase with
-// communication/imbalance factor C runs at efficiency
-// eff(p) = 1/(1 + C·(p-1)) on p nodes — exactly the curve
-// sched.Phase.Efficiency computes from its Comm field. The simulator's
-// historical job mixes (lu, synthetic, stencil) are registered instances
-// of this family, which is what keeps their results bit-identical
-// through the registry: the arithmetic here is expression-for-expression
-// the legacy formula.
-//
-// Note that eff(p) = 1/(1 + C·(p-1)) is algebraically Amdahl's law with
-// serial fraction C; the two registered names differ in parameterization
-// and intent (a measured communication factor vs. an assumed serial
-// fraction), not in shape.
+// CommEfficiency is the comm-factor curve: a phase with communication or
+// imbalance factor c runs at efficiency 1/(1 + c·(p-1)) on p nodes, and
+// makes no progress without nodes. It is the one statement of the
+// formula: CommFactor and sched.Phase both evaluate it.
+func CommEfficiency(c float64, p int) float64 {
+	if p <= 0 {
+		return 0
+	}
+	return 1 / (1 + c*float64(p-1))
+}
+
+// CommFactor is the simulator's classic efficiency family, the
+// CommEfficiency curve with factor C. The simulator's historical job
+// mixes (lu, synthetic, stencil) are registered instances of this
+// family, which is what keeps their results bit-identical through the
+// registry. So is amdahl: Amdahl's law with serial fraction f is
+// algebraically this curve with C = f, and the two names differ only in
+// parameterization (an assumed serial fraction vs. a measured
+// communication factor).
 type CommFactor struct {
 	// model is the registered name that built this instance ("lu",
-	// "synthetic", "stencil").
+	// "synthetic", "stencil", "amdahl").
 	model string
 	// C is the communication/imbalance factor.
 	C float64
@@ -43,25 +50,15 @@ func Comm(model string, c float64) CommFactor {
 // Name implements AppModel.
 func (m CommFactor) Name() string { return m.model }
 
-// Efficiency implements AppModel. The expression is kept identical to
-// the legacy sched.Phase.Efficiency so attaching the model is
-// bit-invisible.
+// Efficiency implements AppModel.
 func (m CommFactor) Efficiency(work float64, nodes int) float64 {
-	if nodes <= 0 {
-		return 0
-	}
-	return 1 / (1 + m.C*float64(nodes-1))
+	return CommEfficiency(m.C, nodes)
 }
 
-// Rate implements AppModel, mirroring the legacy sched.Phase.Rate
-// expression float64(p)·eff(p) exactly.
+// Rate implements AppModel, the expression float64(p)·eff(p) of
+// sched.Phase.Rate.
 func (m CommFactor) Rate(work float64, nodes int) float64 {
 	return float64(nodes) * m.Efficiency(work, nodes)
-}
-
-// PhaseTime implements AppModel.
-func (m CommFactor) PhaseTime(work float64, nodes int) float64 {
-	return timeOf(work, m.Rate(work, nodes))
 }
 
 // LUPhase returns the model of LU iteration k of blocks total: the
@@ -145,4 +142,18 @@ func newStencil(p Params) (AppModel, error) {
 		return nil, fmt.Errorf("appmodel: stencil flops=%g must be >= 0 (0 = paper calibration)", flops)
 	}
 	return CommFactor{model: "stencil", C: StencilComm(n, flops), Costs: c}, nil
+}
+
+// newAmdahl registers Amdahl's law with serial fraction f as the
+// comm-factor curve with C = f.
+func newAmdahl(p Params) (AppModel, error) {
+	c, err := costsFromParams(p, "amdahl", "f")
+	if err != nil {
+		return nil, err
+	}
+	f := p.Float("f", 0.05)
+	if f < 0 || f > 1 {
+		return nil, fmt.Errorf("appmodel: amdahl serial fraction f=%g outside [0, 1]", f)
+	}
+	return CommFactor{model: "amdahl", C: f, Costs: c}, nil
 }

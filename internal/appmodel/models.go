@@ -6,55 +6,10 @@ import (
 )
 
 func init() {
-	Register("amdahl", newAmdahl)
 	Register("downey", newDowney)
 	Register("comm-bound", newCommBound)
 	Register("roofline", newRoofline)
 	Register("fixed", newFixed)
-}
-
-// --- amdahl ---
-
-// Amdahl is Amdahl's law with serial fraction F: a fraction F of every
-// phase cannot be parallelized, so speedup(n) = n / (1 + F·(n-1)) and
-// efficiency decays as 1/(1 + F·(n-1)). It is the classic upper-bound
-// model for strong scaling.
-type Amdahl struct {
-	F float64
-	Costs
-}
-
-func newAmdahl(p Params) (AppModel, error) {
-	c, err := costsFromParams(p, "amdahl", "f")
-	if err != nil {
-		return nil, err
-	}
-	f := p.Float("f", 0.05)
-	if f < 0 || f > 1 {
-		return nil, fmt.Errorf("appmodel: amdahl serial fraction f=%g outside [0, 1]", f)
-	}
-	return Amdahl{F: f, Costs: c}, nil
-}
-
-// Name implements AppModel.
-func (m Amdahl) Name() string { return "amdahl" }
-
-// Efficiency implements AppModel.
-func (m Amdahl) Efficiency(work float64, nodes int) float64 {
-	if nodes <= 0 {
-		return 0
-	}
-	return 1 / (1 + m.F*float64(nodes-1))
-}
-
-// Rate implements AppModel.
-func (m Amdahl) Rate(work float64, nodes int) float64 {
-	return float64(nodes) * m.Efficiency(work, nodes)
-}
-
-// PhaseTime implements AppModel.
-func (m Amdahl) PhaseTime(work float64, nodes int) float64 {
-	return timeOf(work, m.Rate(work, nodes))
 }
 
 // --- downey ---
@@ -127,14 +82,6 @@ func (m Downey) Rate(work float64, nodes int) float64 {
 	return m.speedup(nodes)
 }
 
-// PhaseTime implements AppModel.
-func (m Downey) PhaseTime(work float64, nodes int) float64 {
-	if nodes <= 0 {
-		return math.Inf(1)
-	}
-	return timeOf(work, m.speedup(nodes))
-}
-
 // --- comm-bound ---
 
 // CommBound is a latency/bandwidth-bound phase in the α–β tradition of
@@ -164,11 +111,9 @@ func newCommBound(p Params) (AppModel, error) {
 // Name implements AppModel.
 func (m CommBound) Name() string { return "comm-bound" }
 
-// PhaseTime implements AppModel.
-func (m CommBound) PhaseTime(work float64, nodes int) float64 {
-	if nodes <= 0 {
-		return math.Inf(1)
-	}
+// phaseTime is the wall-clock seconds of a phase of work serial
+// work-seconds on nodes >= 1 nodes.
+func (m CommBound) phaseTime(work float64, nodes int) float64 {
 	if nodes == 1 {
 		return work
 	}
@@ -181,7 +126,7 @@ func (m CommBound) Rate(work float64, nodes int) float64 {
 	if nodes <= 0 {
 		return 0
 	}
-	t := m.PhaseTime(work, nodes)
+	t := m.phaseTime(work, nodes)
 	if t <= 0 || math.IsInf(t, 1) {
 		return 0
 	}
@@ -201,9 +146,15 @@ func (m CommBound) Efficiency(work float64, nodes int) float64 {
 // Roofline is a memory-bound plateau: compute scales linearly until Sat
 // nodes saturate the shared bandwidth, beyond which extra nodes add
 // nothing — speedup(n) = min(n, Sat). The sharp knee makes it the
-// adversarial case for schedulers that keep growing allocations.
+// adversarial case for schedulers that keep growing allocations. At
+// Sat = 1 it is the registered fixed model, a rigid application whose
+// every extra node is pure waste: the baseline that separates
+// scheduling gains from speedup-curve gains.
 type Roofline struct {
-	Sat int
+	// model is the registered name that built this instance: "fixed",
+	// or empty for roofline.
+	model string
+	Sat   int
 	Costs
 }
 
@@ -219,8 +170,21 @@ func newRoofline(p Params) (AppModel, error) {
 	return Roofline{Sat: sat, Costs: c}, nil
 }
 
+func newFixed(p Params) (AppModel, error) {
+	c, err := costsFromParams(p, "fixed")
+	if err != nil {
+		return nil, err
+	}
+	return Roofline{model: "fixed", Sat: 1, Costs: c}, nil
+}
+
 // Name implements AppModel.
-func (m Roofline) Name() string { return "roofline" }
+func (m Roofline) Name() string {
+	if m.model == "" {
+		return "roofline"
+	}
+	return m.model
+}
 
 // Rate implements AppModel.
 func (m Roofline) Rate(work float64, nodes int) float64 {
@@ -239,53 +203,4 @@ func (m Roofline) Efficiency(work float64, nodes int) float64 {
 		return 0
 	}
 	return m.Rate(work, nodes) / float64(nodes)
-}
-
-// PhaseTime implements AppModel.
-func (m Roofline) PhaseTime(work float64, nodes int) float64 {
-	return timeOf(work, m.Rate(work, nodes))
-}
-
-// --- fixed ---
-
-// Fixed is a rigid application that cannot exploit parallelism: speedup
-// is 1 at any allocation, so every extra node is pure waste. It is the
-// baseline that separates scheduling gains from speedup-curve gains.
-type Fixed struct {
-	Costs
-}
-
-func newFixed(p Params) (AppModel, error) {
-	c, err := costsFromParams(p, "fixed")
-	if err != nil {
-		return nil, err
-	}
-	return Fixed{Costs: c}, nil
-}
-
-// Name implements AppModel.
-func (m Fixed) Name() string { return "fixed" }
-
-// Rate implements AppModel.
-func (m Fixed) Rate(work float64, nodes int) float64 {
-	if nodes <= 0 {
-		return 0
-	}
-	return 1
-}
-
-// Efficiency implements AppModel.
-func (m Fixed) Efficiency(work float64, nodes int) float64 {
-	if nodes <= 0 {
-		return 0
-	}
-	return 1 / float64(nodes)
-}
-
-// PhaseTime implements AppModel.
-func (m Fixed) PhaseTime(work float64, nodes int) float64 {
-	if nodes <= 0 {
-		return math.Inf(1)
-	}
-	return work
 }

@@ -191,15 +191,15 @@ func TestParseAppModelList(t *testing.T) {
 
 // TestStreamAppModelMatchesPerJobOverride: the stream-level override
 // (JobStream.SetAppModel) and the driver's per-job override are one
-// helper, so they yield identical jobs — for a cost-free comm-factor
-// model (lowered onto Phase.Comm) and for a model that rides along as
-// Job.Model.
+// helper, so they yield identical jobs — for cost-free comm-factor
+// models, amdahl included (lowered onto Phase.Comm), and for models that
+// ride along as Job.Model.
 func TestStreamAppModelMatchesPerJobOverride(t *testing.T) {
 	spec, err := Parse([]byte(appmodelSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, label := range []string{"synthetic(comm=0.2)", "amdahl(f=0.1)", "synthetic(comm=0.2,migrate_s=1)"} {
+	for _, label := range []string{"synthetic(comm=0.2)", "amdahl(f=0.1)", "roofline(sat=4)", "synthetic(comm=0.2,migrate_s=1)"} {
 		name, params, err := appmodel.ParseSpec(label)
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +222,7 @@ func TestStreamAppModelMatchesPerJobOverride(t *testing.T) {
 			t.Errorf("%s: stream-level and per-job override diverged", label)
 		}
 		lowered := got[0].Model == nil
-		if wantLowered := label == "synthetic(comm=0.2)"; lowered != wantLowered {
+		if wantLowered := label == "synthetic(comm=0.2)" || label == "amdahl(f=0.1)"; lowered != wantLowered {
 			t.Errorf("%s: lowered onto Phase.Comm = %v, want %v", label, lowered, wantLowered)
 		}
 	}

@@ -46,7 +46,7 @@ func marginalGain(js *JobState, alloc int) float64 {
 	}
 	ph := js.Phase()
 	if m := js.Job.Model; m != nil {
-		return modelRate(m, ph.Work, alloc+1) - modelRate(m, ph.Work, alloc)
+		return m.Rate(ph.Work, alloc+1) - m.Rate(ph.Work, alloc)
 	}
 	return ph.Rate(alloc+1) - ph.Rate(alloc)
 }

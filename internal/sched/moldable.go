@@ -89,7 +89,7 @@ func moldWidth(js JobState, minEff float64) int {
 	if m := js.Job.Model; m != nil {
 		want := 1
 		for p := 2; p <= js.Job.MaxNodes; p++ {
-			if modelEfficiency(m, ph.Work, p) >= minEff {
+			if m.Efficiency(ph.Work, p) >= minEff {
 				want = p
 			}
 		}

@@ -46,36 +46,18 @@ type Phase struct {
 }
 
 // Efficiency returns the dynamic efficiency of the phase on p nodes
-// under the Comm formula. Jobs with an attached performance model
-// override this curve: model-aware callers must branch on Job.Model like
-// the built-in policies do (JobState.EstRemaining already does).
+// under the Comm formula (appmodel.CommEfficiency). Jobs with an
+// attached performance model override this curve: model-aware callers
+// must branch on Job.Model like the built-in policies do
+// (JobState.EstRemaining already does).
 func (ph Phase) Efficiency(p int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return 1 / (1 + ph.Comm*float64(p-1))
+	return appmodel.CommEfficiency(ph.Comm, p)
 }
 
 // Rate returns the phase's progress in work-seconds per second on p
 // nodes under the Comm formula. See Efficiency for the model caveat.
 func (ph Phase) Rate(p int) float64 {
 	return float64(p) * ph.Efficiency(p)
-}
-
-// modelEfficiency and modelRate evaluate an attached performance model;
-// they guard the no-allocation case so models never see p <= 0.
-func modelEfficiency(m appmodel.AppModel, work float64, p int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return m.Efficiency(work, p)
-}
-
-func modelRate(m appmodel.AppModel, work float64, p int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return m.Rate(work, p)
 }
 
 // Job is one application submitted to the cluster.
@@ -144,9 +126,9 @@ func (js JobState) EstRemaining(p int) float64 {
 	// inlines: this loop covers every remaining phase, per candidate
 	// width, per scheduling event.
 	if m := js.Job.Model; m != nil {
-		t := js.Remaining / modelRate(m, js.Phase().Work, p)
+		t := js.Remaining / m.Rate(js.Phase().Work, p)
 		for k := js.PhaseIdx + 1; k < len(js.Job.Phases); k++ {
-			t += js.Job.Phases[k].Work / modelRate(m, js.Job.Phases[k].Work, p)
+			t += js.Job.Phases[k].Work / m.Rate(js.Job.Phases[k].Work, p)
 		}
 		return t
 	}
