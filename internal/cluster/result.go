@@ -92,17 +92,10 @@ func (s *Sim) Result() Result {
 		res.MeanResponse = sum / float64(len(s.finished))
 		res.MeanWait = waitSum / float64(len(s.finished))
 	}
-	// Useful work is what was actually completed, summed in intake order
-	// (which fixes the float sum's last bits). With every job finished
-	// this sums TotalWork over the workload, exactly the fixed-pool
-	// computation.
-	var work float64
-	for _, js := range s.jobs {
-		work += s.workDone(js)
-	}
 	if res.Makespan > 0 {
+		work, avail := s.Usage(s.lastJobEvent)
 		res.Utilization = work / (float64(s.nodes) * res.Makespan)
-		if avail := s.capacityIntegral(s.lastJobEvent); avail > 0 {
+		if avail > 0 {
 			res.AvailWeightedUtilization = work / avail
 		}
 	}
@@ -133,27 +126,36 @@ func (s *Sim) workDone(js *jobState) float64 {
 	return max(completed, 0)
 }
 
-// capacityIntegral is ∫₀ᵉⁿᵈ capacity(t) dt in node-seconds, from the
-// applied capacity history. With no capacity events it reduces to the
-// fixed pool's nodes×makespan, bit-identically.
-func (s *Sim) capacityIntegral(end eventq.Time) float64 {
-	if s.nextChange == 0 {
-		return float64(s.nodes) * end.Seconds()
+// Makespan returns the instant of the last job event (arrival or
+// completion): the end of Result's utilization integrals.
+func (s *Sim) Makespan() eventq.Time { return s.lastJobEvent }
+
+// Usage returns the useful work the pool has completed and its capacity
+// integrated over [0, end], both in node-seconds: the numerator and
+// denominator of AvailWeightedUtilization. Result evaluates them at the
+// pool's own makespan; a federation sums them to the fleet's. The work
+// is summed in intake order (which fixes the float sum's last bits);
+// with every job finished it sums TotalWork over the workload. The
+// integral follows the whole capacity timeline, applied or not, so it
+// extends past the pool's last event; with no changes before end it is
+// the fixed pool's nodes×end, bit-identically.
+func (s *Sim) Usage(end eventq.Time) (work, capacity float64) {
+	for _, js := range s.jobs {
+		work += s.workDone(js)
 	}
-	var integral float64
 	level := s.nodes
 	prev := eventq.Time(0)
-	for _, c := range s.changes[:s.nextChange] {
+	for _, c := range s.changes {
 		at := changeAt(c)
 		if at >= end {
 			break
 		}
-		integral += float64(level) * (at - prev).Seconds()
+		capacity += float64(level) * (at - prev).Seconds()
 		level = c.Capacity
 		prev = at
 	}
 	if end > prev {
-		integral += float64(level) * (end - prev).Seconds()
+		capacity += float64(level) * (end - prev).Seconds()
 	}
-	return integral
+	return work, capacity
 }

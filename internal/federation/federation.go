@@ -284,13 +284,13 @@ func (f *Sim) Results() []cluster.Result {
 // byte-identical to the plain cluster path. For multiple members,
 // per-job outcomes concatenate (re-sorted by job ID), response/wait
 // means re-weight by finished-job counts, Makespan is the max, counters
-// sum, and the utilization family re-weights by each member's total
-// useful work:
+// sum, and the utilization family divides the members' summed useful
+// work (cluster.Sim.Usage) by fleet-wide capacity over [0, Makespan]:
 //
-//   - Utilization = Σ work_i / (Σ nodes_i × max makespan), recovering
-//     work_i from member i's own utilization identity;
-//   - AvailWeightedUtilization divides the same work sum by the summed
-//     available-capacity integrals;
+//   - Utilization by Σ nodes_i × Makespan, the full pools;
+//   - AvailWeightedUtilization by the summed available-capacity
+//     integrals, each member's timeline followed to the fleet's
+//     Makespan, so on fixed pools it equals Utilization;
 //   - MeanAllocEfficiency is the work-weighted mean of member means.
 //
 // Scheduler is reported as "federated" since members may disagree.
@@ -300,12 +300,16 @@ func (f *Sim) Merged() cluster.Result {
 	}
 	var out cluster.Result
 	out.Scheduler = "federated"
+	var end eventq.Time
+	for i := range f.members {
+		end = max(end, f.members[i].Sim.Makespan())
+	}
+	out.Makespan = end.Seconds()
 	var respSum, waitSum float64
-	var work, nodesSum, capIntegral float64
+	var work, pools, capIntegral float64
 	var effNum float64
 	for i := range f.members {
 		r := f.members[i].Sim.Result()
-		nodes := f.members[i].Sim.LoadInfo().Nodes
 		out.PerJob = append(out.PerJob, r.PerJob...)
 		n := float64(len(r.PerJob))
 		respSum += r.MeanResponse * n
@@ -313,23 +317,16 @@ func (f *Sim) Merged() cluster.Result {
 		if r.MaxResponse > out.MaxResponse {
 			out.MaxResponse = r.MaxResponse
 		}
-		if r.Makespan > out.Makespan {
-			out.Makespan = r.Makespan
-		}
 		out.Unfinished += r.Unfinished
 		out.Reallocations += r.Reallocations
 		out.CapacityEvents += r.CapacityEvents
 		out.LostWorkS += r.LostWorkS
 		out.RedistributionS += r.RedistributionS
 
-		w := r.Utilization * float64(nodes) * r.Makespan
+		w, c := f.members[i].Sim.Usage(end)
 		work += w
-		nodesSum += float64(nodes)
-		if r.AvailWeightedUtilization > 0 {
-			capIntegral += w / r.AvailWeightedUtilization
-		} else {
-			capIntegral += float64(nodes) * r.Makespan
-		}
+		pools += float64(f.members[i].Sim.LoadInfo().Nodes) * out.Makespan
+		capIntegral += c
 		effNum += r.MeanAllocEfficiency * w
 	}
 	sort.Slice(out.PerJob, func(a, b int) bool { return out.PerJob[a].ID < out.PerJob[b].ID })
@@ -337,8 +334,8 @@ func (f *Sim) Merged() cluster.Result {
 		out.MeanResponse = respSum / n
 		out.MeanWait = waitSum / n
 	}
-	if nodesSum > 0 && out.Makespan > 0 {
-		out.Utilization = work / (nodesSum * out.Makespan)
+	if pools > 0 {
+		out.Utilization = work / pools
 	}
 	if capIntegral > 0 {
 		out.AvailWeightedUtilization = work / capIntegral

@@ -218,6 +218,30 @@ func TestMergedConservation(t *testing.T) {
 	if merged.Utilization <= 0 || merged.Utilization > 1 {
 		t.Errorf("merged utilization %g out of (0,1]", merged.Utilization)
 	}
+
+	// On fixed pools the available capacity is the full pools, so the two
+	// utilizations are one quotient, bit for bit, although each member's
+	// own makespan falls short of the fleet's.
+	fixed := make([]Member, 2)
+	for i, p := range []sched.Scheduler{p1, p2} {
+		sim, err := cluster.NewSim(8*(i+1), p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed[i] = Member{Name: fmt.Sprint(i), Sim: sim}
+	}
+	a, r = mustPolicies(t, "always", "round-robin")
+	if fed, err = NewSim(fixed, a, r); err != nil {
+		t.Fatal(err)
+	}
+	merged = driveFed(t, fed, cluster.PoissonWorkload(24, 8, 3, 7))
+	if results := fed.Results(); results[0].Makespan == results[1].Makespan {
+		t.Fatalf("members share makespan %g; the check needs them to differ", results[0].Makespan)
+	}
+	if merged.Utilization <= 0 || merged.AvailWeightedUtilization != merged.Utilization {
+		t.Errorf("fixed-pool fleet: avail-weighted utilization %g, utilization %g; want equal",
+			merged.AvailWeightedUtilization, merged.Utilization)
+	}
 }
 
 func TestNewSimValidation(t *testing.T) {
