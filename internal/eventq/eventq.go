@@ -86,21 +86,21 @@ func (t Time) String() string {
 // same instant fire by ascending tier, then by ascending key (0 unless set
 // by RescheduleKeyed), then in scheduling order (FIFO), which makes
 // simulations deterministic regardless of heap internals. The struct
-// stays in the 48-byte size class.
+// stays in the 48-byte size class. The zero value is an unqueued event.
 type Event struct {
-	when  Time
-	tier  int8
-	seq   uint64
-	key   int64
-	index int // heap index; -1 when not queued (fired or cancelled)
-	fn    func()
+	when Time
+	tier int8
+	seq  uint64
+	key  int64
+	pos  int // heap index + 1; 0 when not queued (never, fired or cancelled)
+	fn   func()
 }
 
 // Time reports the instant the event is scheduled for.
 func (e *Event) Time() Time { return e.when }
 
 // Scheduled reports whether the event is still pending in a queue.
-func (e *Event) Scheduled() bool { return e != nil && e.index >= 0 }
+func (e *Event) Scheduled() bool { return e != nil && e.pos > 0 }
 
 // Queue is a virtual clock plus a pending-event heap. The zero value is
 // ready to use at time 0.
@@ -170,7 +170,7 @@ func (q *Queue) ReuseAtTier(e *Event, when Time, tier int8, fn func()) *Event {
 	if e == nil || e.Scheduled() {
 		e = &Event{}
 	}
-	*e = Event{when: when, tier: tier, seq: q.nextSq, index: -1, fn: fn}
+	*e = Event{when: when, tier: tier, seq: q.nextSq, fn: fn}
 	q.nextSq++
 	q.push(e)
 	return e
@@ -229,7 +229,7 @@ func (q *Queue) move(e *Event, when Time, key int64, fn func()) *Event {
 		if e == nil {
 			e = &Event{}
 		}
-		*e = Event{when: when, key: key, seq: q.nextSq, index: -1, fn: fn}
+		*e = Event{when: when, key: key, seq: q.nextSq, fn: fn}
 		q.nextSq++
 		q.push(e)
 		return e
@@ -237,8 +237,8 @@ func (q *Queue) move(e *Event, when Time, key int64, fn func()) *Event {
 	e.when, e.tier, e.key, e.fn = when, 0, key, fn
 	e.seq = q.nextSq
 	q.nextSq++
-	if !q.up(e.index) {
-		q.down(e.index)
+	if i := e.pos - 1; !q.up(i) {
+		q.down(i)
 	}
 	return e
 }
@@ -336,9 +336,9 @@ func lessEv(a, b *Event) bool {
 }
 
 func (q *Queue) push(e *Event) {
-	e.index = len(q.heap)
 	q.heap = append(q.heap, e)
-	q.up(e.index)
+	e.pos = len(q.heap)
+	q.up(e.pos - 1)
 }
 
 func (q *Queue) peek() *Event { return q.heap[0] }
@@ -351,27 +351,27 @@ func (q *Queue) pop() *Event {
 	q.heap = q.heap[:last]
 	if last > 0 {
 		q.heap[0] = tail
-		tail.index = 0
+		tail.pos = 1
 		q.down(0)
 	}
-	e.index = -1
+	e.pos = 0
 	return e
 }
 
 func (q *Queue) remove(e *Event) {
-	i := e.index
+	i := e.pos - 1
 	last := len(q.heap) - 1
 	tail := q.heap[last]
 	q.heap[last] = nil
 	q.heap = q.heap[:last]
 	if i < last {
 		q.heap[i] = tail
-		tail.index = i
+		tail.pos = i + 1
 		if !q.up(i) {
 			q.down(i)
 		}
 	}
-	e.index = -1
+	e.pos = 0
 }
 
 // up sifts the entry at i toward the root, reporting whether it moved.
@@ -387,14 +387,14 @@ func (q *Queue) up(i int) bool {
 			break
 		}
 		q.heap[i] = pe
-		pe.index = i
+		pe.pos = i + 1
 		i = p
 	}
 	if i == start {
 		return false
 	}
 	q.heap[i] = e
-	e.index = i
+	e.pos = i + 1
 	return true
 }
 
@@ -423,11 +423,11 @@ func (q *Queue) down(i int) {
 			break
 		}
 		q.heap[i] = me
-		me.index = i
+		me.pos = i + 1
 		i = m
 	}
 	if i != start {
 		q.heap[i] = e
-		e.index = i
+		e.pos = i + 1
 	}
 }

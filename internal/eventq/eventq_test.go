@@ -166,6 +166,32 @@ func TestCancelNil(t *testing.T) {
 	}
 }
 
+// TestZeroEventUnqueued: an Event the queue never returned is not
+// scheduled, so cancelling or moving it leaves the queued events alone.
+func TestZeroEventUnqueued(t *testing.T) {
+	q := New()
+	fired := false
+	q.At(5, func() { fired = true })
+	var zero Event
+	if zero.Scheduled() {
+		t.Fatal("zero Event reports Scheduled")
+	}
+	if q.Cancel(&zero) {
+		t.Fatal("Cancel(&Event{}) returned true")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("Len = %d after cancelling a zero Event, want 1", q.Len())
+	}
+	moved := false
+	if e := q.RescheduleKeyed(&Event{}, 9, 0, func() { moved = true }); !e.Scheduled() {
+		t.Fatal("a moved zero Event is not queued")
+	}
+	q.Run(0)
+	if !fired || !moved {
+		t.Fatalf("fired = %v, moved = %v; want both", fired, moved)
+	}
+}
+
 func TestScheduled(t *testing.T) {
 	q := New()
 	e := q.At(5, func() {})
@@ -579,9 +605,9 @@ func TestRescheduleKeyedInPlace(t *testing.T) {
 	a := q.RescheduleKeyed(nil, 10, 7, func() { got = append(got, "a") })
 	b := q.RescheduleKeyed(nil, 10, 7, func() { got = append(got, "b") })
 	q.At(1, func() {})
-	seq, index := a.seq, a.index
-	if e := q.RescheduleKeyed(a, 10, 7, a.fn); e != a || a.seq != seq || a.index != index {
-		t.Fatalf("same (instant, key): seq %d → %d, index %d → %d", seq, a.seq, index, a.index)
+	seq, pos := a.seq, a.pos
+	if e := q.RescheduleKeyed(a, 10, 7, a.fn); e != a || a.seq != seq || a.pos != pos {
+		t.Fatalf("same (instant, key): seq %d → %d, pos %d → %d", seq, a.seq, pos, a.pos)
 	}
 	if q.Step(); q.Now() != 1 {
 		t.Fatalf("now %v, want 1ns", q.Now())
@@ -675,8 +701,7 @@ func TestRescheduleKeyedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEventSize: the key fits in the padding the tier and cancel flag
-// left, so an Event stays in the 48-byte size class that one allocation
+// TestEventSize: the key fits beside the tier, so an Event stays in the 48-byte size class that one allocation
 // per fresh push (BenchmarkScheduleFire's 48 B/op) pins.
 func TestEventSize(t *testing.T) {
 	if n := unsafe.Sizeof(Event{}); n > 48 {
