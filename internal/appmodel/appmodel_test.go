@@ -245,6 +245,8 @@ func TestFactoryRejectsBadParams(t *testing.T) {
 		{"amdahl", Params{"f": -0.1}},
 		{"downey", Params{"A": 0.5}},
 		{"downey", Params{"sigma": -1}},
+		{"downey", Params{"A": 1e308}},
+		{"downey", Params{"sigma": 1e305}},
 		{"comm-bound", Params{"alpha": -1}},
 		{"roofline", Params{"sat": 0}},
 		{"fixed", Params{"nodes": 4}},

@@ -25,6 +25,11 @@ type Downey struct {
 	Costs
 }
 
+// downeyMax bounds A and σ: far beyond any machine's parallelism, and
+// low enough that the curve stays finite at every int allocation (at
+// A = 1e308 the product A·n overflows to +Inf; at σ = 1e305 it is NaN).
+const downeyMax = 1e9
+
 func newDowney(p Params) (AppModel, error) {
 	c, err := costsFromParams(p, "downey", "A", "sigma")
 	if err != nil {
@@ -32,11 +37,11 @@ func newDowney(p Params) (AppModel, error) {
 	}
 	a := p.Float("A", 16)
 	sigma := p.Float("sigma", 1)
-	if a < 1 {
-		return nil, fmt.Errorf("appmodel: downey average parallelism A=%g must be >= 1", a)
+	if a < 1 || a > downeyMax {
+		return nil, fmt.Errorf("appmodel: downey average parallelism A=%g outside [1, %g]", a, float64(downeyMax))
 	}
-	if sigma < 0 {
-		return nil, fmt.Errorf("appmodel: downey sigma=%g must be >= 0", sigma)
+	if sigma < 0 || sigma > downeyMax {
+		return nil, fmt.Errorf("appmodel: downey sigma=%g outside [0, %g]", sigma, float64(downeyMax))
 	}
 	return Downey{A: a, Sigma: sigma, Costs: c}, nil
 }
