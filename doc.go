@@ -54,13 +54,14 @@
 //     packages). The simulator checks every grant against the contract
 //     and panics on any out-of-contract allocation.
 //   - internal/appmodel — the application performance-model subsystem:
-//     the AppModel interface (phase time/rate/efficiency as a function
-//     of work and allocation), a self-registering registry mirroring
-//     internal/sched (Register/ByName/Names, Params,
-//     "name(key=value,...)" spec strings), five analytical families
-//     (amdahl, downey, comm-bound, roofline, fixed) plus the classic
-//     mix shapes (lu, synthetic, stencil) as comm-factor instances, and
-//     per-model migration/checkpoint cost hooks (migrate_s, ckpt_s)
+//     the AppModel interface (rate and efficiency, two views of one
+//     curve, as a function of work and allocation), a self-registering
+//     registry mirroring internal/sched (Register/ByName/Names, Params,
+//     "name(key=value,...)" spec strings) whose eight names state four
+//     curves — comm-factor (amdahl and the classic mix shapes lu,
+//     synthetic, stencil), downey, comm-bound and roofline (fixed is
+//     roofline at one node) — and per-model migration/checkpoint cost
+//     hooks (migrate_s, ckpt_s)
 //     charged through the cluster's reconfiguration-cost path.
 //   - internal/availability — node-availability dynamics: deterministic
 //     generators for maintenance windows, exponential/Weibull

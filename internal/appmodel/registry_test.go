@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestNamesListsBuiltins: the registry must expose the five analytical
-// families plus the three classic mix shapes.
+// TestNamesListsBuiltins: the registry must expose the eight built-in
+// names — four curves, with amdahl and the three classic mix shapes on
+// the comm-factor curve and fixed on the roofline.
 func TestNamesListsBuiltins(t *testing.T) {
 	want := []string{"amdahl", "comm-bound", "downey", "fixed", "lu", "roofline", "stencil", "synthetic"}
 	got := Names()
