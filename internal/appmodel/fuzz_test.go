@@ -43,10 +43,10 @@ func FuzzModelContract(f *testing.F) {
 		}
 		names := Names()
 		name := names[int(pick)%len(names)]
-		p := Params{}
+		p, vals := Params{}, [2]float64{x, y}
 		for i, key := range modelKeys[name] {
 			if pick>>(3+i)&1 != 0 {
-				p[key] = []float64{x, y}[i]
+				p[key] = vals[i]
 			}
 		}
 		m, err := New(name, p)
