@@ -10,16 +10,17 @@ import (
 	"dpsim/internal/sched"
 )
 
-// fingerprintResult renders every outcome field of a Result with full
-// float64 precision — except Reallocations, whose semantics are defined
-// per scheduler invocation and therefore changed (deliberately) when
-// equal-instant invocations were coalesced (see docs/performance.md).
+// fingerprintResult renders the run totals and every job's arrival,
+// finish and wait with full float64 precision (a sweep's response and
+// wait means are functions of these) — except Reallocations, whose
+// semantics are defined per scheduler invocation and therefore changed
+// (deliberately) when equal-instant invocations were coalesced (see
+// docs/performance.md).
 // Everything else must be byte-identical to the pre-coalescing engine.
 func fingerprintResult(r Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mk=%.17g mr=%.17g xr=%.17g mw=%.17g u=%.17g au=%.17g eff=%.17g unf=%d cap=%d lost=%.17g red=%.17g",
-		r.Makespan, r.MeanResponse, r.MaxResponse, r.MeanWait,
-		r.Utilization, r.AvailWeightedUtilization, r.MeanAllocEfficiency,
+	fmt.Fprintf(&b, "mk=%.17g u=%.17g au=%.17g unf=%d cap=%d lost=%.17g red=%.17g",
+		r.Makespan, r.Utilization, r.AvailWeightedUtilization,
 		r.Unfinished, r.CapacityEvents, r.LostWorkS, r.RedistributionS)
 	for _, j := range r.PerJob {
 		fmt.Fprintf(&b, " [%d a=%.17g f=%.17g w=%.17g]", j.ID, j.Arrival, j.Finish, j.Wait)
@@ -95,30 +96,30 @@ type burstKey struct{ scenario, policy string }
 // the k same-instant scheduler invocations into one must not move a
 // single float bit of any Result field other than Reallocations.
 var coalesceGoldens = map[burstKey]string{
-	{"burst-arrivals", "easy-backfill"}:                  `mk=208.896598923 mr=60.024334349589942 xr=145.624523813 mw=31.246869499375659 u=0.47309210366047216 au=0.47309210366047216 eff=0.62248995717435962 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=134.6150068 w=47.390306363308333] [3 a=57.565653544377085 f=168.88178153199999 w=77.049353255622918] [4 a=78.300295773235945 f=173.73721545999999 w=90.581485758764046] [5 a=106.26504499614416 f=208.896598923 w=67.472170463855832] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=69.786666667999995 w=26.32] [105 a=20 f=71.649523813000002 w=27.206666667999997] [106 a=20 f=95.706666667999997 w=49.786666667999995] [107 a=20 f=165.624523813 w=51.649523813000002]`,
-	{"burst-arrivals", "efficiency-greedy"}:              `mk=147.55697845899999 mr=46.645833761732796 xr=109.50243956700001 mw=7.2600084674182388e-11 u=0.66975708274929224 au=0.66975708274929224 eff=0.76596088911908866 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=122.178661929 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=125.05618019000001 w=0] [4 a=78.300295773235945 f=87.568534932000006 w=0] [5 a=106.26504499614416 f=147.55697845899999 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=67.151323963999999 w=0] [103 a=20 f=75.677828966999996 w=0] [104 a=20 f=63.261802883999998 w=0] [105 a=20 f=78.692444795 w=0] [106 a=20 f=85.464446428000002 w=0] [107 a=20 f=129.50243956700001 w=0]`,
-	{"burst-arrivals", "equipartition"}:                  `mk=148.64496299800001 mr=49.650373051661369 xr=96.052168421999994 mw=7.2600084674182388e-11 u=0.66485489611464132 au=0.66485489611464132 eff=0.78607052301674696 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.225839615 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=120.592867107 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=125.764286633 w=0] [4 a=78.300295773235945 f=89.662802665000001 w=0] [5 a=106.26504499614416 f=148.64496299800001 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=68.879999999999995 w=0] [103 a=20 f=78.275000000000006 w=0] [104 a=20 f=85.268081799000001 w=0] [105 a=20 f=91.714078461 w=0] [106 a=20 f=99.098150562000001 w=0] [107 a=20 f=116.05216842199999 w=0]`,
-	{"burst-arrivals", "fair-share"}:                     `mk=147.45832310399999 mr=49.100522653089932 xr=96.052168421999994 mw=7.2600084674182388e-11 u=0.67020517629444809 au=0.67020517629444809 eff=0.77314096204748683 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=118.01038866499999 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=122.05729291599999 w=0] [4 a=78.300295773235945 f=89.662802665000001 w=0] [5 a=106.26504499614416 f=147.45832310399999 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=68.879999999999995 w=0] [103 a=20 f=78.275000000000006 w=0] [104 a=20 f=85.268081799000001 w=0] [105 a=20 f=91.714078461 w=0] [106 a=20 f=99.098150562000001 w=0] [107 a=20 f=116.05216842199999 w=0]`,
-	{"burst-arrivals", "malleable-hysteresis"}:           `mk=173.38043591499999 mr=57.802397046304236 xr=153.38043591499999 mw=7.2600084674182388e-11 u=0.5700027855533264 au=0.5700027855533264 eff=0.85147358758231428 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=128.72268785 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=134.367988107 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=168.987552483 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=68.879999999999995 w=0] [103 a=20 f=78.275000000000006 w=0] [104 a=20 f=85.280000000000001 w=0] [105 a=20 f=94.674999999999997 w=0] [106 a=20 f=114.499956371 w=0] [107 a=20 f=173.38043591499999 w=0]`,
-	{"burst-arrivals", "moldable"}:                       `mk=227.958471108 mr=60.771394383661381 xr=124.8239902906229 mw=31.007809411447088 u=0.43353217343337297 au=0.43353217343337297 eff=0.68346718945727081 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=141.67625049 w=52.646496840308338] [3 a=57.565653544377085 f=182.38964383499999 w=84.110596945622916] [4 a=78.300295773235945 f=187.24507776300001 w=104.08934806176404] [5 a=106.26504499614416 f=227.958471108 w=80.980032766855857] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=70.106666668000003 w=26.640000000000001] [105 a=20 f=75.042857144999999 w=30.600000000000001] [106 a=20 f=100.962857145 w=55.042857144999999] [107 a=20 f=113.97499999999999 w=0]`,
-	{"burst-arrivals", "rigid-fcfs"}:                     `mk=214.15278939999999 mr=58.477531628447082 xr=116.57231846462292 mw=29.700066778232802 u=0.46148047713451823 au=0.46148047713451823 eff=0.62248995717435973 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=139.87119727699999 w=52.646496840308338] [3 a=57.565653544377085 f=174.13797200900001 w=82.305543732622908] [4 a=78.300295773235945 f=178.99340593700001 w=95.837676235764064] [5 a=106.26504499614416 f=214.15278939999999 w=72.72836094085585] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=70.106666668000003 w=26.640000000000001] [105 a=20 f=75.042857144999999 w=30.600000000000001] [106 a=20 f=100.962857145 w=55.042857144999999] [107 a=20 f=113.97499999999999 w=0]`,
-	{"burst-arrivals", "sjf-moldable"}:                   `mk=227.958471108 mr=55.648828752661366 xr=129.67942421862293 mw=25.885243780447087 u=0.43353217343337297 au=0.43353217343337297 eff=0.68346718945727081 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=146.531684418 w=57.501930768308334] [3 a=57.565653544377085 f=187.24507776300001 w=88.966030873622913] [4 a=78.300295773235945 f=105.818291073 w=22.662561371764056] [5 a=106.26504499614416 f=227.958471108 w=80.980032766855857] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=70.106666668000003 w=26.640000000000001] [105 a=20 f=75.042857144999999 w=30.600000000000001] [106 a=20 f=100.962857145 w=55.042857144999999] [107 a=20 f=113.97499999999999 w=0]`,
-	{"simultaneous-completions", "easy-backfill"}:        `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"simultaneous-completions", "efficiency-greedy"}:    `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"simultaneous-completions", "equipartition"}:        `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"simultaneous-completions", "fair-share"}:           `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"simultaneous-completions", "malleable-hysteresis"}: `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"simultaneous-completions", "moldable"}:             `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"simultaneous-completions", "rigid-fcfs"}:           `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"simultaneous-completions", "sjf-moldable"}:         `mk=32 mr=32 xr=32 mw=0 u=0.5 au=0.5 eff=1 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
-	{"capacity-burst", "easy-backfill"}:                  `mk=237.39945606800001 mr=73.218007819589928 xr=139.81898513262291 mw=44.440542969375656 u=0.41629131367382821 au=0.44942053609009108 eff=0.62248995717435962 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=163.11786394500001 w=75.893163508308334] [3 a=57.565653544377085 f=197.384638677 w=105.55221040062293] [4 a=78.300295773235945 f=202.24007260499999 w=119.08434290376405] [5 a=106.26504499614416 f=237.39945606800001 w=95.975027608855839] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=124.209523813 w=78.289523813000002] [107 a=20 f=140.29499999999999 w=26.32]`,
-	{"capacity-burst", "efficiency-greedy"}:              `mk=155.07022200399999 mr=60.941335105089941 xr=122.02612500000001 mw=7.2600084674182388e-11 u=0.6373069578081263 au=0.71837734934473296 eff=0.81796472609617299 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=142.10268935600001 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=145.047107955 w=0] [4 a=78.300295773235945 f=98.958034201999993 w=0] [5 a=106.26504499614416 f=155.07022200399999 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=79.055000000000007 w=0] [102 a=20 f=88.079999999999998 w=0] [103 a=20 f=94.945327341999999 w=0] [104 a=20 f=88.720121274999997 w=0] [105 a=20 f=100.473236128 w=0] [106 a=20 f=105.230712463 w=0] [107 a=20 f=142.02612500000001 w=0]`,
-	{"capacity-burst", "equipartition"}:                  `mk=159.54192291800001 mr=63.365414920161371 xr=126.31299999999999 mw=7.2600084674182388e-11 u=0.61944427912401689 au=0.69576171176626811 eff=0.83215887310341297 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.225839615 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=133.12697051699999 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=139.80398052000001 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=159.54192291800001 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=79.055000000000007 w=0] [102 a=20 f=88.079999999999998 w=0] [103 a=20 f=97.275000000000006 w=0] [104 a=20 f=102.695782532 w=0] [105 a=20 f=109.052342035 w=0] [106 a=20 f=127.24599371399999 w=0] [107 a=20 f=146.31299999999999 w=0]`,
-	{"capacity-burst", "fair-share"}:                     `mk=156.35502094500001 mr=62.788873247304231 xr=126.31299999999999 mw=7.2600084674182388e-11 u=0.63207008533972087 au=0.71173034118186596 eff=0.81376301580830135 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=132.47374452099999 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=135.79431859600001 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=156.35502094500001 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=79.055000000000007 w=0] [102 a=20 f=88.079999999999998 w=0] [103 a=20 f=97.275000000000006 w=0] [104 a=20 f=102.695782532 w=0] [105 a=20 f=109.052342035 w=0] [106 a=20 f=127.24599371399999 w=0] [107 a=20 f=146.31299999999999 w=0]`,
-	{"capacity-burst", "malleable-hysteresis"}:           `mk=199 mr=89.653563442447094 xr=179 mw=7.2600084674182388e-11 u=0.49661975593969848 au=0.54450320348209358 eff=0.91486877485266405 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=174.05644702500001 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=176.721775057 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=192.57670965899999 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=97 w=0] [102 a=20 f=114 w=0] [103 a=20 f=131 w=0] [104 a=20 f=148 w=0] [105 a=20 f=154.00666666699999 w=0] [106 a=20 f=164.08426666700001 w=0] [107 a=20 f=199 w=0]`,
-	{"capacity-burst", "moldable"}:                       `mk=251.20513777599999 mr=75.511870574804234 xr=148.07065695862292 mw=45.748285602589945 u=0.39341285893652572 au=0.42287188194691422 eff=0.6834671894572707 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=164.92291715799999 w=75.893163508308334] [3 a=57.565653544377085 f=205.636310503 w=107.35726361362291] [4 a=78.300295773235945 f=210.491744431 w=127.33601472976406] [5 a=106.26504499614416 f=251.20513777599999 w=104.22669943485585] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=124.209523813 w=78.289523813000002] [107 a=20 f=140.29499999999999 w=26.32]`,
-	{"capacity-burst", "rigid-fcfs"}:                     `mk=237.39945606800001 mr=73.218007819589928 xr=139.81898513262291 mw=44.440542969375656 u=0.41629131367382821 au=0.44942053609009108 eff=0.62248995717435962 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=163.11786394500001 w=75.893163508308334] [3 a=57.565653544377085 f=197.384638677 w=105.55221040062293] [4 a=78.300295773235945 f=202.24007260499999 w=119.08434290376405] [5 a=106.26504499614416 f=237.39945606800001 w=95.975027608855839] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=124.209523813 w=78.289523813000002] [107 a=20 f=140.29499999999999 w=26.32]`,
-	{"capacity-burst", "sjf-moldable"}:                   `mk=251.20513777599999 mr=68.88469308151852 xr=152.92609088662292 mw=39.121108109304224 u=0.39341285893652572 au=0.42287188194691422 eff=0.68346718945727036 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=169.77835108599999 w=80.74859743630833] [3 a=57.565653544377085 f=210.491744431 w=112.2126975416229] [4 a=78.300295773235945 f=103.144957741 w=19.989228039764058] [5 a=106.26504499614416 f=251.20513777599999 w=104.22669943485585] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=129.064957741 w=83.144957740999999] [107 a=20 f=140.29499999999999 w=26.32]`,
+	{"burst-arrivals", "easy-backfill"}:                  `mk=208.896598923 u=0.47309210366047216 au=0.47309210366047216 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=134.6150068 w=47.390306363308333] [3 a=57.565653544377085 f=168.88178153199999 w=77.049353255622918] [4 a=78.300295773235945 f=173.73721545999999 w=90.581485758764046] [5 a=106.26504499614416 f=208.896598923 w=67.472170463855832] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=69.786666667999995 w=26.32] [105 a=20 f=71.649523813000002 w=27.206666667999997] [106 a=20 f=95.706666667999997 w=49.786666667999995] [107 a=20 f=165.624523813 w=51.649523813000002]`,
+	{"burst-arrivals", "efficiency-greedy"}:              `mk=147.55697845899999 u=0.66975708274929224 au=0.66975708274929224 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=122.178661929 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=125.05618019000001 w=0] [4 a=78.300295773235945 f=87.568534932000006 w=0] [5 a=106.26504499614416 f=147.55697845899999 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=67.151323963999999 w=0] [103 a=20 f=75.677828966999996 w=0] [104 a=20 f=63.261802883999998 w=0] [105 a=20 f=78.692444795 w=0] [106 a=20 f=85.464446428000002 w=0] [107 a=20 f=129.50243956700001 w=0]`,
+	{"burst-arrivals", "equipartition"}:                  `mk=148.64496299800001 u=0.66485489611464132 au=0.66485489611464132 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.225839615 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=120.592867107 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=125.764286633 w=0] [4 a=78.300295773235945 f=89.662802665000001 w=0] [5 a=106.26504499614416 f=148.64496299800001 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=68.879999999999995 w=0] [103 a=20 f=78.275000000000006 w=0] [104 a=20 f=85.268081799000001 w=0] [105 a=20 f=91.714078461 w=0] [106 a=20 f=99.098150562000001 w=0] [107 a=20 f=116.05216842199999 w=0]`,
+	{"burst-arrivals", "fair-share"}:                     `mk=147.45832310399999 u=0.67020517629444809 au=0.67020517629444809 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=118.01038866499999 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=122.05729291599999 w=0] [4 a=78.300295773235945 f=89.662802665000001 w=0] [5 a=106.26504499614416 f=147.45832310399999 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=68.879999999999995 w=0] [103 a=20 f=78.275000000000006 w=0] [104 a=20 f=85.268081799000001 w=0] [105 a=20 f=91.714078461 w=0] [106 a=20 f=99.098150562000001 w=0] [107 a=20 f=116.05216842199999 w=0]`,
+	{"burst-arrivals", "malleable-hysteresis"}:           `mk=173.38043591499999 u=0.5700027855533264 au=0.5700027855533264 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=128.72268785 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=134.367988107 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=168.987552483 w=0] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=59.655000000000001 w=0] [102 a=20 f=68.879999999999995 w=0] [103 a=20 f=78.275000000000006 w=0] [104 a=20 f=85.280000000000001 w=0] [105 a=20 f=94.674999999999997 w=0] [106 a=20 f=114.499956371 w=0] [107 a=20 f=173.38043591499999 w=0]`,
+	{"burst-arrivals", "moldable"}:                       `mk=227.958471108 u=0.43353217343337297 au=0.43353217343337297 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=141.67625049 w=52.646496840308338] [3 a=57.565653544377085 f=182.38964383499999 w=84.110596945622916] [4 a=78.300295773235945 f=187.24507776300001 w=104.08934806176404] [5 a=106.26504499614416 f=227.958471108 w=80.980032766855857] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=70.106666668000003 w=26.640000000000001] [105 a=20 f=75.042857144999999 w=30.600000000000001] [106 a=20 f=100.962857145 w=55.042857144999999] [107 a=20 f=113.97499999999999 w=0]`,
+	{"burst-arrivals", "rigid-fcfs"}:                     `mk=214.15278939999999 u=0.46148047713451823 au=0.46148047713451823 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=139.87119727699999 w=52.646496840308338] [3 a=57.565653544377085 f=174.13797200900001 w=82.305543732622908] [4 a=78.300295773235945 f=178.99340593700001 w=95.837676235764064] [5 a=106.26504499614416 f=214.15278939999999 w=72.72836094085585] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=70.106666668000003 w=26.640000000000001] [105 a=20 f=75.042857144999999 w=30.600000000000001] [106 a=20 f=100.962857145 w=55.042857144999999] [107 a=20 f=113.97499999999999 w=0]`,
+	{"burst-arrivals", "sjf-moldable"}:                   `mk=227.958471108 u=0.43353217343337297 au=0.43353217343337297 unf=0 cap=0 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=146.531684418 w=57.501930768308334] [3 a=57.565653544377085 f=187.24507776300001 w=88.966030873622913] [4 a=78.300295773235945 f=105.818291073 w=22.662561371764056] [5 a=106.26504499614416 f=227.958471108 w=80.980032766855857] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=46.640000000000001 w=0] [104 a=20 f=70.106666668000003 w=26.640000000000001] [105 a=20 f=75.042857144999999 w=30.600000000000001] [106 a=20 f=100.962857145 w=55.042857144999999] [107 a=20 f=113.97499999999999 w=0]`,
+	{"simultaneous-completions", "easy-backfill"}:        `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"simultaneous-completions", "efficiency-greedy"}:    `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"simultaneous-completions", "equipartition"}:        `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"simultaneous-completions", "fair-share"}:           `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"simultaneous-completions", "malleable-hysteresis"}: `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"simultaneous-completions", "moldable"}:             `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"simultaneous-completions", "rigid-fcfs"}:           `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"simultaneous-completions", "sjf-moldable"}:         `mk=32 u=0.5 au=0.5 unf=0 cap=0 lost=0 red=0 [0 a=0 f=32 w=0] [1 a=0 f=32 w=0] [2 a=0 f=32 w=0] [3 a=0 f=32 w=0]`,
+	{"capacity-burst", "easy-backfill"}:                  `mk=237.39945606800001 u=0.41629131367382821 au=0.44942053609009108 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=163.11786394500001 w=75.893163508308334] [3 a=57.565653544377085 f=197.384638677 w=105.55221040062293] [4 a=78.300295773235945 f=202.24007260499999 w=119.08434290376405] [5 a=106.26504499614416 f=237.39945606800001 w=95.975027608855839] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=124.209523813 w=78.289523813000002] [107 a=20 f=140.29499999999999 w=26.32]`,
+	{"capacity-burst", "efficiency-greedy"}:              `mk=155.07022200399999 u=0.6373069578081263 au=0.71837734934473296 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=142.10268935600001 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=145.047107955 w=0] [4 a=78.300295773235945 f=98.958034201999993 w=0] [5 a=106.26504499614416 f=155.07022200399999 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=79.055000000000007 w=0] [102 a=20 f=88.079999999999998 w=0] [103 a=20 f=94.945327341999999 w=0] [104 a=20 f=88.720121274999997 w=0] [105 a=20 f=100.473236128 w=0] [106 a=20 f=105.230712463 w=0] [107 a=20 f=142.02612500000001 w=0]`,
+	{"capacity-burst", "equipartition"}:                  `mk=159.54192291800001 u=0.61944427912401689 au=0.69576171176626811 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.225839615 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=133.12697051699999 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=139.80398052000001 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=159.54192291800001 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=79.055000000000007 w=0] [102 a=20 f=88.079999999999998 w=0] [103 a=20 f=97.275000000000006 w=0] [104 a=20 f=102.695782532 w=0] [105 a=20 f=109.052342035 w=0] [106 a=20 f=127.24599371399999 w=0] [107 a=20 f=146.31299999999999 w=0]`,
+	{"capacity-burst", "fair-share"}:                     `mk=156.35502094500001 u=0.63207008533972087 au=0.71173034118186596 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=132.47374452099999 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=135.79431859600001 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=156.35502094500001 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=79.055000000000007 w=0] [102 a=20 f=88.079999999999998 w=0] [103 a=20 f=97.275000000000006 w=0] [104 a=20 f=102.695782532 w=0] [105 a=20 f=109.052342035 w=0] [106 a=20 f=127.24599371399999 w=0] [107 a=20 f=146.31299999999999 w=0]`,
+	{"capacity-burst", "malleable-hysteresis"}:           `mk=199 u=0.49661975593969848 au=0.54450320348209358 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=174.05644702500001 w=3.0834002018309548e-10] [3 a=57.565653544377085 f=176.721775057 w=0] [4 a=78.300295773235945 f=91.233907372999994 w=0] [5 a=106.26504499614416 f=192.57670965899999 w=0] [100 a=20 f=52.794085197000001 w=0] [101 a=20 f=97 w=0] [102 a=20 f=114 w=0] [103 a=20 f=131 w=0] [104 a=20 f=148 w=0] [105 a=20 f=154.00666666699999 w=0] [106 a=20 f=164.08426666700001 w=0] [107 a=20 f=199 w=0]`,
+	{"capacity-burst", "moldable"}:                       `mk=251.20513777599999 u=0.39341285893652572 au=0.42287188194691422 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=164.92291715799999 w=75.893163508308334] [3 a=57.565653544377085 f=205.636310503 w=107.35726361362291] [4 a=78.300295773235945 f=210.491744431 w=127.33601472976406] [5 a=106.26504499614416 f=251.20513777599999 w=104.22669943485585] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=124.209523813 w=78.289523813000002] [107 a=20 f=140.29499999999999 w=26.32]`,
+	{"capacity-burst", "rigid-fcfs"}:                     `mk=237.39945606800001 u=0.41629131367382821 au=0.44942053609009108 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=163.11786394500001 w=75.893163508308334] [3 a=57.565653544377085 f=197.384638677 w=105.55221040062293] [4 a=78.300295773235945 f=202.24007260499999 w=119.08434290376405] [5 a=106.26504499614416 f=237.39945606800001 w=95.975027608855839] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=124.209523813 w=78.289523813000002] [107 a=20 f=140.29499999999999 w=26.32]`,
+	{"capacity-burst", "sjf-moldable"}:                   `mk=251.20513777599999 u=0.39341285893652572 au=0.42287188194691422 unf=0 cap=2 lost=0 red=0 [0 a=4.8901202307461373 f=10.004046088000001 w=2.5386270863236859e-10] [1 a=5.9363882055458017 f=11.945847516000001 w=4.5419845662308944e-10] [2 a=48.316360304691663 f=169.77835108599999 w=80.74859743630833] [3 a=57.565653544377085 f=210.491744431 w=112.2126975416229] [4 a=78.300295773235945 f=103.144957741 w=19.989228039764058] [5 a=106.26504499614416 f=251.20513777599999 w=104.22669943485585] [100 a=20 f=50.600000000000001 w=0] [101 a=20 f=47.206666667999997 w=0] [102 a=20 f=46.32 w=0] [103 a=20 f=73.846666667999997 w=27.206666667999997] [104 a=20 f=83.466666668000002 w=40] [105 a=20 f=98.289523813000002 w=53.846666667999997] [106 a=20 f=129.064957741 w=83.144957740999999] [107 a=20 f=140.29499999999999 w=26.32]`,
 }
 
 // TestCoalescingGolden: equal-instant bursts — k same-instant arrivals,

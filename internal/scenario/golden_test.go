@@ -13,21 +13,20 @@ import (
 // bit-invisible too, which is why every scheduler is resolved by name
 // through the registry here (a CLI-style -schedulers override).
 var goldenCells = []struct {
-	scheduler                      string
-	makespan, meanResp             float64
-	utilization, meanEff, slowdown float64
+	scheduler                       string
+	makespan, utilization, slowdown float64
 }{
-	{"rigid-fcfs", 282.99615706600002, 76.115414918386094, 0.58125731054403462, 0.73313404224908729, 62.872780381944168},
-	{"moldable", 285.36779609600001, 77.375887942163857, 0.57642658842675942, 0.73956272677890744, 64.245563099193717},
-	{"equipartition", 252.60591229600001, 69.772806487774972, 0.65118659993091987, 0.9007664729149254, 46.859591713070238},
-	{"efficiency-greedy", 249.90429024100001, 62.876720903330515, 0.65822633533761199, 0.86746014198780474, 41.32079512033517},
+	{"rigid-fcfs", 282.99615706600002, 0.58125731054403462, 62.872780381944168},
+	{"moldable", 285.36779609600001, 0.57642658842675942, 64.245563099193717},
+	{"equipartition", 252.60591229600001, 0.65118659993091987, 46.859591713070238},
+	{"efficiency-greedy", 249.90429024100001, 0.65822633533761199, 41.32079512033517},
 
 	// The four policies below shipped with the sched extraction (PR 3);
 	// their goldens pin the implementations at introduction.
-	{"easy-backfill", 328.32044223999998, 84.774951596830519, 0.5010153617855958, 0.73313404224908763, 53.589689830105023},
-	{"sjf-moldable", 313.53699291599997, 85.307720673719416, 0.52463852389676402, 0.73956272677890744, 71.399594236921828},
-	{"fair-share", 249.90429024100001, 62.791820086830526, 0.65822633533761199, 0.86450787791252592, 40.553466956245387},
-	{"malleable-hysteresis", 324.79856625100001, 81.823073533163864, 0.50644800267794876, 0.89137308450724162, 53.18770764183401},
+	{"easy-backfill", 328.32044223999998, 0.5010153617855958, 53.589689830105023},
+	{"sjf-moldable", 313.53699291599997, 0.52463852389676402, 71.399594236921828},
+	{"fair-share", 249.90429024100001, 0.65822633533761199, 40.553466956245387},
+	{"malleable-hysteresis", 324.79856625100001, 0.50644800267794876, 53.18770764183401},
 }
 
 const goldenSpec = `{
@@ -67,14 +66,8 @@ func TestGoldenScenarioBackwardCompat(t *testing.T) {
 		if r.Makespan != want.makespan {
 			t.Errorf("%s: makespan %.17g, golden %.17g", want.scheduler, r.Makespan, want.makespan)
 		}
-		if r.MeanResponse != want.meanResp {
-			t.Errorf("%s: mean response %.17g, golden %.17g", want.scheduler, r.MeanResponse, want.meanResp)
-		}
 		if r.Utilization != want.utilization {
 			t.Errorf("%s: utilization %.17g, golden %.17g", want.scheduler, r.Utilization, want.utilization)
-		}
-		if r.MeanAllocEfficiency != want.meanEff {
-			t.Errorf("%s: mean efficiency %.17g, golden %.17g", want.scheduler, r.MeanAllocEfficiency, want.meanEff)
 		}
 		if sd != want.slowdown {
 			t.Errorf("%s: slowdown sum %.17g, golden %.17g", want.scheduler, sd, want.slowdown)
