@@ -115,8 +115,8 @@ func BenchmarkClusterServer(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res := sim.Run(); res.Scheduler != name || res.Unfinished != 0 {
-				b.Fatalf("%s: result %q with %d unfinished jobs", name, res.Scheduler, res.Unfinished)
+			if res := sim.Run(); res.Unfinished != 0 {
+				b.Fatalf("%s: %d unfinished jobs", name, res.Unfinished)
 			}
 		}
 	}

@@ -53,11 +53,9 @@ type jobState struct {
 	// finished is the instant the job completed its last phase; -1 until
 	// then.
 	finished float64
-	// rate and eff are the progress rate and efficiency at the view's
-	// (PhaseIdx, Alloc), cached while both hold; rate > 0 only while the
-	// job runs.
+	// rate is the progress rate at the view's (PhaseIdx, Alloc), cached
+	// while both hold; rate > 0 only while the job runs.
 	rate float64
-	eff  float64
 	// last is the job's last settlement; it is kept current only while
 	// the job holds nodes (a waiting job takes now when granted some).
 	last eventq.Time
@@ -112,8 +110,6 @@ type Sim struct {
 	// lookups binary-search it (searchActive).
 	actives  []*jobState
 	finished []*jobState
-	effNum   float64
-	effDen   float64
 
 	// views and oldAlloc are persistent arenas parallel to actives,
 	// inserted into and deleted from alongside it: views holds each active

@@ -7,15 +7,11 @@ import (
 	"dpsim/internal/eventq"
 )
 
-// Result summarizes one simulated workload.
+// Result summarizes one simulated workload: the run totals and each
+// finished job's outcome, from which a sweep derives its response and
+// wait statistics.
 type Result struct {
-	Scheduler    string
-	Makespan     float64
-	MeanResponse float64
-	MaxResponse  float64
-	// MeanWait is the mean time finished jobs spent between arrival and
-	// first node allocation.
-	MeanWait float64
+	Makespan float64
 	// Utilization is total useful serial work divided by nodes×makespan
 	// (nodes = the full pool, counting unavailable capacity as waste).
 	Utilization float64
@@ -24,8 +20,6 @@ type Result struct {
 	// to what the volatile pool actually offered. Equal to Utilization
 	// when capacity never changes.
 	AvailWeightedUtilization float64
-	// MeanAllocEfficiency is the work-weighted dynamic efficiency.
-	MeanAllocEfficiency float64
 	// Unfinished counts jobs that arrived (or were scheduled) but did
 	// not complete — e.g. stranded by a permanent capacity loss their
 	// scheduler cannot work around.
@@ -65,12 +59,10 @@ type JobOutcome struct {
 // outliving the workload do not stretch it.
 func (s *Sim) Result() Result {
 	res := Result{
-		Scheduler: s.sched.Name(), Makespan: s.lastJobEvent.Seconds(),
+		Makespan: s.lastJobEvent.Seconds(), Unfinished: len(s.jobs) - len(s.finished),
 		Reallocations: s.reallocs, CapacityEvents: s.nextChange,
 		LostWorkS: s.lostWork, RedistributionS: s.redistS,
-		Unfinished: len(s.jobs) - len(s.finished),
 	}
-	var sum, waitSum float64
 	for _, js := range s.finished {
 		resp := js.finished - js.Job.Arrival
 		wait := js.firstStart - js.Job.Arrival
@@ -81,26 +73,14 @@ func (s *Sim) Result() Result {
 			ID: js.Job.ID, Arrival: js.Job.Arrival, Finish: js.finished, Response: resp,
 			FirstStart: js.firstStart, Wait: wait,
 		})
-		sum += resp
-		waitSum += wait
-		if resp > res.MaxResponse {
-			res.MaxResponse = resp
-		}
 	}
 	slices.SortFunc(res.PerJob, func(a, b JobOutcome) int { return cmp.Compare(a.ID, b.ID) })
-	if len(s.finished) > 0 {
-		res.MeanResponse = sum / float64(len(s.finished))
-		res.MeanWait = waitSum / float64(len(s.finished))
-	}
 	if res.Makespan > 0 {
 		work, avail := s.Usage(s.lastJobEvent)
 		res.Utilization = work / (float64(s.nodes) * res.Makespan)
 		if avail > 0 {
 			res.AvailWeightedUtilization = work / avail
 		}
-	}
-	if s.effDen > 0 {
-		res.MeanAllocEfficiency = s.effNum / s.effDen
 	}
 	return res
 }

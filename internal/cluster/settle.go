@@ -19,11 +19,7 @@ func (s *Sim) arrive(js *jobState) {
 func (s *Sim) phaseDone(js *jobState) {
 	i, _ := s.searchActive(js.Job.ID)
 	v := &s.views[i]
-	// Credit the completed slice.
 	now := s.q.Now()
-	if dt := (now - progressStart(js, now)).Seconds(); dt > 0 && js.rate > 0 && v.Alloc > 0 {
-		s.credit(js, js.rate*dt)
-	}
 	// The cached rate belonged to the finished phase: zero it, so the
 	// reschedule stage recomputes it for the next one.
 	js.last, js.rate = now, 0
@@ -45,14 +41,11 @@ func (s *Sim) phaseDone(js *jobState) {
 	s.dirty = true
 }
 
-// settle is the first stage of reallocate. It settles every job holding
-// nodes (oldAlloc, the allocations in force before this pass, which the
-// reschedule stage later prices against the policy's) in ID order — the
-// efficiency counters are float accumulators, and any other walk order
-// would make their last bits depend on iteration order, breaking
-// bit-reproducibility across runs; the sorted active list IS that order.
-// A waiting job makes no progress and is not touched. It returns the
-// total allocation.
+// settle is the first stage of reallocate. It brings the remaining work
+// of every job holding nodes (oldAlloc, the allocations in force before
+// this pass, which the reschedule stage later prices against the
+// policy's) up to now. A waiting job makes no progress and is not
+// touched. It returns the total allocation.
 func (s *Sim) settle(now eventq.Time) (total int) {
 	for i, a := range s.oldAlloc {
 		if a == 0 {
@@ -61,30 +54,17 @@ func (s *Sim) settle(now eventq.Time) (total int) {
 		total += a
 		js := s.actives[i]
 		// Only a running job progresses; one already settled at this
-		// instant (a same-instant arrival, or a phase boundary that
-		// credited its slice) has dt exactly zero.
+		// instant (a same-instant arrival, or a phase boundary) has dt
+		// exactly zero.
 		if js.rate > 0 && js.last != now {
 			if dt := (now - progressStart(js, now)).Seconds(); dt > 0 {
 				v := &s.views[i]
-				done := js.rate * dt
-				if done > v.Remaining {
-					done = v.Remaining
-				}
-				v.Remaining -= done
-				s.credit(js, done)
+				v.Remaining -= min(js.rate*dt, v.Remaining)
 			}
 		}
 		js.last = now
 	}
 	return total
-}
-
-// credit is the efficiency accounting of done work-seconds run at the
-// job's current allocation, shared by settle and phaseDone, at the
-// efficiency cached with the rate.
-func (s *Sim) credit(js *jobState, done float64) {
-	s.effNum += done
-	s.effDen += done / js.eff
 }
 
 // progressStart is the instant from which a job has been progressing at
@@ -129,14 +109,13 @@ func (s *Sim) reschedule(now eventq.Time) (changed int) {
 		v.Alloc = alloc
 		rate := js.rate // cached while the phase and the allocation hold
 		if alloc != old || rate == 0 {
-			rate, js.eff = 0, 0
 			switch m := js.Job.Model; {
 			case alloc <= 0:
+				rate = 0
 			case m == nil:
-				js.eff = v.Phase().Efficiency(alloc)
-				rate = float64(alloc) * js.eff
+				rate = v.Phase().Rate(alloc)
 			default:
-				rate, js.eff = m.Rate(v.Phase().Work, alloc), m.Efficiency(v.Phase().Work, alloc)
+				rate = m.Rate(v.Phase().Work, alloc)
 			}
 		}
 		if rate > 0 {

@@ -282,41 +282,29 @@ func (f *Sim) Results() []cluster.Result {
 // cluster.Result. For a single member it returns that member's Result
 // verbatim — the golden guarantee that a 1-cluster federation is
 // byte-identical to the plain cluster path. For multiple members,
-// per-job outcomes concatenate (re-sorted by job ID), response/wait
-// means re-weight by finished-job counts, Makespan is the max, counters
-// sum, and the utilization family divides the members' summed useful
-// work (cluster.Sim.Usage) by fleet-wide capacity over [0, Makespan]:
+// per-job outcomes concatenate (re-sorted by job ID), Makespan is the
+// max, counters sum, and the utilization family divides the members'
+// summed useful work (cluster.Sim.Usage) by fleet-wide capacity over
+// [0, Makespan]:
 //
 //   - Utilization by Σ nodes_i × Makespan, the full pools;
 //   - AvailWeightedUtilization by the summed available-capacity
 //     integrals, each member's timeline followed to the fleet's
-//     Makespan, so on fixed pools it equals Utilization;
-//   - MeanAllocEfficiency is the work-weighted mean of member means.
-//
-// Scheduler is reported as "federated" since members may disagree.
+//     Makespan, so on fixed pools it equals Utilization.
 func (f *Sim) Merged() cluster.Result {
 	if len(f.members) == 1 {
 		return f.members[0].Sim.Result()
 	}
 	var out cluster.Result
-	out.Scheduler = "federated"
 	var end eventq.Time
 	for i := range f.members {
 		end = max(end, f.members[i].Sim.Makespan())
 	}
 	out.Makespan = end.Seconds()
-	var respSum, waitSum float64
 	var work, pools, capIntegral float64
-	var effNum float64
 	for i := range f.members {
 		r := f.members[i].Sim.Result()
 		out.PerJob = append(out.PerJob, r.PerJob...)
-		n := float64(len(r.PerJob))
-		respSum += r.MeanResponse * n
-		waitSum += r.MeanWait * n
-		if r.MaxResponse > out.MaxResponse {
-			out.MaxResponse = r.MaxResponse
-		}
 		out.Unfinished += r.Unfinished
 		out.Reallocations += r.Reallocations
 		out.CapacityEvents += r.CapacityEvents
@@ -327,21 +315,13 @@ func (f *Sim) Merged() cluster.Result {
 		work += w
 		pools += float64(f.members[i].Sim.LoadInfo().Nodes) * out.Makespan
 		capIntegral += c
-		effNum += r.MeanAllocEfficiency * w
 	}
 	sort.Slice(out.PerJob, func(a, b int) bool { return out.PerJob[a].ID < out.PerJob[b].ID })
-	if n := float64(len(out.PerJob)); n > 0 {
-		out.MeanResponse = respSum / n
-		out.MeanWait = waitSum / n
-	}
 	if pools > 0 {
 		out.Utilization = work / pools
 	}
 	if capIntegral > 0 {
 		out.AvailWeightedUtilization = work / capIntegral
-	}
-	if work > 0 {
-		out.MeanAllocEfficiency = effNum / work
 	}
 	return out
 }

@@ -208,9 +208,6 @@ func TestMergedConservation(t *testing.T) {
 			t.Fatalf("merged PerJob not ID-sorted at %d: %d >= %d", i, merged.PerJob[i-1].ID, merged.PerJob[i].ID)
 		}
 	}
-	if merged.Scheduler != "federated" {
-		t.Errorf("merged Scheduler = %q, want federated", merged.Scheduler)
-	}
 	if merged.Makespan < results[0].Makespan || merged.Makespan < results[1].Makespan {
 		t.Errorf("merged makespan %g below member makespans %g/%g",
 			merged.Makespan, results[0].Makespan, results[1].Makespan)

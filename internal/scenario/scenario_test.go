@@ -292,8 +292,13 @@ func TestRunCellMatchesClosedSim(t *testing.T) {
 	if math.Abs(run.Result.Makespan-want.Makespan) > 1e-9 {
 		t.Fatalf("makespan %v vs %v", run.Result.Makespan, want.Makespan)
 	}
-	if math.Abs(run.Result.MeanResponse-want.MeanResponse) > 1e-9 {
-		t.Fatalf("mean response %v vs %v", run.Result.MeanResponse, want.MeanResponse)
+	if len(run.Result.PerJob) != len(want.PerJob) {
+		t.Fatalf("%d finished jobs vs %d", len(run.Result.PerJob), len(want.PerJob))
+	}
+	for i, j := range run.Result.PerJob {
+		if math.Abs(j.Response-want.PerJob[i].Response) > 1e-9 {
+			t.Fatalf("job %d response %v vs %v", j.ID, j.Response, want.PerJob[i].Response)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"strconv"
@@ -106,14 +107,14 @@ func TestNonFiniteResultIsAnErroredRun(t *testing.T) {
 		poison func(r *cluster.Result, v float64)
 	}{
 		{"Makespan", func(r *cluster.Result, v float64) { r.Makespan = v }},
-		{"MeanResponse", func(r *cluster.Result, v float64) { r.MeanResponse = v }},
-		{"MeanWait", func(r *cluster.Result, v float64) { r.MeanWait = v }},
 		{"Utilization", func(r *cluster.Result, v float64) { r.Utilization = v }},
 		{"AvailWeightedUtilization", func(r *cluster.Result, v float64) { r.AvailWeightedUtilization = v }},
-		{"MeanAllocEfficiency", func(r *cluster.Result, v float64) { r.MeanAllocEfficiency = v }},
 		{"LostWorkS", func(r *cluster.Result, v float64) { r.LostWorkS = v }},
 		{"RedistributionS", func(r *cluster.Result, v float64) { r.RedistributionS = v }},
+		{"response of job 0", func(r *cluster.Result, v float64) { r.PerJob[0].Response = v }},
+		{"wait of job 0", func(r *cluster.Result, v float64) { r.PerJob[0].Wait = v }},
 		{"response of job", func(r *cluster.Result, v float64) { r.PerJob[len(r.PerJob)-1].Response = v }},
+		{"wait of job", func(r *cluster.Result, v float64) { r.PerJob[len(r.PerJob)-1].Wait = v }},
 	} {
 		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
 		runCell = func(s *scenario.Spec, p scenario.CellParams) (*scenario.CellRun, error) {
@@ -160,10 +161,12 @@ func TestNonFiniteMemberResultIsAnErroredRun(t *testing.T) {
 	cells := Cells(spec)
 	hashes := CellHashes(spec, cells)
 	t.Cleanup(func() { runCell = (*scenario.Spec).RunCell })
+	poisoned := -1
 	runCell = func(s *scenario.Spec, p scenario.CellParams) (*scenario.CellRun, error) {
 		run, err := s.RunCell(p)
 		if err == nil && p.Load == cells[1].Load && p.AdmissionIdx == cells[1].AdmissionIdx && p.RoutingIdx == cells[1].RoutingIdx {
-			run.ClusterResults[1].MeanWait = math.NaN()
+			job := &run.ClusterResults[1].PerJob[0]
+			job.Wait, poisoned = math.NaN(), job.ID
 		}
 		return run, err
 	}
@@ -173,7 +176,7 @@ func TestNonFiniteMemberResultIsAnErroredRun(t *testing.T) {
 		t.Fatal("a NaN in a member's result: the sweep reported no error")
 	}
 	for _, want := range []string{
-		"non-finite MeanWait", "member big", cells[1].String(), hashes[1].String(), "rep 0",
+		fmt.Sprintf("non-finite wait of job %d", poisoned), "member big", cells[1].String(), hashes[1].String(), "rep 0",
 		"seed " + strconv.FormatUint(runSeed(hashes[1], 0), 10),
 	} {
 		if !strings.Contains(err.Error(), want) {

@@ -674,9 +674,8 @@ func nonFinite(r *cluster.Result) (string, float64, bool) {
 		name string
 		v    float64
 	}{
-		{"Makespan", r.Makespan}, {"MeanResponse", r.MeanResponse}, {"MeanWait", r.MeanWait},
+		{"Makespan", r.Makespan},
 		{"Utilization", r.Utilization}, {"AvailWeightedUtilization", r.AvailWeightedUtilization},
-		{"MeanAllocEfficiency", r.MeanAllocEfficiency},
 		{"LostWorkS", r.LostWorkS}, {"RedistributionS", r.RedistributionS},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
@@ -686,6 +685,9 @@ func nonFinite(r *cluster.Result) (string, float64, bool) {
 	for _, j := range r.PerJob {
 		if math.IsNaN(j.Response) || math.IsInf(j.Response, 0) {
 			return fmt.Sprintf("response of job %d", j.ID), j.Response, true
+		}
+		if math.IsNaN(j.Wait) || math.IsInf(j.Wait, 0) {
+			return fmt.Sprintf("wait of job %d", j.ID), j.Wait, true
 		}
 	}
 	return "", 0, false
