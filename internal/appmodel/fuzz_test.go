@@ -24,21 +24,17 @@ var modelKeys = map[string][]string{
 // defaults) — and checks the AppModel contract on every model New
 // accepts: Rate and Efficiency are 0 without nodes, Rate is finite and
 // non-negative with them, and Efficiency is Rate/nodes to within 1e-12
-// relative. Non-finite values are skipped: the spec parser rejects them
-// before any factory sees them.
+// relative. A non-finite parameter must make New fail (Params.Check
+// rejects it); a non-finite or negative work is skipped.
 func FuzzModelContract(f *testing.F) {
 	for _, name := range Names() {
 		if _, ok := modelKeys[name]; !ok {
 			f.Fatalf("model %q has no entry in modelKeys", name)
 		}
 	}
+	f.Add(uint8(8), math.NaN(), 0.0, 1.0, int16(4)) // amdahl(f=NaN)
 	f.Fuzz(func(t *testing.T, pick uint8, x, y, work float64, nodes int16) {
-		for _, v := range []float64{x, y, work} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return
-			}
-		}
-		if work < 0 {
+		if math.IsNaN(work) || math.IsInf(work, 0) || work < 0 {
 			return
 		}
 		names := Names()
@@ -50,10 +46,18 @@ func FuzzModelContract(f *testing.F) {
 			}
 		}
 		m, err := New(name, p)
+		spec, n := FormatSpec(name, p), int(nodes)
+		for _, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				if err == nil {
+					t.Fatalf("New(%s) accepted a non-finite parameter", spec)
+				}
+				return
+			}
+		}
 		if err != nil {
 			return
 		}
-		spec, n := FormatSpec(name, p), int(nodes)
 		r, e := m.Rate(work, n), m.Efficiency(work, n)
 		if n <= 0 {
 			if r != 0 || e != 0 {

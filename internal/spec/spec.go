@@ -9,6 +9,7 @@ package spec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,23 +31,21 @@ func (p Params) Float(key string, def float64) float64 {
 }
 
 // Check rejects any key outside the allowed set — a misspelled parameter
-// must fail loudly at construction, not silently fall back to a default.
-// pkg and policy prefix the error: "sched: rigid-fcfs: unknown ...".
+// must fail loudly at construction, not silently fall back to a default —
+// and any NaN or infinite value, which would slip through every range
+// check a factory can write (v < 0 is false for NaN). pkg and policy
+// prefix the error: "sched: rigid-fcfs: unknown ...".
 func (p Params) Check(pkg, policy string, allowed ...string) error {
-	for key := range p {
-		ok := false
-		for _, a := range allowed {
-			if key == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for key, v := range p {
+		if !slices.Contains(allowed, key) {
 			valid := "none"
 			if len(allowed) > 0 {
 				valid = strings.Join(allowed, ", ")
 			}
 			return fmt.Errorf("%s: %s: unknown parameter %q (valid: %s)", pkg, policy, key, valid)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%s: %s: parameter %q is %g, not a finite number", pkg, policy, key, v)
 		}
 	}
 	return nil
