@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -447,3 +449,73 @@ func TestGeneratedTimelineRuns(t *testing.T) {
 		t.Fatalf("finished %d of 10 jobs", len(a.PerJob))
 	}
 }
+
+// TestZeroCapacityWindowOverIdlePoolChangesNothing is a metamorphic
+// property no golden states: two batches of jobs separated by an idle
+// gap, with the pool dropped to zero nodes inside the gap (abruptly or
+// with notice) and restored before the second batch, run exactly as on
+// the fixed pool under every policy, in the closed drive (NewSim jobs,
+// Run) and the open one (Inject). Only the capacity counters differ: two
+// changes were applied, and the available-capacity integral shrank.
+func TestZeroCapacityWindowOverIdlePoolChangesNothing(t *testing.T) {
+	const nodes, gapFrom, gapTo = 16, 2000.0, 4000.0
+	batches := func() []*Job {
+		src := rng.New(77)
+		var jobs []*Job
+		for _, base := range []float64{0, gapTo + 500} {
+			for k := range 6 {
+				jobs = append(jobs, &Job{
+					ID:       len(jobs),
+					Arrival:  base + float64(3*k),
+					Phases:   SyntheticProfile(1+src.Intn(3), float64(20+src.Intn(60)), 0.03),
+					MaxNodes: 2 + src.Intn(10),
+				})
+			}
+		}
+		return jobs
+	}
+	cost := ReconfigCost{RedistributionSPerNode: 0.1, LostWorkS: 1.5}
+	for _, notice := range []float64{0, 50} {
+		window := []availability.Change{
+			{At: gapFrom + 500, Capacity: 0, NoticeS: notice},
+			{At: gapTo - 500, Capacity: nodes},
+		}
+		for _, name := range sched.Names() {
+			for _, open := range []bool{false, true} {
+				run := func(changes []availability.Change) Result {
+					policy, err := sched.New(name, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					jobs := batches()
+					if open {
+						sim := avSim(t, nodes, policy, nil, changes, cost)
+						driveOpen(t, sim, jobs, nil)
+						return sim.Result()
+					}
+					return avSim(t, nodes, policy, jobs, changes, cost).Run()
+				}
+				fixed, windowed := run(nil), run(window)
+				label := fmt.Sprintf("%s open=%v notice=%g", name, open, notice)
+				if len(fixed.PerJob) != 12 || slices.MaxFunc(fixed.PerJob[:6], byFinish).Finish >= gapFrom {
+					t.Fatalf("%s: the first batch does not finish before the gap: %+v", label, fixed.PerJob)
+				}
+				if !slices.Equal(windowed.PerJob, fixed.PerJob) || windowed.Makespan != fixed.Makespan ||
+					windowed.Utilization != fixed.Utilization || windowed.Reallocations != fixed.Reallocations ||
+					windowed.LostWorkS != fixed.LostWorkS || windowed.RedistributionS != fixed.RedistributionS {
+					t.Errorf("%s: the idle window changed the run:\nfixed    %+v\nwindowed %+v", label, fixed, windowed)
+				}
+				if fixed.CapacityEvents != 0 || windowed.CapacityEvents != 2 {
+					t.Errorf("%s: capacity events %d (fixed) and %d (windowed), want 0 and 2",
+						label, fixed.CapacityEvents, windowed.CapacityEvents)
+				}
+				if windowed.AvailWeightedUtilization <= fixed.AvailWeightedUtilization {
+					t.Errorf("%s: avail-weighted utilization %g with the window, %g without; want higher",
+						label, windowed.AvailWeightedUtilization, fixed.AvailWeightedUtilization)
+				}
+			}
+		}
+	}
+}
+
+func byFinish(a, b JobOutcome) int { return cmp.Compare(a.Finish, b.Finish) }
