@@ -161,12 +161,12 @@ func TestNonFiniteMemberResultIsAnErroredRun(t *testing.T) {
 	cells := Cells(spec)
 	hashes := CellHashes(spec, cells)
 	t.Cleanup(func() { runCell = (*scenario.Spec).RunCell })
-	poisoned := -1
+	poisoned := map[uint64]int{} // seed → the job whose wait is NaN
 	runCell = func(s *scenario.Spec, p scenario.CellParams) (*scenario.CellRun, error) {
 		run, err := s.RunCell(p)
 		if err == nil && p.Load == cells[1].Load && p.AdmissionIdx == cells[1].AdmissionIdx && p.RoutingIdx == cells[1].RoutingIdx {
 			job := &run.ClusterResults[1].PerJob[0]
-			job.Wait, poisoned = math.NaN(), job.ID
+			job.Wait, poisoned[p.Seed] = math.NaN(), job.ID
 		}
 		return run, err
 	}
@@ -175,9 +175,10 @@ func TestNonFiniteMemberResultIsAnErroredRun(t *testing.T) {
 	if err == nil {
 		t.Fatal("a NaN in a member's result: the sweep reported no error")
 	}
+	seed := runSeed(hashes[1], 0)
 	for _, want := range []string{
-		fmt.Sprintf("non-finite wait of job %d", poisoned), "member big", cells[1].String(), hashes[1].String(), "rep 0",
-		"seed " + strconv.FormatUint(runSeed(hashes[1], 0), 10),
+		fmt.Sprintf("non-finite wait of job %d", poisoned[seed]), "member big", cells[1].String(), hashes[1].String(), "rep 0",
+		"seed " + strconv.FormatUint(seed, 10),
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)

@@ -3,11 +3,17 @@ package sweep
 import (
 	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+
+	"dpsim/internal/cluster"
 )
 
 // TestWriteCSVQuotesSpecialFields: scenario names or trace labels with
@@ -56,6 +62,72 @@ func TestOutputDocColumns(t *testing.T) {
 		if !strings.Contains(doc, "`"+col+"`") {
 			t.Errorf("column %q is not documented in docs/output.md", col)
 		}
+	}
+}
+
+// TestOutputDocNonFinite: the field list of docs/output.md's "Non-finite
+// results" (the backquoted names between "A run whose" and "is not
+// finite") must equal the fields nonFinite checks, found by poisoning
+// each float field of a Result and of one of its jobs in turn.
+func TestOutputDocNonFinite(t *testing.T) {
+	checked := map[string]bool{}
+	poison := func(v reflect.Value, r *cluster.Result, perJob bool) {
+		for i := range v.NumField() {
+			f := v.Field(i)
+			if f.Kind() != reflect.Float64 {
+				continue
+			}
+			old := f.Float()
+			f.SetFloat(math.NaN())
+			name, _, ok := nonFinite(r)
+			f.SetFloat(old)
+			field := v.Type().Field(i).Name
+			switch {
+			case !ok:
+			case perJob && name == fmt.Sprintf("%s of job 7", strings.ToLower(field)):
+				checked[field] = true
+			case !perJob && name == field:
+				checked[field] = true
+			default:
+				t.Errorf("NaN in %s reported as %q", field, name)
+			}
+		}
+	}
+	r := cluster.Result{PerJob: []cluster.JobOutcome{{ID: 7}}}
+	poison(reflect.ValueOf(&r).Elem(), &r, false)
+	poison(reflect.ValueOf(&r.PerJob[0]).Elem(), &r, true)
+
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "output.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	_, section, ok := strings.Cut(doc, "## Non-finite results")
+	if ok {
+		_, section, ok = strings.Cut(section, "A run whose")
+	}
+	if ok {
+		section, _, ok = strings.Cut(section, "is not finite")
+	}
+	if !ok {
+		t.Fatal(`docs/output.md has no "## Non-finite results" sentence "A run whose ... is not finite"`)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([A-Za-z]+)`").FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+	}
+	for field := range checked {
+		if !documented[field] {
+			t.Errorf("nonFinite checks %s, which docs/output.md does not list", field)
+		}
+	}
+	for field := range documented {
+		if !checked[field] {
+			t.Errorf("docs/output.md lists %s, which nonFinite does not check", field)
+		}
+	}
+	if len(checked) == 0 {
+		t.Fatal("nonFinite caught no poisoned field")
 	}
 }
 
