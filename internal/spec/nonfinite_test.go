@@ -15,29 +15,32 @@ import (
 // infinite parameter through Params.Check, naming the package, the policy
 // and the key. A spec string never carries one (Parse rejects it), but a
 // Params map built in Go does, and NaN passes every range check a factory
-// writes: before Check caught it, most of these built a policy whose
-// rates or rejections were NaN.
+// writes (v < 0 is false for NaN).
 func TestFactoriesRejectNonFinite(t *testing.T) {
-	build := map[string]func(name string, p map[string]float64) error{
-		"appmodel": func(name string, p map[string]float64) error {
+	type family struct {
+		pkg   string
+		build func(name string, p map[string]float64) error
+	}
+	families := map[string]family{
+		"appmodel": {"appmodel", func(name string, p map[string]float64) error {
 			_, err := appmodel.New(name, p)
 			return err
-		},
-		"sched": func(name string, p map[string]float64) error {
+		}},
+		"sched": {"sched", func(name string, p map[string]float64) error {
 			_, err := sched.New(name, p)
 			return err
-		},
-		"admission": func(name string, p map[string]float64) error {
+		}},
+		"admission": {"federation", func(name string, p map[string]float64) error {
 			_, err := federation.NewAdmission(name, p)
 			return err
-		},
-		"routing": func(name string, p map[string]float64) error {
+		}},
+		"routing": {"federation", func(name string, p map[string]float64) error {
 			_, err := federation.NewRouter(name, p)
 			return err
-		},
+		}},
 	}
-	pkg := map[string]string{"appmodel": "appmodel", "sched": "sched", "admission": "federation", "routing": "federation"}
-	cases := []struct{ family, policy, key string }{
+	type param struct{ family, policy, key string }
+	cases := []param{
 		{"appmodel", "amdahl", "f"},
 		{"appmodel", "synthetic", "comm"},
 		{"appmodel", "downey", "A"},
@@ -62,14 +65,13 @@ func TestFactoriesRejectNonFinite(t *testing.T) {
 		{"routing", "weighted", "queue"},
 	}
 	for _, name := range appmodel.Names() {
-		cases = append(cases,
-			struct{ family, policy, key string }{"appmodel", name, "migrate_s"},
-			struct{ family, policy, key string }{"appmodel", name, "ckpt_s"})
+		cases = append(cases, param{"appmodel", name, "migrate_s"}, param{"appmodel", name, "ckpt_s"})
 	}
 	for _, c := range cases {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			err := build[c.family](c.policy, map[string]float64{c.key: v})
-			want := fmt.Sprintf("%s: %s: parameter %q is %g, not a finite number", pkg[c.family], c.policy, c.key, v)
+			f := families[c.family]
+			err := f.build(c.policy, map[string]float64{c.key: v})
+			want := fmt.Sprintf("%s: %s: parameter %q is %g, not a finite number", f.pkg, c.policy, c.key, v)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s %s(%s=%g): error %v, want %q", c.family, c.policy, c.key, v, err, want)
 			}
