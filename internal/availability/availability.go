@@ -5,12 +5,14 @@
 // recorded availability trace.
 //
 // The package is a pure generator: a Spec (the declarative, JSON-embedded
-// form used by scenario files) expands into a sorted []Change — absolute
-// capacity steps with optional advance notice — consuming randomness only
-// from a forked internal/rng stream, so a timeline is a deterministic
-// function of (spec, nodes, seed) regardless of where or when it is
-// generated. The cluster simulator consumes the changes through its event
-// queue; this package knows nothing about jobs or schedulers.
+// form used by scenario files) yields a Timeline, a cursor over sorted
+// Changes — absolute capacity steps with optional advance notice — that
+// generates each change only when it is pulled. It consumes randomness
+// only from a forked internal/rng stream, all of it forked up front, so a
+// timeline is a deterministic function of (spec, nodes, seed) regardless
+// of where, when or how far it is pulled; Generate drains one into a
+// []Change. The cluster simulator pulls the changes as its clock advances;
+// this package knows nothing about jobs or schedulers.
 //
 // Supported processes:
 //
@@ -58,8 +60,9 @@ const DefaultHorizonS = 86400
 // maxChanges guards against runaway parameterizations (sub-second MTTF on
 // a large cluster over a long horizon, or a maintenance period of
 // milliseconds) producing timelines that dwarf the workload they perturb:
-// a process generating more raw events than this before its horizon
-// fails with the error of Spec.budget.
+// a timeline pulled past this many raw events fails with an error naming
+// the process (so Generate fails for a spec that has more before its
+// horizon, and a run only if it pulls that far).
 const maxChanges = 1 << 20
 
 // Spec declares one availability process. It is the JSON schema embedded
@@ -208,7 +211,7 @@ func (s *Spec) Validate() error {
 
 // transition is an un-normalized raw event before folding: either a delta
 // on the running node count or an absolute capacity step. Every process
-// emits its transitions ordered by at, ties in the order a stable sort of
+// yields its transitions ordered by at, ties in the order a stable sort of
 // the process's draw order would leave them.
 type transition struct {
 	at     float64
@@ -218,182 +221,331 @@ type transition struct {
 	notice float64
 }
 
-// Generate expands the spec into the sorted capacity timeline of a
-// cluster with the given full pool size, consuming randomness only from
-// src. Equal (spec, nodes, src state) produce identical timelines; the
-// deterministic processes ignore src entirely. The returned capacities
-// always lie in [MinCapacity, nodes] and successive entries differ.
-func (s Spec) Generate(nodes int, src *rng.Source) ([]Change, error) {
-	spec := s // validate on a copy so Generate is usable standalone
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("availability: %w", err)
-	}
-	if nodes <= 0 {
-		return nil, fmt.Errorf("availability: need nodes > 0")
-	}
-	var raw []transition
-	var err error
-	switch spec.Process {
-	case "", "none":
-		return nil, nil
-	case "maintenance":
-		raw, err = spec.maintenance()
-	case "failures":
-		raw, err = spec.perNode(nodes, src, false)
-	case "churn":
-		raw, err = spec.perNode(nodes, src, true)
-	case "spot":
-		raw, err = spec.spot(src)
-	case "trace":
-		raw, err = spec.traceReplay()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return fold(raw, nodes, spec.MinCapacity), nil
+// The kinds of Timeline: one per process (failures and churn share the
+// per-node one).
+const (
+	kindNone = iota
+	kindMaintenance
+	kindPerNode
+	kindSpot
+	kindTrace
+)
+
+// Timeline is a capacity timeline as a cursor: Next yields the folded
+// changes in order, generating each only when it is pulled, so a run that
+// ends early never draws the rest of its horizon. Spec.Timeline builds
+// one; Spec.Generate drains one.
+type Timeline struct {
+	spec          Spec // validated
+	kind          int
+	nodes, minCap int
+
+	// The incremental fold: head is the next raw transition (valid while
+	// more), level the running node count, last the capacity of the last
+	// change yielded, pulled the raw transitions pulled so far (the
+	// maxChanges budget) and err the budget's verdict.
+	head        transition
+	more        bool
+	level, last int
+	pulled      int
+	err         error
+
+	// maintenance: the instant of the current window, and whether its
+	// restore is still owed.
+	winAt float64
+	winUp bool
+	// failures and churn: one renewal process per node in a binary
+	// min-heap keyed (at, node) — the order a stable sort of the node-major
+	// draw order leaves the transitions in.
+	heap             []nodeState
+	upMean, downMean float64
+	weibull          bool
+	// spot: its one fork and the resumable reclaim loop.
+	src  rng.Source
+	spot spotCursor
+	// trace: the points read once, and the next one's index.
+	points []trace.CapacityPoint
+	pos    int
 }
 
-// budget fails a process that has generated n raw events once n passes
-// maxChanges.
-func (s Spec) budget(n int) error {
-	if n > maxChanges {
-		return fmt.Errorf("availability: %s process exceeds %d events before horizon %gs", s.Process, maxChanges, s.HorizonS)
+// nodeState is one failures/churn node's renewal process: its stream, the
+// instant of its next transition, and whether that transition takes the
+// node down.
+type nodeState struct {
+	src  rng.Source
+	at   float64
+	down bool
+	node int32
+}
+
+func (a *nodeState) before(b *nodeState) bool {
+	return a.at < b.at || a.at == b.at && a.node < b.node
+}
+
+// Timeline validates the spec and returns its timeline for a cluster with
+// the given full pool size as a cursor. It consumes src up front exactly
+// as Generate does — failures and churn fork every node (churn draws each
+// node's starting state from its fork), spot forks once, maintenance and
+// trace take nothing — so the changes yielded do not depend on how far or
+// in what steps the timeline is pulled. A trace file is read here, once.
+func (s Spec) Timeline(nodes int, src *rng.Source) (*Timeline, error) {
+	t := new(Timeline)
+	if err := t.init(s, nodes, src); err != nil {
+		return nil, err
 	}
+	return t, nil
+}
+
+func (t *Timeline) init(s Spec, nodes int, src *rng.Source) error {
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("availability: %w", err)
+	}
+	if nodes <= 0 {
+		return fmt.Errorf("availability: need nodes > 0")
+	}
+	*t = Timeline{spec: s, nodes: nodes, minCap: min(s.MinCapacity, nodes), level: nodes, last: nodes}
+	switch s.Process {
+	case "", "none":
+		return nil
+	case "maintenance":
+		t.kind, t.winAt = kindMaintenance, s.StartS
+	case "failures", "churn":
+		t.initPerNode(src, s.Process == "churn")
+	case "spot":
+		t.kind, t.src = kindSpot, *src.Fork()
+		t.spot.pending = make([]float64, 0, 16)
+	case "trace":
+		points, err := s.readTrace()
+		if err != nil {
+			return err
+		}
+		t.kind, t.points = kindTrace, points
+	}
+	t.pull()
 	return nil
 }
 
-// expected sizes a raw timeline for about n events, the process's mean
-// count over the horizon, so a typical run never regrows it; a runaway
-// spec is capped at the budget.
-func expected(n float64) int {
-	switch {
-	case !(n > 0): // NaN parameters, or nothing before the horizon
-		return 16
-	case n >= maxChanges:
-		return maxChanges
-	}
-	return int(n*1.1) + 16
-}
-
-func (s Spec) maintenance() ([]transition, error) {
-	out := make([]transition, 0, expected(2*(s.HorizonS-s.StartS)/s.PeriodS))
-	for t := s.StartS; t < s.HorizonS; t += s.PeriodS {
-		out = append(out, transition{at: t, delta: -s.NodesDown, notice: s.NoticeS})
-		// A window straddling the horizon never restores: like every
-		// other process, nothing is emitted at or past HorizonS.
-		if t+s.DurationS < s.HorizonS {
-			out = append(out, transition{at: t + s.DurationS, delta: s.NodesDown})
-		}
-		if err := s.budget(len(out)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// perNode generates an alternating up/down renewal process per node and
-// merges the transitions. Failures start every node up and draw TTF from
-// the configured law; churn starts nodes in their stationary state and is
-// purely exponential. Each node forks its own stream so a node's timeline
-// is independent of the cluster size ordering. Each node's run is ordered,
-// so a k-way merge keyed (at, node) orders the whole timeline.
-func (s Spec) perNode(nodes int, src *rng.Source, churn bool) ([]transition, error) {
-	upMean, downMean := s.MTTFS, s.MTTRS
+// initPerNode forks every node's stream in node order and heaps each
+// node's first transition. Failures start every node up and draw TTF from
+// the configured law; churn starts a node in its stationary state (one
+// draw from its fork) and is purely exponential.
+func (t *Timeline) initPerNode(src *rng.Source, churn bool) {
+	t.kind = kindPerNode
+	t.upMean, t.downMean = t.spec.MTTFS, t.spec.MTTRS
 	if churn {
-		upMean, downMean = s.MeanOnS, s.MeanOffS
+		t.upMean, t.downMean = t.spec.MeanOnS, t.spec.MeanOffS
 	}
-	// runs holds the nodes' runs back to back; node i's is
-	// runs[ends[i-1]:ends[i]]. A node cycles up and down once per
-	// upMean+downMean on average.
-	runs := make([]transition, 0, expected(float64(nodes)*2*s.HorizonS/(upMean+downMean)))
-	ends := make([]int, nodes)
-	for i := 0; i < nodes; i++ {
-		r := src.Fork()
-		up := true
-		if churn {
-			up = r.Float64() < upMean/(upMean+downMean)
-			if !up {
-				runs = append(runs, transition{at: 0, delta: -1})
-			}
+	t.weibull = !churn && t.spec.Dist == "weibull"
+	t.heap = make([]nodeState, 0, t.nodes)
+	for i := 0; i < t.nodes; i++ {
+		n := nodeState{src: *src.Fork(), node: int32(i)}
+		if churn && !(n.src.Float64() < t.upMean/(t.upMean+t.downMean)) {
+			n.down = true // starts offline: a drop at t=0
+		} else if !t.renew(&n, true) {
+			continue
 		}
-		t := 0.0
-		for t < s.HorizonS {
-			var dwell float64
-			if up {
-				if !churn && s.Dist == "weibull" {
-					dwell = r.Weibull(upMean, s.Shape)
-				} else {
-					dwell = r.Exp(upMean)
-				}
+		t.heap = append(t.heap, n)
+	}
+	for k := len(t.heap)/2 - 1; k >= 0; k-- {
+		siftDown(t.heap, k, (*nodeState).before)
+	}
+}
+
+// renew moves node n, up or not, past its current instant: while that
+// lies before the horizon it draws the dwell in the current state and
+// sets n to the transition ending it. It reports whether that transition
+// lies before the horizon.
+func (t *Timeline) renew(n *nodeState, up bool) bool {
+	if !(n.at < t.spec.HorizonS) {
+		return false
+	}
+	var dwell float64
+	switch {
+	case !up:
+		dwell = n.src.Exp(t.downMean)
+	case t.weibull:
+		dwell = n.src.Weibull(t.upMean, t.spec.Shape)
+	default:
+		dwell = n.src.Exp(t.upMean)
+	}
+	n.at += dwell
+	n.down = up
+	return !(n.at >= t.spec.HorizonS)
+}
+
+// MaxNoticeS is the longest notice any change of the timeline can carry:
+// notice_s for the processes that announce drops, 0 for failures and
+// churn. A consumer that has pulled a change at instant a has seen every
+// window opening before a − MaxNoticeS.
+func (t *Timeline) MaxNoticeS() float64 {
+	switch t.kind {
+	case kindMaintenance, kindSpot, kindTrace:
+		return t.spec.NoticeS
+	}
+	return 0
+}
+
+// Next yields the timeline's next change: it folds every raw transition at
+// the next raw instant into the running node count, clamps it to
+// [MinCapacity, nodes] and skips the instant if the clamped capacity does
+// not change. ok is false once the timeline is exhausted; err is the
+// budget's error once more than maxChanges raw transitions were pulled.
+func (t *Timeline) Next() (c Change, ok bool, err error) {
+	for t.more {
+		at, notice := t.head.at, 0.0
+		for {
+			if t.head.isAbs {
+				t.level = t.head.abs
 			} else {
-				dwell = r.Exp(downMean)
+				t.level += t.head.delta
 			}
-			t += dwell
-			if t >= s.HorizonS {
+			if t.head.notice > notice {
+				notice = t.head.notice
+			}
+			t.pull()
+			if !t.more || t.head.at != at {
 				break
 			}
-			d := 1
-			if up {
-				d = -1
-			}
-			runs = append(runs, transition{at: t, delta: d, notice: 0})
-			up = !up
-			if err := s.budget(len(runs)); err != nil {
-				return nil, err
-			}
 		}
-		ends[i] = len(runs)
+		if t.err != nil {
+			break
+		}
+		capacity := min(max(t.level, t.minCap), t.nodes)
+		if capacity == t.last {
+			continue
+		}
+		if capacity > t.last {
+			notice = 0 // notice only matters for drops
+		}
+		t.last = capacity
+		return Change{At: at, Capacity: capacity, NoticeS: notice}, true, nil
 	}
-	return mergeRuns(runs, ends), nil
+	return Change{}, false, t.err
 }
 
-// mergeRuns merges the back-to-back ordered runs of runs (run i ends at
-// ends[i]) into one slice ordered by (at, run, position in run), the
-// order a stable sort by at leaves them in. heads is a binary min-heap
-// of the runs not yet exhausted; next[i] is run i's next position.
-func mergeRuns(runs []transition, ends []int) []transition {
-	scratch := make([]int, 2*len(ends))
-	next, heads := scratch[:len(ends)], scratch[len(ends):len(ends)]
-	for i, end := range ends {
-		if i > 0 {
-			next[i] = ends[i-1]
-		}
-		if next[i] < end {
-			heads = append(heads, i)
+// pull advances head to the process's next raw transition, charging it to
+// the budget.
+func (t *Timeline) pull() {
+	t.head, t.more = t.raw()
+	if t.more {
+		if t.pulled++; t.pulled > maxChanges {
+			t.err = fmt.Errorf("availability: %s process exceeds %d events before horizon %gs", t.spec.Process, maxChanges, t.spec.HorizonS)
+			t.more = false
 		}
 	}
-	less := func(a, b int) bool {
-		ta, tb := runs[next[a]].at, runs[next[b]].at
-		return ta < tb || ta == tb && a < b
-	}
-	for k := len(heads)/2 - 1; k >= 0; k-- {
-		siftDown(heads, k, less)
-	}
-	out := make([]transition, 0, len(runs))
-	for len(heads) > 0 {
-		i := heads[0]
-		out = append(out, runs[next[i]])
-		if next[i]++; next[i] == ends[i] {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
+}
+
+// raw yields the process's next raw transition.
+func (t *Timeline) raw() (transition, bool) {
+	s := &t.spec
+	switch t.kind {
+	case kindMaintenance:
+		// Windows of DurationS every PeriodS from StartS, each a drop and
+		// its restore. A window straddling the horizon never restores:
+		// like every other process, nothing is emitted at or past HorizonS.
+		if t.winUp {
+			at := t.winAt + s.DurationS
+			t.winUp = false
+			t.winAt += s.PeriodS
+			return transition{at: at, delta: s.NodesDown}, true
 		}
-		siftDown(heads, 0, less)
+		if !(t.winAt < s.HorizonS) {
+			return transition{}, false
+		}
+		tr := transition{at: t.winAt, delta: -s.NodesDown, notice: s.NoticeS}
+		if t.winAt+s.DurationS < s.HorizonS {
+			t.winUp = true
+		} else {
+			t.winAt += s.PeriodS
+		}
+		return tr, true
+	case kindPerNode:
+		if len(t.heap) == 0 {
+			return transition{}, false
+		}
+		n := &t.heap[0]
+		tr := transition{at: n.at, delta: 1}
+		if n.down {
+			tr.delta = -1
+		}
+		if !t.renew(n, !n.down) {
+			last := len(t.heap) - 1
+			t.heap[0] = t.heap[last]
+			t.heap = t.heap[:last]
+		}
+		siftDown(t.heap, 0, (*nodeState).before)
+		return tr, true
+	case kindSpot:
+		return t.spot.next(s, t.src.Exp)
+	case kindTrace:
+		if t.pos == len(t.points) {
+			return transition{}, false
+		}
+		p := t.points[t.pos]
+		t.pos++
+		return transition{at: p.T, abs: p.Capacity, isAbs: true, notice: s.NoticeS}, true
 	}
-	return out
+	return transition{}, false
+}
+
+// spotCursor is spot's reclaim loop made resumable: reclaims are drawn in
+// time order, each followed by the draw of its restore. Pending restores
+// wait in a min-heap by instant and are yielded once no earlier reclaim
+// can follow; a restore drawn before a reclaim at the same instant is
+// yielded first, as it was drawn first. Restores at one instant are
+// identical transitions, so their order among themselves needs no tie
+// rule.
+type spotCursor struct {
+	// t is the instant of the last reclaim drawn; drawn says it is not
+	// yet yielded, ended that it fell at or past the horizon.
+	t            float64
+	drawn, ended bool
+	// pending is a min-heap of the instants of restores not yet yielded.
+	pending []float64
+}
+
+func earlier(a, b *float64) bool { return *a < *b }
+
+func (c *spotCursor) next(s *Spec, exp func(mean float64) float64) (transition, bool) {
+	if !c.drawn && !c.ended {
+		c.t += exp(s.ReclaimMeanS)
+		c.ended = c.t >= s.HorizonS
+		c.drawn = !c.ended
+	}
+	if len(c.pending) > 0 && (c.ended || c.pending[0] <= c.t) {
+		tr := transition{at: c.pending[0], delta: s.ReclaimNodes}
+		last := len(c.pending) - 1
+		c.pending[0] = c.pending[last]
+		c.pending = c.pending[:last]
+		siftDown(c.pending, 0, earlier)
+		return tr, true
+	}
+	if c.ended {
+		return transition{}, false
+	}
+	c.drawn = false
+	tr := transition{at: c.t, delta: -s.ReclaimNodes, notice: s.NoticeS}
+	if s.RestoreMeanS > 0 {
+		if back := c.t + exp(s.RestoreMeanS); back < s.HorizonS {
+			c.pending = append(c.pending, back)
+			siftUp(c.pending, len(c.pending)-1, earlier)
+		}
+	}
+	return tr, true
 }
 
 // siftDown moves h[k] down to restore the binary min-heap order of h
 // under less.
-func siftDown[T any](h []T, k int, less func(a, b T) bool) {
+func siftDown[T any](h []T, k int, less func(a, b *T) bool) {
 	for {
 		c := 2*k + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && less(h[c+1], h[c]) {
+		if c+1 < len(h) && less(&h[c+1], &h[c]) {
 			c++
 		}
-		if !less(h[c], h[k]) {
+		if !less(&h[c], &h[k]) {
 			return
 		}
 		h[k], h[c] = h[c], h[k]
@@ -403,10 +555,10 @@ func siftDown[T any](h []T, k int, less func(a, b T) bool) {
 
 // siftUp moves h[k] up to restore the binary min-heap order of h under
 // less.
-func siftUp[T any](h []T, k int, less func(a, b T) bool) {
+func siftUp[T any](h []T, k int, less func(a, b *T) bool) {
 	for k > 0 {
 		p := (k - 1) / 2
-		if !less(h[k], h[p]) {
+		if !less(&h[k], &h[p]) {
 			return
 		}
 		h[k], h[p] = h[p], h[k]
@@ -414,59 +566,63 @@ func siftUp[T any](h []T, k int, less func(a, b T) bool) {
 	}
 }
 
-func (s Spec) spot(src *rng.Source) ([]transition, error) {
-	return s.spotTimeline(src.Fork().Exp)
-}
-
-// spotTimeline draws reclaims in time order from exp, each followed by
-// the draw of its restore. Pending restores wait in a min-heap by instant
-// and are emitted once no earlier reclaim can follow; a restore drawn
-// before a reclaim at the same instant is emitted first, as it was drawn
-// first. Restores at one instant are identical transitions, so their
-// order among themselves needs no tie rule.
-func (s Spec) spotTimeline(exp func(mean float64) float64) ([]transition, error) {
-	n := s.HorizonS / s.ReclaimMeanS
-	if s.RestoreMeanS > 0 {
-		n *= 2
+// Generate expands the spec into the sorted capacity timeline of a
+// cluster with the given full pool size, consuming randomness only from
+// src: its Timeline drained to the horizon. Equal (spec, nodes, src state)
+// produce identical timelines; the deterministic processes ignore src
+// entirely. The returned capacities always lie in [MinCapacity, nodes]
+// and successive entries differ.
+func (s Spec) Generate(nodes int, src *rng.Source) ([]Change, error) {
+	var t Timeline
+	if err := t.init(s, nodes, src); err != nil {
+		return nil, err
 	}
-	out := make([]transition, 0, expected(n))
-	// pending is a min-heap of the instants of restores not yet emitted.
-	pending := make([]float64, 0, 16)
-	earlier := func(a, b float64) bool { return a < b }
-	emitRestore := func() {
-		out = append(out, transition{at: pending[0], delta: s.ReclaimNodes})
-		last := len(pending) - 1
-		pending[0] = pending[last]
-		pending = pending[:last]
-		siftDown(pending, 0, earlier)
+	if t.kind == kindNone {
+		return nil, nil
 	}
-	t := 0.0
+	out := make([]Change, 0, t.expected())
 	for {
-		t += exp(s.ReclaimMeanS)
-		if t >= s.HorizonS {
-			break
-		}
-		for len(pending) > 0 && pending[0] <= t {
-			emitRestore()
-		}
-		out = append(out, transition{at: t, delta: -s.ReclaimNodes, notice: s.NoticeS})
-		if s.RestoreMeanS > 0 {
-			if back := t + exp(s.RestoreMeanS); back < s.HorizonS {
-				pending = append(pending, back)
-				siftUp(pending, len(pending)-1, earlier)
-			}
-		}
-		if err := s.budget(len(out) + len(pending)); err != nil {
+		c, ok, err := t.Next()
+		if err != nil {
 			return nil, err
 		}
+		if !ok {
+			return out, nil
+		}
+		out = append(out, c)
 	}
-	for len(pending) > 0 {
-		emitRestore()
-	}
-	return out, nil
 }
 
-func (s Spec) traceReplay() ([]transition, error) {
+// expected sizes a drained timeline for about the process's mean count of
+// raw events over the horizon, so a typical run never regrows it; a
+// runaway spec is capped at the budget.
+func (t *Timeline) expected() int {
+	s := &t.spec
+	var n float64
+	switch t.kind {
+	case kindMaintenance:
+		n = 2 * (s.HorizonS - s.StartS) / s.PeriodS
+	case kindPerNode:
+		n = float64(t.nodes) * 2 * s.HorizonS / (t.upMean + t.downMean)
+	case kindSpot:
+		n = s.HorizonS / s.ReclaimMeanS
+		if s.RestoreMeanS > 0 {
+			n *= 2
+		}
+	case kindTrace:
+		n = float64(len(t.points))
+	}
+	switch {
+	case !(n > 0): // NaN parameters, or nothing before the horizon
+		return 16
+	case n >= maxChanges:
+		return maxChanges
+	}
+	return int(n*1.1) + 16
+}
+
+// readTrace reads the trace process's t_s,capacity points.
+func (s Spec) readTrace() ([]trace.CapacityPoint, error) {
 	path := s.Path
 	if !filepath.IsAbs(path) && s.Dir != "" {
 		path = filepath.Join(s.Dir, path)
@@ -476,61 +632,7 @@ func (s Spec) traceReplay() ([]transition, error) {
 		return nil, fmt.Errorf("availability: %w", err)
 	}
 	defer f.Close()
-	points, err := trace.ReadCapacity(f)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]transition, len(points))
-	for i, p := range points {
-		out[i] = transition{at: p.T, abs: p.Capacity, isAbs: true, notice: s.NoticeS}
-	}
-	return out, nil
-}
-
-// fold accumulates raw transitions, already ordered by at, into an
-// absolute capacity level, clamps to [minCap, nodes], coalesces
-// same-instant events, and drops steps that do not change the clamped
-// capacity.
-func fold(raw []transition, nodes, minCap int) []Change {
-	if minCap > nodes {
-		minCap = nodes
-	}
-	clamp := func(v int) int {
-		if v < minCap {
-			return minCap
-		}
-		if v > nodes {
-			return nodes
-		}
-		return v
-	}
-	out := make([]Change, 0, len(raw))
-	level := nodes
-	last := nodes
-	for i := 0; i < len(raw); {
-		at := raw[i].at
-		notice := 0.0
-		for ; i < len(raw) && raw[i].at == at; i++ {
-			if raw[i].isAbs {
-				level = raw[i].abs
-			} else {
-				level += raw[i].delta
-			}
-			if raw[i].notice > notice {
-				notice = raw[i].notice
-			}
-		}
-		c := clamp(level)
-		if c == last {
-			continue
-		}
-		if c > last {
-			notice = 0 // notice only matters for drops
-		}
-		out = append(out, Change{At: at, Capacity: c, NoticeS: notice})
-		last = c
-	}
-	return out
+	return trace.ReadCapacity(f)
 }
 
 // MeanCapacity integrates the timeline's capacity over [0, horizon] and
@@ -547,10 +649,10 @@ func MeanCapacity(changes []Change, nodes int, horizon float64) float64 {
 		if c.At >= horizon {
 			break
 		}
-		integral += float64(level) * (c.At - prev)
+		integral += float64(float64(level) * (c.At - prev))
 		level = c.Capacity
 		prev = c.At
 	}
-	integral += float64(level) * (horizon - prev)
+	integral += float64(float64(level) * (horizon - prev))
 	return integral / horizon
 }

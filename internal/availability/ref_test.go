@@ -2,6 +2,7 @@ package availability
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,20 +16,20 @@ import (
 // refGenerate is the reference copy of Generate from before the processes
 // emitted ordered transitions: failures and churn append every node's run
 // node after node, spot appends each restore right behind its reclaim,
-// and refFold stable-sorts the lot by instant before folding. Generate
-// must match it change for change and leave src in the same state.
+// and refFold stable-sorts the lot by instant before folding the whole
+// slice at once. Generate and Timeline must match it change for change
+// and leave src in the same state.
 func refGenerate(s Spec, nodes int, src *rng.Source) ([]Change, error) {
 	spec := s
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	var raw []transition
-	var err error
 	switch spec.Process {
 	case "", "none":
 		return nil, nil
 	case "maintenance":
-		raw, err = spec.maintenance()
+		raw = refMaintenance(spec)
 	case "failures":
 		raw = refPerNode(spec, nodes, src, false)
 	case "churn":
@@ -36,19 +37,64 @@ func refGenerate(s Spec, nodes int, src *rng.Source) ([]Change, error) {
 	case "spot":
 		raw = refSpot(spec, src.Fork().Exp)
 	case "trace":
-		raw, err = spec.traceReplay()
-	}
-	if err != nil {
-		return nil, err
+		points, err := spec.readTrace()
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range points {
+			raw = append(raw, transition{at: p.T, abs: p.Capacity, isAbs: true, notice: spec.NoticeS})
+		}
 	}
 	return refFold(raw, nodes, spec.MinCapacity), nil
 }
 
-// refFold keeps the stable sort fold used to open with.
+// refFold stable-sorts raw by instant, then accumulates it into an
+// absolute capacity level, clamps to [minCap, nodes], coalesces
+// same-instant events, and drops steps that do not change the clamped
+// capacity.
 func refFold(raw []transition, nodes, minCap int) []Change {
 	raw = slices.Clone(raw)
 	slices.SortStableFunc(raw, func(a, b transition) int { return cmp.Compare(a.at, b.at) })
-	return fold(raw, nodes, minCap)
+	minCap = min(minCap, nodes)
+	out := []Change{}
+	level, last := nodes, nodes
+	for i := 0; i < len(raw); {
+		at := raw[i].at
+		notice := 0.0
+		for ; i < len(raw) && raw[i].at == at; i++ {
+			if raw[i].isAbs {
+				level = raw[i].abs
+			} else {
+				level += raw[i].delta
+			}
+			if raw[i].notice > notice {
+				notice = raw[i].notice
+			}
+		}
+		c := min(max(level, minCap), nodes)
+		if c == last {
+			continue
+		}
+		if c > last {
+			notice = 0
+		}
+		out = append(out, Change{At: at, Capacity: c, NoticeS: notice})
+		last = c
+	}
+	return out
+}
+
+// refMaintenance is the windows loop: each window's drop, then its
+// restore unless that lands at or past the horizon.
+func refMaintenance(s Spec) []transition {
+	var out []transition
+	for t := s.StartS; t < s.HorizonS; t += s.PeriodS {
+		out = append(out, transition{at: t, delta: -s.NodesDown, notice: s.NoticeS})
+		if t+s.DurationS < s.HorizonS {
+			out = append(out, transition{at: t + s.DurationS, delta: s.NodesDown})
+		}
+	}
+	return out
 }
 
 // refPerNode is perNode without the merge: node-major draw order.
@@ -113,7 +159,10 @@ func refSpot(s Spec, exp func(mean float64) float64) []transition {
 }
 
 // checkAgainstRef generates spec both ways from the same seed and
-// requires bit-equal changes and the same next draw from src.
+// requires bit-equal changes and the same next draw from src. It also
+// pulls the spec's Timeline in chunks of random sizes, checking after
+// construction that src is already where Generate leaves it, and requires
+// the same changes.
 func checkAgainstRef(t *testing.T, spec Spec, nodes int, seed uint64) []Change {
 	t.Helper()
 	src, ref := rng.New(seed), rng.New(seed)
@@ -125,20 +174,50 @@ func checkAgainstRef(t *testing.T, spec Spec, nodes int, seed uint64) []Change {
 	if err != nil {
 		t.Fatalf("%+v: reference: %v", spec, err)
 	}
+	sameChanges(t, fmt.Sprintf("%+v on %d nodes", spec, nodes), got, want)
+	next := src.Uint64()
+	if b := ref.Uint64(); next != b {
+		t.Fatalf("%+v on %d nodes: next draw %#x, reference %#x", spec, nodes, next, b)
+	}
+
+	pullSrc, chunks := rng.New(seed), rng.New(seed^0x5eed)
+	tl, err := spec.Timeline(nodes, pullSrc)
+	if err != nil {
+		t.Fatalf("%+v: Timeline: %v", spec, err)
+	}
+	if a := pullSrc.Uint64(); a != next {
+		t.Fatalf("%+v on %d nodes: Timeline left next draw %#x, Generate %#x", spec, nodes, a, next)
+	}
+	var pulled []Change
+	for more := true; more; {
+		for k := 1 + chunks.Intn(64); k > 0; k-- {
+			c, ok, err := tl.Next()
+			if err != nil {
+				t.Fatalf("%+v: pull: %v", spec, err)
+			}
+			if more = ok; !ok {
+				break
+			}
+			pulled = append(pulled, c)
+		}
+	}
+	sameChanges(t, fmt.Sprintf("%+v on %d nodes, pulled", spec, nodes), pulled, got)
+	return got
+}
+
+// sameChanges requires bit-equal change lists.
+func sameChanges(t *testing.T, label string, got, want []Change) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%+v on %d nodes: %d changes, reference %d", spec, nodes, len(got), len(want))
+		t.Fatalf("%s: %d changes, reference %d", label, len(got), len(want))
 	}
 	for i := range got {
 		g, w := got[i], want[i]
 		if math.Float64bits(g.At) != math.Float64bits(w.At) || g.Capacity != w.Capacity ||
 			math.Float64bits(g.NoticeS) != math.Float64bits(w.NoticeS) {
-			t.Fatalf("%+v on %d nodes: change %d = %+v, reference %+v", spec, nodes, i, g, w)
+			t.Fatalf("%s: change %d = %+v, reference %+v", label, i, g, w)
 		}
 	}
-	if a, b := src.Uint64(), ref.Uint64(); a != b {
-		t.Fatalf("%+v on %d nodes: next draw %#x, reference %#x", spec, nodes, a, b)
-	}
-	return got
 }
 
 // TestGenerateMatchesReference covers every process, with the shapes that
@@ -172,7 +251,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 // TestSpotTiesMatchReference scripts spot's draws as small integers, so
 // reclaims and restores land on equal instants in every combination (a
 // restore on its own reclaim, on a later reclaim, on another restore,
-// zero dwells): the restore heap must emit exactly the reference's
+// zero dwells): the restore heap must yield exactly the reference's
 // stable-sort order. Continuous draws almost never tie.
 func TestSpotTiesMatchReference(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
@@ -181,38 +260,57 @@ func TestSpotTiesMatchReference(t *testing.T) {
 			r := rng.New(seed)
 			return func(mean float64) float64 { return float64(r.Intn(int(mean) + 1)) }
 		}
-		got, err := spec.spotTimeline(scripted())
-		if err != nil {
-			t.Fatal(err)
+		var got []transition
+		c, exp := spotCursor{}, scripted()
+		for {
+			tr, ok := c.next(&spec, exp)
+			if !ok {
+				break
+			}
+			got = append(got, tr)
 		}
 		want := refSpot(spec, scripted())
 		slices.SortStableFunc(want, func(a, b transition) int { return cmp.Compare(a.at, b.at) })
 		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d: spot emitted\n%+v\nreference\n%+v", seed, got, want)
+			t.Fatalf("seed %d: spot yielded\n%+v\nreference\n%+v", seed, got, want)
 		}
 	}
 }
 
-// TestMergeRunsMatchesStableSort merges runs with integer instants (equal
-// instants within and across runs, empty runs) and requires the stable
-// sort's order; delta numbers each transition so any swap shows.
-func TestMergeRunsMatchesStableSort(t *testing.T) {
+// TestPerNodeTiesMatchStableSort heaps nodes whose next transitions lie
+// at small integer instants (many equal) and requires the per-node cursor
+// to yield them in the stable sort's order of the node-major draw order:
+// by instant, then by node. At horizon 0 every node stops after the
+// transition it holds, so the instants are scripted rather than drawn.
+func TestPerNodeTiesMatchStableSort(t *testing.T) {
+	type yield struct {
+		at   float64
+		node int32
+	}
 	src := rng.New(9)
 	for round := 0; round < 200; round++ {
-		var runs []transition
-		ends := make([]int, 1+src.Intn(12))
-		for i := range ends {
-			at := 0.0
-			for n := src.Intn(8); n > 0; n-- {
-				at += float64(src.Intn(3))
-				runs = append(runs, transition{at: at, delta: len(runs)})
-			}
-			ends[i] = len(runs)
+		tl := Timeline{kind: kindPerNode}
+		var want []yield
+		for i := range 1 + src.Intn(12) {
+			n := nodeState{at: float64(src.Intn(4)), node: int32(i)}
+			tl.heap = append(tl.heap, n)
+			want = append(want, yield{n.at, n.node})
 		}
-		want := slices.Clone(runs)
-		slices.SortStableFunc(want, func(a, b transition) int { return cmp.Compare(a.at, b.at) })
-		if got := mergeRuns(runs, ends); !slices.Equal(got, want) {
-			t.Fatalf("round %d: merged\n%+v\nstable sort\n%+v", round, got, want)
+		for k := len(tl.heap)/2 - 1; k >= 0; k-- {
+			siftDown(tl.heap, k, (*nodeState).before)
+		}
+		slices.SortStableFunc(want, func(a, b yield) int { return cmp.Compare(a.at, b.at) })
+		var got []yield
+		for len(tl.heap) > 0 {
+			node := tl.heap[0].node
+			tr, ok := tl.raw()
+			if !ok {
+				t.Fatalf("round %d: node %d yielded nothing", round, node)
+			}
+			got = append(got, yield{tr.at, node})
+		}
+		if _, ok := tl.raw(); ok || !slices.Equal(got, want) {
+			t.Fatalf("round %d: yielded\n%+v\nstable sort\n%+v", round, got, want)
 		}
 	}
 }
@@ -302,28 +400,58 @@ func FuzzGenerate(f *testing.F) {
 	})
 }
 
-// BenchmarkAvailabilityGenerate generates one run's timeline per op for
-// each stochastic and periodic process, with the parameters of the
+// benchCases are one run's timelines with the parameters of the
 // sweep-volatile (48 nodes, 20,000 s) and fed-fleet (32 and 24 nodes,
 // 8,000 s) benchmark workloads.
+var benchCases = []struct {
+	name  string
+	nodes int
+	spec  Spec
+}{
+	{"maintenance", 48, Spec{Process: "maintenance", StartS: 200, PeriodS: 600, DurationS: 120, NodesDown: 12, NoticeS: 60, HorizonS: 20000}},
+	{"failures", 32, Spec{Process: "failures", MTTFS: 300, MTTRS: 60, HorizonS: 8000}},
+	{"churn", 48, Spec{Process: "churn", MeanOnS: 500, MeanOffS: 100, MinCapacity: 12, HorizonS: 20000}},
+	{"spot", 24, Spec{Process: "spot", ReclaimMeanS: 150, ReclaimNodes: 4, RestoreMeanS: 200, NoticeS: 30, MinCapacity: 4, HorizonS: 8000}},
+}
+
+// BenchmarkAvailabilityGenerate generates one run's whole timeline per op
+// for each stochastic and periodic process.
 func BenchmarkAvailabilityGenerate(b *testing.B) {
-	cases := []struct {
-		name  string
-		nodes int
-		spec  Spec
-	}{
-		{"maintenance", 48, Spec{Process: "maintenance", StartS: 200, PeriodS: 600, DurationS: 120, NodesDown: 12, NoticeS: 60, HorizonS: 20000}},
-		{"failures", 32, Spec{Process: "failures", MTTFS: 300, MTTRS: 60, HorizonS: 8000}},
-		{"churn", 48, Spec{Process: "churn", MeanOnS: 500, MeanOffS: 100, MinCapacity: 12, HorizonS: 20000}},
-		{"spot", 24, Spec{Process: "spot", ReclaimMeanS: 150, ReclaimNodes: 4, RestoreMeanS: 200, NoticeS: 30, MinCapacity: 4, HorizonS: 8000}},
-	}
-	for _, c := range cases {
+	for _, c := range benchCases {
 		b.Run(c.name, func(b *testing.B) {
 			src := rng.New(1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.spec.Generate(c.nodes, src); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAvailabilityPull pulls the first quarter of the horizon from a
+// fresh Timeline per op: what a run that ends a quarter of the way in
+// pays, against the whole horizon Generate draws.
+func BenchmarkAvailabilityPull(b *testing.B) {
+	for _, c := range benchCases {
+		b.Run(c.name, func(b *testing.B) {
+			src := rng.New(1)
+			quarter := c.spec.HorizonS / 4
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tl, err := c.spec.Timeline(c.nodes, src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					ch, ok, err := tl.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok || ch.At >= quarter {
+						break
+					}
 				}
 			}
 		})

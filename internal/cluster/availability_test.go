@@ -519,3 +519,115 @@ func TestZeroCapacityWindowOverIdlePoolChangesNothing(t *testing.T) {
 }
 
 func byFinish(a, b JobOutcome) int { return cmp.Compare(a.Finish, b.Finish) }
+
+// TestPartialPauseOverlapChargesExtension: a redistribution pause that
+// starts inside a live one and outlasts it is charged exactly the time it
+// adds. t=5: 8→4 nodes pauses [5, 7) (charge 2). t=6: 4→1 wants [6, 7.5),
+// which overlaps the live pause by 1s (charge 0.5, not its nominal 1.5).
+// t=20: 1→8 pauses 3.5s (charge 3.5).
+func TestPartialPauseOverlapChargesExtension(t *testing.T) {
+	sim := avSim(t, 8, sched.Equipartition{}, []*Job{singleJob(160, 1, 8)},
+		[]availability.Change{{At: 5, Capacity: 4}, {At: 6, Capacity: 1}, {At: 20, Capacity: 8}},
+		ReconfigCost{RedistributionSPerNode: 0.5})
+	r := sim.Run()
+	if r.RedistributionS != 6 {
+		t.Fatalf("redistribution %g, want 6 (2 + the 0.5 extension + 3.5)", r.RedistributionS)
+	}
+}
+
+// TestPausedJobMakesNoProgress: a job paused for a redistribution does no
+// work until the pause ends, so it finishes exactly the pause later than
+// the same run without the cost. A 40-work job on 4 nodes has 20 left at
+// t=5, where a drop to 2 nodes pauses it for 1s; a no-op capacity change
+// at t=6 settles it again at the pause's end.
+func TestPausedJobMakesNoProgress(t *testing.T) {
+	timeline := []availability.Change{{At: 5, Capacity: 2}, {At: 6, Capacity: 2}}
+	remainingAt := func(sim *Sim, seconds float64) float64 {
+		t.Helper()
+		end := eventq.Time(eventq.DurationOf(seconds))
+		for {
+			if next, ok := sim.PeekNextEventTime(); !ok || next > end {
+				break
+			}
+			sim.ProcessNextEvent()
+		}
+		if len(sim.views) != 1 {
+			t.Fatalf("at %gs: %d active jobs, want 1", seconds, len(sim.views))
+		}
+		return sim.views[0].Remaining
+	}
+	paused := avSim(t, 8, sched.Equipartition{}, []*Job{singleJob(40, 1, 4)}, timeline,
+		ReconfigCost{RedistributionSPerNode: 0.5})
+	start, end := remainingAt(paused, 5), remainingAt(paused, 6)
+	if start != 20 || end != start {
+		t.Fatalf("remaining work %g at the pause's start and %g at its end, want 20 and 20", start, end)
+	}
+	withPause := paused.Run()
+	free := avSim(t, 8, sched.Equipartition{}, []*Job{singleJob(40, 1, 4)}, timeline, ReconfigCost{}).Run()
+	if withPause.RedistributionS != 1 {
+		t.Fatalf("redistribution %g, want 1", withPause.RedistributionS)
+	}
+	if free.Makespan != 15 || withPause.Makespan != 16 {
+		t.Fatalf("makespan %g with the pause and %g without, want 16 and 15", withPause.Makespan, free.Makespan)
+	}
+}
+
+// TestPullIsHorizonIndependent: a run that ends well before its
+// timeline's horizon H pulls the same changes, and so has the same
+// Result, at H and at 30·H — what lies past the run's end is never
+// generated — and pulls only a fraction of what Generate draws up to H.
+func TestPullIsHorizonIndependent(t *testing.T) {
+	const nodes, horizon = 16, 20000.0
+	for _, spec := range []availability.Spec{
+		{Process: "maintenance", StartS: 30, PeriodS: 300, DurationS: 60, NodesDown: 6, NoticeS: 40},
+		{Process: "failures", MTTFS: 400, MTTRS: 100},
+		{Process: "failures", MTTFS: 400, MTTRS: 100, Dist: "weibull", Shape: 0.8},
+		{Process: "churn", MeanOnS: 300, MeanOffS: 100, MinCapacity: 4},
+		{Process: "spot", ReclaimMeanS: 100, ReclaimNodes: 3, RestoreMeanS: 150, NoticeS: 30, MinCapacity: 3},
+	} {
+		run := func(h float64) (Result, int) {
+			spec := spec
+			spec.HorizonS = h
+			tl, err := spec.Timeline(nodes, rng.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := NewSim(nodes, &sched.EfficiencyGreedy{}, PoissonWorkload(20, nodes, 10, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.SetCapacityTimeline(tl); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.SetReconfigCost(ReconfigCost{RedistributionSPerNode: 0.1, LostWorkS: 1}); err != nil {
+				t.Fatal(err)
+			}
+			r := sim.Run()
+			if err := sim.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return r, len(sim.changes)
+		}
+		short, pulledShort := run(horizon)
+		long, pulledLong := run(30 * horizon)
+		label := spec.Label()
+		if short.Makespan >= horizon/4 || short.CapacityEvents == 0 {
+			t.Fatalf("%s: makespan %g with %d capacity events; want a run ending early under a volatile pool",
+				label, short.Makespan, short.CapacityEvents)
+		}
+		if !reflect.DeepEqual(short, long) {
+			t.Errorf("%s: Result at horizon %g differs from 30x:\n%+v\n%+v", label, horizon, short, long)
+		}
+		if pulledShort != pulledLong {
+			t.Errorf("%s: pulled %d changes at horizon %g, %d at 30x", label, pulledShort, horizon, pulledLong)
+		}
+		spec.HorizonS = horizon
+		all, err := spec.Generate(nodes, rng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pulledShort*2 > len(all) {
+			t.Errorf("%s: pulled %d of the %d changes before the horizon", label, pulledShort, len(all))
+		}
+	}
+}

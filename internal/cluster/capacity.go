@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"cmp"
+	"fmt"
 	"slices"
 
 	"dpsim/internal/availability"
@@ -23,10 +23,22 @@ import (
 // before the arming instant (t = 0, or the clock at a resume) is clamped
 // to it; a suspension forgets every announcement, so a resume announces
 // every window already open again, in index order, before anything later.
+//
+// The changes are pulled from the timeline (Sim.tl) as the clock
+// approaches them: before arming, the cursor pulls until the last change
+// pulled lies past the next action plus the timeline's longest notice, so
+// no change still unpulled can open a window or take effect first.
 type capacityCursor struct {
-	// annOrder lists the graceful changes by the instant their window
-	// opens (index order among equals) — not index order in general, as
-	// notices are per change; annPos is the first still to open.
+	// tl is the timeline still to pull (nil once it has ended, failed or
+	// none was set); maxNotice its longest notice, and capErr the error
+	// that ended it early.
+	tl        *availability.Timeline
+	maxNotice eventq.Duration
+	capErr    error
+	// annOrder lists the graceful changes pulled by the instant their
+	// window opens (index order among equals) — not index order in
+	// general, as notices are per change; annPos is the first still to
+	// open.
 	annOrder []int32
 	annPos   int
 	// open lists, by index, the pending changes whose window has opened.
@@ -51,27 +63,74 @@ func noticeAt(c availability.Change) eventq.Time {
 	return changeAt(c) - eventq.Time(eventq.DurationOf(c.NoticeS))
 }
 
-// startCapacity indexes the graceful changes and arms the cursor. Only a
-// volatile pool gets here: a fixed one allocates and schedules nothing.
-func (s *Sim) startCapacity() {
-	prev := s.nodes
-	for i, c := range s.changes {
-		if c.NoticeS > 0 && c.Capacity < prev {
-			s.annOrder = append(s.annOrder, int32(i))
+// setTimeline installs tl (nil: none) as the timeline still to pull,
+// forgetting any changes taken from an earlier one.
+func (s *Sim) setTimeline(tl *availability.Timeline) {
+	s.changes, s.annOrder, s.capErr, s.tl, s.maxNotice = nil, nil, nil, tl, 0
+	if tl != nil {
+		s.maxNotice = eventq.DurationOf(tl.MaxNoticeS())
+	}
+}
+
+// pullPast pulls changes until the last one pulled lies past t, or the
+// timeline ends.
+func (s *Sim) pullPast(t eventq.Time) {
+	for s.tl != nil && !s.pulledPast(t) {
+		s.pull()
+	}
+}
+
+func (s *Sim) pulledPast(t eventq.Time) bool {
+	return len(s.changes) > 0 && changeAt(s.changes[len(s.changes)-1]) > t
+}
+
+// pull takes the timeline's next change. A change that admit refuses,
+// or a timeline over its budget, ends the timeline there, keeping the
+// error (Err).
+func (s *Sim) pull() {
+	c, ok, err := s.tl.Next()
+	if ok {
+		s.changes = append(s.changes, c)
+		if err = s.admit(len(s.changes) - 1); err != nil {
+			s.changes = s.changes[:len(s.changes)-1]
 		}
-		prev = c.Capacity
 	}
-	byNotice := func(a, b int32) int { return cmp.Compare(noticeAt(s.changes[a]), noticeAt(s.changes[b])) }
-	if !slices.IsSortedFunc(s.annOrder, byNotice) { // per-change notices; one constant notice never sorts
-		slices.SortStableFunc(s.annOrder, byNotice)
+	if !ok || err != nil {
+		s.tl, s.capErr = nil, err
 	}
-	s.fn = s.fireCapacity
-	s.restartCapacity()
+}
+
+// admit checks changes[i] against its predecessor and the pool, and
+// indexes it if graceful: every change passes here once, pulled or set.
+func (s *Sim) admit(i int) error {
+	c, prevAt, prevCap := s.changes[i], 0.0, s.nodes
+	if i > 0 {
+		prevAt, prevCap = s.changes[i-1].At, s.changes[i-1].Capacity
+	}
+	switch {
+	case c.At < 0 || c.At < prevAt:
+		return fmt.Errorf("cluster: capacity change %d at %g out of order", i, c.At)
+	case c.Capacity < 0 || c.Capacity > s.nodes:
+		return fmt.Errorf("cluster: capacity change %d to %d outside [0, %d]", i, c.Capacity, s.nodes)
+	case c.NoticeS < 0:
+		return fmt.Errorf("cluster: capacity change %d has negative notice", i)
+	}
+	if c.NoticeS > 0 && c.Capacity < prevCap {
+		// Insert by window opening, after equals: an append whenever the
+		// notice is the timeline's one constant.
+		at, k := noticeAt(c), len(s.annOrder)
+		for k > s.annPos && noticeAt(s.changes[s.annOrder[k-1]]) > at {
+			k--
+		}
+		s.annOrder = slices.Insert(s.annOrder, k, int32(i))
+	}
+	return nil
 }
 
 // restartCapacity (re)starts the timeline at the current instant: every
 // pending window that has opened by now is owed an announcement, then the
-// cursor is armed.
+// cursor is armed. The caller has pulled past now plus the longest
+// notice.
 func (s *Sim) restartCapacity() {
 	now := s.q.Now()
 	s.open = slices.DeleteFunc(s.open, func(i int32) bool { return int(i) < s.nextChange })
@@ -97,25 +156,32 @@ func (s *Sim) openWindow(i int32) {
 
 // armCapacity schedules the one capacity event at the earliest pending
 // action: the next announcement owed (now), else the next window to open,
-// against the next change to apply.
+// against the next change to apply. It pulls until no change still
+// unpulled can come first.
 func (s *Sim) armCapacity() {
-	at, idx, announce := eventq.Forever, -1, true
-	if s.announced < len(s.open) {
-		at, idx = s.q.Now(), int(s.open[s.announced])
-	} else if s.annPos < len(s.annOrder) {
-		idx = int(s.annOrder[s.annPos])
-		at = noticeAt(s.changes[idx])
-	}
-	if n := s.nextChange; n < len(s.changes) {
-		if applyAt := changeAt(s.changes[n]); idx < 0 || applyAt < at || applyAt == at && n < idx {
-			at, idx, announce = applyAt, n, false
+	for {
+		at, idx, announce := eventq.Forever, -1, true
+		if s.announced < len(s.open) {
+			at, idx = s.q.Now(), int(s.open[s.announced])
+		} else if s.annPos < len(s.annOrder) {
+			idx = int(s.annOrder[s.annPos])
+			at = noticeAt(s.changes[idx])
 		}
+		if n := s.nextChange; n < len(s.changes) {
+			if applyAt := changeAt(s.changes[n]); idx < 0 || applyAt < at || applyAt == at && n < idx {
+				at, idx, announce = applyAt, n, false
+			}
+		}
+		if s.tl != nil && (idx < 0 || !s.pulledPast(at.Add(s.maxNotice))) {
+			s.pull()
+			continue
+		}
+		if idx >= 0 { // else the timeline is exhausted
+			s.armedIdx, s.armedAnnounce = idx, announce
+			s.ev = s.q.ReuseAtTier(s.ev, at, tierCapacity, s.fn)
+		}
+		return
 	}
-	if idx < 0 {
-		return // timeline exhausted
-	}
-	s.armedIdx, s.armedAnnounce = idx, announce
-	s.ev = s.q.ReuseAtTier(s.ev, at, tierCapacity, s.fn)
 }
 
 // fireCapacity performs the action the cursor was armed for and re-arms.
@@ -148,6 +214,7 @@ func (s *Sim) maybeSuspendCapacity() {
 func (s *Sim) resumeCapacity() {
 	s.capStopped = false
 	now := s.q.Now()
+	s.pullPast(now.Add(s.maxNotice))
 	for s.nextChange < len(s.changes) {
 		c := s.changes[s.nextChange]
 		at := changeAt(c)

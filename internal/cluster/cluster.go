@@ -125,7 +125,9 @@ type Sim struct {
 	allocBuf []int
 	victims  []int
 
-	// Time-varying capacity (empty changes = the classic fixed pool).
+	// Time-varying capacity: changes is the prefix pulled from the
+	// timeline so far (none pulled and none to pull = the classic fixed
+	// pool).
 	changes  []availability.Change
 	cost     ReconfigCost
 	capNow   int // capacity currently in effect
@@ -235,8 +237,25 @@ func (s *Sim) SetReconfigCost(c ReconfigCost) error {
 	return nil
 }
 
-// SetCapacityChanges installs the pool's capacity timeline (for example
-// from availability.Spec.Generate). Changes must be sorted by At with
+// SetCapacityTimeline installs the pool's capacity timeline as a cursor
+// (availability.Spec.Timeline): the simulation pulls each change only as
+// its clock approaches it, so a run that ends early never generates the
+// rest of the horizon. Each change pulled is checked as
+// SetCapacityChanges checks its slice. A change that fails the check, or
+// a timeline over its budget, ends the timeline there; the run goes on at
+// the capacity reached and Err reports the error. It must be called
+// before the first event is processed.
+func (s *Sim) SetCapacityTimeline(tl *availability.Timeline) error {
+	if s.started {
+		return errors.New("cluster: SetCapacityTimeline after the simulation started")
+	}
+	s.setTimeline(tl)
+	return nil
+}
+
+// SetCapacityChanges installs the pool's whole capacity timeline from a
+// slice (for example from availability.Spec.Generate), checking each
+// change as it would a pulled one. Changes must be sorted by At with
 // capacities in [0, nodes]; drops with NoticeS > 0 are announced that far
 // in advance so the scheduler can drain the doomed nodes gracefully. It
 // must be called before the first event is processed.
@@ -244,22 +263,21 @@ func (s *Sim) SetCapacityChanges(changes []availability.Change) error {
 	if s.started {
 		return errors.New("cluster: SetCapacityChanges after the simulation started")
 	}
-	prev := 0.0
-	for i, c := range changes {
-		if c.At < 0 || c.At < prev {
-			return fmt.Errorf("cluster: capacity change %d at %g out of order", i, c.At)
-		}
-		prev = c.At
-		if c.Capacity < 0 || c.Capacity > s.nodes {
-			return fmt.Errorf("cluster: capacity change %d to %d outside [0, %d]", i, c.Capacity, s.nodes)
-		}
-		if c.NoticeS < 0 {
-			return fmt.Errorf("cluster: capacity change %d has negative notice", i)
+	s.setTimeline(nil)
+	s.changes = changes
+	for i := range changes {
+		if err := s.admit(i); err != nil {
+			s.setTimeline(nil)
+			return err
 		}
 	}
-	s.changes = changes
 	return nil
 }
+
+// Err reports the error that ended the capacity timeline early (see
+// SetCapacityTimeline); nil if none did. A run with an error is not a
+// run of its scenario.
+func (s *Sim) Err() error { return s.capErr }
 
 // SetProbe attaches an observability probe (see internal/obs): typed
 // callbacks fire at every state transition — job arrive/first-start/
@@ -304,8 +322,10 @@ func (s *Sim) start() {
 		return
 	}
 	s.started = true
-	if len(s.changes) > 0 {
-		s.startCapacity()
+	s.pullPast(s.q.Now().Add(s.maxNotice))
+	if len(s.changes) > 0 { // a fixed pool allocates and schedules nothing
+		s.fn = s.fireCapacity
+		s.restartCapacity()
 	}
 	if s.probe != nil && s.sampleDT > 0 {
 		// Bind the sampler callback once; every reschedule recycles the

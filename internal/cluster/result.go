@@ -62,6 +62,7 @@ func (s *Sim) Result() Result {
 		Makespan: s.lastJobEvent.Seconds(), Unfinished: len(s.jobs) - len(s.finished),
 		Reallocations: s.reallocs, CapacityEvents: s.nextChange,
 		LostWorkS: s.lostWork, RedistributionS: s.redistS,
+		PerJob: make([]JobOutcome, 0, len(s.finished)),
 	}
 	for _, js := range s.finished {
 		resp := js.finished - js.Job.Arrival
@@ -117,12 +118,14 @@ func (s *Sim) Makespan() eventq.Time { return s.lastJobEvent }
 // is summed in intake order (which fixes the float sum's last bits);
 // with every job finished it sums TotalWork over the workload. The
 // integral follows the whole capacity timeline, applied or not, so it
-// extends past the pool's last event; with no changes before end it is
-// the fixed pool's nodes×end, bit-identically.
+// extends past the pool's last event (Usage pulls the timeline up to
+// end); with no changes before end it is the fixed pool's nodes×end,
+// bit-identically.
 func (s *Sim) Usage(end eventq.Time) (work, capacity float64) {
 	for _, js := range s.jobs {
 		work += s.workDone(js)
 	}
+	s.pullPast(end - 1)
 	level := s.nodes
 	prev := eventq.Time(0)
 	for _, c := range s.changes {

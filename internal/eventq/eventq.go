@@ -54,7 +54,7 @@ func DurationOf(seconds float64) Duration {
 	// Round half away from zero, as math.Round does: x ≥ 0 here, and x−n
 	// is exact (the fraction of a float64 is representable), so the
 	// comparison decides the rounding exactly (FuzzDurationOf).
-	x := seconds * float64(Second)
+	x := float64(seconds * float64(Second))
 	n := int64(x)
 	if x-float64(n) >= 0.5 {
 		n++

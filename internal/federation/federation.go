@@ -1,8 +1,9 @@
 package federation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dpsim/internal/cluster"
 	"dpsim/internal/eventq"
@@ -302,8 +303,13 @@ func (f *Sim) Merged() cluster.Result {
 	}
 	out.Makespan = end.Seconds()
 	var work, pools, capIntegral float64
-	for i := range f.members {
-		r := f.members[i].Sim.Result()
+	results := f.Results()
+	n := 0
+	for _, r := range results {
+		n += len(r.PerJob)
+	}
+	out.PerJob = make([]cluster.JobOutcome, 0, n)
+	for i, r := range results {
 		out.PerJob = append(out.PerJob, r.PerJob...)
 		out.Unfinished += r.Unfinished
 		out.Reallocations += r.Reallocations
@@ -316,7 +322,8 @@ func (f *Sim) Merged() cluster.Result {
 		pools += float64(f.members[i].Sim.LoadInfo().Nodes) * out.Makespan
 		capIntegral += c
 	}
-	sort.Slice(out.PerJob, func(a, b int) bool { return out.PerJob[a].ID < out.PerJob[b].ID })
+	// IDs are unique across a fleet, so an unstable sort is deterministic.
+	slices.SortFunc(out.PerJob, func(a, b cluster.JobOutcome) int { return cmp.Compare(a.ID, b.ID) })
 	if pools > 0 {
 		out.Utilization = work / pools
 	}

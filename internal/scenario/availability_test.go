@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"dpsim/internal/rng"
 )
 
 // availSpec is a minimal two-axis availability scenario used across the
@@ -168,5 +170,45 @@ func TestRunCellAvailabilityAxis(t *testing.T) {
 	again := run(1)
 	if again.Result.Makespan != fail.Result.Makespan || again.Result.LostWorkS != fail.Result.LostWorkS {
 		t.Fatal("availability replay not deterministic")
+	}
+}
+
+// TestRunCellPullBudget: the availability budget counts the raw events a
+// run pulls. A spec whose every event folds away (min_capacity is the
+// whole pool, so no change is ever yielded) pulls past the budget at its
+// first pull, and its run errors, naming the process. A spec over budget
+// only over its whole horizon (8 nodes failing about once a second for
+// 10^6 s, some 8·10^6 events) completes, since its run ends within
+// minutes; Generate, which drains to the horizon, still fails on it.
+func TestRunCellPullBudget(t *testing.T) {
+	const base = `{
+		"name": "budget",
+		"nodes": [8],
+		"seed": 3,
+		"jobs": 6,
+		"mix": [{"kind": "synthetic", "phases": 3, "work_s": 60, "comm": 0.05}],
+		"arrivals": {"process": "poisson", "mean_interarrival_s": 6},
+		"availability": [
+			{"process": "failures", "mttf_s": 0.001, "mttr_s": 0.001, "min_capacity": 8},
+			{"process": "failures", "mttf_s": 1, "mttr_s": 1, "horizon_s": 1000000}
+		]
+	}`
+	spec, err := Parse([]byte(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = spec.RunCell(CellParams{Nodes: 8, Load: 1, AvailIdx: 0, Seed: 1})
+	if want := "failures process exceeds 1048576 events before horizon 86400s"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("over-budget run: err = %v, want %q", err, want)
+	}
+	run, err := spec.RunCell(CellParams{Nodes: 8, Load: 1, AvailIdx: 1, Seed: 1})
+	if err != nil {
+		t.Fatalf("run ending before the budget is pulled: %v", err)
+	}
+	if run.Result.Unfinished != 0 || run.Result.CapacityEvents == 0 {
+		t.Fatalf("run: %d unfinished, %d capacity events; want 0 and some", run.Result.Unfinished, run.Result.CapacityEvents)
+	}
+	if _, err := spec.Availability[1].Generate(8, rng.New(1)); err == nil || !strings.Contains(err.Error(), "exceeds 1048576 events") {
+		t.Fatalf("Generate over the whole horizon: err = %v, want the budget error", err)
 	}
 }

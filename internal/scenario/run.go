@@ -164,11 +164,11 @@ func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
 		if c.Availability != nil {
 			av := *c.Availability
 			av.Dir = s.dir
-			changes, err := av.Generate(c.Nodes, avRng)
+			tl, err := av.Timeline(c.Nodes, avRng)
 			if err != nil {
 				return nil, err
 			}
-			if err := sim.SetCapacityChanges(changes); err != nil {
+			if err := sim.SetCapacityTimeline(tl); err != nil {
 				return nil, err
 			}
 		}
@@ -234,6 +234,14 @@ func (s *Spec) RunCell(p CellParams) (*CellRun, error) {
 		fed.ProcessNextEvent()
 	}
 	res := fed.Merged()
+	for i := range members {
+		if err := members[i].Sim.Err(); err != nil {
+			if members[i].Name != "" {
+				err = fmt.Errorf("scenario: cluster %s: %w", members[i].Name, err)
+			}
+			return nil, err
+		}
+	}
 	run := &CellRun{Result: res, Slowdowns: make([]float64, 0, len(res.PerJob))}
 	if s.Federation != nil {
 		run.Rejected, run.Routed, run.ClusterResults = fed.Rejected(), fed.Routed(), fed.Results()

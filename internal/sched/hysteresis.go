@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 func init() {
@@ -31,26 +30,32 @@ func init() {
 // fit inside the usable pool.
 //
 // The policy is stateful (per-job resize clocks plus reusable scratch
-// buffers): construct a fresh instance per simulation.
+// buffers): construct a fresh instance per simulation. A job's clock is
+// kept while its ID stays active from one pass to the next: a job that
+// departs and a later one reusing its ID start unthrottled.
 type MalleableHysteresis struct {
 	// EpochS is the minimum time between two resizes of one job.
 	EpochS float64
 	// MinDelta is the minimum allocation change worth acting on.
 	MinDelta int
 
-	lastResize map[int]float64
-	target     []int
-	order      []int
+	// clocks holds the last resize of each job active at the last pass,
+	// ID-sorted and so aligned with that pass's Active (-Inf: never
+	// resized); spare is the buffer the next pass rebuilds it into.
+	clocks, spare []resizeClock
+	target        []int
+	order         []int
+}
+
+type resizeClock struct {
+	id int
+	at float64
 }
 
 // NewMalleableHysteresis constructs the policy; minDelta is rounded to
 // the nearest node.
 func NewMalleableHysteresis(epochS, minDelta float64) *MalleableHysteresis {
-	return &MalleableHysteresis{
-		EpochS:     epochS,
-		MinDelta:   int(math.Round(minDelta)),
-		lastResize: make(map[int]float64),
-	}
+	return &MalleableHysteresis{EpochS: epochS, MinDelta: int(math.Round(minDelta))}
 }
 
 // Name implements Scheduler.
@@ -58,11 +63,8 @@ func (*MalleableHysteresis) Name() string { return "malleable-hysteresis" }
 
 // Allocate implements Scheduler.
 func (m *MalleableHysteresis) Allocate(st State, out []int) {
-	if m.lastResize == nil {
-		m.lastResize = make(map[int]float64)
-	}
 	if len(st.Active) == 0 {
-		clear(m.lastResize)
+		m.clocks = m.clocks[:0]
 		return
 	}
 	m.target = grow(m.target, len(st.Active))
@@ -70,18 +72,10 @@ func (m *MalleableHysteresis) Allocate(st State, out []int) {
 		m.target[i] = 0
 	}
 	Equipartition{}.Allocate(st, m.target)
-	// Forget departed jobs so the clock map cannot grow without bound;
-	// Active is ID-sorted, so membership is a binary search away.
-	for id := range m.lastResize {
-		k := sort.Search(len(st.Active), func(i int) bool { return st.Active[i].Job.ID >= id })
-		if k == len(st.Active) || st.Active[k].Job.ID != id {
-			delete(m.lastResize, id)
-		}
-	}
+	m.alignClocks(st.Active)
 	total := 0
 	for i := range st.Active {
 		js := &st.Active[i]
-		id := js.Job.ID
 		cur, want := js.Alloc, m.target[i]
 		a := cur
 		switch {
@@ -90,14 +84,14 @@ func (m *MalleableHysteresis) Allocate(st State, out []int) {
 		case cur == 0:
 			// Admission: never delay a waiting job's first nodes.
 			a = want
-			m.lastResize[id] = st.Now
+			m.clocks[i].at = st.Now
 		case abs(want-cur) < m.MinDelta:
 			// Too small a move to pay a redistribution for.
-		case st.Now-m.resizeClock(id) < m.EpochS:
+		case st.Now-m.clocks[i].at < m.EpochS:
 			// Within the epoch: hold.
 		default:
 			a = want
-			m.lastResize[id] = st.Now
+			m.clocks[i].at = st.Now
 		}
 		out[i] = a
 		total += a
@@ -136,18 +130,29 @@ func (m *MalleableHysteresis) Allocate(st State, out []int) {
 			}
 			out[i] -= give
 			total -= give
-			m.lastResize[st.Active[i].Job.ID] = st.Now
+			m.clocks[i].at = st.Now
 		}
 	}
 }
 
-// resizeClock is the instant of the job's last resize; a job never yet
-// resized is free to move immediately.
-func (m *MalleableHysteresis) resizeClock(id int) float64 {
-	if at, ok := m.lastResize[id]; ok {
-		return at
+// alignClocks rebuilds the clocks aligned with active in one merge walk
+// over both ID-sorted lists: a job keeps its clock, a new one has none,
+// and departed jobs drop out.
+func (m *MalleableHysteresis) alignClocks(active []JobState) {
+	next := m.spare[:0]
+	k := 0
+	for i := range active {
+		id := active[i].Job.ID
+		for k < len(m.clocks) && m.clocks[k].id < id {
+			k++
+		}
+		c := resizeClock{id: id, at: math.Inf(-1)}
+		if k < len(m.clocks) && m.clocks[k].id == id {
+			c.at = m.clocks[k].at
+		}
+		next = append(next, c)
 	}
-	return math.Inf(-1)
+	m.clocks, m.spare = next, m.clocks
 }
 
 func abs(x int) int {

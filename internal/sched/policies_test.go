@@ -295,12 +295,32 @@ func TestHysteresisCapacityRepair(t *testing.T) {
 	m := NewMalleableHysteresis(1000, 2)
 	a := JobState{Job: mkJob(0, 0, 100, 1, 8, 0), Remaining: 100, Alloc: 8}
 	b := JobState{Job: mkJob(1, 0, 100, 1, 8, 0), Remaining: 100, Alloc: 8}
-	m.lastResize[0] = 0
-	m.lastResize[1] = 0
+	m.clocks = []resizeClock{{id: 0, at: 0}, {id: 1, at: 0}}
 	st := State{Nodes: 10, Now: 1, Active: []JobState{a, b}}
 	alloc := allocate(m, st)
 	if alloc[0]+alloc[1] > 10 {
 		t.Fatalf("over-allocation after capacity drop: %v", alloc)
+	}
+}
+
+// TestHysteresisReusedIDStartsUnthrottled: a job's resize clock leaves
+// with it, so a later job reusing its ID (after a pass without it) moves
+// at once.
+func TestHysteresisReusedIDStartsUnthrottled(t *testing.T) {
+	m := NewMalleableHysteresis(100, 2)
+	first := JobState{Job: mkJob(3, 0, 100, 1, 16, 0), Remaining: 100}
+	if got := allocate(m, State{Nodes: 8, Now: 0, Active: []JobState{first}})[3]; got != 8 {
+		t.Fatalf("admission: got %d, want 8", got) // clock of ID 3 set at t=0
+	}
+	other := JobState{Job: mkJob(5, 0, 100, 1, 16, 0), Remaining: 100, Alloc: 4}
+	allocate(m, State{Nodes: 4, Now: 1, Active: []JobState{other}}) // ID 3 has departed
+
+	// Within the first job's epoch, a reused ID 3 holding 4 of a 16-node
+	// target moves at once.
+	reused := JobState{Job: mkJob(3, 0, 100, 1, 16, 0), Remaining: 100, Alloc: 4}
+	stay := allocate(m, State{Nodes: 32, Now: 2, Active: []JobState{reused, other}})
+	if stay[3] != 16 {
+		t.Fatalf("reused ID throttled by its predecessor's clock: got %d, want 16", stay[3])
 	}
 }
 
