@@ -38,11 +38,13 @@ func (p *capStreamProbe) ReconfigCharge(t float64, jobID int, k obs.ChargeKind, 
 
 // cursorTimeline draws a hostile capacity timeline on a 0.5 s grid, so
 // announce and apply instants of different changes collide: same-instant
-// changes, a change at t = 0, and per-mode notices — one constant notice
-// (the generated-spec shape), per-change notices that make announce
-// instants non-monotone in the index, notices longer than the change's
-// own At (window clamped to the arming instant, many windows open at
-// once), and zero-length windows (a positive notice that rounds to 0 ns).
+// changes, a change at t = 0, and per-mode notices — a notice on every
+// change, abrupt drops mixed with noticed ones, notices longer than the
+// change's own At (window clamped to the arming instant, many windows
+// open at once), and zero-length windows (a positive notice that rounds
+// to 0 ns). Like every generated timeline it has one notice: each
+// noticed change carries the first noticed drop's, so a draw whose
+// noticed drops already agreed yields the timeline it always did.
 func cursorTimeline(src *rng.Source, nodes int) []availability.Change {
 	n := 6 + src.Intn(30)
 	mode := src.Intn(4)
@@ -84,7 +86,55 @@ func cursorTimeline(src *rng.Source, nodes int) []availability.Change {
 	// End on the full pool: a timeline that ends at capacity 0 strands its
 	// jobs, and a stranded job keeps the sampler running forever.
 	out[n-1].Capacity = nodes
+	notice, prev := 0.0, nodes
+	for _, c := range out {
+		if notice == 0 && c.NoticeS > 0 && c.Capacity < prev {
+			notice = c.NoticeS
+		}
+		prev = c.Capacity
+	}
+	for i := range out {
+		if out[i].NoticeS > 0 {
+			out[i].NoticeS = notice
+		}
+	}
 	return out
+}
+
+// cursorShapes names the hostile shapes a timeline on a pool of the given
+// size holds: changes at one instant, a notice longer than its drop's At,
+// a zero-length window, abrupt drops beside noticed ones, and a window
+// opening before the previous noticed drop lands.
+func cursorShapes(changes []availability.Change, nodes int) []string {
+	var shapes []string
+	abrupt, noticed := false, false
+	prev, lastNoticed := nodes, -1
+	for i, c := range changes {
+		if i > 0 && c.At == changes[i-1].At {
+			shapes = append(shapes, "same instant")
+		}
+		if c.Capacity < prev && !(c.NoticeS > 0) {
+			abrupt = true
+		}
+		if c.Capacity < prev && c.NoticeS > 0 {
+			noticed = true
+			if c.NoticeS > c.At {
+				shapes = append(shapes, "notice longer than At")
+			}
+			if eventq.DurationOf(c.NoticeS) == 0 {
+				shapes = append(shapes, "zero-length window")
+			}
+			if lastNoticed >= 0 && noticeAt(c) < changeAt(changes[lastNoticed]) {
+				shapes = append(shapes, "windows open at once")
+			}
+			lastNoticed = i
+		}
+		prev = c.Capacity
+	}
+	if abrupt && noticed {
+		shapes = append(shapes, "abrupt and noticed drops")
+	}
+	return shapes
 }
 
 // cursorJobs draws `bursts` groups of short jobs spread over (and past)
@@ -147,32 +197,34 @@ func driveOpen(tb testing.TB, sim *Sim, jobs []*Job, observe func(events int)) (
 // eager implementation (every change pushed at start, all cancelled on
 // suspend, all re-pushed on resume) at the commit before the cursor,
 // and re-recorded, with no simulator change, when fingerprintResult
-// stopped printing the Result means the sweep never read.
+// stopped printing the Result means the sweep never read, and when
+// cursorTimeline gave each timeline one notice (the 8 cases whose noticed
+// drops already agreed kept their eager-recorded values).
 var cursorGoldens = [24]string{
-	"1d1e2385a9a0fddc",
+	"7ab5f8b75afc7387",
 	"9c832bd62c9817be",
-	"f0d2b57382b72fe9",
-	"f1686caf34e3a5eb",
+	"88bb4896215a9ea1",
+	"2faff3bd70a6cb6b",
 	"1506555c571ac1f7",
-	"c621044f945ed0ec",
+	"8933be204bed6c8f",
 	"1fde48df903d9869",
-	"75c61fb11b3c43bf",
-	"f6599baa7b364e6f",
-	"057e909649f59f8f",
-	"33ecde9cb764c901",
-	"5fd513e0162367e0",
-	"5c7fc59a43eb294c",
-	"99eba3a636918178",
-	"abd3ca985a137873",
-	"c8331588a49794dc",
+	"2ffb9755021c5362",
+	"b315c584c3600067",
+	"71b9f60cabb7946a",
+	"3a44f026e213a03c",
+	"167d26df2467071d",
+	"16fee68d94f75cc3",
+	"a415849ec3ea99a2",
+	"89d53e70acff6c1f",
+	"830a4ad9bd68e8ae",
 	"a52b07476d04985c",
 	"6310ffd13194f6d3",
-	"7f084cdabc912fe3",
+	"df95a8d71a7d9376",
 	"f764b477872a0584",
-	"54003beda2b7fc9b",
+	"1992e8b275ccaca4",
 	"705f43eb38cf4754",
 	"ab7006a2094dbe96",
-	"826f8689034cd6bc",
+	"7fedf29c7ce45fc3",
 }
 
 // TestCapacityCursorGolden pins the capacity cursor to the eager
@@ -183,10 +235,13 @@ var cursorGoldens = [24]string{
 func TestCapacityCursorGolden(t *testing.T) {
 	const nodes = 16
 	policies := sched.Names()
-	cycles := map[int]bool{}
+	cycles, shapes := map[int]bool{}, map[string]bool{}
 	for seed := range cursorGoldens {
 		src := rng.New(uint64(1000 + seed))
 		changes := cursorTimeline(src, nodes)
+		for _, shape := range cursorShapes(changes, nodes) {
+			shapes[shape] = true
+		}
 		bursts := []int{1, 2, 6}[seed%3]
 		jobs := cursorJobs(src, bursts, changes[len(changes)-1].At)
 		policy, err := sched.New(policies[seed%len(policies)], nil)
@@ -220,6 +275,11 @@ func TestCapacityCursorGolden(t *testing.T) {
 	for _, want := range []int{0, 1, 3} {
 		if !cycles[want] {
 			t.Errorf("no case with %d (3 = many) suspend/resume cycles", want)
+		}
+	}
+	for _, want := range []string{"same instant", "notice longer than At", "zero-length window", "abrupt and noticed drops", "windows open at once"} {
+		if !shapes[want] {
+			t.Errorf("no case with %s", want)
 		}
 	}
 }

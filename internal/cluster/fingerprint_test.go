@@ -45,48 +45,49 @@ func fingerprintModels(tb testing.TB) []appmodel.AppModel {
 // TestSimFingerprintGolden, recorded at the commit before the cluster.go
 // split into settle/preempt/allocate/charge/reschedule stages and
 // re-recorded, with no simulator change, when fingerprintResult stopped
-// printing the Result means the sweep never read.
+// printing the Result means the sweep never read and when cursorTimeline
+// gave each timeline one notice.
 var simGoldens = [40]string{
 	"a21db3a8b9446e09",
 	"b52705177110abc8",
-	"3899a0082184061e",
+	"3396d017075ba1e6",
 	"e923e9df4e70c9ca",
 	"36ea516072f7ea31",
-	"b98cd8e73965d065",
-	"190b2ef9686ccde7",
-	"32463ac5e6661b0a",
+	"1d270fde8d7133ee",
+	"67e68b703bc3cf4a",
+	"c8e35e942603725d",
 	"1fffe603e8b9d0c5",
-	"bc1672194389788a",
-	"3d6799c893a07a9b",
-	"db96c2b1a0d9dc91",
+	"801fa61d9ba32adf",
+	"232dd40c0f6294bc",
+	"2b4f8790bb347175",
 	"ce93d3b000480096",
 	"809b28dbf60a8961",
-	"b27de01c2dbb9361",
+	"d87dee2fdb049244",
 	"afa8543554b7bd78",
 	"b987c036c0037a4e",
 	"7982a88dbed3b9cd",
 	"04a5ccee6c6ee152",
 	"b1bce1d2cce16435",
 	"fce1123a0099f507",
-	"6aea3581d73a024c",
-	"8cc76da0187eb5f3",
+	"5b4cea39113729c0",
+	"9e7b238e023f1f68",
 	"ca6e7a6f5ce43712",
-	"3bcc0c06affe9f56",
+	"436cbaac4bb928d8",
 	"0fcbb800c331f938",
-	"2321ed1df175ca69",
-	"bf85d7baef5f304d",
+	"6506e8b1697f460b",
+	"17b64068b5ad6094",
 	"7f685a8440fb740c",
 	"53b0779377cbd0ec",
-	"e98cec7897e84408",
+	"d97d57a446cd6ccf",
 	"027517d05c751648",
 	"3c969f406a104785",
 	"acd7fced546d1446",
-	"f999b7077811ab02",
+	"19393ea391dadabb",
 	"18d87c7cca622273",
-	"1b0a7f64eb3926ae",
-	"a89114f86da81301",
+	"5ca3b9f7082564c8",
+	"8115afd6dddc4867",
 	"e7c4ef024108a70d",
-	"f5d4bbb2ea975405",
+	"dbf97d3fcd2a5578",
 }
 
 // TestSimFingerprintGolden pins the whole simulator across its drive and

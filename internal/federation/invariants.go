@@ -143,15 +143,16 @@ func randomFederation(seed uint64, maxClusters, maxNodes, maxJobs int) ([]member
 	for i := range fleet {
 		nodes := 2 + src.Intn(maxNodes-1)
 		mc := memberCase{nodes: nodes, scheduler: schedNames[src.Intn(len(schedNames))]}
-		// Instants on a 10 s grid and whole-second notices, so members'
+		// Instants on a 10 s grid and a whole-second notice, so members'
 		// capacity events tie and the tie rule of invariant 4 is
-		// exercised.
-		ct := 0.0
+		// exercised. Like a generated timeline, a member's has one notice,
+		// carried by the changes drawn noticed.
+		ct, notice := 0.0, math.Ceil(src.Uniform(1, 15))
 		for j, n := 0, src.Intn(5); j < n; j++ {
 			ct += 10 * math.Ceil(src.Exp(40)/10)
 			c := availability.Change{At: ct, Capacity: src.Intn(nodes + 1)}
 			if src.Float64() < 0.4 {
-				c.NoticeS = math.Ceil(src.Uniform(1, 15))
+				c.NoticeS = notice
 			}
 			mc.changes = append(mc.changes, c)
 		}

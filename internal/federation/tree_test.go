@@ -50,11 +50,12 @@ func TestWinnerTreeMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			var changes []availability.Change
+			notice := float64(1 + src.Intn(5)) // one per timeline
 			for at, n := 0, src.Intn(6); n > 0; n-- {
 				at += 1 + src.Intn(20)
 				c := availability.Change{At: float64(at), Capacity: 1 + src.Intn(nodes)}
 				if src.Intn(3) == 0 {
-					c.NoticeS = float64(1 + src.Intn(5))
+					c.NoticeS = notice
 				}
 				changes = append(changes, c)
 			}
