@@ -49,7 +49,8 @@ type Change struct {
 	// Capacity is the absolute usable-node count from At on.
 	Capacity int
 	// NoticeS is the advance warning announced before a capacity drop
-	// (reclaim notice); 0 means the drop is abrupt. Ignored for rises.
+	// (reclaim notice); 0 means the drop is abrupt. Ignored for rises. A
+	// timeline gives every drop the same notice (Timeline.NoticeS).
 	NoticeS float64
 }
 
@@ -77,9 +78,10 @@ type Spec struct {
 	// MinCapacity floors the usable capacity (default 1): the pool never
 	// drops below this many nodes no matter what the process generates.
 	MinCapacity int `json:"min_capacity,omitempty"`
-	// NoticeS is the advance warning attached to capacity drops
-	// (maintenance shutdowns, spot reclaims). 0 means abrupt: running
-	// work on reclaimed nodes is lost per the reconfiguration-cost model.
+	// NoticeS is the advance warning attached to every capacity drop of
+	// maintenance, spot and trace (failures and churn drop without one).
+	// 0 means abrupt: running work on reclaimed nodes is lost per the
+	// reconfiguration-cost model.
 	NoticeS float64 `json:"notice_s,omitempty"`
 
 	// maintenance: windows of DurationS every PeriodS starting at StartS,
@@ -214,11 +216,10 @@ func (s *Spec) Validate() error {
 // yields its transitions ordered by at, ties in the order a stable sort of
 // the process's draw order would leave them.
 type transition struct {
-	at     float64
-	delta  int
-	abs    int
-	isAbs  bool
-	notice float64
+	at    float64
+	delta int
+	abs   int
+	isAbs bool
 }
 
 // The kinds of Timeline: one per process (failures and churn share the
@@ -239,6 +240,9 @@ type Timeline struct {
 	spec          Spec // validated
 	kind          int
 	nodes, minCap int
+	// notice is what every drop carries: notice_s for the processes that
+	// announce drops, 0 for failures and churn.
+	notice float64
 
 	// The incremental fold: head is the next raw transition (valid while
 	// more), level the running node count, last the capacity of the last
@@ -308,18 +312,18 @@ func (t *Timeline) init(s Spec, nodes int, src *rng.Source) error {
 	case "", "none":
 		return nil
 	case "maintenance":
-		t.kind, t.winAt = kindMaintenance, s.StartS
+		t.kind, t.winAt, t.notice = kindMaintenance, s.StartS, s.NoticeS
 	case "failures", "churn":
 		t.initPerNode(src, s.Process == "churn")
 	case "spot":
-		t.kind, t.src = kindSpot, *src.Fork()
+		t.kind, t.src, t.notice = kindSpot, *src.Fork(), s.NoticeS
 		t.spot.pending = make([]float64, 0, 16)
 	case "trace":
 		points, err := s.readTrace()
 		if err != nil {
 			return err
 		}
-		t.kind, t.points = kindTrace, points
+		t.kind, t.points, t.notice = kindTrace, points, s.NoticeS
 	}
 	t.pull()
 	return nil
@@ -373,17 +377,11 @@ func (t *Timeline) renew(n *nodeState, up bool) bool {
 	return !(n.at >= t.spec.HorizonS)
 }
 
-// MaxNoticeS is the longest notice any change of the timeline can carry:
-// notice_s for the processes that announce drops, 0 for failures and
-// churn. A consumer that has pulled a change at instant a has seen every
-// window opening before a − MaxNoticeS.
-func (t *Timeline) MaxNoticeS() float64 {
-	switch t.kind {
-	case kindMaintenance, kindSpot, kindTrace:
-		return t.spec.NoticeS
-	}
-	return 0
-}
+// NoticeS is the notice every drop of the timeline carries: notice_s for
+// the processes that announce drops, 0 for failures and churn. Rises
+// carry none. A consumer that has pulled a change at instant a has seen
+// every window opening before a − NoticeS.
+func (t *Timeline) NoticeS() float64 { return t.notice }
 
 // Next yields the timeline's next change: it folds every raw transition at
 // the next raw instant into the running node count, clamps it to
@@ -392,15 +390,12 @@ func (t *Timeline) MaxNoticeS() float64 {
 // budget's error once more than maxChanges raw transitions were pulled.
 func (t *Timeline) Next() (c Change, ok bool, err error) {
 	for t.more {
-		at, notice := t.head.at, 0.0
+		at := t.head.at
 		for {
 			if t.head.isAbs {
 				t.level = t.head.abs
 			} else {
 				t.level += t.head.delta
-			}
-			if t.head.notice > notice {
-				notice = t.head.notice
 			}
 			t.pull()
 			if !t.more || t.head.at != at {
@@ -414,11 +409,12 @@ func (t *Timeline) Next() (c Change, ok bool, err error) {
 		if capacity == t.last {
 			continue
 		}
-		if capacity > t.last {
-			notice = 0 // notice only matters for drops
+		c = Change{At: at, Capacity: capacity}
+		if capacity < t.last {
+			c.NoticeS = t.notice
 		}
 		t.last = capacity
-		return Change{At: at, Capacity: capacity, NoticeS: notice}, true, nil
+		return c, true, nil
 	}
 	return Change{}, false, t.err
 }
@@ -452,7 +448,7 @@ func (t *Timeline) raw() (transition, bool) {
 		if !(t.winAt < s.HorizonS) {
 			return transition{}, false
 		}
-		tr := transition{at: t.winAt, delta: -s.NodesDown, notice: s.NoticeS}
+		tr := transition{at: t.winAt, delta: -s.NodesDown}
 		if t.winAt+s.DurationS < s.HorizonS {
 			t.winUp = true
 		} else {
@@ -483,7 +479,7 @@ func (t *Timeline) raw() (transition, bool) {
 		}
 		p := t.points[t.pos]
 		t.pos++
-		return transition{at: p.T, abs: p.Capacity, isAbs: true, notice: s.NoticeS}, true
+		return transition{at: p.T, abs: p.Capacity, isAbs: true}, true
 	}
 	return transition{}, false
 }
@@ -524,7 +520,7 @@ func (c *spotCursor) next(s *Spec, exp func(mean float64) float64) (transition, 
 		return transition{}, false
 	}
 	c.drawn = false
-	tr := transition{at: c.t, delta: -s.ReclaimNodes, notice: s.NoticeS}
+	tr := transition{at: c.t, delta: -s.ReclaimNodes}
 	if s.RestoreMeanS > 0 {
 		if back := c.t + exp(s.RestoreMeanS); back < s.HorizonS {
 			c.pending = append(c.pending, back)

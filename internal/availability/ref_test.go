@@ -24,7 +24,7 @@ func refGenerate(s Spec, nodes int, src *rng.Source) ([]Change, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	var raw []transition
+	var raw []refTransition
 	switch spec.Process {
 	case "", "none":
 		return nil, nil
@@ -42,19 +42,28 @@ func refGenerate(s Spec, nodes int, src *rng.Source) ([]Change, error) {
 			return nil, err
 		}
 		for _, p := range points {
-			raw = append(raw, transition{at: p.T, abs: p.Capacity, isAbs: true, notice: spec.NoticeS})
+			raw = append(raw, refTransition{transition{at: p.T, abs: p.Capacity, isAbs: true}, spec.NoticeS})
 		}
 	}
 	return refFold(raw, nodes, spec.MinCapacity), nil
 }
 
+// refTransition is a raw transition carrying its own notice, as each did
+// before the notice became the timeline's: notice_s on the drops of
+// maintenance, spot and trace.
+type refTransition struct {
+	transition
+	notice float64
+}
+
 // refFold stable-sorts raw by instant, then accumulates it into an
 // absolute capacity level, clamps to [minCap, nodes], coalesces
 // same-instant events, and drops steps that do not change the clamped
-// capacity.
-func refFold(raw []transition, nodes, minCap int) []Change {
+// capacity. A drop carries the longest notice of its instant's
+// transitions.
+func refFold(raw []refTransition, nodes, minCap int) []Change {
 	raw = slices.Clone(raw)
-	slices.SortStableFunc(raw, func(a, b transition) int { return cmp.Compare(a.at, b.at) })
+	slices.SortStableFunc(raw, func(a, b refTransition) int { return cmp.Compare(a.at, b.at) })
 	minCap = min(minCap, nodes)
 	out := []Change{}
 	level, last := nodes, nodes
@@ -86,31 +95,31 @@ func refFold(raw []transition, nodes, minCap int) []Change {
 
 // refMaintenance is the windows loop: each window's drop, then its
 // restore unless that lands at or past the horizon.
-func refMaintenance(s Spec) []transition {
-	var out []transition
+func refMaintenance(s Spec) []refTransition {
+	var out []refTransition
 	for t := s.StartS; t < s.HorizonS; t += s.PeriodS {
-		out = append(out, transition{at: t, delta: -s.NodesDown, notice: s.NoticeS})
+		out = append(out, refTransition{transition{at: t, delta: -s.NodesDown}, s.NoticeS})
 		if t+s.DurationS < s.HorizonS {
-			out = append(out, transition{at: t + s.DurationS, delta: s.NodesDown})
+			out = append(out, refTransition{transition: transition{at: t + s.DurationS, delta: s.NodesDown}})
 		}
 	}
 	return out
 }
 
 // refPerNode is perNode without the merge: node-major draw order.
-func refPerNode(s Spec, nodes int, src *rng.Source, churn bool) []transition {
+func refPerNode(s Spec, nodes int, src *rng.Source, churn bool) []refTransition {
 	upMean, downMean := s.MTTFS, s.MTTRS
 	if churn {
 		upMean, downMean = s.MeanOnS, s.MeanOffS
 	}
-	var out []transition
+	var out []refTransition
 	for i := 0; i < nodes; i++ {
 		r := src.Fork()
 		up := true
 		if churn {
 			up = r.Float64() < upMean/(upMean+downMean)
 			if !up {
-				out = append(out, transition{at: 0, delta: -1})
+				out = append(out, refTransition{transition: transition{at: 0, delta: -1}})
 			}
 		}
 		t := 0.0
@@ -133,7 +142,7 @@ func refPerNode(s Spec, nodes int, src *rng.Source, churn bool) []transition {
 			if up {
 				d = -1
 			}
-			out = append(out, transition{at: t, delta: d, notice: 0})
+			out = append(out, refTransition{transition: transition{at: t, delta: d}})
 			up = !up
 		}
 	}
@@ -141,18 +150,18 @@ func refPerNode(s Spec, nodes int, src *rng.Source, churn bool) []transition {
 }
 
 // refSpot is spot without the restore heap: draw order.
-func refSpot(s Spec, exp func(mean float64) float64) []transition {
-	var out []transition
+func refSpot(s Spec, exp func(mean float64) float64) []refTransition {
+	var out []refTransition
 	t := 0.0
 	for {
 		t += exp(s.ReclaimMeanS)
 		if t >= s.HorizonS {
 			return out
 		}
-		out = append(out, transition{at: t, delta: -s.ReclaimNodes, notice: s.NoticeS})
+		out = append(out, refTransition{transition{at: t, delta: -s.ReclaimNodes}, s.NoticeS})
 		if s.RestoreMeanS > 0 {
 			if back := t + exp(s.RestoreMeanS); back < s.HorizonS {
-				out = append(out, transition{at: back, delta: s.ReclaimNodes})
+				out = append(out, refTransition{transition: transition{at: back, delta: s.ReclaimNodes}})
 			}
 		}
 	}
@@ -162,7 +171,8 @@ func refSpot(s Spec, exp func(mean float64) float64) []transition {
 // requires bit-equal changes and the same next draw from src. It also
 // pulls the spec's Timeline in chunks of random sizes, checking after
 // construction that src is already where Generate leaves it, and requires
-// the same changes.
+// the same changes, every drop carrying the Timeline's NoticeS and every
+// rise none.
 func checkAgainstRef(t *testing.T, spec Spec, nodes int, seed uint64) []Change {
 	t.Helper()
 	src, ref := rng.New(seed), rng.New(seed)
@@ -202,6 +212,17 @@ func checkAgainstRef(t *testing.T, spec Spec, nodes int, seed uint64) []Change {
 		}
 	}
 	sameChanges(t, fmt.Sprintf("%+v on %d nodes, pulled", spec, nodes), pulled, got)
+	prev := nodes
+	for i, c := range got {
+		want := 0.0
+		if c.Capacity < prev {
+			want = tl.NoticeS()
+		}
+		if math.Float64bits(c.NoticeS) != math.Float64bits(want) {
+			t.Fatalf("%+v on %d nodes: change %d = %+v, want notice %g (timeline notice %g)", spec, nodes, i, c, want, tl.NoticeS())
+		}
+		prev = c.Capacity
+	}
 	return got
 }
 
@@ -269,7 +290,10 @@ func TestSpotTiesMatchReference(t *testing.T) {
 			}
 			got = append(got, tr)
 		}
-		want := refSpot(spec, scripted())
+		var want []transition
+		for _, tr := range refSpot(spec, scripted()) {
+			want = append(want, tr.transition)
+		}
 		slices.SortStableFunc(want, func(a, b transition) int { return cmp.Compare(a.at, b.at) })
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: spot yielded\n%+v\nreference\n%+v", seed, got, want)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"dpsim/internal/availability"
@@ -217,23 +218,34 @@ func TestSetAfterStartRejected(t *testing.T) {
 }
 
 // TestSetCapacityChangesValidation: out-of-order or out-of-range
-// timelines are rejected up front.
+// timelines, and noticed drops whose notices differ, are rejected up
+// front, naming the change. Rises and abrupt drops may sit beside the one
+// notice.
 func TestSetCapacityChangesValidation(t *testing.T) {
 	sim, err := NewSim(4, sched.Equipartition{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := [][]availability.Change{
-		{{At: 5, Capacity: 2}, {At: 3, Capacity: 4}},
-		{{At: 1, Capacity: 9}},
-		{{At: 1, Capacity: -1}},
-		{{At: -1, Capacity: 2}},
-		{{At: 1, Capacity: 2, NoticeS: -3}},
+	bad := []struct {
+		changes []availability.Change
+		want    string
+	}{
+		{[]availability.Change{{At: 5, Capacity: 2}, {At: 3, Capacity: 4}}, "change 1 at 3 out of order"},
+		{[]availability.Change{{At: 1, Capacity: 9}}, "change 0 to 9 outside"},
+		{[]availability.Change{{At: 1, Capacity: -1}}, "change 0 to -1 outside"},
+		{[]availability.Change{{At: -1, Capacity: 2}}, "change 0 at -1 out of order"},
+		{[]availability.Change{{At: 1, Capacity: 2, NoticeS: -3}}, "change 0 has negative notice"},
+		{[]availability.Change{{At: 1, Capacity: 2, NoticeS: 2}, {At: 5, Capacity: 4}, {At: 9, Capacity: 1, NoticeS: 3}},
+			"change 2 has notice 3, the timeline's is 2"},
 	}
-	for i, ch := range bad {
-		if err := sim.SetCapacityChanges(ch); err == nil {
-			t.Fatalf("timeline %d accepted: %+v", i, ch)
+	for i, c := range bad {
+		if err := sim.SetCapacityChanges(c.changes); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("timeline %d %+v: err = %v, want %q", i, c.changes, err, c.want)
 		}
+	}
+	ok := []availability.Change{{At: 1, Capacity: 2, NoticeS: 2}, {At: 5, Capacity: 4, NoticeS: 7}, {At: 6, Capacity: 3}, {At: 9, Capacity: 1, NoticeS: 2}}
+	if err := sim.SetCapacityChanges(ok); err != nil {
+		t.Errorf("one notice with a noticed rise and an abrupt drop beside it: %v", err)
 	}
 }
 

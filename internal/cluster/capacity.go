@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"dpsim/internal/availability"
 	"dpsim/internal/eventq"
@@ -19,35 +18,31 @@ import (
 // any) and then its application onto a FIFO tier at each (re)arming: by
 // instant, then by change index, the announcement first. A change is
 // announced iff graceful: NoticeS > 0 and a capacity below its
-// predecessor's (the pool size for change 0). A notice window that opened
-// before the arming instant (t = 0, or the clock at a resume) is clamped
-// to it; a suspension forgets every announcement, so a resume announces
-// every window already open again, in index order, before anything later.
+// predecessor's (the pool size for change 0). Every graceful change
+// carries the timeline's one notice, so windows open in index order and
+// one index says which have. A window that opened before the arming
+// instant (t = 0, or the clock at a resume) is clamped to it; a
+// suspension forgets every announcement, so a resume announces every
+// window already open again, in index order, before anything later.
 //
 // The changes are pulled from the timeline (Sim.tl) as the clock
 // approaches them: before arming, the cursor pulls until the last change
-// pulled lies past the next action plus the timeline's longest notice, so
-// no change still unpulled can open a window or take effect first.
+// pulled lies past the next action plus the notice, so no change still
+// unpulled can open a window or take effect first.
 type capacityCursor struct {
 	// tl is the timeline still to pull (nil once it has ended, failed or
-	// none was set); maxNotice its longest notice, and capErr the error
-	// that ended it early.
-	tl        *availability.Timeline
-	maxNotice eventq.Duration
-	capErr    error
-	// annOrder lists the graceful changes pulled by the instant their
-	// window opens (index order among equals) — not index order in
-	// general, as notices are per change; annPos is the first still to
-	// open.
-	annOrder []int32
-	annPos   int
-	// open lists, by index, the pending changes whose window has opened.
-	// open[:announced] have been announced since the last (re)arming: the
+	// none was set); noticeS the notice of every graceful change (the
+	// timeline's, or the first one admitted from a slice), and capErr the
+	// error that ended the timeline early.
+	tl      *availability.Timeline
+	noticeS float64
+	capErr  error
+	// announced is one past the last change announced since the last
+	// (re)arming: the graceful changes in [nextChange, announced) are the
 	// reclaim notices outstanding, which an intervening capacity event
-	// must not void. open[announced:] are announcements a resume still
-	// owes at the current instant.
-	open      []int32
-	announced int
+	// must not void. nextNotice, the next change to announce, is the first
+	// graceful one from announced on, kept so each change is tested once.
+	announced, nextNotice int
 	// ev is the one capacity event, recycled at every re-arm, and fn its
 	// callback, bound once; armedIdx/armedAnnounce say what it will do.
 	ev            *eventq.Event
@@ -66,11 +61,14 @@ func noticeAt(c availability.Change) eventq.Time {
 // setTimeline installs tl (nil: none) as the timeline still to pull,
 // forgetting any changes taken from an earlier one.
 func (s *Sim) setTimeline(tl *availability.Timeline) {
-	s.changes, s.annOrder, s.capErr, s.tl, s.maxNotice = nil, nil, nil, tl, 0
+	s.changes, s.capErr, s.tl, s.noticeS = nil, nil, tl, 0
 	if tl != nil {
-		s.maxNotice = eventq.DurationOf(tl.MaxNoticeS())
+		s.noticeS = tl.NoticeS()
 	}
 }
+
+// notice is the length of every notice window.
+func (s *Sim) notice() eventq.Duration { return eventq.DurationOf(s.noticeS) }
 
 // pullPast pulls changes until the last one pulled lies past t, or the
 // timeline ends.
@@ -100,12 +98,14 @@ func (s *Sim) pull() {
 	}
 }
 
-// admit checks changes[i] against its predecessor and the pool, and
-// indexes it if graceful: every change passes here once, pulled or set.
+// admit checks changes[i] against its predecessor, the pool and the
+// notice of the graceful changes before it: every change passes here
+// once, pulled or set.
 func (s *Sim) admit(i int) error {
-	c, prevAt, prevCap := s.changes[i], 0.0, s.nodes
+	c := s.changes[i]
+	prevAt := 0.0
 	if i > 0 {
-		prevAt, prevCap = s.changes[i-1].At, s.changes[i-1].Capacity
+		prevAt = s.changes[i-1].At
 	}
 	switch {
 	case c.At < 0 || c.At < prevAt:
@@ -115,64 +115,50 @@ func (s *Sim) admit(i int) error {
 	case c.NoticeS < 0:
 		return fmt.Errorf("cluster: capacity change %d has negative notice", i)
 	}
-	if c.NoticeS > 0 && c.Capacity < prevCap {
-		// Insert by window opening, after equals: an append whenever the
-		// notice is the timeline's one constant.
-		at, k := noticeAt(c), len(s.annOrder)
-		for k > s.annPos && noticeAt(s.changes[s.annOrder[k-1]]) > at {
-			k--
+	if s.graceful(i) {
+		if s.noticeS == 0 {
+			s.noticeS = c.NoticeS
+		} else if c.NoticeS != s.noticeS {
+			return fmt.Errorf("cluster: capacity change %d has notice %g, the timeline's is %g", i, c.NoticeS, s.noticeS)
 		}
-		s.annOrder = slices.Insert(s.annOrder, k, int32(i))
 	}
 	return nil
 }
 
-// restartCapacity (re)starts the timeline at the current instant: every
-// pending window that has opened by now is owed an announcement, then the
-// cursor is armed. The caller has pulled past now plus the longest
-// notice.
-func (s *Sim) restartCapacity() {
-	now := s.q.Now()
-	s.open = slices.DeleteFunc(s.open, func(i int32) bool { return int(i) < s.nextChange })
-	for ; s.annPos < len(s.annOrder); s.annPos++ {
-		i := s.annOrder[s.annPos]
-		if noticeAt(s.changes[i]) > now {
-			break
-		}
-		if int(i) >= s.nextChange {
-			s.openWindow(i)
-		}
+// graceful reports whether changes[i] is announced: a drop with notice.
+func (s *Sim) graceful(i int) bool {
+	prevCap := s.nodes
+	if i > 0 {
+		prevCap = s.changes[i-1].Capacity
 	}
-	s.announced = 0
-	s.armCapacity()
+	return s.changes[i].NoticeS > 0 && s.changes[i].Capacity < prevCap
 }
 
-// openWindow adds change i to the index-ordered open list (an append when
-// announce instants are monotone in the index).
-func (s *Sim) openWindow(i int32) {
-	at, _ := slices.BinarySearch(s.open, i)
-	s.open = slices.Insert(s.open, at, i)
+// nextGraceful is the first graceful change from i on, or len(changes).
+func (s *Sim) nextGraceful(i int) int {
+	for i < len(s.changes) && !s.graceful(i) {
+		i++
+	}
+	return i
 }
 
 // armCapacity schedules the one capacity event at the earliest pending
-// action: the next announcement owed (now), else the next window to open,
-// against the next change to apply. It pulls until no change still
-// unpulled can come first.
+// action: the next announcement (now, if its window opened before the
+// arming), against the next change to apply. It pulls until no change
+// still unpulled can come first.
 func (s *Sim) armCapacity() {
 	for {
+		s.nextNotice = s.nextGraceful(s.nextNotice)
 		at, idx, announce := eventq.Forever, -1, true
-		if s.announced < len(s.open) {
-			at, idx = s.q.Now(), int(s.open[s.announced])
-		} else if s.annPos < len(s.annOrder) {
-			idx = int(s.annOrder[s.annPos])
-			at = noticeAt(s.changes[idx])
+		if s.nextNotice < len(s.changes) {
+			at, idx = max(noticeAt(s.changes[s.nextNotice]), s.q.Now()), s.nextNotice
 		}
 		if n := s.nextChange; n < len(s.changes) {
 			if applyAt := changeAt(s.changes[n]); idx < 0 || applyAt < at || applyAt == at && n < idx {
 				at, idx, announce = applyAt, n, false
 			}
 		}
-		if s.tl != nil && (idx < 0 || !s.pulledPast(at.Add(s.maxNotice))) {
+		if s.tl != nil && (idx < 0 || !s.pulledPast(at.Add(s.notice()))) {
 			s.pull()
 			continue
 		}
@@ -214,7 +200,7 @@ func (s *Sim) maybeSuspendCapacity() {
 func (s *Sim) resumeCapacity() {
 	s.capStopped = false
 	now := s.q.Now()
-	s.pullPast(now.Add(s.maxNotice))
+	s.pullPast(now.Add(s.notice()))
 	for s.nextChange < len(s.changes) {
 		c := s.changes[s.nextChange]
 		at := changeAt(c)
@@ -225,7 +211,11 @@ func (s *Sim) resumeCapacity() {
 		s.nextChange++
 	}
 	s.schedCap = s.capNow
-	s.restartCapacity()
+	if s.announced > s.nextChange { // notices still outstanding are owed again
+		s.nextNotice = s.nextChange
+	}
+	s.announced, s.nextNotice = s.nextChange, max(s.nextNotice, s.nextChange)
+	s.armCapacity()
 }
 
 // announceCapacity opens a reclaim-notice window: the scheduler's usable
@@ -235,11 +225,7 @@ func (s *Sim) announceCapacity(idx int) {
 	if s.probe != nil {
 		s.probe.CapacityNotice(s.q.Now().Seconds(), s.changes[idx].Capacity)
 	}
-	if s.announced == len(s.open) { // a window opening now, not a re-announcement
-		s.annPos++
-		s.openWindow(int32(idx))
-	}
-	s.announced++
+	s.announced, s.nextNotice = idx+1, idx+1
 	if next := s.effectiveSchedCap(); next < s.schedCap {
 		s.schedCap = next
 		s.dirty = true
@@ -254,11 +240,7 @@ func (s *Sim) applyCapacity(idx int) {
 	if s.probe != nil {
 		s.probe.CapacityChange(s.q.Now().Seconds(), c.Capacity)
 	}
-	if len(s.open) > 0 && int(s.open[0]) == idx { // its notice is no longer outstanding
-		s.open = slices.Delete(s.open, 0, 1)
-		s.announced--
-	}
-	s.nextChange = idx + 1
+	s.nextChange = idx + 1 // its notice, if any, is no longer outstanding
 	if c.Capacity < s.capNow && !(c.NoticeS > 0) {
 		// Same-instant abrupt drops pool their lost-work budgets: the
 		// coalesced reallocation charges against the total node count
@@ -276,8 +258,8 @@ func (s *Sim) applyCapacity(idx int) {
 // not hand back nodes that are already doomed.
 func (s *Sim) effectiveSchedCap() int {
 	cap := s.capNow
-	for _, i := range s.open[:s.announced] {
-		if target := s.changes[i].Capacity; target < cap {
+	for i := s.nextChange; i < s.announced; i++ {
+		if target := s.changes[i].Capacity; target < cap && s.graceful(i) {
 			cap = target
 		}
 	}

@@ -257,8 +257,9 @@ func (s *Sim) SetCapacityTimeline(tl *availability.Timeline) error {
 // slice (for example from availability.Spec.Generate), checking each
 // change as it would a pulled one. Changes must be sorted by At with
 // capacities in [0, nodes]; drops with NoticeS > 0 are announced that far
-// in advance so the scheduler can drain the doomed nodes gracefully. It
-// must be called before the first event is processed.
+// in advance so the scheduler can drain the doomed nodes gracefully, and
+// all of them must carry the same notice, as a generated timeline's do.
+// It must be called before the first event is processed.
 func (s *Sim) SetCapacityChanges(changes []availability.Change) error {
 	if s.started {
 		return errors.New("cluster: SetCapacityChanges after the simulation started")
@@ -322,10 +323,10 @@ func (s *Sim) start() {
 		return
 	}
 	s.started = true
-	s.pullPast(s.q.Now().Add(s.maxNotice))
+	s.pullPast(s.q.Now().Add(s.notice()))
 	if len(s.changes) > 0 { // a fixed pool allocates and schedules nothing
 		s.fn = s.fireCapacity
-		s.restartCapacity()
+		s.armCapacity()
 	}
 	if s.probe != nil && s.sampleDT > 0 {
 		// Bind the sampler callback once; every reschedule recycles the
