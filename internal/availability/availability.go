@@ -33,6 +33,7 @@ package availability
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -138,8 +139,23 @@ func (s Spec) Label() string {
 }
 
 // Validate checks the spec and fills defaults. An empty Process is valid
-// and generates no changes (the fixed-pool degenerate case).
+// and generates no changes (the fixed-pool degenerate case). A NaN or
+// infinite value in any float field is rejected by its JSON key, used by
+// the process or not: NaN passes every range check (v <= 0 is false).
 func (s *Spec) Validate() error {
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{
+		{"horizon_s", s.HorizonS}, {"notice_s", s.NoticeS}, {"start_s", s.StartS},
+		{"period_s", s.PeriodS}, {"duration_s", s.DurationS}, {"mttf_s", s.MTTFS},
+		{"mttr_s", s.MTTRS}, {"shape", s.Shape}, {"reclaim_mean_s", s.ReclaimMeanS},
+		{"restore_mean_s", s.RestoreMeanS}, {"mean_on_s", s.MeanOnS}, {"mean_off_s", s.MeanOffS},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s is %g, not a finite number", f.key, f.v)
+		}
+	}
 	if s.HorizonS < 0 {
 		return fmt.Errorf("negative horizon_s")
 	}

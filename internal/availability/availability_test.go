@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -238,6 +239,49 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if ch := gen(t, Spec{}, 8, 1); ch != nil {
 		t.Fatalf("empty process generated changes: %+v", ch)
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite value in any float
+// field of any process's spec is rejected by its JSON key, whether the
+// process uses the field or not, and so is every Timeline built from it.
+// JSON cannot carry one, but a Spec built in Go can, and NaN passes every
+// range check (a NaN reclaim_mean_s drew changes at NaN; a NaN duration_s
+// never restored a window).
+func TestValidateRejectsNonFinite(t *testing.T) {
+	bases := []Spec{
+		{},
+		{Process: "maintenance", PeriodS: 100, DurationS: 10, NodesDown: 2, NoticeS: 5},
+		{Process: "failures", MTTFS: 100, MTTRS: 10, Dist: "weibull", Shape: 2},
+		{Process: "spot", ReclaimMeanS: 50, RestoreMeanS: 20, NoticeS: 5},
+		{Process: "churn", MeanOnS: 100, MeanOffS: 50},
+		{Process: "trace", Path: "cap.csv"},
+	}
+	fields := reflect.TypeOf(Spec{})
+	covered := 0
+	for i := range fields.NumField() {
+		f := fields.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		covered++
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		for _, base := range bases {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				spec := base
+				reflect.ValueOf(&spec).Elem().Field(i).SetFloat(v)
+				want := key + " is " + strconv.FormatFloat(v, 'g', -1, 64) + ", not a finite number"
+				if err := spec.Validate(); err == nil || err.Error() != want {
+					t.Errorf("%s with %s = %g: Validate error %v, want %q", base.Label(), key, v, err, want)
+				}
+				if _, err := spec.Timeline(8, rng.New(1)); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s with %s = %g: Timeline error %v, want %q", base.Label(), key, v, err, want)
+				}
+			}
+		}
+	}
+	if covered == 0 {
+		t.Error("no float field found in Spec")
 	}
 }
 

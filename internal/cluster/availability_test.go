@@ -218,18 +218,19 @@ func TestSetAfterStartRejected(t *testing.T) {
 }
 
 // TestSetCapacityChangesValidation: out-of-order or out-of-range
-// timelines, and noticed drops whose notices differ, are rejected up
-// front, naming the change. Rises and abrupt drops may sit beside the one
-// notice.
+// timelines, non-finite instants and notices, and noticed drops whose
+// notices differ are rejected up front, naming the change. Rises and
+// abrupt drops may sit beside the one notice.
 func TestSetCapacityChangesValidation(t *testing.T) {
 	sim, err := NewSim(4, sched.Equipartition{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []struct {
+	type rejected struct {
 		changes []availability.Change
 		want    string
-	}{
+	}
+	bad := []rejected{
 		{[]availability.Change{{At: 5, Capacity: 2}, {At: 3, Capacity: 4}}, "change 1 at 3 out of order"},
 		{[]availability.Change{{At: 1, Capacity: 9}}, "change 0 to 9 outside"},
 		{[]availability.Change{{At: 1, Capacity: -1}}, "change 0 to -1 outside"},
@@ -237,6 +238,11 @@ func TestSetCapacityChangesValidation(t *testing.T) {
 		{[]availability.Change{{At: 1, Capacity: 2, NoticeS: -3}}, "change 0 has negative notice"},
 		{[]availability.Change{{At: 1, Capacity: 2, NoticeS: 2}, {At: 5, Capacity: 4}, {At: 9, Capacity: 1, NoticeS: 3}},
 			"change 2 has notice 3, the timeline's is 2"},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			rejected{[]availability.Change{{At: 1, Capacity: 2}, {At: v, Capacity: 3}}, fmt.Sprintf("change 1 at %g, not a finite instant", v)},
+			rejected{[]availability.Change{{At: 1, Capacity: 2, NoticeS: v}}, fmt.Sprintf("change 0 has notice %g, not a finite number", v)})
 	}
 	for i, c := range bad {
 		if err := sim.SetCapacityChanges(c.changes); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"dpsim/internal/availability"
 	"dpsim/internal/eventq"
@@ -108,6 +109,10 @@ func (s *Sim) admit(i int) error {
 		prevAt = s.changes[i-1].At
 	}
 	switch {
+	case math.IsNaN(c.At) || math.IsInf(c.At, 0):
+		return fmt.Errorf("cluster: capacity change %d at %g, not a finite instant", i, c.At)
+	case math.IsNaN(c.NoticeS) || math.IsInf(c.NoticeS, 0):
+		return fmt.Errorf("cluster: capacity change %d has notice %g, not a finite number", i, c.NoticeS)
 	case c.At < 0 || c.At < prevAt:
 		return fmt.Errorf("cluster: capacity change %d at %g out of order", i, c.At)
 	case c.Capacity < 0 || c.Capacity > s.nodes:
