@@ -20,7 +20,7 @@ func CommEfficiency(c float64, p int) float64 {
 	if p <= 0 {
 		return 0
 	}
-	return 1 / (1 + c*float64(p-1))
+	return 1 / (1 + float64(c*float64(p-1)))
 }
 
 // CommFactor is the simulator's classic efficiency family, the

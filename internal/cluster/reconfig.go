@@ -94,7 +94,7 @@ func (s *Sim) charge(js *jobState, v *sched.JobState, old, alloc int, now eventq
 		if delta < 0 {
 			delta = -delta
 		}
-		pause := s.cost.RedistributionSPerNode * float64(delta)
+		pause := float64(s.cost.RedistributionSPerNode * float64(delta))
 		if hook != nil {
 			pause += hook.MigrationS(old, alloc)
 		}

@@ -133,12 +133,12 @@ func (s *Sim) Usage(end eventq.Time) (work, capacity float64) {
 		if at >= end {
 			break
 		}
-		capacity += float64(level) * (at - prev).Seconds()
+		capacity += float64(float64(level) * (at - prev).Seconds())
 		level = c.Capacity
 		prev = at
 	}
 	if end > prev {
-		capacity += float64(level) * (end - prev).Seconds()
+		capacity += float64(float64(level) * (end - prev).Seconds())
 	}
 	return work, capacity
 }
