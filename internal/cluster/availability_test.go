@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"dpsim/internal/eventq"
 	"dpsim/internal/rng"
 	"dpsim/internal/sched"
+	"dpsim/internal/trace"
 )
 
 // avSim builds a Sim over simple perfectly-parallel jobs with a capacity
@@ -587,6 +590,92 @@ func TestPausedJobMakesNoProgress(t *testing.T) {
 	}
 	if free.Makespan != 15 || withPause.Makespan != 16 {
 		t.Fatalf("makespan %g with the pause and %g without, want 16 and 15", withPause.Makespan, free.Makespan)
+	}
+}
+
+// TestTimelineReplaysAsTrace: a timeline is its changes and its one
+// notice. Written through trace.WriteCapacity and replayed as a trace
+// spec carrying the timeline's NoticeS, with the same min_capacity and
+// horizon, every process's timeline yields the same changes, and the same
+// Result under two policies.
+func TestTimelineReplaysAsTrace(t *testing.T) {
+	const nodes, horizon = 16, 4000.0
+	dir := t.TempDir()
+	for i, spec := range []availability.Spec{
+		{Process: "maintenance", StartS: 30, PeriodS: 300, DurationS: 60, NodesDown: 6, NoticeS: 40},
+		{Process: "failures", MTTFS: 400, MTTRS: 100},
+		{Process: "failures", MTTFS: 400, MTTRS: 100, Dist: "weibull", Shape: 0.8},
+		{Process: "churn", MeanOnS: 300, MeanOffS: 100, MinCapacity: 4},
+		{Process: "spot", ReclaimMeanS: 100, ReclaimNodes: 3, RestoreMeanS: 150, NoticeS: 30, MinCapacity: 3},
+		{Process: "spot", ReclaimMeanS: 100, ReclaimNodes: 3, RestoreMeanS: 150, MinCapacity: 3},
+	} {
+		spec.HorizonS = horizon
+		seed := uint64(i + 1)
+		tl, err := spec.Timeline(nodes, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		changes, err := spec.Generate(nodes, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		points := make([]trace.CapacityPoint, len(changes))
+		noticed := 0
+		for k, c := range changes {
+			points[k] = trace.CapacityPoint{T: c.At, Capacity: c.Capacity}
+			if c.NoticeS > 0 {
+				noticed++
+			}
+		}
+		if len(changes) < 10 || (noticed > 0) != (spec.NoticeS > 0) {
+			t.Fatalf("%s: %d changes, %d noticed: not the timeline the test is about", spec.Label(), len(changes), noticed)
+		}
+		var csv strings.Builder
+		if err := trace.WriteCapacity(&csv, points); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("cap%d.csv", i))
+		if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replay := availability.Spec{Process: "trace", Path: path, NoticeS: tl.NoticeS(), MinCapacity: spec.MinCapacity, HorizonS: horizon}
+		replayed, err := replay.Generate(nodes, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(replayed, changes) {
+			t.Fatalf("%s: replayed as a trace, the timeline changed:\n%+v\nwant\n%+v", spec.Label(), replayed, changes)
+		}
+		for _, policy := range []Scheduler{sched.Equipartition{}, &sched.Rigid{}} {
+			run := func(s availability.Spec) Result {
+				tl, err := s.Timeline(nodes, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim, err := NewSim(nodes, policy, PoissonWorkload(40, nodes, 30, 3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.SetCapacityTimeline(tl); err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.SetReconfigCost(ReconfigCost{RedistributionSPerNode: 0.1, LostWorkS: 1}); err != nil {
+					t.Fatal(err)
+				}
+				r := sim.Run()
+				if err := sim.Err(); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			want, got := run(spec), run(replay)
+			if want.CapacityEvents == 0 {
+				t.Fatalf("%s under %s: no capacity event during the run", spec.Label(), policy.Name())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s under %s: the trace replay's Result differs:\n%+v\nwant\n%+v", spec.Label(), policy.Name(), got, want)
+			}
+		}
 	}
 }
 
