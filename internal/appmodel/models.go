@@ -49,7 +49,10 @@ func newDowney(p Params) (AppModel, error) {
 // Name implements AppModel.
 func (m Downey) Name() string { return "downey" }
 
-// speedup evaluates Downey's piecewise curve at n nodes.
+// speedup evaluates Downey's piecewise curve at n nodes. Every product
+// that meets a sum is rounded explicitly (float64(...)), so no build
+// fuses the two into one multiply-add; that includes s/2, which the
+// compiler turns into the product s·0.5.
 func (m Downey) speedup(nodes int) float64 {
 	p := float64(nodes)
 	a, s := m.A, m.Sigma
@@ -57,16 +60,16 @@ func (m Downey) speedup(nodes int) float64 {
 		// Low variance: linear-ish up to A, bending to the plateau at 2A-1.
 		switch {
 		case p <= a:
-			return a * p / (a + s/2*(p-1))
+			return a * p / (a + float64(s/2*(p-1)))
 		case p <= 2*a-1:
-			return a * p / (s*(a-0.5) + p*(1-s/2))
+			return a * p / (float64(s*(a-0.5)) + float64(p*(1-float64(s/2))))
 		default:
 			return a
 		}
 	}
 	// High variance: a single hyperbolic segment up to A + Aσ - σ.
-	if p <= a+a*s-s {
-		return p * a * (s + 1) / (s*(p+a-1) + a)
+	if p <= a+float64(a*s)-s {
+		return p * a * (s + 1) / (float64(s*(p+a-1)) + a)
 	}
 	return a
 }

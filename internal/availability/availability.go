@@ -224,6 +224,9 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("unknown availability process %q", s.Process)
 	}
+	if (s.Process == "failures" || s.Process == "churn") && s.NoticeS > 0 {
+		return fmt.Errorf("%s drops are abrupt: notice_s %g must be 0", s.Process, s.NoticeS)
+	}
 	return nil
 }
 

@@ -233,6 +233,20 @@ func TestValidateRejects(t *testing.T) {
 			t.Fatalf("spec %d accepted: %+v", i, s)
 		}
 	}
+	// failures and churn drop nodes without notice, so a notice_s there
+	// would be ignored: it is rejected by name instead.
+	for _, s := range []Spec{
+		{Process: "failures", MTTFS: 400, MTTRS: 100, NoticeS: 30},
+		{Process: "failures", MTTFS: 400, MTTRS: 100, Dist: "weibull", NoticeS: 1e-9},
+		{Process: "churn", MeanOnS: 500, MeanOffS: 100, NoticeS: 30},
+	} {
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "notice_s") || !strings.Contains(err.Error(), s.Process) {
+			t.Fatalf("%+v: error %v, want one naming %s and notice_s", s, err, s.Process)
+		}
+		if _, err := s.Timeline(16, rng.New(1)); err == nil {
+			t.Fatalf("%+v: Timeline accepted it", s)
+		}
+	}
 	empty := Spec{}
 	if err := empty.Validate(); err != nil {
 		t.Fatalf("empty process rejected: %v", err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dpsim/internal/rng"
@@ -12,7 +13,9 @@ import (
 // Allocate, from both sides. The simulator's side: st.Active is the active
 // list in ascending ID order, each view that of the job at the same index
 // of sim.actives, in range, and holding the allocation in force before the
-// pass (or none, if the preempt stage evicted the job). The policy's side:
+// pass (or none, if the preempt stage evicted the job), st.Held lists
+// exactly the views holding nodes, ascending, and out arrives zeroed (the
+// simulator recycles it without a clear). The policy's side:
 // it leaves st.Active exactly as it found it — the views are the jobs' one
 // copy of their phase, remaining work and allocation, so a write would
 // change the run. It keeps the first breach.
@@ -30,6 +33,9 @@ func (a *arenaCheck) Allocate(st sched.State, out []int) {
 	a.calls++
 	if a.mismatch == "" {
 		a.mismatch = arenaMismatch(a.sim, st)
+	}
+	if a.mismatch == "" && (len(out) != len(st.Active) || slices.ContainsFunc(out, func(x int) bool { return x != 0 })) {
+		a.mismatch = fmt.Sprintf("t=%v: out arrives as %v for %d views", a.sim.Now(), out, len(st.Active))
 	}
 	a.before = append(a.before[:0], st.Active...)
 	a.inner.Allocate(st, out)
@@ -65,6 +71,15 @@ func arenaMismatch(sim *Sim, st sched.State) string {
 		case v.Alloc != 0 && v.Alloc != sim.oldAlloc[i]:
 			return fmt.Sprintf("t=%v: job %d's view holds %d nodes, %d in force", sim.Now(), v.Job.ID, v.Alloc, sim.oldAlloc[i])
 		}
+	}
+	var held []int
+	for i, v := range st.Active {
+		if v.Alloc > 0 {
+			held = append(held, i)
+		}
+	}
+	if !slices.Equal(st.Held, held) {
+		return fmt.Sprintf("t=%v: Held %v, views holding nodes %v", sim.Now(), st.Held, held)
 	}
 	return ""
 }
@@ -206,4 +221,38 @@ func TestViewArenaCatchesWritingPolicy(t *testing.T) {
 		t.Fatal("the contract check missed a policy writing st.Active")
 	}
 	t.Log(check.mismatch)
+}
+
+// TestBitsetShiftsLikeASlice: the holder set's insert and remove shift
+// its bits exactly as slices.Insert and slices.Delete shift a []bool,
+// across word boundaries, at sizes up to 300 indices.
+func TestBitsetShiftsLikeASlice(t *testing.T) {
+	src := rng.New(3)
+	var b bitset
+	var ref []bool
+	for step := 0; step < 20000; step++ {
+		if len(ref) == 0 || len(ref) < 300 && src.Float64() < 0.55 {
+			i := src.Intn(len(ref) + 1)
+			ref = slices.Insert(ref, i, false)
+			b = b.insert(i, len(ref))
+		} else {
+			i := src.Intn(len(ref))
+			ref = slices.Delete(ref, i, i+1)
+			b = b.remove(i, len(ref))
+		}
+		if len(ref) > 0 && src.Float64() < 0.5 { // mark a random index held
+			i := src.Intn(len(ref))
+			ref[i] = true
+			b[i>>6] |= 1 << (i & 63)
+		}
+		if len(b) != (len(ref)+63)/64 {
+			t.Fatalf("step %d: %d words for %d indices", step, len(b), len(ref))
+		}
+		for i := range len(b) * 64 {
+			want := i < len(ref) && ref[i]
+			if got := b[i>>6]>>(i&63)&1 == 1; got != want {
+				t.Fatalf("step %d: bit %d is %v, want %v", step, i, got, want)
+			}
+		}
+	}
 }

@@ -87,11 +87,11 @@ func reportEventRates(b *testing.B, events int) {
 	}
 }
 
-// scaleSim builds a warmed-up simulation holding n active jobs — the
-// equal-instant arrival batch at t=0 is coalesced into one admission, so
-// even the 10k warm-up is cheap — with enough phases left to sustain a
-// long measurement.
-func scaleSim(tb testing.TB, policy Scheduler, n int) *Sim {
+// scaleSim builds a warmed-up simulation holding n active jobs on the
+// given pool — the equal-instant arrival batch at t=0 is coalesced into
+// one admission, so even the 10k warm-up is cheap — with enough phases
+// left to sustain a long measurement.
+func scaleSim(tb testing.TB, policy Scheduler, n, nodes int) *Sim {
 	tb.Helper()
 	jobs := make([]*Job, n)
 	for i := range jobs {
@@ -102,7 +102,7 @@ func scaleSim(tb testing.TB, policy Scheduler, n int) *Sim {
 			MaxNodes: 1 + i%32,
 		}
 	}
-	sim, err := NewSim(32, policy, jobs)
+	sim, err := NewSim(nodes, policy, jobs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -128,13 +128,13 @@ var benchScales = []struct {
 func BenchmarkClusterStepScale(b *testing.B) {
 	for _, sc := range benchScales {
 		b.Run(sc.name, func(b *testing.B) {
-			sim := scaleSim(b, &sched.EfficiencyGreedy{}, sc.n)
+			sim := scaleSim(b, &sched.EfficiencyGreedy{}, sc.n, 32)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !sim.ProcessNextEvent() {
 					b.StopTimer()
-					sim = scaleSim(b, &sched.EfficiencyGreedy{}, sc.n)
+					sim = scaleSim(b, &sched.EfficiencyGreedy{}, sc.n, 32)
 					b.StartTimer()
 				}
 			}
@@ -150,13 +150,13 @@ func BenchmarkClusterStepScale(b *testing.B) {
 func BenchmarkSchedulerInvokeScale(b *testing.B) {
 	for _, sc := range benchScales {
 		b.Run(sc.name, func(b *testing.B) {
-			sim := scaleSim(b, sched.Equipartition{}, sc.n)
+			sim := scaleSim(b, sched.Equipartition{}, sc.n, 32)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !sim.ProcessNextEvent() {
 					b.StopTimer()
-					sim = scaleSim(b, sched.Equipartition{}, sc.n)
+					sim = scaleSim(b, sched.Equipartition{}, sc.n, 32)
 					b.StartTimer()
 				}
 			}
@@ -179,13 +179,44 @@ func BenchmarkSchedulerInvoke1k(b *testing.B) {
 				}
 				return p
 			}
-			sim := scaleSim(b, policy(), 1000)
+			sim := scaleSim(b, policy(), 1000, 32)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !sim.ProcessNextEvent() {
 					b.StopTimer()
-					sim = scaleSim(b, policy(), 1000)
+					sim = scaleSim(b, policy(), 1000, 32)
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSchedulerInvokeWide is the big-active shape: 1,300 active
+// jobs on 512 nodes (about its median pass), under the four policies
+// that workload runs. Where the 32-node rungs leave at most 32 holders,
+// here up to 512 jobs hold nodes (equipartition and fair-share give the
+// first 512 one node each), so a pass that walks the holders costs
+// about as much as one that walks every active job, and may not cost
+// more.
+func BenchmarkSchedulerInvokeWide(b *testing.B) {
+	for _, name := range []string{"easy-backfill", "equipartition", "fair-share", "rigid-fcfs"} {
+		b.Run(name, func(b *testing.B) {
+			policy := func() Scheduler {
+				p, err := sched.New(name, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return p
+			}
+			sim := scaleSim(b, policy(), 1300, 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !sim.ProcessNextEvent() {
+					b.StopTimer()
+					sim = scaleSim(b, policy(), 1300, 512)
 					b.StartTimer()
 				}
 			}

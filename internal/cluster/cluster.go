@@ -21,6 +21,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -115,14 +116,21 @@ type Sim struct {
 	// inserted into and deleted from alongside it: views holds each active
 	// job's phase, remaining work and allocation — the one copy of them,
 	// handed to the policy as is — and oldAlloc is each job's allocation
-	// in force before the current pass. So a job waiting through a pass
-	// costs only contiguous-array work. allocBuf is the out-buffer the
-	// policy fills (it becomes oldAlloc when the pass ends), victims the
+	// in force before the current pass. held is the holder set, bit i set
+	// while oldAlloc[i] > 0, shifted alongside the arenas: settle, preempt,
+	// reschedule and LoadInfo walk it, so a job waiting through a pass
+	// costs one bit. allocBuf is the out-buffer the policy fills (it
+	// becomes oldAlloc when the pass ends; reschedule zeroes the entries
+	// of the one it retires, so it arrives zeroed) and next its holder
+	// set, emitted by allocate; heldIdx is sched.State.Held, victims the
 	// preemption scratch list. After warm-up a steady-state scheduling
 	// event allocates nothing.
 	views    []sched.JobState
 	oldAlloc []int
 	allocBuf []int
+	held     bitset
+	next     bitset
+	heldIdx  []int
 	victims  []int
 
 	// Time-varying capacity: changes is the prefix pulled from the
@@ -192,6 +200,7 @@ func NewSim(nodes int, sched Scheduler, jobs []*Job) (*Sim, error) {
 		jobs:     make([]*jobState, 0, len(jobs)),
 		actives:  make([]*jobState, 0, len(jobs)),
 		finished: make([]*jobState, 0, len(jobs)),
+		heldIdx:  make([]int, 0, nodes), // holders' grants fit the pool
 		capNow:   nodes, schedCap: nodes,
 	}
 	for _, j := range jobs {
@@ -441,14 +450,13 @@ type LoadInfo struct {
 // contract.
 func (s *Sim) LoadInfo() LoadInfo {
 	li := LoadInfo{Nodes: s.nodes, Capacity: s.capNow}
-	for _, a := range s.oldAlloc {
-		if a > 0 {
+	for w, word := range s.held {
+		for ; word != 0; word &= word - 1 {
 			li.Running++
-			li.Allocated += a
-		} else {
-			li.Waiting++
+			li.Allocated += s.oldAlloc[w<<6|bits.TrailingZeros64(word)]
 		}
 	}
+	li.Waiting = len(s.actives) - li.Running
 	return li
 }
 
@@ -504,6 +512,7 @@ func (s *Sim) insertActive(js *jobState) {
 	s.actives = slices.Insert(s.actives, i, js)
 	s.views = slices.Insert(s.views, i, sched.JobState{Job: js.Job, Remaining: js.Job.Phases[0].Work})
 	s.oldAlloc = slices.Insert(s.oldAlloc, i, 0)
+	s.held = s.held.insert(i, len(s.actives))
 }
 
 // removeActive drops the active job at index i.
@@ -511,6 +520,39 @@ func (s *Sim) removeActive(i int) {
 	s.actives = slices.Delete(s.actives, i, i+1)
 	s.views = slices.Delete(s.views, i, i+1)
 	s.oldAlloc = slices.Delete(s.oldAlloc, i, i+1)
+	s.held = s.held.remove(i, len(s.actives))
+}
+
+// bitset is a set of active-list indices, bit i of word i/64 for index i,
+// one word per 64 active jobs: walking it costs O(active/64 + members),
+// and inserting or deleting an index shifts it by one bit.
+type bitset []uint64
+
+// insert opens a zero bit at i, moving the bits from i up by one; n is
+// the index count after the insert.
+func (b bitset) insert(i, n int) bitset {
+	if len(b) < (n+63)>>6 {
+		b = append(b, 0)
+	}
+	w, low := i>>6, uint64(1)<<(i&63)-1
+	carry := b[w] >> 63
+	b[w] = b[w]&low | (b[w]&^low)<<1
+	for k := w + 1; k < len(b); k++ {
+		b[k], carry = b[k]<<1|carry, b[k]>>63
+	}
+	return b
+}
+
+// remove deletes bit i, moving the bits above it down by one; n is the
+// index count after the delete.
+func (b bitset) remove(i, n int) bitset {
+	w, low := i>>6, uint64(1)<<(i&63)-1
+	b[w] = b[w]&low | b[w]>>1&^low
+	for k := w + 1; k < len(b); k++ {
+		b[k-1] |= b[k] << 63
+		b[k] >>= 1
+	}
+	return b[:(n+63)>>6]
 }
 
 // reallocate is the coalesced scheduling pass of a dirty instant, in the
@@ -530,6 +572,7 @@ func (s *Sim) reallocate() {
 	wallNS, total := s.allocate(now)
 	changed := s.reschedule(now)
 	s.oldAlloc, s.allocBuf = s.allocBuf, s.oldAlloc
+	s.held, s.next = s.next, s.held
 	s.reallocs += changed
 	if s.probe != nil {
 		s.probe.SchedulerInvoke(now.Seconds(), obs.SchedulerInvocation{
@@ -542,18 +585,19 @@ func (s *Sim) reallocate() {
 // scheduler sees value snapshots in the persistent views arena, not the
 // live bookkeeping: the views pin exactly the fields the allocation
 // contract names, and no per-event boxing occurs. The policy fills
-// allocBuf (zeroed here) indexed like the views. It returns the call's
-// wall time (read only with a probe attached) and the total allocation,
-// having checked the sched.Scheduler contract: a grant outside
-// [0, MaxNodes] or a sum above the usable nodes panics.
+// allocBuf (zero on arrival, see reschedule) indexed like the views. It
+// returns the call's wall time (read only with a probe attached) and the
+// total allocation, having checked the sched.Scheduler contract: a grant
+// outside [0, MaxNodes] or a sum above the usable nodes panics. The
+// check is the pass's one walk over every active job; it emits next, the
+// holder set of the new allocation.
 func (s *Sim) allocate(now eventq.Time) (wallNS int64, total int) {
 	if n := len(s.actives); cap(s.allocBuf) < n {
 		s.allocBuf = make([]int, n)
 	} else {
 		s.allocBuf = s.allocBuf[:n]
-		clear(s.allocBuf)
 	}
-	st := sched.State{Nodes: s.schedCap, Now: now.Seconds(), Active: s.views}
+	st := sched.State{Nodes: s.schedCap, Now: now.Seconds(), Active: s.views, Held: s.heldIdx}
 	if s.probe != nil {
 		t0 := time.Now()
 		s.sched.Allocate(st, s.allocBuf)
@@ -561,12 +605,25 @@ func (s *Sim) allocate(now eventq.Time) (wallNS int64, total int) {
 	} else {
 		s.sched.Allocate(st, s.allocBuf)
 	}
-	for i, a := range s.allocBuf {
-		// A zero grant is always in contract and skips the MaxNodes load.
-		if a != 0 && (a < 0 || a > s.views[i].Job.MaxNodes) {
-			s.breach(now, s.views[i].Job, a)
+	if cap(s.next) < len(s.held) {
+		s.next = make(bitset, len(s.held), cap(s.held))
+	}
+	s.next = s.next[:len(s.held)]
+	n := len(s.allocBuf)
+	for w := range s.next {
+		var word uint64
+		lo := w << 6
+		for k, a := range s.allocBuf[lo:min(lo+64, n)] {
+			// A zero grant is always in contract and skips the MaxNodes load.
+			if a != 0 {
+				if a < 0 || a > s.views[lo+k].Job.MaxNodes {
+					s.breach(now, s.views[lo+k].Job, a)
+				}
+				total += a
+				word |= 1 << k
+			}
 		}
-		total += a
+		s.next[w] = word
 	}
 	if total > s.schedCap {
 		panic(fmt.Sprintf("cluster: scheduler %s over-allocated %d of %d usable nodes at t=%v",

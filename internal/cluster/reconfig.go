@@ -34,16 +34,11 @@ type ReconfigCost struct {
 // preempt is the second stage of reallocate, run only when a capacity
 // drop leaves more nodes allocated (total) than remain usable. It evicts
 // whole jobs — latest arrival first, ties broken toward the highest ID —
-// until the allocation fits; schedulers that preserve running allocations
-// (rigid, moldable) then see the evicted jobs as waiting and re-admit them
-// FCFS when space returns.
+// until the allocation fits, and drops them from heldIdx; schedulers
+// that preserve running allocations (rigid, moldable) then see the
+// evicted jobs as waiting and re-admit them FCFS when space returns.
 func (s *Sim) preempt(now eventq.Time, total int) {
-	s.victims = s.victims[:0]
-	for i, a := range s.oldAlloc {
-		if a > 0 {
-			s.victims = append(s.victims, i)
-		}
-	}
+	s.victims = append(s.victims[:0], s.heldIdx...)
 	slices.SortStableFunc(s.victims, func(i, k int) int {
 		a, b := s.actives[i].Job, s.actives[k].Job
 		switch {
@@ -65,6 +60,13 @@ func (s *Sim) preempt(now eventq.Time, total int) {
 			s.probe.Preempt(now.Seconds(), v.Job.ID)
 		}
 	}
+	held := s.heldIdx[:0]
+	for _, i := range s.heldIdx {
+		if s.views[i].Alloc > 0 {
+			held = append(held, i)
+		}
+	}
+	s.heldIdx = held
 }
 
 // charge prices one job's allocation change from old to alloc (the net

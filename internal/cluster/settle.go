@@ -1,6 +1,10 @@
 package cluster
 
-import "dpsim/internal/eventq"
+import (
+	"math/bits"
+
+	"dpsim/internal/eventq"
+)
 
 // arrive starts a pending job's first phase; from here on its one event
 // is the phase completion.
@@ -42,28 +46,32 @@ func (s *Sim) phaseDone(js *jobState) {
 }
 
 // settle is the first stage of reallocate. It brings the remaining work
-// of every job holding nodes (oldAlloc, the allocations in force before
-// this pass, which the reschedule stage later prices against the
-// policy's) up to now. A waiting job makes no progress and is not
-// touched. It returns the total allocation.
+// of every job holding nodes (the holder set of oldAlloc, the
+// allocations in force before this pass, which the reschedule stage
+// later prices against the policy's) up to now and lists them in heldIdx.
+// A waiting job makes no progress and is not touched. It returns the
+// total allocation.
 func (s *Sim) settle(now eventq.Time) (total int) {
-	for i, a := range s.oldAlloc {
-		if a == 0 {
-			continue
-		}
-		total += a
-		js := s.actives[i]
-		// Only a running job progresses; one already settled at this
-		// instant (a same-instant arrival, or a phase boundary) has dt
-		// exactly zero.
-		if js.rate > 0 && js.last != now {
-			if dt := (now - progressStart(js, now)).Seconds(); dt > 0 {
-				v := &s.views[i]
-				v.Remaining -= min(js.rate*dt, v.Remaining)
+	held, olds, actives, views := s.heldIdx[:0], s.oldAlloc, s.actives, s.views
+	for w, word := range s.held {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			held = append(held, i)
+			total += olds[i]
+			js := actives[i]
+			// Only a running job progresses; one already settled at this
+			// instant (a same-instant arrival, or a phase boundary) has dt
+			// exactly zero.
+			if js.rate > 0 && js.last != now {
+				if dt := (now - progressStart(js, now)).Seconds(); dt > 0 {
+					v := &views[i]
+					v.Remaining -= min(js.rate*dt, v.Remaining)
+				}
 			}
+			js.last = now
 		}
-		js.last = now
 	}
+	s.heldIdx = held
 	return total
 }
 
@@ -83,51 +91,55 @@ func progressStart(js *jobState, now eventq.Time) eventq.Time {
 }
 
 // reschedule is the last stage of reallocate: every job holding nodes
-// before or after the pass is charged for a changed allocation (charge),
-// takes its new allocation and rate, and its completion event moves to
-// the new ETA (plus any redistribution pause still to run),
-// allocation-free. A job left without nodes has no completion; only a
-// running one had one. A job waiting before and after is not touched,
-// and one newly granted nodes starts progressing now. Completions are
-// keyed by job ID, so same-instant ones fire in ID order and one whose
-// instant did not move is not sifted. It returns the changed count.
+// before or after the pass (held ∪ next, in index order, so charges
+// run in ID order) is charged for a changed allocation (charge), takes
+// its new allocation and rate, and its completion event moves to the new
+// ETA (plus any redistribution pause still to run), allocation-free. A
+// job left without nodes has no completion; only a running one had one.
+// A job waiting before and after is not touched, and one newly granted
+// nodes starts progressing now. Each visited oldAlloc entry is zeroed,
+// which leaves the whole buffer zero for the next pass's policy.
+// Completions are keyed by job ID, so same-instant ones fire in ID order
+// and one whose instant did not move is not sifted. It returns the
+// changed count.
 func (s *Sim) reschedule(now eventq.Time) (changed int) {
-	olds := s.oldAlloc[:len(s.allocBuf)]
-	for i, alloc := range s.allocBuf {
-		old := olds[i]
-		if old == 0 && alloc == 0 {
-			continue
-		}
-		js, v := s.actives[i], &s.views[i]
-		if alloc != old {
-			changed++
-			s.charge(js, v, old, alloc, now)
-		}
-		if old == 0 {
-			js.last = now
-		}
-		v.Alloc = alloc
-		rate := js.rate // cached while the phase and the allocation hold
-		if alloc != old || rate == 0 {
-			switch m := js.Job.Model; {
-			case alloc <= 0:
-				rate = 0
-			case m == nil:
-				rate = v.Phase().Rate(alloc)
-			default:
-				rate = m.Rate(v.Phase().Work, alloc)
+	olds, allocs, actives, views := s.oldAlloc, s.allocBuf, s.actives, s.views
+	for w, word := range s.held {
+		for word |= s.next[w]; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			old, alloc := olds[i], allocs[i]
+			olds[i] = 0
+			js, v := actives[i], &views[i]
+			if alloc != old {
+				changed++
+				s.charge(js, v, old, alloc, now)
 			}
-		}
-		if rate > 0 {
-			eta := eventq.DurationOf(v.Remaining / rate)
-			if js.pausedUntil > now {
-				eta += eventq.Duration(js.pausedUntil - now)
+			if old == 0 {
+				js.last = now
 			}
-			js.ev = s.q.RescheduleKeyed(js.ev, eta, int64(js.Job.ID), js.fn)
-		} else if js.rate > 0 {
-			s.q.Cancel(js.ev)
+			v.Alloc = alloc
+			rate := js.rate // cached while the phase and the allocation hold
+			if alloc != old || rate == 0 {
+				switch m := js.Job.Model; {
+				case alloc <= 0:
+					rate = 0
+				case m == nil:
+					rate = v.Phase().Rate(alloc)
+				default:
+					rate = m.Rate(v.Phase().Work, alloc)
+				}
+			}
+			if rate > 0 {
+				eta := eventq.DurationOf(v.Remaining / rate)
+				if js.pausedUntil > now {
+					eta += eventq.Duration(js.pausedUntil - now)
+				}
+				js.ev = s.q.RescheduleKeyed(js.ev, eta, int64(js.Job.ID), js.fn)
+			} else if js.rate > 0 {
+				s.q.Cancel(js.ev)
+			}
+			js.rate = rate
 		}
-		js.rate = rate
 	}
 	return changed
 }

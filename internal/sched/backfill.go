@@ -41,29 +41,32 @@ func (e *EasyBackfill) Allocate(st State, out []int) {
 	// granted widths or same-pass admissions would look like zero-node
 	// releases at +Inf and void the shadow.
 	e.rel = e.rel[:0]
-	for i := range st.Active {
-		if a := st.Active[i].Alloc; a > 0 {
-			out[i] = a
-			free -= a
-			e.rel = append(e.rel, release{at: st.Active[i].EstRemaining(a), nodes: a})
-		}
+	for _, i := range st.Held {
+		js := &st.Active[i]
+		out[i] = js.Alloc
+		free -= js.Alloc
+		e.rel = append(e.rel, release{at: js.EstRemaining(js.Alloc), nodes: js.Alloc})
 	}
 	// Free nodes only fall during the pass, so a waiting job wider than
-	// free now can never be admitted, and only the FCFS-first of those
-	// can become the blocked head: queue it and the jobs that fit.
+	// free now can never be admitted (with none free, no job can), and
+	// only the FCFS-first of those can become the blocked head: queue it
+	// and the jobs that fit.
+	if free <= 0 {
+		return
+	}
 	e.queue = e.queue[:0]
-	misfit := -1
+	misfit, head := -1, (*Job)(nil)
 	for i := range st.Active {
 		if js := &st.Active[i]; js.Alloc == 0 {
 			if js.Job.MaxNodes <= free {
 				e.queue = append(e.queue, queued{i: i, width: js.Job.MaxNodes})
-			} else if misfit < 0 || cmpFCFS(js.Job, st.Active[misfit].Job) < 0 {
-				misfit = i
+			} else if head == nil || cmpFCFS(js.Job, head) < 0 {
+				misfit, head = i, js.Job
 			}
 		}
 	}
-	if misfit >= 0 {
-		e.queue = append(e.queue, queued{i: misfit, width: st.Active[misfit].Job.MaxNodes})
+	if head != nil {
+		e.queue = append(e.queue, queued{i: misfit, width: head.MaxNodes})
 	}
 	sortFCFS(st, e.queue)
 	waiting := e.queue

@@ -41,32 +41,38 @@ func (f *FairShare) Allocate(st State, out []int) {
 		totalW += jobWeight(st.Active[i].Job)
 	}
 	// Largest-remainder apportionment of quota = Nodes·w/W, each share
-	// capped at the job's MaxNodes.
+	// capped at the job's MaxNodes. A weight-1 job's quota Nodes·1/W is
+	// bitwise Nodes/W, so it and its floor are computed once for all of
+	// them.
 	f.frac = grow(f.frac, len(st.Active))
-	used := 0
-	for i := range st.Active {
-		js := &st.Active[i]
-		quota := float64(st.Nodes) * jobWeight(js.Job) / totalW
-		out[i] = int(math.Floor(quota))
-		f.frac[i] = quota - float64(out[i])
-		if out[i] > js.Job.MaxNodes {
-			out[i] = js.Job.MaxNodes
-			f.frac[i] = 0
-		}
-		used += out[i]
-	}
+	f.order = grow(f.order, len(st.Active))
+	unit := float64(st.Nodes) / totalW
+	unitFloor := int(math.Floor(unit))
+	unitFrac := unit - float64(unitFloor)
 	// Hand the rounding leftover to the largest fractional remainders
 	// (ties: lower ID), then cycle any cap surplus over uncapped jobs.
 	// (frac desc, index asc) is a total order, so an unstable sort yields
-	// the stable permutation. The identity order is that permutation when
-	// the remainders never rise with the index (every pass with uniform
-	// weights and no binding cap); a plain loop finds that without a sort,
-	// and a NaN remainder (an infinite weight) still takes the sort.
-	f.order = grow(f.order, len(st.Active))
+	// the stable permutation. The identity order, built alongside, is
+	// that permutation when the remainders never rise with the index
+	// (every pass with uniform weights and no binding cap); checking that
+	// as they are computed spares the sort, and a NaN remainder (an
+	// infinite weight) still takes it.
+	used := 0
 	sorted := true
-	for i := range f.order {
-		f.order[i] = i
-		if i > 0 && !(f.frac[i-1] >= f.frac[i]) {
+	for i := range st.Active {
+		js := &st.Active[i]
+		a, frac := unitFloor, unitFrac
+		if w := jobWeight(js.Job); w != 1 {
+			quota := float64(st.Nodes) * w / totalW
+			a = int(math.Floor(quota))
+			frac = quota - float64(a)
+		}
+		if a > js.Job.MaxNodes {
+			a, frac = js.Job.MaxNodes, 0
+		}
+		out[i], f.frac[i], f.order[i] = a, frac, i
+		used += a
+		if i > 0 && !(f.frac[i-1] >= frac) {
 			sorted = false
 		}
 	}

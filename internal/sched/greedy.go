@@ -48,7 +48,9 @@ func marginalGain(js *JobState, alloc int) float64 {
 	if m := js.Job.Model; m != nil {
 		return m.Rate(ph.Work, alloc+1) - m.Rate(ph.Work, alloc)
 	}
-	return ph.Rate(alloc+1) - ph.Rate(alloc)
+	// Each rate is a product (p·eff): rounding it explicitly keeps an
+	// arm64 build from fusing one into the difference.
+	return float64(ph.Rate(alloc+1)) - float64(ph.Rate(alloc))
 }
 
 // Allocate implements Scheduler. The out buffer doubles as the working

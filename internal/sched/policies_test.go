@@ -29,6 +29,7 @@ func fresh(t *testing.T, name string) Scheduler {
 // Allocate pass into a fresh zeroed buffer and returns the result keyed
 // by job ID.
 func allocate(s Scheduler, st State) map[int]int {
+	st.Held = heldOf(st.Active)
 	out := make([]int, len(st.Active))
 	s.Allocate(st, out)
 	m := make(map[int]int, len(out))
@@ -36,6 +37,18 @@ func allocate(s Scheduler, st State) map[int]int {
 		m[st.Active[i].Job.ID] = a
 	}
 	return m
+}
+
+// heldOf is State.Held for active: the ascending indices of the jobs
+// holding nodes.
+func heldOf(active []JobState) []int {
+	var held []int
+	for i := range active {
+		if active[i].Alloc > 0 {
+			held = append(held, i)
+		}
+	}
+	return held
 }
 
 // TestAllocationContractOnRandomStates: for random states, every
@@ -68,6 +81,7 @@ func TestAllocationContractOnRandomStates(t *testing.T) {
 			total -= st.Active[i].Alloc
 			st.Active[i].Alloc = 0
 		}
+		st.Held = heldOf(st.Active)
 		for _, name := range Names() {
 			out := make([]int, len(st.Active))
 			fresh(t, name).Allocate(st, out)
@@ -365,6 +379,7 @@ func TestPoliciesZeroAllocSteadyState(t *testing.T) {
 		for i, a := range out {
 			st.Active[i].Alloc = a
 		}
+		st.Held = heldOf(st.Active)
 		allocs := testing.AllocsPerRun(100, func() {
 			for i := range out {
 				out[i] = 0

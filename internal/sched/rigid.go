@@ -27,9 +27,13 @@ func (*Rigid) Name() string { return "rigid-fcfs" }
 // jobs are admitted first-fit in FCFS order into whatever remains (a
 // running job admitted by backfilling must never be evicted by an older
 // waiter). Free nodes only fall during the pass, so only the waiting
-// jobs that fit what the running jobs leave are queued and sorted.
+// jobs that fit what the running jobs leave are queued and sorted, and
+// with none left (every admission needs 1 ≤ width ≤ free) none are.
 func (r *Rigid) Allocate(st State, out []int) {
 	free := placeRunning(st, out)
+	if free <= 0 {
+		return
+	}
 	r.queue = r.queue[:0]
 	for i := range st.Active {
 		if js := &st.Active[i]; js.Alloc == 0 && js.Job.MaxNodes <= free {
@@ -52,11 +56,10 @@ type queued struct {
 // returns the nodes left free for the waiting jobs.
 func placeRunning(st State, out []int) int {
 	free := st.Nodes
-	for i := range st.Active {
-		if a := st.Active[i].Alloc; a > 0 {
-			out[i] = a
-			free -= a
-		}
+	for _, i := range st.Held {
+		a := st.Active[i].Alloc
+		out[i] = a
+		free -= a
 	}
 	return free
 }

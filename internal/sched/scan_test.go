@@ -78,9 +78,22 @@ func appendWaitingFCFS(st State, buf []int) []int {
 	return buf
 }
 
+// densePlaceRunning is placeRunning's former walk over every active job
+// instead of State.Held.
+func densePlaceRunning(st State, out []int) int {
+	free := st.Nodes
+	for i := range st.Active {
+		if a := st.Active[i].Alloc; a > 0 {
+			out[i] = a
+			free -= a
+		}
+	}
+	return free
+}
+
 // fullSortRigid is Rigid's former pass over the whole sorted queue.
 func fullSortRigid(st State, out []int) {
-	free := placeRunning(st, out)
+	free := densePlaceRunning(st, out)
 	for _, i := range appendWaitingFCFS(st, nil) {
 		if want := st.Active[i].Job.MaxNodes; want <= free {
 			out[i] = want
@@ -91,7 +104,7 @@ func fullSortRigid(st State, out []int) {
 
 // fullSortMoldable is Moldable's former pass over the whole sorted queue.
 func fullSortMoldable(st State, out []int) {
-	free := placeRunning(st, out)
+	free := densePlaceRunning(st, out)
 	for _, i := range appendWaitingFCFS(st, nil) {
 		if want := moldWidth(st.Active[i], 0.5); want <= free {
 			out[i] = want
@@ -103,7 +116,7 @@ func fullSortMoldable(st State, out []int) {
 // fullSortSJF is SJFMoldable's former pass: every waiting job keyed and
 // sorted.
 func fullSortSJF(st State, out []int) {
-	free := placeRunning(st, out)
+	free := densePlaceRunning(st, out)
 	var waiting []int
 	work := make([]float64, len(st.Active))
 	for i := range st.Active {
@@ -179,6 +192,7 @@ func fullSortEasy(st State, out []int) {
 // running and a share with a performance model. The pool is then often
 // resized so the nodes the running jobs leave free are zero, or exactly
 // a waiting job's rigid or moldable width, with wider waiters beside it.
+// Held lists the running jobs, as the simulator fills it.
 func randomState(src *rng.Source, nodes, jobs int) State {
 	comms := []float64{0, 1e-12, 0.02, 0.05, 0.05, 0.3, 1, 1e300}
 	st := State{Nodes: nodes}
@@ -208,6 +222,7 @@ func randomState(src *rng.Source, nodes, jobs int) State {
 	case 2:
 		st.Nodes = busy + moldWidth(w, 0.5)
 	}
+	st.Held = heldOf(st.Active)
 	return st
 }
 
@@ -364,10 +379,13 @@ func TestFairShareMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestAdmitWhatFitsMatchesFullSort: each FCFS-family pass, which queues
-// and sorts only the waiting jobs that fit the nodes the running jobs
-// leave free, grants exactly what its former full-sort pass granted.
+// TestAdmitWhatFitsMatchesFullSort: each FCFS-family pass, which places
+// the running jobs from State.Held, queues and sorts only the waiting
+// jobs that fit the nodes they leave free (none, when they fill the
+// pool), grants exactly what its former full-sort pass granted. States
+// where the running jobs fill the pool and jobs wait must occur.
 func TestAdmitWhatFitsMatchesFullSort(t *testing.T) {
+	full := 0
 	for _, tc := range []struct {
 		name string
 		ref  func(State, []int)
@@ -382,12 +400,18 @@ func TestAdmitWhatFitsMatchesFullSort(t *testing.T) {
 			src := rng.New(seed)
 			st := randomState(src, 1+src.Intn(64), 1+src.Intn(40))
 			want, got := make([]int, len(st.Active)), make([]int, len(st.Active))
+			if densePlaceRunning(st, make([]int, len(st.Active))) == 0 && len(st.Held) < len(st.Active) {
+				full++
+			}
 			tc.ref(st, want)
 			s.Allocate(st, got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s seed %d: got %v, full sort %v", tc.name, seed, got, want)
 			}
 		}
+	}
+	if full == 0 {
+		t.Fatal("no state had its pool filled by running jobs with jobs waiting")
 	}
 }
 
@@ -401,11 +425,122 @@ func TestEasyBackfillMisfitHead(t *testing.T) {
 	narrower := JobState{Job: mkJob(2, 1, 50, 1, 5, 0), Remaining: 50}          // 5 > 4 free too (extra 5 were it the head)
 	long := JobState{Job: mkJob(3, 2, 400, 1, 4, 0), Remaining: 400}            // runs 100s on 4 nodes
 	short := JobState{Job: mkJob(4, 3, 2, 1, 2, 0), Remaining: 2}               // runs 1s on 2 nodes
-	st := State{Nodes: 10, Active: []JobState{running, head, narrower, long, short}}
+	st := State{Nodes: 10, Active: []JobState{running, head, narrower, long, short}, Held: []int{0}}
 	got, want := make([]int, len(st.Active)), make([]int, len(st.Active))
 	(&EasyBackfill{}).Allocate(st, got)
 	fullSortEasy(st, want)
 	if !slices.Equal(got, want) || !slices.Equal(got, []int{6, 0, 0, 0, 2}) {
 		t.Fatalf("got %v, full sort %v, want [6 0 0 0 2]", got, want)
+	}
+}
+
+// threePassFairShare is FairShare's former pass: the quotas in one loop,
+// the identity order and its check in a second, every weight divided on
+// its own.
+func threePassFairShare(st State, out []int) {
+	if len(st.Active) == 0 {
+		return
+	}
+	var totalW float64
+	for i := range st.Active {
+		totalW += jobWeight(st.Active[i].Job)
+	}
+	frac := make([]float64, len(st.Active))
+	used := 0
+	for i := range st.Active {
+		js := &st.Active[i]
+		quota := float64(st.Nodes) * jobWeight(js.Job) / totalW
+		out[i] = int(math.Floor(quota))
+		frac[i] = quota - float64(out[i])
+		if out[i] > js.Job.MaxNodes {
+			out[i] = js.Job.MaxNodes
+			frac[i] = 0
+		}
+		used += out[i]
+	}
+	order := make([]int, len(st.Active))
+	sorted := true
+	for i := range order {
+		order[i] = i
+		if i > 0 && !(frac[i-1] >= frac[i]) {
+			sorted = false
+		}
+	}
+	if !sorted {
+		order = stableFairOrder(frac)
+	}
+	for _, i := range order {
+		if used >= st.Nodes {
+			break
+		}
+		if out[i] < st.Active[i].Job.MaxNodes && frac[i] > 0 {
+			out[i]++
+			used++
+		}
+	}
+	for used < st.Nodes {
+		grew := false
+		for i := range st.Active {
+			if used >= st.Nodes {
+				break
+			}
+			if out[i] < st.Active[i].Job.MaxNodes {
+				out[i]++
+				used++
+				grew = true
+			}
+		}
+		if !grew {
+			break
+		}
+	}
+}
+
+// TestFairShareMatchesThreePass: FairShare, which computes each weight-1
+// quota once and builds the identity order while it apportions, grants
+// exactly what the former three-pass version granted. Weights come from
+// {−1, 0, 0.5, 1, 1, 1, 3, 1e300} (uniform in a third of the states; −1
+// and 0 mean 1, 1e300 leaves every other quota a tiny or zero
+// remainder), and caps at or below the share bind in some states. An
+// infinite weight is left out: its quota is NaN, which both versions
+// floor to the minimum int, and neither pass returns.
+func TestFairShareMatchesThreePass(t *testing.T) {
+	weights := []float64{-1, 0, 0.5, 1, 1, 1, 3, 1e300}
+	f := &FairShare{} // one instance: scratch reuse across passes
+	capped, unit := 0, 0
+	for seed := uint64(0); seed < 3000; seed++ {
+		src := rng.New(seed)
+		n := 1 + src.Intn([]int{8, 64, 700}[src.Intn(3)])
+		nodes := 1 + src.Intn(4*n)
+		if src.Float64() < 0.3 {
+			nodes = n * (1 + src.Intn(8))
+		}
+		w := weights[src.Intn(len(weights))]
+		st := State{Nodes: nodes, Active: make([]JobState, n)}
+		for i := range st.Active {
+			if seed%3 != 0 {
+				w = weights[src.Intn(len(weights))]
+			}
+			maxNodes := 1 + src.Intn(nodes)
+			if src.Float64() < 0.3 {
+				maxNodes = 1 + src.Intn(1+nodes/n)
+				capped++
+			}
+			j := mkJob(i, 0, 10, 1, maxNodes, 0)
+			j.Weight = w
+			if jobWeight(j) == 1 {
+				unit++
+			}
+			st.Active[i] = JobState{Job: j, Remaining: 10}
+		}
+		want, got := make([]int, n), make([]int, n)
+		threePassFairShare(st, want)
+		f.Allocate(st, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: got %v, three-pass %v", seed, got, want)
+		}
+	}
+	if capped == 0 || unit == 0 {
+		t.Fatalf("%d capped and %d weight-1 jobs: both must occur", capped, unit)
 	}
 }

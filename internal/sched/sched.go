@@ -140,13 +140,13 @@ func (js JobState) EstRemaining(p int) float64 {
 }
 
 // State is the scheduler-visible cluster state at one scheduling event.
-// Active (and the out buffer paired with it) is owned by the caller and
-// valid only for the duration of the Allocate call: the simulator reuses
-// the backing array between events, so policies must not retain it.
-// Active is read-only: the simulator keeps the active jobs' phase,
-// remaining work and allocation in these views and nowhere else, so a
-// write would change the run itself (the cluster package's arena
-// contract test catches a policy that writes).
+// Active, Held (and the out buffer paired with them) are owned by the
+// caller and valid only for the duration of the Allocate call: the
+// simulator reuses the backing arrays between events, so policies must
+// not retain them. Both are read-only: the simulator keeps the active
+// jobs' phase, remaining work and allocation in these views and nowhere
+// else, so a write would change the run itself (the cluster package's
+// arena contract test catches a policy that writes).
 type State struct {
 	// Nodes is the capacity usable right now: the current pool, already
 	// shrunk by any outstanding reclaim notice.
@@ -156,12 +156,19 @@ type State struct {
 	Now float64
 	// Active lists the active jobs in ascending job-ID order.
 	Active []JobState
+	// Held lists, in ascending order, exactly the indices i of Active
+	// with Active[i].Alloc > 0: the jobs holding nodes after any
+	// preemption. Their allocations fit the pool, so there are at most
+	// Nodes of them however long Active is: a policy walks Held, not
+	// Active, to place the running jobs.
+	Held []int
 }
 
 // Scheduler decides allocations. Allocate writes st.Active[i]'s node
-// count into out[i] and must not write st.Active itself (see State);
-// the caller provides out with len(st.Active),
-// zeroed, so a policy that grants a job nothing may simply skip it. On
+// count into out[i] and must not write st.Active or st.Held (see
+// State); the caller provides out with len(st.Active), zeroed, so a
+// policy that grants a job nothing may simply skip it, and st.Held
+// filled as State documents, so a policy may trust it. On
 // return the counts must each lie in [0, MaxNodes] and sum to at most
 // st.Nodes: the simulator checks every grant and panics on any
 // out-of-contract allocation, naming the policy, the job and the instant.
