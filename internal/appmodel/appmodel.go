@@ -27,10 +27,10 @@
 //     point: speedup(n) = min(n, sat). fixed, a rigid application with
 //     speedup 1 at any allocation, is roofline with sat = 1.
 //
-// Every built-in model also accepts the shared reconfiguration
-// parameters migrate_s and ckpt_s (see Costs): models price their own
-// migration pauses and checkpoint rollback distance, and the cluster
-// simulator charges them through its existing reconfiguration-cost path.
+// Every model also prices its own reconfiguration: each built-in one
+// accepts the shared parameters migrate_s and ckpt_s (see Costs), which
+// set its migration pause and checkpoint rollback distance, and the
+// cluster simulator charges them through its reconfiguration-cost path.
 //
 // Model evaluation sits on the scheduler-invocation hot path: a job
 // carrying a model (sched.Job.Model) has every phase's rate and
@@ -47,9 +47,10 @@ import "errors"
 var errNegativeCost = errors.New("appmodel: migrate_s and ckpt_s must be >= 0")
 
 // AppModel is one application performance model: a response curve from
-// (serial work, node allocation) to execution behavior. Implementations
-// must be immutable after construction and allocation-free per call —
-// they are evaluated inside the simulator's zero-allocation event loop.
+// (serial work, node allocation) to execution behavior, and the price of
+// changing that allocation. Implementations must be immutable after
+// construction and allocation-free per call — they are evaluated inside
+// the simulator's zero-allocation event loop.
 //
 // Rate and Efficiency are two views of one curve: Efficiency =
 // Rate/nodes. Rate is the primary quantity the simulator consumes
@@ -66,20 +67,12 @@ type AppModel interface {
 	// Efficiency returns Rate/nodes, the per-node efficiency in (0, 1].
 	// It returns 0 when nodes <= 0.
 	Efficiency(work float64, nodes int) float64
-}
-
-// Reconfigurer is the optional cost interface of a model: models that
-// implement it price their own dynamic-reconfiguration behavior, and the
-// cluster simulator charges the result through its existing
-// reconfiguration-cost path (cluster.ReconfigCost), on top of the
-// cluster-wide per-node costs.
-type Reconfigurer interface {
 	// MigrationS returns the extra seconds of redistribution pause
-	// charged when a running job is resized from `from` to `to` nodes
-	// (both > 0) — repartitioning, checkpoint/restart, process
+	// charged whenever a running job is resized to another non-zero
+	// allocation — repartitioning, checkpoint/restart, process
 	// migration. It is added to the cluster's per-node redistribution
 	// charge for the same resize.
-	MigrationS(from, to int) float64
+	MigrationS() float64
 	// CheckpointLossS returns the extra work-seconds lost per node
 	// abruptly reclaimed from the job (no-notice capacity drop) — the
 	// rollback distance to the model's last consistent checkpoint. It is
@@ -87,10 +80,9 @@ type Reconfigurer interface {
 	CheckpointLossS() float64
 }
 
-// Costs is the shared migration/checkpoint pricing embedded by every
-// built-in model, parsed from the common migrate_s and ckpt_s
-// parameters. The zero value prices nothing, leaving the cluster-wide
-// reconfiguration-cost model alone.
+// Costs is AppModel's two cost methods, embedded by every built-in model
+// and parsed from the common migrate_s and ckpt_s parameters. The zero
+// value prices nothing, leaving the cluster-wide cost model alone.
 type Costs struct {
 	// MigrateS is a flat pause in seconds charged per resize of a
 	// running job (the model's repartitioning time).
@@ -100,10 +92,10 @@ type Costs struct {
 	CkptS float64
 }
 
-// MigrationS implements Reconfigurer.
-func (c Costs) MigrationS(from, to int) float64 { return c.MigrateS }
+// MigrationS implements AppModel.
+func (c Costs) MigrationS() float64 { return c.MigrateS }
 
-// CheckpointLossS implements Reconfigurer.
+// CheckpointLossS implements AppModel.
 func (c Costs) CheckpointLossS() float64 { return c.CkptS }
 
 // costsFromParams rejects any key outside the model's own allowed set

@@ -205,30 +205,25 @@ func TestRegistryCommFamilies(t *testing.T) {
 	}
 }
 
-// TestReconfigurerHooks: every built-in model prices migration and
-// checkpoint loss through the shared Costs parameters, defaulting to
-// free.
+// TestReconfigurerHooks: every registered model prices migration and
+// checkpoint loss through AppModel's own cost methods, set by the shared
+// Costs parameters and defaulting to free.
 func TestReconfigurerHooks(t *testing.T) {
 	for _, name := range Names() {
 		free, err := New(name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, ok := free.(Reconfigurer)
-		if !ok {
-			t.Fatalf("%s does not implement Reconfigurer", name)
-		}
-		if rc.MigrationS(4, 8) != 0 || rc.CheckpointLossS() != 0 {
+		if free.MigrationS() != 0 || free.CheckpointLossS() != 0 {
 			t.Errorf("%s: default costs not free", name)
 		}
 		priced, err := New(name, Params{"migrate_s": 1.5, "ckpt_s": 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rc = priced.(Reconfigurer)
-		if rc.MigrationS(4, 8) != 1.5 || rc.CheckpointLossS() != 3 {
+		if priced.MigrationS() != 1.5 || priced.CheckpointLossS() != 3 {
 			t.Errorf("%s: costs not plumbed: migrate=%g ckpt=%g",
-				name, rc.MigrationS(4, 8), rc.CheckpointLossS())
+				name, priced.MigrationS(), priced.CheckpointLossS())
 		}
 	}
 }

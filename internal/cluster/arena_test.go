@@ -13,9 +13,11 @@ import (
 // Allocate, from both sides. The simulator's side: st.Active is the active
 // list in ascending ID order, each view that of the job at the same index
 // of sim.actives, in range, and holding the allocation in force before the
-// pass (or none, if the preempt stage evicted the job), st.Held lists
-// exactly the views holding nodes, ascending, and out arrives zeroed (the
-// simulator recycles it without a clear). The policy's side:
+// pass — except that a job the preempt stage evicted in this pass holds
+// none in its view and exactly that allocation in its eviction record,
+// the one place such a record is non-zero — st.Held lists exactly the
+// views holding nodes, ascending, and out arrives zeroed (the simulator
+// recycles it without a clear). The policy's side:
 // it leaves st.Active exactly as it found it — the views are the jobs' one
 // copy of their phase, remaining work and allocation, so a write would
 // change the run. It keeps the first breach.
@@ -68,8 +70,15 @@ func arenaMismatch(sim *Sim, st sched.State) string {
 			return fmt.Sprintf("t=%v: job %d is in phase %d of %d", sim.Now(), v.Job.ID, v.PhaseIdx, len(v.Job.Phases))
 		case v.Remaining < 0 || v.Remaining > v.Phase().Work:
 			return fmt.Sprintf("t=%v: job %d has %g of phase work %g left", sim.Now(), v.Job.ID, v.Remaining, v.Phase().Work)
-		case v.Alloc != 0 && v.Alloc != sim.oldAlloc[i]:
-			return fmt.Sprintf("t=%v: job %d's view holds %d nodes, %d in force", sim.Now(), v.Job.ID, v.Alloc, sim.oldAlloc[i])
+		}
+		// Bit i of the holder set marks the allocation in force before
+		// the pass; preempt moved an evicted job's into its record.
+		held, ev := sim.held[i>>6]>>(i&63)&1 == 1, sim.actives[i].evicted
+		switch {
+		case ev < 0 || ev > 0 && (v.Alloc != 0 || !held):
+			return fmt.Sprintf("t=%v: job %d has eviction record %d with %d nodes in its view (holder %v)", sim.Now(), v.Job.ID, ev, v.Alloc, held)
+		case held != (v.Alloc > 0 || ev > 0):
+			return fmt.Sprintf("t=%v: job %d holds %d nodes (%d evicted), holder bit %v", sim.Now(), v.Job.ID, v.Alloc, ev, held)
 		}
 	}
 	var held []int
@@ -108,8 +117,9 @@ func arenaJobs(src *rng.Source, models bool, tb testing.TB) []*Job {
 }
 
 // runArena drives one arena case with inner wrapped in an arenaCheck and
-// returns the check. Between steps it also pins LoadInfo, which reads the
-// allocation arena, against the allocations in the views.
+// returns the check. Between steps it also pins LoadInfo, which walks the
+// holder set, against a walk of every view, and checks that no job keeps
+// an eviction record past the pass that made it.
 func runArena(t *testing.T, inner Scheduler, volatile, costs, models, open bool, seed uint64) *arenaCheck {
 	t.Helper()
 	const nodes = 8
@@ -148,6 +158,11 @@ func runArena(t *testing.T, inner Scheduler, volatile, costs, models, open bool,
 		if got := sim.LoadInfo(); got.Running != li.Running || got.Waiting != li.Waiting || got.Allocated != li.Allocated {
 			t.Fatalf("t=%v: LoadInfo %+v, views %+v", sim.Now(), got, li)
 		}
+		for _, js := range sim.jobs {
+			if js.evicted != 0 {
+				t.Fatalf("t=%v: job %d keeps eviction record %d between steps", sim.Now(), js.Job.ID, js.evicted)
+			}
+		}
 	}
 	if open {
 		driveOpen(t, sim, jobs, observe)
@@ -181,8 +196,8 @@ func TestViewArenaPolicyContract(t *testing.T) {
 			if check.calls == 0 {
 				t.Errorf("%s case %d: the policy was never invoked", name, c)
 			}
-			for _, js := range check.sim.finished {
-				if js.firstStart > js.Job.Arrival {
+			for _, js := range check.sim.jobs {
+				if js.finished >= 0 && js.firstStart > js.Job.Arrival {
 					waited++
 				}
 			}

@@ -191,7 +191,7 @@ func (s *Sim) fireCapacity() {
 // say) would otherwise keep churning the event loop long after the last
 // job.
 func (s *Sim) maybeSuspendCapacity() {
-	if s.capStopped || len(s.finished) < len(s.jobs) {
+	if s.capStopped || s.finished < len(s.jobs) {
 		return
 	}
 	s.q.Cancel(s.ev)

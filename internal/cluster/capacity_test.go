@@ -305,7 +305,7 @@ func TestCapacityQueueDepthBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for sim.ProcessNextEvent() {
-		pending := len(sim.jobs) - len(sim.actives) - len(sim.finished)
+		pending := len(sim.jobs) - len(sim.actives) - sim.finished
 		if got, bound := sim.q.Len(), len(sim.actives)+pending+2; got > bound {
 			t.Fatalf("t=%v: %d events queued, want <= %d (%d active, %d arrivals pending)",
 				sim.Now(), got, bound, len(sim.actives), pending)

@@ -72,6 +72,9 @@ type jobState struct {
 	pausedUntil eventq.Time
 	// firstStart is the instant the job first held nodes; -1 until then.
 	firstStart float64
+	// evicted is the allocation the preempt stage took from the job in
+	// the current pass (its view then holds none); zero otherwise.
+	evicted int
 }
 
 // --- the cluster simulation ---
@@ -110,23 +113,19 @@ type Sim struct {
 	// and departure so reallocate never rebuilds or re-sorts it; point
 	// lookups binary-search it (searchActive).
 	actives  []*jobState
-	finished []*jobState
+	finished int // jobs completed, each marked by jobState.finished ≥ 0
 
-	// views and oldAlloc are persistent arenas parallel to actives,
-	// inserted into and deleted from alongside it: views holds each active
-	// job's phase, remaining work and allocation — the one copy of them,
-	// handed to the policy as is — and oldAlloc is each job's allocation
-	// in force before the current pass. held is the holder set, bit i set
-	// while oldAlloc[i] > 0, shifted alongside the arenas: settle, preempt,
-	// reschedule and LoadInfo walk it, so a job waiting through a pass
-	// costs one bit. allocBuf is the out-buffer the policy fills (it
-	// becomes oldAlloc when the pass ends; reschedule zeroes the entries
-	// of the one it retires, so it arrives zeroed) and next its holder
-	// set, emitted by allocate; heldIdx is sched.State.Held, victims the
-	// preemption scratch list. After warm-up a steady-state scheduling
-	// event allocates nothing.
+	// views is a persistent arena parallel to actives, inserted into and
+	// deleted from alongside it: each active job's phase, remaining work
+	// and allocation in force — the one copy of them, handed to the
+	// policy as is. held is the holder set, bit i set while
+	// views[i].Alloc > 0 between passes, shifted alongside: settle,
+	// preempt, reschedule and LoadInfo walk it, so a job waiting through
+	// a pass costs one bit. allocBuf is the policy's out-buffer (zeroed
+	// by reschedule) and next its holder set, emitted by allocate;
+	// heldIdx is sched.State.Held, victims the preemption scratch list.
+	// After warm-up a steady-state scheduling event allocates nothing.
 	views    []sched.JobState
-	oldAlloc []int
 	allocBuf []int
 	held     bitset
 	next     bitset
@@ -197,11 +196,10 @@ func NewSim(nodes int, sched Scheduler, jobs []*Job) (*Sim, error) {
 	}
 	s := &Sim{
 		nodes: nodes, sched: sched, q: eventq.New(),
-		jobs:     make([]*jobState, 0, len(jobs)),
-		actives:  make([]*jobState, 0, len(jobs)),
-		finished: make([]*jobState, 0, len(jobs)),
-		heldIdx:  make([]int, 0, nodes), // holders' grants fit the pool
-		capNow:   nodes, schedCap: nodes,
+		jobs:    make([]*jobState, 0, len(jobs)),
+		actives: make([]*jobState, 0, len(jobs)),
+		heldIdx: make([]int, 0, nodes), // holders' grants fit the pool
+		capNow:  nodes, schedCap: nodes,
 	}
 	for _, j := range jobs {
 		if err := s.intake(j); err != nil {
@@ -359,7 +357,7 @@ func (s *Sim) fireSample() {
 		T: s.q.Now().Seconds(), Waiting: li.Waiting, Running: li.Running,
 		Allocated: li.Allocated, Available: li.Capacity, Utilization: util,
 	})
-	if len(s.finished) == len(s.jobs) || (s.q.Len() == 0 && !s.dirty) {
+	if s.finished == len(s.jobs) || (s.q.Len() == 0 && !s.dirty) {
 		// Nothing left to observe — every job finished, or the ones left
 		// are stranded with no event pending that could move them: let
 		// the event loop drain. Inject resumes the grid.
@@ -453,7 +451,7 @@ func (s *Sim) LoadInfo() LoadInfo {
 	for w, word := range s.held {
 		for ; word != 0; word &= word - 1 {
 			li.Running++
-			li.Allocated += s.oldAlloc[w<<6|bits.TrailingZeros64(word)]
+			li.Allocated += s.views[w<<6|bits.TrailingZeros64(word)].Alloc
 		}
 	}
 	li.Waiting = len(s.actives) - li.Running
@@ -511,7 +509,6 @@ func (s *Sim) insertActive(js *jobState) {
 	}
 	s.actives = slices.Insert(s.actives, i, js)
 	s.views = slices.Insert(s.views, i, sched.JobState{Job: js.Job, Remaining: js.Job.Phases[0].Work})
-	s.oldAlloc = slices.Insert(s.oldAlloc, i, 0)
 	s.held = s.held.insert(i, len(s.actives))
 }
 
@@ -519,7 +516,6 @@ func (s *Sim) insertActive(js *jobState) {
 func (s *Sim) removeActive(i int) {
 	s.actives = slices.Delete(s.actives, i, i+1)
 	s.views = slices.Delete(s.views, i, i+1)
-	s.oldAlloc = slices.Delete(s.oldAlloc, i, i+1)
 	s.held = s.held.remove(i, len(s.actives))
 }
 
@@ -557,8 +553,9 @@ func (b bitset) remove(i, n int) bitset {
 
 // reallocate is the coalesced scheduling pass of a dirty instant, in the
 // four stages ARCHITECTURE.md draws: settle, preempt, allocate,
-// reschedule (which charges each changed allocation as it goes). It is the simulator's hot path and runs entirely on reused
-// state: the ID-sorted active list and its arenas are maintained
+// reschedule (which charges each changed allocation as it goes). It is
+// the simulator's hot path and runs entirely on reused state: the
+// ID-sorted active list, its views and its holder set are maintained
 // incrementally, the policy writes into a recycled buffer, and the phase
 // events are recycled objects with callbacks bound at intake. Every stage
 // dereferences a job's state only where it holds nodes before or after
@@ -571,7 +568,6 @@ func (s *Sim) reallocate() {
 	}
 	wallNS, total := s.allocate(now)
 	changed := s.reschedule(now)
-	s.oldAlloc, s.allocBuf = s.allocBuf, s.oldAlloc
 	s.held, s.next = s.next, s.held
 	s.reallocs += changed
 	if s.probe != nil {

@@ -20,7 +20,7 @@ const (
 )
 
 // fingerprintModels are registry models with non-zero migrate_s/ckpt_s
-// (the appmodel.Reconfigurer hook) plus one zero-cost model.
+// (AppModel's cost methods) plus one zero-cost model.
 func fingerprintModels(tb testing.TB) []appmodel.AppModel {
 	tb.Helper()
 	var out []appmodel.AppModel

@@ -51,9 +51,9 @@ func TestMidRunResultGolden(t *testing.T) {
 					continue
 				}
 				next++
-				pending := len(sim.jobs) - len(sim.actives) - len(sim.finished)
+				pending := len(sim.jobs) - len(sim.actives) - sim.finished
 				li := sim.LoadInfo()
-				if pending > 0 && li.Waiting > 0 && li.Running > 0 && len(sim.finished) > 0 {
+				if pending > 0 && li.Waiting > 0 && li.Running > 0 && sim.finished > 0 {
 					mixed++
 				}
 				r := sim.Result()

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"dpsim/internal/appmodel"
 	"dpsim/internal/eventq"
 	"dpsim/internal/obs"
 	"dpsim/internal/sched"
@@ -34,7 +33,8 @@ type ReconfigCost struct {
 // preempt is the second stage of reallocate, run only when a capacity
 // drop leaves more nodes allocated (total) than remain usable. It evicts
 // whole jobs — latest arrival first, ties broken toward the highest ID —
-// until the allocation fits, and drops them from heldIdx; schedulers
+// until the allocation fits, records what it took (jobState.evicted, for
+// the reschedule stage to charge) and drops them from heldIdx; schedulers
 // that preserve running allocations (rigid, moldable) then see the
 // evicted jobs as waiting and re-admit them FCFS when space returns.
 func (s *Sim) preempt(now eventq.Time, total int) {
@@ -55,7 +55,7 @@ func (s *Sim) preempt(now eventq.Time, total int) {
 		}
 		v := &s.views[i]
 		total -= v.Alloc
-		v.Alloc = 0
+		s.actives[i].evicted, v.Alloc = v.Alloc, 0
 		if s.probe != nil {
 			s.probe.Preempt(now.Seconds(), v.Job.ID)
 		}
@@ -72,20 +72,16 @@ func (s *Sim) preempt(now eventq.Time, total int) {
 // charge prices one job's allocation change from old to alloc (the net
 // delta of the instant) and records its first start; the reschedule stage
 // calls it for every changed job, in ID order, before pricing its
-// completion. Performance models may price their own reconfiguration
+// completion. A job's performance model prices its own reconfiguration
 // (checkpoint distance, migration pause); those charges ride the same
-// two cost paths as the cluster-wide model. The assertion allocates
-// nothing, and a zero-cost hook leaves the charges bit-identical to the
-// hook-free path.
+// two cost paths as the cluster-wide model, and a zero-cost model leaves
+// the charges bit-identical to a model-free job's.
 func (s *Sim) charge(js *jobState, v *sched.JobState, old, alloc int, now eventq.Time) {
-	var hook appmodel.Reconfigurer
-	if m := js.Job.Model; m != nil {
-		hook, _ = m.(appmodel.Reconfigurer)
-	}
+	m := js.Job.Model
 	if s.abruptNodes > 0 && alloc < old {
 		perNode := s.cost.LostWorkS
-		if hook != nil {
-			perNode += hook.CheckpointLossS()
+		if m != nil {
+			perNode += m.CheckpointLossS()
 		}
 		if perNode > 0 {
 			s.loseWork(v, perNode, old-alloc, now)
@@ -97,8 +93,8 @@ func (s *Sim) charge(js *jobState, v *sched.JobState, old, alloc int, now eventq
 			delta = -delta
 		}
 		pause := float64(s.cost.RedistributionSPerNode * float64(delta))
-		if hook != nil {
-			pause += hook.MigrationS(old, alloc)
+		if m != nil {
+			pause += m.MigrationS()
 		}
 		if pause > 0 {
 			s.pause(js, pause, now)

@@ -59,12 +59,15 @@ type JobOutcome struct {
 // outliving the workload do not stretch it.
 func (s *Sim) Result() Result {
 	res := Result{
-		Makespan: s.lastJobEvent.Seconds(), Unfinished: len(s.jobs) - len(s.finished),
+		Makespan: s.lastJobEvent.Seconds(), Unfinished: len(s.jobs) - s.finished,
 		Reallocations: s.reallocs, CapacityEvents: s.nextChange,
 		LostWorkS: s.lostWork, RedistributionS: s.redistS,
-		PerJob: make([]JobOutcome, 0, len(s.finished)),
+		PerJob: make([]JobOutcome, 0, s.finished),
 	}
-	for _, js := range s.finished {
+	for _, js := range s.jobs {
+		if js.finished < 0 {
+			continue
+		}
 		resp := js.finished - js.Job.Arrival
 		wait := js.firstStart - js.Job.Arrival
 		if wait < 0 {

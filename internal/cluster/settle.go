@@ -38,7 +38,7 @@ func (s *Sim) phaseDone(js *jobState) {
 			s.probe.JobFinish(now.Seconds(), js.Job.ID)
 		}
 		s.removeActive(i)
-		s.finished = append(s.finished, js)
+		s.finished++
 	} else {
 		v.Remaining = js.Job.Phases[v.PhaseIdx].Work
 	}
@@ -46,25 +46,24 @@ func (s *Sim) phaseDone(js *jobState) {
 }
 
 // settle is the first stage of reallocate. It brings the remaining work
-// of every job holding nodes (the holder set of oldAlloc, the
-// allocations in force before this pass, which the reschedule stage
-// later prices against the policy's) up to now and lists them in heldIdx.
-// A waiting job makes no progress and is not touched. It returns the
-// total allocation.
+// of every job holding nodes (the holder set: the views' allocations in
+// force before this pass, which the reschedule stage later prices
+// against the policy's) up to now and lists them in heldIdx. A waiting
+// job makes no progress and is not touched. It returns the total
+// allocation.
 func (s *Sim) settle(now eventq.Time) (total int) {
-	held, olds, actives, views := s.heldIdx[:0], s.oldAlloc, s.actives, s.views
+	held, actives, views := s.heldIdx[:0], s.actives, s.views
 	for w, word := range s.held {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			held = append(held, i)
-			total += olds[i]
-			js := actives[i]
+			v, js := &views[i], actives[i]
+			total += v.Alloc
 			// Only a running job progresses; one already settled at this
 			// instant (a same-instant arrival, or a phase boundary) has dt
 			// exactly zero.
 			if js.rate > 0 && js.last != now {
 				if dt := (now - progressStart(js, now)).Seconds(); dt > 0 {
-					v := &views[i]
 					v.Remaining -= min(js.rate*dt, v.Remaining)
 				}
 			}
@@ -97,19 +96,20 @@ func progressStart(js *jobState, now eventq.Time) eventq.Time {
 // ETA (plus any redistribution pause still to run), allocation-free. A
 // job left without nodes has no completion; only a running one had one.
 // A job waiting before and after is not touched, and one newly granted
-// nodes starts progressing now. Each visited oldAlloc entry is zeroed,
-// which leaves the whole buffer zero for the next pass's policy.
-// Completions are keyed by job ID, so same-instant ones fire in ID order
-// and one whose instant did not move is not sifted. It returns the
-// changed count.
+// nodes starts progressing now. The allocation in force before the pass
+// is the view's plus what preempt evicted; both that record and the
+// grant read are zeroed, which leaves allocBuf zero for the next pass's
+// policy. Completions are keyed by job ID, so same-instant ones fire in
+// ID order and one whose instant did not move is not sifted. It returns
+// the changed count.
 func (s *Sim) reschedule(now eventq.Time) (changed int) {
-	olds, allocs, actives, views := s.oldAlloc, s.allocBuf, s.actives, s.views
+	allocs, actives, views := s.allocBuf, s.actives, s.views
 	for w, word := range s.held {
 		for word |= s.next[w]; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
-			old, alloc := olds[i], allocs[i]
-			olds[i] = 0
 			js, v := actives[i], &views[i]
+			old, alloc := v.Alloc+js.evicted, allocs[i]
+			js.evicted, allocs[i] = 0, 0
 			if alloc != old {
 				changed++
 				s.charge(js, v, old, alloc, now)

@@ -211,16 +211,9 @@ func (f *Sim) Offer(j *cluster.Job) (idx int, admitted bool, err error) {
 	}
 	f.admitted++
 	for i := range f.members {
-		li := f.members[i].Sim.LoadInfo()
 		f.views[i] = ClusterView{
-			Index:     i,
-			Name:      f.members[i].Name,
-			Nodes:     li.Nodes,
-			Capacity:  li.Capacity,
-			Waiting:   li.Waiting,
-			Running:   li.Running,
-			Allocated: li.Allocated,
-			Routed:    f.routed[i],
+			LoadInfo: f.members[i].Sim.LoadInfo(),
+			Index:    i, Name: f.members[i].Name, Routed: f.routed[i],
 		}
 	}
 	idx = f.route.Route(j.Arrival, j, f.views)

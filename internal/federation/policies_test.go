@@ -71,7 +71,7 @@ func TestQuota(t *testing.T) {
 func views(loads ...[2]int) []ClusterView {
 	out := make([]ClusterView, len(loads))
 	for i, l := range loads {
-		out[i] = ClusterView{Index: i, Nodes: 8, Capacity: 8, Waiting: l[0], Running: l[1], Allocated: l[1]}
+		out[i] = ClusterView{Index: i, LoadInfo: cluster.LoadInfo{Nodes: 8, Capacity: 8, Waiting: l[0], Running: l[1], Allocated: l[1]}}
 	}
 	return out
 }
@@ -109,9 +109,9 @@ func TestWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []ClusterView{
-		{Index: 0, Nodes: 8, Capacity: 8, Allocated: 8, Waiting: 0, Running: 4}, // score -4
-		{Index: 1, Nodes: 8, Capacity: 8, Allocated: 2, Waiting: 1, Running: 1}, // score 4
-		{Index: 2, Nodes: 8, Capacity: 4, Allocated: 4, Waiting: 0, Running: 2}, // score -2
+		{Index: 0, LoadInfo: cluster.LoadInfo{Nodes: 8, Capacity: 8, Allocated: 8, Waiting: 0, Running: 4}}, // score -4
+		{Index: 1, LoadInfo: cluster.LoadInfo{Nodes: 8, Capacity: 8, Allocated: 2, Waiting: 1, Running: 1}}, // score 4
+		{Index: 2, LoadInfo: cluster.LoadInfo{Nodes: 8, Capacity: 4, Allocated: 4, Waiting: 0, Running: 2}}, // score -2
 	}
 	if got := r.Route(0, job(0), v); got != 1 {
 		t.Errorf("weighted picked %d, want 1", got)
@@ -122,8 +122,8 @@ func TestWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := []ClusterView{
-		{Index: 0, Capacity: 8, Allocated: 0, Waiting: 3, Running: 3},
-		{Index: 1, Capacity: 2, Allocated: 2, Waiting: 0, Running: 1},
+		{Index: 0, LoadInfo: cluster.LoadInfo{Capacity: 8, Allocated: 0, Waiting: 3, Running: 3}},
+		{Index: 1, LoadInfo: cluster.LoadInfo{Capacity: 2, Allocated: 2, Waiting: 0, Running: 1}},
 	}
 	if got := rq.Route(0, job(0), v2); got != 1 {
 		t.Errorf("queue-weighted picked %d, want 1", got)

@@ -3,25 +3,18 @@ package federation
 import "dpsim/internal/cluster"
 
 // ClusterView is the read-only per-member snapshot handed to a Router:
-// the member's instantaneous load gauges (cluster.Sim.LoadInfo) plus
-// federation-level bookkeeping. The orchestrator rebuilds views in a
-// reused scratch slice before every routing decision, so routers must
-// not retain the slice across calls.
+// the member's instantaneous load gauges (cluster.Sim.LoadInfo: Nodes,
+// Capacity, Waiting, Running, Allocated) plus federation-level
+// bookkeeping. The orchestrator rebuilds views in a reused scratch slice
+// before every routing decision, so routers must not retain the slice
+// across calls.
 type ClusterView struct {
+	cluster.LoadInfo
 	// Index is the member's position in the federation (the value Route
 	// returns to pick it).
 	Index int
 	// Name is the member's configured name ("c0", "c1", ... by default).
 	Name string
-	// Nodes is the member's configured pool size; Capacity is the usable
-	// capacity currently in effect (≤ Nodes under volatile availability).
-	Nodes    int
-	Capacity int
-	// Waiting counts active jobs holding no nodes; Running counts jobs
-	// holding at least one; Allocated is the total nodes granted.
-	Waiting   int
-	Running   int
-	Allocated int
 	// Routed is the number of jobs the federation has sent to this
 	// member so far.
 	Routed int
