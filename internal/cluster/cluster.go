@@ -21,6 +21,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -216,6 +217,9 @@ func NewSim(nodes int, sched Scheduler, jobs []*Job) (*Sim, error) {
 func (s *Sim) intake(j *Job) error {
 	if j == nil || len(j.Phases) == 0 {
 		return errors.New("cluster: job has no phases")
+	}
+	if math.IsNaN(j.Weight) || math.IsInf(j.Weight, 0) {
+		return fmt.Errorf("cluster: job %d has fair-share weight %v", j.ID, j.Weight)
 	}
 	if j.MaxNodes <= 0 || j.MaxNodes > s.nodes {
 		j.MaxNodes = s.nodes

@@ -226,6 +226,37 @@ func TestNewSimValidation(t *testing.T) {
 	}
 }
 
+// TestIntakeRejectsNonFiniteWeight: a NaN or infinite fair-share weight
+// is refused by name at both entry paths, NewSim and Inject; a huge
+// finite one is accepted (sched.FairShare scales it).
+func TestIntakeRejectsNonFiniteWeight(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		job := &Job{ID: 3, Phases: SyntheticProfile(1, 10, 0), Weight: w}
+		_, err := NewSim(4, &sched.FairShare{}, []*Job{job})
+		if err == nil || !strings.Contains(err.Error(), "job 3 has fair-share weight") {
+			t.Errorf("NewSim with weight %v: err = %v", w, err)
+		}
+		sim, err := NewSim(4, &sched.FairShare{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Inject(job); err == nil || !strings.Contains(err.Error(), "job 3 has fair-share weight") {
+			t.Errorf("Inject with weight %v: err = %v", w, err)
+		}
+	}
+	jobs := []*Job{
+		{ID: 0, Phases: SyntheticProfile(1, 10, 0), Weight: math.MaxFloat64},
+		{ID: 1, Phases: SyntheticProfile(1, 10, 0), Weight: 1e308},
+	}
+	sim, err := NewSim(8, &sched.FairShare{}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := sim.Run(); res.Unfinished != 0 || len(res.PerJob) != 2 {
+		t.Fatalf("huge finite weights: %+v", res)
+	}
+}
+
 func TestMoldableHoldsAllocation(t *testing.T) {
 	job := &Job{ID: 0, Phases: SyntheticProfile(3, 30, 0.2), MaxNodes: 8}
 	sim, err := NewSim(8, &sched.Moldable{}, []*Job{job})

@@ -133,7 +133,7 @@ func (c *CPU) Available() float64 {
 	if !c.p.CommOverhead {
 		return 1
 	}
-	avail := 1 - float64(c.nIn)*c.p.RecvOverhead - float64(c.nOut)*c.p.SendOverhead
+	avail := 1 - float64(float64(c.nIn)*c.p.RecvOverhead) - float64(float64(c.nOut)*c.p.SendOverhead)
 	if avail < c.p.MinAvailable {
 		avail = c.p.MinAvailable
 	}
@@ -194,7 +194,7 @@ func (c *CPU) reflow() {
 	for _, j := range c.jobs {
 		dt := (now - j.last).Seconds()
 		if dt > 0 && j.rate > 0 {
-			j.remaining -= j.rate * dt
+			j.remaining -= float64(j.rate * dt)
 			if j.remaining < 0 {
 				j.remaining = 0
 			}

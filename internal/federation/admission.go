@@ -77,7 +77,7 @@ func (b *tokenBucket) Name() string { return "token-bucket" }
 
 func (b *tokenBucket) Admit(now float64, j *cluster.Job) bool {
 	if now > b.last {
-		b.tokens = math.Min(b.burst, b.tokens+(now-b.last)*b.rate)
+		b.tokens = math.Min(b.burst, b.tokens+float64((now-b.last)*b.rate))
 		b.last = now
 	}
 	if b.tokens >= 1 {

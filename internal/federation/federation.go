@@ -312,7 +312,7 @@ func (f *Sim) Merged() cluster.Result {
 
 		w, c := f.members[i].Sim.Usage(end)
 		work += w
-		pools += float64(f.members[i].Sim.LoadInfo().Nodes) * out.Makespan
+		pools += float64(float64(f.members[i].Sim.LoadInfo().Nodes) * out.Makespan)
 		capIntegral += c
 	}
 	// IDs are unique across a fleet, so an unstable sort is deterministic.

@@ -149,7 +149,7 @@ func randomFederation(seed uint64, maxClusters, maxNodes, maxJobs int) ([]member
 		// carried by the changes drawn noticed.
 		ct, notice := 0.0, math.Ceil(src.Uniform(1, 15))
 		for j, n := 0, src.Intn(5); j < n; j++ {
-			ct += 10 * math.Ceil(src.Exp(40)/10)
+			ct += float64(10 * math.Ceil(src.Exp(40)/10))
 			c := availability.Change{At: ct, Capacity: src.Intn(nodes + 1)}
 			if src.Float64() < 0.4 {
 				c.NoticeS = notice

@@ -110,7 +110,7 @@ func (w *weighted) Name() string { return "weighted" }
 func (w *weighted) Route(now float64, j *cluster.Job, views []ClusterView) int {
 	best, bestScore := 0, 0.0
 	for i, v := range views {
-		score := w.free*float64(v.Capacity-v.Allocated) - w.queue*float64(v.Waiting+v.Running)
+		score := float64(w.free*float64(v.Capacity-v.Allocated)) - float64(w.queue*float64(v.Waiting+v.Running))
 		if i == 0 || score > bestScore {
 			best, bestScore = v.Index, score
 		}

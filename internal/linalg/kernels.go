@@ -260,7 +260,7 @@ func GemmFlops(m, k, n int) float64 { return 2 * float64(m) * float64(k) * float
 // TrsmFlops returns the operations of a unit-lower n×n solve applied to
 // n×cols: for each row i, 2·i·cols ops.
 func TrsmFlops(n, cols int) float64 {
-	return float64(n) * float64(n-1) * float64(cols)
+	return float64(float64(n) * float64(n-1) * float64(cols))
 }
 
 // PanelLUFlops returns the operations of PanelLU on an m×r panel:

@@ -36,7 +36,7 @@ func (c CostModel) PanelLU(m, r int) eventq.Duration {
 // Trsm returns the duration of operation (b): row flipping of the block's
 // trailing rows plus the r×r unit-lower solve.
 func (c CostModel) Trsm(m, r int) eventq.Duration {
-	flip := c.MemFactor * linalg.RowFlipBytes(r, r) / 8
+	flip := float64(c.MemFactor * linalg.RowFlipBytes(r, r) / 8)
 	return c.dur(linalg.TrsmFlops(r, r) + flip)
 }
 

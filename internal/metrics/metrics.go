@@ -91,7 +91,7 @@ func MeanEfficiency(iters []IterationStat) float64 {
 	var num, den float64
 	for _, it := range iters {
 		num += float64(it.SerialWork)
-		den += float64(it.Nodes) * float64(it.Elapsed)
+		den += float64(float64(it.Nodes) * float64(it.Elapsed))
 	}
 	if den == 0 {
 		return 0
@@ -175,7 +175,7 @@ func BuildHistogram(samples []ErrorSample) Histogram {
 	n := int((hi - lo) / width)
 	h := Histogram{Edges: make([]float64, n), Counts: make([]int, n)}
 	for i := range h.Edges {
-		h.Edges[i] = lo + float64(i)*width
+		h.Edges[i] = lo + float64(float64(i)*width)
 	}
 	for _, s := range samples {
 		e := s.Err()
@@ -226,7 +226,7 @@ func Stddev(v []float64) float64 {
 	m := Mean(v)
 	var s float64
 	for _, x := range v {
-		s += (x - m) * (x - m)
+		s += float64((x - m) * (x - m))
 	}
 	return math.Sqrt(s / float64(len(v)-1))
 }
@@ -274,12 +274,12 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	if p > 1 {
 		p = 1
 	}
-	pos := p * float64(len(sorted)-1)
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }

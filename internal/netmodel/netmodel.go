@@ -292,7 +292,7 @@ func (n *Network) reflow() {
 		// Settle bytes moved since the last rate change.
 		dt := (now - t.last).Seconds()
 		if dt > 0 && t.rate > 0 {
-			t.remaining -= t.rate * dt
+			t.remaining -= float64(t.rate * dt)
 			if t.remaining < 0 {
 				t.remaining = 0
 			}

@@ -55,7 +55,7 @@ func (s *Source) Intn(n int) int {
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
+	return lo + float64((hi-lo)*s.Float64())
 }
 
 // Norm returns a standard normal deviate (Box–Muller, polar form avoided
@@ -91,7 +91,7 @@ func NewLogNormal(cv float64) LogNormalDist {
 	if cv <= 0 {
 		return LogNormalDist{}
 	}
-	sigma2 := math.Log(1 + cv*cv)
+	sigma2 := math.Log(1 + float64(cv*cv))
 	// mu = -sigma2/2, so that E[exp(N(mu, sigma2))] == 1.
 	return LogNormalDist{on: true, mu: -sigma2 / 2, sigma: math.Sqrt(sigma2)}
 }
@@ -102,7 +102,7 @@ func (d LogNormalDist) Draw(s *Source) float64 {
 	if !d.on {
 		return 1
 	}
-	return math.Exp(d.mu + d.sigma*s.Norm())
+	return math.Exp(d.mu + float64(d.sigma*s.Norm()))
 }
 
 // Exp returns an exponential deviate with the given mean.

@@ -95,7 +95,7 @@ func (c *diurnalClock) next(r *rng.Source) float64 {
 	peak := c.base * (1 + c.amp)
 	for {
 		c.t += r.Exp(1 / peak)
-		rate := c.base * (1 + c.amp*math.Sin(2*math.Pi*c.t/c.period))
+		rate := c.base * (1 + float64(c.amp*math.Sin(2*math.Pi*c.t/c.period)))
 		if r.Float64()*peak <= rate {
 			return c.t
 		}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"dpsim/internal/sched"
 )
@@ -112,6 +113,36 @@ func TestJobWeightPlumbed(t *testing.T) {
 		if j.Weight != 1 {
 			t.Fatalf("default job weight = %v, want 1", j.Weight)
 		}
+	}
+}
+
+// TestHugeJobWeightRuns: a job_weight of 1e308 (valid JSON, which no
+// check bounds above) runs under fair-share like any other weight: every
+// job finishes, where the overflowing quota once made fair-share's
+// apportionment loop run on without end.
+func TestHugeJobWeightRuns(t *testing.T) {
+	spec, err := Parse([]byte(`{
+		"nodes": [8], "seed": 1, "jobs": 12, "schedulers": ["fair-share"],
+		"mix": [{"kind": "synthetic", "phases": 3, "work_s": 30, "job_weight": 1e308},
+		        {"kind": "synthetic", "phases": 2, "work_s": 20}],
+		"arrivals": {"process": "poisson", "mean_interarrival_s": 2}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run *CellRun
+	done := make(chan struct{})
+	go func() { run, err = spec.RunCell(CellParams{Nodes: 8, Load: 1, Seed: 5}); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run has not ended after 10 s")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := run.Result; r.Unfinished != 0 || len(r.PerJob) != 12 {
+		t.Fatalf("unfinished %d, %d outcomes", r.Unfinished, len(r.PerJob))
 	}
 }
 

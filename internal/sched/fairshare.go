@@ -40,13 +40,19 @@ func (f *FairShare) Allocate(st State, out []int) {
 	for i := range st.Active {
 		totalW += jobWeight(st.Active[i].Job)
 	}
+	// Weights so large that Nodes·W overflows are all scaled by one power
+	// of two, which keeps every quota below exact; otherwise scale is 1.
+	scale := 1.0
+	if math.IsInf(float64(st.Nodes)*totalW, 0) {
+		scale, totalW = scaleWeights(st.Active)
+	}
 	// Largest-remainder apportionment of quota = Nodes·w/W, each share
 	// capped at the job's MaxNodes. A weight-1 job's quota Nodes·1/W is
 	// bitwise Nodes/W, so it and its floor are computed once for all of
 	// them.
 	f.frac = grow(f.frac, len(st.Active))
 	f.order = grow(f.order, len(st.Active))
-	unit := float64(st.Nodes) / totalW
+	unit := float64(st.Nodes) * scale / totalW
 	unitFloor := int(math.Floor(unit))
 	unitFrac := unit - float64(unitFloor)
 	// Hand the rounding leftover to the largest fractional remainders
@@ -63,7 +69,7 @@ func (f *FairShare) Allocate(st State, out []int) {
 		js := &st.Active[i]
 		a, frac := unitFloor, unitFrac
 		if w := jobWeight(js.Job); w != 1 {
-			quota := float64(st.Nodes) * w / totalW
+			quota := float64(st.Nodes) * (w * scale) / totalW
 			a = int(math.Floor(quota))
 			frac = quota - float64(a)
 		}
@@ -112,6 +118,21 @@ func (f *FairShare) Allocate(st State, out []int) {
 			break // every job at its cap: the surplus idles
 		}
 	}
+}
+
+// scaleWeights returns the power of two that brings the largest weight
+// into [0.5, 1), and the sum of the weights scaled by it.
+func scaleWeights(active []JobState) (scale, totalW float64) {
+	var top float64
+	for i := range active {
+		top = max(top, jobWeight(active[i].Job))
+	}
+	_, exp := math.Frexp(top)
+	scale = math.Ldexp(1, -exp)
+	for i := range active {
+		totalW += jobWeight(active[i].Job) * scale
+	}
+	return scale, totalW
 }
 
 // jobWeight is the job's fair-share weight, defaulting to 1 for jobs

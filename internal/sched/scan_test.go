@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"dpsim/internal/appmodel"
 	"dpsim/internal/rng"
@@ -503,7 +504,8 @@ func threePassFairShare(st State, out []int) {
 // and 0 mean 1, 1e300 leaves every other quota a tiny or zero
 // remainder), and caps at or below the share bind in some states. An
 // infinite weight is left out: its quota is NaN, which both versions
-// floor to the minimum int, and neither pass returns.
+// floor to the minimum int, and neither pass returns (the cluster
+// simulator refuses such a job at intake).
 func TestFairShareMatchesThreePass(t *testing.T) {
 	weights := []float64{-1, 0, 0.5, 1, 1, 1, 3, 1e300}
 	f := &FairShare{} // one instance: scratch reuse across passes
@@ -542,5 +544,54 @@ func TestFairShareMatchesThreePass(t *testing.T) {
 	}
 	if capped == 0 || unit == 0 {
 		t.Fatalf("%d capped and %d weight-1 jobs: both must occur", capped, unit)
+	}
+}
+
+// TestFairShareHugeWeights: weights so large that Nodes·w overflows
+// still yield a terminating, in-contract, work-conserving apportionment,
+// and the same one as the weights scaled down by a power of two, which
+// the unscaled arithmetic apportions (so ratios are kept exactly).
+func TestFairShareHugeWeights(t *testing.T) {
+	f := &FairShare{}
+	for seed := uint64(0); seed < 500; seed++ {
+		src := rng.New(seed)
+		n := 1 + src.Intn(12)
+		nodes := 1 + src.Intn(40)
+		st := State{Nodes: nodes, Active: make([]JobState, n)}
+		low := State{Nodes: nodes, Active: make([]JobState, n)}
+		capSum := 0
+		for i := range st.Active {
+			w := []float64{1, 3, 1e300, 1e307, 1e308, 0.5e308, math.MaxFloat64}[src.Intn(7)]
+			maxNodes := 1 + src.Intn(nodes)
+			capSum += maxNodes
+			j := mkJob(i, 0, 10, 1, maxNodes, 0)
+			j.Weight = w
+			k := *j
+			k.Weight = math.Ldexp(w, -64)
+			st.Active[i] = JobState{Job: j, Remaining: 10}
+			low.Active[i] = JobState{Job: &k, Remaining: 10}
+		}
+		got, want := make([]int, n), make([]int, n)
+		done := make(chan struct{})
+		go func() { f.Allocate(st, got); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("seed %d: Allocate has not returned after 10 s", seed)
+		}
+		used := 0
+		for i, a := range got {
+			if a < 0 || a > st.Active[i].Job.MaxNodes {
+				t.Fatalf("seed %d: job %d granted %d of MaxNodes %d (%v)", seed, i, a, st.Active[i].Job.MaxNodes, got)
+			}
+			used += a
+		}
+		if used != min(nodes, capSum) {
+			t.Fatalf("seed %d: %d of %d nodes granted (caps sum to %d): %v", seed, used, nodes, capSum, got)
+		}
+		threePassFairShare(low, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: got %v, weights scaled by 2^-64 give %v", seed, got, want)
+		}
 	}
 }
