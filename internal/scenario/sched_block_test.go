@@ -117,9 +117,9 @@ func TestJobWeightPlumbed(t *testing.T) {
 }
 
 // TestHugeJobWeightRuns: a job_weight of 1e308 (valid JSON, which no
-// check bounds above) runs under fair-share like any other weight: every
-// job finishes, where the overflowing quota once made fair-share's
-// apportionment loop run on without end.
+// check bounds above, and large enough that Nodes·w overflows) runs
+// under fair-share like any other weight: the run ends and every job
+// finishes.
 func TestHugeJobWeightRuns(t *testing.T) {
 	spec, err := Parse([]byte(`{
 		"nodes": [8], "seed": 1, "jobs": 12, "schedulers": ["fair-share"],

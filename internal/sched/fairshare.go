@@ -40,11 +40,17 @@ func (f *FairShare) Allocate(st State, out []int) {
 	for i := range st.Active {
 		totalW += jobWeight(st.Active[i].Job)
 	}
-	// Weights so large that Nodes·W overflows are all scaled by one power
-	// of two, which keeps every quota below exact; otherwise scale is 1.
+	// When Nodes·W overflows, every weight is scaled by 2⁻⁶⁰⁰: the largest
+	// float64 becomes 2⁴²⁴, so Nodes·W is finite, and a power of two keeps
+	// the ratios, hence the quotas Nodes·w/W, exact for any weight above
+	// 2⁻⁴²² (still a normal float once scaled). Otherwise scale is 1 and
+	// changes no bit.
 	scale := 1.0
 	if math.IsInf(float64(st.Nodes)*totalW, 0) {
-		scale, totalW = scaleWeights(st.Active)
+		scale, totalW = 0x1p-600, 0
+		for i := range st.Active {
+			totalW += float64(jobWeight(st.Active[i].Job) * scale)
+		}
 	}
 	// Largest-remainder apportionment of quota = Nodes·w/W, each share
 	// capped at the job's MaxNodes. A weight-1 job's quota Nodes·1/W is
@@ -118,21 +124,6 @@ func (f *FairShare) Allocate(st State, out []int) {
 			break // every job at its cap: the surplus idles
 		}
 	}
-}
-
-// scaleWeights returns the power of two that brings the largest weight
-// into [0.5, 1), and the sum of the weights scaled by it.
-func scaleWeights(active []JobState) (scale, totalW float64) {
-	var top float64
-	for i := range active {
-		top = max(top, jobWeight(active[i].Job))
-	}
-	_, exp := math.Frexp(top)
-	scale = math.Ldexp(1, -exp)
-	for i := range active {
-		totalW += jobWeight(active[i].Job) * scale
-	}
-	return scale, totalW
 }
 
 // jobWeight is the job's fair-share weight, defaulting to 1 for jobs
