@@ -593,7 +593,8 @@ func (s *Sim) reallocate() {
 // holder set of the new allocation.
 func (s *Sim) allocate(now eventq.Time) (wallNS int64, total int) {
 	if n := len(s.actives); cap(s.allocBuf) < n {
-		s.allocBuf = make([]int, n)
+		// The views' capacity, so the buffer grows as rarely as they do.
+		s.allocBuf = make([]int, n, cap(s.views))
 	} else {
 		s.allocBuf = s.allocBuf[:n]
 	}
