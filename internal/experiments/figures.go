@@ -110,8 +110,9 @@ var fig10Strategies = []variant{
 	{label: "P+FC", p: true, fc: true},
 }
 
-// fig10Configs lists Fig. 10's configurations: the basic-graph reference
-// at the coarsest granularity, then granularity × strategy at 8 nodes.
+// fig10Configs lists Fig. 10's configurations, granularity × strategy at
+// 8 nodes. The reference, the basic graph at the coarsest granularity, is
+// the last granularity's Basic configuration.
 func fig10Configs(s Setup) (rs []int, cfgs []config) {
 	n := s.N()
 	if s.Quick {
@@ -119,7 +120,6 @@ func fig10Configs(s Setup) (rs []int, cfgs []config) {
 	} else {
 		rs = []int{81, 108, 162, 216, 324}
 	}
-	cfgs = []config{{"ref", lu.Config{N: n, R: rs[len(rs)-1], Nodes: 8}}}
 	for _, r := range rs {
 		for _, v := range fig10Strategies {
 			cfgs = append(cfgs, config{fmt.Sprintf("r=%d/%s", r, v.label), v.apply(lu.Config{N: n, R: r, Nodes: 8})})
@@ -137,18 +137,20 @@ func Fig10(s Setup) (*Table, []metrics.ErrorSample, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	refRun := runs[0]
+	// The reference runs once, as r=rs[last]/Basic; its samples also head
+	// the list under their own label.
+	refRun := *runs[(len(rs)-1)*len(fig10Strategies)]
+	refRun.Label = "ref"
 	t := &Table{
 		Title:  "Fig. 10 — impact of decomposition granularity (8 nodes)",
 		Header: []string{"r", "strategy", "measured[s]", "predicted[s]", "improv(meas)", "improv(pred)", "pred.err"},
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("reference: basic graph r=%d, measured %.1fs", rs[len(rs)-1], refRun.MeasuredMean()))
 	samples := refRun.Samples()
-	rest := runs[1:] // in fig10Configs order: granularity-major
-	for _, r := range rs {
+	for _, r := range rs { // runs are in fig10Configs order: granularity-major
 		for _, v := range fig10Strategies {
-			run := rest[0]
-			rest = rest[1:]
+			run := runs[0]
+			runs = runs[1:]
 			m := run.MeasuredMean()
 			t.Add(fmt.Sprintf("%d", r), v.label, f1(m), f1(run.Predicted),
 				f2(refRun.MeasuredMean()/m), f2(refRun.Predicted/run.Predicted),

@@ -99,7 +99,7 @@ func TestInParallelOrderAndFirstError(t *testing.T) {
 }
 
 // BenchmarkFig10Quick is the paper-side end of the benchmark ladder: the
-// 16 configurations (32 engine runs) behind `paperrepro -exp fig10 -quick
+// 15 configurations (30 engine runs) behind `paperrepro -exp fig10 -quick
 // -seeds 1`, which is the repository benchmark's paper-lu workload.
 // allocs/step, ns/step and events/s divide by the atomic steps and fired
 // events of one pass, which are exact and counted once, untimed. ns/step

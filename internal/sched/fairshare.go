@@ -18,9 +18,10 @@ func init() {
 // FairShare is weighted equipartition: each active job is entitled to a
 // share of the pool proportional to its Weight (default 1), apportioned
 // by the largest-remainder method, capped at MaxNodes, with capped jobs'
-// surplus redistributed to the rest. With uniform weights it behaves
-// like Equipartition up to rounding order. The struct carries reusable
-// apportionment scratch buffers: construct one instance per simulation.
+// surplus redistributed to the rest. When every weight is the default
+// and no cap binds (MaxNodes ≥ ⌈Nodes/N⌉), it grants exactly what
+// Equipartition grants. The struct carries reusable apportionment
+// scratch buffers: construct one instance per simulation.
 type FairShare struct {
 	frac  []float64
 	order []int
@@ -36,6 +37,33 @@ func (f *FairShare) Allocate(st State, out []int) {
 	if len(st.Active) == 0 {
 		return
 	}
+	for i := range st.Active {
+		if jobWeight(st.Active[i].Job) != 1 {
+			spreadSurplus(st, out, f.apportion(st, out))
+			return
+		}
+	}
+	// Every weight is the default: apportion's weights would sum to
+	// exactly N, and its Nodes/N, correctly rounded, has the floor Nodes
+	// div N (for Nodes < 2⁵³) and one remainder for every uncapped job, 0
+	// when N divides Nodes. Its largest-remainder round then gives one
+	// node each to the jobs below their cap in ID order, which is
+	// spreadSurplus's first round, so the floors are all this path
+	// computes. With Nodes < N the share is 0 and only the jobs granted a
+	// node are touched.
+	used := 0
+	if share := st.Nodes / len(st.Active); share > 0 {
+		for i := range st.Active {
+			out[i] = min(share, st.Active[i].Job.MaxNodes)
+			used += out[i]
+		}
+	}
+	spreadSurplus(st, out, used)
+}
+
+// apportion writes each job's rounded, capped quota into out for any
+// weights and returns the nodes granted.
+func (f *FairShare) apportion(st State, out []int) int {
 	var totalW float64
 	for i := range st.Active {
 		totalW += jobWeight(st.Active[i].Job)
@@ -108,6 +136,12 @@ func (f *FairShare) Allocate(st State, out []int) {
 			used++
 		}
 	}
+	return used
+}
+
+// spreadSurplus cycles the Nodes − used nodes left over the jobs below
+// their cap, one each per round in ID order.
+func spreadSurplus(st State, out []int, used int) {
 	for used < st.Nodes {
 		grew := false
 		for i := range st.Active {

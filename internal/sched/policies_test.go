@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"dpsim/internal/rng"
@@ -249,6 +250,41 @@ func TestFairShareWeights(t *testing.T) {
 	alloc = allocate(&FairShare{}, st)
 	if alloc[0] != 4 || alloc[1] != 4 || alloc[2] != 4 {
 		t.Fatalf("uniform shares = %v, want 4/4/4", alloc)
+	}
+}
+
+// TestFairShareDefaultWeightsMatchEquipartition: when every job has the
+// default weight (−1, 0 and 1 all mean 1) and no cap binds (MaxNodes ≥
+// ⌈Nodes/N⌉), fair-share grants exactly what equipartition grants. The
+// random states include pools that N divides and pools smaller than N,
+// which must occur.
+func TestFairShareDefaultWeightsMatchEquipartition(t *testing.T) {
+	f := &FairShare{} // one instance: scratch reuse across passes
+	wide := 0
+	const states = 2000
+	for seed := uint64(0); seed < states; seed++ {
+		src := rng.New(seed)
+		n := 1 + src.Intn([]int{4, 64, 1500}[src.Intn(3)])
+		nodes := 1 + src.Intn(3*n)
+		if n > nodes {
+			wide++
+		}
+		least := (nodes + n - 1) / n
+		st := State{Nodes: nodes, Active: make([]JobState, n)}
+		for i := range st.Active {
+			j := mkJob(i, 0, 10, 1, least+src.Intn(nodes-least+1), 0)
+			j.Weight = []float64{-1, 0, 1}[src.Intn(3)]
+			st.Active[i] = JobState{Job: j, Remaining: 10}
+		}
+		got, want := make([]int, n), make([]int, n)
+		f.Allocate(st, got)
+		Equipartition{}.Allocate(st, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d (%d jobs, %d nodes): fair-share %v, equipartition %v", seed, n, nodes, got, want)
+		}
+	}
+	if wide == 0 || wide == states {
+		t.Fatalf("%d of %d states had more jobs than nodes: both kinds must occur", wide, states)
 	}
 }
 

@@ -266,16 +266,21 @@ func TestMoldWidthBinarySearchMatchesScan(t *testing.T) {
 
 // TestFairShareOrderMatchesStableSort: the unstable (frac desc, index
 // asc) sort yields the stable sort's permutation, all-equal fracs
-// included.
+// included (a uniform weight of 3 in half of the states: the remainders
+// are only built when some weight is not the default).
 func TestFairShareOrderMatchesStableSort(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		src := rng.New(seed)
 		nodes := 1 + src.Intn(64)
 		st := randomState(src, nodes, 1+src.Intn(80))
-		if seed%2 == 0 {
-			for i := range st.Active {
+		for i := range st.Active {
+			st.Active[i].Job.Weight = 3
+			if seed%2 == 0 {
 				st.Active[i].Job.Weight = float64(1 + src.Intn(3))
 			}
+		}
+		if defaultWeights(st) {
+			st.Active[0].Job.Weight = 2
 		}
 		f := &FairShare{}
 		f.Allocate(st, make([]int, len(st.Active)))
@@ -336,14 +341,15 @@ func fullSortFairShare(st State, out []int) {
 // identity order already is (frac desc, index asc), grants exactly what
 // the always-sorting pass granted. The states draw weights from
 // {0, 0.5, 1, 2} (uniform in half of them, so whole passes skip the
-// sort), MaxNodes caps that bind, pools that divide evenly (all
-// remainders equal) and up to 2,000 jobs; both paths must be taken.
+// sort or split in integers), MaxNodes caps that bind, pools that divide
+// evenly (all remainders equal) and up to 2,000 jobs; among the states
+// with a weight other than the default, which build the order, both the
+// sorted and the skipped sort must occur.
 func TestFairShareMatchesFullSort(t *testing.T) {
 	weights := []float64{0, 0.5, 1, 2}
 	f := &FairShare{} // one instance: scratch reuse across passes
-	skipped := 0
-	const states = 2500
-	for seed := uint64(0); seed < states; seed++ {
+	skipped, ordered := 0, 0
+	for seed := uint64(0); seed < 2500; seed++ {
 		src := rng.New(seed)
 		n := 1 + src.Intn([]int{8, 64, 2000}[src.Intn(3)])
 		nodes := 1 + src.Intn(4*n)
@@ -371,12 +377,16 @@ func TestFairShareMatchesFullSort(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: got %v, full sort %v", seed, got, want)
 		}
+		if defaultWeights(st) {
+			continue
+		}
+		ordered++
 		if slices.IsSorted(f.order) {
 			skipped++
 		}
 	}
-	if skipped == 0 || skipped == states {
-		t.Fatalf("%d of %d states had the identity order: both paths must run", skipped, states)
+	if skipped == 0 || skipped == ordered {
+		t.Fatalf("%d of %d ordered states had the identity order: both paths must run", skipped, ordered)
 	}
 }
 
@@ -497,19 +507,23 @@ func threePassFairShare(st State, out []int) {
 	}
 }
 
-// TestFairShareMatchesThreePass: FairShare, which computes each weight-1
-// quota once and builds the identity order while it apportions, grants
-// exactly what the former three-pass version granted. Weights come from
+// TestFairShareMatchesThreePass: FairShare, which splits in integers at
+// default weights, computes each weight-1 quota once and builds the
+// identity order while it apportions, grants exactly what the former
+// three-pass float version granted. Weights come from
 // {−1, 0, 0.5, 1, 1, 1, 3, 1e300} (uniform in a third of the states; −1
 // and 0 mean 1, 1e300 leaves every other quota a tiny or zero
-// remainder), and caps at or below the share bind in some states. An
-// infinite weight is left out: its quota is NaN, which both versions
-// floor to the minimum int, and neither pass returns (the cluster
-// simulator refuses such a job at intake).
+// remainder); in a sixth of the states every job but one has the default
+// weight and that one has 2. Caps at or below the share bind in some
+// states. Default-weight states where the jobs outnumber the nodes, and
+// default-weight states with a binding cap and a pool N does not divide,
+// must both occur. An infinite weight is left out: its quota is NaN,
+// which both versions floor to the minimum int, and neither pass returns
+// (the cluster simulator refuses such a job at intake).
 func TestFairShareMatchesThreePass(t *testing.T) {
 	weights := []float64{-1, 0, 0.5, 1, 1, 1, 3, 1e300}
 	f := &FairShare{} // one instance: scratch reuse across passes
-	capped, unit := 0, 0
+	capped, unit, wide, cappedUneven, oneHeavy := 0, 0, 0, 0, 0
 	for seed := uint64(0); seed < 3000; seed++ {
 		src := rng.New(seed)
 		n := 1 + src.Intn([]int{8, 64, 700}[src.Intn(3)])
@@ -530,10 +544,25 @@ func TestFairShareMatchesThreePass(t *testing.T) {
 			}
 			j := mkJob(i, 0, 10, 1, maxNodes, 0)
 			j.Weight = w
+			if seed%6 == 1 {
+				j.Weight = 0
+			}
 			if jobWeight(j) == 1 {
 				unit++
 			}
 			st.Active[i] = JobState{Job: j, Remaining: 10}
+		}
+		if seed%6 == 1 && n > 1 {
+			st.Active[1+src.Intn(n-1)].Job.Weight = 2
+			oneHeavy++
+		}
+		if defaultWeights(st) {
+			if n > nodes {
+				wide++
+			}
+			if nodes%n != 0 && slices.ContainsFunc(st.Active, func(js JobState) bool { return js.Job.MaxNodes*n < nodes }) {
+				cappedUneven++
+			}
 		}
 		want, got := make([]int, n), make([]int, n)
 		threePassFairShare(st, want)
@@ -542,9 +571,18 @@ func TestFairShareMatchesThreePass(t *testing.T) {
 			t.Fatalf("seed %d: got %v, three-pass %v", seed, got, want)
 		}
 	}
-	if capped == 0 || unit == 0 {
-		t.Fatalf("%d capped and %d weight-1 jobs: both must occur", capped, unit)
+	if capped == 0 || unit == 0 || oneHeavy == 0 {
+		t.Fatalf("%d capped, %d weight-1 jobs and %d one-heavy states: all must occur", capped, unit, oneHeavy)
 	}
+	if wide == 0 || cappedUneven == 0 {
+		t.Fatalf("%d default-weight states with N > Nodes and %d with a binding cap and Nodes mod N ≠ 0: both must occur", wide, cappedUneven)
+	}
+}
+
+// defaultWeights reports whether every job of st has the default weight,
+// so FairShare splits it in integers.
+func defaultWeights(st State) bool {
+	return !slices.ContainsFunc(st.Active, func(js JobState) bool { return jobWeight(js.Job) != 1 })
 }
 
 // TestFairShareHugeWeights: weights so large that Nodes·w overflows
