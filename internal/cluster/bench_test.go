@@ -273,7 +273,7 @@ const idleCyclesPerSim = 32
 // suspends it again. The change density is the same at every size — the
 // horizon grows with the count — so the work a cycle has to do is
 // constant, and ns/op and allocs/op must be flat across the three sizes
-// (docs/performance.md, "Capacity timeline: a cursor").
+// (docs/performance.md, "Pulled capacity and one notice per timeline").
 func BenchmarkCapacityIdleCycle(b *testing.B) {
 	for _, sz := range []struct {
 		name string

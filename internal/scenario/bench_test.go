@@ -10,8 +10,8 @@ import (
 // serves: plain cells (openload), plain cells with capacity events
 // (volatile) and a real two-member federation (federated_basic). One op
 // is one replication of every policy × arrival × availability cell at
-// the scenario's first nodes/load entry. docs/performance.md records the
-// pair taken when plain cells were lowered onto the federation tier.
+// the scenario's first nodes/load entry. What lowering plain cells onto
+// the federation tier cost is a line of docs/performance.md's History.
 func BenchmarkRunCell(b *testing.B) {
 	for _, name := range []string{"openload", "volatile", "federated_basic"} {
 		spec, err := Load(filepath.Join("..", "..", "examples", "scenarios", name+".json"))
